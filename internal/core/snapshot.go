@@ -78,6 +78,12 @@ func (db *DB) OpenSnapshots() int { return int(db.openSnaps.Load()) }
 // invariant the race stress asserts.
 func (db *DB) DeferredBlocks() int { return db.plan.DeferredBlocks() }
 
+// Space reports the simulated space of every distinct storage unit
+// behind the planner — live blocks, peak words, deferred blocks — summed
+// over the single-disk structures, shard disks and mirror storage. It
+// reads disk counters only: no queue flush, no shard lock.
+func (db *DB) Space() engine.SpaceStats { return db.plan.Space() }
+
 // RetainedCount sums the open storage retentions (one per storage unit
 // per unclosed snapshot).
 func (db *DB) RetainedCount() int { return db.plan.Retained() }

@@ -8,7 +8,9 @@ import "repro/internal/emio"
 // inputs are never mutated (see the package comment on persistence).
 
 // CatenateAndAttrite returns the queue {e ∈ Q1 | e < min(Q2)} ∪ Q2.
-// O(1) worst-case I/Os.
+// O(1) worst-case I/Os. New versions allocate in Q2's context (see
+// Scoped): Q2 is the newer arrival — the singleton of an insert, the
+// accumulator of CatenateAll.
 func CatenateAndAttrite(q1, q2 *Queue) *Queue {
 	if q2 == nil || q2.Empty() {
 		return q1
@@ -44,6 +46,10 @@ func CatenateAndAttrite(q1, q2 *Queue) *Queue {
 	// because it does not depend on the last record existing.
 	if e.Key <= q1.f[0].Key {
 		return q2
+	}
+	// Everything below derives from Q1 as well.
+	if q1.scope != q2.scope {
+		q1 = q1.Scoped(q2.scope)
 	}
 	// Eagerly drop the attrited tail of F(Q1). F is a critical
 	// (memory-resident) buffer, so the trim is free; keeping attrited

@@ -23,6 +23,14 @@
 // records, so the I/O bounds are unchanged; the dynamic structure of §4.2
 // can therefore read internal-node queues without destroying them.
 //
+// Block lifetime: nothing here frees a block on its own — there is no
+// collector, and a version cannot know who else shares its records.
+// Lifetime belongs to the caller: run an operation in an emio.Scope
+// (Scoped, FromAscendingIn, CatenateAllIn), Keep the version that
+// survives, release the scope, and own the kept spans (scope.go).
+// Unscoped use keeps every version ever derived allocated, which is what
+// a caller holding on to old versions wants.
+//
 // Elements are (Key, Aux) pairs ordered by Key; attrition removes
 // elements with Key >= the newly arrived Key.
 package cpqa
@@ -87,7 +95,11 @@ func (q rdeq) total() int {
 // queues from New, Singleton, or the operations.
 type Queue struct {
 	disk *emio.Disk
-	b    int
+	// scope, when set, is the allocation context of the operation this
+	// version is being derived in (see Scoped); derived versions inherit
+	// it. nil allocates straight from the disk.
+	scope *emio.Scope
+	b     int
 
 	f, l  []Elem // first and last buffers, sorted ascending
 	c, bq rdeq   // clean and buffer deques (simple records only)
@@ -115,9 +127,14 @@ func New(d *emio.Disk, b int) *Queue {
 
 // Singleton returns the one-element queue used by InsertAndAttrite.
 func Singleton(d *emio.Disk, b int, e Elem) *Queue {
-	q := &Queue{disk: d, b: b, f: []Elem{e}, size: 1}
-	q.chargeBuffers()
-	return q
+	return New(d, b).singleton(e)
+}
+
+// singleton is Singleton in q's allocation context.
+func (q *Queue) singleton(e Elem) *Queue {
+	s := &Queue{disk: q.disk, scope: q.scope, b: q.b, f: []Elem{e}, size: 1}
+	s.chargeBuffers()
+	return s
 }
 
 // derive creates a mutable scratch copy of q used while assembling the
@@ -207,8 +224,7 @@ func (q *Queue) chargeBuffers() {
 		// Shared with the parent version; span unchanged.
 	default:
 		q.fWords = len(q.f)
-		q.fBlock = q.disk.AllocSpan(q.fWords)
-		q.disk.WriteSpan(q.fBlock, q.fWords)
+		q.fBlock = q.allocSpan(q.fWords)
 	}
 	switch {
 	case len(q.l) == 0:
@@ -216,8 +232,7 @@ func (q *Queue) chargeBuffers() {
 	case sameSlice(q.l, q.origL):
 	default:
 		q.lWords = len(q.l)
-		q.lBlock = q.disk.AllocSpan(q.lWords)
-		q.disk.WriteSpan(q.lBlock, q.lWords)
+		q.lBlock = q.allocSpan(q.lWords)
 	}
 	q.origF, q.origL = nil, nil
 }
@@ -233,9 +248,20 @@ func (q *Queue) newRecord(buf []Elem, child *Queue) *record {
 		r.total += child.size
 	}
 	r.words = len(buf)
-	r.block = q.disk.AllocSpan(r.words)
-	q.disk.WriteSpan(r.block, r.words)
+	r.block = q.allocSpan(r.words)
 	return r
+}
+
+// allocSpan allocates and writes a fresh span in q's allocation context.
+func (q *Queue) allocSpan(words int) emio.BlockID {
+	var id emio.BlockID
+	if q.scope != nil {
+		id = q.scope.AllocSpan(words)
+	} else {
+		id = q.disk.AllocSpan(words)
+	}
+	q.disk.WriteSpan(id, words)
+	return id
 }
 
 // touch charges the read of a record's buffer.
@@ -296,7 +322,7 @@ func (q *Queue) DeleteMin() (Elem, *Queue, bool) {
 // new queue. It is CatenateAndAttrite with a singleton right operand
 // (footnote 8 of the paper).
 func (q *Queue) InsertAndAttrite(e Elem) *Queue {
-	return CatenateAndAttrite(q, Singleton(q.disk, q.b, e))
+	return CatenateAndAttrite(q, q.singleton(e))
 }
 
 // minValue returns min(Q) without charging I/Os (used internally where

@@ -92,12 +92,24 @@ func (q *Queue) PinCritical() (unpin func()) {
 // The §4.2 structure uses it to create leaf queues (and query-time
 // partial-leaf queues) in O(1) I/Os, since a leaf holds O(B) elements.
 func FromAscending(d *emio.Disk, b int, elems []Elem) *Queue {
+	return New(d, b).fromAscending(elems)
+}
+
+// FromAscendingIn is FromAscending allocating through the scope sc; the
+// result stays bound to it (see Scoped).
+func FromAscendingIn(sc *emio.Scope, b int, elems []Elem) *Queue {
+	return (&Queue{disk: sc.Disk(), scope: sc, b: b}).fromAscending(elems)
+}
+
+// fromAscending fills the empty queue q, which the caller owns.
+func (q *Queue) fromAscending(elems []Elem) *Queue {
+	d := q.disk
 	for i := 1; i < len(elems); i++ {
 		if elems[i-1].Key >= elems[i].Key {
 			panic("cpqa: FromAscending input not strictly increasing")
 		}
 	}
-	q := &Queue{disk: d, b: b}
+	b := q.b
 	if len(elems) == 0 {
 		return q
 	}
@@ -111,8 +123,7 @@ func FromAscending(d *emio.Disk, b int, elems []Elem) *Queue {
 	rest := elems[2*b:]
 	// Pack the clean records into one span so that building charges
 	// O(words/B) I/Os, as a streaming write would.
-	spanStart := d.AllocSpan(len(rest))
-	d.WriteSpan(spanStart, len(rest))
+	spanStart := q.allocSpan(len(rest))
 	off := 0
 	for off < len(rest) {
 		sz := 2 * b

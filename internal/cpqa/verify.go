@@ -3,6 +3,8 @@ package cpqa
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/emio"
 )
 
 // This file provides the semantic view of a queue (Contents), the
@@ -252,19 +254,39 @@ func CatenateAll(qs []*Queue) *Queue {
 	if len(qs) == 0 {
 		return nil
 	}
+	return CatenateAllIn(qs[len(qs)-1].scope, qs)
+}
+
+// CatenateAllIn is CatenateAll allocating through the scope sc, whatever
+// the operands are bound to; the result is bound to sc. An operand is
+// copied only when a catenation actually derives from it, so the ones
+// that are attrited outright — most of them, on random input — cost
+// nothing.
+func CatenateAllIn(sc *emio.Scope, qs []*Queue) *Queue {
+	if len(qs) == 0 {
+		return nil
+	}
 	acc := qs[len(qs)-1]
-	for i := len(qs) - 2; i >= 0; i-- {
+	for i := len(qs) - 2; ; i-- {
+		if acc.scope != sc {
+			acc = acc.Scoped(sc)
+		}
+		if i < 0 {
+			return acc
+		}
 		acc = CatenateAndAttrite(qs[i], acc)
 	}
-	return acc
 }
 
 // ReachableWords returns the number of words reachable from this queue
 // version: record buffers (including children) plus the F/L buffers.
-// With the ephemeral usage pattern (drop old versions), this is the
-// O((n−m)/b)-block space bound of Theorem 3; the persistent history that
-// immutability retains is not counted, matching a real implementation
-// that garbage-collects unreachable versions.
+// This is the O((n−m)/b)-block space bound of Theorem 3. It is what the
+// version needs, not what the disk holds: versions and intermediates
+// that nothing references stay allocated until their owner frees them.
+// Callers that run operations in an emio.Scope and Keep the surviving
+// version (as dyntop does for every node) hold the disk to this figure
+// plus the slack of partially shared spans; callers that do not keep
+// the whole persistent history live.
 func (q *Queue) ReachableWords() int {
 	seen := map[*record]bool{}
 	var walk func(q *Queue) int

@@ -15,10 +15,18 @@
 // — the left-to-right catenation of its children's queues — holds the
 // skyline of its subtree, and a top-open query drains the catenation of
 // O(log) canonical queues until y < β.
+//
+// Block lifetime: queries and refreshes run in an emio.Scope and keep
+// only the queue version that survives them, each node owns the spans of
+// its current version, and Release frees everything. The O(n/B) space
+// figure is what the nodes hold; replaced versions are still held on the
+// tree's history until Release (DESIGN.md, "Block lifetime and
+// reclamation").
 package dyntop
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cpqa"
@@ -37,8 +45,11 @@ type node struct {
 
 	// Every node carries the I/O-CPQA over its subtree and, for
 	// internal nodes, the packed representative block holding copies
-	// of the children's critical records.
+	// of the children's critical records. owned lists the spans this
+	// node's queue version added on top of what its children's versions
+	// hold (DESIGN.md, "Block lifetime and reclamation").
 	q        *cpqa.Queue
+	owned    []emio.Span
 	repBlock emio.BlockID
 	repWords int
 
@@ -56,6 +67,12 @@ type Tree struct {
 	kMin int // leaf occupancy in [kMin, 2*kMin]
 	root *node
 	n    int
+
+	// history lists the spans of queue versions that refreshes have
+	// replaced. Nothing can read them — rebalanceUp rebuilds every
+	// ancestor that shared their records before anything reads it — and
+	// they are held until Release all the same; DESIGN.md says why.
+	history []emio.Span
 }
 
 // New returns an empty tree with the given ε.
@@ -160,18 +177,16 @@ func point(e cpqa.Elem) geom.Point { return geom.Point{X: e.Aux, Y: -e.Key} }
 // attrition. Host CPU only; used when (re)building leaf queues.
 func staircase(pts []geom.Point) []cpqa.Elem {
 	var out []cpqa.Elem
-	// Scan right to left keeping the running maximum y.
+	// Scan right to left keeping the running maximum y, then put the
+	// survivors back in x order.
 	best := geom.Coord(math.MinInt64)
-	idx := make([]int, 0, len(pts))
 	for i := len(pts) - 1; i >= 0; i-- {
 		if pts[i].Y > best {
-			idx = append(idx, i)
+			out = append(out, elem(pts[i]))
 			best = pts[i].Y
 		}
 	}
-	for i := len(idx) - 1; i >= 0; i-- {
-		out = append(out, elem(pts[idx[i]]))
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -186,7 +201,9 @@ func (t *Tree) refreshLeaf(nd *node) {
 		nd.ptsBlock = t.disk.AllocSpan(nd.ptsWords)
 		t.disk.WriteSpan(nd.ptsBlock, nd.ptsWords)
 	}
-	nd.q = cpqa.FromAscending(t.disk, t.b, staircase(nd.pts)).BiasUntilReady()
+	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
+		return cpqa.FromAscendingIn(sc, t.b, staircase(nd.pts)).BiasUntilReady()
+	})
 	if len(nd.pts) > 0 {
 		nd.minX, nd.maxX = nd.pts[0].X, nd.pts[len(nd.pts)-1].X
 	}
@@ -204,17 +221,20 @@ func (t *Tree) refreshInternal(nd *node) {
 		t.disk.FreeSpan(nd.repBlock, nd.repWords)
 		nd.repWords = 0
 	}
-	qs := make([]*cpqa.Queue, 0, len(nd.children))
-	var unpins []func()
-	for _, c := range nd.children {
-		c.q.AdmitCritical()
-		unpins = append(unpins, c.q.PinCritical())
-		qs = append(qs, c.q)
-	}
-	nd.q = cpqa.CatenateAll(qs).BiasUntilReady()
-	for _, u := range unpins {
-		u()
-	}
+	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
+		qs := make([]*cpqa.Queue, 0, len(nd.children))
+		var unpins []func()
+		for _, c := range nd.children {
+			c.q.AdmitCritical()
+			unpins = append(unpins, c.q.PinCritical())
+			qs = append(qs, c.q)
+		}
+		q := cpqa.CatenateAllIn(sc, qs).BiasUntilReady()
+		for _, u := range unpins {
+			u()
+		}
+		return q
+	})
 	nd.minX = nd.children[0].minX
 	nd.maxX = nd.children[len(nd.children)-1].maxX
 	// Pack copies of the children's critical records.
@@ -228,6 +248,50 @@ func (t *Tree) refreshInternal(nd *node) {
 	nd.repWords = w
 	nd.repBlock = t.disk.AllocSpan(w)
 	t.disk.WriteSpan(nd.repBlock, w)
+}
+
+// setQueue replaces nd's queue version. build runs in a scratch scope:
+// of everything it allocates, nd keeps only the spans reachable from the
+// queue it returns, and the rest is freed on the spot (build must have
+// dropped its pins by then). The version it replaces moves to the tree's
+// history.
+func (t *Tree) setQueue(nd *node, build func(sc *emio.Scope) *cpqa.Queue) {
+	t.history = append(t.history, nd.owned...)
+	sc := t.disk.NewScope()
+	nd.q = build(sc).Keep(sc)
+	nd.owned = sc.Release()
+}
+
+// drop takes nd out of the tree: its leaf span and representative block
+// are freed, its queue version joins the history. Its children, if any,
+// live on under another node.
+func (t *Tree) drop(nd *node) {
+	if nd.ptsWords > 0 {
+		t.disk.FreeSpan(nd.ptsBlock, nd.ptsWords)
+	}
+	if nd.repWords > 0 {
+		t.disk.FreeSpan(nd.repBlock, nd.repWords)
+	}
+	t.history = append(t.history, nd.owned...)
+}
+
+// Release frees every block the tree holds — nodes and history — and
+// leaves it empty. A pinned Handle keeps answering: its retention
+// defers the frees (see Snapshot).
+func (t *Tree) Release() {
+	var rec func(nd *node)
+	rec = func(nd *node) {
+		if nd == nil {
+			return
+		}
+		for _, c := range nd.children {
+			rec(c)
+		}
+		t.drop(nd)
+	}
+	rec(t.root)
+	t.disk.FreeSpans(t.history)
+	t.root, t.n, t.history = nil, 0, nil
 }
 
 // leafFor descends to the leaf whose x-range should contain x.
@@ -336,7 +400,7 @@ func (t *Tree) fixLeaf(nd *node) {
 			merged = append(append([]geom.Point(nil), sib.pts...), nd.pts...)
 		}
 		removeChild(par, sib)
-		t.disk.FreeSpan(sib.ptsBlock, sib.ptsWords)
+		t.drop(sib)
 		nd.pts = merged
 		if len(nd.pts) > 2*t.kMin {
 			t.refreshLeaf(nd)
@@ -345,6 +409,7 @@ func (t *Tree) fixLeaf(nd *node) {
 			t.refreshLeaf(nd)
 		}
 	case par == nil && len(nd.pts) == 0:
+		t.drop(nd)
 		t.root = nil
 	}
 }
@@ -370,6 +435,7 @@ func (t *Tree) fixInternal(nd *node) {
 		// Shrink the root.
 		t.root = nd.children[0]
 		t.root.parent = nil
+		t.drop(nd)
 	case len(nd.children) < t.a && par != nil:
 		sib, after := sibling(par, nd)
 		var merged []*node
@@ -379,9 +445,7 @@ func (t *Tree) fixInternal(nd *node) {
 			merged = append(append([]*node(nil), sib.children...), nd.children...)
 		}
 		removeChild(par, sib)
-		if sib.repWords > 0 {
-			t.disk.FreeSpan(sib.repBlock, sib.repWords)
-		}
+		t.drop(sib)
 		nd.children = merged
 		for _, c := range nd.children {
 			c.parent = nd
@@ -456,10 +520,14 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 	if v.root == nil || x1 > x2 {
 		return nil
 	}
+	// A query keeps nothing: the partial-leaf queues, the catenation and
+	// every DeleteMin version live in a scratch scope that is released
+	// once the answer is out.
+	sc := v.disk.NewScope()
 	var qs []*cpqa.Queue
 	var unpins []func()
-	v.collect(v.root, x1, x2, &qs, &unpins)
-	merged := cpqa.CatenateAll(qs)
+	v.collect(sc, v.root, x1, x2, &qs, &unpins)
+	merged := cpqa.CatenateAllIn(sc, qs)
 	for _, u := range unpins {
 		u()
 	}
@@ -472,14 +540,15 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 		out = append(out, point(e))
 		merged = nq
 	}
+	sc.Release()
 	// Keys come out ascending (= descending y = ascending x).
 	return out
 }
 
 // collect gathers, in ascending x order, the queues covering [x1,x2]:
 // whole-node queues for maximal contained subtrees and fresh partial
-// queues for the boundary leaves.
-func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]func()) {
+// queues, built in the query's scratch scope, for the boundary leaves.
+func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]func()) {
 	if nd.maxX < x1 || nd.minX > x2 || (nd.leaf() && len(nd.pts) == 0) {
 		return
 	}
@@ -496,7 +565,7 @@ func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]
 		if lo >= hi {
 			return
 		}
-		*qs = append(*qs, cpqa.FromAscending(v.disk, v.b, staircase(nd.pts[lo:hi])))
+		*qs = append(*qs, cpqa.FromAscendingIn(sc, v.b, staircase(nd.pts[lo:hi])))
 		return
 	}
 	// Internal: one representative-block read makes every child's
@@ -512,7 +581,7 @@ func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]
 			*qs = append(*qs, c.q)
 			continue
 		}
-		v.collect(c, x1, x2, qs, unpins)
+		v.collect(sc, c, x1, x2, qs, unpins)
 	}
 }
 
@@ -521,10 +590,11 @@ func (v view) collect(nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]
 // tree keeps mutating; the CPQA queues it reaches are confluently
 // persistent (no operation ever mutates a record), so the only state
 // the handle must protect is the base tree's node graph — captured by
-// copy — and the leaf/representative spans the live tree recycles,
-// which the caller protects with an emio retention
-// (Disk.RetainFrees) opened before Snapshot and released when the
-// handle is dropped. Handles perform no I/O at pin time.
+// copy — and the spans the live tree frees under it (leaf and
+// representative spans on every rewrite, everything on Release), which
+// the caller protects with an emio retention (Disk.RetainFrees) opened
+// before Snapshot and released when the handle is dropped. Handles
+// perform no I/O at pin time.
 type Handle struct {
 	view
 	n int

@@ -1,10 +1,12 @@
 // Deferred frees: the storage half of snapshot reads. A confluently
 // persistent structure never mutates its records, so a point-in-time
 // view of it is just a root captured while the live structure moves on
-// — EXCEPT that the live structure recycles the few mutable spans it
-// owns (dyntop leaf spans and representative blocks). Freeing such a
-// span while a snapshot still walks it would trip the
-// access-to-unallocated panic that guards the simulated machine.
+// — EXCEPT that the live structure frees what it owns and no longer
+// needs: dyntop leaf spans and representative blocks on every rewrite,
+// whole trees (queue versions included) when foursided replaces a
+// secondary or a shard is retired. Freeing such a span while a snapshot
+// still walks it would trip the access-to-unallocated panic that guards
+// the simulated machine.
 //
 // A Retention closes that window with epoch semantics instead of
 // per-block reference counts: opening one (RetainFrees) stamps the

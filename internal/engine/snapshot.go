@@ -280,13 +280,41 @@ func (pv *PlanView) Release() {
 	}
 }
 
-// retirementCounter is what a storage unit (an emio.Disk, or the
-// sharded engine summing its shard disks) reports about snapshot
+// storageUnit is what a storage unit (an emio.Disk, or the sharded
+// engine summing its shard disks) reports about its space — blocks
+// allocated now, the high-water mark in words — and about snapshot
 // retirement: blocks freed by the live index but deferred for open
 // retentions, and the number of open retentions.
-type retirementCounter interface {
+type storageUnit interface {
+	LiveBlocks() int
+	PeakWords() int64
 	DeferredBlocks() int
 	Retained() int
+}
+
+// SpaceStats is the simulated space of every distinct storage unit
+// behind a planner, summed: the operator's view of the O(n/B) bound.
+type SpaceStats struct {
+	// LiveBlocks counts allocated blocks, deferred ones included.
+	LiveBlocks int `json:"live_blocks"`
+	// PeakWords is the high-water mark of allocated words (summed per
+	// unit, so an upper bound on the simultaneous peak).
+	PeakWords int64 `json:"peak_words"`
+	// DeferredBlocks counts blocks freed but held for open snapshots.
+	DeferredBlocks int `json:"deferred_blocks"`
+}
+
+// Space reads the space counters of every distinct storage unit behind
+// the planner. It takes each disk's lock for a moment and nothing else:
+// no flush, no shard lock.
+func (pl *Planner) Space() SpaceStats {
+	var st SpaceStats
+	pl.eachStorage(func(u storageUnit) {
+		st.LiveBlocks += u.LiveBlocks()
+		st.PeakWords += u.PeakWords()
+		st.DeferredBlocks += u.DeferredBlocks()
+	})
+	return st
 }
 
 // DeferredBlocks sums the deferred-free queues of every distinct
@@ -294,17 +322,21 @@ type retirementCounter interface {
 // that are held alive for open snapshots. Zero once every snapshot is
 // released: the no-leak invariant of the generation accounting.
 func (pl *Planner) DeferredBlocks() int {
-	return pl.sumRetirement(func(rc retirementCounter) int { return rc.DeferredBlocks() })
+	total := 0
+	pl.eachStorage(func(u storageUnit) { total += u.DeferredBlocks() })
+	return total
 }
 
 // Retained sums the open retentions of every distinct storage unit
 // behind the planner (one per unit per unreleased snapshot).
 func (pl *Planner) Retained() int {
-	return pl.sumRetirement(func(rc retirementCounter) int { return rc.Retained() })
+	total := 0
+	pl.eachStorage(func(u storageUnit) { total += u.Retained() })
+	return total
 }
 
-func (pl *Planner) sumRetirement(get func(retirementCounter) int) int {
-	total := 0
+// eachStorage visits every distinct storage unit behind the planner.
+func (pl *Planner) eachStorage(visit func(storageUnit)) {
 	seen := make(map[any]bool, len(pl.backends))
 	for _, b := range pl.backends {
 		k := statsKey(b)
@@ -312,11 +344,10 @@ func (pl *Planner) sumRetirement(get func(retirementCounter) int) int {
 			continue
 		}
 		seen[k] = true
-		if rc, ok := k.(retirementCounter); ok {
-			total += get(rc)
+		if u, ok := k.(storageUnit); ok {
+			visit(u)
 		}
 	}
-	return total
 }
 
 // assert the stack's layers all thread snapshots.

@@ -77,9 +77,11 @@ func Build(d *emio.Disk, eps float64, pts []geom.Point) *Index {
 	return ix
 }
 
-// rebuild reconstructs the whole structure from x-sorted points.
+// rebuild reconstructs the whole structure from x-sorted points,
+// releasing the one it replaces.
 func (ix *Index) rebuild(sorted []geom.Point) {
 	d := ix.disk
+	ix.release(ix.root)
 	ix.root = nil
 	ix.n = len(sorted)
 	ix.n0 = len(sorted)
@@ -138,9 +140,36 @@ func (ix *Index) refreshLeaf(nd *node) {
 	}
 }
 
+// release frees every block held beneath nd: leaf point spans and whole
+// secondaries. Pinned Handles keep answering — their retention defers
+// the frees.
+func (ix *Index) release(nd *node) {
+	if nd == nil {
+		return
+	}
+	for _, c := range nd.children {
+		ix.release(c)
+	}
+	if nd.ptsWords > 0 {
+		ix.disk.FreeSpan(nd.ptsBlock, nd.ptsWords)
+	}
+	if nd.r != nil {
+		nd.r.Release()
+	}
+}
+
+// Release frees every block the index holds and leaves it empty.
+func (ix *Index) Release() {
+	ix.release(ix.root)
+	ix.root, ix.n, ix.n0, ix.updates = nil, 0, 0, 0
+}
+
 // refreshInternal (re)builds R(u) from scratch over the subtree's
-// transposed points, sorted by y.
+// transposed points, sorted by y, releasing the secondary it replaces.
 func (ix *Index) refreshInternal(nd *node) {
+	if nd.r != nil {
+		nd.r.Release()
+	}
 	var tp []geom.Point
 	var collect func(*node)
 	collect = func(c *node) {
@@ -435,6 +464,7 @@ func (ix *Index) pruneEmpty(nd *node) {
 		}
 	}
 	if len(par.children) == 0 {
+		par.r.Release()
 		ix.pruneEmpty(par)
 		return
 	}
@@ -506,9 +536,9 @@ type Handle struct {
 // Snapshot captures the current index as an immutable Handle: zero
 // simulated I/Os, O(n/B) host words for the primary node graph plus
 // the secondaries' graphs. Rebuilds and splits in the live index
-// replace secondaries wholesale (old spans are retired, never reused),
-// so a pinned secondary handle stays valid for the snapshot's
-// lifetime.
+// replace secondaries wholesale and release the old ones; the
+// retention defers those frees and block ids are never reused, so a
+// pinned secondary handle stays valid for the snapshot's lifetime.
 func (ix *Index) Snapshot() *Handle {
 	return &Handle{view: view{disk: ix.disk, root: cloneNodes(ix.root, nil)}, n: ix.n}
 }

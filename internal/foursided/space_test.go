@@ -1,0 +1,85 @@
+package foursided
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/emio"
+	"repro/internal/geom"
+)
+
+// spaceBlocksPerDataBlock bounds LiveBlocks of a freshly rebuilt index
+// by c·⌈n/B⌉ (Theorem 6's linear space): one block pair per leaf, plus a
+// Theorem 4 secondary over every internal node's subtree — each level of
+// them indexes all n points at ~3.5 blocks per ⌈n/B⌉, and at n = 10⁴ the
+// fan-out bottoms out at 2, which makes six levels (measured: 23.5).
+const spaceBlocksPerDataBlock = 30
+
+// TestSpaceBoundAfterChurn runs a long mixed update stream — through
+// several whole-index rebuilds, node splits and leaf prunes — and checks
+// that what the index replaced on the way is gone: queries leave the disk
+// as they found it, a rebuild brings the disk back to the linear bound,
+// and Release empties it.
+func TestSpaceBoundAfterChurn(t *testing.T) {
+	const n0, updates, queries = 10000, 10000, 5000
+	cfg := emio.DefaultConfig()
+	for _, eps := range []float64{0.3, 0.5, 1} {
+		all := geom.GenUniform(n0+updates/2, 1<<30, 501)
+		rng := rand.New(rand.NewSource(502))
+		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+		d := emio.NewDisk(cfg)
+		ix := Build(d, eps, all[:n0])
+		present, pool := append([]geom.Point(nil), all[:n0]...), all[n0:]
+		for u := 0; u < updates; u++ {
+			if u%2 == 0 {
+				p := pool[len(pool)-1]
+				pool = pool[:len(pool)-1]
+				ix.Insert(p)
+				present = append(present, p)
+				continue
+			}
+			i := rng.Intn(len(present))
+			if !ix.Delete(present[i]) {
+				t.Fatalf("Delete(%v) reported absent", present[i])
+			}
+			present[i] = present[len(present)-1]
+			present = present[:len(present)-1]
+		}
+
+		for q := 0; q < queries; q++ {
+			x1 := geom.Coord(rng.Int63n(1 << 30))
+			y1 := geom.Coord(rng.Int63n(1 << 30))
+			r := geom.Rect{X1: x1, X2: x1 + geom.Coord(rng.Int63n(1<<30)), Y1: y1, Y2: y1 + geom.Coord(rng.Int63n(1<<30))}
+			before := d.LiveBlocks()
+			got := ix.Query(r)
+			if after := d.LiveBlocks(); after != before {
+				t.Fatalf("eps=%.1f: Query(%v) moved LiveBlocks %d -> %d", eps, r, before, after)
+			}
+			if q%500 == 0 {
+				if want := geom.RangeSkyline(present, r); !sameAnswer(got, want) {
+					t.Fatalf("eps=%.1f: Query(%v) = %v, want %v", eps, r, got, want)
+				}
+			}
+		}
+
+		ix.rebuild(ix.allPoints(geom.Point{}, geom.Point{}, false))
+		if live, limit := d.LiveBlocks(), spaceBlocksPerDataBlock*cfg.BlocksFor(ix.Len()); live > limit {
+			t.Errorf("eps=%.1f: LiveBlocks = %d after a rebuild, want <= %d·⌈n/B⌉ = %d",
+				eps, live, spaceBlocksPerDataBlock, limit)
+		}
+		fresh := emio.NewDisk(cfg)
+		Build(fresh, eps, present)
+		if d.LiveBlocks() != fresh.LiveBlocks() {
+			t.Errorf("eps=%.1f: rebuilt index holds %d blocks, a fresh build of the same points %d",
+				eps, d.LiveBlocks(), fresh.LiveBlocks())
+		}
+
+		ix.Release()
+		if d.LiveBlocks() != 0 || d.LiveWords() != 0 {
+			t.Errorf("eps=%.1f: Release left %d blocks / %d words live", eps, d.LiveBlocks(), d.LiveWords())
+		}
+		if ix.Len() != 0 || ix.Query(geom.Rect{X2: 1 << 30, Y2: 1 << 30}) != nil {
+			t.Errorf("eps=%.1f: released index is not empty", eps)
+		}
+	}
+}

@@ -905,6 +905,9 @@ type statsResp struct {
 	Resilience core.ResilienceStats `json:"resilience"`
 	Recovery   core.RecoveryStats   `json:"recovery"`
 	Snapshots  int                  `json:"open_snapshots"`
+	// SpaceStats adds live_blocks, peak_words and deferred_blocks: the
+	// simulated space summed over shard and mirror disks.
+	engine.SpaceStats
 	// Rebalance reports shard-rebalancing activity; omitted for
 	// namespaces opened without "rebalance": true.
 	Rebalance *core.RebalanceStats `json:"rebalance,omitempty"`
@@ -919,6 +922,7 @@ func handleStats(s *Server, ns *namespace, w http.ResponseWriter, r *http.Reques
 		Resilience: ns.db.Resilience(),
 		Recovery:   ns.db.Recover(),
 		Snapshots:  ns.db.OpenSnapshots(),
+		SpaceStats: ns.db.Space(),
 	}
 	if ns.cfg.Rebalance {
 		rb := ns.db.RebalanceStats()

@@ -464,6 +464,11 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats.Cache.Hits == 0 {
 		t.Error("repeated identical query never hit the cache")
 	}
+	// 64 points are 128 words: at least 4 blocks of 32, and the peak can
+	// be no lower than what is live.
+	if stats.LiveBlocks < 4 || stats.PeakWords < int64(stats.LiveBlocks) || stats.DeferredBlocks != 0 {
+		t.Errorf("space = %+v, want live_blocks >= 4, peak_words >= live_blocks, deferred_blocks 0", stats.SpaceStats)
+	}
 }
 
 // TestMeasureIO checks the per-query I/O cost surfaces when enabled

@@ -32,8 +32,10 @@ import (
 //     exclusive lock, which blocks traffic for one rebuild but cannot
 //     go stale.
 //
-// Retired shards are never mutated again: any open Snapshot pinned their
-// structures and disk retentions, and those keep serving unchanged.
+// Retired shards are released once the swap is done: their structures
+// free every block they hold, and only the disk stays behind, for its I/O
+// history. Any open Snapshot pinned node-graph copies and a retention on
+// that disk, which defers the frees, so it keeps serving unchanged.
 // rebalMu serializes transitions end to end, so the cuts listener
 // observes every topology in order.
 
@@ -243,6 +245,18 @@ func (e *Engine) buildShard(chunk []geom.Point) *shard {
 	return s
 }
 
+// release frees everything a retired shard's structures hold on its
+// disk and drops them.
+func (s *shard) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.dyn.Release()
+	if s.four != nil {
+		s.four.Release()
+	}
+	s.top, s.dyn, s.four, s.pts = nil, nil, nil, nil
+}
+
 // split replaces shard i with two shards cut at its median x. Caller
 // holds rebalMu. minPts is the population floor below which the split
 // is refused (each child gets at least minPts/2 points).
@@ -379,10 +393,11 @@ func (e *Engine) merge(i int) error {
 	}
 }
 
-// finishTransition installs the new topology, retires the replaced
-// shards, resets the load counters, and notifies the cuts listener.
-// Caller holds rebalMu and topoMu exclusively; topoMu is released here
-// so the listener runs lock-free.
+// finishTransition installs the new topology, retires and releases the
+// replaced shards, resets the load counters, and notifies the cuts
+// listener. Caller holds rebalMu and topoMu exclusively; topoMu is
+// released here so the release and the listener run lock-free — every
+// operation that could reach an old shard held topoMu shared and is done.
 func (e *Engine) finishTransition(shards []*shard, cuts []geom.Coord, counter interface{ Add(uint64) uint64 }, old ...*shard) {
 	e.shards, e.cuts = shards, cuts
 	e.retired = append(e.retired, old...)
@@ -391,6 +406,9 @@ func (e *Engine) finishTransition(shards []*shard, cuts []geom.Coord, counter in
 	}
 	newCuts := append([]geom.Coord(nil), cuts...)
 	e.topoMu.Unlock()
+	for _, s := range old {
+		s.release()
+	}
 	counter.Add(1)
 	if e.listener != nil {
 		e.listener(newCuts)

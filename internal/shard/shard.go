@@ -139,9 +139,10 @@ type Engine struct {
 	// cuts[i] is the largest x owned by shard i (len K-1): shard i
 	// covers (cuts[i-1], cuts[i]], the last shard covers (cuts[K-2], ∞).
 	cuts []geom.Coord
-	// retired holds shards swapped out by transitions: their disks stay
-	// pinned by open snapshots and their I/O history stays in Stats.
-	// Appended under topoMu held exclusively; never mutated again.
+	// retired holds shards swapped out by transitions, for their disks:
+	// open snapshots hold retentions on them and their I/O history stays
+	// in Stats. Appended under topoMu held exclusively; the structures
+	// are released right after (see shard.release).
 	retired []*shard
 	sem     chan struct{}
 

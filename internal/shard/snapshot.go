@@ -192,6 +192,35 @@ func (e *Engine) DeferredBlocks() int {
 	return total
 }
 
+// LiveBlocks sums the blocks allocated on the shard disks, retired
+// shards included: a retired shard is released at its transition, so
+// its disk holds only what open snapshots still defer.
+func (e *Engine) LiveBlocks() int {
+	e.topoMu.RLock()
+	defer e.topoMu.RUnlock()
+	total := 0
+	for _, s := range e.shards {
+		total += s.disk.LiveBlocks()
+	}
+	for _, s := range e.retired {
+		total += s.disk.LiveBlocks()
+	}
+	return total
+}
+
+// PeakWords sums the serving shard disks' high-water marks of allocated
+// words. Retired disks are left out: their peaks are history, and would
+// grow the sum with every transition.
+func (e *Engine) PeakWords() int64 {
+	e.topoMu.RLock()
+	defer e.topoMu.RUnlock()
+	var total int64
+	for _, s := range e.shards {
+		total += s.disk.PeakWords()
+	}
+	return total
+}
+
 // Retained sums the shard disks' open retentions (one per shard per
 // unreleased snapshot), including shards retired by rebalance
 // transitions — a snapshot pinned before a transition still holds

@@ -399,3 +399,99 @@ func TestSnapshotRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotAcrossReclamation holds one snapshot while the live index
+// gives up, one way or another, every block the snapshot reads: leaf
+// rewrites and representative blocks on every update, whole Theorem 6
+// structures at the foursided rebuilds (each shard sees several times the
+// n/2 updates that trigger one), and entire shards — released at their
+// forced split and merge. The pinned view must keep answering all seven
+// shapes byte-identically while those frees sit deferred, and closing it
+// must leave no residue: nothing deferred, nothing retained, and exactly
+// the live set of a twin that ran the same stream and never pinned
+// anything.
+func TestSnapshotAcrossReclamation(t *testing.T) {
+	const n, updates = 600, 1800
+	span := geom.Coord((n + updates) * 16)
+	all := geom.GenUniform(n+updates/2, span, 8200)
+	base := append([]geom.Point(nil), all[:n]...)
+	geom.SortByX(base)
+	// The skew trigger is out of reach, so the forced transitions below
+	// are the only ones and both runs make them at the same ops.
+	opts := core.Options{Machine: diffCfg, Dynamic: true, Shards: 2, Workers: 2, Mirrors: true,
+		Rebalance: true, MaxShardSkew: 1e9}
+
+	run := func(pinned bool) int {
+		db, err := core.Open(opts, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pin pinnedTwin
+		if pinned {
+			snap, err := db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := core.Open(core.Options{Machine: diffCfg, Dynamic: true}, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer twin.Close() //errlint:ok — test twin, nothing to lose
+			pin = pinnedTwin{snap: snap, twin: twin, frozen: base}
+		}
+		rng := rand.New(rand.NewSource(8201))
+		qrng := rand.New(rand.NewSource(8202))
+		present := append([]geom.Point(nil), base...)
+		pool := all[n:]
+		for u := 0; u < updates; u++ {
+			ctx := fmt.Sprintf("pinned=%t op=%d", pinned, u)
+			if u%2 == 0 {
+				p := pool[len(pool)-1]
+				pool = pool[:len(pool)-1]
+				if err := db.Insert(p); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+				present = append(present, p)
+			} else {
+				i := rng.Intn(len(present))
+				if ok, err := db.Delete(present[i]); err != nil || !ok {
+					t.Fatalf("%s: Delete(%v) = %t, %v", ctx, present[i], ok, err)
+				}
+				present[i] = present[len(present)-1]
+				present = present[:len(present)-1]
+			}
+			switch u {
+			case updates / 3:
+				forceTransition(t, db, true, ctx)
+			case 2 * updates / 3:
+				forceTransition(t, db, false, ctx)
+			}
+			if pinned && u%150 == 149 {
+				if db.DeferredBlocks() == 0 {
+					t.Fatalf("%s: nothing deferred under an open snapshot", ctx)
+				}
+				sevenShapes(t, pin, qrng, span, ctx)
+			}
+		}
+		if st := db.RebalanceStats(); st.Splits == 0 || st.Merges == 0 {
+			t.Fatalf("pinned=%t: %d splits, %d merges: the stream was meant to cross both", pinned, st.Splits, st.Merges)
+		}
+		if pinned {
+			sevenShapes(t, pin, qrng, span, "before close")
+			pin.snap.Close()
+		}
+		if db.DeferredBlocks() != 0 || db.RetainedCount() != 0 {
+			t.Fatalf("pinned=%t: %d blocks deferred, %d retentions open at quiescence", pinned, db.DeferredBlocks(), db.RetainedCount())
+		}
+		r := geom.Rect{X1: geom.NegInf, X2: geom.PosInf, Y1: geom.NegInf, Y2: geom.PosInf}
+		diffPoints(t, db.RangeSkyline(r), naiveRangeSkyline(present, r), fmt.Sprintf("pinned=%t final skyline", pinned))
+		live := db.Space().LiveBlocks
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return live
+	}
+	if with, without := run(true), run(false); with != without {
+		t.Fatalf("live set after pin, churn and close is %d blocks; the same stream without a snapshot leaves %d", with, without)
+	}
+}
