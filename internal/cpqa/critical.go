@@ -91,6 +91,8 @@ func (q *Queue) PinCritical() (unpin func()) {
 // O(1 + len/B) I/Os by packing all records into one contiguous span.
 // The §4.2 structure uses it to create leaf queues (and query-time
 // partial-leaf queues) in O(1) I/Os, since a leaf holds O(B) elements.
+// The queue takes elems over — its immutable buffers are slices of it —
+// so the caller must not write to elems afterwards.
 func FromAscending(d *emio.Disk, b int, elems []Elem) *Queue {
 	return New(d, b).fromAscending(elems)
 }
@@ -114,12 +116,12 @@ func (q *Queue) fromAscending(elems []Elem) *Queue {
 		return q
 	}
 	if len(elems) <= 4*b {
-		q.f = append([]Elem(nil), elems...)
+		q.f = elems[:len(elems):len(elems)]
 		q.size = len(elems)
 		q.chargeBuffers()
 		return q
 	}
-	q.f = append([]Elem(nil), elems[:2*b]...)
+	q.f = elems[: 2*b : 2*b]
 	rest := elems[2*b:]
 	// Pack the clean records into one span so that building charges
 	// O(words/B) I/Os, as a streaming write would.
@@ -130,9 +132,9 @@ func (q *Queue) fromAscending(elems []Elem) *Queue {
 		if len(rest)-off < sz+b {
 			sz = len(rest) - off // final record up to 3b
 		}
-		chunk := rest[off : off+sz]
+		chunk := rest[off : off+sz : off+sz]
 		r := &record{
-			buf:   append([]Elem(nil), chunk...),
+			buf:   chunk,
 			total: len(chunk),
 			block: spanStart + emio.BlockID(off/d.Config().B),
 			words: len(chunk),

@@ -39,7 +39,10 @@ type node struct {
 	children []*node // nil for leaves
 
 	// Leaves hold the raw points sorted by x in a span of their own.
+	// ptsEpoch is the tree's snapshot count when the pts array was last
+	// made private to the live tree (see ownPts).
 	pts      []geom.Point
+	ptsEpoch uint64
 	ptsBlock emio.BlockID
 	ptsWords int
 
@@ -67,6 +70,11 @@ type Tree struct {
 	kMin int // leaf occupancy in [kMin, 2*kMin]
 	root *node
 	n    int
+
+	// snaps counts Snapshot calls: a leaf array is shared with a Handle
+	// exactly when a Snapshot happened after the array became the live
+	// tree's own.
+	snaps uint64
 
 	// history lists the spans of queue versions that refreshes have
 	// replaced. Nothing can read them — rebalanceUp rebuilds every
@@ -176,17 +184,25 @@ func point(e cpqa.Elem) geom.Point { return geom.Point{X: e.Aux, Y: -e.Key} }
 // the strictly increasing (in key = −y) subsequence that survives
 // attrition. Host CPU only; used when (re)building leaf queues.
 func staircase(pts []geom.Point) []cpqa.Elem {
-	var out []cpqa.Elem
-	// Scan right to left keeping the running maximum y, then put the
-	// survivors back in x order.
+	// Scan right to left keeping the running maximum y: once to count
+	// the survivors, once to place them in x order.
+	k := 0
 	best := geom.Coord(math.MinInt64)
 	for i := len(pts) - 1; i >= 0; i-- {
 		if pts[i].Y > best {
-			out = append(out, elem(pts[i]))
+			k++
 			best = pts[i].Y
 		}
 	}
-	slices.Reverse(out)
+	out := make([]cpqa.Elem, k)
+	best = geom.Coord(math.MinInt64)
+	for i := len(pts) - 1; i >= 0; i-- {
+		if pts[i].Y > best {
+			k--
+			out[k] = elem(pts[i])
+			best = pts[i].Y
+		}
+	}
 	return out
 }
 
@@ -323,14 +339,8 @@ func (t *Tree) Insert(p geom.Point) {
 	leaf := t.leafFor(p.X)
 	t.disk.ReadSpan(leaf.ptsBlock, leaf.ptsWords)
 	i := sort.Search(len(leaf.pts), func(j int) bool { return leaf.pts[j].X >= p.X })
-	// Copy-on-write: a pinned snapshot may share the old array, so the
-	// insert builds a fresh one instead of shifting in place. The copy
-	// is O(B) host words, dominated by the refreshLeaf rebuild below.
-	np := make([]geom.Point, len(leaf.pts)+1)
-	copy(np, leaf.pts[:i])
-	np[i] = p
-	copy(np[i+1:], leaf.pts[i:])
-	leaf.pts = np
+	t.ownPts(leaf)
+	leaf.pts = slices.Insert(leaf.pts, i, p)
 	t.n++
 	t.refreshLeaf(leaf)
 	t.rebalanceUp(leaf)
@@ -348,15 +358,22 @@ func (t *Tree) Delete(p geom.Point) bool {
 	if i >= len(leaf.pts) || leaf.pts[i] != p {
 		return false
 	}
-	// Copy-on-write, as in Insert: never shift a possibly-shared array.
-	np := make([]geom.Point, 0, len(leaf.pts)-1)
-	np = append(np, leaf.pts[:i]...)
-	np = append(np, leaf.pts[i+1:]...)
-	leaf.pts = np
+	t.ownPts(leaf)
+	leaf.pts = slices.Delete(leaf.pts, i, i+1)
 	t.n--
 	t.refreshLeaf(leaf)
 	t.rebalanceUp(leaf)
 	return true
+}
+
+// ownPts makes the leaf's point array safe to shift in place. Handles
+// share leaf arrays with the live tree, so the first write to a leaf
+// after a Snapshot copies its array; later writes find it private and
+// cost no host allocation.
+func (t *Tree) ownPts(leaf *node) {
+	if leaf.ptsEpoch != t.snaps {
+		leaf.pts, leaf.ptsEpoch = slices.Clone(leaf.pts), t.snaps
+	}
 }
 
 // rebalanceUp restores occupancy invariants from a modified node to the
@@ -602,13 +619,14 @@ type Handle struct {
 
 // Snapshot captures the current tree as an immutable Handle: the node
 // graph is copied (host pointers only — the queues, point arrays and
-// block ids are shared with the live tree, which copy-on-writes its
-// leaf arrays and never mutates a published queue), so the capture
+// block ids are shared with the live tree, which copies a leaf array
+// before its first write after a pin and never mutates a published queue), so the capture
 // charges zero simulated I/Os and costs O(n/B) host words. Callers
 // composing with concurrent updaters must hold the structure's
 // external lock across the call and open a retention on the disk
 // first; see internal/shard.Engine.Snapshot for the composed recipe.
 func (t *Tree) Snapshot() *Handle {
+	t.snaps++
 	return &Handle{view: view{disk: t.disk, b: t.b, root: cloneNodes(t.root, nil)}, n: t.n}
 }
 

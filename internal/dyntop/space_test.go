@@ -181,3 +181,57 @@ func TestSnapshotSurvivesReclamation(t *testing.T) {
 		t.Fatalf("%d blocks deferred, %d live after the retention dropped", d.DeferredBlocks(), d.LiveBlocks())
 	}
 }
+
+// TestLeafWritesCopyOnlyAfterSnapshot pins down who may shift a leaf
+// array in place: the live tree, until a Snapshot shares the array with
+// a Handle; the first write after that copies it, and later writes are
+// in place again. Two handles pinned at different times each keep
+// answering for their own point set.
+func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
+	all := geom.GenUniform(1200, 1<<20, 407)
+	rng := rand.New(rand.NewSource(408))
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	d, tr := buildTree(t, emio.Config{B: 16, M: 16 * 64}, 0.5, all[:600])
+	present := append([]geom.Point(nil), all[:600]...)
+	pool := all[600:]
+
+	// Without a snapshot, a delete shifts in place and the insert that
+	// follows finds room in the same array.
+	leaf := tr.leafFor(present[0].X)
+	tr.Delete(present[0])
+	arr := &leaf.pts[0]
+	tr.Insert(present[0])
+	if tr.leafFor(present[0].X) != leaf || &leaf.pts[0] != arr {
+		t.Fatal("an unshared leaf array was copied on write")
+	}
+
+	type pin struct {
+		h   *Handle
+		pts []geom.Point
+	}
+	ret := d.RetainFrees()
+	var pins []pin
+	for round := 0; round < 3; round++ {
+		pins = append(pins, pin{tr.Snapshot(), append([]geom.Point(nil), present...)})
+		shared := tr.leafFor(present[0].X).pts
+		frozen := append([]geom.Point(nil), shared...)
+		tr.Delete(present[0])
+		tr.Insert(present[0])
+		if !sameAnswer(shared, frozen) {
+			t.Fatalf("round %d: a write reached the array a handle shares", round)
+		}
+		present = churn(t, tr, present, pool[round*100:(round+1)*100], 200, rng)
+		for i, p := range pins {
+			for q := 0; q < 50; q++ {
+				x1 := geom.Coord(rng.Int63n(1 << 20))
+				x2 := x1 + geom.Coord(rng.Int63n(1<<20))
+				beta := geom.Coord(rng.Int63n(1 << 20))
+				got := p.h.Query(x1, x2, beta)
+				if want := geom.RangeSkyline(p.pts, geom.TopOpen(x1, x2, beta)); !sameAnswer(got, want) {
+					t.Fatalf("round %d: handle %d Query(%d,%d,%d) = %v, want %v", round, i, x1, x2, beta, got, want)
+				}
+			}
+		}
+	}
+	ret.Release()
+}

@@ -56,6 +56,9 @@ type Scope struct {
 	// the disk never reuses an id.
 	spans    []scopeSpan
 	released bool
+	// first backs spans until an operation allocates more than it holds,
+	// so that a typical operation's scope is one host allocation.
+	first [4]scopeSpan
 }
 
 type scopeSpan struct {
@@ -65,9 +68,9 @@ type scopeSpan struct {
 
 // NewScope opens an allocation scope on the disk.
 func (d *Disk) NewScope() *Scope {
-	// Room for a typical operation's allocations, so that recording
-	// them costs one host allocation, not a growth series.
-	return &Scope{d: d, spans: make([]scopeSpan, 0, 4)}
+	s := &Scope{d: d}
+	s.spans = s.first[:0]
+	return s
 }
 
 // Disk returns the disk the scope allocates on.

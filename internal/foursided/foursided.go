@@ -25,6 +25,7 @@ package foursided
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dyntop"
@@ -36,8 +37,11 @@ type node struct {
 	parent   *node
 	children []*node
 
-	// Leaves: points sorted by x, in a charged span.
+	// Leaves: points sorted by x, in a charged span. ptsEpoch is the
+	// index's snapshot count when the pts array was last made private
+	// to the live index (see ownPts).
 	pts      []geom.Point
+	ptsEpoch uint64
 	ptsBlock emio.BlockID
 	ptsWords int
 
@@ -62,6 +66,11 @@ type Index struct {
 	n0      int // size at last rebuild
 	updates int // updates since last rebuild
 	fanout  int
+
+	// snaps counts Snapshot calls: a leaf array is shared with a Handle
+	// exactly when a Snapshot happened after the array became the live
+	// index's own.
+	snaps uint64
 }
 
 // Build constructs the index over pts (any order; they are sorted here)
@@ -225,10 +234,21 @@ type view struct {
 }
 
 // leafSkyline computes the skyline of the leaf's points inside rect,
-// charging the leaf read.
+// charging the leaf read. The leaf is sorted by x and in general
+// position, so one right-to-left scan keeping the running maximum y
+// finds the maxima without the oracle's copy and sort.
 func (v view) leafSkyline(nd *node, r geom.Rect) []geom.Point {
 	v.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
-	return geom.RangeSkyline(nd.pts, r)
+	var sky []geom.Point
+	best := geom.Coord(math.MinInt64)
+	for i := len(nd.pts) - 1; i >= 0; i-- {
+		if p := nd.pts[i]; p.Y > best && r.Contains(p) {
+			sky = append(sky, p)
+			best = p.Y
+		}
+	}
+	slices.Reverse(sky)
+	return sky
 }
 
 // Query answers the 4-sided range skyline query [x1,x2] × [y1,y2] in
@@ -335,13 +355,8 @@ func (ix *Index) Insert(p geom.Point) {
 	}
 	ix.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
 	i := sort.Search(len(nd.pts), func(j int) bool { return nd.pts[j].X >= p.X })
-	// Copy-on-write: a pinned snapshot may share the old array, so the
-	// insert builds a fresh one instead of shifting in place.
-	np := make([]geom.Point, len(nd.pts)+1)
-	copy(np, nd.pts[:i])
-	np[i] = p
-	copy(np[i+1:], nd.pts[i:])
-	nd.pts = np
+	ix.ownPts(nd)
+	nd.pts = slices.Insert(nd.pts, i, p)
 	ix.refreshLeaf(nd)
 	ix.n++
 	ix.splitUp(nd)
@@ -386,17 +401,24 @@ func (ix *Index) Delete(p geom.Point) bool {
 		}
 		u = next
 	}
-	// Copy-on-write, as in Insert: never shift a possibly-shared array.
-	np := make([]geom.Point, 0, len(nd.pts)-1)
-	np = append(np, nd.pts[:i]...)
-	np = append(np, nd.pts[i+1:]...)
-	nd.pts = np
+	ix.ownPts(nd)
+	nd.pts = slices.Delete(nd.pts, i, i+1)
 	ix.refreshLeaf(nd)
 	ix.n--
 	if len(nd.pts) == 0 {
 		ix.pruneEmpty(nd)
 	}
 	return true
+}
+
+// ownPts makes the leaf's point array safe to shift in place. Handles
+// share leaf arrays with the live index, so the first write to a leaf
+// after a Snapshot copies its array; later writes find it private and
+// cost no host allocation.
+func (ix *Index) ownPts(leaf *node) {
+	if leaf.ptsEpoch != ix.snaps {
+		leaf.pts, leaf.ptsEpoch = slices.Clone(leaf.pts), ix.snaps
+	}
 }
 
 // splitUp restores occupancy: leaves split at 2B, internal nodes at
@@ -540,6 +562,7 @@ type Handle struct {
 // retention defers those frees and block ids are never reused, so a
 // pinned secondary handle stays valid for the snapshot's lifetime.
 func (ix *Index) Snapshot() *Handle {
+	ix.snaps++
 	return &Handle{view: view{disk: ix.disk, root: cloneNodes(ix.root, nil)}, n: ix.n}
 }
 

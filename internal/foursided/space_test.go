@@ -83,3 +83,60 @@ func TestSpaceBoundAfterChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotsKeepTheirLeaves pins handles at different times while the
+// live index shifts its leaf arrays in place between pins: every handle
+// keeps answering for the point set it was pinned on.
+func TestSnapshotsKeepTheirLeaves(t *testing.T) {
+	all := geom.GenUniform(1500, 1<<20, 511)
+	rng := rand.New(rand.NewSource(512))
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	d := emio.NewDisk(emio.Config{B: 16, M: 16 * 64})
+	ix := Build(d, 0.5, all[:1000])
+	present := append([]geom.Point(nil), all[:1000]...)
+	pool := all[1000:]
+
+	type pin struct {
+		h   *Handle
+		pts []geom.Point
+	}
+	ret := d.RetainFrees()
+	var pins []pin
+	for round := 0; round < 4; round++ {
+		pins = append(pins, pin{ix.Snapshot(), append([]geom.Point(nil), present...)})
+		// Fewer updates than a whole-index rebuild needs, so the leaves
+		// written are the ones the handles share.
+		for u := 0; u < 100; u++ {
+			if u%2 == 0 {
+				p := pool[len(pool)-1]
+				pool = pool[:len(pool)-1]
+				ix.Insert(p)
+				present = append(present, p)
+				continue
+			}
+			i := rng.Intn(len(present))
+			if !ix.Delete(present[i]) {
+				t.Fatalf("Delete(%v) reported absent", present[i])
+			}
+			present[i] = present[len(present)-1]
+			present = present[:len(present)-1]
+		}
+		for i, p := range append(pins, pin{pts: present}) {
+			for q := 0; q < 50; q++ {
+				x1 := geom.Coord(rng.Int63n(1 << 20))
+				y1 := geom.Coord(rng.Int63n(1 << 20))
+				r := geom.Rect{X1: x1, X2: x1 + geom.Coord(rng.Int63n(1<<20)), Y1: y1, Y2: y1 + geom.Coord(rng.Int63n(1<<20))}
+				var got []geom.Point
+				if p.h != nil {
+					got = p.h.Query(r)
+				} else {
+					got = ix.Query(r)
+				}
+				if want := geom.RangeSkyline(p.pts, r); !sameAnswer(got, want) {
+					t.Fatalf("round %d: view %d Query(%v) = %v, want %v", round, i, r, got, want)
+				}
+			}
+		}
+	}
+	ret.Release()
+}
