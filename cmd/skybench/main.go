@@ -573,8 +573,8 @@ func e12() {
 			insElapsed := time.Since(startIns).Seconds()
 			startDel := time.Now()
 			if batched {
-				if got, err := eng.BatchDelete(extra); err != nil || got != len(extra) {
-					panic(fmt.Sprintf("BatchDelete = %d, %v", got, err))
+				if got, err := eng.Apply(extra, nil); err != nil || len(got) != len(extra) {
+					panic(fmt.Sprintf("Apply(deletes) = %d, %v", len(got), err))
 				}
 			} else {
 				for _, p := range extra {

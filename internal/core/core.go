@@ -102,20 +102,20 @@ type Options struct {
 	// cache on every applied write. A Delete that misses evicts
 	// nothing.
 	CacheEntries int
-	// AsyncWrites buffers Insert/Delete (and the batched forms) in an
-	// engine.AsyncQueue in front of everything else: writes append to
-	// per-x-slab buffers (the sharded engine's shards, or one buffer
-	// unsharded) and return without touching any structure, so writer
-	// latency is independent of structure rebuild costs. Buffers drain
-	// through the batched paths — one structure lock per shard per
-	// drain, and one cache invalidation sweep per drain when
-	// CacheEntries > 0 — when a buffer reaches FlushPoints, every
-	// FlushInterval, and on DB.Flush/DB.Close. Reads stay exact: a
-	// query first drains every buffer its rectangle's x-range
-	// intersects, so answers (buffered deletes included) are
-	// byte-identical to a synchronous index's. Requires Dynamic. In
-	// this mode Delete/BatchDelete report ACCEPTANCE, not presence
-	// (hit-or-miss resolves at drain), and Len flushes first so it
+	// AsyncWrites buffers every write in an engine.AsyncQueue in front
+	// of everything else: writes append to per-x-slab buffers (the
+	// sharded engine's shards, or one buffer unsharded) and return
+	// without touching any structure, so writer latency is independent
+	// of structure rebuild costs. A buffer drains as one batch — one
+	// structure lock per shard per phase, one WAL record with Dir, and
+	// one cache invalidation sweep when CacheEntries > 0 — when it
+	// reaches FlushPoints, every FlushInterval, and on
+	// DB.Flush/DB.Close. Reads stay exact: a query first drains every
+	// buffer its rectangle's x-range intersects, so answers (buffered
+	// deletes included) are byte-identical to a synchronous index's.
+	// Requires Dynamic. In this mode Apply, Delete and BatchDelete
+	// report ACCEPTANCE, not presence (hit-or-miss resolves at drain),
+	// and Len flushes first so it
 	// stays exact. The concurrency contract is unchanged: concurrent
 	// callers require Shards > 1. The background drainer is safe even
 	// unsharded with a single caller — it only applies non-empty
@@ -192,12 +192,6 @@ type Options struct {
 	// jointly colder than mean/MaxShardSkew merges. Zero means 2.0.
 	// Ignored without Rebalance.
 	MaxShardSkew float64
-	// AdaptiveFlush lets each async-queue slab adapt its drain
-	// threshold to its traffic (hot slabs drain bigger batches, slabs
-	// that readers keep draining stay shallow). Ignored without
-	// AsyncWrites; off by default so drain points stay fixed for
-	// deterministic I/O accounting.
-	AdaptiveFlush bool
 }
 
 // DB is a planar range skyline index over a simulated EM machine. All
@@ -220,15 +214,15 @@ type DB struct {
 
 	// queue is the asynchronous write buffer; non-nil iff AsyncWrites.
 	// It is the OUTERMOST layer: reads must hit it first so the
-	// drain-on-read rule covers cache hits too, and its drains flow
-	// through the cache's batched paths so invalidation fires once per
-	// drain instead of once per point.
+	// drain-on-read rule covers cache hits too, and each drain is one
+	// Apply through the cache, so invalidation fires once per drain
+	// instead of once per point.
 	queue *engine.AsyncQueue
 
 	// Durable storage; all non-nil iff Options.Dir != "". The logb
-	// layer sits between the queue and the cache, so the queue's drain
-	// batches are the WAL records and each drain costs one append plus
-	// one cache invalidation sweep.
+	// layer sits between the queue and the cache, so each queue drain
+	// is one WAL record and costs one append plus one cache
+	// invalidation sweep.
 	pager *pager.Pager
 	wal   *wal.Log
 	logb  *engine.LogBackend
@@ -378,7 +372,7 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 			}
 			db.recov.RecordsReplayed++
 			db.recov.ReplayedInserts += len(rec.Inss)
-			db.recov.ReplayedDeletes += hits
+			db.recov.ReplayedDeletes += len(hits)
 		}
 		db.recov.WALSeq = db.wal.Seq()
 		db.n.Store(int64(db.logb.Live()))
@@ -390,15 +384,14 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		// The queue is the OUTERMOST layer, in front of the cache:
 		// every read must pass its drain-on-read check before a cache
 		// hit can be served (a hit on an entry missing a buffered
-		// write would be stale), and its drains apply through the
-		// cache's batched paths, so a drain costs one shard-aware
-		// invalidation sweep instead of one eviction scan per point.
+		// write would be stale), and each drain is one Apply through
+		// the cache, so a drain costs one shard-aware invalidation
+		// sweep instead of one eviction scan per point.
 		queue, err := engine.NewAsyncQueue(db.front, engine.QueueOptions{
 			FlushPoints:   opts.FlushPoints,
 			FlushInterval: opts.FlushInterval,
 			MaxBuffered:   opts.MaxBuffered,
 			ShedWrites:    opts.ShedWrites,
-			AdaptiveFlush: opts.AdaptiveFlush,
 		})
 		if err != nil {
 			return nil, err
@@ -786,109 +779,59 @@ func (db *DB) writable() error {
 	return nil
 }
 
-// Insert adds a point to a dynamic index, applying it to every backend
-// (or buffering it, with AsyncWrites — the queue's drains keep Len
-// exact in that mode, so n is only counted here synchronously).
-func (db *DB) Insert(p geom.Point) error {
-	if err := db.writable(); err != nil {
-		return err
-	}
-	if err := db.front.Insert(p); err != nil {
-		db.noteWriteErr(err)
-		return err
-	}
-	if db.queue == nil {
-		db.n.Add(1)
-	}
-	return nil
-}
-
-// Delete removes a point from a dynamic index, reporting presence. The
-// planner consults the primary (top-open) backend first and only mutates
-// the remaining backends after it confirms presence, so a miss never
-// leaves the backends inconsistent. With AsyncWrites the delete is
-// buffered and the bool reports ACCEPTANCE; presence resolves at drain
-// through the same presence-check-first batched path, and a miss
-// applies nothing anywhere.
-func (db *DB) Delete(p geom.Point) (bool, error) {
-	if err := db.writable(); err != nil {
-		return false, err
-	}
-	ok, err := db.front.Delete(p)
-	db.noteWriteErr(err)
-	if ok && db.queue == nil {
-		// Even when err reports backend disagreement, the primary
-		// backend did remove the point; keep n consistent with it.
-		db.n.Add(-1)
-	}
-	return ok, err
-}
-
-// BatchInsert adds many points to a dynamic index through each backend's
-// batched path; the sharded engine takes each shard lock once per batch
-// instead of once per point. The points must preserve general position.
-func (db *DB) BatchInsert(pts []geom.Point) error {
-	if err := db.writable(); err != nil {
-		return err
-	}
-	if err := db.front.BatchInsert(pts); err != nil {
-		db.noteWriteErr(err)
-		return err
-	}
-	if db.queue == nil {
-		db.n.Add(int64(len(pts)))
-	}
-	return nil
-}
-
-// BatchDelete removes many points from a dynamic index through each
-// backend's batched path, returning how many were present and removed
-// (misses are skipped, not errors). With AsyncWrites the count is the
-// ACCEPTED batch size, like Delete's bool; resolution happens at drain.
-func (db *DB) BatchDelete(pts []geom.Point) (int, error) {
-	if err := db.writable(); err != nil {
-		return 0, err
-	}
-	removed, err := db.front.BatchDelete(pts)
-	db.noteWriteErr(err)
-	if db.queue == nil {
-		db.n.Add(-int64(removed))
-	}
-	return removed, err
-}
-
-// BatchDeleteRemoved is BatchDelete reporting the removed points
-// themselves — the per-point resolution a caller multiplexing many
-// clients' deletes into one batch (the HTTP front end's group commit)
-// needs to answer each client individually. On a synchronous index the
-// returned slice is the confirmed-removed subset in batch order,
-// straight from the planner's presence-check-first path. With
-// AsyncWrites it is the ACCEPTED batch — the whole of pts, matching
-// Delete's acceptance bool — because hit-or-miss only resolves at
-// drain; a nil slice with a non-nil error means nothing was accepted.
-func (db *DB) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
+// Apply deletes dels, then inserts inss, on a dynamic index, and
+// returns the subset of dels that was present and removed, in dels
+// order. The planner resolves the deletes against the primary backend
+// first and mutates the remaining backends only with that confirmed
+// subset, so a miss never leaves the backends inconsistent; the inserts
+// apply only if the deletes did. With AsyncWrites the batch is buffered
+// and the returned slice is the deletes ACCEPTED — presence resolves at
+// drain through the same presence-check-first path, and a miss applies
+// nothing anywhere. The points must preserve general position. On a
+// sharded index each shard lock is taken once per batch.
+func (db *DB) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if err := db.writable(); err != nil {
 		return nil, err
 	}
-	if db.queue != nil {
-		if _, err := db.queue.BatchDelete(pts); err != nil {
-			db.noteWriteErr(err)
-			return nil, err
-		}
-		return pts, nil
-	}
-	rep, ok := db.front.(interface {
-		BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error)
-	})
-	if !ok {
-		// Not a configuration Open builds: every dynamic front
-		// (planner, cache, log backend) reports its removed subset.
-		return nil, fmt.Errorf("core: engine stack cannot report removed points")
-	}
-	removed, err := rep.BatchDeleteRemoved(pts)
+	removed, err := db.front.Apply(dels, inss)
 	db.noteWriteErr(err)
-	db.n.Add(-int64(len(removed)))
+	if db.queue == nil {
+		// Even when err reports backend disagreement, the primary backend
+		// did remove the reported points; keep n consistent with it. The
+		// queue's drains keep Len exact in async mode instead.
+		db.n.Add(-int64(len(removed)))
+		if err == nil {
+			db.n.Add(int64(len(inss)))
+		}
+	}
 	return removed, err
+}
+
+// Insert adds a point to a dynamic index: Apply(nil, [p]).
+func (db *DB) Insert(p geom.Point) error {
+	_, err := db.Apply(nil, []geom.Point{p})
+	return err
+}
+
+// Delete removes a point from a dynamic index, reporting presence (with
+// AsyncWrites, acceptance): Apply([p], nil).
+func (db *DB) Delete(p geom.Point) (bool, error) {
+	removed, err := db.Apply([]geom.Point{p}, nil)
+	return len(removed) > 0, err
+}
+
+// BatchInsert adds many points to a dynamic index: Apply(nil, pts).
+func (db *DB) BatchInsert(pts []geom.Point) error {
+	_, err := db.Apply(nil, pts)
+	return err
+}
+
+// BatchDelete removes many points from a dynamic index, returning how
+// many were present and removed (with AsyncWrites, accepted):
+// Apply(pts, nil).
+func (db *DB) BatchDelete(pts []geom.Point) (int, error) {
+	removed, err := db.Apply(pts, nil)
+	return len(removed), err
 }
 
 // Stats returns the I/O counters since the last ResetStats, aggregated

@@ -16,7 +16,7 @@
 // BEFORE applying it, so the two files always satisfy: snapshot state
 // + WAL records with seq > meta.WALSeq = every acknowledged write.
 // Recovery rebuilds the structures from the snapshot and replays the
-// WAL tail through the planner's batched paths; a checkpoint
+// WAL tail, one Apply per record; a checkpoint
 // (DB.Flush, DB.Close) snapshots the live set and truncates the WAL.
 package core
 

@@ -204,6 +204,83 @@ func TestDurableAsyncDrainsAreRecords(t *testing.T) {
 	}
 }
 
+// TestDurableMixedDrainIsOneRecord: a queue drain holding deletes AND
+// inserts reaches the stack as one Apply, so it appends exactly one WAL
+// record and makes one cache invalidation sweep. The directory as a
+// kill -9 leaves it — files copied mid-flight, no Close, no checkpoint
+// — replays that record to an index byte-identical to the live one and
+// to a never-crashed twin.
+func TestDurableMixedDrainIsOneRecord(t *testing.T) {
+	const scale = 1000
+	var base []geom.Point
+	for i := 1; i <= 40; i++ {
+		base = append(base, geom.Point{X: geom.Coord(i * 20), Y: geom.Coord((i * 37) % 41 * 20)})
+	}
+	dir := t.TempDir()
+	db, err := Open(Options{
+		Machine: smallMachine, Dynamic: true, Dir: dir, CacheEntries: 16,
+		AsyncWrites: true, FlushPoints: 1 << 20, FlushInterval: -time.Millisecond,
+	}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	assertSameAnswers(t, "warm", db, db, scale) // fill the cache
+	seq, sweeps := db.WAL().Seq(), db.CacheCounters().Sweeps
+
+	miss := geom.Point{X: 5, Y: 5}
+	dels := []geom.Point{base[30], miss, base[4], base[17]}
+	inss := []geom.Point{base[17], {X: 401, Y: 3}, {X: 777, Y: 811}}
+	if _, err := db.Apply(dels, inss); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Queue().Flush(); err != nil { // drain, no checkpoint
+		t.Fatal(err)
+	}
+	if got := db.WAL().Seq() - seq; got != 1 {
+		t.Fatalf("one mixed drain appended %d WAL records, want 1", got)
+	}
+	if got := db.CacheCounters().Sweeps - sweeps; got != 1 {
+		t.Fatalf("one mixed drain made %d invalidation sweeps, want 1", got)
+	}
+
+	crashed := t.TempDir()
+	for _, name := range []string{walFile, pagesFile} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: crashed}, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer re.Close()
+	if rec := re.Recover(); rec.RecordsReplayed != 1 || rec.ReplayedDeletes != 3 || rec.ReplayedInserts != 3 {
+		t.Fatalf("replayed %+v, want the one mixed record: 3 delete hits, 3 inserts", rec)
+	}
+	var want []geom.Point
+	for _, p := range base {
+		if p != base[30] && p != base[4] {
+			want = append(want, p)
+		}
+	}
+	want = append(want, inss[1:]...)
+	twin, err := Open(Options{Machine: smallMachine, Dynamic: true}, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if re.Len() != len(want) || db.Len() != len(want) {
+		t.Fatalf("Len recovered %d, live %d, want %d", re.Len(), db.Len(), len(want))
+	}
+	assertSameAnswers(t, "recovered vs live", re, db, scale)
+	assertSameAnswers(t, "recovered vs twin", re, twin, scale)
+}
+
 // TestOpenErrorPathsReleaseEverything: every construction failure in
 // Open must quiesce what was already built — no goroutine may outlive
 // the error, and the durable files must be closed and reopenable. The

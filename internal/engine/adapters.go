@@ -17,21 +17,24 @@ import (
 	"repro/internal/topopen"
 )
 
-// errStatic is returned by every update method of a static backend.
+// errStatic is Apply's error on a static backend.
 func errStatic(kind string) error {
 	return fmt.Errorf("engine: %s backend is static; reopen with Options.Dynamic", kind)
 }
 
 // TopOpenBackend serves the top-open family from the Theorem 1 static
-// index. All update methods fail.
+// index. Apply fails.
 type TopOpenBackend struct {
+	WriteVerbs
 	ix   *topopen.Index
 	disk *emio.Disk
 }
 
 // NewTopOpen wraps a Theorem 1 index and the disk it lives on.
 func NewTopOpen(ix *topopen.Index, d *emio.Disk) *TopOpenBackend {
-	return &TopOpenBackend{ix: ix, disk: d}
+	b := &TopOpenBackend{ix: ix, disk: d}
+	b.WriteVerbs = VerbsOf(b.Apply)
+	return b
 }
 
 func (b *TopOpenBackend) RangeSkyline(q geom.Rect) []geom.Point {
@@ -41,12 +44,10 @@ func (b *TopOpenBackend) RangeSkyline(q geom.Rect) []geom.Point {
 	return b.ix.Query(q.X1, q.X2, q.Y1)
 }
 
-func (b *TopOpenBackend) Insert(geom.Point) error         { return errStatic("topopen") }
-func (b *TopOpenBackend) Delete(geom.Point) (bool, error) { return false, errStatic("topopen") }
-func (b *TopOpenBackend) BatchInsert([]geom.Point) error  { return errStatic("topopen") }
-func (b *TopOpenBackend) BatchDelete([]geom.Point) (int, error) {
-	return 0, errStatic("topopen")
+func (b *TopOpenBackend) Apply(_, _ []geom.Point) ([]geom.Point, error) {
+	return nil, errStatic("topopen")
 }
+
 func (b *TopOpenBackend) Stats() emio.Stats { return b.disk.Stats() }
 func (b *TopOpenBackend) ResetStats()       { b.disk.ResetStats() }
 
@@ -57,13 +58,16 @@ func (b *TopOpenBackend) StatsKey() any { return b.disk }
 // DynTopBackend serves the top-open family from the Theorem 4 dynamic
 // tree.
 type DynTopBackend struct {
+	WriteVerbs
 	tree *dyntop.Tree
 	disk *emio.Disk
 }
 
 // NewDynTop wraps a Theorem 4 tree and the disk it lives on.
 func NewDynTop(tree *dyntop.Tree, d *emio.Disk) *DynTopBackend {
-	return &DynTopBackend{tree: tree, disk: d}
+	b := &DynTopBackend{tree: tree, disk: d}
+	b.WriteVerbs = VerbsOf(b.Apply)
+	return b
 }
 
 func (b *DynTopBackend) RangeSkyline(q geom.Rect) []geom.Point {
@@ -73,30 +77,17 @@ func (b *DynTopBackend) RangeSkyline(q geom.Rect) []geom.Point {
 	return b.tree.Query(q.X1, q.X2, q.Y1)
 }
 
-func (b *DynTopBackend) Insert(p geom.Point) error { b.tree.Insert(p); return nil }
-
-func (b *DynTopBackend) Delete(p geom.Point) (bool, error) { return b.tree.Delete(p), nil }
-
-func (b *DynTopBackend) BatchInsert(pts []geom.Point) error {
-	for _, p := range pts {
-		b.tree.Insert(p)
-	}
-	return nil
-}
-
-func (b *DynTopBackend) BatchDelete(pts []geom.Point) (int, error) {
-	removed, err := b.BatchDeleteRemoved(pts)
-	return len(removed), err
-}
-
-// BatchDeleteRemoved reports the removed subset itself, letting the
-// planner fan only confirmed-present points out to the other backends.
-func (b *DynTopBackend) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
+// Apply deletes then inserts point by point; the tree checks presence
+// before it mutates, so the removed subset is exact.
+func (b *DynTopBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	var removed []geom.Point
-	for _, p := range pts {
+	for _, p := range dels {
 		if b.tree.Delete(p) {
 			removed = append(removed, p)
 		}
+	}
+	for _, p := range inss {
+		b.tree.Insert(p)
 	}
 	return removed, nil
 }
@@ -110,34 +101,30 @@ func (b *DynTopBackend) StatsKey() any { return b.disk }
 // FourSidedBackend serves every rectangle shape from the Theorem 6
 // structure. It is always dynamic (the structure has no static mode).
 type FourSidedBackend struct {
+	WriteVerbs
 	ix   *foursided.Index
 	disk *emio.Disk
 }
 
 // NewFourSided wraps a Theorem 6 index and the disk it lives on.
 func NewFourSided(ix *foursided.Index, d *emio.Disk) *FourSidedBackend {
-	return &FourSidedBackend{ix: ix, disk: d}
+	b := &FourSidedBackend{ix: ix, disk: d}
+	b.WriteVerbs = VerbsOf(b.Apply)
+	return b
 }
 
 func (b *FourSidedBackend) RangeSkyline(q geom.Rect) []geom.Point { return b.ix.Query(q) }
 
-func (b *FourSidedBackend) Insert(p geom.Point) error { b.ix.Insert(p); return nil }
-
-func (b *FourSidedBackend) Delete(p geom.Point) (bool, error) { return b.ix.Delete(p), nil }
-
-func (b *FourSidedBackend) BatchInsert(pts []geom.Point) error {
-	for _, p := range pts {
-		b.ix.Insert(p)
-	}
-	return nil
-}
-
-func (b *FourSidedBackend) BatchDelete(pts []geom.Point) (int, error) {
-	removed := 0
-	for _, p := range pts {
+// Apply deletes then inserts point by point, like DynTopBackend's.
+func (b *FourSidedBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
+	var removed []geom.Point
+	for _, p := range dels {
 		if b.ix.Delete(p) {
-			removed++
+			removed = append(removed, p)
 		}
+	}
+	for _, p := range inss {
+		b.ix.Insert(p)
 	}
 	return removed, nil
 }

@@ -166,23 +166,16 @@ func TestQueueShedPolicyDegradedWins(t *testing.T) {
 	}
 }
 
-// failBackend wraps fakeBackend with switchable batch-path failures —
-// the queue only ever drains through the batched paths.
+// failBackend wraps fakeBackend with a switchable Apply failure — the
+// queue only ever drains through Apply.
 type failBackend struct {
 	*fakeBackend
 	fail error
 }
 
-func (f *failBackend) BatchInsert(pts []geom.Point) error {
+func (f *failBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if f.fail != nil {
-		return f.fail
+		return nil, f.fail
 	}
-	return f.fakeBackend.BatchInsert(pts)
-}
-
-func (f *failBackend) BatchDelete(pts []geom.Point) (int, error) {
-	if f.fail != nil {
-		return 0, f.fail
-	}
-	return f.fakeBackend.BatchDelete(pts)
+	return f.fakeBackend.Apply(dels, inss)
 }

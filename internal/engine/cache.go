@@ -10,12 +10,12 @@
 // transposed mirror.
 //
 // Correctness rests on one geometric fact: RangeSkyline(q) depends only
-// on the points inside q, so an Insert or Delete of point p can change
+// on the points inside q, so an insert or delete of point p can change
 // the answer of a cached rectangle only if that rectangle contains p.
 // Invalidation exploits it twice:
 //
 //   - Exactly: only entries whose rectangle could contain a written
-//     point are evicted; a Delete that misses every backend changes no
+//     point are evicted; a delete that misses every backend changes no
 //     answer and evicts nothing.
 //   - Shard-aware: when the wrapped backend exposes its x-cuts through
 //     the optional Partitioned interface (shard.Engine does), entries
@@ -84,6 +84,9 @@ type CacheCounters struct {
 	// Invalidations counts entries dropped because a write could have
 	// changed their answer.
 	Invalidations uint64
+	// Sweeps counts invalidation passes over the cache: one per
+	// applied write batch that wrote anything.
+	Sweeps uint64
 }
 
 // Add returns the element-wise sum c + o.
@@ -93,6 +96,7 @@ func (c CacheCounters) Add(o CacheCounters) CacheCounters {
 		Misses:        c.Misses + o.Misses,
 		Evictions:     c.Evictions + o.Evictions,
 		Invalidations: c.Invalidations + o.Invalidations,
+		Sweeps:        c.Sweeps + o.Sweeps,
 	}
 }
 
@@ -115,6 +119,7 @@ type cacheEntry struct {
 // returned from the cache are shared slices and must not be mutated by
 // callers — the same contract every structure's Query already has.
 type CacheBackend struct {
+	WriteVerbs
 	inner Backend
 	cap   int
 
@@ -140,6 +145,7 @@ type CacheBackend struct {
 	misses        uint64
 	evictions     uint64
 	invalidations uint64
+	sweeps        uint64
 }
 
 // NewCache wraps inner with a read-through cache holding at most
@@ -159,6 +165,7 @@ func NewCache(inner Backend, entries int) (*CacheBackend, error) {
 		entries: make(map[geom.Rect]*list.Element, entries),
 		lru:     list.New(),
 	}
+	c.WriteVerbs = VerbsOf(c.Apply)
 	c.xcuts, c.ycuts = learnCuts(inner)
 	c.genX = make([]uint64, len(c.xcuts)+1)
 	return c, nil
@@ -276,6 +283,7 @@ func (c *CacheBackend) Counters() CacheCounters {
 		Misses:        c.misses,
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
+		Sweeps:        c.sweeps,
 	}
 }
 
@@ -371,9 +379,10 @@ func (c *CacheBackend) invalidate(pts []geom.Point) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.sweeps++
 	// Dedup the touched (x-slab, y-slab) pairs: a batch localized to
 	// one shard scans the cache once, not once per point. Single-point
-	// writes — the Insert/Delete hot path — skip the maps entirely.
+	// writes — the hot path — skip the maps entirely.
 	// Computed under mu so the pairs and the entry tags they are matched
 	// against always describe the same cuts.
 	type slabPair struct{ x, y int }
@@ -411,69 +420,24 @@ func (c *CacheBackend) invalidate(pts []geom.Point) {
 	}
 }
 
-// Insert applies p through the wrapped backend and evicts the entries
-// whose rectangles could contain p — even when the backend reports an
-// error, because a planner error can arrive AFTER the primary applied
-// the write (the same conservatism Delete applies to corruption
-// errors). An error from a backend that mutated nothing (a static
-// index) makes the invalidation unnecessary, never wrong.
-func (c *CacheBackend) Insert(p geom.Point) error {
-	err := c.inner.Insert(p)
-	c.invalidate([]geom.Point{p})
-	return err
-}
-
-// Delete removes p through the wrapped backend. A miss changed no
-// answer and therefore evicts nothing; only a confirmed removal
-// invalidates (even alongside a corruption error — the primary did
-// remove the point, so cached answers containing it are stale).
-func (c *CacheBackend) Delete(p geom.Point) (bool, error) {
-	present, err := c.inner.Delete(p)
-	if present {
-		c.invalidate([]geom.Point{p})
-	}
-	return present, err
-}
-
-// BatchInsert applies the batch through the wrapped backend's batched
-// path and invalidates every inserted point's slab pair in one scan —
-// on error too, since part of the batch may have been applied (see
-// Insert).
-func (c *CacheBackend) BatchInsert(pts []geom.Point) error {
-	err := c.inner.BatchInsert(pts)
-	c.invalidate(pts)
-	return err
-}
-
-// BatchDelete removes the batch through the wrapped backend's batched
-// path. When the backend reports WHICH points it removed (the planner
-// and both sharded/dynamic primaries do), only those drive
-// invalidation — a batch of all misses evicts nothing. A backend
-// without the report falls back to invalidating every requested point
-// once anything was removed: a superset, never a miss.
-func (c *CacheBackend) BatchDelete(pts []geom.Point) (int, error) {
-	if rep, ok := c.inner.(batchDeleteReporter); ok {
-		removed, err := rep.BatchDeleteRemoved(pts)
+// Apply applies the batch through the wrapped backend, then evicts in
+// one sweep the entries whose rectangles could contain a written point:
+// every point the backend reports removed — a delete that missed changed
+// no answer and evicts nothing — and every insert, even when the backend
+// reports an error, because a planner error can arrive AFTER the primary
+// applied the write. An error from a backend that mutated nothing (a
+// static index) makes the invalidation unnecessary, never wrong.
+func (c *CacheBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
+	removed, err := c.inner.Apply(dels, inss)
+	switch {
+	case len(inss) == 0:
 		c.invalidate(removed)
-		return len(removed), err
+	case len(removed) == 0:
+		c.invalidate(inss)
+	default:
+		written := make([]geom.Point, 0, len(removed)+len(inss))
+		c.invalidate(append(append(written, removed...), inss...))
 	}
-	n, err := c.inner.BatchDelete(pts)
-	if n > 0 {
-		c.invalidate(pts)
-	}
-	return n, err
-}
-
-// BatchDeleteRemoved forwards the wrapped backend's removed-subset
-// report, invalidating exactly that subset, so a cache composes with
-// the planner's presence-check-first batch fan-out.
-func (c *CacheBackend) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
-	rep, ok := c.inner.(batchDeleteReporter)
-	if !ok {
-		return nil, fmt.Errorf("engine: cache's inner backend cannot report removed points")
-	}
-	removed, err := rep.BatchDeleteRemoved(pts)
-	c.invalidate(removed)
 	return removed, err
 }
 
@@ -486,7 +450,7 @@ func (c *CacheBackend) Stats() emio.Stats { return c.inner.Stats() }
 // state must not change what the next query costs.
 func (c *CacheBackend) ResetStats() {
 	c.mu.Lock()
-	c.hits, c.misses, c.evictions, c.invalidations = 0, 0, 0, 0
+	c.hits, c.misses, c.evictions, c.invalidations, c.sweeps = 0, 0, 0, 0, 0
 	c.mu.Unlock()
 	c.inner.ResetStats()
 }

@@ -105,8 +105,8 @@ func TestCacheDeleteMissDoesNotEvict(t *testing.T) {
 	if ok, err := c.Delete(absent); ok || err != nil {
 		t.Fatalf("Delete(absent) = %t, %v", ok, err)
 	}
-	if got, err := c.BatchDelete([]geom.Point{absent, {X: span + 2, Y: span + 2}}); got != 0 || err != nil {
-		t.Fatalf("BatchDelete(absentees) = %d, %v", got, err)
+	if got, err := c.Apply([]geom.Point{absent, {X: span + 2, Y: span + 2}}, nil); len(got) != 0 || err != nil {
+		t.Fatalf("Apply(absentees) = %v, %v", got, err)
 	}
 	if got := c.Counters(); got.Invalidations != 0 {
 		t.Fatalf("misses invalidated %d entries", got.Invalidations)

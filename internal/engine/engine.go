@@ -27,11 +27,12 @@
 // dominance, and Theorem 5's lower bound pins them to Ω((n/B)^ε) at
 // linear space.
 //
-// Updates flow through the same seam. core.DB registers one backend per
-// physical structure; Insert/Delete/BatchInsert/BatchDelete apply to all
-// of them so every backend sees the same point set. The first registered
-// backend is the primary: Delete consults it first and touches the
-// others only after the primary confirms presence, so a miss never
+// Updates flow through the same seam, as one verb: Apply(dels, inss)
+// deletes then inserts. core.DB registers one backend per physical
+// structure and the planner applies every batch to all of them, so every
+// backend sees the same point set. The first registered backend is the
+// primary: Apply resolves deletes against it first and touches the
+// others only with the subset it confirmed present, so a miss never
 // mutates any backend (see core.DB.Delete's regression test).
 package engine
 
@@ -44,28 +45,60 @@ import (
 
 // Backend is one range skyline engine: a structure (or a composite, like
 // the sharded engine) that answers some family of Figure-2 rectangles
-// and, when dynamic, accepts single and batched updates. Static backends
-// return an error from every update method without mutating anything.
+// and, when dynamic, accepts updates through Apply. Static backends
+// return an error from Apply without mutating anything.
 type Backend interface {
 	// RangeSkyline reports the maximal points of P ∩ q in
 	// increasing-x order.
 	RangeSkyline(q geom.Rect) []geom.Point
-	// Insert adds a point (general position is the caller's contract).
+	// Apply deletes dels, then inserts inss (general position is the
+	// caller's contract), and returns the subset of dels that was
+	// present and removed, in dels order. A delete that misses must not
+	// mutate the backend. Layers that only buffer (AsyncQueue) return
+	// the deletes they accepted instead: presence resolves later.
+	Apply(dels, inss []geom.Point) (removed []geom.Point, err error)
+	// Insert, Delete and BatchInsert are Apply with one side empty
+	// (see WriteVerbs); no layer puts logic in them.
 	Insert(p geom.Point) error
-	// Delete removes a point, reporting whether it was present. A miss
-	// must not mutate the backend.
 	Delete(p geom.Point) (bool, error)
-	// BatchInsert adds many points, amortizing per-call overhead
-	// (lock acquisitions, fan-out) across the batch.
 	BatchInsert(pts []geom.Point) error
-	// BatchDelete removes many points, reporting how many were
-	// present and removed.
-	BatchDelete(pts []geom.Point) (int, error)
 	// Stats returns the backend's I/O counters since the last
 	// ResetStats.
 	Stats() emio.Stats
 	// ResetStats zeroes the backend's I/O counters.
 	ResetStats()
+}
+
+// WriteVerbs derives Insert, Delete and BatchInsert from a layer's
+// Apply. Every Backend embeds it bound to its own Apply (see VerbsOf),
+// so the single-point and insert-only forms exist for callers written
+// against them without any layer repeating write logic.
+type WriteVerbs struct {
+	apply func(dels, inss []geom.Point) ([]geom.Point, error)
+}
+
+// VerbsOf binds WriteVerbs to apply.
+func VerbsOf(apply func(dels, inss []geom.Point) ([]geom.Point, error)) WriteVerbs {
+	return WriteVerbs{apply}
+}
+
+// Insert adds p: Apply(nil, [p]).
+func (v WriteVerbs) Insert(p geom.Point) error {
+	_, err := v.apply(nil, []geom.Point{p})
+	return err
+}
+
+// Delete removes p, reporting whether it was present (accepted, on a
+// buffering layer): Apply([p], nil).
+func (v WriteVerbs) Delete(p geom.Point) (bool, error) {
+	removed, err := v.apply([]geom.Point{p}, nil)
+	return len(removed) > 0, err
+}
+
+// BatchInsert adds pts: Apply(nil, pts).
+func (v WriteVerbs) BatchInsert(pts []geom.Point) error {
+	_, err := v.apply(nil, pts)
+	return err
 }
 
 // Shape names the seven query rectangle shapes of Figure 2 plus the
@@ -167,6 +200,7 @@ func (s Shape) TopOpenFamily() bool {
 // transpose, and Theorem 5 proves those shapes are stuck on the general
 // structure at linear space.
 type Planner struct {
+	WriteVerbs
 	topOpen  Backend // answers the top-open family; may be nil
 	general  Backend // answers every shape; may be nil
 	mirrors  []*MirrorBackend
@@ -197,6 +231,7 @@ func (pl *Planner) RegisterMirror(m *MirrorBackend) {
 }
 
 func (pl *Planner) addBackend(b Backend) {
+	pl.WriteVerbs = VerbsOf(pl.Apply)
 	for _, have := range pl.backends {
 		if have == b {
 			return
@@ -206,7 +241,7 @@ func (pl *Planner) addBackend(b Backend) {
 }
 
 // Backends returns the distinct registered backends in registration
-// order. The first is the primary consulted by Delete.
+// order. The first is the primary Apply resolves deletes against.
 func (pl *Planner) Backends() []Backend { return pl.backends }
 
 // Route returns the backend that should answer q: the top-open backend
@@ -238,139 +273,56 @@ func (pl *Planner) RangeSkyline(q geom.Rect) []geom.Point {
 	return b.RangeSkyline(q)
 }
 
-// Insert applies p to every backend so they index the same point set.
-func (pl *Planner) Insert(p geom.Point) error {
-	for _, b := range pl.backends {
-		if err := b.Insert(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// errNoBackends is Apply's error on a planner nothing was registered
+// with.
+var errNoBackends = fmt.Errorf("engine: no backends registered")
 
-// Delete removes p, presence-check-first: the primary (first registered)
-// backend is consulted first, and the remaining backends are only
-// mutated after it confirms presence. A miss therefore mutates nothing,
-// and a backend disagreeing with the primary's verdict is reported as
-// corruption. On an error after the primary confirmed presence the
-// reported bool is still true — the point was removed from the primary —
-// so callers can keep their size accounting consistent with it.
-func (pl *Planner) Delete(p geom.Point) (bool, error) {
+// Apply fans one batch out to every backend, presence-check-first and in
+// two phases. The delete phase goes first: the primary (first
+// registered) backend resolves dels and reports the subset it actually
+// removed, and only that confirmed subset reaches the remaining
+// backends — so a miss mutates nothing anywhere, and concurrent
+// overlapping batches (legal on the sharded layouts, where the primary
+// serializes per shard and resolves every contended point to exactly
+// one caller) fan out disjoint subsets instead of tripping false
+// corruption reports. A secondary disagreeing on a confirmed point is
+// real corruption; the returned subset stays meaningful alongside the
+// error, so callers keep their size accounting consistent with the
+// primary. The insert phase then applies inss to every backend, and
+// runs only if the delete phase did not fail. Every backend sees its
+// delete-only call before its insert-only call — the order the
+// unsharded layout's shared disk is charged in.
+func (pl *Planner) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if len(pl.backends) == 0 {
-		return false, fmt.Errorf("engine: no backends registered")
+		return nil, errNoBackends
 	}
-	present, err := pl.backends[0].Delete(p)
-	if err != nil || !present {
-		return present, err
-	}
-	for _, b := range pl.backends[1:] {
-		ok, err := b.Delete(p)
-		if err != nil {
-			return true, err
-		}
-		if !ok {
-			return true, fmt.Errorf("engine: backends disagree on presence of %v", p)
-		}
-	}
-	return true, nil
-}
-
-// BatchInsert applies the batch to every backend through its batched
-// path, so each backend amortizes its per-call overhead (the sharded
-// backend takes each shard lock once per batch, not once per point).
-func (pl *Planner) BatchInsert(pts []geom.Point) error {
-	for _, b := range pl.backends {
-		if err := b.BatchInsert(pts); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batchDeleteReporter is the optional batched analogue of
-// presence-check-first: a backend that can report WHICH points a batch
-// delete removed, not just how many. Both dynamic primaries implement
-// it (DynTopBackend and shard.Engine).
-type batchDeleteReporter interface {
-	BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error)
-}
-
-// BatchDelete removes the batch through every backend's batched path,
-// returning how many points were present and removed. It is
-// presence-check-first, like Delete: the primary resolves the batch
-// first and reports the subset it actually removed, and only that
-// confirmed subset is fanned out to the remaining backends — so a miss
-// mutates nothing anywhere, and concurrent overlapping batches (legal
-// on the sharded layouts, where the primary serializes per shard and
-// resolves every contended point to exactly one caller) fan out
-// disjoint subsets instead of tripping false corruption reports. A
-// secondary backend disagreeing on a confirmed-present point is real
-// corruption; as for Delete, the returned count stays meaningful
-// alongside the error. Every backend runs its batched path — one lock
-// per shard per batch on the sharded engine and the sharded mirror.
-// (A primary without BatchDeleteRemoved — not a configuration core.Open
-// builds — falls back to unfiltered fan-out with count cross-checking,
-// which assumes no concurrent overlapping batches.)
-func (pl *Planner) BatchDelete(pts []geom.Point) (int, error) {
-	if len(pl.backends) == 0 {
-		return 0, fmt.Errorf("engine: no backends registered")
-	}
-	if len(pl.backends) == 1 {
-		// No secondaries to confirm the subset to; skip materializing
-		// the removed-points slice.
-		return pl.backends[0].BatchDelete(pts)
-	}
-	if _, ok := pl.backends[0].(batchDeleteReporter); ok {
-		removed, err := pl.BatchDeleteRemoved(pts)
-		return len(removed), err
-	}
-	removed, err := pl.backends[0].BatchDelete(pts)
-	if err != nil {
-		return removed, err
-	}
-	for _, b := range pl.backends[1:] {
-		got, err := b.BatchDelete(pts)
-		if err != nil {
+	var removed []geom.Point
+	if len(dels) > 0 {
+		var err error
+		if removed, err = pl.backends[0].Apply(dels, nil); err != nil {
 			return removed, err
 		}
-		if got != removed {
-			return removed, fmt.Errorf(
-				"engine: backends disagree on batch presence (%d vs %d removed)", got, removed)
+	}
+	if len(removed) > 0 {
+		for _, b := range pl.backends[1:] {
+			got, err := b.Apply(removed, nil)
+			if err != nil {
+				return removed, err
+			}
+			if len(got) != len(removed) {
+				return removed, fmt.Errorf(
+					"engine: backends disagree on batch presence (%d vs %d removed)", len(got), len(removed))
+			}
+		}
+	}
+	if len(inss) > 0 {
+		for _, b := range pl.backends {
+			if _, err := b.Apply(nil, inss); err != nil {
+				return removed, err
+			}
 		}
 	}
 	return removed, nil
-}
-
-// BatchDeleteRemoved is BatchDelete reporting the removed points
-// themselves: the primary resolves the batch, the confirmed subset is
-// fanned out to the secondaries, and that subset is returned. A
-// CacheBackend wrapping the planner uses it to invalidate exactly the
-// removed points — a batch of all misses then evicts nothing. It
-// requires a primary that can report its removed subset (every dynamic
-// configuration core.Open builds has one).
-func (pl *Planner) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
-	if len(pl.backends) == 0 {
-		return nil, fmt.Errorf("engine: no backends registered")
-	}
-	rep, ok := pl.backends[0].(batchDeleteReporter)
-	if !ok {
-		return nil, fmt.Errorf("engine: primary backend cannot report removed points")
-	}
-	confirmed, err := rep.BatchDeleteRemoved(pts)
-	if err != nil {
-		return confirmed, err
-	}
-	for _, b := range pl.backends[1:] {
-		got, err := b.BatchDelete(confirmed)
-		if err != nil {
-			return confirmed, err
-		}
-		if got != len(confirmed) {
-			return confirmed, fmt.Errorf(
-				"engine: backends disagree on batch presence (%d vs %d removed)", got, len(confirmed))
-		}
-	}
-	return confirmed, nil
 }
 
 // statsKeyer lets a backend name the storage its Stats method counts,

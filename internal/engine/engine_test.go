@@ -51,6 +51,7 @@ func TestTopOpenFamilyMatchesIsTopOpen(t *testing.T) {
 
 // fakeBackend records calls; presence is driven by the pts set.
 type fakeBackend struct {
+	WriteVerbs
 	name    string
 	pts     map[geom.Point]bool
 	inserts []geom.Point
@@ -60,6 +61,7 @@ type fakeBackend struct {
 
 func newFake(name string, pts ...geom.Point) *fakeBackend {
 	f := &fakeBackend{name: name, pts: map[geom.Point]bool{}}
+	f.WriteVerbs = VerbsOf(f.Apply)
 	for _, p := range pts {
 		f.pts[p] = true
 	}
@@ -67,34 +69,19 @@ func newFake(name string, pts ...geom.Point) *fakeBackend {
 }
 
 func (f *fakeBackend) RangeSkyline(geom.Rect) []geom.Point { return nil }
-func (f *fakeBackend) Insert(p geom.Point) error {
-	f.inserts = append(f.inserts, p)
-	f.pts[p] = true
-	return nil
-}
-func (f *fakeBackend) Delete(p geom.Point) (bool, error) {
-	if !f.pts[p] {
-		return false, nil
-	}
-	delete(f.pts, p)
-	f.deletes = append(f.deletes, p)
-	return true, nil
-}
-func (f *fakeBackend) BatchInsert(pts []geom.Point) error {
+func (f *fakeBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	f.batches++
-	for _, p := range pts {
-		f.pts[p] = true
-	}
-	return nil
-}
-func (f *fakeBackend) BatchDelete(pts []geom.Point) (int, error) {
-	f.batches++
-	removed := 0
-	for _, p := range pts {
+	var removed []geom.Point
+	for _, p := range dels {
 		if f.pts[p] {
 			delete(f.pts, p)
-			removed++
+			f.deletes = append(f.deletes, p)
+			removed = append(removed, p)
 		}
+	}
+	for _, p := range inss {
+		f.inserts = append(f.inserts, p)
+		f.pts[p] = true
 	}
 	return removed, nil
 }
@@ -195,9 +182,9 @@ func TestBatchFanOut(t *testing.T) {
 	if a.batches != 1 || b.batches != 1 {
 		t.Fatalf("batches a=%d b=%d, want 1 each", a.batches, b.batches)
 	}
-	removed, err := pl.BatchDelete(append(pts, geom.Point{X: 9, Y: 9}))
-	if err != nil || removed != len(pts) {
-		t.Fatalf("BatchDelete = %d, %v; want %d", removed, err, len(pts))
+	removed, err := pl.Apply(append(pts, geom.Point{X: 9, Y: 9}), nil)
+	if err != nil || len(removed) != len(pts) {
+		t.Fatalf("Apply(deletes) = %v, %v; want %v", removed, err, pts)
 	}
 	if len(a.pts) != 0 || len(b.pts) != 0 {
 		t.Fatalf("points left after batch delete: a=%d b=%d", len(a.pts), len(b.pts))
@@ -211,12 +198,12 @@ func TestBatchDeleteDisagreementReported(t *testing.T) {
 	var pl Planner
 	pl.RegisterTopOpen(a)
 	pl.RegisterGeneral(b)
-	removed, err := pl.BatchDelete([]geom.Point{p})
+	removed, err := pl.Apply([]geom.Point{p}, nil)
 	if err == nil || !strings.Contains(err.Error(), "disagree") {
-		t.Fatalf("BatchDelete err = %v, want disagreement", err)
+		t.Fatalf("Apply err = %v, want disagreement", err)
 	}
-	// The primary's removal count survives the error.
-	if removed != 1 {
-		t.Fatalf("BatchDelete removed = %d, want 1 alongside the error", removed)
+	// The primary's removed subset survives the error.
+	if len(removed) != 1 {
+		t.Fatalf("Apply removed = %v, want [%v] alongside the error", removed, p)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dyntop"
@@ -112,8 +113,9 @@ func fuzzQueueRect(a, b, c byte, span geom.Coord) geom.Rect {
 	return r
 }
 
-// FuzzAsyncQueue interleaves enqueues, drains and queries decoded from
-// the fuzz input against a synchronous twin engine and the in-memory
+// FuzzAsyncQueue interleaves enqueues (single writes and mixed
+// delete-and-insert Apply batches), drains and queries decoded from the
+// fuzz input against a synchronous twin engine and the in-memory
 // oracle. The invariants:
 //
 //   - every query through the queue is byte-identical to the
@@ -131,6 +133,7 @@ func FuzzAsyncQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 10, 20, 4, 1, 2, 7, 3, 99, 99, 8})
 	f.Add([]byte{5, 5, 5, 2, 9, 3, 0, 0, 0, 4, 3, 1, 2, 3})
 	f.Add([]byte{2, 4, 0, 1, 3, 200, 100, 50, 5, 2, 8})
+	f.Add([]byte{6, 1, 2, 5, 3, 9, 40, 90, 6, 0, 4, 7, 5, 6, 3, 8, 3, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
@@ -184,7 +187,7 @@ func FuzzAsyncQueue(f *testing.F) {
 			return b
 		}
 		for i < len(data) {
-			switch readByte() % 6 {
+			switch readByte() % 7 {
 			case 0, 1: // insert a fresh point
 				if next >= len(pool) {
 					continue
@@ -242,6 +245,37 @@ func FuzzAsyncQueue(f *testing.F) {
 				}
 				if ok, err := syncPl.Delete(p); !ok || err != nil {
 					t.Fatalf("sync Delete(%v) = %t, %v", p, ok, err)
+				}
+			case 6: // mixed Apply: two deletes (live or absent), a delete
+				// plus re-insert of one live point, and a fresh insert
+				var dels, inss, want []geom.Point
+				for k := 0; k < 2; k++ {
+					sel := int(readByte())
+					if sel%3 == 0 || len(ref) == 0 {
+						dels = append(dels, geom.Point{X: span + geom.Coord(sel) + 1, Y: span + geom.Coord(sel) + 1})
+						continue
+					}
+					j := sel % len(ref)
+					dels = append(dels, ref[j])
+					want = append(want, ref[j])
+					ref = append(ref[:j], ref[j+1:]...)
+				}
+				if len(ref) > 0 {
+					p := ref[int(readByte())%len(ref)]
+					dels = append(dels, p)
+					want = append(want, p)
+					inss = append(inss, p)
+				}
+				if next < len(pool) {
+					inss = append(inss, pool[next])
+					ref = append(ref, pool[next])
+					next++
+				}
+				if removed, err := syncPl.Apply(dels, inss); err != nil || !slices.Equal(removed, want) {
+					t.Fatalf("sync Apply(%v, %v) = %v, %v; want %v", dels, inss, removed, err, want)
+				}
+				if accepted, err := q.Apply(dels, inss); err != nil || !slices.Equal(accepted, dels) {
+					t.Fatalf("queued Apply(%v, %v) = %v, %v", dels, inss, accepted, err)
 				}
 			}
 		}

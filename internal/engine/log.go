@@ -7,9 +7,8 @@
 //	AsyncQueue → LogBackend → CacheBackend → Planner
 //
 // which makes the queue's drain batches the natural log unit: one
-// record per BatchInsert/BatchDeleteRemoved a drain applies, exactly
-// the granularity the structures take their locks at. Reads pass
-// straight through.
+// record per Apply, so one per drain, deletes and inserts together.
+// Reads pass straight through.
 //
 // The backend also maintains the live point set — the content of the
 // next checkpoint snapshot. Tracking it here (rather than asking the
@@ -59,11 +58,10 @@ type UpdateLog interface {
 	LogBatch(dels, inss []geom.Point) error
 }
 
-// LogBackend is a write-ahead-logging Backend wrapper. It implements
-// Backend (and the removed-subset batch-delete the queue's drains
-// prefer); every mutation is logged, applied, and folded into the
-// live point set under one mutex.
+// LogBackend is a write-ahead-logging Backend wrapper: every batch is
+// logged, applied, and folded into the live point set under one mutex.
 type LogBackend struct {
+	WriteVerbs
 	inner Backend
 	log   UpdateLog
 
@@ -80,6 +78,7 @@ func NewLogBackend(inner Backend, log UpdateLog, initial []geom.Point) *LogBacke
 		log:   log,
 		live:  make(map[geom.Point]struct{}, len(initial)),
 	}
+	lb.WriteVerbs = VerbsOf(lb.Apply)
 	for _, p := range initial {
 		lb.live[p] = struct{}{}
 	}
@@ -101,134 +100,48 @@ func (lb *LogBackend) RangeSkyline(q geom.Rect) []geom.Point {
 	return lb.inner.RangeSkyline(q)
 }
 
-// Insert logs then applies a single insert. On apply failure the
-// logged record persists and a pre-checkpoint crash replays it; see
-// the failure-asymmetry note in the package comment.
-func (lb *LogBackend) Insert(p geom.Point) error {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if err := lb.log.LogBatch(nil, []geom.Point{p}); err != nil {
-		return err
-	}
-	if err := lb.inner.Insert(p); err != nil {
-		return err
-	}
-	lb.live[p] = struct{}{}
-	return nil
-}
-
-// Delete logs then applies a single delete. A miss is logged too — the
-// log cannot know presence ahead of the structures — and replaying a
-// miss through the presence-check-first paths applies nothing, so the
-// spurious record is harmless.
-func (lb *LogBackend) Delete(p geom.Point) (bool, error) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if err := lb.log.LogBatch([]geom.Point{p}, nil); err != nil {
-		return false, err
-	}
-	ok, err := lb.inner.Delete(p)
-	if ok {
-		delete(lb.live, p)
-	}
-	return ok, err
-}
-
-// BatchInsert logs then applies the batch.
-func (lb *LogBackend) BatchInsert(pts []geom.Point) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	if err := lb.log.LogBatch(nil, pts); err != nil {
-		return err
-	}
-	if err := lb.inner.BatchInsert(pts); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		lb.live[p] = struct{}{}
-	}
-	return nil
-}
-
-// BatchDelete logs then applies the batch, reporting how many points
-// were present and removed.
-func (lb *LogBackend) BatchDelete(pts []geom.Point) (int, error) {
-	removed, err := lb.BatchDeleteRemoved(pts)
-	return len(removed), err
-}
-
-// BatchDeleteRemoved logs then applies the batch, reporting the
-// removed subset (the queue's drains and the planner's fan-out need
-// it; the live set needs it too, which is why the count-only form
-// funnels through here).
-func (lb *LogBackend) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
-	if len(pts) == 0 {
+// Apply logs the batch as ONE record, then applies it and folds the
+// result into the live set. A failed append applies nothing. On apply
+// failure the logged record persists and a pre-checkpoint crash replays
+// it; see the failure-asymmetry note in the package comment. Deletes
+// that miss are logged too — the log cannot know presence ahead of the
+// structures — and replaying a miss through the presence-check-first
+// paths applies nothing, so the spurious entry is harmless.
+func (lb *LogBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
+	if len(dels) == 0 && len(inss) == 0 {
 		return nil, nil
 	}
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	if err := lb.log.LogBatch(pts, nil); err != nil {
+	if err := lb.log.LogBatch(dels, inss); err != nil {
 		return nil, err
 	}
-	removed, err := lb.applyDeletes(pts)
+	return lb.applyLocked(dels, inss)
+}
+
+// Replay is Apply without the log append: recovery calls it for every
+// record after the checkpoint sequence, and it returns the deletes that
+// hit.
+func (lb *LogBackend) Replay(dels, inss []geom.Point) ([]geom.Point, error) {
+	lb.mu.Lock()
+	defer lb.mu.Unlock()
+	return lb.applyLocked(dels, inss)
+}
+
+// applyLocked applies a batch to inner and folds it into the live set:
+// the removed deletes leave it, and the inserts join it when the batch
+// applied cleanly. Caller holds mu.
+func (lb *LogBackend) applyLocked(dels, inss []geom.Point) ([]geom.Point, error) {
+	removed, err := lb.inner.Apply(dels, inss)
 	for _, p := range removed {
 		delete(lb.live, p)
 	}
+	if err == nil {
+		for _, p := range inss {
+			lb.live[p] = struct{}{}
+		}
+	}
 	return removed, err
-}
-
-// applyDeletes applies a delete batch to inner, reporting the removed
-// subset: through the inner backend's removed-subset path when it has
-// one (every stack core builds does), point-by-point otherwise.
-func (lb *LogBackend) applyDeletes(pts []geom.Point) ([]geom.Point, error) {
-	if rep, ok := lb.inner.(batchDeleteReporter); ok {
-		return rep.BatchDeleteRemoved(pts)
-	}
-	var removed []geom.Point
-	var firstErr error
-	for _, p := range pts {
-		ok, err := lb.inner.Delete(p)
-		if ok {
-			removed = append(removed, p)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return removed, firstErr
-}
-
-// Replay applies one recovered log record — dels before inss, the
-// order drains use — WITHOUT logging it again, and folds it into the
-// live set. It returns how many deletes hit. Recovery calls it for
-// every record after the checkpoint sequence.
-func (lb *LogBackend) Replay(dels, inss []geom.Point) (int, error) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	var removed []geom.Point
-	var firstErr error
-	if len(dels) > 0 {
-		removed, firstErr = lb.applyDeletes(dels)
-		for _, p := range removed {
-			delete(lb.live, p)
-		}
-	}
-	if len(inss) > 0 {
-		err := lb.inner.BatchInsert(inss)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			for _, p := range inss {
-				lb.live[p] = struct{}{}
-			}
-		}
-	}
-	return len(removed), firstErr
 }
 
 // Checkpoint materializes the live point set — sorted by x, the order
@@ -257,7 +170,4 @@ func (lb *LogBackend) ResetStats() { lb.inner.ResetStats() }
 // cache and the queue.
 func (lb *LogBackend) StatsKey() any { return statsKey(lb.inner) }
 
-// assert interface satisfaction, including the removed-subset path the
-// queue's drains prefer.
 var _ Backend = (*LogBackend)(nil)
-var _ batchDeleteReporter = (*LogBackend)(nil)

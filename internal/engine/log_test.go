@@ -67,8 +67,8 @@ func TestLogBackendWriteAhead(t *testing.T) {
 	if err := lb.BatchInsert([]geom.Point{{X: 5, Y: 5}}); err == nil {
 		t.Fatalf("BatchInsert with failing log succeeded")
 	}
-	if _, err := lb.BatchDelete([]geom.Point{p1}); err == nil {
-		t.Fatalf("BatchDelete with failing log succeeded")
+	if _, err := lb.Apply([]geom.Point{p1}, []geom.Point{{X: 5, Y: 5}}); err == nil {
+		t.Fatalf("Apply with failing log succeeded")
 	}
 	if len(inner.inserts) != preIns || len(inner.deletes) != preDel {
 		t.Fatalf("unlogged writes reached the structures")
@@ -106,8 +106,8 @@ func TestLogBackendLiveSetAndCheckpoint(t *testing.T) {
 
 	lb.Insert(geom.Point{X: 5, Y: 3})
 	lb.BatchInsert([]geom.Point{{X: 30, Y: 4}, {X: 15, Y: 5}})
-	if n, err := lb.BatchDelete([]geom.Point{{X: 20, Y: 2}, {X: 99, Y: 99}}); n != 1 || err != nil {
-		t.Fatalf("BatchDelete = %d, %v", n, err)
+	if removed, err := lb.Apply([]geom.Point{{X: 20, Y: 2}, {X: 99, Y: 99}}, nil); len(removed) != 1 || err != nil {
+		t.Fatalf("Apply(deletes) = %v, %v", removed, err)
 	}
 	want := []geom.Point{{X: 5, Y: 3}, {X: 10, Y: 1}, {X: 15, Y: 5}, {X: 30, Y: 4}}
 	if lb.Live() != len(want) {
@@ -144,8 +144,8 @@ func TestLogBackendReplayDoesNotRelog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if hits != 1 {
-		t.Fatalf("Replay hits = %d, want 1", hits)
+	if len(hits) != 1 || hits[0] != (geom.Point{X: 1, Y: 1}) {
+		t.Fatalf("Replay hits = %v, want [(1,1)]", hits)
 	}
 	if len(ml.batches) != 0 {
 		t.Fatalf("Replay logged %d batches", len(ml.batches))
@@ -178,14 +178,13 @@ type fakePartitioned struct {
 
 func (f *fakePartitioned) Cuts() []geom.Coord { return f.cuts }
 
-// errBackend fails every batched apply with a programmable error.
+// errBackend fails every Apply with a programmable error.
 type errBackend struct {
 	fakeBackend
 	err error
 }
 
-func (e *errBackend) BatchInsert([]geom.Point) error        { return e.err }
-func (e *errBackend) BatchDelete([]geom.Point) (int, error) { return 0, e.err }
+func (e *errBackend) Apply([]geom.Point, []geom.Point) ([]geom.Point, error) { return nil, e.err }
 
 // TestQueueStickyFirstError: a drain error from a path whose caller
 // cannot see it (drain-on-read) is latched and surfaced by the next

@@ -28,6 +28,7 @@ import (
 // backend indexing the reflected point set. It implements Backend; the
 // inner backend sees only mirrored points and mirrored rectangles.
 type MirrorBackend struct {
+	WriteVerbs
 	ref   geom.Reflection
 	inner Backend
 }
@@ -41,7 +42,9 @@ func NewMirror(ref geom.Reflection, inner Backend) (*MirrorBackend, error) {
 		return nil, fmt.Errorf("engine: reflection %v does not preserve dominance; "+
 			"a mirrored structure would answer the wrong staircase (Theorem 5)", ref)
 	}
-	return &MirrorBackend{ref: ref, inner: inner}, nil
+	m := &MirrorBackend{ref: ref, inner: inner}
+	m.WriteVerbs = VerbsOf(m.Apply)
+	return m, nil
 }
 
 // Reflection returns the reflection between the original and mirrored
@@ -68,39 +71,12 @@ func (m *MirrorBackend) RangeSkyline(q geom.Rect) []geom.Point {
 	return m.ref.SkylineToOriginal(m.inner.RangeSkyline(m.ref.Rect(q)))
 }
 
-// Insert adds the reflected point, keeping the mirror synchronized with
-// the primary structures.
-func (m *MirrorBackend) Insert(p geom.Point) error {
-	return m.inner.Insert(m.ref.Point(p))
-}
-
-// Delete removes the reflected point, reporting presence.
-func (m *MirrorBackend) Delete(p geom.Point) (bool, error) {
-	return m.inner.Delete(m.ref.Point(p))
-}
-
-// BatchInsert reflects the batch and applies it through the inner
-// backend's batched path (the sharded mirror takes each mirrored-shard
-// lock once per batch, exactly like the primary engine).
-func (m *MirrorBackend) BatchInsert(pts []geom.Point) error {
-	return m.inner.BatchInsert(m.ref.Pts(pts))
-}
-
-// BatchDelete reflects the batch and removes it through the inner
-// backend's batched path, returning how many points were present.
-func (m *MirrorBackend) BatchDelete(pts []geom.Point) (int, error) {
-	return m.inner.BatchDelete(m.ref.Pts(pts))
-}
-
-// BatchDeleteRemoved forwards the inner backend's removed-subset report
-// (when it has one), mapping the subset back into the original frame,
-// so a mirror can serve as a presence-confirming primary too.
-func (m *MirrorBackend) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
-	rep, ok := m.inner.(batchDeleteReporter)
-	if !ok {
-		return nil, fmt.Errorf("engine: mirror's inner backend cannot report removed points")
-	}
-	removed, err := rep.BatchDeleteRemoved(m.ref.Pts(pts))
+// Apply reflects the batch and applies it through the inner backend
+// (the sharded mirror takes each mirrored-shard lock once per batch,
+// exactly like the primary engine), mapping the removed subset back into
+// the original frame.
+func (m *MirrorBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
+	removed, err := m.inner.Apply(m.ref.Pts(dels), m.ref.Pts(inss))
 	return m.ref.Inverse().Pts(removed), err
 }
 

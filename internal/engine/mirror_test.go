@@ -123,8 +123,8 @@ func TestMirrorAnswersGroundedRightFamily(t *testing.T) {
 			for i := 0; i < len(pool); i += 2 {
 				victims = append(victims, pool[i])
 			}
-			if removed, err := m.BatchDelete(victims); err != nil || removed != len(victims) {
-				t.Fatalf("BatchDelete = %d, %v; want %d", removed, err, len(victims))
+			if removed, err := m.Apply(victims, nil); err != nil || len(removed) != len(victims) {
+				t.Fatalf("Apply(deletes) = %d, %v; want %d", len(removed), err, len(victims))
 			}
 			for _, p := range victims {
 				if !four.Delete(p) {
@@ -270,9 +270,9 @@ func TestMirrorBatchDeleteAgreement(t *testing.T) {
 	}
 	batch = append(batch, batch[0])                           // duplicate: second is a miss
 	batch = append(batch, geom.Point{X: 1 << 40, Y: 1 << 40}) // absentee
-	removed, err := pl.BatchDelete(batch)
-	if err != nil || removed != len(perm) {
-		t.Fatalf("BatchDelete = %d, %v; want %d, nil", removed, err, len(perm))
+	removed, err := pl.Apply(batch, nil)
+	if err != nil || len(removed) != len(perm) {
+		t.Fatalf("Apply(deletes) = %d, %v; want %d, nil", len(removed), err, len(perm))
 	}
 	ref := pts[:0:0]
 	del := make(map[geom.Point]bool)

@@ -1,13 +1,13 @@
 // AsyncQueue: the buffered write path of the engine. It wraps any
-// Backend — in core.DB the read-through cache over the planner, or the
-// planner itself — and turns Insert/Delete into appends to per-x-slab
-// buffers that return without touching the underlying structures, so
-// writer latency is independent of structure rebuild costs (the dyntop
-// global rebuilds, the Theorem 6 reconstruction cascades). Buffers are
-// drained through the existing batched paths — BatchInsert and
-// BatchDeleteRemoved — which take each shard lock once per batch and,
-// when the drain sink is a CacheBackend, fire ONE shard-aware
-// invalidation sweep per drained batch instead of one per point.
+// Backend — in core.DB the write-ahead log over the read-through cache
+// over the planner, or any suffix of that stack — and turns writes into
+// appends to per-x-slab buffers that return without touching the
+// underlying structures, so writer latency is independent of structure
+// rebuild costs (the dyntop global rebuilds, the Theorem 6
+// reconstruction cascades). A buffer drains as ONE Apply(dels, inss) on
+// the wrapped backend: each shard lock is taken once per phase, a
+// LogBackend appends one WAL record, and a CacheBackend fires one
+// shard-aware invalidation sweep — per drained batch, not per point.
 //
 // Slabbing mirrors the cache's: when the wrapped backend exposes x-cuts
 // through the Partitioned interface (shard.Engine does, and CacheBackend
@@ -47,6 +47,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,23 +81,13 @@ type QueueOptions struct {
 	// reject the write with ErrBackpressure instead of blocking the
 	// writer behind an inline drain.
 	ShedWrites bool
-	// AdaptiveFlush lets each slab adapt its own drain threshold to its
-	// traffic: two consecutive size-triggered drains double the slab's
-	// threshold (up to 8 × FlushPoints — hot slabs drain bigger
-	// batches, amortizing structure work), and any read- or
-	// timer-triggered drain halves it back toward FlushPoints (a slab
-	// that readers keep draining should stay shallow). Off by default:
-	// the adjustment is deterministic per slab, but workloads gated on
-	// exact drain counts (skybench E15) want the fixed threshold.
-	AdaptiveFlush bool
 }
 
 // QueueCounters are an AsyncQueue's operation totals. At quiescence
 // (after Flush, with no writers in flight) they satisfy
 // Enqueued == Drained + Coalesced.
 type QueueCounters struct {
-	// Enqueued counts accepted writes: every Insert and Delete call
-	// (batched ops count one per point).
+	// Enqueued counts accepted writes, one per point.
 	Enqueued uint64
 	// Drained counts buffered writes applied to the wrapped backend
 	// (a drained delete that misses still counts: it was applied).
@@ -141,9 +132,6 @@ type SlabQueueCounters struct {
 	Enqueued uint64
 	// Drained counts buffered writes this slab applied to the backend.
 	Drained uint64
-	// FlushAt is the slab's current drain threshold (FlushPoints unless
-	// AdaptiveFlush moved it).
-	FlushAt int
 }
 
 // pendingState is a point's buffered-write state inside one slab.
@@ -174,37 +162,21 @@ type slabBuf struct {
 	// deterministically (map iteration would not); cancelled points
 	// stay in the slice and are skipped at drain.
 	order []geom.Point
-	// flushAt is the slab's drain threshold; fixed at FlushPoints
-	// unless AdaptiveFlush adjusts it. sizeStreak counts consecutive
-	// size-triggered drains (the grow signal). Both guarded by mu.
-	flushAt    int
-	sizeStreak int
 	// enqueued/drained are this slab's telemetry counters.
 	enqueued atomic.Uint64
 	drained  atomic.Uint64
 }
 
-func newSlabBuf(flushAt int) *slabBuf {
-	return &slabBuf{pending: make(map[geom.Point]pendingState), flushAt: flushAt}
+func newSlabBuf() *slabBuf {
+	return &slabBuf{pending: make(map[geom.Point]pendingState)}
 }
-
-// drainReason tags what triggered a drain: the FlushPoints size
-// threshold, a read (drain-on-read), or everything else (timer, explicit
-// Flush, Close, admission control). AdaptiveFlush grows a slab's
-// threshold on consecutive size triggers and shrinks it on the rest.
-type drainReason int8
-
-const (
-	drainSize drainReason = iota
-	drainRead
-	drainTimer
-)
 
 // AsyncQueue is a buffering write-behind layer over any Backend. It
 // implements Backend: writes are buffered per x-slab and applied in
 // batches; reads drain the slabs they intersect first, so answers are
 // byte-identical to a synchronous engine's.
 type AsyncQueue struct {
+	WriteVerbs
 	inner Backend
 	opts  QueueOptions
 	// topoMu guards cuts and slabs as a pair. Every public operation
@@ -283,8 +255,9 @@ func NewAsyncQueue(inner Backend, opts QueueOptions) (*AsyncQueue, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	q.WriteVerbs = VerbsOf(q.Apply)
 	for i := range q.slabs {
-		q.slabs[i] = newSlabBuf(opts.FlushPoints)
+		q.slabs[i] = newSlabBuf()
 	}
 	if opts.FlushInterval > 0 {
 		go q.drainLoop()
@@ -377,7 +350,7 @@ func (q *AsyncQueue) applyCuts(cuts []geom.Coord) {
 	q.cuts = append([]geom.Coord(nil), cuts...)
 	q.slabs = make([]*slabBuf, len(q.cuts)+1)
 	for i := range q.slabs {
-		q.slabs[i] = newSlabBuf(q.opts.FlushPoints)
+		q.slabs[i] = newSlabBuf()
 	}
 	for _, s := range old {
 		for _, p := range s.order {
@@ -417,7 +390,6 @@ func (q *AsyncQueue) Counters() QueueCounters {
 			Depth:    len(s.pending),
 			Enqueued: s.enqueued.Load(),
 			Drained:  s.drained.Load(),
-			FlushAt:  s.flushAt,
 		}
 		s.mu.Unlock()
 	}
@@ -466,18 +438,18 @@ func errQueueClosed() error { return fmt.Errorf("engine: async queue rejects wri
 // under the block policy the writer drains the slab inline and
 // retries — it pays the latency its own backlog created.
 // Caller holds topoMu shared.
-func (q *AsyncQueue) enqueue(p geom.Point, del bool) (s *slabBuf, size, flushAt int, err error) {
+func (q *AsyncQueue) enqueue(p geom.Point, del bool) (s *slabBuf, size int, err error) {
 	slab := bucketFor(q.cuts, p.X)
 	s = q.slabs[slab]
 	s.mu.Lock()
 	for {
 		if q.closed.Load() {
 			s.mu.Unlock()
-			return s, 0, 0, errQueueClosed()
+			return s, 0, errQueueClosed()
 		}
 		if derr := q.Err(); derr != nil {
 			s.mu.Unlock()
-			return s, 0, 0, fmt.Errorf("%w: %w", ErrDegraded, derr)
+			return s, 0, fmt.Errorf("%w: %w", ErrDegraded, derr)
 		}
 		_, buffered := s.pending[p]
 		if q.opts.MaxBuffered <= 0 || buffered || len(s.pending) < q.opts.MaxBuffered {
@@ -486,15 +458,15 @@ func (q *AsyncQueue) enqueue(p geom.Point, del bool) (s *slabBuf, size, flushAt 
 		s.mu.Unlock()
 		if q.opts.ShedWrites {
 			q.shed.Add(1)
-			return s, 0, 0, fmt.Errorf("engine: slab %d at MaxBuffered %d: %w",
+			return s, 0, fmt.Errorf("engine: slab %d at MaxBuffered %d: %w",
 				slab, q.opts.MaxBuffered, ErrBackpressure)
 		}
 		q.blocked.Add(1)
-		if derr := q.drainSlab(s, drainTimer); derr != nil {
+		if derr := q.drainSlab(s, false); derr != nil {
 			// The drain failed and latched; the write was never
 			// accepted. Without this return the loop would spin on a
 			// frozen, forever-full slab.
-			return s, 0, 0, fmt.Errorf("%w: %w", ErrDegraded, derr)
+			return s, 0, fmt.Errorf("%w: %w", ErrDegraded, derr)
 		}
 		s.mu.Lock()
 	}
@@ -533,22 +505,20 @@ func (q *AsyncQueue) enqueue(p geom.Point, del bool) (s *slabBuf, size, flushAt 
 			q.coalesced.Add(1)
 		}
 	}
-	size, flushAt = len(s.pending), s.flushAt
+	size = len(s.pending)
 	s.mu.Unlock()
 	s.enqueued.Add(1)
 	q.enqueued.Add(1)
-	return s, size, flushAt, nil
+	return s, size, nil
 }
 
-// drainSlab flushes slab i's buffer through the wrapped backend's
-// batched paths. It holds the slab's drain lock across swap AND apply,
-// so when it returns every write buffered in that slab before the call
-// is fully applied — including batches swapped out by concurrent
-// drains, which must finish before this one can acquire the lock.
-// reason tags the trigger: drainRead marks a drain forced by a read
-// (counted only when the buffer was non-empty), and with AdaptiveFlush
-// the reason steers the slab's threshold — consecutive drainSize
-// triggers grow it, drainRead/drainTimer shrink it back.
+// drainSlab flushes a slab's buffer through one Apply on the wrapped
+// backend. It holds the slab's drain lock across swap AND apply, so
+// when it returns every write buffered in that slab before the call is
+// fully applied — including batches swapped out by concurrent drains,
+// which must finish before this one can acquire the lock. byRead marks
+// a drain forced by a read (counted only when the buffer was
+// non-empty).
 //
 // Once a drain error latches, the queue is FROZEN: drainSlab returns
 // the sticky error without swapping any buffer, so no further batch is
@@ -556,7 +526,7 @@ func (q *AsyncQueue) enqueue(p geom.Point, del bool) (s *slabBuf, size, flushAt 
 // buffered stays buffered (stranded, unacknowledged — enqueue rejects
 // new writes with ErrDegraded), and reads serve the applied state,
 // which is exactly the state a reopen-replay of the WAL reconstructs.
-func (q *AsyncQueue) drainSlab(s *slabBuf, reason drainReason) error {
+func (q *AsyncQueue) drainSlab(s *slabBuf, byRead bool) error {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	if err := q.Err(); err != nil {
@@ -568,21 +538,6 @@ func (q *AsyncQueue) drainSlab(s *slabBuf, reason drainReason) error {
 		s.order = s.order[:0]
 		s.mu.Unlock()
 		return nil
-	}
-	if q.opts.AdaptiveFlush {
-		base := q.opts.FlushPoints
-		if reason == drainSize {
-			s.sizeStreak++
-			if s.sizeStreak >= 2 {
-				s.sizeStreak = 0
-				if s.flushAt < 8*base {
-					s.flushAt = min(2*s.flushAt, 8*base)
-				}
-			}
-		} else {
-			s.sizeStreak = 0
-			s.flushAt = max(base, s.flushAt/2)
-		}
 	}
 	order, pending := s.order, s.pending
 	s.order = nil
@@ -603,49 +558,27 @@ func (q *AsyncQueue) drainSlab(s *slabBuf, reason drainReason) error {
 			inss = append(inss, p)
 		}
 	}
-	if reason == drainRead {
+	if byRead {
 		q.forced.Add(1)
 		q.readDrained.Add(uint64(len(dels) + len(inss)))
 	}
-	// Deletes before inserts: a pendingDelIns point must leave the
-	// structures before its re-insert. Across distinct points the
-	// order is irrelevant (batches are sets in general position).
-	var firstErr error
-	if len(dels) > 0 {
-		if rep, ok := q.inner.(batchDeleteReporter); ok {
-			removed, err := rep.BatchDeleteRemoved(dels)
-			q.applied.Add(-int64(len(removed)))
-			firstErr = err
-		} else {
-			n, err := q.inner.BatchDelete(dels)
-			q.applied.Add(-int64(n))
-			firstErr = err
-		}
-		if firstErr == nil {
-			q.drained.Add(uint64(len(dels)))
-			s.drained.Add(uint64(len(dels)))
-		}
+	// Apply deletes before inserts: a pendingDelIns point must leave the
+	// structures before its re-insert, and every layer below skips the
+	// insert phase when the delete phase failed, so a failed batch can
+	// never resurrect a point the caller deleted. Applied/drained
+	// counters move only on success (the applied delta follows what the
+	// primary reports removed, which a failed WAL append makes empty):
+	// core.Len leans on AppliedDelta being exact in degraded mode.
+	removed, err := q.inner.Apply(dels, inss)
+	q.applied.Add(-int64(len(removed)))
+	if err == nil {
+		n := uint64(len(dels) + len(inss))
+		q.applied.Add(int64(len(inss)))
+		q.drained.Add(n)
+		s.drained.Add(n)
 	}
-	// The insert half runs only if the delete half applied: a failed
-	// dels batch followed by an applied inss batch could re-insert a
-	// pendingDelIns point whose delete never happened — resurrecting a
-	// point the caller deleted. On a dels failure the whole batch is
-	// abandoned (the WAL-first rule makes the failed half all-or-
-	// nothing, so nothing partial was applied either). Applied/drained
-	// counters move only on success for the same reason: a failed batch
-	// applied NOTHING, and core.Len leans on AppliedDelta being exact in
-	// degraded mode.
-	if len(inss) > 0 && firstErr == nil {
-		err := q.inner.BatchInsert(inss)
-		if err == nil {
-			q.applied.Add(int64(len(inss)))
-			q.drained.Add(uint64(len(inss)))
-			s.drained.Add(uint64(len(inss)))
-		}
-		firstErr = err
-	}
-	q.recordErr(firstErr)
-	return firstErr
+	q.recordErr(err)
+	return err
 }
 
 // recordErr latches err as the queue's sticky first error. nil and
@@ -681,7 +614,7 @@ func (q *AsyncQueue) drainFor(r geom.Rect) error {
 	lo, hi := buckets(q.cuts, key.X1, key.X2)
 	var firstErr error
 	for i := lo; i <= hi; i++ {
-		if err := q.drainSlab(q.slabs[i], drainRead); err != nil && firstErr == nil {
+		if err := q.drainSlab(q.slabs[i], true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -696,7 +629,7 @@ func (q *AsyncQueue) drainFor(r geom.Rect) error {
 func (q *AsyncQueue) Flush() error {
 	q.topoMu.RLock()
 	for _, s := range q.slabs {
-		q.drainSlab(s, drainTimer) //errlint:ok errors latch; surfaced below
+		q.drainSlab(s, false) //errlint:ok errors latch; surfaced below
 	}
 	q.topoMu.RUnlock()
 	return q.Err()
@@ -735,81 +668,51 @@ func (q *AsyncQueue) RangeSkyline(r geom.Rect) []geom.Point {
 	return q.inner.RangeSkyline(r)
 }
 
-// Insert buffers p and returns. When the buffer reaches its threshold
-// the writer drains it inline — one batch apply per threshold's worth
-// of accepted writes, at deterministic points in the op stream.
-func (q *AsyncQueue) Insert(p geom.Point) error {
+// Apply buffers the batch — deletes first, then inserts, through the
+// per-point coalescing state machine — and returns the deletes it
+// accepted: hit-or-miss resolution happens at drain time through the
+// presence-check-first path, and a miss applies nothing anywhere.
+// Callers needing synchronous presence must use an unqueued engine.
+// Each slab the batch fills to its threshold is drained inline once the
+// whole batch is buffered — one batch apply per threshold's worth of
+// accepted writes, at deterministic points in the op stream. A batch
+// racing Close stops at the first rejected point; the points enqueued
+// before it are in the final flush's scope, exactly like single writes.
+func (q *AsyncQueue) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	q.topoMu.RLock()
 	defer q.topoMu.RUnlock()
-	s, size, flushAt, err := q.enqueue(p, false)
-	if err != nil {
-		return err
-	}
-	if size >= flushAt {
-		return q.drainSlab(s, drainSize)
-	}
-	return nil
-}
-
-// Delete buffers the delete and returns. The reported bool means
-// ACCEPTED, not present: hit-or-miss resolution happens at drain time
-// through the batched presence-check-first path, and a miss applies
-// nothing anywhere. Callers needing synchronous presence must use an
-// unqueued engine.
-func (q *AsyncQueue) Delete(p geom.Point) (bool, error) {
-	q.topoMu.RLock()
-	defer q.topoMu.RUnlock()
-	s, size, flushAt, err := q.enqueue(p, true)
-	if err != nil {
-		return false, err
-	}
-	if size >= flushAt {
-		return true, q.drainSlab(s, drainSize)
-	}
-	return true, nil
-}
-
-// BatchInsert buffers the batch — one buffer lock per touched slab, not
-// per point — then applies the FlushPoints trigger to each touched slab.
-func (q *AsyncQueue) BatchInsert(pts []geom.Point) error {
-	return q.enqueueBatch(pts, false)
-}
-
-// BatchDelete buffers the batch of deletes, returning len(pts): the
-// accepted count, as for Delete. Misses resolve (to nothing) at drain.
-func (q *AsyncQueue) BatchDelete(pts []geom.Point) (int, error) {
-	return len(pts), q.enqueueBatch(pts, true)
-}
-
-// enqueueBatch buffers pts, then drains the slabs the batch pushed
-// past FlushPoints. A batch racing Close stops at the first rejected
-// point; the points enqueued before it are in the final flush's scope,
-// exactly like single writes.
-func (q *AsyncQueue) enqueueBatch(pts []geom.Point, del bool) error {
-	q.topoMu.RLock()
-	defer q.topoMu.RUnlock()
-	full := make(map[*slabBuf]bool)
+	var fullBuf [4]*slabBuf
+	full := fullBuf[:0]
+	accepted := 0
 	var firstErr error
-	for _, p := range pts {
+	for i := range len(dels) + len(inss) {
+		del := i < len(dels)
+		var p geom.Point
+		if del {
+			p = dels[i]
+		} else {
+			p = inss[i-len(dels)]
+		}
 		// Per-point enqueue keeps the state machine in one place; the
 		// slab mutex is uncontended in the common single-writer case
 		// and the batch's win — one structure lock per shard per
 		// drain — is preserved regardless.
-		s, size, flushAt, err := q.enqueue(p, del)
+		s, size, err := q.enqueue(p, del)
 		if err != nil {
 			firstErr = err
 			break
 		}
-		if size >= flushAt {
-			full[s] = true
+		accepted = i + 1
+		if size >= q.opts.FlushPoints && !slices.Contains(full, s) {
+			full = append(full, s)
 		}
 	}
-	for s := range full {
-		if err := q.drainSlab(s, drainSize); err != nil && firstErr == nil {
+	for _, s := range full {
+		if err := q.drainSlab(s, false); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return firstErr
+	return dels[:min(accepted, len(dels))], firstErr
 }
 
 // Stats returns the wrapped backend's I/O counters: buffering performs

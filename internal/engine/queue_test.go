@@ -424,10 +424,14 @@ func TestQueueCloseRacingWriters(t *testing.T) {
 // fakeBackend is a minimal unpartitioned Backend for queue plumbing
 // tests (constructor validation, slab counting); the external test
 // package cannot reuse the in-package fake.
-type fakeBackend struct{ pts map[geom.Point]bool }
+type fakeBackend struct {
+	engine.WriteVerbs
+	pts map[geom.Point]bool
+}
 
 func newFake(_ string, pts ...geom.Point) *fakeBackend {
 	f := &fakeBackend{pts: make(map[geom.Point]bool)}
+	f.WriteVerbs = engine.VerbsOf(f.Apply)
 	for _, p := range pts {
 		f.pts[p] = true
 	}
@@ -436,33 +440,18 @@ func newFake(_ string, pts ...geom.Point) *fakeBackend {
 
 func (f *fakeBackend) RangeSkyline(geom.Rect) []geom.Point { return nil }
 
-func (f *fakeBackend) Insert(p geom.Point) error {
-	f.pts[p] = true
-	return nil
-}
-
-func (f *fakeBackend) Delete(p geom.Point) (bool, error) {
-	ok := f.pts[p]
-	delete(f.pts, p)
-	return ok, nil
-}
-
-func (f *fakeBackend) BatchInsert(pts []geom.Point) error {
-	for _, p := range pts {
-		f.pts[p] = true
-	}
-	return nil
-}
-
-func (f *fakeBackend) BatchDelete(pts []geom.Point) (int, error) {
-	n := 0
-	for _, p := range pts {
+func (f *fakeBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
+	var removed []geom.Point
+	for _, p := range dels {
 		if f.pts[p] {
 			delete(f.pts, p)
-			n++
+			removed = append(removed, p)
 		}
 	}
-	return n, nil
+	for _, p := range inss {
+		f.pts[p] = true
+	}
+	return removed, nil
 }
 
 func (f *fakeBackend) Stats() emio.Stats { return emio.Stats{} }

@@ -1,7 +1,7 @@
 // Tests for the cut-change propagation paths a rebalancing engine
 // drives through its wrappers: the cache's re-tagging and late-fill
-// drop (SetXCuts/SetYCuts), the queue's slab migration with coalescing
-// state intact (SetCuts), and the per-slab adaptive drain threshold.
+// drop (SetXCuts/SetYCuts) and the queue's slab migration with
+// coalescing state intact (SetCuts).
 package engine_test
 
 import (
@@ -295,62 +295,5 @@ func TestQueueSetCutsMigratesCoalescingState(t *testing.T) {
 	ctr = q.Counters()
 	if ctr.Enqueued != 8 || ctr.Coalesced != 4 || ctr.Drained != 4 {
 		t.Fatalf("counters = %+v, want Enqueued 8 = Drained 4 + Coalesced 4", ctr)
-	}
-}
-
-// TestQueueAdaptiveFlush pins the per-slab threshold dynamics: two
-// consecutive size-triggered drains double the slab's threshold up to
-// 8 × FlushPoints, and any read-triggered drain halves it back toward
-// the floor.
-func TestQueueAdaptiveFlush(t *testing.T) {
-	const base = 4
-	q, err := engine.NewAsyncQueue(newFake("flat"), engine.QueueOptions{
-		FlushPoints: base, FlushInterval: -1, AdaptiveFlush: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	flushAt := func() int { return q.Counters().Slabs[0].FlushAt }
-
-	next := 0
-	fill := func(k int) {
-		t.Helper()
-		for i := 0; i < k; i++ {
-			next++
-			if err := q.Insert(geom.Point{X: geom.Coord(next), Y: geom.Coord(-next)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	fill(base) // first size drain: streak 1, threshold unchanged
-	if got := flushAt(); got != base {
-		t.Fatalf("FlushAt = %d after one size drain, want %d", got, base)
-	}
-	fill(base) // second consecutive: doubles
-	if got := flushAt(); got != 2*base {
-		t.Fatalf("FlushAt = %d after streak, want %d", got, 2*base)
-	}
-	// Keep streaking: the threshold must saturate at 8 × FlushPoints.
-	for i := 0; i < 8; i++ {
-		fill(flushAt())
-	}
-	if got := flushAt(); got != 8*base {
-		t.Fatalf("FlushAt = %d after saturation, want %d", got, 8*base)
-	}
-	// Read-triggered drains shrink it back toward the floor, one halving
-	// per drain, never below FlushPoints.
-	for want := 4 * base; want >= base; want /= 2 {
-		fill(1) // the drain must find something pending to adjust
-		q.RangeSkyline(wholePlane)
-		if got := flushAt(); got != want {
-			t.Fatalf("FlushAt = %d after read drain, want %d", got, want)
-		}
-	}
-	fill(1)
-	q.RangeSkyline(wholePlane)
-	if got := flushAt(); got != base {
-		t.Fatalf("FlushAt = %d, must not shrink below FlushPoints %d", got, base)
 	}
 }

@@ -1,12 +1,12 @@
 // Group commit for single-point writes.
 //
-// The engine's batched paths (BatchInsert, BatchDeleteRemoved) take
-// each structure or shard lock once per batch; the wire's unit of work
-// is one point per request. The combiner bridges the two the way a WAL
-// group-commits transactions: the first writer to arrive becomes the
-// batch LEADER, gathers everything that queued behind it (optionally
-// waiting a fixed window for stragglers), applies the whole batch with
-// one engine call, and hands each waiter its own slot of the result.
+// core.DB.Apply takes each structure or shard lock once per batch; the
+// wire's unit of work is one point per request. The combiner bridges
+// the two the way a WAL group-commits transactions: the first writer to
+// arrive becomes the batch LEADER, gathers everything that queued
+// behind it (optionally waiting a fixed window for stragglers), applies
+// the whole batch with one engine call, and hands each waiter its own
+// slot of the result.
 //
 // With window = 0 — the default — an uncontended write pays zero added
 // latency: it is its own leader and its batch has one point. Batching

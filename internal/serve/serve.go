@@ -6,10 +6,9 @@
 //     and the whole-set skyline (POST /v1/{ns}/query);
 //   - single and batched inserts and deletes (POST /v1/{ns}/insert,
 //     POST /v1/{ns}/delete), with single-point writes multiplexed
-//     through a per-namespace group-commit combiner that feeds the
-//     engine's BatchInsert/BatchDeleteRemoved paths — concurrent
-//     clients share one structure lock per batch instead of paying it
-//     per request;
+//     through per-namespace group-commit combiners that feed each
+//     batch to core.DB.Apply — concurrent clients share one structure
+//     lock per batch instead of paying it per request;
 //   - snapshot-pinned paginated reads (POST /v1/{ns}/snapshot to pin,
 //     query with {"snapshot": id, "limit": k, "after_x": token} to
 //     page without tearing, DELETE /v1/{ns}/snapshot/{id} to release);
@@ -91,9 +90,6 @@ type NamespaceConfig struct {
 	// trigger (0 means 2.0).
 	Rebalance    bool    `json:"rebalance,omitempty"`
 	MaxShardSkew float64 `json:"max_shard_skew,omitempty"`
-	// AdaptiveFlush lets each async-queue slab tune its own flush
-	// threshold to the observed drain pattern.
-	AdaptiveFlush bool `json:"adaptive_flush,omitempty"`
 }
 
 // validate rejects a config that core.Open (or the engine below it)
@@ -130,8 +126,6 @@ func (c NamespaceConfig) validate() error {
 		return fmt.Errorf("field %q: must be >= 1 (max/mean load ratio), got %v", "max_shard_skew", c.MaxShardSkew)
 	case c.MaxShardSkew != 0 && !c.Rebalance:
 		return fmt.Errorf("field %q: set without %q", "max_shard_skew", "rebalance")
-	case c.AdaptiveFlush && !c.AsyncWrites:
-		return fmt.Errorf("field %q: set without %q", "adaptive_flush", "async_writes")
 	}
 	return nil
 }
@@ -139,21 +133,20 @@ func (c NamespaceConfig) validate() error {
 // Options translates the wire config into core.Options.
 func (c NamespaceConfig) Options() core.Options {
 	opts := core.Options{
-		Epsilon:       c.Epsilon,
-		Dynamic:       !c.Static,
-		Shards:        c.Shards,
-		Workers:       c.Workers,
-		Mirrors:       c.Mirrors,
-		CacheEntries:  c.CacheEntries,
-		AsyncWrites:   c.AsyncWrites,
-		FlushPoints:   c.FlushPoints,
-		Dir:           c.Dir,
-		SyncWAL:       c.SyncWAL,
-		MaxBuffered:   c.MaxBuffered,
-		ShedWrites:    c.ShedWrites,
-		Rebalance:     c.Rebalance,
-		MaxShardSkew:  c.MaxShardSkew,
-		AdaptiveFlush: c.AdaptiveFlush,
+		Epsilon:      c.Epsilon,
+		Dynamic:      !c.Static,
+		Shards:       c.Shards,
+		Workers:      c.Workers,
+		Mirrors:      c.Mirrors,
+		CacheEntries: c.CacheEntries,
+		AsyncWrites:  c.AsyncWrites,
+		FlushPoints:  c.FlushPoints,
+		Dir:          c.Dir,
+		SyncWAL:      c.SyncWAL,
+		MaxBuffered:  c.MaxBuffered,
+		ShedWrites:   c.ShedWrites,
+		Rebalance:    c.Rebalance,
+		MaxShardSkew: c.MaxShardSkew,
 	}
 	if c.B > 0 {
 		opts.Machine = emio.Config{B: c.B, M: c.M}
@@ -348,7 +341,7 @@ func (s *Server) open(name string) (*namespace, error) {
 		db := ns.db
 		ns.ins = newCombiner(s.cfg.BatchWindow, func(pts []geom.Point) []error {
 			out := make([]error, len(pts))
-			if err := db.BatchInsert(pts); err != nil {
+			if _, err := db.Apply(nil, pts); err != nil {
 				for i := range out {
 					out[i] = err
 				}
@@ -357,13 +350,16 @@ func (s *Server) open(name string) (*namespace, error) {
 		})
 		ns.del = newCombiner(s.cfg.BatchWindow, func(pts []geom.Point) []delResult {
 			out := make([]delResult, len(pts))
-			removed, err := db.BatchDeleteRemoved(pts)
-			hit := make(map[geom.Point]bool, len(removed))
-			for _, p := range removed {
-				hit[p] = true
-			}
+			// removed is a subsequence of pts in pts order, so one walk
+			// hands each waiter its own verdict — and of two waiters
+			// deleting the same point, only the one that removed it.
+			removed, err := db.Apply(pts, nil)
 			for i, p := range pts {
-				out[i] = delResult{removed: hit[p], err: err}
+				hit := len(removed) > 0 && removed[0] == p
+				if hit {
+					removed = removed[1:]
+				}
+				out[i] = delResult{removed: hit, err: err}
 			}
 			return out
 		})
@@ -800,7 +796,7 @@ func (ns *namespace) lookupSnap(id string, deadline time.Time) (*core.Snapshot, 
 
 // writeReq is the body of POST /v1/{ns}/insert and /v1/{ns}/delete:
 // one point (multiplexed through the group-commit combiner) or a
-// batch (fed to the engine's batched path directly).
+// batch (fed to core.DB.Apply directly).
 type writeReq struct {
 	Point  *wirePoint  `json:"point,omitempty"`
 	Points []wirePoint `json:"points,omitempty"`
@@ -842,7 +838,7 @@ func handleInsert(s *Server, ns *namespace, w http.ResponseWriter, r *http.Reque
 	if single {
 		err = ns.ins.do(pts[0])
 	} else {
-		err = ns.db.BatchInsert(pts)
+		_, err = ns.db.Apply(nil, pts)
 	}
 	if err != nil {
 		writeErr(w, err)
@@ -878,7 +874,7 @@ func handleDelete(s *Server, ns *namespace, w http.ResponseWriter, r *http.Reque
 			removed = 1
 		}
 	} else {
-		got, err := ns.db.BatchDeleteRemoved(pts)
+		got, err := ns.db.Apply(pts, nil)
 		if err != nil {
 			writeErr(w, err)
 			return

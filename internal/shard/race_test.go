@@ -112,7 +112,7 @@ func TestConcurrentQueryUpdateStress(t *testing.T) {
 
 // TestConcurrentFourSidedBatchStress races 4-sided-family queriers
 // against batched updaters: two goroutines BatchInsert disjoint pools
-// and BatchDelete half of them back, while four queriers issue mixed
+// and delete half of them back, while four queriers issue mixed
 // top-open and 4-sided queries and a poller reads the aggregates. Under
 // -race this proves the per-shard foursided structures and the batched
 // per-shard grouping share no unfenced state. Full answers are verified
@@ -157,9 +157,9 @@ func TestConcurrentFourSidedBatchStress(t *testing.T) {
 			for i := 1; i < len(pool); i += 2 {
 				victims = append(victims, pool[i])
 			}
-			got, err := eng.BatchDelete(victims)
-			if err != nil || got != len(victims) {
-				t.Errorf("BatchDelete = %d, %v; want %d", got, err, len(victims))
+			got, err := eng.Apply(victims, nil)
+			if err != nil || len(got) != len(victims) {
+				t.Errorf("Apply(deletes) = %d, %v; want %d", len(got), err, len(victims))
 			}
 		}()
 	}

@@ -231,8 +231,8 @@ func TestRebalancePolicy(t *testing.T) {
 
 	// A no-op batch delete must not advance the policy cadence.
 	before := eng.rebalOps.Load()
-	if removed, err := eng.BatchDelete([]geom.Point{{X: -5, Y: -5}}); err != nil || removed != 0 {
-		t.Fatalf("BatchDelete(absent) = %d, %v", removed, err)
+	if removed, err := eng.Apply([]geom.Point{{X: -5, Y: -5}}, nil); err != nil || len(removed) != 0 {
+		t.Fatalf("Apply(absent) = %v, %v", removed, err)
 	}
 	if eng.rebalOps.Load() != before {
 		t.Fatal("a removed-nothing batch advanced the rebalance cadence")

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/dyntop"
 	"repro/internal/emio"
+	"repro/internal/engine"
 	"repro/internal/extsort"
 	"repro/internal/foursided"
 	"repro/internal/geom"
@@ -129,6 +130,7 @@ type shard struct {
 // Engine is a sharded concurrent range skyline engine serving every
 // Figure-2 query shape. It implements the engine.Backend interface.
 type Engine struct {
+	engine.WriteVerbs
 	opts Options
 	// topoMu guards shards and cuts as a pair. Every operation holds it
 	// shared for its full duration (so the shard pointers it routed to
@@ -213,6 +215,7 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 		opts: opts,
 		sem:  make(chan struct{}, opts.Workers),
 	}
+	e.WriteVerbs = engine.VerbsOf(e.Apply)
 	e.n.Store(int64(len(pts)))
 	n := len(pts)
 	prevCut := geom.Coord(math.MinInt64)
@@ -536,143 +539,111 @@ func (s *shard) deleteLocked(p geom.Point) (bool, error) {
 	return true, nil
 }
 
-// Insert adds a point to a dynamic engine, routing it to the shard owning
-// its x-range. The point must preserve general position.
-func (e *Engine) Insert(p geom.Point) error {
-	if !e.opts.Dynamic {
-		return fmt.Errorf("shard: engine opened static; reopen with Options.Dynamic")
-	}
-	e.topoMu.RLock()
-	s := e.shards[e.shardFor(p.X)]
-	s.load.Add(1)
-	s.mu.Lock()
-	s.insertLocked(p)
-	s.mu.Unlock()
-	e.topoMu.RUnlock()
-	e.n.Add(1)
-	e.updates.Add(1)
-	e.maybeRebalance(1)
-	return nil
-}
-
-// Delete removes a point from a dynamic engine, reporting presence.
-func (e *Engine) Delete(p geom.Point) (bool, error) {
-	if !e.opts.Dynamic {
-		return false, fmt.Errorf("shard: engine opened static; reopen with Options.Dynamic")
-	}
-	e.topoMu.RLock()
-	s := e.shards[e.shardFor(p.X)]
-	s.load.Add(1)
-	s.mu.Lock()
-	ok, err := s.deleteLocked(p)
-	s.mu.Unlock()
-	e.topoMu.RUnlock()
-	if ok {
-		e.n.Add(-1)
-		e.updates.Add(1)
-		e.maybeRebalance(1)
-	}
-	return ok, err
-}
-
-// groupByShard splits pts by destination shard.
-func (e *Engine) groupByShard(pts []geom.Point) map[int][]geom.Point {
-	groups := make(map[int][]geom.Point)
-	for _, p := range pts {
-		i := e.shardFor(p.X)
-		groups[i] = append(groups[i], p)
-	}
-	return groups
-}
-
-// BatchInsert adds many points at once: they are grouped by destination
-// shard and each shard's group is applied as one task through the worker
-// pool, so disjoint shards load in parallel and each shard's lock is
-// taken once per batch instead of once per point.
-func (e *Engine) BatchInsert(pts []geom.Point) error {
-	if !e.opts.Dynamic {
-		return fmt.Errorf("shard: engine opened static; reopen with Options.Dynamic")
-	}
-	var wg sync.WaitGroup
-	e.topoMu.RLock()
-	for i, group := range e.groupByShard(pts) {
-		s, group := e.shards[i], group
-		s.load.Add(uint64(len(group)))
-		e.submit(&wg, func() {
-			s.mu.Lock()
-			for _, p := range group {
-				s.insertLocked(p)
-			}
-			s.mu.Unlock()
-		})
-	}
-	wg.Wait()
-	e.topoMu.RUnlock()
-	e.n.Add(int64(len(pts)))
-	e.updates.Add(uint64(len(pts)))
-	e.maybeRebalance(len(pts))
-	return nil
-}
-
-// BatchDelete removes many points at once with the same per-shard
-// grouping as BatchInsert: one lock acquisition per shard per batch. It
-// returns how many of the points were present and removed (misses are
-// skipped, not errors). The first structural-corruption error, if any,
-// is returned after all groups finish.
-func (e *Engine) BatchDelete(pts []geom.Point) (int, error) {
-	removed, err := e.BatchDeleteRemoved(pts)
-	return len(removed), err
-}
-
-// BatchDeleteRemoved is BatchDelete reporting the removed points
-// themselves, not just their count. The planner uses it for its
-// presence-check-first batch fan-out: because each shard serializes its
-// deletes, concurrent overlapping batches resolve every contended point
-// to exactly one caller, and the reported subsets are disjoint across
-// those callers.
-func (e *Engine) BatchDeleteRemoved(pts []geom.Point) ([]geom.Point, error) {
+// Apply deletes dels, then inserts inss, on a dynamic engine, and
+// returns the subset of dels that was present and removed, in dels
+// order. Points are grouped by destination shard and each shard's group
+// runs as one task — its lock taken once for the batch, deletes before
+// inserts, a delete miss mutating nothing — so disjoint shards apply in
+// parallel through the worker pool. A batch touching one shard (every
+// single-point write) runs on the caller's goroutine. Because each shard
+// serializes its deletes, concurrent overlapping batches resolve every
+// contended point to exactly one caller, and the removed subsets they
+// report are disjoint. The first structural-corruption error, if any, is
+// returned after every group finishes; the failing shard skips its
+// inserts (the group's re-inserts must not outlive a failed delete).
+func (e *Engine) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if !e.opts.Dynamic {
 		return nil, fmt.Errorf("shard: engine opened static; reopen with Options.Dynamic")
 	}
+	if len(dels) == 0 && len(inss) == 0 {
+		return nil, nil
+	}
+	hit := make([]bool, len(dels))
 	e.topoMu.RLock()
-	groups := e.groupByShard(pts)
-	removedGroups := make([][]geom.Point, len(groups))
-	var errMu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	next := 0
-	for i, group := range groups {
-		s, group := e.shards[i], group
-		s.load.Add(uint64(len(group)))
-		slot := &removedGroups[next]
-		next++
-		e.submit(&wg, func() {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			for _, p := range group {
-				ok, err := s.deleteLocked(p)
-				if ok {
-					*slot = append(*slot, p)
-				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		})
+	groups := e.groupByShard(dels, inss)
+	for _, g := range groups {
+		g.s.load.Add(uint64(len(g.dels) + len(g.inss)))
 	}
-	wg.Wait()
+	if len(groups) == 1 {
+		groups[0].apply(dels, hit)
+	} else {
+		var wg sync.WaitGroup
+		for i := range groups {
+			e.submit(&wg, func() { groups[i].apply(dels, hit) })
+		}
+		wg.Wait()
+	}
 	e.topoMu.RUnlock()
+
 	var removed []geom.Point
-	for _, g := range removedGroups {
-		removed = append(removed, g...)
+	for i, p := range dels {
+		if hit[i] {
+			removed = append(removed, p)
+		}
 	}
-	e.n.Add(-int64(len(removed)))
-	e.updates.Add(uint64(len(removed)))
-	e.maybeRebalance(len(removed))
+	inserted := 0
+	var firstErr error
+	for _, g := range groups {
+		if g.err == nil {
+			inserted += len(g.inss)
+		} else if firstErr == nil {
+			firstErr = g.err
+		}
+	}
+	applied := inserted + len(removed)
+	e.n.Add(int64(inserted - len(removed)))
+	e.updates.Add(uint64(applied))
+	e.maybeRebalance(applied)
 	return removed, firstErr
+}
+
+// shardBatch is one shard's slice of an Apply batch: the indexes of its
+// deletes in the batch's dels, its inserts, and the corruption error
+// that stopped it, if any.
+type shardBatch struct {
+	s    *shard
+	dels []int
+	inss []geom.Point
+	err  error
+}
+
+// apply runs the group under one hold of its shard's lock, marking each
+// delete that hit in hit (indexed like dels). A delete error stops the
+// group before its inserts.
+func (g *shardBatch) apply(dels []geom.Point, hit []bool) {
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
+	for _, i := range g.dels {
+		if hit[i], g.err = g.s.deleteLocked(dels[i]); g.err != nil {
+			return
+		}
+	}
+	for _, p := range g.inss {
+		g.s.insertLocked(p)
+	}
+}
+
+// groupByShard splits a batch by destination shard, in first-touch
+// order. Caller holds topoMu shared.
+func (e *Engine) groupByShard(dels, inss []geom.Point) []shardBatch {
+	var groups []shardBatch
+	group := func(x geom.Coord) *shardBatch {
+		s := e.shards[e.shardFor(x)]
+		for i := range groups {
+			if groups[i].s == s {
+				return &groups[i]
+			}
+		}
+		groups = append(groups, shardBatch{s: s})
+		return &groups[len(groups)-1]
+	}
+	for i, p := range dels {
+		g := group(p.X)
+		g.dels = append(g.dels, i)
+	}
+	for _, p := range inss {
+		g := group(p.X)
+		g.inss = append(g.inss, p)
+	}
+	return groups
 }

@@ -328,8 +328,8 @@ func TestStaticFourSided(t *testing.T) {
 	if err := eng.BatchInsert(pts[:2]); err == nil {
 		t.Fatal("BatchInsert on static engine did not fail")
 	}
-	if _, err := eng.BatchDelete(pts[:2]); err == nil {
-		t.Fatal("BatchDelete on static engine did not fail")
+	if _, err := eng.Apply(pts[:2], nil); err == nil {
+		t.Fatal("Apply on static engine did not fail")
 	}
 }
 
@@ -354,12 +354,12 @@ func TestBatchDelete(t *testing.T) {
 		}
 	}
 	absent := []geom.Point{{X: span + 10, Y: span + 10}, {X: span + 20, Y: span + 20}}
-	removed, err := eng.BatchDelete(append(append([]geom.Point(nil), batch...), absent...))
+	removed, err := eng.Apply(append(append([]geom.Point(nil), batch...), absent...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != len(batch) {
-		t.Fatalf("BatchDelete removed %d, want %d", removed, len(batch))
+	if len(removed) != len(batch) {
+		t.Fatalf("Apply removed %d, want %d", len(removed), len(batch))
 	}
 	if eng.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", eng.Len(), len(ref))
@@ -374,6 +374,44 @@ func TestBatchDelete(t *testing.T) {
 			geom.RangeSkyline(ref, geom.TopOpen(x1, x2, beta)), "top q="+itoa(q))
 		r := randFourSided(rng, span)
 		samePoints(t, eng.FourSided(r), geom.RangeSkyline(ref, r), "four q="+itoa(q))
+	}
+}
+
+// TestApplyRemovedInDelsOrder: Apply reports the removed subset in dels
+// order, however the per-shard groups are scheduled. Each of 20 rounds
+// deletes a freshly shuffled batch spanning all six shards, with
+// absentees interleaved, then re-inserts the victims; an order taken
+// from map iteration or group completion cannot pass every round.
+func TestApplyRemovedInDelsOrder(t *testing.T) {
+	const n = 600
+	span := geom.Coord(n * 16)
+	pts := geom.GenUniform(n, span, 83)
+	geom.SortByX(pts)
+	eng, err := New(Options{Machine: testCfg, Shards: 6, Workers: 4, Dynamic: true}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(84))
+	for round := 0; round < 20; round++ {
+		var dels, want []geom.Point
+		for k, i := range rng.Perm(n)[:60] {
+			dels = append(dels, pts[i])
+			want = append(want, pts[i])
+			if k%10 == 0 {
+				dels = append(dels, geom.Point{X: span + geom.Coord(k) + 1, Y: span + geom.Coord(k) + 1})
+			}
+		}
+		removed, err := eng.Apply(dels, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePoints(t, removed, want, "round "+itoa(round))
+		if _, err := eng.Apply(nil, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eng.Len() != n {
+		t.Fatalf("Len = %d after every round restored its victims, want %d", eng.Len(), n)
 	}
 }
 
@@ -445,12 +483,12 @@ func TestTopOnlyEngine(t *testing.T) {
 	for i := 0; i < len(pool); i += 2 {
 		victims = append(victims, pool[i])
 	}
-	got, err := topOnly.BatchDelete(victims)
-	if err != nil || got != len(victims) {
-		t.Fatalf("TopOnly BatchDelete = %d, %v; want %d", got, err, len(victims))
+	got, err := topOnly.Apply(victims, nil)
+	if err != nil || len(got) != len(victims) {
+		t.Fatalf("TopOnly Apply = %d, %v; want %d", len(got), err, len(victims))
 	}
-	if got, err := full.BatchDelete(victims); err != nil || got != len(victims) {
-		t.Fatalf("full BatchDelete = %d, %v; want %d", got, err, len(victims))
+	if got, err := full.Apply(victims, nil); err != nil || len(got) != len(victims) {
+		t.Fatalf("full Apply = %d, %v; want %d", len(got), err, len(victims))
 	}
 	check("after deletes")
 

@@ -74,8 +74,8 @@ func TestSnapshotFrozenAnswers(t *testing.T) {
 		}
 	}
 	victims := append([]geom.Point(nil), frozen[:60]...)
-	if removed, err := eng.BatchDelete(victims); err != nil || removed != len(victims) {
-		t.Fatalf("BatchDelete = %d, %v", removed, err)
+	if removed, err := eng.Apply(victims, nil); err != nil || len(removed) != len(victims) {
+		t.Fatalf("Apply(deletes) = %d, %v", len(removed), err)
 	}
 	check("after live updates")
 	if eng.DeferredBlocks() == 0 {

@@ -306,11 +306,11 @@ func TestDifferentialBatch(t *testing.T) {
 						batch = append(batch, batch[0])
 					}
 					batch = append(batch, geom.Point{X: span + geom.Coord(round) + 1, Y: span + geom.Coord(round) + 1})
-					got, err := eng.BatchDelete(batch)
-					if err != nil || got != want {
-						t.Fatalf("%s: eng.BatchDelete = %d, %v; want %d", ctx, got, err, want)
+					removed, err := eng.Apply(batch, nil)
+					if err != nil || len(removed) != want {
+						t.Fatalf("%s: eng.Apply = %d, %v; want %d", ctx, len(removed), err, want)
 					}
-					got, err = db.BatchDelete(batch)
+					got, err := db.BatchDelete(batch)
 					if err != nil || got != want {
 						t.Fatalf("%s: db.BatchDelete = %d, %v; want %d", ctx, got, err, want)
 					}
@@ -605,17 +605,19 @@ func TestMirrorRaceStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentOverlappingBatchDelete pins the presence-check-first
-// batch fan-out: two goroutines batch-delete the SAME victim set on a
-// sharded mirrored DB. The primary engine serializes per shard and
-// resolves every contended point to exactly one caller, so the planner
-// fans disjoint confirmed subsets out to the mirror — no spurious
-// "backends disagree" corruption errors, counts summing to exactly one
-// removal per victim, and a final state byte-identical to the oracle.
-func TestConcurrentOverlappingBatchDelete(t *testing.T) {
-	const n, nVictims = 800, 300
+// TestConcurrentOverlappingApply pins the presence-check-first batch
+// fan-out: two goroutines Apply batches that delete the SAME victim set
+// (and each insert a private fresh pool) on a sharded mirrored DB. The
+// primary engine serializes per shard and resolves every contended
+// point to exactly one caller, so the planner fans disjoint confirmed
+// subsets out to the mirror — no spurious "backends disagree"
+// corruption errors, removed subsets that partition the victims, and a
+// final state byte-identical to the oracle.
+func TestConcurrentOverlappingApply(t *testing.T) {
+	const n, nVictims, nFresh = 800, 300, 40
 	span := geom.Coord(n * 16)
-	pts := geom.GenUniform(n, span, 2500)
+	all := geom.GenUniform(n+2*nFresh, span, 2500)
+	pts, fresh := all[:n], all[n:]
 	geom.SortByX(pts)
 	db, err := core.Open(core.Options{Machine: diffCfg, Dynamic: true, Shards: 4, Workers: 4, Mirrors: true}, pts)
 	if err != nil {
@@ -628,29 +630,34 @@ func TestConcurrentOverlappingBatchDelete(t *testing.T) {
 		victims[i] = pts[j]
 	}
 	var wg sync.WaitGroup
-	counts := make([]int, 2)
+	removed := make([][]geom.Point, 2)
 	errs := make([]error, 2)
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			counts[g], errs[g] = db.BatchDelete(victims)
+			removed[g], errs[g] = db.Apply(victims, fresh[g*nFresh:(g+1)*nFresh])
 		}(g)
 	}
 	wg.Wait()
 	for g, err := range errs {
 		if err != nil {
-			t.Fatalf("goroutine %d: BatchDelete error: %v", g, err)
+			t.Fatalf("goroutine %d: Apply error: %v", g, err)
 		}
 	}
-	if counts[0]+counts[1] != nVictims {
-		t.Fatalf("removal counts %d + %d != %d victims", counts[0], counts[1], nVictims)
-	}
 	dead := make(map[geom.Point]bool, nVictims)
-	for _, p := range victims {
-		dead[p] = true
+	for _, rm := range removed {
+		for _, p := range rm {
+			if dead[p] {
+				t.Fatalf("%v removed by both callers", p)
+			}
+			dead[p] = true
+		}
 	}
-	var ref []geom.Point
+	if len(dead) != nVictims {
+		t.Fatalf("removed subsets cover %d of %d victims", len(dead), nVictims)
+	}
+	ref := append([]geom.Point(nil), fresh...)
 	for _, p := range pts {
 		if !dead[p] {
 			ref = append(ref, p)

@@ -71,7 +71,7 @@ type Record struct {
 	// the life of the log, never reused even across Reset.
 	Seq uint64
 	// Dels are the points the batch deletes (they may miss; a replay
-	// through the presence-check-first batched path applies nothing
+	// through the presence-check-first Apply path applies nothing
 	// for a miss).
 	Dels []geom.Point
 	// Inss are the points the batch inserts.

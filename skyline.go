@@ -19,16 +19,18 @@
 // RightOpen, BottomOpen, LeftOpen, Dominance, AntiDominance, Contour —
 // plus the general DB.RangeSkyline; an internal planner
 // (internal/engine) routes each shape to the asymptotically best
-// backend. Dynamic indexes accept Insert/Delete and the batched
-// DB.BatchInsert/DB.BatchDelete, which amortize per-call overhead
-// across the batch.
+// backend. Dynamic indexes take writes through one verb,
+// DB.Apply(dels, inss): it deletes then inserts, reports which deletes
+// were present in dels order, and amortizes per-call overhead across
+// the batch. Insert, Delete, BatchInsert and BatchDelete are Apply with
+// one side empty.
 //
 // Opening with Options{Shards: K, Workers: W} partitions the point set
 // by x-range across K shards, each with a private simulated disk
 // carrying both a top-open and a 4-sided structure, and serves every
 // query shape from a concurrent worker-pool engine (internal/shard)
-// whose answers are identical to the single-disk structures'. Batched
-// updates group by destination shard and take each shard lock once per
+// whose answers are identical to the single-disk structures'. An Apply
+// batch groups by destination shard and takes each shard lock once per
 // batch.
 //
 // Opening with Options{Mirrors: true} additionally maintains a
@@ -53,8 +55,8 @@
 //
 // Opening with Options{AsyncWrites: true} buffers every write in
 // per-shard queues that return without touching any structure, so
-// writer latency is independent of structure rebuild costs; buffers
-// drain through the batched paths when they reach FlushPoints, every
+// writer latency is independent of structure rebuild costs; a buffer
+// drains as one Apply batch when it reaches FlushPoints, every
 // FlushInterval, and on DB.Flush/DB.Close. Reads stay exact — a query
 // drains every buffer its rectangle intersects first, so answers
 // (buffered deletes included) are byte-identical to a synchronous
@@ -78,7 +80,7 @@
 // set (internal/pager) and a write-ahead log of acknowledged update
 // batches (internal/wal) — survive a crash, and reopening the same
 // directory rebuilds the structures from the snapshot and replays the
-// WAL tail through the batched paths (DB.Recover reports what replay
+// WAL tail record by record (DB.Recover reports what replay
 // involved). DB.Flush and DB.Close checkpoint: snapshot the live set,
 // then truncate the WAL. With AsyncWrites, "acknowledged" means
 // drained — each drain batch is one WAL record, so buffered writes
@@ -102,8 +104,8 @@
 //
 // Everything above is also served over HTTP/JSON by cmd/skylined
 // (internal/serve): one namespace per DB, every query shape plus
-// snapshot-pinned pagination, group-committed single-point writes
-// through the batched paths, and the typed sentinels mapped to
+// snapshot-pinned pagination, single-point writes group-committed into
+// Apply batches, and the typed sentinels mapped to
 // statuses clients can act on (ErrBackpressure → 429 + Retry-After,
 // ErrDegraded → 503 read-only, ErrStatic → 409); SIGTERM drains and
 // checkpoints before exit, so acknowledged writes survive a graceful
