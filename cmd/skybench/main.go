@@ -838,7 +838,7 @@ func e14() {
 
 	fmt.Println("    part 2: 5% writes interleaved (insert/delete cycle), zipf s=1.1 —")
 	fmt.Println("    shard-aware invalidation (8 shards: only the written slab is evicted,")
-	fmt.Println("    cuts learned via engine.Partitioned) vs full flush (1 shard: no cuts)")
+	fmt.Println("    cuts learned via Backend.Partition) vs full flush (1 shard: no cuts)")
 	streamLen := sizes([]int{3000}, []int{10000})[0]
 	entries2 := poolSize / 2
 	// A slab-local working set: the bounded-x shapes (top-open,

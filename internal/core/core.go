@@ -249,6 +249,12 @@ type DB struct {
 	// mirror's axis too.
 	meng *shard.Engine
 
+	// units are the storage units Open built, each summed once by the
+	// storage accounting (Stats, Space, ...): the unsharded disk, which
+	// the top-open and 4-sided structures share, or the primary sharded
+	// engine; plus, with Mirrors, the mirror's disk or sharded engine.
+	units []storage
+
 	// n is atomic so Len and the update paths are safe for the
 	// concurrent callers the sharded engine admits. The single-disk
 	// backends themselves serialize nothing — concurrent updates are
@@ -275,12 +281,25 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 	if !geom.IsGeneralPosition(pts) {
 		return nil, fmt.Errorf("core: input not in general position (duplicate x or y)")
 	}
+	// Every option Open can reject is checked here, before a durable
+	// directory is seeded: a refused Open must leave Dir as it found it.
 	if opts.Rebalance {
 		if !opts.Dynamic {
 			return nil, fmt.Errorf("core: Rebalance requires Options.Dynamic (transitions rebuild shard structures)")
 		}
 		if opts.Shards <= 1 {
 			return nil, fmt.Errorf("core: Rebalance requires Options.Shards > 1 (nothing to rebalance unsharded)")
+		}
+		if opts.MaxShardSkew != 0 && opts.MaxShardSkew < 1 {
+			return nil, fmt.Errorf("core: MaxShardSkew %v below 1", opts.MaxShardSkew)
+		}
+	}
+	if opts.AsyncWrites {
+		if !opts.Dynamic {
+			return nil, fmt.Errorf("core: AsyncWrites requires Options.Dynamic (a static index rejects writes)")
+		}
+		if opts.FlushPoints < 0 || opts.MaxBuffered < 0 {
+			return nil, fmt.Errorf("core: FlushPoints %d / MaxBuffered %d below 0", opts.FlushPoints, opts.MaxBuffered)
 		}
 	}
 	sorted := append([]geom.Point(nil), pts...)
@@ -330,11 +349,13 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 			return nil, err
 		}
 		db.eng = eng
+		db.units = append(db.units, eng)
 		// One backend serves both families: the per-shard merge keeps
 		// its answers identical to the single-disk structures'.
 		db.plan.RegisterTopOpen(eng)
 		db.plan.RegisterGeneral(eng)
 	} else {
+		db.units = append(db.units, db.disk)
 		db.plan.RegisterTopOpen(buildTopOpen(db.disk, opts.Epsilon, opts.Dynamic, sorted))
 		four := foursided.Build(db.disk, opts.Epsilon, sorted)
 		db.plan.RegisterGeneral(engine.NewFourSided(four, db.disk))
@@ -378,9 +399,6 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		db.n.Store(int64(db.logb.Live()))
 	}
 	if opts.AsyncWrites {
-		if !opts.Dynamic {
-			return nil, fmt.Errorf("core: AsyncWrites requires Options.Dynamic (a static index rejects writes)")
-		}
 		// The queue is the OUTERMOST layer, in front of the cache:
 		// every read must pass its drain-on-read check before a cache
 		// hit can be served (a hit on an entry missing a buffered
@@ -467,11 +485,14 @@ func (db *DB) addMirror(sorted []geom.Point) error {
 			return err
 		}
 		db.meng = meng
+		db.units = append(db.units, meng)
 		inner = meng
 	} else {
 		// Guarded for the same reason as the primary disk: snapshot
 		// readers reach the mirror's storage without any lock.
-		inner = buildTopOpen(emio.NewConcurrentDisk(db.opts.Machine), db.opts.Epsilon, db.opts.Dynamic, mirrored)
+		d := emio.NewConcurrentDisk(db.opts.Machine)
+		db.units = append(db.units, d)
+		inner = buildTopOpen(d, db.opts.Epsilon, db.opts.Dynamic, mirrored)
 	}
 	m, err := engine.NewMirror(ref, inner)
 	if err != nil {
@@ -659,14 +680,7 @@ func (db *DB) Close() error {
 	if alreadyClosed {
 		return firstErr
 	}
-	for _, b := range db.plan.Backends() {
-		if m, ok := b.(*engine.MirrorBackend); ok {
-			b = m.Inner()
-		}
-		if qc, ok := b.(interface{ Quiesce() }); ok {
-			qc.Quiesce()
-		}
-	}
+	db.quiesce()
 	if db.logb != nil {
 		// Everything acknowledged is applied (queue closed above) and
 		// nothing new can arrive (closed flag): checkpoint, then
@@ -834,18 +848,89 @@ func (db *DB) BatchDelete(pts []geom.Point) (int, error) {
 	return len(removed), err
 }
 
-// Stats returns the I/O counters since the last ResetStats, aggregated
-// by the planner over every registered backend — the single-disk
-// structures, every shard disk, and every mirror's private storage —
-// counting each distinct disk exactly once.
-func (db *DB) Stats() emio.Stats {
-	return db.front.Stats()
+// storage is one storage unit DB accounts for: an emio.Disk, or a
+// sharded engine summing its shard disks — retired ones included, so
+// I/O charged before a rebalance transition stays counted after it.
+type storage interface {
+	Stats() emio.Stats
+	ResetStats()
+	LiveBlocks() int
+	PeakWords() int64
+	DeferredBlocks() int
+	Retained() int
 }
 
-// ResetStats zeroes the I/O counters of every registered backend and
-// the cache's hit/miss/eviction counters. Memoized entries are kept:
+// Stats returns the I/O counters since the last ResetStats, summed over
+// the storage units Open built — the unsharded disk or every shard
+// disk, plus the mirror's storage — each counted exactly once.
+func (db *DB) Stats() emio.Stats {
+	var total emio.Stats
+	for _, u := range db.units {
+		total = total.Add(u.Stats())
+	}
+	return total
+}
+
+// ResetStats zeroes the I/O counters of every storage unit and the
+// cache's hit/miss/eviction counters. Memoized entries are kept:
 // resetting measurement state does not change what the next query
 // costs.
 func (db *DB) ResetStats() {
-	db.front.ResetStats()
+	for _, u := range db.units {
+		u.ResetStats()
+	}
+	if db.cache != nil {
+		db.cache.ResetCounters()
+	}
+}
+
+// SpaceStats is the simulated space of every storage unit behind a DB,
+// summed: the operator's view of the O(n/B) bound.
+type SpaceStats struct {
+	// LiveBlocks counts allocated blocks, deferred ones included.
+	LiveBlocks int `json:"live_blocks"`
+	// PeakWords is the high-water mark of allocated words (summed per
+	// unit, so an upper bound on the simultaneous peak).
+	PeakWords int64 `json:"peak_words"`
+	// DeferredBlocks counts blocks freed but held for open snapshots.
+	DeferredBlocks int `json:"deferred_blocks"`
+}
+
+// Space reads the space counters of every storage unit — live blocks,
+// peak words, deferred blocks. It takes each disk's lock for a moment
+// and nothing else: no queue flush, no shard lock.
+func (db *DB) Space() SpaceStats {
+	var st SpaceStats
+	for _, u := range db.units {
+		st.LiveBlocks += u.LiveBlocks()
+		st.PeakWords += u.PeakWords()
+		st.DeferredBlocks += u.DeferredBlocks()
+	}
+	return st
+}
+
+// DeferredBlocks sums, over every storage unit, the blocks the live
+// index has retired that open snapshots hold alive. Zero at quiescence
+// with every snapshot closed — the no-leak invariant the race stress
+// asserts.
+func (db *DB) DeferredBlocks() int { return db.Space().DeferredBlocks }
+
+// RetainedCount sums the open storage retentions (one per pinned
+// structure per disk per unclosed snapshot).
+func (db *DB) RetainedCount() int {
+	n := 0
+	for _, u := range db.units {
+		n += u.Retained()
+	}
+	return n
+}
+
+// quiesce waits out the in-flight per-shard tasks of the sharded
+// engines — the primary's and the mirror's.
+func (db *DB) quiesce() {
+	for _, e := range []*shard.Engine{db.eng, db.meng} {
+		if e != nil {
+			e.Quiesce()
+		}
+	}
 }

@@ -522,9 +522,8 @@ func TestStatsAggregationWithMirrors(t *testing.T) {
 	if primaryIOs == 0 {
 		t.Fatal("4-sided query reported zero I/Os on the primary disk")
 	}
-	mirror := db.Planner().Mirrors()[0]
-	if got, want := db.Stats(), db.Disk().Stats().Add(mirror.Stats()); got != want {
-		t.Fatalf("Stats() = %+v, want primary+mirror = %+v", got, want)
+	if got, want := db.Stats().IOs(), primaryIOs+mirrorIOs; got != want {
+		t.Fatalf("Stats().IOs() = %d, want primary+mirror = %d", got, want)
 	}
 	db.ResetStats()
 	if got := db.Stats().IOs(); got != 0 {
@@ -532,6 +531,140 @@ func TestStatsAggregationWithMirrors(t *testing.T) {
 	}
 	if got := db.Disk().Stats().IOs(); got != 0 {
 		t.Fatalf("ResetStats left primary disk IOs = %d", got)
+	}
+}
+
+// TestStorageAccounting pins core's storage accounting on every layout
+// Open builds. The units it sums are exactly the layout's storage —
+// the unsharded disk (shared by two structures) or the sharded engine,
+// plus the mirror's — so with one snapshot open Stats, Space,
+// DeferredBlocks and RetainedCount count each disk once, a sharded
+// engine's retired shards included: I/O charged before a rebalance
+// transition is still counted after it, and so are the retentions the
+// snapshot holds on the retired disks. ResetStats zeroes the I/O and the
+// cache counters.
+func TestStorageAccounting(t *testing.T) {
+	const n = 600
+	span := geom.Coord(n * 16)
+	pts := geom.GenUniform(n, span, 6501)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		// pins is the retentions one snapshot holds: one per pinned
+		// structure per disk — two on the shared unsharded disk, one on
+		// an unsharded mirror's disk, one per shard of a sharded engine.
+		pins int
+	}{
+		{"unsharded", Options{}, 2},
+		{"unsharded+mirrors", Options{Mirrors: true}, 3},
+		{"shards", Options{Shards: 4}, 4},
+		{"shards+mirrors", Options{Shards: 4, Mirrors: true}, 8},
+		{"rebalance", Options{Shards: 4, Rebalance: true}, 4},
+		{"rebalance+mirrors", Options{Shards: 4, Mirrors: true, Rebalance: true}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.opts
+			o.Machine, o.Dynamic, o.Workers, o.CacheEntries = emio.Config{B: 32, M: 32 * 32}, true, 2, 8
+			db, err := Open(o, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+
+			want := []storage{db.disk}
+			if db.eng != nil {
+				want = []storage{db.eng}
+			}
+			switch {
+			case db.meng != nil:
+				want = append(want, db.meng)
+			case o.Mirrors && len(db.units) == 2:
+				if d, ok := db.units[1].(*emio.Disk); ok && d != db.disk {
+					want = append(want, d) // the unsharded mirror's private disk
+				}
+			}
+			if len(db.units) != len(want) {
+				t.Fatalf("units = %v, want %v", db.units, want)
+			}
+			for i := range want {
+				if db.units[i] != want[i] {
+					t.Fatalf("unit %d = %v, want %v", i, db.units[i], want[i])
+				}
+			}
+			check := func(stage string) {
+				t.Helper()
+				var io emio.Stats
+				var sp SpaceStats
+				for _, u := range want {
+					io = io.Add(u.Stats())
+					sp.LiveBlocks += u.LiveBlocks()
+					sp.PeakWords += u.PeakWords()
+					sp.DeferredBlocks += u.DeferredBlocks()
+				}
+				if got := db.Stats(); got != io {
+					t.Fatalf("%s: Stats = %+v, want %+v", stage, got, io)
+				}
+				if got := db.Space(); got != sp {
+					t.Fatalf("%s: Space = %+v, want %+v", stage, got, sp)
+				}
+				if got := db.DeferredBlocks(); got != sp.DeferredBlocks {
+					t.Fatalf("%s: DeferredBlocks = %d, want %d", stage, got, sp.DeferredBlocks)
+				}
+				if got := db.RetainedCount(); got != tc.pins {
+					t.Fatalf("%s: RetainedCount = %d, want %d", stage, got, tc.pins)
+				}
+			}
+
+			db.ResetStats()
+			for _, r := range sevenShapes(span) {
+				db.RangeSkyline(r)
+			}
+			if db.Stats().IOs() == 0 || db.CacheCounters().Misses == 0 {
+				t.Fatalf("queries charged nothing: %+v, %+v", db.Stats(), db.CacheCounters())
+			}
+			snap, err := db.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.BatchDelete(pts[:60]); err != nil {
+				t.Fatal(err)
+			}
+			if db.DeferredBlocks() == 0 {
+				t.Fatal("deletes under an open snapshot deferred no blocks")
+			}
+			check("pinned")
+			if o.Rebalance {
+				for _, step := range []struct {
+					name string
+					run  func(int) error
+				}{{"split", db.ForceSplit}, {"merge", db.ForceMerge}} {
+					before := db.Stats()
+					if err := step.run(-1); err != nil {
+						t.Fatal(err)
+					}
+					after := db.Stats()
+					if after.Reads < before.Reads || after.Writes < before.Writes {
+						t.Fatalf("%s dropped I/O: %+v -> %+v", step.name, before, after)
+					}
+					check("after " + step.name)
+				}
+				if st := db.RebalanceStats(); st.Splits == 0 || st.Merges == 0 {
+					t.Fatalf("no transition ran: %+v", st)
+				}
+			}
+
+			db.ResetStats()
+			if got := db.Stats(); got.IOs() != 0 {
+				t.Fatalf("ResetStats left %+v", got)
+			}
+			if got := db.CacheCounters(); got != (engine.CacheCounters{}) {
+				t.Fatalf("ResetStats left cache counters %+v", got)
+			}
+			snap.Close()
+			if db.DeferredBlocks() != 0 || db.RetainedCount() != 0 {
+				t.Fatalf("after Close: %d blocks deferred, %d retentions open", db.DeferredBlocks(), db.RetainedCount())
+			}
+		})
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/vfs"
@@ -234,14 +233,7 @@ func (db *DB) cleanup() {
 	if db.queue != nil {
 		db.queue.Close() //errlint:ok failure-path teardown; the construction error wins
 	}
-	for _, b := range db.plan.Backends() {
-		if m, ok := b.(*engine.MirrorBackend); ok {
-			b = m.Inner()
-		}
-		if qc, ok := b.(interface{ Quiesce() }); ok {
-			qc.Quiesce()
-		}
-	}
+	db.quiesce()
 	if db.wal != nil {
 		db.wal.Close() //errlint:ok failure-path teardown; the construction error wins
 	}

@@ -308,7 +308,7 @@ func TestOpenErrorPathsReleaseEverything(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
-		fail("queue after engines", Options{Machine: smallMachine, Shards: 4, Dynamic: true, AsyncWrites: true, FlushPoints: -1}, geom.GenUniform(64, 1000, 7))
+		fail("replay into static shards", Options{Machine: smallMachine, Shards: 4, Mirrors: true, Dir: dir}, nil)
 		fail("async without dynamic", Options{Machine: smallMachine, Shards: 4, AsyncWrites: true}, geom.GenUniform(64, 1000, 8))
 		fail("replay into static", Options{Machine: smallMachine, Dir: dir}, nil)
 		fail("seed into existing dir", Options{Machine: smallMachine, Dynamic: true, Dir: dir}, geom.GenUniform(8, 100, 9))
@@ -333,6 +333,57 @@ func TestOpenErrorPathsReleaseEverything(t *testing.T) {
 	}
 	if re.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", re.Len())
+	}
+}
+
+// TestRefusedOpenLeavesDirEmpty: every option Open rejects is rejected
+// before a fresh durable directory is seeded, so the refusal leaves Dir
+// empty and the corrected Open with the same seed succeeds instead of
+// finding "an index" the refused one wrote.
+func TestRefusedOpenLeavesDirEmpty(t *testing.T) {
+	seed := geom.GenUniform(128, 2048, 6401)
+	base := Options{Machine: smallMachine, Dynamic: true, FlushInterval: -1}
+	for _, tc := range []struct {
+		name string
+		bad  func(*Options)
+		fix  func(*Options)
+	}{
+		{"async-static",
+			func(o *Options) { o.AsyncWrites, o.Dynamic = true, false },
+			func(o *Options) { o.Dynamic = true }},
+		{"max-shard-skew",
+			func(o *Options) { o.Shards, o.Rebalance, o.MaxShardSkew = 4, true, 0.5 },
+			func(o *Options) { o.MaxShardSkew = 2 }},
+		{"flush-points",
+			func(o *Options) { o.AsyncWrites, o.FlushPoints = true, -1 },
+			func(o *Options) { o.FlushPoints = 0 }},
+		{"max-buffered",
+			func(o *Options) { o.AsyncWrites, o.MaxBuffered = true, -1 },
+			func(o *Options) { o.MaxBuffered = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := base
+			o.Dir = t.TempDir()
+			tc.bad(&o)
+			if db, err := Open(o, seed); err == nil {
+				db.Close()
+				t.Fatal("Open accepted the invalid options")
+			}
+			if ents, err := os.ReadDir(o.Dir); err != nil || len(ents) != 0 {
+				t.Fatalf("refused Open left %d entries in Dir (%v)", len(ents), err)
+			}
+			tc.fix(&o)
+			db, err := Open(o, seed)
+			if err != nil {
+				t.Fatalf("corrected Open: %v", err)
+			}
+			if db.Len() != len(seed) {
+				t.Fatalf("Len = %d, want %d", db.Len(), len(seed))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -25,7 +25,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -56,11 +55,7 @@ type Snapshot struct {
 // update). An unsharded index admits one mutator at a time, and a pin
 // counts as a mutator — the same contract as its updates.
 func (db *DB) Snapshot() (*Snapshot, error) {
-	s, ok := db.front.(engine.Snapshottable)
-	if !ok {
-		return nil, fmt.Errorf("core: engine stack does not support snapshots")
-	}
-	v, err := s.Snapshot()
+	v, err := db.front.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -70,23 +65,6 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 
 // OpenSnapshots reports the number of unclosed snapshots.
 func (db *DB) OpenSnapshots() int { return int(db.openSnaps.Load()) }
-
-// DeferredBlocks sums, over every distinct storage unit behind the
-// planner (single-disk structures, shard disks, mirror storage), the
-// blocks the live index has retired that open snapshots hold alive.
-// Zero at quiescence with every snapshot closed — the no-leak
-// invariant the race stress asserts.
-func (db *DB) DeferredBlocks() int { return db.plan.DeferredBlocks() }
-
-// Space reports the simulated space of every distinct storage unit
-// behind the planner — live blocks, peak words, deferred blocks — summed
-// over the single-disk structures, shard disks and mirror storage. It
-// reads disk counters only: no queue flush, no shard lock.
-func (db *DB) Space() engine.SpaceStats { return db.plan.Space() }
-
-// RetainedCount sums the open storage retentions (one per storage unit
-// per unclosed snapshot).
-func (db *DB) RetainedCount() int { return db.plan.Retained() }
 
 // Close releases the snapshot's pinned storage. When the last snapshot
 // holding a retired span closes, the span is reclaimed (the emio

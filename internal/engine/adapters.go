@@ -1,10 +1,10 @@
 // Backend adapters for the paper's single-disk structures. Each adapter
-// pairs one structure with the disk charged for its I/Os; structures
-// sharing a disk (as in an unsharded core.DB) share the counters, so
-// callers aggregating stats across backends must sum over distinct
-// disks, not distinct backends — each adapter exposes its disk through
-// StatsKey and Planner.Stats dedups on it. The sharded engine
-// (internal/shard) implements Backend natively and needs no adapter.
+// pairs one structure with the disk it lives on, which it needs only to
+// open a retention when it pins a snapshot. Structures may share a disk
+// (as in an unsharded core.DB), so I/O is counted per disk by whoever
+// built the disks, never per adapter. A single disk is one slab, so the
+// adapters report no partition. The sharded engine (internal/shard)
+// implements Backend natively and needs no adapter.
 package engine
 
 import (
@@ -22,10 +22,16 @@ func errStatic(kind string) error {
 	return fmt.Errorf("engine: %s backend is static; reopen with Options.Dynamic", kind)
 }
 
+// unpartitioned is the Partition of a single-disk structure: one slab.
+type unpartitioned struct{}
+
+func (unpartitioned) Partition() (xcuts, ycuts []geom.Coord) { return nil, nil }
+
 // TopOpenBackend serves the top-open family from the Theorem 1 static
 // index. Apply fails.
 type TopOpenBackend struct {
 	WriteVerbs
+	unpartitioned
 	ix   *topopen.Index
 	disk *emio.Disk
 }
@@ -48,17 +54,11 @@ func (b *TopOpenBackend) Apply(_, _ []geom.Point) ([]geom.Point, error) {
 	return nil, errStatic("topopen")
 }
 
-func (b *TopOpenBackend) Stats() emio.Stats { return b.disk.Stats() }
-func (b *TopOpenBackend) ResetStats()       { b.disk.ResetStats() }
-
-// StatsKey identifies the disk charged for this backend's I/Os, so
-// Planner.Stats counts structures sharing a disk once.
-func (b *TopOpenBackend) StatsKey() any { return b.disk }
-
 // DynTopBackend serves the top-open family from the Theorem 4 dynamic
 // tree.
 type DynTopBackend struct {
 	WriteVerbs
+	unpartitioned
 	tree *dyntop.Tree
 	disk *emio.Disk
 }
@@ -92,16 +92,11 @@ func (b *DynTopBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	return removed, nil
 }
 
-func (b *DynTopBackend) Stats() emio.Stats { return b.disk.Stats() }
-func (b *DynTopBackend) ResetStats()       { b.disk.ResetStats() }
-
-// StatsKey identifies the disk charged for this backend's I/Os.
-func (b *DynTopBackend) StatsKey() any { return b.disk }
-
 // FourSidedBackend serves every rectangle shape from the Theorem 6
 // structure. It is always dynamic (the structure has no static mode).
 type FourSidedBackend struct {
 	WriteVerbs
+	unpartitioned
 	ix   *foursided.Index
 	disk *emio.Disk
 }
@@ -128,9 +123,3 @@ func (b *FourSidedBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) 
 	}
 	return removed, nil
 }
-
-func (b *FourSidedBackend) Stats() emio.Stats { return b.disk.Stats() }
-func (b *FourSidedBackend) ResetStats()       { b.disk.ResetStats() }
-
-// StatsKey identifies the disk charged for this backend's I/Os.
-func (b *FourSidedBackend) StatsKey() any { return b.disk }

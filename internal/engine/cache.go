@@ -17,16 +17,16 @@
 //   - Exactly: only entries whose rectangle could contain a written
 //     point are evicted; a delete that misses every backend changes no
 //     answer and evicts nothing.
-//   - Shard-aware: when the wrapped backend exposes its x-cuts through
-//     the optional Partitioned interface (shard.Engine does), entries
-//     are tagged with the range of x-slabs their rectangle intersects,
-//     and a write only scans out entries intersecting the written
-//     point's slab — the rest of the cache survives the write. A
-//     transposed mirror's inner engine partitions by original y, so its
-//     cuts refine invalidation on the other axis: an entry is evicted
-//     only when its rectangle intersects the affected x-slab AND the
-//     affected y-slab. Without partition information the whole cache is
-//     one slab and every applied write flushes it.
+//   - Shard-aware: the wrapped backend's Partition reports the x-cuts
+//     of a sharded engine under it, entries are tagged with the range
+//     of x-slabs their rectangle intersects, and a write only scans out
+//     entries intersecting the written point's slab — the rest of the
+//     cache survives the write. A transposed mirror's inner engine
+//     partitions by original y, and Partition reports its cuts as
+//     y-cuts, which refine invalidation on the other axis: an entry is
+//     evicted only when its rectangle intersects the affected x-slab AND
+//     the affected y-slab. An unpartitioned backend makes the whole
+//     cache one slab, and every applied write flushes it.
 //
 // Concurrent readers and invalidating writers are safe: fills are
 // guarded by per-x-slab generation counters. A miss snapshots the
@@ -43,20 +43,8 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
-
-// Partitioned is the optional interface of backends that partition
-// their point set into contiguous x-ranges (shard.Engine). Cuts returns
-// the partition boundaries in the backend's own frame: cut i is the
-// largest x owned by partition i, so partition i covers
-// (cuts[i-1], cuts[i]] and the last partition covers (cuts[K-2], +∞).
-// A CacheBackend uses the cuts to evict only the entries a write can
-// affect instead of flushing everything.
-type Partitioned interface {
-	Cuts() []geom.Coord
-}
 
 // CanonicalQuery maps q to the representative of its answer-equivalence
 // class used as the cache key: every rectangle containing no point at
@@ -73,7 +61,7 @@ func CanonicalQuery(q geom.Rect) geom.Rect {
 }
 
 // CacheCounters are a cache's operation totals since the last
-// ResetStats.
+// ResetCounters.
 type CacheCounters struct {
 	// Hits counts queries answered from the cache.
 	Hits uint64
@@ -87,17 +75,6 @@ type CacheCounters struct {
 	// Sweeps counts invalidation passes over the cache: one per
 	// applied write batch that wrote anything.
 	Sweeps uint64
-}
-
-// Add returns the element-wise sum c + o.
-func (c CacheCounters) Add(o CacheCounters) CacheCounters {
-	return CacheCounters{
-		Hits:          c.Hits + o.Hits,
-		Misses:        c.Misses + o.Misses,
-		Evictions:     c.Evictions + o.Evictions,
-		Invalidations: c.Invalidations + o.Invalidations,
-		Sweeps:        c.Sweeps + o.Sweeps,
-	}
 }
 
 // cacheEntry is one memoized answer plus the bucket rectangle its query
@@ -150,11 +127,9 @@ type CacheBackend struct {
 
 // NewCache wraps inner with a read-through cache holding at most
 // entries memoized answers (entries < 1 is an error — a cache that can
-// hold nothing should not be built). Partition cuts are discovered from
-// the wrapped backend: a Planner is walked backend by backend, a
-// Partitioned backend contributes the x-cuts, and a transpose mirror
-// whose inner backend is Partitioned contributes the y-cuts (the
-// mirrored frame's x is the original frame's y).
+// hold nothing should not be built). The slab cuts are inner.Partition():
+// x-cuts from the sharded engine, y-cuts from a transpose mirror over
+// one (the mirrored frame's x is the original frame's y).
 func NewCache(inner Backend, entries int) (*CacheBackend, error) {
 	if entries < 1 {
 		return nil, fmt.Errorf("engine: cache capacity %d < 1", entries)
@@ -166,46 +141,9 @@ func NewCache(inner Backend, entries int) (*CacheBackend, error) {
 		lru:     list.New(),
 	}
 	c.WriteVerbs = VerbsOf(c.Apply)
-	c.xcuts, c.ycuts = learnCuts(inner)
+	c.xcuts, c.ycuts = inner.Partition()
 	c.genX = make([]uint64, len(c.xcuts)+1)
 	return c, nil
-}
-
-// learnCuts harvests partition cuts from b: x-cuts from the first
-// Partitioned backend, y-cuts from a transpose mirror over one (the
-// mirrored frame's x is the original frame's y). Wrapping layers — a
-// Planner, a CacheBackend, an AsyncQueue, a LogBackend — are walked
-// through to the backends they wrap, so the cache and the write queue
-// slab on the same shard boundaries regardless of stacking order.
-func learnCuts(b Backend) (xcuts, ycuts []geom.Coord) {
-	var walk func(Backend)
-	walk = func(b Backend) {
-		switch v := b.(type) {
-		case *Planner:
-			for _, bk := range v.Backends() {
-				walk(bk)
-			}
-		case *CacheBackend:
-			walk(v.inner)
-		case *AsyncQueue:
-			walk(v.inner)
-		case *LogBackend:
-			walk(v.inner)
-		case *MirrorBackend:
-			if v.ref != geom.ReflectSwapXY {
-				return
-			}
-			if p, ok := v.inner.(Partitioned); ok && ycuts == nil {
-				ycuts = append([]geom.Coord(nil), p.Cuts()...)
-			}
-		default:
-			if p, ok := b.(Partitioned); ok && xcuts == nil {
-				xcuts = append([]geom.Coord(nil), p.Cuts()...)
-			}
-		}
-	}
-	walk(b)
-	return xcuts, ycuts
 }
 
 // Inner returns the wrapped backend.
@@ -274,7 +212,7 @@ func (c *CacheBackend) retagLocked() {
 }
 
 // Counters returns the cache's operation totals since the last
-// ResetStats. Safe to call while operations are in flight.
+// ResetCounters. Safe to call while operations are in flight.
 func (c *CacheBackend) Counters() CacheCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -441,47 +379,15 @@ func (c *CacheBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	return removed, err
 }
 
-// Stats returns the wrapped backend's I/O counters: the cache itself
-// performs no simulated I/O, which is the whole point — hits cost zero.
-func (c *CacheBackend) Stats() emio.Stats { return c.inner.Stats() }
-
-// ResetStats zeroes the cache counters and the wrapped backend's I/O
-// counters WITHOUT dropping the memoized entries: resetting measurement
-// state must not change what the next query costs.
-func (c *CacheBackend) ResetStats() {
+// ResetCounters zeroes the cache counters WITHOUT dropping the memoized
+// entries: resetting measurement state must not change what the next
+// query costs.
+func (c *CacheBackend) ResetCounters() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.hits, c.misses, c.evictions, c.invalidations, c.sweeps = 0, 0, 0, 0, 0
-	c.mu.Unlock()
-	c.inner.ResetStats()
 }
 
-// StatsKey dedups stats through to the wrapped backend, so a registered
-// cache never double-counts I/Os with the backend it wraps (exactly
-// like MirrorBackend).
-func (c *CacheBackend) StatsKey() any { return statsKey(c.inner) }
-
-// cacheCounterer is implemented by backends carrying cache counters
-// (CacheBackend; a future tiered cache would too).
-type cacheCounterer interface{ Counters() CacheCounters }
-
-// CacheCounters aggregates the hit/miss/eviction counters of every
-// registered caching backend, deduped by StatsKey like Stats, so a
-// cache registered for several roles (top-open and general, say) is
-// counted once.
-func (pl *Planner) CacheCounters() CacheCounters {
-	var total CacheCounters
-	seen := make(map[any]bool, len(pl.backends))
-	for _, b := range pl.backends {
-		cc, ok := b.(cacheCounterer)
-		if !ok {
-			continue
-		}
-		k := statsKey(b)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		total = total.Add(cc.Counters())
-	}
-	return total
-}
+// Partition passes through: the cache memoizes answers, it moves no
+// point, and a rebalance reaches it through SetXCuts/SetYCuts.
+func (c *CacheBackend) Partition() (xcuts, ycuts []geom.Coord) { return c.inner.Partition() }

@@ -34,19 +34,24 @@
 // primary: Apply resolves deletes against it first and touches the
 // others only with the subset it confirmed present, so a miss never
 // mutates any backend (see core.DB.Delete's regression test).
+//
+// Snapshots and partition cuts flow through the same seam: both are
+// part of Backend, which every layer implements.
 package engine
 
 import (
 	"fmt"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
 
-// Backend is one range skyline engine: a structure (or a composite, like
-// the sharded engine) that answers some family of Figure-2 rectangles
-// and, when dynamic, accepts updates through Apply. Static backends
-// return an error from Apply without mutating anything.
+// Backend is the whole layer contract: every layer of the stack — the
+// paper's structures behind their adapters, the sharded engine, the
+// mirror, the planner, the cache, the log and the queue — implements
+// it directly, and a wrapping layer forwards what it does not change to
+// the layer it wraps. Static backends return an error from Apply
+// without mutating anything. Storage accounting is not part of it: the
+// disks belong to whoever built them (core.DB sums them).
 type Backend interface {
 	// RangeSkyline reports the maximal points of P ∩ q in
 	// increasing-x order.
@@ -57,16 +62,22 @@ type Backend interface {
 	// mutate the backend. Layers that only buffer (AsyncQueue) return
 	// the deletes they accepted instead: presence resolves later.
 	Apply(dels, inss []geom.Point) (removed []geom.Point, err error)
+	// Snapshot pins a point-in-time View of the backend (see
+	// snapshot.go for how each layer threads it).
+	Snapshot() (View, error)
+	// Partition reports the cuts the backend partitions its point set
+	// by, in the original frame: cut i is the largest coordinate owned
+	// by slab i, so slab i covers (cuts[i-1], cuts[i]] and the last
+	// covers (cuts[K-2], +∞). xcuts come from an x-partitioned engine,
+	// ycuts from a transpose mirror over one (its frame's x is the
+	// original y). nil means one slab. The cache and the queue slab on
+	// them, so a write only touches the slab it lands in.
+	Partition() (xcuts, ycuts []geom.Coord)
 	// Insert, Delete and BatchInsert are Apply with one side empty
 	// (see WriteVerbs); no layer puts logic in them.
 	Insert(p geom.Point) error
 	Delete(p geom.Point) (bool, error)
 	BatchInsert(pts []geom.Point) error
-	// Stats returns the backend's I/O counters since the last
-	// ResetStats.
-	Stats() emio.Stats
-	// ResetStats zeroes the backend's I/O counters.
-	ResetStats()
 }
 
 // WriteVerbs derives Insert, Delete and BatchInsert from a layer's
@@ -325,43 +336,19 @@ func (pl *Planner) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	return removed, nil
 }
 
-// statsKeyer lets a backend name the storage its Stats method counts,
-// so aggregation can dedup backends sharing a disk (the unsharded
-// layout charges its top-open and 4-sided structures to one disk).
-type statsKeyer interface{ StatsKey() any }
-
-// statsKey returns the dedup key for a backend's I/O counters: its
-// declared storage key when it has one, the backend itself otherwise.
-func statsKey(b Backend) any {
-	if k, ok := b.(statsKeyer); ok {
-		return k.StatsKey()
-	}
-	return b
-}
-
-// Stats aggregates the I/O counters of every registered backend,
-// counting each distinct underlying disk once — backends sharing a disk
-// (the unsharded adapters) do not double-count, and every mirror's
-// private storage is included, so skybench-style measurements through
-// the planner stay truthful.
-func (pl *Planner) Stats() emio.Stats {
-	var total emio.Stats
-	seen := make(map[any]bool, len(pl.backends))
+// Partition takes the x-cuts from the first registered backend that has
+// them and the y-cuts from a mirror (only a transpose mirror reports
+// y-cuts), so a cache or queue over the planner slabs on the sharded
+// engines' boundaries on both axes.
+func (pl *Planner) Partition() (xcuts, ycuts []geom.Coord) {
 	for _, b := range pl.backends {
-		k := statsKey(b)
-		if seen[k] {
-			continue
+		x, y := b.Partition()
+		if xcuts == nil {
+			xcuts = x
 		}
-		seen[k] = true
-		total = total.Add(b.Stats())
+		if ycuts == nil {
+			ycuts = y
+		}
 	}
-	return total
-}
-
-// ResetStats zeroes the I/O counters of every registered backend
-// (resetting a shared disk twice is harmless).
-func (pl *Planner) ResetStats() {
-	for _, b := range pl.backends {
-		b.ResetStats()
-	}
+	return xcuts, ycuts
 }

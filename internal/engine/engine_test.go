@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
 
@@ -51,7 +50,7 @@ func TestTopOpenFamilyMatchesIsTopOpen(t *testing.T) {
 
 // fakeBackend records calls; presence is driven by the pts set.
 type fakeBackend struct {
-	WriteVerbs
+	StubBackend
 	name    string
 	pts     map[geom.Point]bool
 	inserts []geom.Point
@@ -68,7 +67,6 @@ func newFake(name string, pts ...geom.Point) *fakeBackend {
 	return f
 }
 
-func (f *fakeBackend) RangeSkyline(geom.Rect) []geom.Point { return nil }
 func (f *fakeBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	f.batches++
 	var removed []geom.Point
@@ -85,8 +83,6 @@ func (f *fakeBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	}
 	return removed, nil
 }
-func (f *fakeBackend) Stats() emio.Stats { return emio.Stats{} }
-func (f *fakeBackend) ResetStats()       {}
 
 func TestRoute(t *testing.T) {
 	top, gen := newFake("top"), newFake("gen")

@@ -44,7 +44,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
 
@@ -84,9 +83,6 @@ func NewLogBackend(inner Backend, log UpdateLog, initial []geom.Point) *LogBacke
 	}
 	return lb
 }
-
-// Inner returns the wrapped backend.
-func (lb *LogBackend) Inner() Backend { return lb.inner }
 
 // Live returns the current live point count.
 func (lb *LogBackend) Live() int {
@@ -159,15 +155,5 @@ func (lb *LogBackend) Checkpoint(fn func(live []geom.Point) error) error {
 	return fn(pts)
 }
 
-// Stats forwards to the wrapped backend: logging performs no simulated
-// I/O (the log is real storage, measured by its own layer).
-func (lb *LogBackend) Stats() emio.Stats { return lb.inner.Stats() }
-
-// ResetStats forwards to the wrapped backend.
-func (lb *LogBackend) ResetStats() { lb.inner.ResetStats() }
-
-// StatsKey dedups stats through to the wrapped backend, like the
-// cache and the queue.
-func (lb *LogBackend) StatsKey() any { return statsKey(lb.inner) }
-
-var _ Backend = (*LogBackend)(nil)
+// Partition passes through: logging does not move any point.
+func (lb *LogBackend) Partition() (xcuts, ycuts []geom.Coord) { return lb.inner.Partition() }

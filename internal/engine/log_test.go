@@ -158,25 +158,25 @@ func TestLogBackendReplayDoesNotRelog(t *testing.T) {
 	}
 }
 
-// TestLearnCutsWalksLogBackend: a LogBackend between the queue and a
-// partitioned engine must be transparent to cut discovery — otherwise
-// the queue in a durable stack degrades to a single slab.
-func TestLearnCutsWalksLogBackend(t *testing.T) {
-	part := &fakePartitioned{cuts: []geom.Coord{10, 20, 30}}
+// TestPartitionForwardsThroughLogBackend: a LogBackend between the
+// queue and a partitioned engine must forward its cuts — otherwise the
+// queue in a durable stack degrades to a single slab.
+func TestPartitionForwardsThroughLogBackend(t *testing.T) {
+	part := newFake("part")
+	part.Cuts = []geom.Coord{10, 20, 30}
 	lb := NewLogBackend(part, &memLog{}, nil)
-	xcuts, _ := learnCuts(lb)
-	if len(xcuts) != 3 {
-		t.Fatalf("learnCuts through LogBackend found %d cuts, want 3", len(xcuts))
+	if xcuts, _ := lb.Partition(); len(xcuts) != 3 {
+		t.Fatalf("Partition through LogBackend found %d cuts, want 3", len(xcuts))
+	}
+	q, err := NewAsyncQueue(lb, QueueOptions{FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if q.NumSlabs() != 4 {
+		t.Fatalf("queue over the log has %d slabs, want 4", q.NumSlabs())
 	}
 }
-
-// fakePartitioned is a fakeBackend that also reports partition cuts.
-type fakePartitioned struct {
-	fakeBackend
-	cuts []geom.Coord
-}
-
-func (f *fakePartitioned) Cuts() []geom.Coord { return f.cuts }
 
 // errBackend fails every Apply with a programmable error.
 type errBackend struct {

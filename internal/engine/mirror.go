@@ -20,7 +20,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
 
@@ -46,13 +45,6 @@ func NewMirror(ref geom.Reflection, inner Backend) (*MirrorBackend, error) {
 	m.WriteVerbs = VerbsOf(m.Apply)
 	return m, nil
 }
-
-// Reflection returns the reflection between the original and mirrored
-// frames.
-func (m *MirrorBackend) Reflection() geom.Reflection { return m.ref }
-
-// Inner returns the backend serving the mirrored frame.
-func (m *MirrorBackend) Inner() Backend { return m.inner }
 
 // Serves reports whether q reflects onto the top-open family, i.e.
 // whether this mirror can answer it in the top-open bounds. For the
@@ -80,12 +72,13 @@ func (m *MirrorBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	return m.ref.Inverse().Pts(removed), err
 }
 
-// Stats returns the mirror's I/O counters (the inner backend's disks).
-func (m *MirrorBackend) Stats() emio.Stats { return m.inner.Stats() }
-
-// ResetStats zeroes the mirror's I/O counters.
-func (m *MirrorBackend) ResetStats() { m.inner.ResetStats() }
-
-// StatsKey dedups stats through to the inner backend's disk, so a
-// mirror never double-counts with a backend it shares storage with.
-func (m *MirrorBackend) StatsKey() any { return statsKey(m.inner) }
+// Partition reports the inner engine's x-cuts as y-cuts: the transpose
+// mirror's frame has the original y on its x-axis. Any other reflection
+// reports no partition.
+func (m *MirrorBackend) Partition() (xcuts, ycuts []geom.Coord) {
+	if m.ref != geom.ReflectSwapXY {
+		return nil, nil
+	}
+	x, _ := m.inner.Partition()
+	return nil, x
+}

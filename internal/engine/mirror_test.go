@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/dyntop"
 	"repro/internal/emio"
-	"repro/internal/extsort"
 	"repro/internal/foursided"
 	"repro/internal/geom"
-	"repro/internal/topopen"
 )
 
 var mirrorCfg = emio.Config{B: 32, M: 32 * 32}
@@ -190,58 +188,6 @@ func TestPlannerMirrorRouting(t *testing.T) {
 	}
 	if len(pl.Mirrors()) != 1 || pl.Mirrors()[0] != m {
 		t.Fatalf("Mirrors() = %v, want [m]", pl.Mirrors())
-	}
-}
-
-// TestPlannerStatsAggregation pins the Stats/ResetStats contract: every
-// distinct disk is counted exactly once — the unsharded adapters share
-// one disk and must not double-count, while a mirror's private disk
-// must be included — and ResetStats zeroes them all.
-func TestPlannerStatsAggregation(t *testing.T) {
-	pts := geom.GenUniform(400, 400*16, 11)
-	geom.SortByX(pts)
-	shared := emio.NewDisk(mirrorCfg)
-	f := extsort.FromSlice(shared, 2, pts)
-	top := NewTopOpen(topopen.Build(shared, f), shared)
-	f.Free()
-	four := NewFourSided(foursided.Build(shared, 0.5, pts), shared)
-	m, mirrorDisk := buildMirror(t, pts)
-
-	var pl Planner
-	pl.RegisterTopOpen(top)
-	pl.RegisterMirror(m)
-	pl.RegisterGeneral(four)
-
-	pl.ResetStats()
-	if got := pl.Stats(); got.IOs() != 0 {
-		t.Fatalf("after ResetStats, Stats().IOs() = %d, want 0", got.IOs())
-	}
-	// Touch all three paths: top-open (shared disk), right-open
-	// (mirror disk), 4-sided (shared disk).
-	pl.RangeSkyline(geom.TopOpen(0, 400*16, 0))
-	pl.RangeSkyline(geom.RightOpen(0, 0, 400*16))
-	pl.RangeSkyline(geom.Rect{X1: 10, X2: 4000, Y1: 10, Y2: 4000})
-
-	want := shared.Stats().Add(mirrorDisk.Stats())
-	if got := pl.Stats(); got != want {
-		t.Fatalf("Stats() = %+v, want shared+mirror = %+v", got, want)
-	}
-	if shared.Stats().IOs() == 0 || mirrorDisk.Stats().IOs() == 0 {
-		t.Fatalf("expected I/Os on both disks (shared %d, mirror %d)",
-			shared.Stats().IOs(), mirrorDisk.Stats().IOs())
-	}
-	// The naive per-backend sum double-counts the shared disk; Stats()
-	// must be strictly below it.
-	var naive uint64
-	for _, b := range pl.Backends() {
-		naive += b.Stats().IOs()
-	}
-	if got := pl.Stats().IOs(); got >= naive {
-		t.Fatalf("Stats().IOs() = %d should dedup below naive sum %d", got, naive)
-	}
-	pl.ResetStats()
-	if got := pl.Stats(); got.IOs() != 0 {
-		t.Fatalf("after second ResetStats, Stats().IOs() = %d, want 0", got.IOs())
 	}
 }
 

@@ -9,11 +9,11 @@
 // LogBackend appends one WAL record, and a CacheBackend fires one
 // shard-aware invalidation sweep — per drained batch, not per point.
 //
-// Slabbing mirrors the cache's: when the wrapped backend exposes x-cuts
-// through the Partitioned interface (shard.Engine does, and CacheBackend
-// forwards what it learned), each buffer covers one x-slab, so a drain
-// is a batch localized to one shard. Without partition information the
-// whole axis is one slab and one buffer.
+// Slabbing mirrors the cache's: the queue learns the wrapped backend's
+// x-cuts from Backend.Partition at construction (a shard.Engine reports
+// its cuts, and every wrapping layer forwards what it wraps), so each
+// buffer covers one x-slab and a drain is a batch localized to one
+// shard. An unpartitioned backend gives one slab and one buffer.
 //
 // Consistency contract — drain-on-read: RangeSkyline first drains every
 // buffer whose x-slab intersects the query rectangle, then queries the
@@ -52,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/emio"
 	"repro/internal/geom"
 )
 
@@ -227,10 +226,9 @@ type AsyncQueue struct {
 	firstErr error
 }
 
-// NewAsyncQueue wraps inner with an asynchronous write queue. Partition
-// cuts are discovered from the wrapped backend exactly like the cache's
-// (a CacheBackend in the stack forwards the cuts it learned), so the
-// queue's slabs coincide with the engine's shards. The background
+// NewAsyncQueue wraps inner with an asynchronous write queue. The slabs
+// are inner.Partition()'s x-cuts, exactly like the cache's, so they
+// coincide with the engine's shards. The background
 // drainer starts immediately unless opts.FlushInterval is negative;
 // callers owning a queue must Close it to stop that goroutine.
 func NewAsyncQueue(inner Backend, opts QueueOptions) (*AsyncQueue, error) {
@@ -246,7 +244,7 @@ func NewAsyncQueue(inner Backend, opts QueueOptions) (*AsyncQueue, error) {
 	if opts.FlushInterval == 0 {
 		opts.FlushInterval = 100 * time.Millisecond
 	}
-	xcuts, _ := learnCuts(inner)
+	xcuts, _ := inner.Partition()
 	q := &AsyncQueue{
 		inner: inner,
 		opts:  opts,
@@ -715,15 +713,6 @@ func (q *AsyncQueue) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	return dels[:min(accepted, len(dels))], firstErr
 }
 
-// Stats returns the wrapped backend's I/O counters: buffering performs
-// no simulated I/O until a drain applies the batch.
-func (q *AsyncQueue) Stats() emio.Stats { return q.inner.Stats() }
-
-// ResetStats zeroes the wrapped backend's I/O counters. Queue counters
-// are cumulative and unaffected (they are operation totals, not
-// measurement state).
-func (q *AsyncQueue) ResetStats() { q.inner.ResetStats() }
-
-// StatsKey dedups stats through to the wrapped backend, like the cache
-// and the mirrors.
-func (q *AsyncQueue) StatsKey() any { return statsKey(q.inner) }
+// Partition passes through: the queue slabs on the wrapped backend's
+// x-cuts, it does not define any of its own.
+func (q *AsyncQueue) Partition() (xcuts, ycuts []geom.Coord) { return q.inner.Partition() }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/emio"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/shard"
@@ -423,9 +422,9 @@ func TestQueueCloseRacingWriters(t *testing.T) {
 
 // fakeBackend is a minimal unpartitioned Backend for queue plumbing
 // tests (constructor validation, slab counting); the external test
-// package cannot reuse the in-package fake.
+// package cannot reuse the in-package fake, only its embedded stub.
 type fakeBackend struct {
-	engine.WriteVerbs
+	engine.StubBackend
 	pts map[geom.Point]bool
 }
 
@@ -437,8 +436,6 @@ func newFake(_ string, pts ...geom.Point) *fakeBackend {
 	}
 	return f
 }
-
-func (f *fakeBackend) RangeSkyline(geom.Rect) []geom.Point { return nil }
 
 func (f *fakeBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	var removed []geom.Point
@@ -453,6 +450,3 @@ func (f *fakeBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	}
 	return removed, nil
 }
-
-func (f *fakeBackend) Stats() emio.Stats { return emio.Stats{} }
-func (f *fakeBackend) ResetStats()       {}

@@ -1,7 +1,7 @@
 // Snapshot views: the read-only seam of the engine. A View is a pinned
-// point-in-time answerer for some family of rectangles; Snapshottable
-// is the optional interface of backends that can produce one. The
-// stack threads snapshots the same way it threads queries:
+// point-in-time answerer for some family of rectangles, and
+// Backend.Snapshot produces one on every layer. The stack threads
+// snapshots the same way it threads queries:
 //
 //	AsyncQueue.Snapshot  — flushes every buffer ONCE to establish the
 //	                       drain boundary, then pins the inner backend
@@ -53,18 +53,6 @@ import (
 type View interface {
 	RangeSkyline(q geom.Rect) []geom.Point
 	Release()
-}
-
-// Snapshottable is the optional interface of backends that can pin a
-// point-in-time View of themselves. Every backend core.Open builds
-// implements it; purely test-local backends need not.
-type Snapshottable interface {
-	Snapshot() (View, error)
-}
-
-// errNotSnapshottable reports a backend that cannot pin a view.
-func errNotSnapshottable(b Backend) error {
-	return fmt.Errorf("engine: backend %T does not support snapshots", b)
 }
 
 // retainedView pairs a pinned answerer with the retention holding its
@@ -146,11 +134,16 @@ func (m *MirrorView) Release() { m.inner.Release() }
 // Snapshot pins the mirror: the inner (reflected) backend is pinned
 // and the reflection keeps being applied per query.
 func (m *MirrorBackend) Snapshot() (View, error) {
-	s, ok := m.inner.(Snapshottable)
-	if !ok {
-		return nil, errNotSnapshottable(m.inner)
+	v, err := m.pin()
+	if err != nil {
+		return nil, err
 	}
-	v, err := s.Snapshot()
+	return v, nil
+}
+
+// pin is Snapshot with the concrete view type the planner routes on.
+func (m *MirrorBackend) pin() (*MirrorView, error) {
+	v, err := m.inner.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -161,23 +154,11 @@ func (m *MirrorBackend) Snapshot() (View, error) {
 // answers are frozen by construction and must not share entries with
 // the live index (a hit filled after the pin would serve a post-pin
 // answer).
-func (c *CacheBackend) Snapshot() (View, error) {
-	s, ok := c.inner.(Snapshottable)
-	if !ok {
-		return nil, errNotSnapshottable(c.inner)
-	}
-	return s.Snapshot()
-}
+func (c *CacheBackend) Snapshot() (View, error) { return c.inner.Snapshot() }
 
 // Snapshot passes through: reads are never logged, so a pinned view
 // needs nothing from the WAL.
-func (lb *LogBackend) Snapshot() (View, error) {
-	s, ok := lb.inner.(Snapshottable)
-	if !ok {
-		return nil, errNotSnapshottable(lb.inner)
-	}
-	return s.Snapshot()
-}
+func (lb *LogBackend) Snapshot() (View, error) { return lb.inner.Snapshot() }
 
 // Snapshot establishes the drain boundary: every buffer is flushed
 // ONCE — the only drain a snapshot ever costs — and the fully-applied
@@ -195,11 +176,7 @@ func (lb *LogBackend) Snapshot() (View, error) {
 // serving" half of the degradation contract.
 func (q *AsyncQueue) Snapshot() (View, error) {
 	q.Flush() //errlint:ok degraded queues pin the applied state; error stays latched for writers
-	s, ok := q.inner.(Snapshottable)
-	if !ok {
-		return nil, errNotSnapshottable(q.inner)
-	}
-	return s.Snapshot()
+	return q.inner.Snapshot()
 }
 
 // PlanView is a frozen Planner: the same routing table (top-open
@@ -215,36 +192,39 @@ type PlanView struct {
 // Snapshot pins every registered backend once — a backend registered
 // for several roles (the sharded engine serves both families) is
 // pinned a single time, so the roles answer from the SAME point in
-// time — and freezes the routing table. On any failure the views
+// time — and freezes the routing table. The mirrors pin first, through
+// the typed helper the routing table needs; on any failure the views
 // already pinned are released. The returned View is a *PlanView; the
 // interface return type is what lets the wrapping layers (queue, WAL,
 // cache) pass Snapshot calls through to the planner uniformly.
 func (pl *Planner) Snapshot() (View, error) {
 	views := make(map[Backend]View, len(pl.backends))
 	pv := &PlanView{}
-	for _, b := range pl.backends {
-		s, ok := b.(Snapshottable)
-		if !ok {
-			pv.Release()
-			return nil, errNotSnapshottable(b)
-		}
-		v, err := s.Snapshot()
+	fail := func(err error) (View, error) {
+		pv.Release()
+		return nil, err
+	}
+	for _, m := range pl.mirrors {
+		mv, err := m.pin()
 		if err != nil {
-			pv.Release()
-			return nil, err
+			return fail(err)
+		}
+		views[m] = mv
+		pv.mirrors = append(pv.mirrors, mv)
+		pv.views = append(pv.views, mv)
+	}
+	for _, b := range pl.backends {
+		if views[b] != nil {
+			continue
+		}
+		v, err := b.Snapshot()
+		if err != nil {
+			return fail(err)
 		}
 		views[b] = v
 		pv.views = append(pv.views, v)
 	}
-	if pl.topOpen != nil {
-		pv.topOpen = views[pl.topOpen]
-	}
-	if pl.general != nil {
-		pv.general = views[pl.general]
-	}
-	for _, m := range pl.mirrors {
-		pv.mirrors = append(pv.mirrors, views[m].(*MirrorView))
-	}
+	pv.topOpen, pv.general = views[pl.topOpen], views[pl.general]
 	return pv, nil
 }
 
@@ -279,87 +259,3 @@ func (pv *PlanView) Release() {
 		v.Release()
 	}
 }
-
-// storageUnit is what a storage unit (an emio.Disk, or the sharded
-// engine summing its shard disks) reports about its space — blocks
-// allocated now, the high-water mark in words — and about snapshot
-// retirement: blocks freed by the live index but deferred for open
-// retentions, and the number of open retentions.
-type storageUnit interface {
-	LiveBlocks() int
-	PeakWords() int64
-	DeferredBlocks() int
-	Retained() int
-}
-
-// SpaceStats is the simulated space of every distinct storage unit
-// behind a planner, summed: the operator's view of the O(n/B) bound.
-type SpaceStats struct {
-	// LiveBlocks counts allocated blocks, deferred ones included.
-	LiveBlocks int `json:"live_blocks"`
-	// PeakWords is the high-water mark of allocated words (summed per
-	// unit, so an upper bound on the simultaneous peak).
-	PeakWords int64 `json:"peak_words"`
-	// DeferredBlocks counts blocks freed but held for open snapshots.
-	DeferredBlocks int `json:"deferred_blocks"`
-}
-
-// Space reads the space counters of every distinct storage unit behind
-// the planner. It takes each disk's lock for a moment and nothing else:
-// no flush, no shard lock.
-func (pl *Planner) Space() SpaceStats {
-	var st SpaceStats
-	pl.eachStorage(func(u storageUnit) {
-		st.LiveBlocks += u.LiveBlocks()
-		st.PeakWords += u.PeakWords()
-		st.DeferredBlocks += u.DeferredBlocks()
-	})
-	return st
-}
-
-// DeferredBlocks sums the deferred-free queues of every distinct
-// storage unit behind the planner — blocks the live index has retired
-// that are held alive for open snapshots. Zero once every snapshot is
-// released: the no-leak invariant of the generation accounting.
-func (pl *Planner) DeferredBlocks() int {
-	total := 0
-	pl.eachStorage(func(u storageUnit) { total += u.DeferredBlocks() })
-	return total
-}
-
-// Retained sums the open retentions of every distinct storage unit
-// behind the planner (one per unit per unreleased snapshot).
-func (pl *Planner) Retained() int {
-	total := 0
-	pl.eachStorage(func(u storageUnit) { total += u.Retained() })
-	return total
-}
-
-// eachStorage visits every distinct storage unit behind the planner.
-func (pl *Planner) eachStorage(visit func(storageUnit)) {
-	seen := make(map[any]bool, len(pl.backends))
-	for _, b := range pl.backends {
-		k := statsKey(b)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if u, ok := k.(storageUnit); ok {
-			visit(u)
-		}
-	}
-}
-
-// assert the stack's layers all thread snapshots.
-var (
-	_ Snapshottable = (*TopOpenBackend)(nil)
-	_ Snapshottable = (*DynTopBackend)(nil)
-	_ Snapshottable = (*FourSidedBackend)(nil)
-	_ Snapshottable = (*MirrorBackend)(nil)
-	_ Snapshottable = (*CacheBackend)(nil)
-	_ Snapshottable = (*LogBackend)(nil)
-	_ Snapshottable = (*AsyncQueue)(nil)
-	_ Snapshottable = (*Planner)(nil)
-	_ View          = (*PlanView)(nil)
-	_ View          = (*MirrorView)(nil)
-)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,16 +25,25 @@ func buildStaticTopOpen(t *testing.T, pts []geom.Point) (*TopOpenBackend, *emio.
 // buildSnapPlanner assembles the full unsharded routing table over one
 // shared primary disk — dyntop for the top-open family, foursided for
 // the rest, a transpose mirror on its own disk — mirroring what
-// core.Open builds in dynamic mode.
-func buildSnapPlanner(t *testing.T, pts []geom.Point) (*Planner, *emio.Disk) {
+// core.Open builds in dynamic mode. It returns the two disks too.
+func buildSnapPlanner(t *testing.T, pts []geom.Point) (*Planner, []*emio.Disk) {
 	t.Helper()
 	d := emio.NewDisk(mirrorCfg)
 	pl := &Planner{}
 	pl.RegisterTopOpen(NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d))
 	pl.RegisterGeneral(NewFourSided(foursided.Build(d, 0.5, pts), d))
-	m, _ := buildMirror(t, pts)
+	m, md := buildMirror(t, pts)
 	pl.RegisterMirror(m)
-	return pl, d
+	return pl, []*emio.Disk{d, md}
+}
+
+// retention sums the open retentions and deferred blocks of disks.
+func retention(disks []*emio.Disk) (retained, deferred int) {
+	for _, d := range disks {
+		retained += d.Retained()
+		deferred += d.DeferredBlocks()
+	}
+	return retained, deferred
 }
 
 // snapShapes is one query per Figure-2 shape over the given span, so a
@@ -64,7 +74,7 @@ func TestSnapshotStackFrozen(t *testing.T) {
 	pool := all[n:]
 	geom.SortByX(pts)
 
-	pl, _ := buildSnapPlanner(t, pts)
+	pl, disks := buildSnapPlanner(t, pts)
 	cache, err := NewCache(pl, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +99,7 @@ func TestSnapshotStackFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozen := append([]geom.Point(nil), ref...)
-	if got := pl.Retained(); got == 0 {
+	if got, _ := retention(disks); got == 0 {
 		t.Fatal("Retained() = 0 with a pinned view open")
 	}
 
@@ -131,17 +141,18 @@ func TestSnapshotStackFrozen(t *testing.T) {
 	if fmt.Sprint(view.RangeSkyline(liveQ)) != fmt.Sprint(geom.RangeSkyline(frozen, liveQ)) {
 		t.Fatal("pinned answer moved with the live index")
 	}
-	if pl.DeferredBlocks() == 0 {
+	if _, deferred := retention(disks); deferred == 0 {
 		t.Fatal("deletes of pinned points retired no blocks — the retention is not holding anything")
 	}
 
 	view.Release()
 	view.Release() // idempotent
-	if got := pl.Retained(); got != 0 {
-		t.Fatalf("Retained() = %d after release", got)
+	retained, deferred := retention(disks)
+	if retained != 0 {
+		t.Fatalf("Retained() = %d after release", retained)
 	}
-	if got := pl.DeferredBlocks(); got != 0 {
-		t.Fatalf("DeferredBlocks() = %d after release — retired spans leaked", got)
+	if deferred != 0 {
+		t.Fatalf("DeferredBlocks() = %d after release — retired spans leaked", deferred)
 	}
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
@@ -258,53 +269,53 @@ func TestPlanViewRouting(t *testing.T) {
 	}
 }
 
-// TestSnapshotNotSnapshottable pins the error path of every wrapping
-// layer: a backend without Snapshot support propagates a typed error up
-// through planner, cache, log and queue, and a mid-pin failure releases
-// the views already taken.
-func TestSnapshotNotSnapshottable(t *testing.T) {
-	fake := newFake("plain", geom.Point{X: 1, Y: 1})
+// TestSnapshotPinFailure pins the error path of every wrapping layer: a
+// backend whose Snapshot fails propagates that error up through mirror,
+// planner, cache, log and queue, and a mid-pin failure releases the
+// views already taken.
+func TestSnapshotPinFailure(t *testing.T) {
+	errPin := errors.New("pin refused")
+	fake := newFake("refuses", geom.Point{X: 1, Y: 1})
+	fake.SnapErr = errPin
 
 	pl := &Planner{}
 	pl.RegisterGeneral(fake)
-	if _, err := pl.Snapshot(); err == nil {
-		t.Fatal("Planner.Snapshot over a non-snapshottable backend should fail")
-	}
-
 	cache, err := NewCache(fake, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Snapshot(); err == nil {
-		t.Fatal("CacheBackend.Snapshot should propagate the inner failure")
-	}
-	if _, err := NewLogBackend(fake, &memLog{}, nil).Snapshot(); err == nil {
-		t.Fatal("LogBackend.Snapshot should propagate the inner failure")
+	mirror, err := NewMirror(geom.ReflectSwapXY, fake)
+	if err != nil {
+		t.Fatal(err)
 	}
 	q, err := NewAsyncQueue(fake, QueueOptions{FlushInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Snapshot(); err == nil {
-		t.Fatal("AsyncQueue.Snapshot should propagate the inner failure")
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
+	defer q.Close()
+	for name, b := range map[string]Backend{
+		"mirror": mirror, "planner": pl, "cache": cache,
+		"log": NewLogBackend(fake, &memLog{}, nil), "queue": q,
+	} {
+		if v, err := b.Snapshot(); v != nil || !errors.Is(err, errPin) {
+			t.Fatalf("%s.Snapshot = %v, %v; want nil, %v", name, v, err, errPin)
+		}
 	}
 
-	// Mid-pin failure: the snapshottable backend pinned before the
-	// failing one must be released again.
+	// Mid-pin failure: the mirror and the top-open structure pin before
+	// the failing general backend, and must be released again.
 	pts := geom.GenUniform(50, 800, 4700)
 	geom.SortByX(pts)
 	d := emio.NewDisk(mirrorCfg)
-	dyn := NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d)
+	m, md := buildMirror(t, pts)
 	mixed := &Planner{}
-	mixed.RegisterTopOpen(dyn)
+	mixed.RegisterTopOpen(NewDynTop(dyntop.BuildSABE(d, 0.5, pts), d))
+	mixed.RegisterMirror(m)
 	mixed.RegisterGeneral(fake)
-	if _, err := mixed.Snapshot(); err == nil {
-		t.Fatal("mixed planner Snapshot should fail on the fake backend")
+	if _, err := mixed.Snapshot(); !errors.Is(err, errPin) {
+		t.Fatalf("mixed planner Snapshot = %v, want %v", err, errPin)
 	}
-	if got := d.Retained(); got != 0 {
+	if got, _ := retention([]*emio.Disk{d, md}); got != 0 {
 		t.Fatalf("Retained() = %d after failed pin — partial views leaked", got)
 	}
 }

@@ -903,7 +903,7 @@ type statsResp struct {
 	Snapshots  int                  `json:"open_snapshots"`
 	// SpaceStats adds live_blocks, peak_words and deferred_blocks: the
 	// simulated space summed over shard and mirror disks.
-	engine.SpaceStats
+	core.SpaceStats
 	// Rebalance reports shard-rebalancing activity; omitted for
 	// namespaces opened without "rebalance": true.
 	Rebalance *core.RebalanceStats `json:"rebalance,omitempty"`

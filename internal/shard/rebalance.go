@@ -81,7 +81,8 @@ func (e *Engine) RebalanceCounters() RebalanceCounters {
 // every completed transition. Calls are serialized and delivered in
 // transition order, with no engine locks held — fn may call back into
 // the engine. This is how core propagates live cut changes to the cache
-// tags and async-queue slabs (engine.Partitioned consumers).
+// tags and async-queue slabs, which learned the cuts at construction
+// through Engine.Partition.
 func (e *Engine) SetCutsListener(fn func([]geom.Coord)) {
 	e.rebalMu.Lock()
 	e.listener = fn

@@ -341,14 +341,17 @@ func (e *Engine) Quiesce() {
 // largest x owned by shard i, so shard i covers (cuts[i-1], cuts[i]]
 // and the last shard covers (cuts[K-2], +∞). The cuts are fixed at
 // build time unless Options.Rebalance moves them; SetCutsListener
-// delivers every change. Cuts implements the engine.Partitioned
-// interface, which is how a caching backend wrapping this engine learns
-// to evict only the entries a write's shard can affect.
+// delivers every change.
 func (e *Engine) Cuts() []geom.Coord {
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
 	return append([]geom.Coord(nil), e.cuts...)
 }
+
+// Partition reports Cuts as the x-cuts, for engine.Backend: it is how a
+// cache or async queue wrapping this engine learns to slab on its
+// shards, so a write evicts or drains only what its shard can affect.
+func (e *Engine) Partition() (xcuts, ycuts []geom.Coord) { return e.Cuts(), nil }
 
 // shardFor returns the index of the shard owning x.
 func (e *Engine) shardFor(x geom.Coord) int {

@@ -63,8 +63,7 @@ type Snapshot struct {
 // lock the per-shard locks are all acquired (in shard order — every
 // other locker takes at most one, so the order cannot deadlock), the
 // roots and the cut set are captured by pointer copy with a retention
-// opened per shard disk first, and the locks are released. It
-// implements engine.Snapshottable.
+// opened per shard disk first, and the locks are released.
 func (e *Engine) Snapshot() (engine.View, error) {
 	e.topoMu.RLock()
 	for _, s := range e.shards {
@@ -237,8 +236,3 @@ func (e *Engine) Retained() int {
 	}
 	return total
 }
-
-var (
-	_ engine.Snapshottable = (*Engine)(nil)
-	_ engine.View          = (*Snapshot)(nil)
-)
