@@ -258,6 +258,7 @@ func e5() {
 			return len(ix.Query(geom.Rect{X1: x1, X2: x1 + int64(n)*2, Y1: y1, Y2: y1 + int64(n)*2}))
 		})
 		fmt.Printf("%10d %12.1f %12.0f %10.1f\n", n, mean, worst, k)
+		fmt.Printf("E5-METRIC n=%d ios=%.1f worst=%.1f\n", n, mean, worst)
 	}
 }
 
@@ -316,8 +317,9 @@ func e7() {
 		}
 		live := float64(d.LiveWords())
 		raw := live / float64(2*ix.Len())
-		fmt.Printf("%10d %16.1f %10.2f\n", n, float64(d.Stats().IOs())/float64(rounds), raw)
-		fmt.Printf("E7-METRIC n=%d livewords=%.1f liveratio=%.2f\n", ix.Len(), live, raw)
+		ios := float64(d.Stats().IOs()) / float64(rounds)
+		fmt.Printf("%10d %16.1f %10.2f\n", n, ios, raw)
+		fmt.Printf("E7-METRIC n=%d livewords=%.1f liveratio=%.2f ios=%.1f\n", ix.Len(), live, raw, ios)
 	}
 }
 

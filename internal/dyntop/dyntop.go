@@ -328,7 +328,8 @@ func (t *Tree) leafFor(x geom.Coord) *node {
 }
 
 // Insert adds point p (whose x and y must not collide with indexed
-// points; callers enforce general position). O(log²_{B^ε}(n/B)) I/Os.
+// points; callers enforce general position). O(log_{2B^ε}(n/B)) I/Os:
+// one leaf write and one refresh per ancestor.
 func (t *Tree) Insert(p geom.Point) {
 	if t.root == nil {
 		t.root = &node{pts: []geom.Point{p}}
@@ -347,7 +348,7 @@ func (t *Tree) Insert(p geom.Point) {
 }
 
 // Delete removes the point with the given coordinates; it reports
-// whether the point was present. O(log²_{B^ε}(n/B)) I/Os.
+// whether the point was present. O(log_{2B^ε}(n/B)) I/Os, as Insert.
 func (t *Tree) Delete(p geom.Point) bool {
 	if t.root == nil {
 		return false

@@ -6,17 +6,25 @@
 // indexability model.
 //
 // The structure is a constant-height fan-out tree over the
-// x-coordinates: leaves hold Θ(B) points, internal nodes have
-// Θ(f) children with f ≈ (n/B)^ε / log(n/B), so the height is
-// O(logf(n/B)) = O(1/ε). Every internal node u carries a secondary
-// structure R(u): a Theorem 4 (dyntop) structure over the transposed
-// points of its subtree, answering the right-open band queries
-// (-∞,∞) × [β*, β2] the 4-sided algorithm issues while sweeping the
-// O((n/B)^ε / log(n/B)) canonical nodes right to left and maintaining
-// the running threshold β*.
+// x-coordinates: leaves hold Θ(B) points and internal nodes have Θ(f)
+// children, with f = max(2, ⌊(n/B)^ε / log2(n/B)⌋, ⌈(n/B)^{1/(⌈1/ε⌉+1)}⌉),
+// so the tree has at most ⌈1/ε⌉+1 internal levels. The paper's
+// f ≈ (n/B)^ε / log(n/B) alone gives that height only asymptotically:
+// the log divisor keeps f at 2–5 for every n/B up to 2^12 at ε = 0.5,
+// which leaves the tree 6–8 levels deep at the sizes the benchmarks
+// run, and every level costs each update one secondary update. The
+// third term is the smallest fan-out that meets the height. Its
+// exponent 1/(⌈1/ε⌉+1) is below ε, so it decides only up to a constant
+// n/B (≈ 2^30 at ε = 0.5) and the query bound keeps its form: O(f/ε)
+// canonical nodes at O(log(n/B)) I/Os each. Every
+// internal node u carries a secondary structure R(u): a Theorem 4
+// (dyntop) structure over the transposed points of its subtree,
+// answering the right-open band queries (-∞,∞) × [β*, β2] the 4-sided
+// algorithm issues while sweeping the canonical nodes right to left and
+// maintaining the running threshold β*.
 //
 // Updates go into the leaf array and into every R(u) along the path
-// (O(1) nodes × O(log(n/B)) each); internal nodes split when their
+// (O(1/ε) nodes × O(log(n/B)) each); internal nodes split when their
 // fan-out doubles, rebuilding the two halves' secondaries (amortized
 // against the Ω(fB) updates between splits), and the entire structure is
 // rebuilt after n/2 updates, which keeps every parameter calibrated and
@@ -99,11 +107,7 @@ func (ix *Index) rebuild(sorted []geom.Point) {
 		return
 	}
 	B := d.Config().B
-	nb := math.Max(1, float64(len(sorted))/float64(B))
-	f := int(math.Pow(nb, ix.eps) / math.Max(1, math.Log2(nb)))
-	if f < 2 {
-		f = 2
-	}
+	f := fanout(float64(len(sorted))/float64(B), ix.eps)
 	ix.fanout = f
 
 	var level []*node
@@ -133,6 +137,20 @@ func (ix *Index) rebuild(sorted []geom.Point) {
 		level = up
 	}
 	ix.root = level[0]
+}
+
+// maxLevels is the internal-level cap ⌈1/ε⌉+1 that fanout keeps the
+// tree within.
+func maxLevels(eps float64) int { return int(math.Ceil(1/eps)) + 1 }
+
+// fanout picks f for nb = n/B leaf blocks (see the package comment):
+// the paper's (n/B)^ε / log2(n/B), raised where needed to the smallest
+// f whose maxLevels-th power reaches nb.
+func fanout(nb, eps float64) int {
+	nb = math.Max(1, nb)
+	paper := int(math.Pow(nb, eps) / math.Max(1, math.Log2(nb)))
+	height := int(math.Ceil(math.Pow(nb, 1/float64(maxLevels(eps)))))
+	return max(2, paper, height)
 }
 
 func (ix *Index) refreshLeaf(nd *node) {

@@ -11,9 +11,10 @@ import (
 // spaceBlocksPerDataBlock bounds LiveBlocks of a freshly rebuilt index
 // by c·⌈n/B⌉ (Theorem 6's linear space): one block pair per leaf, plus a
 // Theorem 4 secondary over every internal node's subtree — each level of
-// them indexes all n points at ~3.5 blocks per ⌈n/B⌉, and at n = 10⁴ the
-// fan-out bottoms out at 2, which makes six levels (measured: 23.5).
-const spaceBlocksPerDataBlock = 30
+// them indexes all n points at ~3.5 blocks per ⌈n/B⌉. The tree has at
+// most ⌈1/ε⌉+1 internal levels, so at n = 10⁴ the deepest case is
+// ε = 0.3 with four levels (measured: 15.25; ε = 0.5 has three, 12.1).
+const spaceBlocksPerDataBlock = 20
 
 // TestSpaceBoundAfterChurn runs a long mixed update stream — through
 // several whole-index rebuilds, node splits and leaf prunes — and checks

@@ -104,8 +104,8 @@ func (c NamespaceConfig) validate() error {
 		return fmt.Errorf("field %q: must be >= 0, got %d", "m", c.M)
 	case c.B == 0 && c.M > 0:
 		return fmt.Errorf("field %q: set without %q (both or neither)", "m", "b")
-	case c.Epsilon < 0 || c.Epsilon >= 1:
-		return fmt.Errorf("field %q: must be in [0, 1), got %v", "epsilon", c.Epsilon)
+	case c.Epsilon < 0 || c.Epsilon > 1:
+		return fmt.Errorf("field %q: must be in [0, 1], got %v", "epsilon", c.Epsilon)
 	case c.Shards < 0:
 		return fmt.Errorf("field %q: must be >= 0, got %d", "shards", c.Shards)
 	case c.Workers < 0:

@@ -110,7 +110,29 @@ func TestShapesVsOracle(t *testing.T) {
 	if ins.Inserted != len(pts) {
 		t.Fatalf("inserted %d, want %d", ins.Inserted, len(pts))
 	}
+	checkShapes(t, hs.URL+"/v1/t/query", pts)
+}
 
+// TestEpsilonOneNamespace opens a namespace at ε = 1 — the shallowest
+// Theorem 6 tree, two internal levels — writes to it, and checks every
+// shape against the oracle.
+func TestEpsilonOneNamespace(t *testing.T) {
+	_, hs := newTestServer(t, Config{Namespaces: map[string]NamespaceConfig{"e1": {B: 32, M: 32 * 32, Epsilon: 1}}})
+	pts := geom.GenUniform(600, 1<<14, 43)
+	if code, _ := call(t, "POST", hs.URL+"/v1/e1/insert", map[string]any{"points": wire(pts)}, nil); code != 200 {
+		t.Fatalf("batch insert: status %d", code)
+	}
+	gone, pts := pts[:100], pts[100:]
+	if code, _ := call(t, "POST", hs.URL+"/v1/e1/delete", map[string]any{"points": wire(gone)}, nil); code != 200 {
+		t.Fatalf("batch delete: status %d", code)
+	}
+	checkShapes(t, hs.URL+"/v1/e1/query", pts)
+}
+
+// checkShapes queries all nine shapes at url and compares each answer
+// with the oracle over pts.
+func checkShapes(t *testing.T, url string, pts []geom.Point) {
+	t.Helper()
 	const a, b, c = 3000, 11000, 7000
 	cases := []struct {
 		req  map[string]any
@@ -128,7 +150,7 @@ func TestShapesVsOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var resp queryResp
-		if code, _ := call(t, "POST", hs.URL+"/v1/t/query", tc.req, &resp); code != 200 {
+		if code, _ := call(t, "POST", url, tc.req, &resp); code != 200 {
 			t.Fatalf("%v: status %d", tc.req, code)
 		}
 		want := geom.RangeSkyline(pts, tc.rect)
