@@ -95,12 +95,10 @@ type Options struct {
 	// RangeSkyline answers in an LRU map keyed by the canonicalized
 	// query rectangle — hot rectangles are re-answered from memory at
 	// zero simulated I/O, byte-identically to the uncached answers.
-	// Updates invalidate shard-aware: with Shards > 1 the cache learns
-	// the engine's x-cuts (and, with Mirrors, the mirrored engine's
-	// y-cuts) and a write evicts only the entries whose rectangles
-	// intersect the written point's slab; unsharded indexes flush the
-	// cache on every applied write. A Delete that misses evicts
-	// nothing.
+	// Updates invalidate answer-exactly: a write evicts an entry only
+	// when it deletes one of the entry's answer points, or inserts a
+	// point inside its rectangle that no answer point dominates. A
+	// Delete that misses evicts nothing. Negative is an error.
 	CacheEntries int
 	// AsyncWrites buffers every write in an engine.AsyncQueue in front
 	// of everything else: writes append to per-x-slab buffers (the
@@ -181,11 +179,11 @@ type Options struct {
 	// (the primary and, with Mirrors, the transposed mirror on its own
 	// axis) track per-shard load and split hot shards / merge cold
 	// neighbors live, rebuilding off to the side and swapping under a
-	// brief topology lock. Cut changes propagate to the cache's slab
-	// tags and the async queue's buffers automatically; open snapshots
-	// keep serving the topology they pinned. Requires Dynamic and
-	// Shards > 1. Answers are unaffected — only the work distribution
-	// moves (DB.RebalanceStats reports the activity).
+	// brief topology lock. Cut changes propagate to the async queue's
+	// buffers automatically; open snapshots keep serving the topology
+	// they pinned. Requires Dynamic and Shards > 1. Answers are
+	// unaffected — only the work distribution moves
+	// (DB.RebalanceStats reports the activity).
 	Rebalance bool
 	// MaxShardSkew is the rebalance trigger ratio: a shard hotter than
 	// MaxShardSkew × the mean per-shard load splits, an adjacent pair
@@ -293,6 +291,9 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		if opts.MaxShardSkew != 0 && opts.MaxShardSkew < 1 {
 			return nil, fmt.Errorf("core: MaxShardSkew %v below 1", opts.MaxShardSkew)
 		}
+	}
+	if opts.CacheEntries < 0 {
+		return nil, fmt.Errorf("core: CacheEntries %d below 0", opts.CacheEntries)
 	}
 	if opts.AsyncWrites {
 		if !opts.Dynamic {
@@ -403,8 +404,8 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		// every read must pass its drain-on-read check before a cache
 		// hit can be served (a hit on an entry missing a buffered
 		// write would be stale), and each drain is one Apply through
-		// the cache, so a drain costs one shard-aware invalidation
-		// sweep instead of one eviction scan per point.
+		// the cache, so a drain costs one invalidation sweep instead
+		// of one per point.
 		queue, err := engine.NewAsyncQueue(db.front, engine.QueueOptions{
 			FlushPoints:   opts.FlushPoints,
 			FlushInterval: opts.FlushInterval,
@@ -417,29 +418,14 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		db.queue = queue
 		db.front = queue
 	}
-	if opts.Rebalance {
+	if opts.Rebalance && db.queue != nil {
 		// Wire cut propagation last, once every layer exists: a primary
-		// transition moves the cache's x-slab tags and re-learns the
-		// queue's slabs (migrating buffered ops); a mirror transition
-		// moves the cache's y-slab tags (the mirrored frame's x is the
-		// original y — the queue slabs only by original x). The
-		// listeners run with no engine locks held, so they may call
-		// back into any layer.
-		db.eng.SetCutsListener(func(cuts []geom.Coord) {
-			if db.cache != nil {
-				db.cache.SetXCuts(cuts)
-			}
-			if db.queue != nil {
-				db.queue.SetCuts(cuts)
-			}
-		})
-		if db.meng != nil {
-			db.meng.SetCutsListener(func(cuts []geom.Coord) {
-				if db.cache != nil {
-					db.cache.SetYCuts(cuts)
-				}
-			})
-		}
+		// transition re-learns the queue's slabs (migrating buffered
+		// ops). The queue slabs only by original x, so a mirror
+		// transition needs nothing, and neither does the cache. The
+		// listener runs with no engine locks held, so it may call back
+		// into any layer.
+		db.eng.SetCutsListener(db.queue.SetCuts)
 	}
 	ok = true
 	return db, nil

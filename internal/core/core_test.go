@@ -677,10 +677,29 @@ func TestAsyncWritesRequireDynamic(t *testing.T) {
 	}
 }
 
+// TestNegativeCacheEntriesRejected: a negative cache capacity is a
+// refusal, like it is on the wire, not a silent "no cache"; zero opens
+// without one.
+func TestNegativeCacheEntriesRejected(t *testing.T) {
+	pts := geom.GenUniform(64, 1024, 6002)
+	if db, err := Open(Options{Dynamic: true, CacheEntries: -1}, pts); err == nil {
+		db.Close()
+		t.Fatal("Open(CacheEntries: -1) succeeded; want error")
+	}
+	db, err := Open(Options{Dynamic: true}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Cache() != nil {
+		t.Fatal("CacheEntries 0 built a cache")
+	}
+}
+
 // TestAsyncQueueStacking pins the layer order Open builds: the queue is
 // the outermost front (reads must drain before a cache hit can be
-// served) and the cache sits between queue and planner, learning the
-// sharded engine's cuts through the stack in both directions.
+// served) and the cache sits between queue and planner, with the queue
+// learning the sharded engine's cuts through it.
 func TestAsyncQueueStacking(t *testing.T) {
 	pts := geom.GenUniform(256, 4096, 6101)
 	db, err := Open(Options{

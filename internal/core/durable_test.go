@@ -360,6 +360,9 @@ func TestRefusedOpenLeavesDirEmpty(t *testing.T) {
 		{"max-buffered",
 			func(o *Options) { o.AsyncWrites, o.MaxBuffered = true, -1 },
 			func(o *Options) { o.MaxBuffered = 0 }},
+		{"cache-entries",
+			func(o *Options) { o.CacheEntries = -1 },
+			func(o *Options) { o.CacheEntries = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := base

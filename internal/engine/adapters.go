@@ -25,7 +25,7 @@ func errStatic(kind string) error {
 // unpartitioned is the Partition of a single-disk structure: one slab.
 type unpartitioned struct{}
 
-func (unpartitioned) Partition() (xcuts, ycuts []geom.Coord) { return nil, nil }
+func (unpartitioned) Partition() (xcuts []geom.Coord) { return nil }
 
 // TopOpenBackend serves the top-open family from the Theorem 1 static
 // index. Apply fails.

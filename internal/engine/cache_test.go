@@ -13,7 +13,7 @@ var cacheCfg = emio.Config{B: 32, M: 32 * 32}
 
 // buildShardedCache builds a dynamic sharded engine over n uniform
 // points and wraps it in a cache of the given capacity.
-func buildShardedCache(t *testing.T, n, shards, entries int, seed int64) (*engine.CacheBackend, *shard.Engine, []geom.Point) {
+func buildShardedCache(t *testing.T, n, shards, entries int, seed int64) (*engine.CacheBackend, *shard.Engine) {
 	t.Helper()
 	pts := geom.GenUniform(n, int64(n)*16, seed)
 	geom.SortByX(pts)
@@ -25,23 +25,7 @@ func buildShardedCache(t *testing.T, n, shards, entries int, seed int64) (*engin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, eng, pts
-}
-
-// slabRect returns a rectangle lying strictly inside shard i's x-slab.
-func slabRect(t *testing.T, cuts []geom.Coord, i int, span geom.Coord) geom.Rect {
-	t.Helper()
-	lo, hi := geom.Coord(0), span
-	if i > 0 {
-		lo = cuts[i-1] + 1
-	}
-	if i < len(cuts) {
-		hi = cuts[i]
-	}
-	if lo > hi {
-		t.Fatalf("shard %d owns an empty x-slab", i)
-	}
-	return geom.Rect{X1: lo, X2: hi, Y1: 0, Y2: span}
+	return c, eng
 }
 
 // TestCacheReadThrough pins the core contract: a miss reads through and
@@ -49,7 +33,7 @@ func slabRect(t *testing.T, cuts []geom.Coord, i int, span geom.Coord) geom.Rect
 // simulated I/O, and the canonical key collapses all empty rectangles
 // onto one entry.
 func TestCacheReadThrough(t *testing.T) {
-	c, eng, _ := buildShardedCache(t, 400, 4, 16, 41)
+	c, eng := buildShardedCache(t, 400, 4, 16, 41)
 	span := geom.Coord(400 * 16)
 	q := geom.TopOpen(span/8, span/2, span/4)
 	first := c.RangeSkyline(q)
@@ -85,10 +69,11 @@ func TestCacheReadThrough(t *testing.T) {
 }
 
 // TestCacheDeleteMissDoesNotEvict pins the invalidation edge case: a
-// Delete (or BatchDelete) that misses every backend changed no answer
-// and must leave every memoized entry in place.
+// Delete (or a delete-only Apply) that misses every backend changed no
+// answer and must leave every memoized entry in place, while a delete
+// of an answer point evicts.
 func TestCacheDeleteMissDoesNotEvict(t *testing.T) {
-	c, _, pts := buildShardedCache(t, 400, 4, 16, 43)
+	c, _ := buildShardedCache(t, 400, 4, 16, 43)
 	span := geom.Coord(400 * 16)
 	qs := []geom.Rect{
 		geom.TopOpen(0, span, span/4),
@@ -114,144 +99,26 @@ func TestCacheDeleteMissDoesNotEvict(t *testing.T) {
 	if c.Len() != len(qs) {
 		t.Fatalf("cache holds %d entries after misses, want %d", c.Len(), len(qs))
 	}
-	// A delete that HITS must invalidate the entries containing it.
-	victim := pts[len(pts)/2]
+	// A delete of an answer point must evict the entry holding it, and
+	// the re-query must no longer report the victim.
+	victim := c.RangeSkyline(qs[0])[0]
 	if ok, err := c.Delete(victim); !ok || err != nil {
 		t.Fatalf("Delete(%v) = %t, %v", victim, ok, err)
 	}
 	if got := c.Counters(); got.Invalidations == 0 {
-		t.Fatal("confirmed delete invalidated nothing")
+		t.Fatal("deleting an answer point invalidated nothing")
 	}
-}
-
-// TestCacheShardAwareInvalidation pins the tentpole claim: with the
-// engine's x-cuts known, a write evicts only the entries whose
-// rectangles intersect the written point's slab, and a batch spanning
-// every shard evicts across all of them.
-func TestCacheShardAwareInvalidation(t *testing.T) {
-	c, eng, _ := buildShardedCache(t, 400, 4, 16, 47)
-	span := geom.Coord(400 * 16)
-	cuts := eng.Cuts()
-	if len(cuts) != 3 {
-		t.Fatalf("Cuts() = %v, want 3 cuts", cuts)
-	}
-	if got := c.XCuts(); len(got) != 3 {
-		t.Fatalf("cache learned x-cuts %v, want 3", got)
-	}
-	perShard := make([]geom.Rect, 4)
-	for i := range perShard {
-		perShard[i] = slabRect(t, cuts, i, span)
-		c.RangeSkyline(perShard[i])
-	}
-	wide := geom.TopOpen(geom.NegInf, geom.PosInf, span/4)
-	c.RangeSkyline(wide)
-	if c.Len() != 5 {
-		t.Fatalf("cache holds %d entries, want 5", c.Len())
-	}
-
-	// A write into shard 0: the shard-0 entry and the wide entry go,
-	// the entries confined to shards 1..3 survive.
-	if err := c.Insert(geom.Point{X: cuts[0] - 2, Y: span + 10}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Counters(); got.Invalidations != 2 {
-		t.Fatalf("shard-0 write invalidated %d entries, want 2 (slab 0 + wide)", got.Invalidations)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d entries after shard-0 write, want 3", c.Len())
-	}
-	before := c.Counters()
-	for i := 1; i < 4; i++ {
-		c.RangeSkyline(perShard[i])
-	}
-	if got := c.Counters(); got.Hits != before.Hits+3 {
-		t.Fatalf("surviving shards should all hit: counters %+v -> %+v", before, got)
-	}
-
-	// A batch spanning all shards evicts across all of them.
-	for i := range perShard {
-		c.RangeSkyline(perShard[i])
-	}
-	batch := []geom.Point{
-		{X: cuts[0] - 4, Y: span + 20},
-		{X: cuts[0] + 1, Y: span + 21},
-		{X: cuts[1] + 1, Y: span + 22},
-		{X: cuts[2] + 1, Y: span + 23},
-	}
-	if err := c.BatchInsert(batch); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("batch spanning all shards left %d entries cached", c.Len())
-	}
-}
-
-// TestCacheYCutRefinement builds the full planner shape core.Open
-// assembles (sharded primary + transposed sharded mirror) and pins the
-// y-axis refinement: the mirror's cuts are in the transposed frame, so
-// they partition the original y-axis, and an entry whose rectangle
-// spans every x-slab but misses the written point's y-slab survives.
-func TestCacheYCutRefinement(t *testing.T) {
-	const n = 400
-	span := geom.Coord(n * 16)
-	pts := geom.GenUniform(n, span, 53)
-	geom.SortByX(pts)
-	primary, err := shard.New(shard.Options{Machine: cacheCfg, Shards: 4, Workers: 2, Dynamic: true}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirrored := geom.ReflectSwapXY.Pts(pts)
-	geom.SortByX(mirrored)
-	inner, err := shard.New(shard.Options{Machine: cacheCfg, Shards: 4, Workers: 2, Dynamic: true, TopOnly: true}, mirrored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := engine.NewMirror(geom.ReflectSwapXY, inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := new(engine.Planner)
-	pl.RegisterTopOpen(primary)
-	pl.RegisterGeneral(primary)
-	pl.RegisterMirror(m)
-	c, err := engine.NewCache(pl, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ycuts := c.YCuts()
-	if len(ycuts) != 3 {
-		t.Fatalf("cache learned y-cuts %v, want 3 (from the mirror's inner engine)", ycuts)
-	}
-
-	// A horizontal band above the last y-cut: its x-range meets every
-	// x-slab, so only the y-cuts can save it from a low write.
-	band := geom.Rect{X1: geom.NegInf, X2: geom.PosInf, Y1: ycuts[2] + 1, Y2: span + 1000}
-	c.RangeSkyline(band)
-	low := geom.Point{X: span + 10, Y: ycuts[0] - 2}
-	if err := c.Insert(low); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Counters(); got.Invalidations != 0 {
-		t.Fatalf("low write invalidated %d entries; the band misses its y-slab", got.Invalidations)
-	}
-	before := c.Counters().Hits
-	c.RangeSkyline(band)
-	if got := c.Counters().Hits; got != before+1 {
-		t.Fatal("band entry did not survive the low write")
-	}
-	high := geom.Point{X: span + 11, Y: span + 500}
-	if err := c.Insert(high); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Counters(); got.Invalidations != 1 {
-		t.Fatalf("high write invalidated %d entries, want 1 (the band)", got.Invalidations)
+	for _, p := range c.RangeSkyline(qs[0]) {
+		if p == victim {
+			t.Fatalf("deleted answer point %v still reported", victim)
+		}
 	}
 }
 
 // TestCacheLRUBound pins the capacity bound: the cache never holds more
 // than its capacity and evicts least-recently-used first.
 func TestCacheLRUBound(t *testing.T) {
-	c, _, _ := buildShardedCache(t, 400, 4, 4, 59)
+	c, _ := buildShardedCache(t, 400, 4, 4, 59)
 	span := geom.Coord(400 * 16)
 	qs := make([]geom.Rect, 6)
 	for i := range qs {
@@ -282,7 +149,7 @@ func TestCacheLRUBound(t *testing.T) {
 // counters and the memoized entries stay — the next query still hits,
 // at zero I/O on the freshly reset engine.
 func TestCacheResetStatsKeepsEntries(t *testing.T) {
-	c, eng, _ := buildShardedCache(t, 400, 4, 16, 61)
+	c, eng := buildShardedCache(t, 400, 4, 16, 61)
 	span := geom.Coord(400 * 16)
 	q := geom.TopOpen(0, span, span/3)
 	c.RangeSkyline(q)
@@ -304,5 +171,145 @@ func TestCacheResetStatsKeepsEntries(t *testing.T) {
 	}
 	if got := eng.Stats().IOs(); got != 0 {
 		t.Fatalf("post-reset hit cost %d I/Os, want 0", got)
+	}
+}
+
+// oracleBackend is a fakeBackend that answers from its point set with
+// the in-memory oracle, so a cache over it has real answers to judge
+// writes against.
+type oracleBackend struct {
+	*fakeBackend
+}
+
+func newOracle(pts ...geom.Point) *oracleBackend {
+	return &oracleBackend{newFake("oracle", pts...)}
+}
+
+func (o *oracleBackend) RangeSkyline(q geom.Rect) []geom.Point {
+	pts := make([]geom.Point, 0, len(o.pts))
+	for p := range o.pts {
+		pts = append(pts, p)
+	}
+	return geom.RangeSkyline(pts, q)
+}
+
+// TestCacheExactInvalidation is the table of the answer-exact rule: one
+// entry for Q = [0,100]² over a three-point staircase plus one dominated
+// point inside Q and one point outside it; each batch must keep or evict
+// that entry, and the next read must match the oracle either way.
+func TestCacheExactInvalidation(t *testing.T) {
+	q := geom.Rect{X1: 0, X2: 100, Y1: 0, Y2: 100}
+	sky := []geom.Point{{X: 10, Y: 90}, {X: 50, Y: 50}, {X: 90, Y: 10}}
+	inner := geom.Point{X: 40, Y: 40} // inside Q, dominated by (50,50)
+	outer := geom.Point{X: 120, Y: 120}
+	for _, tc := range []struct {
+		name       string
+		dels, inss []geom.Point
+		evict      bool
+	}{
+		{"delete non-answer inside Q", []geom.Point{inner}, nil, false},
+		{"delete outside Q", []geom.Point{outer}, nil, false},
+		{"delete absentee", []geom.Point{{X: 41, Y: 41}}, nil, false},
+		{"insert dominated inside Q", nil, []geom.Point{{X: 45, Y: 45}}, false},
+		{"insert outside Q", nil, []geom.Point{{X: 150, Y: 5}, {X: 5, Y: 150}}, false},
+		{"delete answer point", []geom.Point{sky[1]}, nil, true},
+		{"insert undominated inside Q", nil, []geom.Point{{X: 60, Y: 60}}, true},
+		{"insert right of the staircase", nil, []geom.Point{{X: 95, Y: 5}}, true},
+		{"insert above the staircase", nil, []geom.Point{{X: 5, Y: 95}}, true},
+		{"mixed batch that keeps",
+			[]geom.Point{inner, {X: 41, Y: 41}}, []geom.Point{{X: 30, Y: 30}, {X: 150, Y: 5}}, false},
+		{"mixed batch with one answer delete",
+			[]geom.Point{inner, sky[2]}, []geom.Point{{X: 30, Y: 30}}, true},
+		{"mixed batch with one undominated insert",
+			[]geom.Point{inner}, []geom.Point{{X: 30, Y: 30}, {X: 70, Y: 70}}, true},
+		{"delete and re-insert an answer point", []geom.Point{sky[0]}, []geom.Point{sky[0]}, true},
+		{"insert the fill already answered", nil, []geom.Point{sky[1]}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := newOracle(append(append([]geom.Point(nil), sky...), inner, outer)...)
+			c, err := engine.NewCache(o, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.RangeSkyline(q)
+			if _, err := c.Apply(tc.dels, tc.inss); err != nil {
+				t.Fatal(err)
+			}
+			wantLen := 1
+			if tc.evict {
+				wantLen = 0
+			}
+			if ctr := c.Counters(); c.Len() != wantLen || ctr.Invalidations != uint64(1-wantLen) {
+				t.Fatalf("Len %d, invalidations %d; want evict = %t", c.Len(), ctr.Invalidations, tc.evict)
+			}
+			got := c.RangeSkyline(q)
+			want := o.RangeSkyline(q)
+			if len(got) != len(want) {
+				t.Fatalf("after the batch: %v, want %v", got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("after the batch: %v, want %v", got, want)
+				}
+			}
+			if hit := c.Counters().Hits == 1; hit == tc.evict {
+				t.Fatalf("re-read hit = %t after evict = %t", hit, tc.evict)
+			}
+		})
+	}
+}
+
+// gateBackend blocks RangeSkyline until released, so a test can hold a
+// cache fill mid-flight while a write lands underneath it.
+type gateBackend struct {
+	*fakeBackend
+	enter   chan struct{}
+	release chan struct{}
+	ans     []geom.Point
+}
+
+func (g *gateBackend) RangeSkyline(geom.Rect) []geom.Point {
+	g.enter <- struct{}{}
+	<-g.release
+	return g.ans
+}
+
+// TestCacheLateFillDroppedOnWrite pins the fill-vs-write race: an
+// answer computed while a write was applied may predate the write, and
+// that write's sweep has already passed, so the fill is returned to its
+// caller but never installed.
+func TestCacheLateFillDroppedOnWrite(t *testing.T) {
+	gate := &gateBackend{
+		fakeBackend: newFake("gate"),
+		enter:       make(chan struct{}, 4),
+		release:     make(chan struct{}),
+		ans:         []geom.Point{{X: 3, Y: 7}},
+	}
+	c, err := engine.NewCache(gate, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := geom.Rect{X1: 0, X2: 100, Y1: 0, Y2: 100}
+	done := make(chan []geom.Point)
+	go func() { done <- c.RangeSkyline(q) }()
+	<-gate.enter // the fill is computing its answer
+	if err := c.Insert(geom.Point{X: 50, Y: 50}); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	got := <-done
+	if len(got) != 1 || got[0] != gate.ans[0] {
+		t.Fatalf("late fill returned %v, want the computed answer %v", got, gate.ans)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("late fill was installed across a write (Len = %d)", c.Len())
+	}
+	// With no write in flight the same query installs normally.
+	if c.RangeSkyline(q); c.Len() != 1 {
+		t.Fatalf("clean fill not installed (Len = %d)", c.Len())
+	}
+	ctr := c.Counters()
+	if ctr.Misses != 2 || ctr.Hits != 0 {
+		t.Fatalf("counters = %+v, want 2 misses, 0 hits", ctr)
 	}
 }

@@ -65,14 +65,12 @@ type Backend interface {
 	// Snapshot pins a point-in-time View of the backend (see
 	// snapshot.go for how each layer threads it).
 	Snapshot() (View, error)
-	// Partition reports the cuts the backend partitions its point set
-	// by, in the original frame: cut i is the largest coordinate owned
-	// by slab i, so slab i covers (cuts[i-1], cuts[i]] and the last
-	// covers (cuts[K-2], +∞). xcuts come from an x-partitioned engine,
-	// ycuts from a transpose mirror over one (its frame's x is the
-	// original y). nil means one slab. The cache and the queue slab on
-	// them, so a write only touches the slab it lands in.
-	Partition() (xcuts, ycuts []geom.Coord)
+	// Partition reports the x-cuts the backend partitions its point
+	// set by: cut i is the largest x owned by slab i, so slab i covers
+	// (cuts[i-1], cuts[i]] and the last covers (cuts[K-2], +∞). nil
+	// means one slab. The async queue slabs on them, so a drain is a
+	// batch localized to one shard.
+	Partition() (xcuts []geom.Coord)
 	// Insert, Delete and BatchInsert are Apply with one side empty
 	// (see WriteVerbs); no layer puts logic in them.
 	Insert(p geom.Point) error
@@ -337,18 +335,13 @@ func (pl *Planner) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 }
 
 // Partition takes the x-cuts from the first registered backend that has
-// them and the y-cuts from a mirror (only a transpose mirror reports
-// y-cuts), so a cache or queue over the planner slabs on the sharded
-// engines' boundaries on both axes.
-func (pl *Planner) Partition() (xcuts, ycuts []geom.Coord) {
+// them, so a queue over the planner slabs on the sharded engine's
+// boundaries.
+func (pl *Planner) Partition() (xcuts []geom.Coord) {
 	for _, b := range pl.backends {
-		x, y := b.Partition()
-		if xcuts == nil {
-			xcuts = x
-		}
-		if ycuts == nil {
-			ycuts = y
+		if x := b.Partition(); x != nil {
+			return x
 		}
 	}
-	return xcuts, ycuts
+	return nil
 }

@@ -289,3 +289,132 @@ func FuzzAsyncQueue(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCacheInvalidation drives a cache over a dyntop + Theorem 6
+// planner with reads of a small rectangle pool and Apply batches
+// decoded from the fuzz input, and checks every read against
+// geom.RangeSkyline of a model set. The grid is a 32-point permutation
+// (general position), the pool holds up to eight rectangles of all
+// nine shapes, and a batch mixes deletes of current answer points,
+// deletes of present non-answer points, deletes of absentees and
+// inserts — exactly the cases the answer-exact rule tells apart. The
+// capacity is below the pool size at times, so LRU evictions interleave
+// with invalidations.
+func FuzzCacheInvalidation(f *testing.F) {
+	f.Add([]byte{3, 10, 20, 30, 40, 50, 60, 0, 2, 7, 1, 9, 4, 0, 1, 2, 5, 0})
+	f.Add([]byte{7, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 2, 5, 0, 1, 2, 3, 4, 5, 0, 1})
+	f.Add([]byte{1, 255, 128, 64, 2, 1, 0, 0, 2, 2, 2, 2, 2, 0, 0, 1, 1})
+	// An insert a few rows above the next staircase step: undominated,
+	// so it must evict.
+	f.Add([]byte("0000027000000201("))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		const grid = 32
+		perm := []int{17, 4, 29, 11, 0, 23, 8, 31, 14, 2, 26, 19, 6, 21, 12, 28,
+			1, 9, 24, 15, 30, 5, 18, 3, 27, 10, 22, 7, 16, 25, 13, 20}
+		pool := make([]geom.Point, grid)
+		for i := range pool {
+			pool[i] = geom.Point{X: geom.Coord(i), Y: geom.Coord(perm[i])}
+		}
+		i := 0
+		readByte := func() byte {
+			if i >= len(data) {
+				return 0
+			}
+			b := data[i]
+			i++
+			return b
+		}
+		live := map[geom.Point]bool{}
+		var base []geom.Point
+		for j, p := range pool {
+			if j%2 == 0 {
+				live[p] = true
+				base = append(base, p)
+			}
+		}
+		model := func() []geom.Point {
+			var pts []geom.Point
+			for _, p := range pool {
+				if live[p] {
+					pts = append(pts, p)
+				}
+			}
+			return pts
+		}
+		pl := new(Planner)
+		d := emio.NewDisk(cacheCfg)
+		pl.RegisterTopOpen(NewDynTop(dyntop.BuildSABE(d, 0.5, base), d))
+		d4 := emio.NewDisk(cacheCfg)
+		pl.RegisterGeneral(NewFourSided(foursided.Build(d4, 0.5, base), d4))
+		c, err := NewCache(pl, 1+int(readByte())%8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rects := make([]geom.Rect, 1+int(readByte())%8)
+		for j := range rects {
+			rects[j] = fuzzQueueRect(readByte(), readByte(), readByte(), grid)
+		}
+		check := func(r geom.Rect) {
+			got, want := c.RangeSkyline(r), geom.RangeSkyline(model(), r)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: cached %v, want %v (counters %+v)", r, got, want, c.Counters())
+			}
+		}
+		for i < len(data) {
+			if readByte()%3 != 2 {
+				check(rects[int(readByte())%len(rects)])
+				continue
+			}
+			// One Apply batch: up to three deletes, then up to two
+			// inserts of absent grid points, none chosen twice.
+			used := map[geom.Point]bool{}
+			var dels, inss, want []geom.Point
+			for k := int(readByte()) % 4; k > 0; k-- {
+				sel := int(readByte())
+				var p geom.Point
+				switch sel % 3 {
+				case 0: // an answer point of a pool rectangle, if any
+					ans := geom.RangeSkyline(model(), rects[sel%len(rects)])
+					if len(ans) == 0 {
+						continue
+					}
+					p = ans[(sel/3)%len(ans)]
+				default: // any grid point: present non-answer or absentee
+					p = pool[(sel/3)%grid]
+				}
+				if used[p] {
+					continue
+				}
+				used[p] = true
+				dels = append(dels, p)
+				if live[p] {
+					want = append(want, p)
+				}
+			}
+			for k := int(readByte()) % 3; k > 0; k-- {
+				p := pool[int(readByte())%grid]
+				if live[p] || used[p] {
+					continue
+				}
+				used[p] = true
+				inss = append(inss, p)
+			}
+			removed, err := c.Apply(dels, inss)
+			if err != nil || !slices.Equal(removed, want) {
+				t.Fatalf("Apply(%v, %v) = %v, %v; want %v", dels, inss, removed, err, want)
+			}
+			for _, p := range removed {
+				delete(live, p)
+			}
+			for _, p := range inss {
+				live[p] = true
+			}
+		}
+		for _, r := range rects {
+			check(r)
+		}
+	})
+}

@@ -156,4 +156,4 @@ func (lb *LogBackend) Checkpoint(fn func(live []geom.Point) error) error {
 }
 
 // Partition passes through: logging does not move any point.
-func (lb *LogBackend) Partition() (xcuts, ycuts []geom.Coord) { return lb.inner.Partition() }
+func (lb *LogBackend) Partition() (xcuts []geom.Coord) { return lb.inner.Partition() }

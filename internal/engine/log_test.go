@@ -165,7 +165,7 @@ func TestPartitionForwardsThroughLogBackend(t *testing.T) {
 	part := newFake("part")
 	part.Cuts = []geom.Coord{10, 20, 30}
 	lb := NewLogBackend(part, &memLog{}, nil)
-	if xcuts, _ := lb.Partition(); len(xcuts) != 3 {
+	if xcuts := lb.Partition(); len(xcuts) != 3 {
 		t.Fatalf("Partition through LogBackend found %d cuts, want 3", len(xcuts))
 	}
 	q, err := NewAsyncQueue(lb, QueueOptions{FlushInterval: -1})

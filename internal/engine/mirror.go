@@ -72,13 +72,6 @@ func (m *MirrorBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	return m.ref.Inverse().Pts(removed), err
 }
 
-// Partition reports the inner engine's x-cuts as y-cuts: the transpose
-// mirror's frame has the original y on its x-axis. Any other reflection
-// reports no partition.
-func (m *MirrorBackend) Partition() (xcuts, ycuts []geom.Coord) {
-	if m.ref != geom.ReflectSwapXY {
-		return nil, nil
-	}
-	x, _ := m.inner.Partition()
-	return nil, x
-}
+// Partition reports no x-cuts: the inner engine partitions the mirrored
+// frame, whose x-axis is not the original x.
+func (m *MirrorBackend) Partition() (xcuts []geom.Coord) { return nil }

@@ -7,13 +7,13 @@
 // reconstruction cascades). A buffer drains as ONE Apply(dels, inss) on
 // the wrapped backend: each shard lock is taken once per phase, a
 // LogBackend appends one WAL record, and a CacheBackend fires one
-// shard-aware invalidation sweep — per drained batch, not per point.
+// invalidation sweep — per drained batch, not per point.
 //
-// Slabbing mirrors the cache's: the queue learns the wrapped backend's
-// x-cuts from Backend.Partition at construction (a shard.Engine reports
-// its cuts, and every wrapping layer forwards what it wraps), so each
-// buffer covers one x-slab and a drain is a batch localized to one
-// shard. An unpartitioned backend gives one slab and one buffer.
+// Slabbing: the queue learns the wrapped backend's x-cuts from
+// Backend.Partition at construction (a shard.Engine reports its cuts,
+// and every wrapping layer forwards what it wraps), so each buffer
+// covers one x-slab and a drain is a batch localized to one shard. An
+// unpartitioned backend gives one slab and one buffer.
 //
 // Consistency contract — drain-on-read: RangeSkyline first drains every
 // buffer whose x-slab intersects the query rectangle, then queries the
@@ -48,6 +48,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,8 +228,8 @@ type AsyncQueue struct {
 }
 
 // NewAsyncQueue wraps inner with an asynchronous write queue. The slabs
-// are inner.Partition()'s x-cuts, exactly like the cache's, so they
-// coincide with the engine's shards. The background
+// are inner.Partition()'s x-cuts, so they coincide with the engine's
+// shards. The background
 // drainer starts immediately unless opts.FlushInterval is negative;
 // callers owning a queue must Close it to stop that goroutine.
 func NewAsyncQueue(inner Backend, opts QueueOptions) (*AsyncQueue, error) {
@@ -244,7 +245,7 @@ func NewAsyncQueue(inner Backend, opts QueueOptions) (*AsyncQueue, error) {
 	if opts.FlushInterval == 0 {
 		opts.FlushInterval = 100 * time.Millisecond
 	}
-	xcuts, _ := inner.Partition()
+	xcuts := inner.Partition()
 	q := &AsyncQueue{
 		inner: inner,
 		opts:  opts,
@@ -600,6 +601,18 @@ func (q *AsyncQueue) Err() error {
 	return q.firstErr
 }
 
+// bucketFor returns the index of the slab owning x: the smallest i with
+// x <= cuts[i], or len(cuts) when x lies beyond the last cut.
+func bucketFor(cuts []geom.Coord, x geom.Coord) int {
+	return sort.Search(len(cuts), func(i int) bool { return x <= cuts[i] })
+}
+
+// buckets returns the slab interval [lo, hi] a coordinate range
+// intersects. An empty range (x1 > x2) yields hi < lo.
+func buckets(cuts []geom.Coord, x1, x2 geom.Coord) (lo, hi int) {
+	return bucketFor(cuts, x1), bucketFor(cuts, x2)
+}
+
 // drainFor drains every slab whose x-range intersects r — the
 // drain-on-read rule. An empty rectangle contains no points, so no
 // buffered write can change its (empty) answer and nothing drains.
@@ -715,4 +728,4 @@ func (q *AsyncQueue) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 
 // Partition passes through: the queue slabs on the wrapped backend's
 // x-cuts, it does not define any of its own.
-func (q *AsyncQueue) Partition() (xcuts, ycuts []geom.Coord) { return q.inner.Partition() }
+func (q *AsyncQueue) Partition() (xcuts []geom.Coord) { return q.inner.Partition() }

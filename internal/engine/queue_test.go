@@ -307,10 +307,11 @@ func TestQueueCacheComposition(t *testing.T) {
 	if ctr := cache.Counters(); ctr.Hits != 1 {
 		t.Fatalf("cache under queue served %d hits, want 1 (%+v)", ctr.Hits, ctr)
 	}
-	// Buffer a batch of writes in one slab, then re-query the hot
-	// rectangle: the drain must invalidate the entry (one sweep) and
-	// the answer must include the new points.
-	top := geom.Point{X: span + 1, Y: span + 1}
+	// Buffer a batch of writes, then re-query: the batch puts a point
+	// inside the hot rectangle that dominates its whole answer, so the
+	// drain must evict the hot entry (one sweep) and the re-query must
+	// see the new point.
+	top := geom.Point{X: span, Y: span}
 	batch := []geom.Point{{X: span + 2, Y: span - 2}, {X: span + 3, Y: span - 3}, top}
 	if err := q.BatchInsert(batch); err != nil {
 		t.Fatal(err)
@@ -325,20 +326,18 @@ func TestQueueCacheComposition(t *testing.T) {
 		t.Fatalf("post-drain skyline %v, want exactly the drained batch led by %v", sky, top)
 	}
 	ctr := cache.Counters()
-	if ctr.Invalidations == 0 {
-		t.Fatal("drain fired no cache invalidation")
+	if ctr.Invalidations != 1 || ctr.Sweeps != 1 {
+		t.Fatalf("drain evicted %d entries in %d sweeps, want the hot entry in 1", ctr.Invalidations, ctr.Sweeps)
 	}
-	// The stale hot entry must be gone: a re-query is a miss that now
-	// sees the drained points.
+	// The stale hot entry must be gone: a re-query is a miss whose
+	// answer is the new point alone.
 	miss := ctr.Misses
 	sky = q.RangeSkyline(hot)
 	if got := cache.Counters().Misses; got != miss+1 {
 		t.Fatalf("hot entry survived the drain (misses %d, want %d)", got, miss+1)
 	}
-	for _, p := range sky {
-		if p == top {
-			t.Fatalf("hot rectangle %v must not contain %v", hot, top)
-		}
+	if len(sky) != 1 || sky[0] != top {
+		t.Fatalf("hot rectangle answered %v after the drain, want [%v]", sky, top)
 	}
 }
 

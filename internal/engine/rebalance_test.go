@@ -1,7 +1,7 @@
-// Tests for the cut-change propagation paths a rebalancing engine
-// drives through its wrappers: the cache's re-tagging and late-fill
-// drop (SetXCuts/SetYCuts) and the queue's slab migration with
-// coalescing state intact (SetCuts).
+// Tests for what a rebalancing engine's cut changes mean to its
+// wrappers: the cache must stay exact while transitions run under it,
+// and the queue migrates its slabs with coalescing state intact
+// (SetCuts).
 package engine_test
 
 import (
@@ -15,125 +15,11 @@ import (
 	"repro/internal/shard"
 )
 
-// gateBackend blocks RangeSkyline until released, so a test can hold a
-// cache fill mid-flight while the cuts move underneath it.
-type gateBackend struct {
-	*fakeBackend
-	enter   chan struct{}
-	release chan struct{}
-	ans     []geom.Point
-}
-
-func (g *gateBackend) RangeSkyline(geom.Rect) []geom.Point {
-	g.enter <- struct{}{}
-	<-g.release
-	return g.ans
-}
-
-// TestCacheLateFillDroppedOnCutChange pins the fill-vs-rebalance race:
-// a read-through whose answer was computed against one partition must
-// not be installed after SetXCuts moved the cuts — its slab tags and
-// generation snapshot describe a partition that no longer exists.
-func TestCacheLateFillDroppedOnCutChange(t *testing.T) {
-	gate := &gateBackend{
-		fakeBackend: newFake("gate"),
-		enter:       make(chan struct{}, 4),
-		release:     make(chan struct{}),
-		ans:         []geom.Point{{X: 3, Y: 7}},
-	}
-	c, err := engine.NewCache(gate, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := geom.Rect{X1: 0, X2: 100, Y1: 0, Y2: 100}
-	done := make(chan []geom.Point)
-	go func() { done <- c.RangeSkyline(q) }()
-	<-gate.enter // the fill is computing against the current cuts
-	c.SetXCuts([]geom.Coord{50})
-	close(gate.release)
-	got := <-done
-	if len(got) != 1 || got[0] != gate.ans[0] {
-		t.Fatalf("late fill returned %v, want the computed answer %v", got, gate.ans)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("late fill was installed across a cut change (Len = %d)", c.Len())
-	}
-	// With the cuts stable again the same query installs normally.
-	if c.RangeSkyline(q); c.Len() != 1 {
-		t.Fatalf("clean fill not installed (Len = %d)", c.Len())
-	}
-	ctr := c.Counters()
-	if ctr.Misses != 2 || ctr.Hits != 0 {
-		t.Fatalf("counters = %+v, want 2 misses, 0 hits", ctr)
-	}
-}
-
-// TestCacheSetCutsRetagsEntries checks that SetXCuts/SetYCuts keep the
-// memoized ANSWERS (a cut move changes where points live, not what a
-// rectangle contains) and recompute only the slab tags invalidation
-// matches writes against.
-func TestCacheSetCutsRetagsEntries(t *testing.T) {
-	c, err := engine.NewCache(newFake("flat"), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qA := geom.Rect{X1: 0, X2: 10, Y1: 0, Y2: 100}
-	qB := geom.Rect{X1: 50, X2: 60, Y1: 0, Y2: 100}
-	c.SetXCuts([]geom.Coord{25})
-	c.RangeSkyline(qA)
-	c.RangeSkyline(qB)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	// A write right of the cut must drop only the right entry.
-	if err := c.Insert(geom.Point{X: 55, Y: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after slab-1 write, want qA alone", c.Len())
-	}
-	hits := c.Counters().Hits
-	c.RangeSkyline(qA)
-	if c.Counters().Hits != hits+1 {
-		t.Fatal("qA did not survive a write outside its slabs")
-	}
-	// Move the cut right of both entries: they now share slab 0, and a
-	// write beyond the new cut invalidates neither.
-	c.SetXCuts([]geom.Coord{70})
-	c.RangeSkyline(qB)
-	if err := c.Insert(geom.Point{X: 90, Y: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d after out-of-slab write, want 2", c.Len())
-	}
-	// Move the cut left of both: one slab-1 write now hits both tags.
-	c.SetXCuts([]geom.Coord{5})
-	if err := c.Insert(geom.Point{X: 8, Y: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after shared-slab write, want 0", c.Len())
-	}
-
-	// The y axis behaves identically through SetYCuts (the transpose
-	// mirror's rebalance moves these).
-	c.SetYCuts([]geom.Coord{50})
-	qLow := geom.Rect{X1: 0, X2: 4, Y1: 0, Y2: 40}
-	qHigh := geom.Rect{X1: 0, X2: 4, Y1: 60, Y2: 100}
-	c.RangeSkyline(qLow)
-	c.RangeSkyline(qHigh)
-	if err := c.Insert(geom.Point{X: 2, Y: 80}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after high-y write, want qLow alone", c.Len())
-	}
-}
-
-// TestCacheCutChangeRace hammers a sharded cache with concurrent fills,
-// writes and cut changes — the propagation path a rebalancing engine
-// drives — then verifies every answer against the oracle.
+// TestCacheCutChangeRace hammers a cache over a rebalancing sharded
+// engine with concurrent fills and writes while shards split and merge
+// underneath it, then verifies every answer against the oracle: a cut
+// move changes where points live, never what a rectangle contains, so
+// the cache needs no part in it.
 func TestCacheCutChangeRace(t *testing.T) {
 	const n = 400
 	span := geom.Coord((n + 200) * 16)
@@ -141,7 +27,9 @@ func TestCacheCutChangeRace(t *testing.T) {
 	base := append([]geom.Point(nil), all[:n]...)
 	pool := all[n:]
 	geom.SortByX(base)
-	eng, err := shard.New(shard.Options{Machine: cacheCfg, Shards: 4, Workers: 2, Dynamic: true}, base)
+	eng, err := shard.New(shard.Options{
+		Machine: cacheCfg, Shards: 4, Workers: 2, Dynamic: true, Rebalance: true, RebalanceEvery: 1 << 30,
+	}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +37,6 @@ func TestCacheCutChangeRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse := eng.Cuts()[1:2] // a deliberately different tag partition
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		seed := int64(7301 + g)
@@ -174,16 +61,21 @@ func TestCacheCutChangeRace(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 50; i++ {
-		if i%2 == 0 {
-			c.SetXCuts(coarse)
-		} else {
-			c.SetXCuts(eng.Cuts())
+	for i := 0; i < 20; i++ {
+		transition := eng.ForceSplit
+		if i%2 == 1 {
+			transition = eng.ForceMerge
+		}
+		if err := transition(-1); err != nil {
+			t.Fatal(err)
 		}
 	}
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if got := eng.RebalanceCounters(); got.Splits == 0 || got.Merges == 0 {
+		t.Fatalf("no transitions ran under the cache: %+v", got)
 	}
 	ref := append(append([]geom.Point(nil), base...), pool...)
 	rng := rand.New(rand.NewSource(7310))

@@ -18,7 +18,7 @@ type StubBackend struct {
 
 func (*StubBackend) RangeSkyline(geom.Rect) []geom.Point { return nil }
 
-func (s *StubBackend) Partition() (xcuts, ycuts []geom.Coord) { return s.Cuts, nil }
+func (s *StubBackend) Partition() (xcuts []geom.Coord) { return s.Cuts }
 
 func (s *StubBackend) Snapshot() (View, error) {
 	if s.SnapErr != nil {

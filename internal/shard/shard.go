@@ -348,10 +348,10 @@ func (e *Engine) Cuts() []geom.Coord {
 	return append([]geom.Coord(nil), e.cuts...)
 }
 
-// Partition reports Cuts as the x-cuts, for engine.Backend: it is how a
-// cache or async queue wrapping this engine learns to slab on its
-// shards, so a write evicts or drains only what its shard can affect.
-func (e *Engine) Partition() (xcuts, ycuts []geom.Coord) { return e.Cuts(), nil }
+// Partition reports Cuts as the x-cuts, for engine.Backend: it is how
+// an async queue wrapping this engine learns to slab on its shards, so
+// a drain is a batch localized to one shard.
+func (e *Engine) Partition() (xcuts []geom.Coord) { return e.Cuts() }
 
 // shardFor returns the index of the shard owning x.
 func (e *Engine) shardFor(x geom.Coord) int {

@@ -853,10 +853,13 @@ func TestDifferentialCache(t *testing.T) {
 // TestCacheRaceStress is the -race mix the cache's fill guard exists
 // for: concurrent readers hammering a fixed rectangle pool (so entries
 // are repeatedly filled and hit) while writers invalidate with single
-// and batched updates and a poller reads counters. Mid-flight answers
-// are checked structurally; after quiescence the exact pool rectangles
-// — the entries most likely to have cached a stale fill — are verified
-// against the oracle.
+// and batched updates and a poller reads counters. Each writer reads
+// its own writes: right after an insert or delete returns it queries
+// the point-sized rectangle of every point it wrote and must see the
+// point present or absent — the eviction sweep completes before Apply
+// returns. Mid-flight answers are checked structurally; after
+// quiescence the exact pool rectangles — the entries most likely to
+// have cached a stale fill — are verified against the oracle.
 func TestCacheRaceStress(t *testing.T) {
 	const (
 		nBase      = 800
@@ -880,6 +883,15 @@ func TestCacheRaceStress(t *testing.T) {
 		qpool[i] = randAnyShape(prng, span)
 	}
 
+	// sees reports whether p's point-sized rectangle answers p alone
+	// (present) or nothing (absent); any other answer is an error.
+	sees := func(p geom.Point, present bool) bool {
+		got := db.RangeSkyline(geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y})
+		if present {
+			return len(got) == 1 && got[0] == p
+		}
+		return len(got) == 0
+	}
 	var wg sync.WaitGroup
 	for u := 0; u < 2; u++ {
 		pool := all[nBase+u*perUpdater : nBase+(u+1)*perUpdater]
@@ -898,13 +910,37 @@ func TestCacheRaceStress(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					for _, p := range pool[lo:hi] {
+						if !sees(p, true) {
+							t.Errorf("inserted %v not visible after BatchInsert returned", p)
+							return
+						}
+					}
 				}
 				var victims []geom.Point
 				for i := 1; i < len(pool); i += 2 {
 					victims = append(victims, pool[i])
 				}
-				if got, err := db.BatchDelete(victims); err != nil || got != len(victims) {
-					t.Errorf("BatchDelete = %d, %v; want %d", got, err, len(victims))
+				// Delete in chunks small enough that the victims' own
+				// rectangles, read just before, are still cached.
+				for lo := 0; lo < len(victims); lo += chunk / 4 {
+					batch := victims[lo:min(lo+chunk/4, len(victims))]
+					for _, p := range batch {
+						if !sees(p, true) {
+							t.Errorf("live %v not visible before BatchDelete", p)
+							return
+						}
+					}
+					if got, err := db.BatchDelete(batch); err != nil || got != len(batch) {
+						t.Errorf("BatchDelete = %d, %v; want %d", got, err, len(batch))
+						return
+					}
+					for _, p := range batch {
+						if !sees(p, false) {
+							t.Errorf("deleted %v still visible after BatchDelete returned", p)
+							return
+						}
+					}
 				}
 			} else {
 				for _, p := range pool {
@@ -912,10 +948,22 @@ func TestCacheRaceStress(t *testing.T) {
 						t.Error(err)
 						return
 					}
+					if !sees(p, true) {
+						t.Errorf("inserted %v not visible after Insert returned", p)
+						return
+					}
 				}
 				for i := 1; i < len(pool); i += 2 {
+					if !sees(pool[i], true) {
+						t.Errorf("live %v not visible before Delete", pool[i])
+						return
+					}
 					if ok, err := db.Delete(pool[i]); err != nil || !ok {
 						t.Errorf("Delete(%v) = %t, %v", pool[i], ok, err)
+						return
+					}
+					if !sees(pool[i], false) {
+						t.Errorf("deleted %v still visible after Delete returned", pool[i])
 						return
 					}
 				}

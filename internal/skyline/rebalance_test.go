@@ -42,7 +42,7 @@ func forceTransition(t *testing.T, db *core.DB, split bool, ctx string) {
 // twin and the O(n²) oracle. A snapshot pinned mid-stream must keep
 // answering from its frozen view across every later transition. The
 // matrix covers mirrors (transitions on both axes), the read-through
-// cache (re-tagged on every cut change), the async queue (slabs
+// cache (whose entries survive every cut change), the async queue (slabs
 // migrated with coalescing state intact), and a durable directory.
 func TestDifferentialRebalance(t *testing.T) {
 	configs := []struct {

@@ -48,10 +48,9 @@
 // Opening with Options{CacheEntries: E} puts a read-through LRU cache
 // in front of the whole query planner: up to E hot rectangles are
 // re-answered from memory at zero simulated I/O, byte-identically to
-// the uncached answers, and updates invalidate only the entries whose
-// rectangles could contain the written point — shard-aware when the
-// index is sharded (only the written shard's x-slab is scanned out,
-// refined by the mirrored engine's y-cuts when Mirrors is on too).
+// the uncached answers, and an update evicts only the entries whose
+// answer it changes: a delete of one of the entry's answer points, or
+// an insert inside its rectangle that no answer point dominates.
 //
 // Opening with Options{AsyncWrites: true} buffers every write in
 // per-shard queues that return without touching any structure, so
@@ -61,7 +60,7 @@
 // drains every buffer its rectangle intersects first, so answers
 // (buffered deletes included) are byte-identical to a synchronous
 // index's — and a cache composes underneath the queue: one drain costs
-// one shard-aware invalidation sweep instead of one per point.
+// one invalidation sweep instead of one per point.
 // DB.QueueCounters reports enqueued/drained/coalesced/forced-drain
 // totals plus ReadDrains (buffered writes applied by read-forced
 // drains — the write work reads pay for on the drain-on-read path),
