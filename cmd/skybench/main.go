@@ -840,7 +840,7 @@ func e14() {
 
 	fmt.Println("    part 2: 5% writes interleaved (insert/delete cycle), zipf s=1.1 —")
 	fmt.Println("    answer-exact invalidation (a write evicts only the entries whose answer")
-	fmt.Println("    it changes), unsharded vs 8 shards: the miss rate does not depend on the layout")
+	fmt.Println("    it changes), 1 shard vs 8 shards: the miss rate does not depend on the layout")
 	streamLen := sizes([]int{3000}, []int{10000})[0]
 	entries2 := poolSize / 2
 	// The bounded-x shapes (top-open, bottom-open, 4-sided), whose

@@ -29,7 +29,7 @@ func MustOpen(opts repro.Options, pts []repro.Point) *repro.DB {
 // Show runs one query against a cold cache and prints its answer and
 // simulated I/O cost.
 func Show(db *repro.DB, name string, fn func() []repro.Point) {
-	db.Disk().DropCache()
+	db.DropCache()
 	db.ResetStats()
 	ans := fn()
 	fmt.Printf("%-16s -> %v  (%v)\n", name, ans, db.Stats())

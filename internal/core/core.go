@@ -1,29 +1,33 @@
 // Package core assembles the paper's structures into one database-style
 // index for planar range skyline reporting — the primary deliverable of
-// the reproduction. Query execution is delegated to an engine.Planner
-// that routes each query kind (Figure 2) to the asymptotically best
-// registered backend:
+// the reproduction. Every index is a sharded concurrent engine
+// (internal/shard) over K >= 1 x-range partitions, each partition
+// carrying the paper's structures on a private disk, and query
+// execution is delegated to an engine.Planner that routes each query
+// kind (Figure 2) to the asymptotically best structure family:
 //
-//   - top-open, dominance and contour queries go to the Theorem 1 static
-//     structure (O(log_B n + k/B)) or, when the index is opened dynamic,
-//     to the Theorem 4 structure (O(log²_{B^ε}(n/B) + k/B^{1−ε}) with
-//     O(log²_{B^ε}(n/B)) updates);
+//   - top-open, dominance and contour queries go to the per-shard
+//     Theorem 1 static structures (O(log_B n + k/B)) or, when the index
+//     is opened dynamic, to the Theorem 4 structures
+//     (O(log²_{B^ε}(n/B) + k/B^{1−ε}) with O(log²_{B^ε}(n/B)) updates);
 //   - with Options.Mirrors, right-open queries (and every rectangle
-//     with a grounded right edge) go to a top-open structure over the
+//     with a grounded right edge) go to a top-open engine over the
 //     transposed point set, which answers them in the top-open bounds —
 //     the transpose preserves dominance, so the answers are
-//     byte-identical to the Theorem 6 structure's;
+//     byte-identical to the Theorem 6 structures';
 //   - 4-sided, left-open, bottom-open and anti-dominance queries (and
-//     right-open ones, without mirrors) go to the Theorem 6 structure
-//     (O((n/B)^ε + k/B), optimal at linear space by Theorem 5; updates
-//     O(log(n/B)) amortized);
-//   - with Options.Shards > 1, every shape is served by the sharded
-//     concurrent engine (internal/shard), whose per-shard structures are
-//     the same two families on x-disjoint partitions, so its answers are
-//     byte-identical to the single-disk structures'.
+//     right-open ones, without mirrors) go to the per-shard Theorem 6
+//     structures (O((n/B)^ε + k/B), optimal at linear space by
+//     Theorem 5; updates O(log(n/B)) amortized).
 //
-// Updates — single-point and batched — fan out through the same planner
-// to every registered backend, so all backends always index the same
+// With one shard (the default) each family is answered by one structure
+// over the whole point set; with K > 1 the per-shard answers merge into
+// the same skyline. Either way each shard's mutex serializes its
+// structures, so a DB is safe for concurrent callers in every
+// configuration.
+//
+// Updates — single-point and batched — flow through the same planner
+// to every registered engine, so all of them always index the same
 // point set. Everything runs on a simulated external-memory machine
 // (emio), so every operation reports exactly the I/O cost the theorems
 // bound.
@@ -35,15 +39,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dyntop"
 	"repro/internal/emio"
 	"repro/internal/engine"
-	"repro/internal/extsort"
-	"repro/internal/foursided"
 	"repro/internal/geom"
 	"repro/internal/pager"
 	"repro/internal/shard"
-	"repro/internal/topopen"
 	"repro/internal/vfs"
 	"repro/internal/wal"
 )
@@ -60,23 +60,26 @@ type Options struct {
 	// 3-sided queries faster and builds in O(n/B) after sorting, but
 	// rejects Insert and Delete.
 	Dynamic bool
-	// Shards > 1 partitions the point set by x-range and serves every
-	// Figure-2 query shape from a sharded concurrent engine
-	// (internal/shard), each shard owning a private guarded disk with
-	// its own top-open and 4-sided structures. The answers are
-	// identical to the single-disk structures'; the engine additionally
-	// admits concurrent callers and batched updates that take each
-	// shard lock once per batch.
+	// Shards is the number K of x-range partitions of the sharded
+	// concurrent engine (internal/shard) serving every Figure-2 query
+	// shape; each shard owns a private guarded disk with its own
+	// top-open and 4-sided structures and a mutex serializing them.
+	// Zero or one means K = 1: one shard over the whole point set. The
+	// answers are the same for every K; K > 1 additionally spreads
+	// concurrent callers and batched updates across shards. Negative
+	// is an error.
 	Shards int
 	// Workers bounds the sharded engine's concurrent per-shard tasks;
-	// zero means Shards. Ignored when Shards <= 1.
+	// zero means Shards. A read or write touching one shard runs on
+	// the caller's goroutine, so with K = 1 no task ever reaches the
+	// pool. Negative is an error.
 	Workers int
 	// Mirrors trades space for query speed on the grounded-right-edge
 	// query family: it maintains a transposed (x↔y) copy of the point
-	// set under its own top-open structure — sharded alongside the
-	// primary engine when Shards > 1, on a private disk otherwise — and
-	// routes right-open queries (Figure 2b, plus the unnamed rectangles
-	// with a grounded right edge) to it, replacing the Theorem 6
+	// set under its own top-open structures — a TopOnly sharded engine
+	// with the primary's shard count, on its own disks — and routes
+	// right-open queries (Figure 2b, plus the unnamed rectangles with a
+	// grounded right edge) to it, replacing the Theorem 6
 	// Ω((n/B)^ε) cost with the Theorem 1/4 O(log) bounds. On a static
 	// index the win is immediate (Theorem 1: O(log_B n + k/B), measured
 	// in E13); on a dynamic index the mirror is a Theorem 4 tree whose
@@ -101,26 +104,20 @@ type Options struct {
 	// Delete that misses evicts nothing. Negative is an error.
 	CacheEntries int
 	// AsyncWrites buffers every write in an engine.AsyncQueue in front
-	// of everything else: writes append to per-x-slab buffers (the
-	// sharded engine's shards, or one buffer unsharded) and return
-	// without touching any structure, so writer latency is independent
-	// of structure rebuild costs. A buffer drains as one batch — one
-	// structure lock per shard per phase, one WAL record with Dir, and
-	// one cache invalidation sweep when CacheEntries > 0 — when it
-	// reaches FlushPoints, every FlushInterval, and on
-	// DB.Flush/DB.Close. Reads stay exact: a query first drains every
+	// of everything else: writes append to per-x-slab buffers (one per
+	// shard) and return without touching any structure, so writer
+	// latency is independent of structure rebuild costs. A buffer
+	// drains as one batch — one structure lock per shard per phase, one
+	// WAL record with Dir, and one cache invalidation sweep when
+	// CacheEntries > 0 — when it reaches FlushPoints, every
+	// FlushInterval, and on DB.Flush/DB.Close. Reads stay exact: a query first drains every
 	// buffer its rectangle's x-range intersects, so answers (buffered
 	// deletes included) are byte-identical to a synchronous index's.
 	// Requires Dynamic. In this mode Apply, Delete and BatchDelete
 	// report ACCEPTANCE, not presence (hit-or-miss resolves at drain),
-	// and Len flushes first so it
-	// stays exact. The concurrency contract is unchanged: concurrent
-	// callers require Shards > 1. The background drainer is safe even
-	// unsharded with a single caller — it only applies non-empty
-	// buffers, a buffer can only be non-empty through that caller's
-	// own writes (which every read of the single slab drains first),
-	// and drains serialize with drain-on-read through the per-slab
-	// drain lock.
+	// and Len flushes first so it stays exact. Drains — background,
+	// drain-on-read or explicit — serialize through the per-slab drain
+	// lock and, below it, the shard locks, like synchronous writers.
 	AsyncWrites bool
 	// FlushPoints is the per-buffer drain threshold when AsyncWrites
 	// is set; zero means 128.
@@ -188,7 +185,7 @@ type Options struct {
 	// MaxShardSkew is the rebalance trigger ratio: a shard hotter than
 	// MaxShardSkew × the mean per-shard load splits, an adjacent pair
 	// jointly colder than mean/MaxShardSkew merges. Zero means 2.0.
-	// Ignored without Rebalance.
+	// Setting it without Rebalance is an error.
 	MaxShardSkew float64
 }
 
@@ -197,7 +194,6 @@ type Options struct {
 // backends.
 type DB struct {
 	opts Options
-	disk *emio.Disk
 
 	plan *engine.Planner
 
@@ -238,25 +234,21 @@ type DB struct {
 	// state until a reopen recovers.
 	degrade degradeState
 
-	// Sharded engine serving every query shape; non-nil iff
-	// Options.Shards > 1, replacing the single-disk backends.
+	// eng is the sharded engine serving every query shape; never nil.
 	eng *shard.Engine
 
-	// meng is the sharded mirror engine; non-nil iff Shards > 1 and
-	// Mirrors. Kept so rebalancing can be wired and forced on the
+	// meng is the transposed mirror's TopOnly sharded engine; non-nil
+	// iff Mirrors. Kept so rebalancing can be wired and forced on the
 	// mirror's axis too.
 	meng *shard.Engine
 
-	// units are the storage units Open built, each summed once by the
-	// storage accounting (Stats, Space, ...): the unsharded disk, which
-	// the top-open and 4-sided structures share, or the primary sharded
-	// engine; plus, with Mirrors, the mirror's disk or sharded engine.
-	units []storage
+	// engines lists eng and, with Mirrors, meng, as Open built them.
+	// Their shard disks are all the storage a DB has, and the
+	// accounting (Stats, Space, ...) sums each exactly once.
+	engines []*shard.Engine
 
-	// n is atomic so Len and the update paths are safe for the
-	// concurrent callers the sharded engine admits. The single-disk
-	// backends themselves serialize nothing — concurrent updates are
-	// only safe when sharded, exactly as for the underlying engine.
+	// n is atomic so Len and the update paths are safe for concurrent
+	// callers.
 	n atomic.Int64
 
 	// openSnaps counts unclosed snapshots (see DB.Snapshot); the leak
@@ -286,11 +278,16 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 			return nil, fmt.Errorf("core: Rebalance requires Options.Dynamic (transitions rebuild shard structures)")
 		}
 		if opts.Shards <= 1 {
-			return nil, fmt.Errorf("core: Rebalance requires Options.Shards > 1 (nothing to rebalance unsharded)")
+			return nil, fmt.Errorf("core: Rebalance requires Options.Shards > 1 (nothing to rebalance in one shard)")
 		}
 		if opts.MaxShardSkew != 0 && opts.MaxShardSkew < 1 {
 			return nil, fmt.Errorf("core: MaxShardSkew %v below 1", opts.MaxShardSkew)
 		}
+	} else if opts.MaxShardSkew != 0 {
+		return nil, fmt.Errorf("core: MaxShardSkew set without Options.Rebalance")
+	}
+	if opts.Shards < 0 || opts.Workers < 0 {
+		return nil, fmt.Errorf("core: Shards %d / Workers %d below 0", opts.Shards, opts.Workers)
 	}
 	if opts.CacheEntries < 0 {
 		return nil, fmt.Errorf("core: CacheEntries %d below 0", opts.CacheEntries)
@@ -318,10 +315,7 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		sorted = dur.base
 	}
 
-	// The disk is guarded even unsharded: snapshot readers
-	// (DB.Snapshot) run lock-free against live writers, and both sides
-	// charge I/Os to this disk.
-	db := &DB{opts: opts, disk: emio.NewConcurrentDisk(opts.Machine), plan: new(engine.Planner)}
+	db := &DB{opts: opts, plan: new(engine.Planner)}
 	if dur != nil {
 		db.pager, db.wal, db.recov = dur.pager, dur.wal, dur.recov
 	}
@@ -336,31 +330,16 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		}
 	}()
 	db.n.Store(int64(len(sorted)))
-	if opts.Shards > 1 {
-		eng, err := shard.New(shard.Options{
-			Machine:   opts.Machine,
-			Epsilon:   opts.Epsilon,
-			Shards:    opts.Shards,
-			Workers:   opts.Workers,
-			Dynamic:   opts.Dynamic,
-			Rebalance: opts.Rebalance,
-			MaxSkew:   opts.MaxShardSkew,
-		}, sorted)
-		if err != nil {
-			return nil, err
-		}
-		db.eng = eng
-		db.units = append(db.units, eng)
-		// One backend serves both families: the per-shard merge keeps
-		// its answers identical to the single-disk structures'.
-		db.plan.RegisterTopOpen(eng)
-		db.plan.RegisterGeneral(eng)
-	} else {
-		db.units = append(db.units, db.disk)
-		db.plan.RegisterTopOpen(buildTopOpen(db.disk, opts.Epsilon, opts.Dynamic, sorted))
-		four := foursided.Build(db.disk, opts.Epsilon, sorted)
-		db.plan.RegisterGeneral(engine.NewFourSided(four, db.disk))
+	eng, err := db.newEngine(sorted, false)
+	if err != nil {
+		return nil, err
 	}
+	db.eng = eng
+	db.engines = append(db.engines, eng)
+	// One backend serves both families: each shard routes a rectangle
+	// to its own top-open or 4-sided structure.
+	db.plan.RegisterTopOpen(eng)
+	db.plan.RegisterGeneral(eng)
 	if opts.Mirrors {
 		if err := db.addMirror(sorted); err != nil {
 			return nil, err
@@ -431,56 +410,38 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 	return db, nil
 }
 
-// buildTopOpen builds the top-open-family backend over sorted points on
-// d: the Theorem 4 dynamic tree, or the Theorem 1 static index. The one
-// recipe serves both the primary unsharded backend and the unsharded
-// mirror, so the two can never drift apart.
-func buildTopOpen(d *emio.Disk, eps float64, dynamic bool, sorted []geom.Point) engine.Backend {
-	if dynamic {
-		return engine.NewDynTop(dyntop.BuildSABE(d, eps, sorted), d)
-	}
-	f := extsort.FromSlice(d, 2, sorted)
-	top := topopen.Build(d, f)
-	f.Free()
-	return engine.NewTopOpen(top, d)
+// newEngine builds a sharded engine over sorted points with the index's
+// machine, ε, shard count and rebalancing policy. The one recipe serves
+// the primary and the mirror (topOnly), so the two never drift apart.
+func (db *DB) newEngine(sorted []geom.Point, topOnly bool) (*shard.Engine, error) {
+	return shard.New(shard.Options{
+		Machine:   db.opts.Machine,
+		Epsilon:   db.opts.Epsilon,
+		Shards:    db.opts.Shards,
+		Workers:   db.opts.Workers,
+		Dynamic:   db.opts.Dynamic,
+		TopOnly:   topOnly,
+		Rebalance: db.opts.Rebalance,
+		MaxSkew:   db.opts.MaxShardSkew,
+	}, sorted)
 }
 
-// addMirror builds the transposed fast path: a top-open structure (or a
-// sharded TopOnly engine, when the primary is sharded) over the x↔y
-// reflected point set, registered with the planner as a mirror so the
-// grounded-right-edge query family is served in the top-open bounds.
-// The mirrored points are strictly sorted by reflected x because the
-// input is in general position (no duplicate y).
+// addMirror builds the transposed fast path: a TopOnly sharded engine
+// over the x↔y reflected point set, registered with the planner as a
+// mirror so the grounded-right-edge query family is served in the
+// top-open bounds. The mirrored points are strictly sorted by reflected
+// x because the input is in general position (no duplicate y).
 func (db *DB) addMirror(sorted []geom.Point) error {
 	ref := geom.ReflectSwapXY
 	mirrored := ref.Pts(sorted)
 	geom.SortByX(mirrored)
-	var inner engine.Backend
-	if db.opts.Shards > 1 {
-		meng, err := shard.New(shard.Options{
-			Machine:   db.opts.Machine,
-			Epsilon:   db.opts.Epsilon,
-			Shards:    db.opts.Shards,
-			Workers:   db.opts.Workers,
-			Dynamic:   db.opts.Dynamic,
-			TopOnly:   true,
-			Rebalance: db.opts.Rebalance,
-			MaxSkew:   db.opts.MaxShardSkew,
-		}, mirrored)
-		if err != nil {
-			return err
-		}
-		db.meng = meng
-		db.units = append(db.units, meng)
-		inner = meng
-	} else {
-		// Guarded for the same reason as the primary disk: snapshot
-		// readers reach the mirror's storage without any lock.
-		d := emio.NewConcurrentDisk(db.opts.Machine)
-		db.units = append(db.units, d)
-		inner = buildTopOpen(d, db.opts.Epsilon, db.opts.Dynamic, mirrored)
+	meng, err := db.newEngine(mirrored, true)
+	if err != nil {
+		return err
 	}
-	m, err := engine.NewMirror(ref, inner)
+	db.meng = meng
+	db.engines = append(db.engines, meng)
+	m, err := engine.NewMirror(ref, meng)
 	if err != nil {
 		return err
 	}
@@ -489,7 +450,8 @@ func (db *DB) addMirror(sorted []geom.Point) error {
 }
 
 // Sharded returns the sharded concurrent engine serving every query
-// shape, or nil when the index was opened with Shards <= 1.
+// shape. It is never nil: an index opened with Shards <= 1 is a
+// one-shard engine.
 func (db *DB) Sharded() *shard.Engine { return db.eng }
 
 // RebalanceStats reports the online-rebalancing activity of both
@@ -512,9 +474,9 @@ type RebalanceStats struct {
 }
 
 // RebalanceStats returns the current rebalancing totals; the zero value
-// when the index was opened without Options.Rebalance (or unsharded).
+// when the index was opened without Options.Rebalance.
 func (db *DB) RebalanceStats() RebalanceStats {
-	if db.eng == nil || !db.opts.Rebalance {
+	if !db.opts.Rebalance {
 		return RebalanceStats{}
 	}
 	c := db.eng.RebalanceCounters()
@@ -532,7 +494,7 @@ func (db *DB) RebalanceStats() RebalanceStats {
 // transition. A test and operational hook — the load policy exercises
 // the identical transition path. Requires Options.Rebalance.
 func (db *DB) ForceSplit(i int) error {
-	if db.eng == nil || !db.opts.Rebalance {
+	if !db.opts.Rebalance {
 		return fmt.Errorf("core: rebalancing disabled; open with Options.Rebalance")
 	}
 	err := db.eng.ForceSplit(i)
@@ -548,7 +510,7 @@ func (db *DB) ForceSplit(i int) error {
 // selects the least populous adjacent pair); with Mirrors, the mirror
 // engine merges its own coldest pair. Requires Options.Rebalance.
 func (db *DB) ForceMerge(i int) error {
-	if db.eng == nil || !db.opts.Rebalance {
+	if !db.opts.Rebalance {
 		return fmt.Errorf("core: rebalancing disabled; open with Options.Rebalance")
 	}
 	err := db.eng.ForceMerge(i)
@@ -696,9 +658,15 @@ func (db *DB) Close() error {
 // rectangle routes to, the registered backends).
 func (db *DB) Planner() *engine.Planner { return db.plan }
 
-// Disk exposes the simulated machine for I/O measurements. When sharded,
-// the per-shard disks are reached through Sharded().ShardDisk.
-func (db *DB) Disk() *emio.Disk { return db.disk }
+// DropCache evicts every unpinned frame of every shard disk — the
+// primary engine's and the mirror's — so the next query runs against a
+// cold cache (worst-case measurements). Per-shard disks stay reachable
+// through Sharded().ShardDisk.
+func (db *DB) DropCache() {
+	for _, e := range db.engines {
+		e.DropCache()
+	}
+}
 
 // Len returns the number of indexed points. Safe to call while
 // operations are in flight. With AsyncWrites it first drains every
@@ -787,8 +755,8 @@ func (db *DB) writable() error {
 // apply only if the deletes did. With AsyncWrites the batch is buffered
 // and the returned slice is the deletes ACCEPTED — presence resolves at
 // drain through the same presence-check-first path, and a miss applies
-// nothing anywhere. The points must preserve general position. On a
-// sharded index each shard lock is taken once per batch.
+// nothing anywhere. The points must preserve general position. Each
+// shard lock is taken once per batch.
 func (db *DB) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if err := db.writable(); err != nil {
 		return nil, err
@@ -834,35 +802,23 @@ func (db *DB) BatchDelete(pts []geom.Point) (int, error) {
 	return len(removed), err
 }
 
-// storage is one storage unit DB accounts for: an emio.Disk, or a
-// sharded engine summing its shard disks — retired ones included, so
-// I/O charged before a rebalance transition stays counted after it.
-type storage interface {
-	Stats() emio.Stats
-	ResetStats()
-	LiveBlocks() int
-	PeakWords() int64
-	DeferredBlocks() int
-	Retained() int
-}
-
 // Stats returns the I/O counters since the last ResetStats, summed over
-// the storage units Open built — the unsharded disk or every shard
-// disk, plus the mirror's storage — each counted exactly once.
+// every shard disk of the primary and mirror engines, retired ones
+// included.
 func (db *DB) Stats() emio.Stats {
 	var total emio.Stats
-	for _, u := range db.units {
+	for _, u := range db.engines {
 		total = total.Add(u.Stats())
 	}
 	return total
 }
 
-// ResetStats zeroes the I/O counters of every storage unit and the
+// ResetStats zeroes the I/O counters of every shard disk and the
 // cache's hit/miss/eviction counters. Memoized entries are kept:
 // resetting measurement state does not change what the next query
 // costs.
 func (db *DB) ResetStats() {
-	for _, u := range db.units {
+	for _, u := range db.engines {
 		u.ResetStats()
 	}
 	if db.cache != nil {
@@ -870,24 +826,24 @@ func (db *DB) ResetStats() {
 	}
 }
 
-// SpaceStats is the simulated space of every storage unit behind a DB,
+// SpaceStats is the simulated space of every shard disk behind a DB,
 // summed: the operator's view of the O(n/B) bound.
 type SpaceStats struct {
 	// LiveBlocks counts allocated blocks, deferred ones included.
 	LiveBlocks int `json:"live_blocks"`
 	// PeakWords is the high-water mark of allocated words (summed per
-	// unit, so an upper bound on the simultaneous peak).
+	// disk, so an upper bound on the simultaneous peak).
 	PeakWords int64 `json:"peak_words"`
 	// DeferredBlocks counts blocks freed but held for open snapshots.
 	DeferredBlocks int `json:"deferred_blocks"`
 }
 
-// Space reads the space counters of every storage unit — live blocks,
+// Space reads the space counters of every shard disk — live blocks,
 // peak words, deferred blocks. It takes each disk's lock for a moment
 // and nothing else: no queue flush, no shard lock.
 func (db *DB) Space() SpaceStats {
 	var st SpaceStats
-	for _, u := range db.units {
+	for _, u := range db.engines {
 		st.LiveBlocks += u.LiveBlocks()
 		st.PeakWords += u.PeakWords()
 		st.DeferredBlocks += u.DeferredBlocks()
@@ -895,17 +851,17 @@ func (db *DB) Space() SpaceStats {
 	return st
 }
 
-// DeferredBlocks sums, over every storage unit, the blocks the live
+// DeferredBlocks sums, over every shard disk, the blocks the live
 // index has retired that open snapshots hold alive. Zero at quiescence
 // with every snapshot closed — the no-leak invariant the race stress
 // asserts.
 func (db *DB) DeferredBlocks() int { return db.Space().DeferredBlocks }
 
-// RetainedCount sums the open storage retentions (one per pinned
-// structure per disk per unclosed snapshot).
+// RetainedCount sums the open storage retentions (one per shard disk
+// per unclosed snapshot).
 func (db *DB) RetainedCount() int {
 	n := 0
-	for _, u := range db.units {
+	for _, u := range db.engines {
 		n += u.Retained()
 	}
 	return n
@@ -914,9 +870,7 @@ func (db *DB) RetainedCount() int {
 // quiesce waits out the in-flight per-shard tasks of the sharded
 // engines — the primary's and the mirror's.
 func (db *DB) quiesce() {
-	for _, e := range []*shard.Engine{db.eng, db.meng} {
-		if e != nil {
-			e.Quiesce()
-		}
+	for _, e := range db.engines {
+		e.Quiesce()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/emio"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/shard"
 )
 
 func sameAnswer(got, want []geom.Point) bool {
@@ -105,8 +106,9 @@ func TestDynamicLifecycle(t *testing.T) {
 
 // TestSevenShapeDispatch drives every named Figure-2 entry point —
 // including the RightOpen and BottomOpen conveniences — against the
-// oracle, for a static single-disk index, a dynamic one, and a sharded
-// one, and checks each shape routes to the expected backend family.
+// oracle, for a static one-shard index, a dynamic one, and a four-shard
+// one, and checks the sharded engine is the one backend serving every
+// shape.
 func TestSevenShapeDispatch(t *testing.T) {
 	pts := geom.GenUniform(400, 4000, 211)
 	cfg := emio.Config{B: 32, M: 32 * 32}
@@ -147,65 +149,22 @@ func TestSevenShapeDispatch(t *testing.T) {
 				}
 			}
 		}
-		// Dispatch: with distinct backends, the top-open family must hit
-		// the top-open backend, everything else the general backend.
+		// Dispatch: at every K the sharded engine is the single backend,
+		// serving the top-open family and the general one alike.
 		backends := db.plan.Backends()
-		if opts.Shards > 1 {
-			if len(backends) != 1 || backends[0] != db.plan.Route(geom.Contour(9)) {
-				t.Fatalf("sharded: want a single backend serving everything")
-			}
-		} else {
-			if len(backends) != 2 {
-				t.Fatalf("unsharded: %d backends, want 2", len(backends))
-			}
-			if db.plan.Route(geom.TopOpen(1, 9, 3)) != backends[0] {
-				t.Fatal("top-open not routed to the top-open backend")
-			}
-			if db.plan.Route(geom.RightOpen(1, 2, 8)) != backends[1] {
-				t.Fatal("right-open not routed to the general backend")
+		if len(backends) != 1 || backends[0] != engine.Backend(db.Sharded()) {
+			t.Fatalf("opts=%+v: backends %v, want the sharded engine alone", opts, backends)
+		}
+		for _, r := range []geom.Rect{geom.Contour(9), geom.TopOpen(1, 9, 3), geom.RightOpen(1, 2, 8)} {
+			if db.plan.Route(r) != backends[0] {
+				t.Fatalf("opts=%+v: %v not routed to the sharded engine", opts, r)
 			}
 		}
 	}
 }
 
-// TestDeletePresenceCheckFirst is the regression test for the update
-// ordering fix: a Delete whose primary engine reports the point absent
-// must not mutate the 4-sided backend, even if (through corruption or
-// drift) that backend still holds the point.
-func TestDeletePresenceCheckFirst(t *testing.T) {
-	pts := geom.GenUniform(120, 2000, 213)
-	db, err := Open(Options{Machine: emio.Config{B: 16, M: 16 * 64}, Dynamic: true}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pts[17]
-	// Simulate drift: remove p from the primary (top-open) backend
-	// directly, behind the planner's back. The 4-sided backend still
-	// holds p.
-	primary := db.plan.Backends()[0]
-	if ok, err := primary.Delete(p); err != nil || !ok {
-		t.Fatalf("primary.Delete(%v) = %t, %v", p, ok, err)
-	}
-	// The routed Delete must now report a miss without error and —
-	// crucially — without mutating the 4-sided backend (the old code
-	// deleted from it unconditionally and returned a disagreement
-	// error after the damage was done).
-	if ok, err := db.Delete(p); err != nil || ok {
-		t.Fatalf("Delete(%v) = %t, %v; want miss without error", p, ok, err)
-	}
-	four := db.plan.Backends()[1]
-	band := geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y}
-	if got := four.RangeSkyline(band); len(got) != 1 || got[0] != p {
-		t.Fatalf("4-sided backend lost %v on a primary miss: %v", p, got)
-	}
-	// A delete of a genuinely absent point is a plain miss everywhere.
-	if ok, err := db.Delete(geom.Point{X: 1 << 40, Y: 1 << 40}); err != nil || ok {
-		t.Fatalf("Delete(absent) = %t, %v", ok, err)
-	}
-}
-
 // TestBatchUpdatesThroughCore pushes BatchInsert/BatchDelete through
-// core for both the single-disk and sharded layouts.
+// core for one shard and for four.
 func TestBatchUpdatesThroughCore(t *testing.T) {
 	cfg := emio.Config{B: 32, M: 32 * 32}
 	all := geom.GenUniform(700, 20000, 214)
@@ -342,6 +301,93 @@ func TestConcurrentShardedDB(t *testing.T) {
 		if got, want := db.RangeSkyline(r), geom.RangeSkyline(ref, r); !sameAnswer(got, want) {
 			t.Fatalf("final q=%d: %v vs %v", q, got, want)
 		}
+	}
+}
+
+// TestConcurrentDefaultDB is the race regression test for the default
+// configuration: Options{Dynamic: true} — one shard — driven by
+// concurrent Apply writers, readers over both query families, and a
+// goroutine pinning, reading and closing snapshots. Under -race it
+// proves the one-shard engine serializes its structures; afterwards
+// every shape matches the oracle and no retention or deferred block is
+// left behind.
+func TestConcurrentDefaultDB(t *testing.T) {
+	const nBase, perWriter, writers = 300, 120, 2
+	span := geom.Coord(8192)
+	all := geom.GenUniform(nBase+writers*perWriter, span, 217)
+	base := all[:nBase]
+	db, err := Open(Options{Dynamic: true}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		pool := all[nBase+w*perWriter : nBase+(w+1)*perWriter]
+		victims := base[w*nBase/writers:]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each Apply inserts two pool points and deletes one of this
+			// writer's own base points, so every delete must hit.
+			for i := 0; i+1 < len(pool); i += 2 {
+				removed, err := db.Apply(victims[i/2:i/2+1], pool[i:i+2])
+				if err != nil || len(removed) != 1 {
+					t.Errorf("Apply: removed %v, %v", removed, err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		seed := int64(r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for q := 0; q < 150; q++ {
+				x1, y1 := rng.Int63n(span), rng.Int63n(span)
+				db.TopOpen(x1, x1+span/4, y1)
+				db.RangeSkyline(geom.Rect{X1: x1, X2: x1 + span/4, Y1: y1, Y2: y1 + span/4})
+				db.Skyline()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 40; k++ {
+			snap, err := db.Snapshot()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			first := snap.Skyline()
+			snap.RangeSkyline(geom.Rect{X1: 0, X2: span / 2, Y1: 0, Y2: span / 2})
+			if again := snap.Skyline(); !sameAnswer(again, first) {
+				t.Errorf("snapshot %d: pinned skyline moved from %v to %v", k, first, again)
+			}
+			snap.Close()
+		}
+	}()
+	wg.Wait()
+
+	// Writer w deleted the first perWriter/2 points of its half of base.
+	half := nBase / writers
+	ref := append([]geom.Point(nil), base[perWriter/2:half]...)
+	ref = append(ref, base[half+perWriter/2:]...)
+	ref = append(ref, all[nBase:]...)
+	if db.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", db.Len(), len(ref))
+	}
+	for _, r := range sevenShapes(span) {
+		if got, want := db.RangeSkyline(r), geom.RangeSkyline(ref, r); !sameAnswer(got, want) {
+			t.Fatalf("%v after quiescing: %v, want %v", r, got, want)
+		}
+	}
+	if db.DeferredBlocks() != 0 || db.RetainedCount() != 0 || db.OpenSnapshots() != 0 {
+		t.Fatalf("after quiescing: %d blocks deferred, %d retentions, %d snapshots open",
+			db.DeferredBlocks(), db.RetainedCount(), db.OpenSnapshots())
 	}
 }
 
@@ -492,9 +538,8 @@ func TestMirrorUpdatesStaySynchronized(t *testing.T) {
 }
 
 // TestStatsAggregationWithMirrors pins DB.Stats truthfulness (the
-// skybench contract): stats aggregate over every registered backend
-// including the mirror's private storage, each distinct disk counted
-// once, and ResetStats really zeroes the total.
+// skybench contract): stats aggregate over the primary engine and the
+// mirror's, each counted once, and ResetStats really zeroes the total.
 func TestStatsAggregationWithMirrors(t *testing.T) {
 	cfg := emio.Config{B: 32, M: 32 * 32}
 	pts := geom.GenUniform(500, 500*16, 65)
@@ -502,25 +547,26 @@ func TestStatsAggregationWithMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	primary := db.Sharded()
 	db.ResetStats()
 	if got := db.Stats().IOs(); got != 0 {
 		t.Fatalf("after ResetStats, IOs = %d", got)
 	}
-	// A right-open query touches only the mirror's disk.
+	// A right-open query touches only the mirror's disks.
 	db.RangeSkyline(geom.RightOpen(0, 0, 500*16))
 	mirrorIOs := db.Stats().IOs()
 	if mirrorIOs == 0 {
 		t.Fatal("mirror query reported zero I/Os through DB.Stats")
 	}
-	if got := db.Disk().Stats().IOs(); got != 0 {
-		t.Fatalf("mirror query charged %d I/Os to the primary disk", got)
+	if got := primary.Stats().IOs(); got != 0 {
+		t.Fatalf("mirror query charged %d I/Os to the primary engine", got)
 	}
-	// A 4-sided query touches only the primary disk; the total must be
-	// the exact sum of the two disks (no double counting).
+	// A 4-sided query touches only the primary engine; the total must
+	// be the exact sum of the two engines (no double counting).
 	db.RangeSkyline(geom.Rect{X1: 10, X2: 5000, Y1: 10, Y2: 5000})
-	primaryIOs := db.Disk().Stats().IOs()
+	primaryIOs := primary.Stats().IOs()
 	if primaryIOs == 0 {
-		t.Fatal("4-sided query reported zero I/Os on the primary disk")
+		t.Fatal("4-sided query reported zero I/Os on the primary engine")
 	}
 	if got, want := db.Stats().IOs(), primaryIOs+mirrorIOs; got != want {
 		t.Fatalf("Stats().IOs() = %d, want primary+mirror = %d", got, want)
@@ -529,20 +575,47 @@ func TestStatsAggregationWithMirrors(t *testing.T) {
 	if got := db.Stats().IOs(); got != 0 {
 		t.Fatalf("ResetStats left IOs = %d", got)
 	}
-	if got := db.Disk().Stats().IOs(); got != 0 {
-		t.Fatalf("ResetStats left primary disk IOs = %d", got)
+	if got := primary.Stats().IOs(); got != 0 {
+		t.Fatalf("ResetStats left primary engine IOs = %d", got)
+	}
+}
+
+// TestDropCacheColdsEveryEngine is the regression test for DB.DropCache:
+// it must drop the frames of every shard disk of the primary engine and
+// of the mirror, so a query repeated after it pays its I/Os again, on
+// either engine.
+func TestDropCacheColdsEveryEngine(t *testing.T) {
+	const n = 400
+	span := geom.Coord(n * 16)
+	pts := geom.GenUniform(n, span, 66)
+	db, err := Open(Options{Machine: emio.Config{B: 32, M: 32 * 64}, Dynamic: true, Shards: 4, Mirrors: true}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, q := range []geom.Rect{geom.TopOpen(span/8, span, span/2), geom.RightOpen(span/8, span/4, span)} {
+		db.RangeSkyline(q)
+		db.ResetStats()
+		db.RangeSkyline(q)
+		if got := db.Stats().IOs(); got != 0 {
+			t.Fatalf("%v: warm repeat charged %d I/Os; the check below needs a cache that holds the query", q, got)
+		}
+		db.DropCache()
+		db.ResetStats()
+		db.RangeSkyline(q)
+		if db.Stats().IOs() == 0 {
+			t.Fatalf("%v: charged no I/Os after DropCache", q)
+		}
 	}
 }
 
 // TestStorageAccounting pins core's storage accounting on every layout
-// Open builds. The units it sums are exactly the layout's storage —
-// the unsharded disk (shared by two structures) or the sharded engine,
-// plus the mirror's — so with one snapshot open Stats, Space,
-// DeferredBlocks and RetainedCount count each disk once, a sharded
-// engine's retired shards included: I/O charged before a rebalance
-// transition is still counted after it, and so are the retentions the
-// snapshot holds on the retired disks. ResetStats zeroes the I/O and the
-// cache counters.
+// Open builds. The storage it sums is exactly the primary sharded
+// engine's, plus the mirror's, so with one snapshot open Stats, Space,
+// DeferredBlocks and RetainedCount count each shard disk once, retired
+// shards included: I/O charged before a rebalance transition is still
+// counted after it, and so are the retentions the snapshot holds on the
+// retired disks. ResetStats zeroes the I/O and the cache counters.
 func TestStorageAccounting(t *testing.T) {
 	const n = 600
 	span := geom.Coord(n * 16)
@@ -550,13 +623,12 @@ func TestStorageAccounting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
-		// pins is the retentions one snapshot holds: one per pinned
-		// structure per disk — two on the shared unsharded disk, one on
-		// an unsharded mirror's disk, one per shard of a sharded engine.
+		// pins is the retentions one snapshot holds: one per shard disk,
+		// of the primary engine and of the mirror's.
 		pins int
 	}{
-		{"unsharded", Options{}, 2},
-		{"unsharded+mirrors", Options{Mirrors: true}, 3},
+		{"unsharded", Options{}, 1},
+		{"unsharded+mirrors", Options{Mirrors: true}, 2},
 		{"shards", Options{Shards: 4}, 4},
 		{"shards+mirrors", Options{Shards: 4, Mirrors: true}, 8},
 		{"rebalance", Options{Shards: 4, Rebalance: true}, 4},
@@ -571,25 +643,12 @@ func TestStorageAccounting(t *testing.T) {
 			}
 			defer db.Close()
 
-			want := []storage{db.disk}
-			if db.eng != nil {
-				want = []storage{db.eng}
-			}
-			switch {
-			case db.meng != nil:
+			want := []*shard.Engine{db.Sharded()}
+			if o.Mirrors {
+				if db.meng == nil {
+					t.Fatal("Mirrors built no mirror engine")
+				}
 				want = append(want, db.meng)
-			case o.Mirrors && len(db.units) == 2:
-				if d, ok := db.units[1].(*emio.Disk); ok && d != db.disk {
-					want = append(want, d) // the unsharded mirror's private disk
-				}
-			}
-			if len(db.units) != len(want) {
-				t.Fatalf("units = %v, want %v", db.units, want)
-			}
-			for i := range want {
-				if db.units[i] != want[i] {
-					t.Fatalf("unit %d = %v, want %v", i, db.units[i], want[i])
-				}
 			}
 			check := func(stage string) {
 				t.Helper()

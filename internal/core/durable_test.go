@@ -363,6 +363,15 @@ func TestRefusedOpenLeavesDirEmpty(t *testing.T) {
 		{"cache-entries",
 			func(o *Options) { o.CacheEntries = -1 },
 			func(o *Options) { o.CacheEntries = 0 }},
+		{"shards",
+			func(o *Options) { o.Shards = -1 },
+			func(o *Options) { o.Shards = 0 }},
+		{"workers",
+			func(o *Options) { o.Shards, o.Workers = 4, -1 },
+			func(o *Options) { o.Workers = 0 }},
+		{"skew-without-rebalance",
+			func(o *Options) { o.Shards, o.MaxShardSkew = 4, 2 },
+			func(o *Options) { o.MaxShardSkew = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := base

@@ -50,10 +50,8 @@ type Snapshot struct {
 // interaction. Reads on the returned Snapshot never drain and never
 // take shard write locks.
 //
-// Snapshot may race writers exactly where writers may race each other:
-// the sharded engine (its per-shard locks order the pin against every
-// update). An unsharded index admits one mutator at a time, and a pin
-// counts as a mutator — the same contract as its updates.
+// Snapshot may race writers and readers freely: the per-shard locks
+// order the pin against every update.
 func (db *DB) Snapshot() (*Snapshot, error) {
 	v, err := db.front.Snapshot()
 	if err != nil {

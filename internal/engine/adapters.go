@@ -1,58 +1,27 @@
-// Backend adapters for the paper's single-disk structures. Each adapter
-// pairs one structure with the disk it lives on, which it needs only to
-// open a retention when it pins a snapshot. Structures may share a disk
-// (as in an unsharded core.DB), so I/O is counted per disk by whoever
-// built the disks, never per adapter. A single disk is one slab, so the
-// adapters report no partition. The sharded engine (internal/shard)
-// implements Backend natively and needs no adapter.
+// Backend adapters for the paper's dynamic structures over one disk
+// each: the Theorem 4 tree and the Theorem 6 index. Each adapter pairs
+// one structure with the disk it lives on, which it needs only to open
+// a retention when it pins a snapshot. Structures may share a disk, so
+// I/O is counted per disk by whoever built the disks, never per
+// adapter. A single disk is one slab, so the adapters report no
+// partition. Nothing serializes an adapter: the caller owns mutual
+// exclusion. core.DB builds no adapter — every index is a sharded
+// engine (internal/shard), which implements Backend natively with a
+// mutex per shard; the adapters serve layer-by-layer measurements and
+// tests that compose a planner by hand.
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/dyntop"
 	"repro/internal/emio"
 	"repro/internal/foursided"
 	"repro/internal/geom"
-	"repro/internal/topopen"
 )
-
-// errStatic is Apply's error on a static backend.
-func errStatic(kind string) error {
-	return fmt.Errorf("engine: %s backend is static; reopen with Options.Dynamic", kind)
-}
 
 // unpartitioned is the Partition of a single-disk structure: one slab.
 type unpartitioned struct{}
 
 func (unpartitioned) Partition() (xcuts []geom.Coord) { return nil }
-
-// TopOpenBackend serves the top-open family from the Theorem 1 static
-// index. Apply fails.
-type TopOpenBackend struct {
-	WriteVerbs
-	unpartitioned
-	ix   *topopen.Index
-	disk *emio.Disk
-}
-
-// NewTopOpen wraps a Theorem 1 index and the disk it lives on.
-func NewTopOpen(ix *topopen.Index, d *emio.Disk) *TopOpenBackend {
-	b := &TopOpenBackend{ix: ix, disk: d}
-	b.WriteVerbs = VerbsOf(b.Apply)
-	return b
-}
-
-func (b *TopOpenBackend) RangeSkyline(q geom.Rect) []geom.Point {
-	if !q.IsTopOpen() {
-		panic("engine: topopen backend requires a top-open rectangle")
-	}
-	return b.ix.Query(q.X1, q.X2, q.Y1)
-}
-
-func (b *TopOpenBackend) Apply(_, _ []geom.Point) ([]geom.Point, error) {
-	return nil, errStatic("topopen")
-}
 
 // DynTopBackend serves the top-open family from the Theorem 4 dynamic
 // tree.

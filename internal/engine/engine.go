@@ -28,9 +28,10 @@
 // linear space.
 //
 // Updates flow through the same seam, as one verb: Apply(dels, inss)
-// deletes then inserts. core.DB registers one backend per physical
-// structure and the planner applies every batch to all of them, so every
-// backend sees the same point set. The first registered backend is the
+// deletes then inserts. core.DB registers one sharded engine serving
+// both families, plus a mirror over a second engine with Mirrors, and
+// the planner applies every batch to all of them, so every backend sees
+// the same point set. The first registered backend is the
 // primary: Apply resolves deletes against it first and touches the
 // others only with the subset it confirmed present, so a miss never
 // mutates any backend (see core.DB.Delete's regression test).
@@ -291,7 +292,7 @@ var errNoBackends = fmt.Errorf("engine: no backends registered")
 // registered) backend resolves dels and reports the subset it actually
 // removed, and only that confirmed subset reaches the remaining
 // backends — so a miss mutates nothing anywhere, and concurrent
-// overlapping batches (legal on the sharded layouts, where the primary
+// overlapping batches (legal over sharded engines, where the primary
 // serializes per shard and resolves every contended point to exactly
 // one caller) fan out disjoint subsets instead of tripping false
 // corruption reports. A secondary disagreeing on a confirmed point is
@@ -299,8 +300,8 @@ var errNoBackends = fmt.Errorf("engine: no backends registered")
 // error, so callers keep their size accounting consistent with the
 // primary. The insert phase then applies inss to every backend, and
 // runs only if the delete phase did not fail. Every backend sees its
-// delete-only call before its insert-only call — the order the
-// unsharded layout's shared disk is charged in.
+// delete-only call before its insert-only call, so backends sharing a
+// disk are charged in one fixed order.
 func (pl *Planner) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if len(pl.backends) == 0 {
 		return nil, errNoBackends

@@ -21,8 +21,8 @@
 // The retention-before-capture order is load-bearing: once RetainFrees
 // returns, no span the captured roots reference can be reclaimed until
 // the view is released, and captures are performed by the caller while
-// it still holds whatever lock serializes writers (core's engineMu,
-// a shard's mutex), so no free can slip between the two.
+// it still holds whatever lock serializes writers (a shard's mutex), so
+// no free can slip between the two.
 //
 // Copy-on-pin vs epoch-retired roots: both were candidates for the
 // 4-sided secondaries. Copy-on-pin (what dyntop.Snapshot and
@@ -64,23 +64,6 @@ type retainedView struct {
 
 func (v *retainedView) RangeSkyline(q geom.Rect) []geom.Point { return v.query(q) }
 func (v *retainedView) Release()                              { v.ret.Release() }
-
-// Snapshot pins the static Theorem 1 index: the handle is the index
-// itself (it never mutates), and the retention guards against a
-// concurrent Free/Close retiring its spans mid-query.
-func (b *TopOpenBackend) Snapshot() (View, error) {
-	ret := b.disk.RetainFrees()
-	h := b.ix.Snapshot()
-	return &retainedView{
-		query: func(q geom.Rect) []geom.Point {
-			if !q.IsTopOpen() {
-				panic("engine: topopen snapshot requires a top-open rectangle")
-			}
-			return h.Query(q.X1, q.X2, q.Y1)
-		},
-		ret: ret,
-	}, nil
-}
 
 // Snapshot pins the Theorem 4 tree: retention first, then the O(n/B)
 // host-pointer root clone (zero simulated I/Os). The caller must hold

@@ -3,29 +3,18 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/dyntop"
 	"repro/internal/emio"
-	"repro/internal/extsort"
 	"repro/internal/foursided"
 	"repro/internal/geom"
-	"repro/internal/topopen"
 )
 
-// buildStaticTopOpen builds a Theorem 1 backend over pts on its own disk.
-func buildStaticTopOpen(t *testing.T, pts []geom.Point) (*TopOpenBackend, *emio.Disk) {
-	t.Helper()
-	d := emio.NewDisk(mirrorCfg)
-	f := extsort.FromSlice(d, 2, pts)
-	return NewTopOpen(topopen.Build(d, f), d), d
-}
-
-// buildSnapPlanner assembles the full unsharded routing table over one
-// shared primary disk — dyntop for the top-open family, foursided for
-// the rest, a transpose mirror on its own disk — mirroring what
-// core.Open builds in dynamic mode. It returns the two disks too.
+// buildSnapPlanner assembles a full routing table from the adapters,
+// over one shared primary disk — dyntop for the top-open family,
+// foursided for the rest, a transpose mirror on its own disk. It
+// returns the two disks too.
 func buildSnapPlanner(t *testing.T, pts []geom.Point) (*Planner, []*emio.Disk) {
 	t.Helper()
 	d := emio.NewDisk(mirrorCfg)
@@ -168,46 +157,6 @@ func diffPoints(pts []geom.Point, victim geom.Point) []geom.Point {
 		}
 	}
 	return pts
-}
-
-// TestSnapshotStaticTopOpen pins the static Theorem 1 backend: the
-// handle is the immutable index itself, and the retention opens and
-// closes around it.
-func TestSnapshotStaticTopOpen(t *testing.T) {
-	const n = 180
-	span := geom.Coord(n * 16)
-	pts := geom.GenUniform(n, span, 4500)
-	geom.SortByX(pts)
-	top, d := buildStaticTopOpen(t, pts)
-
-	view, err := top.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Retained() != 1 {
-		t.Fatalf("Retained() = %d, want 1", d.Retained())
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ {
-		x1 := geom.Coord(rng.Int63n(int64(span)))
-		q := geom.TopOpen(x1, x1+span/4, geom.Coord(rng.Int63n(int64(span))))
-		got, want := view.RangeSkyline(q), geom.RangeSkyline(pts, q)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%v: view %v, oracle %v", q, got, want)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("4-sided rect on a topopen view should panic")
-			}
-		}()
-		view.RangeSkyline(geom.Rect{X1: 0, X2: span, Y1: 0, Y2: span / 2})
-	}()
-	view.Release()
-	if d.Retained() != 0 {
-		t.Fatalf("Retained() = %d after release", d.Retained())
-	}
 }
 
 // TestPlanViewRouting freezes a full routing table and asserts the

@@ -34,36 +34,46 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // call issues one JSON request and decodes the response body into out
-// (which may be nil).
+// (which may be nil), failing the test on a transport or decode error.
 func call(t *testing.T, method, url string, body, out any) (int, http.Header) {
 	t.Helper()
+	code, hdr, err := tryCall(method, url, body, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, hdr
+}
+
+// tryCall is call without the test: it returns transport and decode
+// errors, so goroutines other than the test's own can report them.
+func tryCall(method, url string, body, out any) (int, http.Header, error) {
 	var rd io.Reader
 	if body != nil {
 		blob, err := json.Marshal(body)
 		if err != nil {
-			t.Fatalf("marshal: %v", err)
+			return 0, nil, fmt.Errorf("marshal: %w", err)
 		}
 		rd = bytes.NewReader(blob)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		t.Fatalf("request: %v", err)
+		return 0, nil, fmt.Errorf("request: %w", err)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
+		return 0, nil, fmt.Errorf("%s %s: %w", method, url, err)
 	}
 	defer resp.Body.Close() //errlint:ok test client
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("read body: %v", err)
+		return 0, nil, fmt.Errorf("read body: %w", err)
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("unmarshal %q: %v", raw, err)
+			return 0, nil, fmt.Errorf("unmarshal %q: %w", raw, err)
 		}
 	}
-	return resp.StatusCode, resp.Header
+	return resp.StatusCode, resp.Header, nil
 }
 
 func wire(pts []geom.Point) []map[string]geom.Coord {
@@ -462,6 +472,78 @@ func TestConcurrentNamespaces(t *testing.T) {
 		if ln.Len != writers*perNS {
 			t.Errorf("n%d has %d points, want %d", i, ln.Len, writers*perNS)
 		}
+	}
+}
+
+// TestConcurrentUnshardedNamespaces is the race regression test for the
+// default served namespace: over NamespaceConfig{} (one shard) and
+// {Mirrors: true, CacheEntries: 32}, writers POST single-point inserts
+// and deletes while readers POST 4-sided, right-open and whole-skyline
+// queries. Under -race it proves concurrent handlers are safe without
+// Shards; after quiescing, every shape matches the oracle.
+func TestConcurrentUnshardedNamespaces(t *testing.T) {
+	nss := map[string]NamespaceConfig{"plain": {}, "mirrored": {Mirrors: true, CacheEntries: 32}}
+	_, hs := newTestServer(t, Config{Namespaces: nss})
+
+	const nBase, perWriter, writers = 300, 60, 2
+	all := geom.GenUniform(nBase+writers*perWriter, 1<<14, 4242)
+	base := all[:nBase]
+	for ns := range nss {
+		if code, _ := call(t, "POST", hs.URL+"/v1/"+ns+"/insert", map[string]any{"points": wire(base)}, nil); code != 200 {
+			t.Fatalf("%s preload: status %d", ns, code)
+		}
+	}
+	reads := []map[string]any{
+		{"shape": "4-sided", "x1": 2000, "x2": 12000, "y1": 1000, "y2": 9000},
+		{"shape": "right-open", "x": 4000, "y1": 2000, "y2": 14000},
+		{"shape": "skyline"},
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, len(nss)*(writers+2))
+	for ns := range nss {
+		url := hs.URL + "/v1/" + ns
+		for w := 0; w < writers; w++ {
+			pool := all[nBase+w*perWriter : nBase+(w+1)*perWriter]
+			victims := base[w*perWriter : (w+1)*perWriter]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range pool {
+					if code, _, err := tryCall("POST", url+"/insert", map[string]any{"point": wire(pool[k : k+1])[0]}, nil); err != nil || code != 200 {
+						errc <- fmt.Errorf("%s insert: status %d, %v", ns, code, err)
+						return
+					}
+					var del struct {
+						Removed int `json:"removed"`
+					}
+					if code, _, err := tryCall("POST", url+"/delete", map[string]any{"point": wire(victims[k : k+1])[0]}, &del); err != nil || code != 200 || del.Removed != 1 {
+						errc <- fmt.Errorf("%s delete: status %d, removed %d, %v", ns, code, del.Removed, err)
+						return
+					}
+				}
+			}()
+		}
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < 40; k++ {
+					if code, _, err := tryCall("POST", url+"/query", reads[(k+r)%len(reads)], nil); err != nil || code != 200 {
+						errc <- fmt.Errorf("%s query: status %d, %v", ns, code, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	final := append(append([]geom.Point(nil), base[writers*perWriter:]...), all[nBase:]...)
+	for ns := range nss {
+		checkShapes(t, hs.URL+"/v1/"+ns+"/query", final)
 	}
 }
 

@@ -11,7 +11,9 @@
 // y reported by every shard to its right. Because the shards are
 // x-disjoint and each per-shard answer is a range skyline (increasing x,
 // decreasing y), the same merge is correct for both families, and the
-// merged answer is identical to the single-disk structure's.
+// merged answer is identical to one structure's over the whole point
+// set. A query or batch that touches one shard — every one, at K = 1 —
+// runs on the caller's goroutine with no pool task and no merge.
 //
 // Concurrency model: each shard serializes its own operations behind a
 // mutex (one query or update at a time per shard — the simulated disk has
@@ -278,35 +280,36 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
+// eachDisk calls fn on every shard disk, shards retired by rebalance
+// transitions included, under the shared topology lock.
+func (e *Engine) eachDisk(fn func(d *emio.Disk)) {
+	e.topoMu.RLock()
+	defer e.topoMu.RUnlock()
+	for _, s := range e.shards {
+		fn(s.disk)
+	}
+	for _, s := range e.retired {
+		fn(s.disk)
+	}
+}
+
 // Stats aggregates the I/O counters of every shard disk, including
 // shards retired by rebalance transitions, so the totals stay monotonic
 // across topology changes. Safe to call while operations are in flight
 // (the counters are atomic).
 func (e *Engine) Stats() emio.Stats {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
 	var total emio.Stats
-	for _, s := range e.shards {
-		total = total.Add(s.disk.Stats())
-	}
-	for _, s := range e.retired {
-		total = total.Add(s.disk.Stats())
-	}
+	e.eachDisk(func(d *emio.Disk) { total = total.Add(d.Stats()) })
 	return total
 }
 
 // ResetStats zeroes every shard disk's I/O counters (retired shards
 // included, so a reset truly re-baselines Stats).
-func (e *Engine) ResetStats() {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
-	for _, s := range e.shards {
-		s.disk.ResetStats()
-	}
-	for _, s := range e.retired {
-		s.disk.ResetStats()
-	}
-}
+func (e *Engine) ResetStats() { e.eachDisk((*emio.Disk).ResetStats) }
+
+// DropCache evicts every unpinned frame of every shard disk, so the
+// next query runs against a cold cache.
+func (e *Engine) DropCache() { e.eachDisk((*emio.Disk).DropCache) }
 
 // ShardDisk exposes shard i's disk for per-shard measurements.
 func (e *Engine) ShardDisk(i int) *emio.Disk {
@@ -382,10 +385,10 @@ func (e *Engine) submit(wg *sync.WaitGroup, fn func()) {
 // so pooled buffers never pin per-shard answers.
 var partsPool = sync.Pool{New: func() any { return new([][]geom.Point) }}
 
-// fanOut runs query against every shard overlapping [x1, x2] through
-// the worker pool and merges the per-shard skylines right-to-left. Both
-// query families share it: shards are x-disjoint and each per-shard
-// answer is a range skyline, so the max-y survivor merge is exact.
+// fanOut runs query under the shard lock of every shard overlapping
+// [x1, x2] and merges the per-shard skylines (see gather). Both query
+// families share it: shards are x-disjoint and each per-shard answer is
+// a range skyline, so the max-y survivor merge is exact.
 func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []geom.Point {
 	e.queries.Add(1)
 	if x1 > x2 {
@@ -393,7 +396,29 @@ func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []ge
 	}
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
-	lo, hi := e.shardFor(x1), e.shardFor(x2)
+	out := e.gather(e.shardFor(x1), e.shardFor(x2), func(i int) []geom.Point {
+		s := e.shards[i]
+		s.load.Add(1)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return query(s)
+	})
+	e.points.Add(uint64(len(out)))
+	return out
+}
+
+// gather runs part(i) for every shard i in [lo, hi] and merges the
+// per-shard skylines right-to-left. A single shard runs on the caller's
+// goroutine and its answer is returned as is — no pool task, no pooled
+// buffer, no merge — exactly as Apply runs a one-shard batch. Several
+// shards run through the worker pool into a pooled buffer.
+func (e *Engine) gather(lo, hi int, part func(i int) []geom.Point) []geom.Point {
+	if lo == hi {
+		if out := part(lo); len(out) > 0 {
+			return out
+		}
+		return nil
+	}
 	pp := partsPool.Get().(*[][]geom.Point)
 	parts := *pp
 	if need := hi - lo + 1; cap(parts) < need {
@@ -403,13 +428,7 @@ func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []ge
 	}
 	var wg sync.WaitGroup
 	for i := lo; i <= hi; i++ {
-		s, slot := e.shards[i], i-lo
-		s.load.Add(1)
-		e.submit(&wg, func() {
-			s.mu.Lock()
-			parts[slot] = query(s)
-			s.mu.Unlock()
-		})
+		e.submit(&wg, func() { parts[i-lo] = part(i) })
 	}
 	wg.Wait()
 	out := mergeSkylines(parts)
@@ -418,14 +437,13 @@ func (e *Engine) fanOut(x1, x2 geom.Coord, query func(*shard) []geom.Point) []ge
 	}
 	*pp = parts[:0]
 	partsPool.Put(pp)
-	e.points.Add(uint64(len(out)))
 	return out
 }
 
 // TopOpen reports the range skyline of [x1,x2] × [beta, ∞) in
 // increasing-x order, fanning the query out to the overlapping shards and
-// merging their answers. The result is identical to a single-disk
-// structure over the whole point set.
+// merging their answers. The result is identical to one top-open
+// structure's over the whole point set.
 func (e *Engine) TopOpen(x1, x2, beta geom.Coord) []geom.Point {
 	return e.fanOut(x1, x2, func(s *shard) []geom.Point {
 		return s.top.Query(x1, x2, beta)
@@ -435,8 +453,8 @@ func (e *Engine) TopOpen(x1, x2, beta geom.Coord) []geom.Point {
 // FourSided reports the range skyline of an arbitrary rectangle (the
 // 4-sided family: 4-sided, left-open, right-open, bottom-open,
 // anti-dominance) from the per-shard Theorem 6 structures, merged
-// exactly like TopOpen. The result is identical to a single-disk
-// foursided.Index over the whole point set. A TopOnly engine has no
+// exactly like TopOpen. The result is identical to one
+// foursided.Index's over the whole point set. A TopOnly engine has no
 // Theorem 6 structures and panics — its owner (the mirror backend)
 // routes only reflected top-open rectangles here.
 func (e *Engine) FourSided(q geom.Rect) []geom.Point {

@@ -415,6 +415,39 @@ func TestApplyRemovedInDelsOrder(t *testing.T) {
 	}
 }
 
+// TestDeletePresenceCheckFirst is the regression test for the update
+// ordering: a Delete whose top-open structure reports the point absent
+// must not mutate the shard's 4-sided structure, even if (through
+// corruption or drift) that structure still holds the point.
+func TestDeletePresenceCheckFirst(t *testing.T) {
+	pts := geom.GenUniform(120, 2000, 213)
+	geom.SortByX(pts)
+	eng, err := New(Options{Machine: emio.Config{B: 16, M: 16 * 64}, Dynamic: true}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pts[17]
+	// Simulate drift: remove p from the shard's top-open structure
+	// directly, behind the engine's back. The 4-sided one still holds p.
+	s := eng.shards[eng.shardFor(p.X)]
+	if !s.dyn.Delete(p) {
+		t.Fatalf("dyn.Delete(%v) missed", p)
+	}
+	// The routed Delete must now report a miss without error and —
+	// crucially — without mutating the 4-sided structure.
+	if ok, err := eng.Delete(p); err != nil || ok {
+		t.Fatalf("Delete(%v) = %t, %v; want miss without error", p, ok, err)
+	}
+	band := geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y}
+	if got := s.four.Query(band); len(got) != 1 || got[0] != p {
+		t.Fatalf("4-sided structure lost %v on a top-open miss: %v", p, got)
+	}
+	// A delete of a genuinely absent point is a plain miss everywhere.
+	if ok, err := eng.Delete(geom.Point{X: 1 << 40, Y: 1 << 40}); err != nil || ok {
+		t.Fatalf("Delete(absent) = %t, %v", ok, err)
+	}
+}
+
 func TestMergeSkylines(t *testing.T) {
 	p := func(x, y geom.Coord) geom.Point { return geom.Point{X: x, Y: y} }
 	got := mergeSkylines([][]geom.Point{

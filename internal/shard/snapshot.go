@@ -10,7 +10,8 @@
 // meanwhile.
 //
 // Snapshot queries then fan out over the pinned roots through the SAME
-// worker pool and right-to-left merge as live queries — but without
+// gather (caller's goroutine for one shard, worker pool and
+// right-to-left merge for several) as live queries — but without
 // taking any shard mutex, so they never serialize against writers:
 // the pinned state is immutable and each shard's disk is guarded
 // (emio.NewConcurrentDisk), which is all the concurrency control a
@@ -19,7 +20,6 @@ package shard
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/emio"
@@ -112,36 +112,15 @@ func (sv *Snapshot) Release() {
 }
 
 // fanOut is the snapshot's lock-free counterpart of Engine.fanOut:
-// same worker pool, same buffer recycling, same right-to-left merge —
-// no shard mutexes, because the pinned state is immutable.
+// the same gather over the pinned topology, with no shard mutexes,
+// because the pinned state is immutable.
 func (sv *Snapshot) fanOut(x1, x2 geom.Coord, query func(*shardView) []geom.Point) []geom.Point {
 	if x1 > x2 {
 		return nil
 	}
 	lo := sort.Search(len(sv.cuts), func(i int) bool { return x1 <= sv.cuts[i] })
 	hi := sort.Search(len(sv.cuts), func(i int) bool { return x2 <= sv.cuts[i] })
-	pp := partsPool.Get().(*[][]geom.Point)
-	parts := *pp
-	if need := hi - lo + 1; cap(parts) < need {
-		parts = make([][]geom.Point, need)
-	} else {
-		parts = parts[:need]
-	}
-	var wg sync.WaitGroup
-	for i := lo; i <= hi; i++ {
-		w, slot := sv.shards[i], i-lo
-		sv.e.submit(&wg, func() {
-			parts[slot] = query(w)
-		})
-	}
-	wg.Wait()
-	out := mergeSkylines(parts)
-	for i := range parts {
-		parts[i] = nil
-	}
-	*pp = parts[:0]
-	partsPool.Put(pp)
-	return out
+	return sv.e.gather(lo, hi, func(i int) []geom.Point { return query(sv.shards[i]) })
 }
 
 // TopOpen reports the pinned range skyline of [x1,x2] × [beta, ∞).
@@ -179,15 +158,8 @@ func (sv *Snapshot) RangeSkyline(q geom.Rect) []geom.Point {
 // quiescence with every snapshot released — the no-leak invariant the
 // race stress asserts.
 func (e *Engine) DeferredBlocks() int {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
 	total := 0
-	for _, s := range e.shards {
-		total += s.disk.DeferredBlocks()
-	}
-	for _, s := range e.retired {
-		total += s.disk.DeferredBlocks()
-	}
+	e.eachDisk(func(d *emio.Disk) { total += d.DeferredBlocks() })
 	return total
 }
 
@@ -195,15 +167,8 @@ func (e *Engine) DeferredBlocks() int {
 // shards included: a retired shard is released at its transition, so
 // its disk holds only what open snapshots still defer.
 func (e *Engine) LiveBlocks() int {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
 	total := 0
-	for _, s := range e.shards {
-		total += s.disk.LiveBlocks()
-	}
-	for _, s := range e.retired {
-		total += s.disk.LiveBlocks()
-	}
+	e.eachDisk(func(d *emio.Disk) { total += d.LiveBlocks() })
 	return total
 }
 
@@ -225,14 +190,7 @@ func (e *Engine) PeakWords() int64 {
 // transitions — a snapshot pinned before a transition still holds
 // retentions on the retired disks.
 func (e *Engine) Retained() int {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
 	total := 0
-	for _, s := range e.shards {
-		total += s.disk.Retained()
-	}
-	for _, s := range e.retired {
-		total += s.disk.Retained()
-	}
+	e.eachDisk(func(d *emio.Disk) { total += d.Retained() })
 	return total
 }

@@ -97,42 +97,50 @@ func TestSnapshotFrozenAnswers(t *testing.T) {
 	samePoints(t, eng.TopOpen(q.X1, q.X2, q.Y1), geom.RangeSkyline(live, q), "live after release")
 }
 
-// TestSnapshotStaticEngine pins a static (Dynamic: false) engine: the
-// per-shard Theorem 1 indexes are immutable, so the handle is the index
-// itself and only the retention machinery engages.
+// TestSnapshotStaticEngine pins a static (Dynamic: false) engine, at
+// one shard and at four: the per-shard Theorem 1 indexes are immutable,
+// so the handle is the index itself and only the retention machinery
+// engages — one retention per shard disk, all dropped by Release.
 func TestSnapshotStaticEngine(t *testing.T) {
 	const n = 300
 	span := geom.Coord(n * 16)
 	pts := geom.GenUniform(n, span, 5200)
 	geom.SortByX(pts)
-	eng, err := New(Options{Machine: testCfg, Shards: 4, Dynamic: false}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := eng.Cuts()
-	if len(cuts) == 0 {
-		t.Fatal("Cuts() is empty")
-	}
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i-1] >= cuts[i] {
-			t.Fatalf("Cuts() not strictly increasing: %v", cuts)
-		}
-	}
-	v, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := v.(*Snapshot)
-	rng := rand.New(rand.NewSource(52))
-	for i := 0; i < 25; i++ {
-		x1, x2, beta := randTopOpen(rng, span)
-		samePoints(t, sv.TopOpen(x1, x2, beta),
-			geom.RangeSkyline(pts, geom.TopOpen(x1, x2, beta)),
-			fmt.Sprintf("static topopen %d", i))
-	}
-	sv.Release()
-	if got := eng.Retained(); got != 0 {
-		t.Fatalf("Retained() = %d after release", got)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng, err := New(Options{Machine: testCfg, Shards: shards, Dynamic: false}, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts := eng.Cuts()
+			if len(cuts) != shards-1 {
+				t.Fatalf("Cuts() = %v, want %d cuts", cuts, shards-1)
+			}
+			for i := 1; i < len(cuts); i++ {
+				if cuts[i-1] >= cuts[i] {
+					t.Fatalf("Cuts() not strictly increasing: %v", cuts)
+				}
+			}
+			v, err := eng.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eng.Retained(); got != shards {
+				t.Fatalf("Retained() = %d while pinned, want %d", got, shards)
+			}
+			sv := v.(*Snapshot)
+			rng := rand.New(rand.NewSource(52))
+			for i := 0; i < 25; i++ {
+				x1, x2, beta := randTopOpen(rng, span)
+				samePoints(t, sv.TopOpen(x1, x2, beta),
+					geom.RangeSkyline(pts, geom.TopOpen(x1, x2, beta)),
+					fmt.Sprintf("static topopen %d", i))
+			}
+			sv.Release()
+			if got := eng.Retained(); got != 0 {
+				t.Fatalf("Retained() = %d after release", got)
+			}
+		})
 	}
 }
 

@@ -175,8 +175,8 @@ func TestDifferentialDynamic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if db.Sharded() == nil {
-				t.Fatal("core.Open(Shards: 4) did not build the sharded engine")
+			if got := db.Sharded().NumShards(); got != 4 {
+				t.Fatalf("core.Open(Shards: 4) built %d shards", got)
 			}
 			ref := append([]geom.Point(nil), base...)
 

@@ -25,13 +25,14 @@
 // the batch. Insert, Delete, BatchInsert and BatchDelete are Apply with
 // one side empty.
 //
-// Opening with Options{Shards: K, Workers: W} partitions the point set
-// by x-range across K shards, each with a private simulated disk
-// carrying both a top-open and a 4-sided structure, and serves every
-// query shape from a concurrent worker-pool engine (internal/shard)
-// whose answers are identical to the single-disk structures'. An Apply
-// batch groups by destination shard and takes each shard lock once per
-// batch.
+// Every index is a concurrent sharded engine (internal/shard).
+// Options{Shards: K, Workers: W} partitions the point set by x-range
+// across K shards (one by default), each with a private simulated disk
+// carrying both a top-open and a 4-sided structure behind its own lock,
+// so a DB is safe for concurrent callers at every K and its answers do
+// not depend on K. A query or batch touching several shards fans out
+// through a worker pool; an Apply batch groups by destination shard and
+// takes each shard lock once per batch.
 //
 // Opening with Options{Mirrors: true} additionally maintains a
 // transposed (x↔y) copy of the point set under its own top-open

@@ -19,7 +19,7 @@ func TestPublicAPISmoke(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TopOpen = %v, want %v", got, want)
 	}
-	db.Disk().DropCache()
+	db.DropCache()
 	db.ResetStats()
 	db.TopOpen(2, 8, 2)
 	if db.Stats().IOs() == 0 {
@@ -32,7 +32,7 @@ func TestPublicAPISmoke(t *testing.T) {
 
 // TestPublicFigure2Parity checks that all seven Figure-2 shapes are
 // reachable both as rectangle constructors and as named DB methods, on
-// single-disk and sharded dynamic indexes, and that the batched update
+// one-shard and three-shard dynamic indexes, and that the batched update
 // path is part of the public surface.
 func TestPublicFigure2Parity(t *testing.T) {
 	pts := []Point{
