@@ -51,10 +51,14 @@ import (
 // Options configures an index.
 type Options struct {
 	// Machine is the simulated external-memory machine; zero means
-	// emio.DefaultConfig().
+	// emio.DefaultConfig(). A negative B or M, or M without B, is an
+	// error.
 	Machine emio.Config
 	// Epsilon trades query cost against update cost for the dynamic
-	// structures (Theorems 4 and 6); zero means 0.5.
+	// structures (Theorems 4 and 6); zero means 0.5, so the selectable
+	// range is (0, 1]. ε = 0 is not selectable: one ε drives both
+	// structures, and Theorem 6's height cap of ⌈1/ε⌉+1 internal levels
+	// is undefined at 0.
 	Epsilon float64
 	// Dynamic selects updatable structures. A static index answers
 	// 3-sided queries faster and builds in O(n/B) after sorting, but
@@ -120,7 +124,7 @@ type Options struct {
 	// lock and, below it, the shard locks, like synchronous writers.
 	AsyncWrites bool
 	// FlushPoints is the per-buffer drain threshold when AsyncWrites
-	// is set; zero means 128.
+	// is set; zero means 128. Negative is an error.
 	FlushPoints int
 	// FlushInterval is the background drainer's period when
 	// AsyncWrites is set; zero means 100ms, negative disables the
@@ -167,7 +171,7 @@ type Options struct {
 	// MaxBuffered caps each async-queue slab buffer when AsyncWrites
 	// is set: a write that would push a slab past the cap blocks (the
 	// writer drains the slab inline) or, with ShedWrites, is rejected
-	// with ErrBackpressure. Zero means unlimited.
+	// with ErrBackpressure. Zero means unlimited; negative is an error.
 	MaxBuffered int
 	// ShedWrites selects shedding over blocking for MaxBuffered
 	// overflow. Ignored unless AsyncWrites and MaxBuffered are set.
@@ -187,6 +191,59 @@ type Options struct {
 	// jointly colder than mean/MaxShardSkew merges. Zero means 2.0.
 	// Setting it without Rebalance is an error.
 	MaxShardSkew float64
+}
+
+// OptionError is Validate's refusal of one option value. Field is the
+// Go field path within Options ("Epsilon", "Machine.B"), so a front
+// end can report the refusal in its own vocabulary.
+type OptionError struct {
+	Field  string
+	Reason string
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("core: Options.%s: %s", e.Field, e.Reason)
+}
+
+// Validate reports the first option value Open would refuse, as an
+// *OptionError, or nil. It is the one place any layer refuses an option
+// value; the layers below take what it accepts, filling in defaults for
+// zero fields.
+func (o Options) Validate() error {
+	refuse := func(field, format string, args ...any) error {
+		return &OptionError{Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	switch {
+	case o.Machine.B < 0:
+		return refuse("Machine.B", "block size %d below 0", o.Machine.B)
+	case o.Machine.M < 0:
+		return refuse("Machine.M", "memory %d below 0", o.Machine.M)
+	case o.Machine.B == 0 && o.Machine.M != 0:
+		return refuse("Machine.M", "memory set without a block size (both or neither)")
+	case o.Epsilon < 0 || o.Epsilon > 1:
+		return refuse("Epsilon", "%v outside (0, 1] (zero means 0.5)", o.Epsilon)
+	case o.Shards < 0:
+		return refuse("Shards", "%d below 0", o.Shards)
+	case o.Workers < 0:
+		return refuse("Workers", "%d below 0", o.Workers)
+	case o.CacheEntries < 0:
+		return refuse("CacheEntries", "%d below 0", o.CacheEntries)
+	case o.FlushPoints < 0:
+		return refuse("FlushPoints", "%d below 0", o.FlushPoints)
+	case o.MaxBuffered < 0:
+		return refuse("MaxBuffered", "%d below 0", o.MaxBuffered)
+	case o.AsyncWrites && !o.Dynamic:
+		return refuse("AsyncWrites", "a static index has no writes to buffer")
+	case o.Rebalance && !o.Dynamic:
+		return refuse("Rebalance", "a static index cannot rebuild its shards")
+	case o.Rebalance && o.Shards <= 1:
+		return refuse("Rebalance", "needs more than one shard, got %d", o.Shards)
+	case o.MaxShardSkew != 0 && !o.Rebalance:
+		return refuse("MaxShardSkew", "set without rebalancing")
+	case o.MaxShardSkew != 0 && o.MaxShardSkew < 1:
+		return refuse("MaxShardSkew", "%v below 1 (a max/mean load ratio)", o.MaxShardSkew)
+	}
+	return nil
 }
 
 // DB is a planar range skyline index over a simulated EM machine. All
@@ -259,46 +316,19 @@ type DB struct {
 // Open creates an index over pts (any order; sorted internally). For a
 // purely in-memory oracle use geom.RangeSkyline instead.
 func Open(opts Options, pts []geom.Point) (*DB, error) {
+	// Options are checked before a durable directory is seeded: a
+	// refused Open must leave Dir as it found it.
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.Machine.B == 0 {
 		opts.Machine = emio.DefaultConfig()
 	}
 	if opts.Epsilon == 0 {
 		opts.Epsilon = 0.5
 	}
-	if opts.Epsilon < 0 || opts.Epsilon > 1 {
-		return nil, fmt.Errorf("core: epsilon %v outside [0,1]", opts.Epsilon)
-	}
 	if !geom.IsGeneralPosition(pts) {
 		return nil, fmt.Errorf("core: input not in general position (duplicate x or y)")
-	}
-	// Every option Open can reject is checked here, before a durable
-	// directory is seeded: a refused Open must leave Dir as it found it.
-	if opts.Rebalance {
-		if !opts.Dynamic {
-			return nil, fmt.Errorf("core: Rebalance requires Options.Dynamic (transitions rebuild shard structures)")
-		}
-		if opts.Shards <= 1 {
-			return nil, fmt.Errorf("core: Rebalance requires Options.Shards > 1 (nothing to rebalance in one shard)")
-		}
-		if opts.MaxShardSkew != 0 && opts.MaxShardSkew < 1 {
-			return nil, fmt.Errorf("core: MaxShardSkew %v below 1", opts.MaxShardSkew)
-		}
-	} else if opts.MaxShardSkew != 0 {
-		return nil, fmt.Errorf("core: MaxShardSkew set without Options.Rebalance")
-	}
-	if opts.Shards < 0 || opts.Workers < 0 {
-		return nil, fmt.Errorf("core: Shards %d / Workers %d below 0", opts.Shards, opts.Workers)
-	}
-	if opts.CacheEntries < 0 {
-		return nil, fmt.Errorf("core: CacheEntries %d below 0", opts.CacheEntries)
-	}
-	if opts.AsyncWrites {
-		if !opts.Dynamic {
-			return nil, fmt.Errorf("core: AsyncWrites requires Options.Dynamic (a static index rejects writes)")
-		}
-		if opts.FlushPoints < 0 || opts.MaxBuffered < 0 {
-			return nil, fmt.Errorf("core: FlushPoints %d / MaxBuffered %d below 0", opts.FlushPoints, opts.MaxBuffered)
-		}
 	}
 	sorted := append([]geom.Point(nil), pts...)
 	geom.SortByX(sorted)

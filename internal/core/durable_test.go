@@ -372,6 +372,15 @@ func TestRefusedOpenLeavesDirEmpty(t *testing.T) {
 		{"skew-without-rebalance",
 			func(o *Options) { o.Shards, o.MaxShardSkew = 4, 2 },
 			func(o *Options) { o.MaxShardSkew = 0 }},
+		{"machine-b",
+			func(o *Options) { o.Machine.B = -1 },
+			func(o *Options) { o.Machine = smallMachine }},
+		{"machine-m",
+			func(o *Options) { o.Machine.M = -1 },
+			func(o *Options) { o.Machine = smallMachine }},
+		{"machine-m-without-b",
+			func(o *Options) { o.Machine = emio.Config{M: 999} },
+			func(o *Options) { o.Machine = smallMachine }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := base

@@ -56,11 +56,12 @@ import (
 	"repro/internal/geom"
 )
 
-// QueueOptions configures an AsyncQueue.
+// QueueOptions configures an AsyncQueue. NewAsyncQueue takes the values
+// as given; core.Options.Validate refuses negative ones.
 type QueueOptions struct {
 	// FlushPoints is the per-buffer threshold: a buffer holding this
 	// many pending points is drained inline by the writer that filled
-	// it. Zero means 128; negative is an error.
+	// it. Zero means 128.
 	FlushPoints int
 	// FlushInterval is the background drainer's period: every interval
 	// it flushes whatever the size and read triggers left buffered.
@@ -73,7 +74,7 @@ type QueueOptions struct {
 	// push a slab past the cap either blocks (default: the writer
 	// drains the slab inline and retries — backpressure as latency) or
 	// is shed with ErrBackpressure (ShedWrites true — backpressure as
-	// load shedding). Zero means unlimited; negative is an error.
+	// load shedding). Zero means unlimited.
 	// MaxBuffered below FlushPoints is legal but pointless: the
 	// FlushPoints trigger drains first.
 	MaxBuffered int
@@ -229,16 +230,10 @@ type AsyncQueue struct {
 
 // NewAsyncQueue wraps inner with an asynchronous write queue. The slabs
 // are inner.Partition()'s x-cuts, so they coincide with the engine's
-// shards. The background
-// drainer starts immediately unless opts.FlushInterval is negative;
-// callers owning a queue must Close it to stop that goroutine.
+// shards. The background drainer starts immediately unless
+// opts.FlushInterval is negative; callers owning a queue must Close it
+// to stop that goroutine. The error is always nil.
 func NewAsyncQueue(inner Backend, opts QueueOptions) (*AsyncQueue, error) {
-	if opts.FlushPoints < 0 {
-		return nil, fmt.Errorf("engine: queue FlushPoints %d < 0", opts.FlushPoints)
-	}
-	if opts.MaxBuffered < 0 {
-		return nil, fmt.Errorf("engine: queue MaxBuffered %d < 0", opts.MaxBuffered)
-	}
 	if opts.FlushPoints == 0 {
 		opts.FlushPoints = 128
 	}

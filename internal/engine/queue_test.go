@@ -341,11 +341,10 @@ func TestQueueCacheComposition(t *testing.T) {
 	}
 }
 
-// TestQueueOptionValidation pins constructor errors and defaults.
+// TestQueueOptionValidation pins the constructor's defaults; the
+// refusal of negative values is core.Options.Validate's, tested with
+// the wire's in internal/serve.
 func TestQueueOptionValidation(t *testing.T) {
-	if _, err := engine.NewAsyncQueue(newFake("f"), engine.QueueOptions{FlushPoints: -1}); err == nil {
-		t.Fatal("negative FlushPoints accepted")
-	}
 	q, err := engine.NewAsyncQueue(newFake("f"), engine.QueueOptions{FlushInterval: -1})
 	if err != nil {
 		t.Fatal(err)

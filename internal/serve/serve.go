@@ -36,8 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,7 +58,8 @@ type NamespaceConfig struct {
 	// and memory, in words); zero means emio.DefaultConfig().
 	B int `json:"b,omitempty"`
 	M int `json:"m,omitempty"`
-	// Epsilon is the paper's query/update trade knob; zero means 0.5.
+	// Epsilon is the paper's query/update trade knob; zero means 0.5,
+	// so the selectable range is (0, 1] (see core.Options.Epsilon).
 	Epsilon float64 `json:"epsilon,omitempty"`
 	// Static builds the immutable Theorem 1 index (writes return 409).
 	// The default is dynamic — the wire is a write path, so the
@@ -92,47 +95,10 @@ type NamespaceConfig struct {
 	MaxShardSkew float64 `json:"max_shard_skew,omitempty"`
 }
 
-// validate rejects a config that core.Open (or the engine below it)
-// would reject later, naming the offending field — so a bad namespace
-// fails at serve.New with a message an operator can act on, not on the
-// namespace's first request.
-func (c NamespaceConfig) validate() error {
-	switch {
-	case c.B < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "b", c.B)
-	case c.M < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "m", c.M)
-	case c.B == 0 && c.M > 0:
-		return fmt.Errorf("field %q: set without %q (both or neither)", "m", "b")
-	case c.Epsilon < 0 || c.Epsilon > 1:
-		return fmt.Errorf("field %q: must be in [0, 1], got %v", "epsilon", c.Epsilon)
-	case c.Shards < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "shards", c.Shards)
-	case c.Workers < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "workers", c.Workers)
-	case c.CacheEntries < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "cache_entries", c.CacheEntries)
-	case c.FlushPoints < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "flush_points", c.FlushPoints)
-	case c.MaxBuffered < 0:
-		return fmt.Errorf("field %q: must be >= 0, got %d", "max_buffered", c.MaxBuffered)
-	case c.Static && c.AsyncWrites:
-		return fmt.Errorf("field %q: a static namespace has no write path to buffer", "async_writes")
-	case c.Rebalance && c.Static:
-		return fmt.Errorf("field %q: a static namespace cannot rebalance", "rebalance")
-	case c.Rebalance && c.Shards <= 1:
-		return fmt.Errorf("field %q: requires %q > 1, got %d", "rebalance", "shards", c.Shards)
-	case c.MaxShardSkew != 0 && c.MaxShardSkew < 1:
-		return fmt.Errorf("field %q: must be >= 1 (max/mean load ratio), got %v", "max_shard_skew", c.MaxShardSkew)
-	case c.MaxShardSkew != 0 && !c.Rebalance:
-		return fmt.Errorf("field %q: set without %q", "max_shard_skew", "rebalance")
-	}
-	return nil
-}
-
 // Options translates the wire config into core.Options.
 func (c NamespaceConfig) Options() core.Options {
 	opts := core.Options{
+		Machine:      emio.Config{B: c.B, M: c.M},
 		Epsilon:      c.Epsilon,
 		Dynamic:      !c.Static,
 		Shards:       c.Shards,
@@ -148,13 +114,21 @@ func (c NamespaceConfig) Options() core.Options {
 		Rebalance:    c.Rebalance,
 		MaxShardSkew: c.MaxShardSkew,
 	}
-	if c.B > 0 {
-		opts.Machine = emio.Config{B: c.B, M: c.M}
-	}
 	if c.FlushIntervalMS != 0 {
 		opts.FlushInterval = time.Duration(c.FlushIntervalMS) * time.Millisecond
 	}
 	return opts
+}
+
+// jsonField names the NamespaceConfig JSON field a core.Options field
+// path comes from: "Machine.B" is "b", "Epsilon" is "epsilon".
+func jsonField(goField string) string {
+	f, ok := reflect.TypeOf(NamespaceConfig{}).FieldByName(strings.TrimPrefix(goField, "Machine."))
+	if !ok {
+		return goField
+	}
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
 }
 
 // Config is the server's whole configuration — cmd/skylined reads it
@@ -271,8 +245,9 @@ func New(cfg Config) (*Server, error) {
 		if name == "" {
 			return nil, fmt.Errorf("serve: empty namespace name")
 		}
-		if err := nc.validate(); err != nil {
-			return nil, fmt.Errorf("serve: namespace %q: %w", name, err)
+		var oe *core.OptionError
+		if err := nc.Options().Validate(); errors.As(err, &oe) {
+			return nil, fmt.Errorf("serve: namespace %q: field %q: %s", name, jsonField(oe.Field), oe.Reason)
 		}
 		s.nss[name] = &namespace{name: name, cfg: nc}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -137,6 +138,71 @@ func TestEpsilonOneNamespace(t *testing.T) {
 		t.Fatalf("batch delete: status %d", code)
 	}
 	checkShapes(t, hs.URL+"/v1/e1/query", pts)
+}
+
+// TestWireAndCoreAgreeOnOptions pins one option contract for both
+// doors: every row gets the same verdict from serve.New and from
+// core.Open over the row's core.Options, and a refusal from serve.New
+// names the JSON field. want is that field, or "" for a valid config.
+func TestWireAndCoreAgreeOnOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nc   NamespaceConfig
+		want string
+	}{
+		{"epsilon-negative", NamespaceConfig{Epsilon: -0.1}, "epsilon"},
+		{"epsilon-above-one", NamespaceConfig{Epsilon: 2}, "epsilon"},
+		{"shards", NamespaceConfig{Shards: -1}, "shards"},
+		{"workers", NamespaceConfig{Shards: 4, Workers: -1}, "workers"},
+		{"cache-entries", NamespaceConfig{CacheEntries: -1}, "cache_entries"},
+		{"flush-points", NamespaceConfig{FlushPoints: -1}, "flush_points"},
+		{"flush-points-async", NamespaceConfig{AsyncWrites: true, FlushPoints: -1}, "flush_points"},
+		{"max-buffered", NamespaceConfig{AsyncWrites: true, MaxBuffered: -1}, "max_buffered"},
+		{"async-static", NamespaceConfig{Static: true, AsyncWrites: true}, "async_writes"},
+		{"rebalance-static", NamespaceConfig{Static: true, Rebalance: true, Shards: 4}, "rebalance"},
+		{"rebalance-one-shard", NamespaceConfig{Rebalance: true, Shards: 1}, "rebalance"},
+		{"rebalance-zero-shards", NamespaceConfig{Rebalance: true}, "rebalance"},
+		{"skew-below-one", NamespaceConfig{Rebalance: true, Shards: 4, MaxShardSkew: 0.5}, "max_shard_skew"},
+		{"skew-without-rebalance", NamespaceConfig{Shards: 4, MaxShardSkew: 2}, "max_shard_skew"},
+		{"machine-b", NamespaceConfig{B: -1}, "b"},
+		{"machine-m", NamespaceConfig{B: 64, M: -1}, "m"},
+		{"machine-m-without-b", NamespaceConfig{M: 999}, "m"},
+		{"zero", NamespaceConfig{}, ""},
+		{"epsilon-one", NamespaceConfig{Epsilon: 1}, ""},
+		{"shards-one", NamespaceConfig{Shards: 1}, ""},
+		{"b-without-m", NamespaceConfig{B: 64}, ""},
+		{"no-background-drainer", NamespaceConfig{AsyncWrites: true, FlushIntervalMS: -1}, ""},
+		{"static-mirrors", NamespaceConfig{Static: true, Mirrors: true}, ""},
+		{"skew-one", NamespaceConfig{Rebalance: true, Shards: 2, MaxShardSkew: 1}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{Namespaces: map[string]NamespaceConfig{"ns": tc.nc}})
+			if err == nil {
+				srv.Close() //errlint:ok no namespace was opened
+			}
+			db, cerr := core.Open(tc.nc.Options(), nil)
+			if cerr == nil {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if (err == nil) != (cerr == nil) {
+				t.Fatalf("verdicts differ: serve.New %v, core.Open %v", err, cerr)
+			}
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid config refused: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("invalid config accepted, want a refusal naming %q", tc.want)
+			}
+			if field := fmt.Sprintf("field %q", tc.want); !strings.Contains(err.Error(), field) {
+				t.Fatalf("serve.New: %v, want it to name %s", err, field)
+			}
+		})
+	}
 }
 
 // checkShapes queries all nine shapes at url and compares each answer

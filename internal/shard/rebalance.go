@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dyntop"
 	"repro/internal/emio"
@@ -11,26 +12,30 @@ import (
 
 // Online rebalancing: transition protocol.
 //
-// A transition (split or merge) replaces one or two shards with freshly
-// built ones covering the same x-range under different cuts. Because the
-// shards are x-disjoint, the right-to-left merge argument that makes
-// sharding answer-identical to a single structure is indifferent to
-// WHERE the cuts sit — so a transition can never change an answer, only
-// the work distribution. The protocol:
+// A transition replaces the adjacent shards lo..hi with freshly built
+// ones covering the same x-range under different cuts: a split is
+// lo = hi = i and builds two shards and one cut, a merge is lo = i,
+// hi = i+1 and builds one shard and no cut. Because the shards are
+// x-disjoint, the right-to-left merge argument that makes sharding
+// answer-identical to a single structure is indifferent to WHERE the
+// cuts sit — so a transition can never change an answer, only the work
+// distribution. The protocol (Engine.transition):
 //
-//  1. Capture: under topoMu.RLock + the shard's own mutex, copy the
-//     shard's point registry and generation counter, then release both.
+//  1. Capture: under topoMu.RLock and each shard's own mutex, copy the
+//     point registries and generation counters of shards lo..hi, then
+//     release the locks.
 //  2. Build: construct the replacement shard structures (private disk,
 //     dyntop + foursided) off to the side, with no locks held. Ordinary
 //     traffic proceeds concurrently.
 //  3. Swap: take topoMu exclusively — every in-flight operation holds it
 //     shared for its full duration, so acquisition alone quiesces the
-//     engine — and validate the generation. If unchanged, splice the
-//     replacements into shards/cuts and retire the originals. If a
-//     writer moved the generation, retry from 1; after a few failed
-//     rounds the final attempt rebuilds while still holding the
-//     exclusive lock, which blocks traffic for one rebuild but cannot
-//     go stale.
+//     engine — and splice the replacements into shards/cuts, retiring
+//     the originals.
+//  4. If a writer moved any captured generation between 1 and 3, the
+//     build is stale: recapture and rebuild once while still holding
+//     the exclusive lock. That blocks traffic for one rebuild but
+//     cannot go stale, so a transition always completes, even under a
+//     write storm.
 //
 // Retired shards are released once the swap is done: their structures
 // free every block they hold, and only the disk stays behind, for its I/O
@@ -265,133 +270,85 @@ func (e *Engine) split(i, minPts int) error {
 	if minPts < 2 {
 		minPts = 2
 	}
-	const maxRetries = 3
-	for attempt := 0; ; attempt++ {
-		e.topoMu.RLock()
-		if i < 0 || i >= len(e.shards) {
-			e.topoMu.RUnlock()
-			return fmt.Errorf("shard: split index %d out of range", i)
-		}
-		s := e.shards[i]
-		s.mu.Lock()
-		pts := make([]geom.Point, 0, len(s.pts))
-		for p := range s.pts {
-			pts = append(pts, p)
-		}
-		gen := s.gen
-		s.mu.Unlock()
-		e.topoMu.RUnlock()
+	return e.transition("split", i, i, &e.splits, func(pts []geom.Point) ([]*shard, []geom.Coord, error) {
 		if len(pts) < minPts {
-			return fmt.Errorf("shard: shard %d too small to split (%d points, need %d)", i, len(pts), minPts)
+			return nil, nil, fmt.Errorf("shard: shard %d too small to split (%d points, need %d)", i, len(pts), minPts)
 		}
-		geom.SortByX(pts)
 		mid := len(pts) / 2
 		left, right := e.buildShard(pts[:mid]), e.buildShard(pts[mid:])
-		cut := pts[mid-1].X
-
-		e.topoMu.Lock()
-		s.mu.Lock()
-		stale := s.gen != gen
-		if stale && attempt >= maxRetries {
-			// Final attempt: recapture and rebuild while holding the
-			// topology lock exclusively — no writer can move the
-			// generation now, at the cost of stalling the engine for
-			// one rebuild.
-			pts = pts[:0]
-			for p := range s.pts {
-				pts = append(pts, p)
-			}
-			s.mu.Unlock()
-			if len(pts) < minPts {
-				e.topoMu.Unlock()
-				return fmt.Errorf("shard: shard %d too small to split (%d points, need %d)", i, len(pts), minPts)
-			}
-			geom.SortByX(pts)
-			mid = len(pts) / 2
-			left, right = e.buildShard(pts[:mid]), e.buildShard(pts[mid:])
-			cut = pts[mid-1].X
-			stale = false
-		} else {
-			s.mu.Unlock()
-		}
-		if stale {
-			e.topoMu.Unlock()
-			continue
-		}
-		shards := make([]*shard, 0, len(e.shards)+1)
-		shards = append(shards, e.shards[:i]...)
-		shards = append(shards, left, right)
-		shards = append(shards, e.shards[i+1:]...)
-		cuts := make([]geom.Coord, 0, len(e.cuts)+1)
-		cuts = append(cuts, e.cuts[:i]...)
-		cuts = append(cuts, cut)
-		cuts = append(cuts, e.cuts[i:]...)
-		e.finishTransition(shards, cuts, &e.splits, s)
-		return nil
-	}
+		return []*shard{left, right}, []geom.Coord{pts[mid-1].X}, nil
+	})
 }
 
 // merge replaces shards i and i+1 with one shard covering both x-ranges.
 // Caller holds rebalMu.
 func (e *Engine) merge(i int) error {
-	const maxRetries = 3
-	for attempt := 0; ; attempt++ {
-		e.topoMu.RLock()
-		if i < 0 || i+1 >= len(e.shards) {
-			e.topoMu.RUnlock()
-			return fmt.Errorf("shard: merge index %d out of range", i)
-		}
-		a, b := e.shards[i], e.shards[i+1]
-		a.mu.Lock()
-		b.mu.Lock()
-		pts := make([]geom.Point, 0, len(a.pts)+len(b.pts))
-		for p := range a.pts {
-			pts = append(pts, p)
-		}
-		for p := range b.pts {
-			pts = append(pts, p)
-		}
-		genA, genB := a.gen, b.gen
-		b.mu.Unlock()
-		a.mu.Unlock()
-		e.topoMu.RUnlock()
-		geom.SortByX(pts)
-		merged := e.buildShard(pts)
+	return e.transition("merge", i, i+1, &e.merges, func(pts []geom.Point) ([]*shard, []geom.Coord, error) {
+		return []*shard{e.buildShard(pts)}, nil, nil
+	})
+}
 
-		e.topoMu.Lock()
-		a.mu.Lock()
-		b.mu.Lock()
-		stale := a.gen != genA || b.gen != genB
-		if stale && attempt >= maxRetries {
-			pts = pts[:0]
-			for p := range a.pts {
-				pts = append(pts, p)
-			}
-			for p := range b.pts {
-				pts = append(pts, p)
-			}
-			b.mu.Unlock()
-			a.mu.Unlock()
-			geom.SortByX(pts)
-			merged = e.buildShard(pts)
-			stale = false
-		} else {
-			b.mu.Unlock()
-			a.mu.Unlock()
-		}
-		if stale {
-			e.topoMu.Unlock()
-			continue
-		}
-		shards := make([]*shard, 0, len(e.shards)-1)
-		shards = append(shards, e.shards[:i]...)
-		shards = append(shards, merged)
-		shards = append(shards, e.shards[i+2:]...)
-		cuts := append([]geom.Coord(nil), e.cuts[:i]...)
-		cuts = append(cuts, e.cuts[i+1:]...)
-		e.finishTransition(shards, cuts, &e.merges, a, b)
-		return nil
+// transition replaces shards lo..hi with the shards build makes from
+// their live points (sorted by x), separated by the cuts build returns;
+// the cuts around lo..hi stay. Caller holds rebalMu. The build runs with
+// no lock held; if a writer moved a replaced shard's generation
+// meanwhile, the points are recaptured and rebuilt once under the
+// exclusive topology lock, where no writer can intervene.
+func (e *Engine) transition(kind string, lo, hi int, counter *atomic.Uint64, build func([]geom.Point) ([]*shard, []geom.Coord, error)) error {
+	e.topoMu.RLock()
+	if lo < 0 || hi >= len(e.shards) {
+		e.topoMu.RUnlock()
+		return fmt.Errorf("shard: %s index %d out of range", kind, lo)
 	}
+	old := e.shards[lo : hi+1]
+	pts, gens := capture(old)
+	e.topoMu.RUnlock()
+	repl, inner, err := build(pts)
+	if err != nil {
+		return err
+	}
+
+	e.topoMu.Lock()
+	stale := false
+	for j, s := range old {
+		s.mu.Lock()
+		stale = stale || s.gen != gens[j]
+		s.mu.Unlock()
+	}
+	if stale {
+		pts, _ = capture(old)
+		if repl, inner, err = build(pts); err != nil {
+			e.topoMu.Unlock()
+			return err
+		}
+	}
+	shards := make([]*shard, 0, len(e.shards)-len(old)+len(repl))
+	shards = append(shards, e.shards[:lo]...)
+	shards = append(shards, repl...)
+	shards = append(shards, e.shards[hi+1:]...)
+	cuts := make([]geom.Coord, 0, len(shards)-1)
+	cuts = append(cuts, e.cuts[:lo]...)
+	cuts = append(cuts, inner...)
+	cuts = append(cuts, e.cuts[hi:]...)
+	e.finishTransition(shards, cuts, counter, old...)
+	return nil
+}
+
+// capture copies the live points of ss, sorted by x, and each shard's
+// generation at the moment its points were copied.
+func capture(ss []*shard) ([]geom.Point, []uint64) {
+	var pts []geom.Point
+	gens := make([]uint64, len(ss))
+	for j, s := range ss {
+		s.mu.Lock()
+		for p := range s.pts {
+			pts = append(pts, p)
+		}
+		gens[j] = s.gen
+		s.mu.Unlock()
+	}
+	geom.SortByX(pts)
+	return pts, gens
 }
 
 // finishTransition installs the new topology, retires and releases the
@@ -399,7 +356,7 @@ func (e *Engine) merge(i int) error {
 // listener. Caller holds rebalMu and topoMu exclusively; topoMu is
 // released here so the release and the listener run lock-free — every
 // operation that could reach an old shard held topoMu shared and is done.
-func (e *Engine) finishTransition(shards []*shard, cuts []geom.Coord, counter interface{ Add(uint64) uint64 }, old ...*shard) {
+func (e *Engine) finishTransition(shards []*shard, cuts []geom.Coord, counter *atomic.Uint64, old ...*shard) {
 	e.shards, e.cuts = shards, cuts
 	e.retired = append(e.retired, old...)
 	for _, sh := range shards {

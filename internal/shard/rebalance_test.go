@@ -33,18 +33,6 @@ func checkBothFamilies(t *testing.T, eng *Engine, ref []geom.Point, span geom.Co
 	}
 }
 
-// TestRebalanceValidation pins the option contract: rebalancing needs
-// the dynamic per-shard registry, and a skew trigger below 1 is
-// meaningless.
-func TestRebalanceValidation(t *testing.T) {
-	if _, err := New(Options{Machine: testCfg, Rebalance: true}, nil); err == nil {
-		t.Fatal("Rebalance without Dynamic accepted")
-	}
-	if _, err := New(Options{Machine: testCfg, Dynamic: true, Rebalance: true, MaxSkew: 0.5}, nil); err == nil {
-		t.Fatal("MaxSkew below 1 accepted")
-	}
-}
-
 // TestRebalanceForcedTransitions drives explicit splits and merges
 // through the public Force entry points and checks, after every
 // transition: both query families byte-identical to the oracle, the
@@ -241,10 +229,10 @@ func TestRebalancePolicy(t *testing.T) {
 
 // TestRebalanceGenRetry races an insert/delete storm against forced
 // transitions: the storm moves the victim shards' generations while the
-// replacement structures build unlocked, driving the stale-validation
-// retries (and, when every retry loses, the rebuild-under-exclusive-lock
-// fallback). Whatever path each transition takes, answers and Len must
-// come out oracle-identical.
+// replacement structures build unlocked, so a transition may find its
+// build stale and take the rebuild under the exclusive topology lock.
+// Whichever path each transition takes, answers and Len must come out
+// oracle-identical.
 func TestRebalanceGenRetry(t *testing.T) {
 	const n = 600
 	span := geom.Coord(n * 16)
@@ -317,16 +305,15 @@ func TestRebalanceGenRetry(t *testing.T) {
 	checkBothFamilies(t, eng, pts, span, 8901, "post-storm")
 }
 
-// forceStale drives one transition through its stale-validation
-// retries deterministically. The test holds topoMu shared, so the
-// transition — started concurrently — captures its generation, builds
-// unlocked, and then blocks at the exclusive swap. Each round the test
-// bumps the victim shard's generation and releases; the swap proceeds,
-// fails validation, and retries. Because the bump always lands while
-// the swap is blocked, every gated attempt is stale by construction;
-// after rounds > maxRetries the transition must fall back to rebuilding
-// under the exclusive lock rather than spinning forever.
-func forceStale(t *testing.T, eng *Engine, victim *shard, rounds int, run func() error) {
+// forceStale drives one transition through its stale path
+// deterministically. The test holds topoMu shared, so the transition —
+// started concurrently — captures its generations, builds unlocked, and
+// then parks at the exclusive swap; the test sees it parked once a
+// shared TryRLock fails behind the waiting writer. It then writes p
+// into the victim shard, as a writer holding the victim's lock would,
+// and releases: the swap finds its build stale and must rebuild under
+// the exclusive lock, or lose p.
+func forceStale(t *testing.T, eng *Engine, victim *shard, p geom.Point, run func() error) {
 	t.Helper()
 	errc := make(chan error, 1)
 	eng.topoMu.RLock()
@@ -335,27 +322,24 @@ func forceStale(t *testing.T, eng *Engine, victim *shard, rounds int, run func()
 		defer eng.rebalMu.Unlock()
 		errc <- run()
 	}()
-	for round := 0; round < rounds; round++ {
-		// Let the attempt capture and finish its unlocked build; it is
-		// then parked at the exclusive topology lock.
-		time.Sleep(20 * time.Millisecond)
-		victim.mu.Lock()
-		victim.gen++
-		victim.mu.Unlock()
+	for eng.topoMu.TryRLock() {
 		eng.topoMu.RUnlock()
-		if round < rounds-1 {
-			eng.topoMu.RLock()
-		}
+		time.Sleep(time.Millisecond)
 	}
+	victim.mu.Lock()
+	victim.insertLocked(p)
+	victim.mu.Unlock()
+	eng.n.Add(1)
+	eng.topoMu.RUnlock()
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRebalanceStaleRetry forces the generation-validation machinery
-// through both outcomes — retry-and-win and the final
-// rebuild-under-exclusive-lock fallback — for split and merge alike,
-// then checks the answers came out oracle-identical anyway.
+// TestRebalanceStaleRetry forces the stale path — a write lands in a
+// replaced shard during the unlocked build, so the transition rebuilds
+// under the exclusive lock — for split and merge alike, then checks the
+// answers, the late writes included, came out oracle-identical.
 func TestRebalanceStaleRetry(t *testing.T) {
 	const n = 2000
 	span := geom.Coord(n * 16)
@@ -368,20 +352,27 @@ func TestRebalanceStaleRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four stale rounds: attempts 0–2 retry, attempt 3 exhausts
-	// maxRetries and must take the rebuild-under-lock fallback.
-	forceStale(t, eng, eng.shards[0], 4, func() error { return eng.split(0, 2) })
+	// Each late write lies right of every point and above them all, so
+	// it is on the skyline of every query that reaches its x.
+	late := geom.Point{X: span + 1, Y: span + 2}
+	forceStale(t, eng, eng.shards[0], late, func() error { return eng.split(0, 2) })
+	pts = append(pts, late)
 	if got := eng.RebalanceCounters(); got.Splits != 1 || got.Shards != 2 {
 		t.Fatalf("after stale split: %+v", got)
 	}
-	checkBothFamilies(t, eng, pts, span, 9101, "stale split")
+	checkBothFamilies(t, eng, pts, 2*span, 9101, "stale split")
 
 	// Same protocol against merge, with the second shard as the victim.
-	forceStale(t, eng, eng.shards[1], 4, func() error { return eng.merge(0) })
+	late = geom.Point{X: span + 2, Y: span + 1}
+	forceStale(t, eng, eng.shards[1], late, func() error { return eng.merge(0) })
+	pts = append(pts, late)
 	if got := eng.RebalanceCounters(); got.Merges != 1 || got.Shards != 1 {
 		t.Fatalf("after stale merge: %+v", got)
 	}
-	checkBothFamilies(t, eng, pts, span, 9102, "stale merge")
+	if eng.Len() != len(pts) {
+		t.Fatalf("Len = %d after stale merge, want %d", eng.Len(), len(pts))
+	}
+	checkBothFamilies(t, eng, pts, 2*span, 9102, "stale merge")
 }
 
 // TestSnapshotAcrossTransition pins a snapshot, then splits and merges

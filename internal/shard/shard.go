@@ -39,7 +39,10 @@ import (
 	"repro/internal/topopen"
 )
 
-// Options configures a sharded engine.
+// Options configures a sharded engine. New takes the values as given,
+// filling in defaults for zero fields: the refusals (ε outside [0, 1],
+// Rebalance without Dynamic, MaxSkew below 1) live in
+// core.Options.Validate, which every DB's options pass first.
 type Options struct {
 	// Machine is the simulated EM machine of each shard's private disk;
 	// zero means emio.DefaultConfig().
@@ -71,14 +74,12 @@ type Options struct {
 	// counters feed a policy that splits a hot shard's x-range in two or
 	// merges two cold neighbors, rebuilding the affected structures off
 	// to the side and swapping them in under a brief exclusive topology
-	// lock (see rebalance.go for the transition protocol). Requires
-	// Dynamic — a transition is a rebuild, and only dynamic engines keep
-	// the per-shard point registry a rebuild reads.
+	// lock (see rebalance.go for the transition protocol). Needs
+	// Dynamic: a transition rebuilds dynamic structures.
 	Rebalance bool
 	// MaxSkew is the rebalance trigger: a shard whose load exceeds
 	// MaxSkew × the mean per-shard load is split (and an adjacent pair
-	// jointly colder than mean/MaxSkew is merged). Zero means 2.0;
-	// values below 1 are an error.
+	// jointly colder than mean/MaxSkew is merged). Zero means 2.0.
 	MaxSkew float64
 	// MinShardPoints refuses splits that would leave a child below this
 	// population; zero means 32.
@@ -178,9 +179,6 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 	if opts.Epsilon == 0 {
 		opts.Epsilon = 0.5
 	}
-	if opts.Epsilon < 0 || opts.Epsilon > 1 {
-		return nil, fmt.Errorf("shard: epsilon %v outside [0,1]", opts.Epsilon)
-	}
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
@@ -188,14 +186,8 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 		opts.Workers = opts.Shards
 	}
 	if opts.Rebalance {
-		if !opts.Dynamic {
-			return nil, fmt.Errorf("shard: Rebalance requires Dynamic")
-		}
 		if opts.MaxSkew == 0 {
 			opts.MaxSkew = 2.0
-		}
-		if opts.MaxSkew < 1 {
-			return nil, fmt.Errorf("shard: MaxSkew %v below 1", opts.MaxSkew)
 		}
 		if opts.MinShardPoints == 0 {
 			opts.MinShardPoints = 32

@@ -229,9 +229,6 @@ func TestUnsortedRejected(t *testing.T) {
 	if _, err := New(Options{Machine: testCfg}, []geom.Point{{X: 5, Y: 1}, {X: 3, Y: 2}}); err == nil {
 		t.Fatal("unsorted input accepted")
 	}
-	if _, err := New(Options{Machine: testCfg, Epsilon: 2}, nil); err == nil {
-		t.Fatal("epsilon out of range accepted")
-	}
 }
 
 // randFourSided draws a rectangle from the 4-sided family: bounded top
