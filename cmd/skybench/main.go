@@ -297,6 +297,10 @@ func e6() {
 		// benchguard reads any field with a decimal point as a metric.
 		fmt.Printf("E6-METRIC epspct=%d n=%d livewords=%.1f liveratio=%.2f reachratio=%.2f\n",
 			int(eps*100), tr.Len(), live, raw, reach)
+		// Peak pins above M/B mean the paper's M = Ω(ℓb) assumption
+		// fails at this ε. Not a METRIC line: no baseline gates it.
+		fmt.Printf("E6-PINS epspct=%d frames=%d peakpins=%d overflows=%d\n",
+			int(eps*100), cfg.Frames(), d.PeakPinned(), d.PinOverflows())
 	}
 }
 

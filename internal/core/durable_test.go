@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -484,5 +485,36 @@ func TestDurableFreshDirWithOrphanWAL(t *testing.T) {
 	}
 	if _, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir}, nil); err == nil {
 		t.Fatalf("second open accepted the orphan WAL")
+	}
+}
+
+// TestDurableCorruptCheckpointRefused: Open passes the pager's
+// ErrCorrupt through for a damaged metadata page and for a damaged
+// point, instead of building an index from the damaged point set.
+func TestDurableCorruptCheckpointRefused(t *testing.T) {
+	for _, off := range []int{20, pager.PageSize + 8} { // WAL sequence; the first point's y
+		dir := t.TempDir()
+		db, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir}, geom.GenUniform(40, 1000, 5))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		path := filepath.Join(dir, pagesFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[off] ^= 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if re, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir}, nil); !errors.Is(err, pager.ErrCorrupt) {
+			if err == nil {
+				re.Close()
+			}
+			t.Fatalf("byte %d flipped: Open err = %v, want pager.ErrCorrupt", off, err)
+		}
 	}
 }

@@ -132,8 +132,9 @@ func TestKeepHoldsExactlyTheSurvivor(t *testing.T) {
 	}
 }
 
-// TestDroppedVersionIsLoud: block ids are never reused, so reading a
-// version its scope dropped cannot silently hit someone else's data.
+// TestDroppedVersionIsLoud: a freed block's id never becomes valid
+// again (even when its slot is reused), so reading a version its scope
+// dropped cannot silently hit someone else's data.
 func TestDroppedVersionIsLoud(t *testing.T) {
 	d := newDisk()
 	sc := d.NewScope()

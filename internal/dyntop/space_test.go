@@ -96,6 +96,12 @@ func TestSpaceBoundAfterChurn(t *testing.T) {
 				}
 			}
 
+			// The paper's M = Ω(ℓb): what the tree pins fits in memory.
+			// It does at every configuration here (B = 256); E6 shows
+			// where it stops holding (ε ≥ 0.75 at n = 16 384).
+			if peak := d.PeakPinned(); peak > cfg.Frames() {
+				t.Errorf("%s eps=%.1f: %d blocks pinned at once, want <= M/B = %d", tc.name, eps, peak, cfg.Frames())
+			}
 			blocks, words := held(d, tr)
 			if limit := spaceBlocksPerDataBlock * cfg.BlocksFor(tr.Len()); blocks > limit {
 				t.Errorf("%s eps=%.1f: nodes hold %d blocks after %d updates, want <= %d·⌈n/B⌉ = %d",

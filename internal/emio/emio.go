@@ -13,6 +13,13 @@
 // paper's "critical records ... loaded in main memory" assumption used for
 // the O(1/B) amortized bounds.
 //
+// The disk's own bookkeeping is a dense table of block slots, sized by
+// the peak number of live blocks: a BlockID carries the allocation
+// sequence of the call that created it and the slot it occupies. Freed
+// slots are reused, but a freed block's id never becomes valid again —
+// its sequence no longer matches the slot — so an access through a stale
+// id panics exactly as an access to a never-allocated block does.
+//
 // A Disk is single-threaded by default. Simulations that share one disk
 // between goroutines (the sharded engine of internal/shard) enable the
 // guarded mode with NewConcurrentDisk or Guard: every public operation
@@ -23,13 +30,36 @@ package emio
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// BlockID identifies one allocated block on the simulated disk.
-// The zero value is never a valid block.
+// BlockID identifies one allocated block on the simulated disk: the
+// allocation sequence of the Alloc, AllocWords or AllocSpan call that
+// created it, shifted left by slotBits, OR the slot the block occupies
+// in the disk's table. The structures rely on three properties:
+//
+//   - ids rise in allocation order, because sequences do (Scope.Keep's
+//     binary search);
+//   - the i-th block of a span is first+i, because a span takes
+//     consecutive slots under one sequence;
+//   - an id whose sequence no longer matches its slot — the block was
+//     freed, and the slot possibly reused — panics on every access, as
+//     an id that was never allocated does.
+//
+// The zero value is never a valid block (sequences start at 1).
 type BlockID uint64
+
+// slotBits is the width of a BlockID's slot field; the sequence takes
+// the other 32 bits. 2^32 sequences and 2^32 slots are far more than
+// any test or benchmark uses; running out of either panics rather than
+// wrapping.
+const (
+	slotBits = 32
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1<<(64-slotBits) - 1
+)
 
 // Config fixes the machine parameters of the simulated EM machine.
 type Config struct {
@@ -111,30 +141,49 @@ type Disk struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
 
-	nextID uint64
+	// seq is the last allocation sequence issued.
+	seq uint64
 
-	// live maps allocated blocks to their size in words (for space
-	// accounting). Blocks are bookkeeping only; payload lives in the
-	// data structures themselves because CPU and RAM of the *host* are
-	// free in the model.
-	live      map[BlockID]int
-	liveWords int64
-	peakWords int64
+	// slots is the block table, indexed by a BlockID's slot field. Blocks
+	// are bookkeeping only; payload lives in the data structures
+	// themselves because CPU and RAM of the *host* are free in the
+	// model. freeRuns[n] lists the first slots of free runs of n
+	// consecutive slots, each left by an AllocSpan of n blocks whose
+	// blocks have all been freed.
+	slots      chunked[slot]
+	freeRuns   [][]uint32
+	liveBlocks int
+	liveWords  int64
+	peakWords  int64
 
-	// frames is the LRU cache of resident blocks: the frame, pin and
-	// eviction discipline shared with the file-backed pager
-	// (internal/pager). Evicting a dirty frame charges one write I/O
-	// through the table's eviction callback.
+	// frames is the LRU cache of resident blocks, keyed by slot: the
+	// frame, pin and eviction discipline shared with the file-backed
+	// pager (internal/pager). Evicting a dirty frame charges one write
+	// I/O through the table's eviction callback.
 	frames *FrameTable
 
 	// Snapshot retention state (see retain.go): while retained is
 	// non-empty, frees are deferred — the block stays live so pinned
 	// point-in-time views can keep reading it — and applied once every
 	// retention that could reference it is released.
-	retainSeq   uint64
-	retained    map[uint64]struct{}
-	deferred    []deferredFree
-	deferredSet map[BlockID]bool
+	retainSeq uint64
+	retained  map[uint64]struct{}
+	deferred  []deferredFree
+}
+
+// slot is one entry of the block table, 16 bytes.
+type slot struct {
+	// seq is the allocation sequence of the block in the slot; 0 marks
+	// a free slot (sequences start at 1).
+	seq uint32
+	// words is the block's accounted size, negated while its Free is
+	// deferred behind open retentions (an allocated block accounts at
+	// least one word, so the sign is free to carry that flag).
+	words int32
+	// off is the block's position in its run: the slots one AllocSpan
+	// took, which keep their offsets while free. live, kept on the
+	// run's first slot, counts the run's blocks still allocated.
+	off, live uint32
 }
 
 // NewDisk returns a Disk for the given machine configuration.
@@ -145,13 +194,14 @@ func NewDisk(cfg Config) *Disk {
 	if cfg.M < 0 {
 		panic("emio: config.M must be >= 0")
 	}
-	d := &Disk{
-		cfg:         cfg,
-		live:        make(map[BlockID]int),
-		retained:    make(map[uint64]struct{}),
-		deferredSet: make(map[BlockID]bool),
+	if cfg.B > math.MaxInt32 {
+		panic("emio: config.B must be < 2^31")
 	}
-	d.frames = NewFrameTable(cfg.Frames(), func(f *Frame) {
+	d := &Disk{
+		cfg:      cfg,
+		retained: make(map[uint64]struct{}),
+	}
+	d.frames = NewFrameTable(cfg.Frames(), func(f Frame) {
 		if f.Dirty {
 			d.writes.Add(1)
 		}
@@ -212,7 +262,7 @@ func (d *Disk) ResetStats() {
 func (d *Disk) LiveBlocks() int {
 	d.lock()
 	defer d.unlock()
-	return len(d.live)
+	return d.liveBlocks
 }
 
 // LiveWords returns the number of allocated words.
@@ -229,6 +279,24 @@ func (d *Disk) PeakWords() int64 {
 	return d.peakWords
 }
 
+// PeakPinned returns the largest number of blocks that were pinned at
+// the same time since the disk was created. The paper's M = Ω(ℓb)
+// assumption is that it never exceeds Config.Frames.
+func (d *Disk) PeakPinned() int {
+	d.lock()
+	defer d.unlock()
+	return d.frames.PeakPinned()
+}
+
+// PinOverflows returns the number of admissions that left the cache
+// holding more than Config.Frames blocks because every other resident
+// block was pinned.
+func (d *Disk) PinOverflows() uint64 {
+	d.lock()
+	defer d.unlock()
+	return d.frames.Overflows()
+}
+
 // Alloc allocates a new block of up to B words and returns its id. The
 // block becomes resident and dirty (it was produced in memory and must be
 // written back eventually); the read I/O is not charged because nothing
@@ -236,7 +304,7 @@ func (d *Disk) PeakWords() int64 {
 func (d *Disk) Alloc() BlockID {
 	d.lock()
 	defer d.unlock()
-	return d.allocWords(d.cfg.B)
+	return d.allocSpan(d.cfg.B)
 }
 
 // AllocWords allocates a block accounted as holding the given number of
@@ -245,25 +313,72 @@ func (d *Disk) Alloc() BlockID {
 func (d *Disk) AllocWords(words int) BlockID {
 	d.lock()
 	defer d.unlock()
-	return d.allocWords(words)
+	return d.allocSpan(min(words, d.cfg.B))
 }
 
-func (d *Disk) allocWords(words int) BlockID {
-	if words < 1 {
-		words = 1
+// allocSpan takes a run of max(1, ceil(words/B)) slots under one new
+// sequence. Every block but the last accounts B words, the last the rest
+// (at least 1), and each is admitted resident and dirty in order.
+func (d *Disk) allocSpan(words int) BlockID {
+	n := max(1, d.cfg.BlocksFor(words))
+	if d.seq == maxSeq {
+		panic("emio: block allocation sequences exhausted")
 	}
-	if words > d.cfg.B {
-		words = d.cfg.B
+	d.seq++
+	first := d.takeRun(n)
+	remaining := words
+	for i := range n {
+		w := max(1, min(remaining, d.cfg.B))
+		remaining -= w
+		s := first + uint32(i)
+		*d.slots.at(uint64(s)) = slot{seq: uint32(d.seq), words: int32(w), off: uint32(i)}
+		d.liveWords += int64(w)
+		if d.liveWords > d.peakWords {
+			d.peakWords = d.liveWords
+		}
+		d.frames.Admit(uint64(s), true, 0)
 	}
-	d.nextID++
-	id := BlockID(d.nextID)
-	d.live[id] = words
-	d.liveWords += int64(words)
-	if d.liveWords > d.peakWords {
-		d.peakWords = d.liveWords
+	d.slots.at(uint64(first)).live = uint32(n)
+	d.liveBlocks += n
+	return BlockID(d.seq<<slotBits | uint64(first))
+}
+
+// takeRun returns the first slot of n consecutive free slots: a run an
+// earlier span of n blocks left behind, or n slots appended to the table.
+func (d *Disk) takeRun(n int) uint32 {
+	if n < len(d.freeRuns) {
+		if runs := d.freeRuns[n]; len(runs) > 0 {
+			d.freeRuns[n] = runs[:len(runs)-1]
+			return runs[len(runs)-1]
+		}
 	}
-	d.frames.Admit(uint64(id), true, 0)
-	return id
+	first := d.slots.len()
+	if uint64(first+n) > slotMask+1 {
+		panic("emio: block table exhausted")
+	}
+	d.slots.grow(n)
+	return uint32(first)
+}
+
+// slotOf returns the slot of a live block, or false when id was never
+// allocated or has been freed.
+func (d *Disk) slotOf(id BlockID) (uint32, bool) {
+	s := uint64(id) & slotMask
+	if s >= uint64(d.slots.len()) {
+		return 0, false
+	}
+	seq := d.slots.at(s).seq
+	return uint32(s), seq != 0 && uint64(seq) == uint64(id)>>slotBits
+}
+
+// mustSlot is slotOf for operations on a block that must be live; it
+// panics with "emio: <what> <id>" otherwise.
+func (d *Disk) mustSlot(id BlockID, what string) uint32 {
+	s, ok := d.slotOf(id)
+	if !ok {
+		panic(fmt.Sprintf("emio: %s %d", what, id))
+	}
+	return s
 }
 
 // Free releases a block. A resident frame is discarded without a
@@ -293,21 +408,48 @@ func (d *Disk) free(id BlockID) {
 }
 
 // reclaim actually releases a block, bypassing retention deferral (the
-// path Retention.Release drains the deferred queue through). Caller
-// holds the lock.
+// path Retention.Release drains the deferred queue through). The slot
+// is cleared at once, so the id goes stale; the run returns to its free
+// list when its last block is released. Caller holds the lock.
 func (d *Disk) reclaim(id BlockID) {
-	words, ok := d.live[id]
-	if !ok {
-		panic(fmt.Sprintf("emio: Free of unknown block %d", id))
-	}
-	if f := d.frames.Get(uint64(id)); f != nil {
+	s := d.mustSlot(id, "Free of unknown block")
+	if f, ok := d.frames.Get(uint64(s)); ok {
 		if f.Pins > 0 {
 			panic(fmt.Sprintf("emio: Free of pinned block %d (%d outstanding pins)", id, f.Pins))
 		}
-		d.frames.Remove(f)
+		d.frames.Remove(uint64(s))
 	}
-	delete(d.live, id)
-	d.liveWords -= int64(words)
+	sl := d.slots.at(uint64(s))
+	d.liveBlocks--
+	d.liveWords -= int64(abs(sl.words))
+	first := s - sl.off
+	*sl = slot{off: sl.off, live: sl.live}
+	head := d.slots.at(uint64(first))
+	if head.live--; head.live == 0 {
+		n := d.runLen(first)
+		for len(d.freeRuns) <= n {
+			d.freeRuns = append(d.freeRuns, nil)
+		}
+		d.freeRuns[n] = append(d.freeRuns[n], first)
+	}
+}
+
+// runLen returns the number of slots in the run starting at first. Runs
+// tile the table, so the run ends at the next slot with offset 0 (the
+// next run's first) or at the end of the table.
+func (d *Disk) runLen(first uint32) int {
+	n := 1
+	for s := uint64(first) + 1; s < uint64(d.slots.len()) && d.slots.at(s).off != 0; s++ {
+		n++
+	}
+	return n
+}
+
+func abs(w int32) int32 {
+	if w < 0 {
+		return -w
+	}
+	return w
 }
 
 // Read touches a block for reading. If the block is not resident one read
@@ -337,9 +479,7 @@ func (d *Disk) Write(id BlockID) {
 func (d *Disk) ReadCold(id BlockID) {
 	d.lock()
 	defer d.unlock()
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: access to unallocated block %d", id))
-	}
+	d.mustSlot(id, "access to unallocated block")
 	d.reads.Add(1)
 }
 
@@ -369,27 +509,7 @@ func (d *Disk) WriteSpan(id BlockID, words int) {
 func (d *Disk) AllocSpan(words int) BlockID {
 	d.lock()
 	defer d.unlock()
-	n := d.cfg.BlocksFor(words)
-	if n == 0 {
-		n = 1
-	}
-	var first BlockID
-	remaining := words
-	for i := 0; i < n; i++ {
-		w := remaining
-		if w > d.cfg.B {
-			w = d.cfg.B
-		}
-		if w < 1 {
-			w = 1
-		}
-		id := d.allocWords(w)
-		if i == 0 {
-			first = id
-		}
-		remaining -= w
-	}
-	return first
+	return d.allocSpan(words)
 }
 
 // FreeSpan frees the consecutive blocks of a span allocated with
@@ -412,18 +532,15 @@ func (d *Disk) Pin(id BlockID) {
 }
 
 func (d *Disk) pin(id BlockID) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: Pin of unallocated block %d", id))
-	}
-	if f := d.frames.Get(uint64(id)); f != nil {
-		d.frames.Pin(f)
+	s := uint64(d.mustSlot(id, "Pin of unallocated block"))
+	if d.frames.Pin(s) {
 		return
 	}
 	// Fetch and pin atomically (Admit with pins=1) so the new frame
 	// cannot be chosen as its own eviction victim when the cache is
 	// saturated with pins.
 	d.reads.Add(1)
-	d.frames.Admit(uint64(id), false, 1)
+	d.frames.Admit(s, false, 1)
 }
 
 // Unpin releases one pin of a block.
@@ -434,11 +551,10 @@ func (d *Disk) Unpin(id BlockID) {
 }
 
 func (d *Disk) unpin(id BlockID) {
-	f := d.frames.Get(uint64(id))
-	if f == nil || f.Pins == 0 {
+	s, ok := d.slotOf(id)
+	if !ok || !d.frames.Unpin(uint64(s)) {
 		panic(fmt.Sprintf("emio: Unpin of unpinned block %d", id))
 	}
-	d.frames.Unpin(f)
 }
 
 // PinSpan pins every block of a multi-block node.
@@ -471,13 +587,10 @@ func (d *Disk) Admit(id BlockID) {
 }
 
 func (d *Disk) admitClean(id BlockID) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: Admit of unallocated block %d", id))
+	s := uint64(d.mustSlot(id, "Admit of unallocated block"))
+	if !d.frames.Resident(s) {
+		d.frames.Admit(s, false, 0)
 	}
-	if d.frames.Get(uint64(id)) != nil {
-		return
-	}
-	d.frames.Admit(uint64(id), false, 0)
 }
 
 // AdmitSpan admits every block of a multi-block node.
@@ -494,32 +607,26 @@ func (d *Disk) AdmitSpan(id BlockID, words int) {
 func (d *Disk) DropCache() {
 	d.lock()
 	defer d.unlock()
-	d.dropCache()
-}
-
-func (d *Disk) dropCache() {
 	d.frames.EvictAll()
 }
 
 // Resident reports whether the block currently occupies a cache frame.
+// A freed block is never resident.
 func (d *Disk) Resident(id BlockID) bool {
 	d.lock()
 	defer d.unlock()
-	return d.frames.Get(uint64(id)) != nil
+	s, ok := d.slotOf(id)
+	return ok && d.frames.Resident(uint64(s))
 }
 
 // touch makes id resident, charging I/Os as needed, and moves it to the
 // front of the LRU list.
 func (d *Disk) touch(id BlockID, write bool) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: access to unallocated block %d", id))
+	s := uint64(d.mustSlot(id, "access to unallocated block"))
+	if !d.frames.Touch(s, write) {
+		d.reads.Add(1)
+		d.frames.Admit(s, write, 0)
 	}
-	if f := d.frames.Get(uint64(id)); f != nil {
-		d.frames.Touch(f, write)
-		return
-	}
-	d.reads.Add(1)
-	d.frames.Admit(uint64(id), write, 0)
 }
 
 // Measure runs fn with a cold cache and returns the I/O stats it

@@ -324,3 +324,60 @@ func TestQuickLRUMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStaleIDPanics: a freed block's slot is reused by the next
+// allocation, but the freed id stays dead — every operation through it
+// panics as an access to a never-allocated block does, and the block
+// now in the slot is untouched.
+func TestStaleIDPanics(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	old := d.Alloc()
+	d.Free(old)
+	cur := d.Alloc()
+	if cur&slotMask != old&slotMask || cur == old {
+		t.Fatalf("new block %#x did not reuse the slot of freed %#x under a new sequence", cur, old)
+	}
+	if cur < old {
+		t.Fatalf("new block %#x sorts before the older %#x", cur, old)
+	}
+	mustPanic(t, "Read of a stale id", func() { d.Read(old) })
+	mustPanic(t, "Write of a stale id", func() { d.Write(old) })
+	mustPanic(t, "Pin of a stale id", func() { d.Pin(old) })
+	mustPanic(t, "Admit of a stale id", func() { d.Admit(old) })
+	mustPanic(t, "Free of a stale id", func() { d.Free(old) })
+	mustPanic(t, "ReadCold of a stale id", func() { d.ReadCold(old) })
+	if d.Resident(old) {
+		t.Fatal("a stale id reports resident")
+	}
+	if d.LiveBlocks() != 1 || !d.Resident(cur) {
+		t.Fatalf("the stale accesses disturbed the live block: live=%d resident=%v", d.LiveBlocks(), d.Resident(cur))
+	}
+	d.Free(cur)
+	if d.LiveBlocks() != 0 {
+		t.Fatalf("LiveBlocks = %d, want 0", d.LiveBlocks())
+	}
+}
+
+// TestSpanSlotsReused: a freed span's run of slots goes to the next span
+// of the same length, so the table stays at the peak live size under
+// churn.
+func TestSpanSlotsReused(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	for range 100 {
+		one := d.AllocSpan(3)
+		three := d.AllocSpan(10)
+		d.FreeSpan(three, 10)
+		d.Free(one)
+	}
+	if d.slots.len() != 4 {
+		t.Fatalf("block table has %d slots after churn, want 4 (the peak live)", d.slots.len())
+	}
+}
+
+// TestSequenceExhaustionPanics: the id's sequence field never wraps.
+func TestSequenceExhaustionPanics(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	d.seq = maxSeq - 1
+	d.Alloc()
+	mustPanic(t, "Alloc past the last sequence", func() { d.Alloc() })
+}

@@ -1,64 +1,91 @@
 // FrameTable: the LRU frame cache extracted from Disk so that every
 // cache of fixed-size storage units in the repository shares one
 // eviction and pin discipline. Disk uses it for its simulated block
-// frames; internal/pager uses it for the 4 KB page frames of the real
-// file-backed store. The discipline is exactly the one the paper's
-// I/O accounting rests on:
+// frames (keyed by block slot); internal/pager uses it for the 4 KB
+// page frames of the real file-backed store (keyed by page number).
+// The discipline is exactly the one the paper's I/O accounting rests
+// on:
 //
 //   - frames form an LRU list; admitting past capacity evicts the
 //     least recently used UNPINNED frame (the eviction callback sees
 //     it before it is dropped, so a dirty frame can be written back);
 //   - pinned frames are never evicted — the cache may overflow by
 //     pinned frames only, mirroring the paper's assumption M = Ω(ℓb)
-//     that the critical records always fit in memory;
+//     that the critical records always fit in memory. Each admission
+//     that leaves the table over capacity is counted (Overflows), and
+//     the high-water mark of pinned frames is kept (PeakPinned), so a
+//     structure that pins more than M/B frames is visible;
 //   - pins nest, and the pinned/unpinned population counts are
 //     maintained exactly, so owners can assert the accounting that the
 //     paper's amortized bounds rest on.
+//
+// Keys are small dense integers (a disk slot, a page number): the table
+// finds a frame through a slice indexed by key, and keeps its frames in
+// a pointer-free slice linked by int32 positions with a free-frame
+// list, so an admission allocates nothing once the table has reached
+// its working size and the garbage collector has nothing to scan.
 //
 // The table is not safe for concurrent use; owners guard it with their
 // own mutex (Disk's guarded mode, the pager's lock).
 package emio
 
-// Frame is one cache slot of a FrameTable, holding the residency state
-// of one fixed-size storage unit (a simulated block, a pager page).
-// Owners attach payloads by keying on ID in a side table.
+// Frame is the residency state of one cached unit (a simulated block,
+// a pager page), as Get and the eviction callback report it.
 type Frame struct {
-	// ID names the cached unit.
-	ID uint64
+	// Key names the cached unit.
+	Key uint64
 	// Dirty marks content that must be written back on eviction.
 	Dirty bool
 	// Pins counts nested pins; a pinned frame is never evicted.
 	Pins int
+}
 
-	prev *Frame // LRU list; more recently used towards head
-	next *Frame
+// nilFrame ends an LRU list or the free-frame list.
+const nilFrame int32 = -1
+
+// frame is one slot of FrameTable.frames. A free slot is linked into
+// the free-frame list through next.
+type frame struct {
+	key        uint64
+	pins       int32
+	dirty      bool
+	prev, next int32 // LRU list; more recently used towards head
 }
 
 // FrameTable is an LRU table of resident frames with a pin discipline.
 type FrameTable struct {
-	resident map[uint64]*Frame
-	head     *Frame // most recently used
-	tail     *Frame // least recently used
-	unpinned int    // resident frames with Pins == 0
-	pinned   int    // resident frames with Pins > 0
-	capacity int    // total frames permitted (pins may overflow it)
-	onEvict  func(*Frame)
+	frames []frame
+	// index maps a key to its frame's position plus one; zero means
+	// not resident.
+	index    chunked[int32]
+	free     int32 // head of the free-frame list
+	head     int32 // most recently used
+	tail     int32 // least recently used
+	unpinned int   // resident frames with pins == 0
+	pinned   int   // resident frames with pins > 0
+	capacity int   // total frames permitted (pins may overflow it)
+	onEvict  func(Frame)
+
+	peakPinned int
+	overflows  uint64
 }
 
 // NewFrameTable returns an empty table holding up to capacity frames.
 // onEvict, which may be nil, is called with each frame chosen for
 // eviction (and by EvictAll) before the frame is dropped — the hook
 // where a dirty frame's write-back happens.
-func NewFrameTable(capacity int, onEvict func(*Frame)) *FrameTable {
+func NewFrameTable(capacity int, onEvict func(Frame)) *FrameTable {
 	return &FrameTable{
-		resident: make(map[uint64]*Frame),
+		free:     nilFrame,
+		head:     nilFrame,
+		tail:     nilFrame,
 		capacity: capacity,
 		onEvict:  onEvict,
 	}
 }
 
 // Len returns the number of resident frames.
-func (t *FrameTable) Len() int { return len(t.resident) }
+func (t *FrameTable) Len() int { return t.pinned + t.unpinned }
 
 // Pinned returns the number of resident frames with at least one pin.
 func (t *FrameTable) Pinned() int { return t.pinned }
@@ -66,133 +93,222 @@ func (t *FrameTable) Pinned() int { return t.pinned }
 // Unpinned returns the number of resident frames with no pins.
 func (t *FrameTable) Unpinned() int { return t.unpinned }
 
-// Get returns the resident frame for id, or nil. Residency is not a
-// use; callers that mean "access" follow up with Touch.
-func (t *FrameTable) Get(id uint64) *Frame { return t.resident[id] }
+// PeakPinned returns the largest number of frames that were pinned at
+// the same time since the table was created.
+func (t *FrameTable) PeakPinned() int { return t.peakPinned }
 
-// Touch moves a resident frame to the most-recently-used position and
-// ORs dirty into its dirty bit.
-func (t *FrameTable) Touch(f *Frame, dirty bool) {
-	t.unlink(f)
-	t.pushFront(f)
+// Overflows returns the number of admissions that left the table over
+// capacity because every other frame was pinned.
+func (t *FrameTable) Overflows() uint64 { return t.overflows }
+
+// lookup returns the position of key's frame, or nilFrame.
+func (t *FrameTable) lookup(key uint64) int32 {
+	if key < uint64(t.index.len()) {
+		return *t.index.at(key) - 1
+	}
+	return nilFrame
+}
+
+// Resident reports whether key has a frame.
+func (t *FrameTable) Resident(key uint64) bool { return t.lookup(key) != nilFrame }
+
+// Get returns the residency state of key's frame and whether it is
+// resident. Residency is not a use; callers that mean "access" follow
+// up with Touch.
+func (t *FrameTable) Get(key uint64) (Frame, bool) {
+	i := t.lookup(key)
+	if i == nilFrame {
+		return Frame{}, false
+	}
+	f := &t.frames[i]
+	return Frame{Key: f.key, Dirty: f.dirty, Pins: int(f.pins)}, true
+}
+
+// Touch moves key's frame to the most-recently-used position, ORs
+// dirty into its dirty bit, and reports true; it reports false, and
+// changes nothing, when key is not resident.
+func (t *FrameTable) Touch(key uint64, dirty bool) bool {
+	i := t.lookup(key)
+	if i == nilFrame {
+		return false
+	}
+	t.moveToFront(i)
 	if dirty {
-		f.Dirty = true
+		t.frames[i].dirty = true
+	}
+	return true
+}
+
+// Clean clears the dirty bit of key's frame (after its content was
+// written back), if it is resident.
+func (t *FrameTable) Clean(key uint64) {
+	if i := t.lookup(key); i != nilFrame {
+		t.frames[i].dirty = false
 	}
 }
 
-// Admit inserts a frame for id at the most-recently-used position and
+// Admit inserts a frame for key at the most-recently-used position and
 // evicts least-recently-used unpinned frames while the table is over
 // capacity. pins > 0 admits the frame already pinned (fetch-and-pin
 // must be atomic so the new frame cannot be chosen as its own eviction
 // victim when the cache is saturated with pins). The caller guarantees
-// id is not resident.
-func (t *FrameTable) Admit(id uint64, dirty bool, pins int) *Frame {
-	f := &Frame{ID: id, Dirty: dirty, Pins: pins}
-	t.pushFront(f)
-	t.resident[id] = f
+// key is not resident.
+func (t *FrameTable) Admit(key uint64, dirty bool, pins int) {
+	i := t.free
+	if i != nilFrame {
+		t.free = t.frames[i].next
+	} else {
+		i = int32(len(t.frames))
+		t.frames = append(t.frames, frame{})
+	}
+	t.frames[i] = frame{key: key, dirty: dirty, pins: int32(pins)}
+	t.pushFront(i)
+	if key >= uint64(t.index.len()) {
+		t.index.grow(int(key+1) - t.index.len())
+	}
+	*t.index.at(key) = i + 1
 	if pins > 0 {
 		t.pinned++
+		t.peakPinned = max(t.peakPinned, t.pinned)
 	} else {
 		t.unpinned++
 	}
-	for len(t.resident) > t.capacity {
+	for t.Len() > t.capacity {
 		victim := t.lruUnpinned()
-		if victim == nil {
+		if victim == nilFrame {
 			// Everything is pinned; the table is allowed to overflow
 			// by pinned frames only (M = Ω(ℓb)).
+			t.overflows++
 			break
 		}
 		t.evict(victim)
 	}
-	return f
 }
 
-// Pin adds one pin to a resident frame and makes it most recently used.
-func (t *FrameTable) Pin(f *Frame) {
-	t.unlink(f)
-	t.pushFront(f)
-	if f.Pins == 0 {
+// Pin adds one pin to key's frame, makes it most recently used, and
+// reports true; it reports false when key is not resident.
+func (t *FrameTable) Pin(key uint64) bool {
+	i := t.lookup(key)
+	if i == nilFrame {
+		return false
+	}
+	t.moveToFront(i)
+	f := &t.frames[i]
+	if f.pins == 0 {
 		t.unpinned--
 		t.pinned++
+		t.peakPinned = max(t.peakPinned, t.pinned)
 	}
-	f.Pins++
+	f.pins++
+	return true
 }
 
-// Unpin releases one pin.
-func (t *FrameTable) Unpin(f *Frame) {
-	f.Pins--
-	if f.Pins == 0 {
+// Unpin releases one pin of key's frame and reports true; it reports
+// false, and changes nothing, when key is not resident or not pinned.
+func (t *FrameTable) Unpin(key uint64) bool {
+	i := t.lookup(key)
+	if i == nilFrame || t.frames[i].pins == 0 {
+		return false
+	}
+	f := &t.frames[i]
+	f.pins--
+	if f.pins == 0 {
 		t.pinned--
 		t.unpinned++
 	}
+	return true
 }
 
-// Remove drops a frame without the eviction callback — the path for
-// freeing a dead unit whose content must NOT be written back.
-func (t *FrameTable) Remove(f *Frame) {
-	if f.Pins > 0 {
+// Remove drops key's frame, if resident, without the eviction callback
+// — the path for freeing a dead unit whose content must NOT be written
+// back.
+func (t *FrameTable) Remove(key uint64) {
+	i := t.lookup(key)
+	if i == nilFrame {
+		return
+	}
+	if t.frames[i].pins > 0 {
 		t.pinned--
 	} else {
 		t.unpinned--
 	}
-	t.unlink(f)
-	delete(t.resident, f.ID)
+	t.drop(i)
 }
 
 // EvictAll evicts every unpinned frame (running the eviction callback
 // on each), least recently used first. Pinned frames stay resident.
 func (t *FrameTable) EvictAll() {
-	for f := t.tail; f != nil; {
-		prev := f.prev
-		if f.Pins == 0 {
-			t.evict(f)
+	for i := t.tail; i != nilFrame; {
+		prev := t.frames[i].prev
+		if t.frames[i].pins == 0 {
+			t.evict(i)
 		}
-		f = prev
+		i = prev
 	}
 }
 
-// evict runs the callback and drops the (unpinned) frame.
-func (t *FrameTable) evict(f *Frame) {
+// evict runs the callback and drops the (unpinned) frame at i.
+func (t *FrameTable) evict(i int32) {
 	if t.onEvict != nil {
-		t.onEvict(f)
+		f := &t.frames[i]
+		t.onEvict(Frame{Key: f.key, Dirty: f.dirty})
 	}
-	t.unlink(f)
-	delete(t.resident, f.ID)
 	t.unpinned--
+	t.drop(i)
 }
 
-// lruUnpinned returns the least recently used unpinned frame, or nil.
-func (t *FrameTable) lruUnpinned() *Frame {
-	for f := t.tail; f != nil; f = f.prev {
-		if f.Pins == 0 {
-			return f
+// drop unlinks the frame at i, clears its index entry and returns the
+// slot to the free-frame list.
+func (t *FrameTable) drop(i int32) {
+	t.unlink(i)
+	*t.index.at(t.frames[i].key) = 0
+	t.frames[i].next = t.free
+	t.free = i
+}
+
+// lruUnpinned returns the least recently used unpinned frame, or
+// nilFrame.
+func (t *FrameTable) lruUnpinned() int32 {
+	for i := t.tail; i != nilFrame; i = t.frames[i].prev {
+		if t.frames[i].pins == 0 {
+			return i
 		}
 	}
-	return nil
+	return nilFrame
 }
 
-func (t *FrameTable) pushFront(f *Frame) {
-	f.prev = nil
+func (t *FrameTable) moveToFront(i int32) {
+	if t.head == i {
+		return
+	}
+	t.unlink(i)
+	t.pushFront(i)
+}
+
+func (t *FrameTable) pushFront(i int32) {
+	f := &t.frames[i]
+	f.prev = nilFrame
 	f.next = t.head
-	if t.head != nil {
-		t.head.prev = f
+	if t.head != nilFrame {
+		t.frames[t.head].prev = i
 	}
-	t.head = f
-	if t.tail == nil {
-		t.tail = f
+	t.head = i
+	if t.tail == nilFrame {
+		t.tail = i
 	}
 }
 
-func (t *FrameTable) unlink(f *Frame) {
-	if f.prev != nil {
-		f.prev.next = f.next
+func (t *FrameTable) unlink(i int32) {
+	f := &t.frames[i]
+	if f.prev != nilFrame {
+		t.frames[f.prev].next = f.next
 	} else {
 		t.head = f.next
 	}
-	if f.next != nil {
-		f.next.prev = f.prev
+	if f.next != nilFrame {
+		t.frames[f.next].prev = f.prev
 	} else {
 		t.tail = f.prev
 	}
-	f.prev, f.next = nil, nil
+	f.prev, f.next = nilFrame, nilFrame
 }

@@ -1,0 +1,539 @@
+package emio
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// refDisk is the reference model FuzzDiskModel checks Disk against: the
+// disk's semantics written the plainest way. Ids are never reused, the
+// live set, the deferred set and the open retentions are maps, and the
+// frame cache is a slice in LRU order, most recently used first.
+type refDisk struct {
+	cfg                  Config
+	reads, writes        uint64
+	nextID               uint64
+	live                 map[uint64]int // id -> words
+	liveWords, peakWords int64
+	lru                  []*refFrame
+	peakPinned           int
+	overflows            uint64
+	retainSeq            uint64
+	retained             map[uint64]bool
+	deferred             []refDeferred
+	deferredSet          map[uint64]bool
+}
+
+type refFrame struct {
+	id    uint64
+	dirty bool
+	pins  int
+}
+
+type refDeferred struct{ id, epoch uint64 }
+
+func newRefDisk(cfg Config) *refDisk {
+	return &refDisk{cfg: cfg, live: map[uint64]int{}, retained: map[uint64]bool{}, deferredSet: map[uint64]bool{}}
+}
+
+// find returns id's position in the LRU slice, or -1.
+func (r *refDisk) find(id uint64) int {
+	for i, f := range r.lru {
+		if f.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refDisk) pinned() (n int) {
+	for _, f := range r.lru {
+		if f.pins > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refDisk) toFront(i int) *refFrame {
+	f := r.lru[i]
+	r.lru = append(r.lru[:i], r.lru[i+1:]...)
+	r.lru = append([]*refFrame{f}, r.lru...)
+	return f
+}
+
+func (r *refDisk) admit(id uint64, dirty bool, pins int) {
+	r.lru = append([]*refFrame{{id: id, dirty: dirty, pins: pins}}, r.lru...)
+	r.peakPinned = max(r.peakPinned, r.pinned())
+	for len(r.lru) > r.cfg.Frames() {
+		v := len(r.lru) - 1
+		for v >= 0 && r.lru[v].pins > 0 {
+			v--
+		}
+		if v < 0 {
+			r.overflows++
+			break
+		}
+		if r.lru[v].dirty {
+			r.writes++
+		}
+		r.lru = append(r.lru[:v], r.lru[v+1:]...)
+	}
+}
+
+func (r *refDisk) mustLive(id uint64, what string) {
+	if _, ok := r.live[id]; !ok {
+		panic(fmt.Sprintf("ref: %s %d", what, id))
+	}
+}
+
+func (r *refDisk) allocSpan(words int) uint64 {
+	n := max(1, r.cfg.BlocksFor(words))
+	first := r.nextID + 1
+	remaining := words
+	for range n {
+		w := max(1, min(remaining, r.cfg.B))
+		remaining -= w
+		r.nextID++
+		r.live[r.nextID] = w
+		r.liveWords += int64(w)
+		r.peakWords = max(r.peakWords, r.liveWords)
+		r.admit(r.nextID, true, 0)
+	}
+	return first
+}
+
+func (r *refDisk) touch(id uint64, write bool) {
+	r.mustLive(id, "access to unallocated block")
+	if i := r.find(id); i >= 0 {
+		f := r.toFront(i)
+		f.dirty = f.dirty || write
+		return
+	}
+	r.reads++
+	r.admit(id, write, 0)
+}
+
+func (r *refDisk) readCold(id uint64) {
+	r.mustLive(id, "access to unallocated block")
+	r.reads++
+}
+
+func (r *refDisk) pin(id uint64) {
+	r.mustLive(id, "Pin of unallocated block")
+	if i := r.find(id); i >= 0 {
+		r.toFront(i).pins++
+		r.peakPinned = max(r.peakPinned, r.pinned())
+		return
+	}
+	r.reads++
+	r.admit(id, false, 1)
+}
+
+func (r *refDisk) unpin(id uint64) {
+	i := r.find(id)
+	if i < 0 || r.lru[i].pins == 0 {
+		panic(fmt.Sprintf("ref: Unpin of unpinned block %d", id))
+	}
+	r.lru[i].pins--
+}
+
+func (r *refDisk) admitClean(id uint64) {
+	r.mustLive(id, "Admit of unallocated block")
+	if r.find(id) < 0 {
+		r.admit(id, false, 0)
+	}
+}
+
+func (r *refDisk) dropCache() {
+	for i := len(r.lru) - 1; i >= 0; i-- {
+		if f := r.lru[i]; f.pins == 0 {
+			if f.dirty {
+				r.writes++
+			}
+			r.lru = append(r.lru[:i], r.lru[i+1:]...)
+		}
+	}
+}
+
+func (r *refDisk) free(id uint64) {
+	if len(r.retained) == 0 {
+		r.reclaim(id)
+		return
+	}
+	r.mustLive(id, "Free of unknown block")
+	if r.deferredSet[id] {
+		panic(fmt.Sprintf("ref: double Free of deferred block %d", id))
+	}
+	r.deferredSet[id] = true
+	r.deferred = append(r.deferred, refDeferred{id: id, epoch: r.retainSeq})
+}
+
+func (r *refDisk) reclaim(id uint64) {
+	r.mustLive(id, "Free of unknown block")
+	if i := r.find(id); i >= 0 {
+		if r.lru[i].pins > 0 {
+			panic(fmt.Sprintf("ref: Free of pinned block %d", id))
+		}
+		r.lru = append(r.lru[:i], r.lru[i+1:]...)
+	}
+	r.liveWords -= int64(r.live[id])
+	delete(r.live, id)
+}
+
+func (r *refDisk) retain() uint64 {
+	r.retainSeq++
+	r.retained[r.retainSeq] = true
+	return r.retainSeq
+}
+
+func (r *refDisk) release(seq uint64) {
+	if !r.retained[seq] {
+		return
+	}
+	delete(r.retained, seq)
+	minOpen := r.retainSeq + 1
+	for s := range r.retained {
+		minOpen = min(minOpen, s)
+	}
+	i := 0
+	for ; i < len(r.deferred) && r.deferred[i].epoch < minOpen; i++ {
+		delete(r.deferredSet, r.deferred[i].id)
+		r.reclaim(r.deferred[i].id)
+	}
+	r.deferred = r.deferred[i:]
+}
+
+// refScope models Scope: the spans an operation allocated, in order.
+type refScope struct {
+	spans    []refSpan
+	released bool
+}
+
+type refSpan struct {
+	id    uint64
+	words int
+	kept  bool
+}
+
+func (r *refDisk) scopeAlloc(s *refScope, words int) uint64 {
+	if s.released {
+		panic("ref: AllocSpan on a released scope")
+	}
+	id := r.allocSpan(words)
+	s.spans = append(s.spans, refSpan{id: id, words: words})
+	return id
+}
+
+func (r *refDisk) keep(s *refScope, id uint64) bool {
+	for i, sp := range s.spans {
+		if id >= sp.id && id < sp.id+uint64(r.cfg.blocks(Span{Words: sp.words})) {
+			s.spans[i].kept = true
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refDisk) scopeRelease(s *refScope) (kept []refSpan) {
+	if s.released {
+		panic("ref: scope released twice")
+	}
+	s.released = true
+	for _, sp := range s.spans {
+		if sp.kept {
+			kept = append(kept, sp)
+			continue
+		}
+		for j := range r.cfg.blocks(Span{Words: sp.words}) {
+			r.reclaim(sp.id + uint64(j))
+		}
+	}
+	return kept
+}
+
+// modelRun drives a Disk and its reference model through the same op
+// sequence, decoded from ops, and fails at the first disagreement.
+type modelRun struct {
+	t      *testing.T
+	d      *Disk
+	r      *refDisk
+	ops    []byte
+	toDisk map[uint64]BlockID // model id -> disk id; 0 -> 0, never valid
+	ids    []uint64           // every model id issued, and 0
+	spans  []refSpan          // every span allocated (words as allocated)
+	rets   []modelRetention
+	scope  *Scope
+	rscope *refScope
+	last   string // the op last run, for failure messages
+}
+
+type modelRetention struct {
+	seq uint64
+	ret *Retention
+}
+
+// next consumes one byte of the op stream; an exhausted stream reads 0.
+func (m *modelRun) next() int {
+	if len(m.ops) == 0 {
+		return 0
+	}
+	b := m.ops[0]
+	m.ops = m.ops[1:]
+	return int(b)
+}
+
+func (m *modelRun) pickID() uint64 { return m.ids[m.next()%len(m.ids)] }
+
+func (m *modelRun) pickSpan() (refSpan, bool) {
+	if len(m.spans) == 0 {
+		return refSpan{}, false
+	}
+	return m.spans[m.next()%len(m.spans)], true
+}
+
+func (m *modelRun) record(mid uint64, did BlockID, words int) {
+	for i := range m.r.cfg.blocks(Span{Words: words}) {
+		m.toDisk[mid+uint64(i)] = did + BlockID(i)
+		m.ids = append(m.ids, mid+uint64(i))
+	}
+	m.spans = append(m.spans, refSpan{id: mid, words: words})
+}
+
+// do runs one op on both sides; either both panic or neither does.
+func (m *modelRun) do(name string, model, disk func()) {
+	m.t.Helper()
+	m.last = name
+	mp, dp := panics(model), panics(disk)
+	if mp != dp {
+		m.t.Fatalf("%s: model panicked %v, disk panicked %v", name, mp, dp)
+	}
+}
+
+func panics(fn func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	fn()
+	return false
+}
+
+// check compares the disk with the model after an op.
+func (m *modelRun) check() {
+	m.t.Helper()
+	d, r, name := m.d, m.r, m.last
+	if got, want := d.Stats(), (Stats{Reads: r.reads, Writes: r.writes}); got != want {
+		m.t.Fatalf("%s: Stats %v, model %v", name, got, want)
+	}
+	if d.LiveBlocks() != len(r.live) || d.LiveWords() != r.liveWords || d.PeakWords() != r.peakWords {
+		m.t.Fatalf("%s: live %d blocks %d words (peak %d), model %d/%d (peak %d)", name,
+			d.LiveBlocks(), d.LiveWords(), d.PeakWords(), len(r.live), r.liveWords, r.peakWords)
+	}
+	if d.DeferredBlocks() != len(r.deferred) {
+		m.t.Fatalf("%s: DeferredBlocks %d, model %d", name, d.DeferredBlocks(), len(r.deferred))
+	}
+	if d.PeakPinned() != r.peakPinned || d.PinOverflows() != r.overflows {
+		m.t.Fatalf("%s: peak pins %d overflows %d, model %d/%d", name,
+			d.PeakPinned(), d.PinOverflows(), r.peakPinned, r.overflows)
+	}
+	resident := make(map[uint64]bool, len(r.lru))
+	for _, f := range r.lru {
+		resident[f.id] = true
+	}
+	for id := range r.live {
+		if got, want := d.Resident(m.toDisk[id]), resident[id]; got != want {
+			m.t.Fatalf("%s: Resident(%d) = %v, model %v", name, id, got, want)
+		}
+	}
+}
+
+// step decodes and runs one op.
+func (m *modelRun) step() {
+	d, r := m.d, m.r
+	B := r.cfg.B
+	switch op := m.next() % 22; op {
+	case 0:
+		var mid uint64
+		var did BlockID
+		m.do("Alloc", func() { mid = r.allocSpan(B) }, func() { did = d.Alloc() })
+		m.record(mid, did, B)
+	case 1:
+		w := m.next()%(B+3) - 1
+		var mid uint64
+		var did BlockID
+		m.do(fmt.Sprintf("AllocWords(%d)", w), func() { mid = r.allocSpan(min(w, B)) }, func() { did = d.AllocWords(w) })
+		m.record(mid, did, min(w, B))
+	case 2:
+		w := m.next() % (6*B + 1)
+		var mid uint64
+		var did BlockID
+		m.do(fmt.Sprintf("AllocSpan(%d)", w), func() { mid = r.allocSpan(w) }, func() { did = d.AllocSpan(w) })
+		m.record(mid, did, w)
+	case 3:
+		id := m.pickID()
+		m.do(fmt.Sprintf("Free(%d)", id), func() { r.free(id) }, func() { d.Free(m.toDisk[id]) })
+	case 4, 5:
+		sp, ok := m.pickSpan()
+		if !ok {
+			return
+		}
+		if op == 4 {
+			m.do(fmt.Sprintf("FreeSpan(%d,%d)", sp.id, sp.words), func() {
+				for i := range r.cfg.BlocksFor(sp.words) {
+					r.free(sp.id + uint64(i))
+				}
+			}, func() { d.FreeSpan(m.toDisk[sp.id], sp.words) })
+			return
+		}
+		m.do(fmt.Sprintf("FreeSpans(%d,%d)", sp.id, sp.words), func() {
+			for i := range r.cfg.blocks(Span{Words: sp.words}) {
+				r.free(sp.id + uint64(i))
+			}
+		}, func() { d.FreeSpans([]Span{{ID: m.toDisk[sp.id], Words: sp.words}}) })
+	case 6, 7:
+		id, write := m.pickID(), op == 7
+		m.do(fmt.Sprintf("touch(%d,%v)", id, write), func() { r.touch(id, write) }, func() {
+			if write {
+				d.Write(m.toDisk[id])
+			} else {
+				d.Read(m.toDisk[id])
+			}
+		})
+	case 8, 9:
+		sp, ok := m.pickSpan()
+		if !ok {
+			return
+		}
+		write := op == 9
+		m.do(fmt.Sprintf("touchSpan(%d,%d,%v)", sp.id, sp.words, write), func() {
+			for i := range r.cfg.BlocksFor(sp.words) {
+				r.touch(sp.id+uint64(i), write)
+			}
+		}, func() {
+			if write {
+				d.WriteSpan(m.toDisk[sp.id], sp.words)
+			} else {
+				d.ReadSpan(m.toDisk[sp.id], sp.words)
+			}
+		})
+	case 10:
+		id := m.pickID()
+		m.do(fmt.Sprintf("ReadCold(%d)", id), func() { r.readCold(id) }, func() { d.ReadCold(m.toDisk[id]) })
+	case 11:
+		id := m.pickID()
+		m.do(fmt.Sprintf("Pin(%d)", id), func() { r.pin(id) }, func() { d.Pin(m.toDisk[id]) })
+	case 12:
+		id := m.pickID()
+		m.do(fmt.Sprintf("Unpin(%d)", id), func() { r.unpin(id) }, func() { d.Unpin(m.toDisk[id]) })
+	case 13:
+		sp, ok := m.pickSpan()
+		if !ok {
+			return
+		}
+		m.do(fmt.Sprintf("PinSpan(%d,%d)", sp.id, sp.words), func() {
+			for i := range r.cfg.BlocksFor(sp.words) {
+				r.pin(sp.id + uint64(i))
+			}
+		}, func() { d.PinSpan(m.toDisk[sp.id], sp.words) })
+	case 14:
+		id := m.pickID()
+		m.do(fmt.Sprintf("Admit(%d)", id), func() { r.admitClean(id) }, func() { d.Admit(m.toDisk[id]) })
+	case 15:
+		m.do("DropCache", r.dropCache, d.DropCache)
+	case 16:
+		var seq uint64
+		var ret *Retention
+		m.do("RetainFrees", func() { seq = r.retain() }, func() { ret = d.RetainFrees() })
+		m.rets = append(m.rets, modelRetention{seq: seq, ret: ret})
+	case 17:
+		if len(m.rets) == 0 {
+			return
+		}
+		mr := m.rets[m.next()%len(m.rets)]
+		m.do(fmt.Sprintf("Release(retention %d)", mr.seq), func() { r.release(mr.seq) }, mr.ret.Release)
+	case 18:
+		if m.scope == nil {
+			m.scope, m.rscope = d.NewScope(), &refScope{}
+		}
+		w := m.next() % (6*B + 1)
+		var mid uint64
+		var did BlockID
+		m.do(fmt.Sprintf("Scope.AllocSpan(%d)", w), func() { mid = r.scopeAlloc(m.rscope, w) }, func() { did = m.scope.AllocSpan(w) })
+		m.record(mid, did, w)
+	case 19:
+		if m.scope == nil {
+			return
+		}
+		id := m.pickID()
+		var mk, dk bool
+		m.do(fmt.Sprintf("Keep(%d)", id), func() { mk = r.keep(m.rscope, id) }, func() { dk = m.scope.Keep(m.toDisk[id]) })
+		if mk != dk {
+			m.t.Fatalf("Keep(%d) = %v, model %v", id, dk, mk)
+		}
+	case 20:
+		if m.scope == nil {
+			return
+		}
+		var mk []refSpan
+		var dk []Span
+		m.do("Scope.Release", func() { mk = m.r.scopeRelease(m.rscope) }, func() { dk = m.scope.Release() })
+		if len(mk) != len(dk) {
+			m.t.Fatalf("Scope.Release kept %d spans, model %d", len(dk), len(mk))
+		}
+		for i := range mk {
+			if want := (Span{ID: m.toDisk[mk[i].id], Words: mk[i].words}); dk[i] != want {
+				m.t.Fatalf("Scope.Release kept %v, model %v", dk[i], want)
+			}
+		}
+		m.scope, m.rscope = nil, nil
+	case 21:
+		sp, ok := m.pickSpan()
+		if !ok {
+			return
+		}
+		m.do(fmt.Sprintf("UnpinSpan(%d,%d)", sp.id, sp.words), func() {
+			for i := range r.cfg.BlocksFor(sp.words) {
+				r.unpin(sp.id + uint64(i))
+			}
+		}, func() { d.UnpinSpan(m.toDisk[sp.id], sp.words) })
+	}
+}
+
+// runModel decodes a machine from the first byte (B in 1..4, 0..5
+// frames, guarded or not) and runs up to maxOps ops from the rest.
+func runModel(t *testing.T, ops []byte, maxOps int) {
+	var head byte
+	if len(ops) > 0 {
+		head, ops = ops[0], ops[1:]
+	}
+	B := int(head%4) + 1
+	cfg := Config{B: B, M: B * int(head/4%6)}
+	d := NewDisk(cfg)
+	if head >= 128 {
+		d.Guard()
+	}
+	m := &modelRun{t: t, d: d, r: newRefDisk(cfg), ops: ops, toDisk: map[uint64]BlockID{0: 0}, ids: []uint64{0}}
+	for n := 0; len(m.ops) > 0 && n < maxOps; n++ {
+		m.step()
+		m.check()
+	}
+}
+
+// FuzzDiskModel runs a decoded op sequence — every allocation, free,
+// access, pin, admission, retention and scope operation — against both
+// the Disk and refDisk. After every op they must agree on the I/O
+// counters, the space accounting, the deferred frees, the pin detector
+// and the residency of every live id, and an op the model refuses must
+// panic on the disk too. Ops name blocks by picking from
+// every id ever issued, so freed ids — whose slots the disk reuses —
+// are exercised as often as live ones.
+func FuzzDiskModel(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 800)
+		rng.Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		runModel(t, ops, 600)
+	})
+}

@@ -88,7 +88,10 @@ func (r *Retention) Release() {
 			// tags are monotone, so everything after it waits too.
 			break
 		}
-		delete(d.deferredSet, df.id)
+		if s, ok := d.slotOf(df.id); ok {
+			sl := d.slots.at(uint64(s))
+			sl.words = abs(sl.words)
+		}
 		d.reclaim(df.id)
 	}
 	d.deferred = d.deferred[i:]
@@ -113,12 +116,10 @@ func (d *Disk) DeferredBlocks() int {
 // deferFree queues id for release once the retentions open now are
 // gone. The block stays live and readable. Caller holds the lock.
 func (d *Disk) deferFree(id BlockID) {
-	if _, ok := d.live[id]; !ok {
-		panic(fmt.Sprintf("emio: Free of unknown block %d", id))
-	}
-	if d.deferredSet[id] {
+	sl := d.slots.at(uint64(d.mustSlot(id, "Free of unknown block")))
+	if sl.words < 0 {
 		panic(fmt.Sprintf("emio: double Free of deferred block %d", id))
 	}
-	d.deferredSet[id] = true
+	sl.words = -sl.words
 	d.deferred = append(d.deferred, deferredFree{id: id, epoch: d.retainSeq})
 }

@@ -53,7 +53,7 @@ func (d *Disk) FreeSpans(spans []Span) {
 type Scope struct {
 	d *Disk
 	// spans is in allocation order, which is ascending ID order because
-	// the disk never reuses an id.
+	// a BlockID leads with its allocation sequence.
 	spans    []scopeSpan
 	released bool
 	// first backs spans until an operation allocates more than it holds,

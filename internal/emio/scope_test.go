@@ -98,3 +98,37 @@ func TestScopeDropOfPinnedPanics(t *testing.T) {
 	d.Pin(id)
 	mustPanic(t, "Release with a pinned scratch block", func() { sc.Release() })
 }
+
+// TestScopeKeepAcrossReusedSlots: a scope's spans may sit in slots
+// older blocks left behind, below blocks allocated before the scope;
+// Keep still finds exactly the scope's own spans, because ids order by
+// allocation sequence, not by slot.
+func TestScopeKeepAcrossReusedSlots(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 64})
+	x := d.AllocSpan(8) // slots 0-1
+	y := d.AllocSpan(2) // slot 2
+	d.FreeSpan(x, 8)
+	sc := d.NewScope()
+	a := sc.AllocSpan(8) // reuses slots 0-1
+	z := d.AllocSpan(2)  // slot 3, outside the scope
+	d.Free(y)
+	b := sc.AllocSpan(2) // reuses slot 2, below z's slot
+	if a&slotMask != x&slotMask || b&slotMask != y&slotMask {
+		t.Fatalf("scope spans %#x, %#x did not reuse slots of %#x, %#x", a, b, x, y)
+	}
+	for _, id := range []BlockID{x, x + 1, y, z} {
+		if sc.Keep(id) {
+			t.Fatalf("Keep(%#x) claimed a block the scope did not allocate", id)
+		}
+	}
+	if !sc.Keep(a+1) || !sc.Keep(b) {
+		t.Fatal("Keep did not find the scope's spans in reused slots")
+	}
+	kept := sc.Release()
+	if len(kept) != 2 || kept[0] != (Span{ID: a, Words: 8}) || kept[1] != (Span{ID: b, Words: 2}) {
+		t.Fatalf("kept = %v, want the spans at %#x and %#x", kept, a, b)
+	}
+	if got := d.LiveBlocks(); got != 4 {
+		t.Fatalf("LiveBlocks = %d, want 4 (a, b, z)", got)
+	}
+}

@@ -577,8 +577,9 @@ type Handle struct {
 // simulated I/Os, O(n/B) host words for the primary node graph plus
 // the secondaries' graphs. Rebuilds and splits in the live index
 // replace secondaries wholesale and release the old ones; the
-// retention defers those frees and block ids are never reused, so a
-// pinned secondary handle stays valid for the snapshot's lifetime.
+// retention defers those frees and a freed block's id never becomes
+// valid again, so a pinned secondary handle stays valid for the
+// snapshot's lifetime.
 func (ix *Index) Snapshot() *Handle {
 	ix.snaps++
 	return &Handle{view: view{disk: ix.disk, root: cloneNodes(ix.root, nil)}, n: ix.n}

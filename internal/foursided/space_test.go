@@ -63,6 +63,11 @@ func TestSpaceBoundAfterChurn(t *testing.T) {
 			}
 		}
 
+		// The paper's M = Ω(ℓb): what the index and its secondaries
+		// pin fits in memory, at every ε here.
+		if peak := d.PeakPinned(); peak > cfg.Frames() {
+			t.Errorf("eps=%.1f: %d blocks pinned at once, want <= M/B = %d", eps, peak, cfg.Frames())
+		}
 		ix.rebuild(ix.allPoints(geom.Point{}, geom.Point{}, false))
 		if live, limit := d.LiveBlocks(), spaceBlocksPerDataBlock*cfg.BlocksFor(ix.Len()); live > limit {
 			t.Errorf("eps=%.1f: LiveBlocks = %d after a rebuild, want <= %d·⌈n/B⌉ = %d",

@@ -7,11 +7,18 @@
 //
 // Page 0 is reserved for metadata: a magic string, the format version,
 // the number of data pages, the WAL sequence number the snapshot
-// covers, the point count, and a CRC over all of it. Pages 1..Pages
+// covers, the point count, a CRC-32C over the data pages, and a CRC-32C
+// over the whole metadata page in its last four bytes. Pages 1..Pages
 // hold the checkpointed point set, 256 points per page (16 bytes
-// each). The emio.Disk simulation stays bookkeeping-only — structures
-// hold their payloads in host memory, so there are no structure pages
-// to store; what the file persists is the POINT SET, from which Open
+// each). Open verifies page 0 and ReadSnapshot verifies the data pages
+// before it returns a single point, so a damaged checkpoint is an
+// ErrCorrupt error and never becomes the index. Format-1 files, whose
+// CRC covered page 0 only, are refused with ErrCorrupt as well: their
+// data pages cannot be verified.
+//
+// The emio.Disk simulation stays bookkeeping-only — structures hold
+// their payloads in host memory, so there are no structure pages to
+// store; what the file persists is the POINT SET, from which Open
 // rebuilds every structure, plus the WAL sequence that tells recovery
 // which log records the snapshot already includes.
 //
@@ -42,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -68,12 +76,21 @@ const shadowSuffix = ".tmp"
 // magic opens every data file.
 var magic = [8]byte{'S', 'K', 'Y', 'P', 'A', 'G', 'E', '1'}
 
-// version is the current file format version.
-const version uint32 = 1
+// version is the current file format version: 2 added the data-page
+// checksum and extended the metadata checksum to the whole page.
+const version uint32 = 2
+
+// castagnoli is the CRC-32C table both checksums use.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorrupt reports a data file that fails validation: a bad magic
+// string, an unsupported format version (format 1 included), a
+// checksum mismatch, or metadata that does not describe the file.
+var ErrCorrupt = errors.New("pager: corrupt data file")
 
 // Meta is the content of page 0.
 type Meta struct {
-	// Version is the file format version (currently 1).
+	// Version is the file format version (currently 2).
 	Version uint32
 	// Pages is the number of snapshot data pages (excluding page 0).
 	Pages uint64
@@ -82,6 +99,8 @@ type Meta struct {
 	WALSeq uint64
 	// Points is the number of points in the snapshot.
 	Points uint64
+	// DataCRC is the CRC-32C of data pages 1..Pages, in order.
+	DataCRC uint32
 }
 
 // Stats counts real page traffic since the pager was opened.
@@ -105,7 +124,7 @@ type Pager struct {
 	meta    Meta
 	cache   *emio.FrameTable
 	frames  int // cache capacity, for resets after a snapshot install
-	onEvict func(*emio.Frame)
+	onEvict func(emio.Frame)
 	pages   map[uint64][]byte // payload of every resident frame
 	stats   Stats
 	// evictErr records the first write-back error from inside the
@@ -150,13 +169,13 @@ func OpenFS(path string, cacheFrames int, fsys vfs.FS, retry vfs.RetryPolicy) (*
 		return nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
 	p.f = f
-	p.onEvict = func(fr *emio.Frame) {
+	p.onEvict = func(fr emio.Frame) {
 		if fr.Dirty {
-			if err := p.writePage(fr.ID, p.pages[fr.ID]); err != nil && p.evictErr == nil {
+			if err := p.writePage(fr.Key, p.pages[fr.Key]); err != nil && p.evictErr == nil {
 				p.evictErr = err
 			}
 		}
-		delete(p.pages, fr.ID)
+		delete(p.pages, fr.Key)
 	}
 	p.cache = emio.NewFrameTable(cacheFrames, p.onEvict)
 	var size int64
@@ -236,8 +255,7 @@ func (p *Pager) readPage(id uint64) ([]byte, error) {
 // page, writing it back if dirty). create skips the fetch for a page
 // about to be fully overwritten.
 func (p *Pager) page(id uint64, create bool) ([]byte, error) {
-	if fr := p.cache.Get(id); fr != nil {
-		p.cache.Touch(fr, false)
+	if p.cache.Touch(id, false) {
 		p.stats.Hits++
 		return p.pages[id], nil
 	}
@@ -251,7 +269,7 @@ func (p *Pager) page(id uint64, create bool) ([]byte, error) {
 		}
 	}
 	p.pages[id] = buf
-	fr := p.cache.Admit(id, create, 0)
+	p.cache.Admit(id, create, 0)
 	if err := p.evictErr; err != nil {
 		// The admission's eviction failed to write a dirty page back.
 		// Back the new frame out: on the create path it is a dirty
@@ -259,7 +277,7 @@ func (p *Pager) page(id uint64, create bool) ([]byte, error) {
 		// Flush/Close write zeros over a page the current metadata
 		// still describes.
 		p.evictErr = nil
-		p.cache.Remove(fr)
+		p.cache.Remove(id)
 		delete(p.pages, id)
 		return nil, err
 	}
@@ -288,9 +306,7 @@ func (p *Pager) Write(id uint64, data []byte) error {
 	for i := n; i < PageSize; i++ {
 		buf[i] = 0
 	}
-	if fr := p.cache.Get(id); fr != nil {
-		p.cache.Touch(fr, true)
-	}
+	p.cache.Touch(id, true)
 	return nil
 }
 
@@ -298,8 +314,7 @@ func (p *Pager) Write(id uint64, data []byte) error {
 // be evicted until unpinned, the same discipline the simulated disk
 // applies to the paper's critical records.
 func (p *Pager) Pin(id uint64) error {
-	if fr := p.cache.Get(id); fr != nil {
-		p.cache.Pin(fr)
+	if p.cache.Pin(id) {
 		return nil
 	}
 	buf, err := p.readPage(id)
@@ -307,12 +322,12 @@ func (p *Pager) Pin(id uint64) error {
 		return err
 	}
 	p.pages[id] = buf
-	fr := p.cache.Admit(id, false, 1)
+	p.cache.Admit(id, false, 1)
 	if err := p.evictErr; err != nil {
 		// Same backout as page(): a failed admission must not leave
 		// the new frame (here additionally pinned) resident.
 		p.evictErr = nil
-		p.cache.Remove(fr)
+		p.cache.Remove(id)
 		delete(p.pages, id)
 		return err
 	}
@@ -321,11 +336,9 @@ func (p *Pager) Pin(id uint64) error {
 
 // Unpin releases one pin of page id.
 func (p *Pager) Unpin(id uint64) {
-	fr := p.cache.Get(id)
-	if fr == nil || fr.Pins == 0 {
+	if !p.cache.Unpin(id) {
 		panic(fmt.Sprintf("pager: Unpin of unpinned page %d", id))
 	}
-	p.cache.Unpin(fr)
 }
 
 // Flush writes every dirty cached page back to the file (keeping the
@@ -335,8 +348,7 @@ func (p *Pager) Flush() error {
 	firstErr := p.evictErr
 	p.evictErr = nil
 	for id, buf := range p.pages {
-		fr := p.cache.Get(id)
-		if fr == nil || !fr.Dirty {
+		if fr, ok := p.cache.Get(id); !ok || !fr.Dirty {
 			continue
 		}
 		if err := p.writePage(id, buf); err != nil {
@@ -345,7 +357,7 @@ func (p *Pager) Flush() error {
 			}
 			continue
 		}
-		fr.Dirty = false
+		p.cache.Clean(id)
 	}
 	if firstErr != nil {
 		return firstErr
@@ -365,9 +377,9 @@ func (p *Pager) Close() error {
 	return flushErr
 }
 
-// metaLen is the encoded metadata length: magic, version, pages,
-// walSeq, points, crc.
-const metaLen = 8 + 4 + 8 + 8 + 8 + 4
+// metaCRCOff is the offset of page 0's own checksum, which covers
+// every byte of the page before it.
+const metaCRCOff = PageSize - 4
 
 // writeMeta encodes p.meta into page 0 of the data file (direct, not
 // through the cache: metadata must never be evicted-then-reordered
@@ -390,7 +402,8 @@ func (p *Pager) writeMetaTo(f vfs.File, m Meta) error {
 	binary.LittleEndian.PutUint64(b[12:20], m.Pages)
 	binary.LittleEndian.PutUint64(b[20:28], m.WALSeq)
 	binary.LittleEndian.PutUint64(b[28:36], m.Points)
-	binary.LittleEndian.PutUint32(b[metaLen-4:metaLen], crc32.ChecksumIEEE(b[:metaLen-4]))
+	binary.LittleEndian.PutUint32(b[36:40], m.DataCRC)
+	binary.LittleEndian.PutUint32(b[metaCRCOff:], crc32.Checksum(b[:metaCRCOff], castagnoli))
 	err := p.retry.Do(&p.retries, func() error {
 		_, err := f.WriteAt(b[:], 0)
 		return err
@@ -413,21 +426,21 @@ func (p *Pager) readMeta() (Meta, error) {
 	}
 	p.stats.Reads++
 	if [8]byte(b[0:8]) != magic {
-		return Meta{}, fmt.Errorf("pager: %s is not a skyline pager file (bad magic)", p.path)
+		return Meta{}, fmt.Errorf("%w: %s is not a skyline pager file (bad magic)", ErrCorrupt, p.path)
 	}
-	if crc32.ChecksumIEEE(b[:metaLen-4]) != binary.LittleEndian.Uint32(b[metaLen-4:metaLen]) {
-		return Meta{}, fmt.Errorf("pager: %s metadata checksum mismatch", p.path)
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != version {
+		return Meta{}, fmt.Errorf("%w: %s format version %d, want %d", ErrCorrupt, p.path, v, version)
 	}
-	m := Meta{
-		Version: binary.LittleEndian.Uint32(b[8:12]),
+	if crc32.Checksum(b[:metaCRCOff], castagnoli) != binary.LittleEndian.Uint32(b[metaCRCOff:]) {
+		return Meta{}, fmt.Errorf("%w: %s metadata checksum mismatch", ErrCorrupt, p.path)
+	}
+	return Meta{
+		Version: version,
 		Pages:   binary.LittleEndian.Uint64(b[12:20]),
 		WALSeq:  binary.LittleEndian.Uint64(b[20:28]),
 		Points:  binary.LittleEndian.Uint64(b[28:36]),
-	}
-	if m.Version != version {
-		return Meta{}, fmt.Errorf("pager: %s format version %d, want %d", p.path, m.Version, version)
-	}
-	return m, nil
+		DataCRC: binary.LittleEndian.Uint32(b[36:40]),
+	}, nil
 }
 
 // WriteSnapshot packs pts into data pages 1..ceil(n/PointsPerPage) of
@@ -468,6 +481,7 @@ func (p *Pager) WriteSnapshot(pts []geom.Point, walSeq uint64) error {
 			buf[i] = 0
 		}
 		m.Pages++
+		m.DataCRC = crc32.Update(m.DataCRC, castagnoli, buf[:])
 		if err := p.retry.Do(&p.retries, func() error {
 			_, err := shadow.WriteAt(buf[:], int64(m.Pages)*PageSize)
 			return err
@@ -512,23 +526,30 @@ func (p *Pager) syncDir(dir string) error {
 }
 
 // ReadSnapshot reads the checkpointed point set back, in the order it
-// was written (sorted by x, as core checkpoints it).
+// was written (sorted by x, as core checkpoints it). It returns no
+// points unless the data pages match the checksum in the metadata; a
+// mismatch, or a file shorter than the metadata says, is ErrCorrupt.
 func (p *Pager) ReadSnapshot() ([]geom.Point, error) {
 	m := p.meta
+	if want := (m.Points + PointsPerPage - 1) / PointsPerPage; m.Pages != want {
+		return nil, fmt.Errorf("%w: %s metadata inconsistent: %d points need %d pages, have %d",
+			ErrCorrupt, p.path, m.Points, want, m.Pages)
+	}
 	if m.Points == 0 {
 		return nil, nil
 	}
-	if want := (m.Points + PointsPerPage - 1) / PointsPerPage; m.Pages != want {
-		return nil, fmt.Errorf("pager: metadata inconsistent: %d points need %d pages, have %d",
-			m.Points, want, m.Pages)
-	}
 	pts := make([]geom.Point, 0, m.Points)
 	var buf [PageSize]byte
+	var crc uint32
 	remaining := int(m.Points)
 	for page := uint64(1); page <= m.Pages; page++ {
 		if err := p.Read(page, buf[:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil, fmt.Errorf("%w: %s is truncated: %v", ErrCorrupt, p.path, err)
+			}
 			return nil, err
 		}
+		crc = crc32.Update(crc, castagnoli, buf[:])
 		n := min(remaining, PointsPerPage)
 		for i := 0; i < n; i++ {
 			pts = append(pts, geom.Point{
@@ -537,6 +558,9 @@ func (p *Pager) ReadSnapshot() ([]geom.Point, error) {
 			})
 		}
 		remaining -= n
+	}
+	if crc != m.DataCRC {
+		return nil, fmt.Errorf("%w: %s data checksum mismatch", ErrCorrupt, p.path)
 	}
 	return pts, nil
 }

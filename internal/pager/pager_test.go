@@ -1,6 +1,9 @@
 package pager
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -214,7 +217,7 @@ func TestEvictErrorDropsAdmittedFrame(t *testing.T) {
 	if err := p.Write(2, page[:]); err == nil {
 		t.Fatalf("Write over a broken write-back reported success")
 	}
-	if p.cache.Get(2) != nil {
+	if p.cache.Resident(2) {
 		t.Fatalf("failed admission left frame 2 resident (a zeroed dirty page)")
 	}
 	if _, ok := p.pages[2]; ok {
@@ -271,4 +274,73 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 		}
 	}()
 	p.Unpin(42)
+}
+
+// openAndRead opens the data file and reads its snapshot back: the two
+// steps core.Open takes before it builds anything from the points.
+func openAndRead(path string) ([]geom.Point, error) {
+	p, err := Open(path, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.ReadSnapshot()
+}
+
+// TestEveryFlippedByteIsCorrupt: a single damaged byte anywhere in a
+// checkpoint — metadata, point data or a page's zero padding — makes
+// the open fail with ErrCorrupt; no damaged point set is returned.
+func TestEveryFlippedByteIsCorrupt(t *testing.T) {
+	path := tmpFile(t)
+	p, err := Open(path, 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := p.WriteSnapshot([]geom.Point{{X: 1, Y: 9}, {X: 2, Y: 8}, {X: 3, Y: 7}}, 4); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good) != 2*PageSize {
+		t.Fatalf("checkpoint is %d bytes, want %d", len(good), 2*PageSize)
+	}
+	bad := make([]byte, len(good))
+	for i := range good {
+		copy(bad, good)
+		bad[i] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pts, err := openAndRead(path)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped: got %v, err %v; want ErrCorrupt", i, pts, err)
+		}
+	}
+	if err := os.WriteFile(path, good[:PageSize+16], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openAndRead(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated checkpoint: err %v, want ErrCorrupt", err)
+	}
+}
+
+// TestFormatOneRefused: a format-1 file (its CRC covered page 0 only)
+// is refused with ErrCorrupt rather than read without a data check.
+func TestFormatOneRefused(t *testing.T) {
+	path := tmpFile(t)
+	var b [PageSize]byte
+	copy(b[0:8], magic[:])
+	binary.LittleEndian.PutUint32(b[8:12], 1)
+	binary.LittleEndian.PutUint32(b[36:40], crc32.ChecksumIEEE(b[:36]))
+	if err := os.WriteFile(path, b[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("format-1 file: err %v, want ErrCorrupt", err)
+	}
 }
