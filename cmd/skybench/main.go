@@ -615,10 +615,11 @@ func e12() {
 
 func e13() {
 	fmt.Println("E13 mirrored fast paths (Options.Mirrors): transposed top-open structures")
-	fmt.Println("    right-open drops from the Theorem 6 (n/B)^eps cost to the Theorem 1 log_B n cost;")
+	fmt.Println("    right-open is log-cost either way: thm6 asks the Theorem 6 tree's root secondary")
+	fmt.Println("    R(root) once (O(log(n/B) + k/B)), mirrored asks a transposed top-open structure;")
 	fmt.Println("    bottom-open/left-open/anti-dominance cannot move (Theorem 5 lower bound at linear")
 	fmt.Println("    space: no other axis reflection preserves dominance) and stay byte-identical on")
-	fmt.Println("    the Theorem 6 path with or without mirrors.")
+	fmt.Println("    the Theorem 6 (n/B)^eps path with or without mirrors.")
 	type shapeGen struct {
 		name string
 		make func(rng *rand.Rand, n int, span int64) geom.Rect

@@ -15,10 +15,11 @@
 //     transposed point set, which answers them in the top-open bounds —
 //     the transpose preserves dominance, so the answers are
 //     byte-identical to the Theorem 6 structures';
-//   - 4-sided, left-open, bottom-open and anti-dominance queries (and
-//     right-open ones, without mirrors) go to the per-shard Theorem 6
-//     structures (O((n/B)^ε + k/B), optimal at linear space by
-//     Theorem 5; updates O(log(n/B)) amortized).
+//   - 4-sided, left-open, bottom-open and anti-dominance queries go to
+//     the per-shard Theorem 6 structures (O((n/B)^ε + k/B), optimal at
+//     linear space by Theorem 5; updates O(log(n/B)) amortized), and so
+//     do right-open ones without mirrors, which a Theorem 6 structure
+//     answers from its root secondary in O(log(n/B) + k/B).
 //
 // With one shard (the default) each family is answered by one structure
 // over the whole point set; with K > 1 the per-shard answers merge into
@@ -83,13 +84,12 @@ type Options struct {
 	// set under its own top-open structures — a TopOnly sharded engine
 	// with the primary's shard count, on its own disks — and routes
 	// right-open queries (Figure 2b, plus the unnamed rectangles with a
-	// grounded right edge) to it, replacing the Theorem 6
-	// Ω((n/B)^ε) cost with the Theorem 1/4 O(log) bounds. On a static
-	// index the win is immediate (Theorem 1: O(log_B n + k/B), measured
-	// in E13); on a dynamic index the mirror is a Theorem 4 tree whose
-	// polylog search beats (n/B)^ε asymptotically but whose k/B^{1-ε}
-	// reporting term exceeds Theorem 6's k/B, so the crossover arrives
-	// at larger n for queries with large answers. The extra
+	// grounded right edge) to it. Without the mirror those rectangles
+	// already cost O(log(n/B) + k/B): the Theorem 6 structure asks its
+	// root secondary once. On a static index the mirror's Theorem 1
+	// structure answers in O(log_B n + k/B) (E13 measures both); on a
+	// dynamic index it is a Theorem 4 tree whose k/B^{1-ε} reporting
+	// term exceeds the root secondary's k/B. The extra
 	// copy costs roughly one more top-open structure (≈2× the top-open
 	// footprint, well under 2× the whole index) and every update is
 	// applied to it too. Bottom-open, left-open and anti-dominance

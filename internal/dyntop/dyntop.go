@@ -571,15 +571,13 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 		return
 	}
 	if nd.leaf() {
-		v.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
+		lo, hi := ScanLeaf(v.disk, nd.ptsBlock, nd.pts, x1, x2)
 		if nd.minX >= x1 && nd.maxX <= x2 {
 			nd.q.AdmitCritical()
 			*unpins = append(*unpins, nd.q.PinCritical())
 			*qs = append(*qs, nd.q)
 			return
 		}
-		lo := sort.Search(len(nd.pts), func(j int) bool { return nd.pts[j].X >= x1 })
-		hi := sort.Search(len(nd.pts), func(j int) bool { return nd.pts[j].X > x2 })
 		if lo >= hi {
 			return
 		}
@@ -601,6 +599,36 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 		}
 		v.collect(sc, c, x1, x2, qs, unpins)
 	}
+}
+
+// ScanLeaf charges the blocks a scan of one x-sorted leaf reads for the
+// x-range [x1,x2] and returns the in-range points pts[lo:hi]. The leaf
+// is stored two words per point in the span at id, and nothing but the
+// leaf's own first and last x routes a scan into it, so a scan enters at
+// a grounded end and stops at the first point past the cut:
+//
+//   - cut only on the left (pts[0].X < x1, the last x ≤ x2): from the
+//     last block back through the block holding the last point left of x1;
+//   - cut only on the right (x1 ≤ pts[0].X, the last x > x2): from the
+//     first block through the block holding the first point right of x2;
+//   - cut on both sides, or no point in range: the whole leaf.
+//
+// Both trees' query paths read their boundary leaves through it, so the
+// charge of a scan is one rule (DESIGN.md, "Query accounting").
+func ScanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord) (lo, hi int) {
+	n := len(pts)
+	lo = sort.Search(n, func(j int) bool { return pts[j].X >= x1 })
+	hi = sort.Search(n, func(j int) bool { return pts[j].X > x2 })
+	from, to := 0, n // the points the scan reads
+	switch {
+	case lo >= hi || (lo > 0 && hi < n):
+	case lo > 0:
+		from = lo - 1
+	case hi < n:
+		to = hi + 1
+	}
+	d.ReadSpanWords(id, 2*from, 2*to)
+	return lo, hi
 }
 
 // Handle is an immutable point-in-time view of a Tree, pinned by

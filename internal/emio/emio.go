@@ -487,10 +487,18 @@ func (d *Disk) ReadCold(id BlockID) {
 // stored in consecutive blocks starting at id. It charges one Read per
 // constituent block. Structures whose nodes exceed one block (for
 // example, 4b-element CPQA records with b = B) use this.
-func (d *Disk) ReadSpan(id BlockID, words int) {
+func (d *Disk) ReadSpan(id BlockID, words int) { d.ReadSpanWords(id, 0, words) }
+
+// ReadSpanWords touches only the blocks of a span that hold its words
+// [from, to): the blocks a scan over part of an on-disk run reads. An
+// empty range touches nothing.
+func (d *Disk) ReadSpanWords(id BlockID, from, to int) {
+	if from >= to {
+		return
+	}
 	d.lock()
 	defer d.unlock()
-	for i := 0; i < d.cfg.BlocksFor(words); i++ {
+	for i := from / d.cfg.B; i <= (to-1)/d.cfg.B; i++ {
 		d.touch(id+BlockID(i), false)
 	}
 }

@@ -197,12 +197,12 @@ func (r *refDisk) release(seq uint64) {
 	for s := range r.retained {
 		minOpen = min(minOpen, s)
 	}
-	i := 0
-	for ; i < len(r.deferred) && r.deferred[i].epoch < minOpen; i++ {
-		delete(r.deferredSet, r.deferred[i].id)
-		r.reclaim(r.deferred[i].id)
+	for len(r.deferred) > 0 && r.deferred[0].epoch < minOpen {
+		id := r.deferred[0].id
+		r.reclaim(id)
+		r.deferred = r.deferred[1:]
+		delete(r.deferredSet, id)
 	}
-	r.deferred = r.deferred[i:]
 }
 
 // refScope models Scope: the spans an operation allocated, in order.

@@ -80,21 +80,15 @@ func (r *Retention) Release() {
 			minOpen = seq
 		}
 	}
-	i := 0
-	for ; i < len(d.deferred); i++ {
-		df := d.deferred[i]
-		if df.epoch >= minOpen {
-			// A retention opened before this free is still alive; the
-			// tags are monotone, so everything after it waits too.
-			break
-		}
-		if s, ok := d.slotOf(df.id); ok {
-			sl := d.slots.at(uint64(s))
-			sl.words = abs(sl.words)
-		}
-		d.reclaim(df.id)
+	// A retention opened before a free keeps it deferred; the tags are
+	// monotone, so everything after it waits too. Each entry leaves the
+	// queue once it is reclaimed. reclaim panics on a still-pinned block
+	// before it touches the slot, so a caller that recovers finds the
+	// reclaimed entries gone and the pinned one still deferred.
+	for len(d.deferred) > 0 && d.deferred[0].epoch < minOpen {
+		d.reclaim(d.deferred[0].id)
+		d.deferred = d.deferred[1:]
 	}
-	d.deferred = d.deferred[i:]
 }
 
 // Retained reports the number of open retentions.

@@ -175,3 +175,37 @@ func TestRetainConcurrent(t *testing.T) {
 		t.Fatalf("LiveBlocks = %d at quiescence, want 0", d.LiveBlocks())
 	}
 }
+
+// TestRetainReleaseAfterPinnedPanic: a Release that reaches a deferred
+// block still pinned panics, and a caller that recovers must find the
+// disk consistent — the entries reclaimed before the panic gone from the
+// queue, the pinned one still deferred — so that once the pin drops the
+// next retention's Release drains the queue without a panic.
+func TestRetainReleaseAfterPinnedPanic(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	plain, pinned := d.Alloc(), d.Alloc()
+	d.Pin(pinned)
+	r := d.RetainFrees()
+	d.Free(plain)
+	d.Free(pinned)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Release reclaiming a pinned block did not panic")
+			}
+		}()
+		r.Release()
+	}()
+	if got := d.DeferredBlocks(); got != 1 {
+		t.Fatalf("DeferredBlocks = %d after the panic, want 1 (the pinned block)", got)
+	}
+	d.Read(pinned) // still deferred, so still readable
+	d.Unpin(pinned)
+	d.RetainFrees().Release()
+	if got := d.DeferredBlocks(); got != 0 {
+		t.Fatalf("DeferredBlocks = %d, want 0", got)
+	}
+	if got := d.LiveBlocks(); got != 0 {
+		t.Fatalf("LiveBlocks = %d, want 0", got)
+	}
+}

@@ -19,7 +19,9 @@
 // top-open structure over the transposed (x↔y) point set, and because
 // the transpose preserves dominance, it serves every rectangle whose
 // RIGHT edge is grounded — right-open queries and the unnamed
-// right-grounded shapes — in the top-open bounds. The planner offers
+// right-grounded shapes — in the top-open bounds (the general backend's
+// Theorem 6 structure answers them too, from its root secondary in
+// O(log(n/B) + k/B)). The planner offers
 // those rectangles to the mirrors before falling back to the general
 // backend. The remaining bounded-top shapes (4-sided, left-open,
 // bottom-open, anti-dominance) stay on the general backend by

@@ -4,9 +4,10 @@
 // query into the mirrored frame and mapping the answer back into
 // increasing-x order. With the transpose reflection this turns the
 // whole grounded-right-edge family — right-open (Figure 2b) and the
-// unnamed right-grounded rectangles — from Theorem 6's Ω((n/B)^ε) into
-// the Theorem 1/4 O(log) bounds, at the cost of one extra top-open
-// structure's space.
+// unnamed right-grounded rectangles — into top-open queries on the
+// Theorem 1/4 structures, at the cost of one extra top-open
+// structure's space. (Without a mirror the Theorem 6 structure answers
+// the same rectangles from its root secondary in O(log(n/B) + k/B).)
 //
 // Only dominance-preserving reflections are accepted: a reflection that
 // changes the dominance order would make the mirrored structure report

@@ -23,6 +23,13 @@
 // algorithm issues while sweeping the canonical nodes right to left and
 // maintaining the running threshold β*.
 //
+// A rectangle whose right edge is grounded, [x1,∞) × [y1,y2], needs no
+// decomposition: transposed it is the top-open query [y1,y2] × [x1,∞),
+// which R(root) answers alone in O(log(n/B) + k/B) I/Os. Query takes
+// that path whenever X2 = +∞ and the root is internal, on the live index
+// and on snapshot Handles alike. Boundary leaves are charged only the
+// blocks a scan reads (dyntop.ScanLeaf).
+//
 // Updates go into the leaf array and into every R(u) along the path
 // (O(1/ε) nodes × O(log(n/B)) each); internal nodes split when their
 // fan-out doubles, rebuilding the two halves' secondaries (amortized
@@ -224,16 +231,17 @@ func (ix *Index) refreshInternal(nd *node) {
 // Len returns the number of indexed points.
 func (ix *Index) Len() int { return ix.n }
 
-// bandSkyline answers the right-open query (-∞,∞) × [y1, y2] on R(u):
-// the skyline of P(u) within the y-band, in increasing-x order. The
-// node dispatches to its live tree or, on snapshot clones, the pinned
-// handle — both run the same Theorem 4 query.
-func (nd *node) bandSkyline(y1, y2 geom.Coord) []geom.Point {
+// bandSkyline answers the right-open query [x1,∞) × [y1, y2] on R(u):
+// the skyline of P(u) within the y-band right of x1, in increasing-x
+// order. It is the top-open query [y1,y2] × [x1,∞) on the transposed
+// points. The node dispatches to its live tree or, on snapshot clones,
+// the pinned handle — both run the same Theorem 4 query.
+func (nd *node) bandSkyline(x1, y1, y2 geom.Coord) []geom.Point {
 	var tq []geom.Point
 	if nd.rh != nil {
-		tq = nd.rh.Query(y1, y2, geom.NegInf)
+		tq = nd.rh.Query(y1, y2, x1)
 	} else {
-		tq = nd.r.Query(y1, y2, geom.NegInf)
+		tq = nd.r.Query(y1, y2, x1)
 	}
 	out := make([]geom.Point, len(tq))
 	for i, p := range tq {
@@ -252,14 +260,15 @@ type view struct {
 }
 
 // leafSkyline computes the skyline of the leaf's points inside rect,
-// charging the leaf read. The leaf is sorted by x and in general
-// position, so one right-to-left scan keeping the running maximum y
-// finds the maxima without the oracle's copy and sort.
+// charging the blocks dyntop.ScanLeaf says a scan of [r.X1, r.X2] reads.
+// The leaf is sorted by x and in general position, so one right-to-left
+// scan of the in-range points keeping the running maximum y finds the
+// maxima without the oracle's copy and sort.
 func (v view) leafSkyline(nd *node, r geom.Rect) []geom.Point {
-	v.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
+	lo, hi := dyntop.ScanLeaf(v.disk, nd.ptsBlock, nd.pts, r.X1, r.X2)
 	var sky []geom.Point
 	best := geom.Coord(math.MinInt64)
-	for i := len(nd.pts) - 1; i >= 0; i-- {
+	for i := hi - 1; i >= lo; i-- {
 		if p := nd.pts[i]; p.Y > best && r.Contains(p) {
 			sky = append(sky, p)
 			best = p.Y
@@ -278,6 +287,11 @@ func (ix *Index) Query(q geom.Rect) []geom.Point {
 func (v view) query(q geom.Rect) []geom.Point {
 	if v.root == nil || q.X1 > q.X2 || q.Y1 > q.Y2 {
 		return nil
+	}
+	// A right-grounded rectangle [x1,∞) × [y1,y2] is one query on
+	// R(root): O(log(n/B) + k/B), no decomposition.
+	if q.X2 == geom.PosInf && !v.root.leaf() {
+		return v.root.bandSkyline(q.X1, q.Y1, q.Y2)
 	}
 	// Canonical decomposition of [x1,x2]: partial leaves on the two
 	// boundaries plus maximal fully-contained nodes in between,
@@ -325,7 +339,7 @@ func (v view) query(q geom.Rect) []geom.Point {
 		if p.leafNode != nil {
 			res = v.leafSkyline(p.leafNode, band)
 		} else {
-			res = p.inner.bandSkyline(betaStar, q.Y2)
+			res = p.inner.bandSkyline(geom.NegInf, betaStar, q.Y2)
 		}
 		groups[i] = res
 		if len(res) > 0 {

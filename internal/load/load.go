@@ -26,9 +26,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -81,6 +83,13 @@ type Result struct {
 	// reopen, Acked minus DelAcked must all be present (the zero-
 	// lost-acks invariant E19 and the server tests assert).
 	Acked, DelAcked []geom.Point
+	// InsUnknown and DelUnknown are the writes whose outcome is unknown:
+	// a transport error with no HTTP status after the request may have
+	// been sent (anything but a failed dial), so the server may have
+	// applied the write before the reply was lost — a connection closed
+	// by a shutdown after the request was read. They count in Errors
+	// and not in Expected.
+	InsUnknown, DelUnknown []geom.Point
 	// Wall holds one end-to-end latency per completed op; under an
 	// open loop it is measured from the op's SCHEDULED start.
 	Wall []time.Duration
@@ -369,6 +378,14 @@ func Run(cfg Config) (*Result, error) {
 			} else {
 				res.Errors++
 			}
+			if s.status == 0 && mayHaveApplied(s.err) {
+				switch s.op.kind {
+				case 'i':
+					res.InsUnknown = append(res.InsUnknown, s.op.pt)
+				case 'd':
+					res.DelUnknown = append(res.DelUnknown, s.op.pt)
+				}
+			}
 			continue
 		}
 		switch s.op.kind {
@@ -386,6 +403,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// mayHaveApplied reports whether a request that failed with no HTTP
+// status could have reached the server: every transport error except a
+// failed dial, which sent nothing.
+func mayHaveApplied(err error) bool {
+	var op *net.OpError
+	return !errors.As(err, &op) || op.Op != "dial"
 }
 
 // Expected returns the point set a server must hold after every
