@@ -15,10 +15,9 @@ type span struct {
 	words int
 }
 
-// criticalSpans returns the block spans of the queue's critical records
-// and buffers.
-func (q *Queue) criticalSpans() []span {
-	var out []span
+// criticalSpans appends to out the block spans of the queue's critical
+// records and buffers: at most ten.
+func (q *Queue) criticalSpans(out []span) []span {
 	if q.fWords > 0 {
 		out = append(out, span{q.fBlock, q.fWords})
 	}
@@ -56,7 +55,8 @@ func (q *Queue) criticalSpans() []span {
 // contribution of this queue to its parent's representative block.
 func (q *Queue) CriticalWords() int {
 	w := 0
-	for _, s := range q.criticalSpans() {
+	var buf [10]span
+	for _, s := range q.criticalSpans(buf[:0]) {
 		w += s.words
 	}
 	return w
@@ -66,7 +66,8 @@ func (q *Queue) CriticalWords() int {
 // charge. Callers must have just paid for reading a packed copy (the
 // representative block); see emio.Admit.
 func (q *Queue) AdmitCritical() {
-	for _, s := range q.criticalSpans() {
+	var buf [10]span
+	for _, s := range q.criticalSpans(buf[:0]) {
 		q.disk.AdmitSpan(s.block, s.words)
 	}
 }
@@ -76,7 +77,7 @@ func (q *Queue) AdmitCritical() {
 // paper's "constant number of blocks pinned in main memory" assumption
 // behind the O(1/b) amortized bounds.
 func (q *Queue) PinCritical() (unpin func()) {
-	spans := q.criticalSpans()
+	spans := q.criticalSpans(nil)
 	for _, s := range spans {
 		q.disk.PinSpan(s.block, s.words)
 	}

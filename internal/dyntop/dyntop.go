@@ -253,17 +253,36 @@ func (t *Tree) refreshInternal(nd *node) {
 	})
 	nd.minX = nd.children[0].minX
 	nd.maxX = nd.children[len(nd.children)-1].maxX
-	// Pack copies of the children's critical records.
-	w := 0
-	for _, c := range nd.children {
-		w += c.q.CriticalWords()
-	}
-	if w == 0 {
-		w = 1
-	}
+	// Pack copies of the children's critical records and, where they
+	// fit, the leaf children's fences.
+	w, _ := repLayout(t.disk.Config(), nd)
 	nd.repWords = w
 	nd.repBlock = t.disk.AllocSpan(w)
 	t.disk.WriteSpan(nd.repBlock, w)
+}
+
+// repLayout sizes an internal node's representative block: the copies
+// of its children's critical records and, for each leaf child, the fence
+// of every block after its first — the block's first x (block 0's is the
+// child's minX, which the tree routes on). The fences are stored only
+// when they fit in the blocks the critical records occupy, so they never
+// cost an update or a query a block; fenced reports whether they are.
+// A query derives the same answer from the same children, and the
+// fences themselves from the leaves' points, so nothing stored can
+// disagree with them.
+func repLayout(cfg emio.Config, nd *node) (words int, fenced bool) {
+	crit, fences := 0, 0
+	for _, c := range nd.children {
+		crit += c.q.CriticalWords()
+		if c.leaf() {
+			fences += max(0, cfg.BlocksFor(c.ptsWords)-1)
+		}
+	}
+	crit = max(crit, 1)
+	if cfg.BlocksFor(crit+fences) > cfg.BlocksFor(crit) {
+		return crit, false
+	}
+	return crit + fences, true
 }
 
 // setQueue replaces nd's queue version. build runs in a scratch scope:
@@ -566,12 +585,18 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 // collect gathers, in ascending x order, the queues covering [x1,x2]:
 // whole-node queues for maximal contained subtrees and fresh partial
 // queues, built in the query's scratch scope, for the boundary leaves.
+// A boundary leaf is scanned from its fences when its parent's
+// representative block, read on the way down, holds them.
 func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]func()) {
 	if nd.maxX < x1 || nd.minX > x2 || (nd.leaf() && len(nd.pts) == 0) {
 		return
 	}
 	if nd.leaf() {
-		lo, hi := ScanLeaf(v.disk, nd.ptsBlock, nd.pts, x1, x2)
+		fenced := false
+		if nd.parent != nil {
+			_, fenced = repLayout(v.disk.Config(), nd.parent)
+		}
+		lo, hi := ScanLeaf(v.disk, nd.ptsBlock, nd.pts, x1, x2, fenced)
 		if nd.minX >= x1 && nd.maxX <= x2 {
 			nd.q.AdmitCritical()
 			*unpins = append(*unpins, nd.q.PinCritical())
@@ -585,7 +610,7 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 		return
 	}
 	// Internal: one representative-block read makes every child's
-	// critical records resident.
+	// critical records and any leaf child fences resident.
 	v.disk.ReadSpan(nd.repBlock, nd.repWords)
 	for _, c := range nd.children {
 		if c.maxX < x1 || c.minX > x2 {
@@ -603,9 +628,19 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 
 // ScanLeaf charges the blocks a scan of one x-sorted leaf reads for the
 // x-range [x1,x2] and returns the in-range points pts[lo:hi]. The leaf
-// is stored two words per point in the span at id, and nothing but the
-// leaf's own first and last x routes a scan into it, so a scan enters at
-// a grounded end and stops at the first point past the cut:
+// is stored two words per point in the span at id; where a scan enters
+// it depends on what is in memory before the leaf is read.
+//
+// fenced: the fence of every block — its first x — is resident (a
+// dyntop leaf's fences live in its parent's representative block, read
+// on the way down, when they fit there; see repLayout). The scan reads
+// from the last block whose fence is ≤ x1 through the last block whose
+// fence is ≤ x2, so a leaf with no point in range costs one block.
+//
+// Otherwise only the leaf's own first and last x route a scan into it
+// (a root leaf, a leaf whose parent has no room for its fences, and
+// every foursided leaf), so a scan enters at a grounded end and stops
+// at the first point past the cut:
 //
 //   - cut only on the left (pts[0].X < x1, the last x ≤ x2): from the
 //     last block back through the block holding the last point left of x1;
@@ -613,14 +648,21 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 //     first block through the block holding the first point right of x2;
 //   - cut on both sides, or no point in range: the whole leaf.
 //
-// Both trees' query paths read their boundary leaves through it, so the
-// charge of a scan is one rule (DESIGN.md, "Query accounting").
-func ScanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord) (lo, hi int) {
+// A fenced scan never reads more than the grounded one. Both trees'
+// query paths read their boundary leaves through it, so the charge of a
+// scan is one rule (DESIGN.md, "Query accounting").
+func ScanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord, fenced bool) (lo, hi int) {
 	n := len(pts)
 	lo = sort.Search(n, func(j int) bool { return pts[j].X >= x1 })
 	hi = sort.Search(n, func(j int) bool { return pts[j].X > x2 })
 	from, to := 0, n // the points the scan reads
 	switch {
+	case fenced:
+		// From the last point at or left of x1 through the last point
+		// at or left of x2: the blocks that hold them are the fenced
+		// ones.
+		from = max(0, sort.Search(n, func(j int) bool { return pts[j].X > x1 })-1)
+		to = hi
 	case lo >= hi || (lo > 0 && hi < n):
 	case lo > 0:
 		from = lo - 1

@@ -19,16 +19,19 @@
 // canonical nodes at O(log(n/B)) I/Os each. Every
 // internal node u carries a secondary structure R(u): a Theorem 4
 // (dyntop) structure over the transposed points of its subtree,
-// answering the right-open band queries (-∞,∞) × [β*, β2] the 4-sided
-// algorithm issues while sweeping the canonical nodes right to left and
+// answering the right-open band queries [x1,∞) × [β*, β2] the 4-sided
+// algorithm issues while sweeping its parts right to left and
 // maintaining the running threshold β*.
 //
-// A rectangle whose right edge is grounded, [x1,∞) × [y1,y2], needs no
-// decomposition: transposed it is the top-open query [y1,y2] × [x1,∞),
-// which R(root) answers alone in O(log(n/B) + k/B) I/Os. Query takes
-// that path whenever X2 = +∞ and the root is internal, on the live index
-// and on snapshot Handles alike. Boundary leaves are charged only the
-// blocks a scan reads (dyntop.ScanLeaf).
+// A subtree that ends by x2 needs no decomposition: P(u) ∩ [x1,∞) ×
+// [β*, y2] is u's whole share of the rectangle, and transposed it is the
+// top-open query [β*, y2] × [x1,∞), which R(u) answers alone in
+// O(log(n/B) + k/B) I/Os whether or not x1 cuts u. So Query splits only
+// the nodes cut on the right and reads only the leaves those cut; a
+// rectangle with X2 = +∞ is one query on R(root). Live indexes and
+// snapshot Handles share the walk. Boundary leaves are charged only the
+// blocks a scan from a grounded end reads (dyntop.ScanLeaf): internal
+// nodes here own no charged block that could hold leaf fences.
 //
 // Updates go into the leaf array and into every R(u) along the path
 // (O(1/ε) nodes × O(log(n/B)) each); internal nodes split when their
@@ -231,23 +234,21 @@ func (ix *Index) refreshInternal(nd *node) {
 // Len returns the number of indexed points.
 func (ix *Index) Len() int { return ix.n }
 
-// bandSkyline answers the right-open query [x1,∞) × [y1, y2] on R(u):
-// the skyline of P(u) within the y-band right of x1, in increasing-x
-// order. It is the top-open query [y1,y2] × [x1,∞) on the transposed
-// points. The node dispatches to its live tree or, on snapshot clones,
-// the pinned handle — both run the same Theorem 4 query.
-func (nd *node) bandSkyline(x1, y1, y2 geom.Coord) []geom.Point {
+// bandSkyline appends to out the answer of R(u) to the right-open query
+// [x1,∞) × [y1, y2]: the skyline of P(u) within the y-band right of x1,
+// in decreasing-x order. It is the top-open query [y1,y2] × [x1,∞) on
+// the transposed points, whose answer ascends in the original y. The
+// node dispatches to its live tree or, on snapshot clones, the pinned
+// handle — both run the same Theorem 4 query.
+func (nd *node) bandSkyline(out []geom.Point, x1, y1, y2 geom.Coord) []geom.Point {
 	var tq []geom.Point
 	if nd.rh != nil {
 		tq = nd.rh.Query(y1, y2, x1)
 	} else {
 		tq = nd.r.Query(y1, y2, x1)
 	}
-	out := make([]geom.Point, len(tq))
-	for i, p := range tq {
-		// Transposed results ascend in y of the original points;
-		// reverse to ascend in x.
-		out[len(tq)-1-i] = geom.Point{X: p.Y, Y: p.X}
+	for _, p := range tq {
+		out = append(out, geom.Point{X: p.Y, Y: p.X})
 	}
 	return out
 }
@@ -259,23 +260,22 @@ type view struct {
 	root *node
 }
 
-// leafSkyline computes the skyline of the leaf's points inside rect,
-// charging the blocks dyntop.ScanLeaf says a scan of [r.X1, r.X2] reads.
-// The leaf is sorted by x and in general position, so one right-to-left
-// scan of the in-range points keeping the running maximum y finds the
-// maxima without the oracle's copy and sort.
-func (v view) leafSkyline(nd *node, r geom.Rect) []geom.Point {
-	lo, hi := dyntop.ScanLeaf(v.disk, nd.ptsBlock, nd.pts, r.X1, r.X2)
-	var sky []geom.Point
+// leafSkyline appends to out the skyline of the leaf's points inside
+// rect, in decreasing-x order, charging the blocks dyntop.ScanLeaf says
+// a scan of [r.X1, r.X2] from a grounded end reads. The leaf is sorted
+// by x and in general position, so one right-to-left scan of the
+// in-range points keeping the running maximum y finds the maxima
+// without the oracle's copy and sort.
+func (v view) leafSkyline(out []geom.Point, nd *node, r geom.Rect) []geom.Point {
+	lo, hi := dyntop.ScanLeaf(v.disk, nd.ptsBlock, nd.pts, r.X1, r.X2, false)
 	best := geom.Coord(math.MinInt64)
 	for i := hi - 1; i >= lo; i-- {
 		if p := nd.pts[i]; p.Y > best && r.Contains(p) {
-			sky = append(sky, p)
+			out = append(out, p)
 			best = p.Y
 		}
 	}
-	slices.Reverse(sky)
-	return sky
+	return out
 }
 
 // Query answers the 4-sided range skyline query [x1,x2] × [y1,y2] in
@@ -288,71 +288,47 @@ func (v view) query(q geom.Rect) []geom.Point {
 	if v.root == nil || q.X1 > q.X2 || q.Y1 > q.Y2 {
 		return nil
 	}
-	// A right-grounded rectangle [x1,∞) × [y1,y2] is one query on
-	// R(root): O(log(n/B) + k/B), no decomposition.
-	if q.X2 == geom.PosInf && !v.root.leaf() {
-		return v.root.bandSkyline(q.X1, q.Y1, q.Y2)
-	}
-	// Canonical decomposition of [x1,x2]: partial leaves on the two
-	// boundaries plus maximal fully-contained nodes in between,
-	// gathered in ascending x order.
-	type part struct {
-		leafNode *node // set for boundary leaves
-		inner    *node // set for contained subtrees
-	}
-	var parts []part
+	// Decompose [x1,x2] into parts in ascending x: every internal node
+	// whose subtree ends by x2 is one part, answered by its own R(u) in
+	// O(log(n/B) + k/B) whether or not x1 cuts it; the boundary leaves
+	// of the right-cut nodes are the others. A right-grounded rectangle
+	// is one part, R(root).
+	var parts []*node
 	var walk func(nd *node)
 	walk = func(nd *node) {
 		if nd.maxX < q.X1 || nd.minX > q.X2 {
 			return
 		}
-		if nd.leaf() {
-			parts = append(parts, part{leafNode: nd})
-			return
-		}
-		if nd.minX >= q.X1 && nd.maxX <= q.X2 {
-			parts = append(parts, part{inner: nd})
+		if nd.leaf() || nd.maxX <= q.X2 {
+			parts = append(parts, nd)
 			return
 		}
 		for _, c := range nd.children {
-			if c.maxX < q.X1 || c.minX > q.X2 {
-				continue
-			}
-			if c.minX >= q.X1 && c.maxX <= q.X2 && !c.leaf() {
-				parts = append(parts, part{inner: c})
-			} else {
-				walk(c)
-			}
+			walk(c)
 		}
 	}
 	walk(v.root)
 
 	// Sweep right to left maintaining β*, the highest y seen so far
-	// (any point below it is dominated by a point to its right
-	// inside Q).
+	// (any point below it is dominated by a point to its right inside
+	// Q). Every part appends its answer in decreasing x, so the answer
+	// is built in one slice and reversed once.
 	betaStar := q.Y1
-	groups := make([][]geom.Point, len(parts))
-	for i := len(parts) - 1; i >= 0; i-- {
-		p := parts[i]
-		band := geom.Rect{X1: q.X1, X2: q.X2, Y1: betaStar, Y2: q.Y2}
-		var res []geom.Point
-		if p.leafNode != nil {
-			res = v.leafSkyline(p.leafNode, band)
-		} else {
-			res = p.inner.bandSkyline(geom.NegInf, betaStar, q.Y2)
-		}
-		groups[i] = res
-		if len(res) > 0 {
-			// The first (leftmost) reported point is the highest.
-			if top := res[0].Y; top > betaStar {
-				betaStar = top
-			}
-		}
-	}
 	var out []geom.Point
-	for _, g := range groups {
-		out = append(out, g...)
+	for i := len(parts) - 1; i >= 0; i-- {
+		nd, n := parts[i], len(out)
+		if nd.leaf() {
+			out = v.leafSkyline(out, nd, geom.Rect{X1: q.X1, X2: q.X2, Y1: betaStar, Y2: q.Y2})
+		} else {
+			out = nd.bandSkyline(out, q.X1, betaStar, q.Y2)
+		}
+		if len(out) > n {
+			// The part's last (leftmost) point is its highest, and
+			// every point it reports lies above β*.
+			betaStar = out[len(out)-1].Y
+		}
 	}
+	slices.Reverse(out)
 	return out
 }
 

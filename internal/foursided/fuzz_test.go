@@ -1,0 +1,88 @@
+package foursided
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/emio"
+	"repro/internal/geom"
+)
+
+// FuzzFourSidedQuery checks one 4-sided rectangle against the oracle on
+// a live index and on a Handle pinned halfway through a run of updates.
+// The seed picks ε and 100–299 points on the grid x, y ∈ 10·ℕ; ops is a
+// run of updates, two bytes each: an odd first byte inserts a point at
+// x = 10·i + 5 (skipped if taken) with a fresh y, an even one deletes
+// the i-th point. B = 8 makes the tree several levels deep, so the
+// rectangle cuts nodes on the left, the right or both. Run with:
+//
+//	go test ./internal/foursided -fuzz FuzzFourSidedQuery -fuzztime 30s
+func FuzzFourSidedQuery(f *testing.F) {
+	ops := []byte{1, 50, 0, 7, 1, 51, 3, 52, 0, 90, 5, 53, 2, 8, 7, 54}
+	inf, ninf := geom.PosInf, geom.NegInf
+	for _, r := range []geom.Rect{
+		{X1: 1005, X2: 1995, Y1: 200, Y2: 2400},  // left cut on nodes that end by x2
+		{X1: ninf, X2: 1005, Y1: ninf, Y2: 1500}, // right cut only
+		{X1: 505, X2: 555, Y1: ninf, Y2: inf},    // both cuts inside one leaf
+		{X1: 501, X2: 509, Y1: ninf, Y2: inf},    // no point in range
+		{X1: 505, X2: inf, Y1: 300, Y2: 2000},    // right-grounded: R(root)
+		{X1: ninf, X2: ninf, Y1: ninf, Y2: inf},  // X2 = −∞: empty
+		{X1: ninf, X2: inf, Y1: ninf, Y2: inf},   // the whole skyline
+	} {
+		f.Add(int64(1), ops, r.X1, r.X2, r.Y1, r.Y2)
+		f.Add(int64(5), ops[:4], r.X1, r.X2, r.Y1, r.Y2)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte, x1, x2, y1, y2 int64) {
+		if len(ops) > 400 {
+			ops = ops[:400]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := 100 + rng.Intn(200)
+		eps := []float64{0.3, 0.5, 1}[rng.Intn(3)]
+		pts := make([]geom.Point, n)
+		xs := make(map[geom.Coord]bool, n)
+		for i, y := range rng.Perm(n) {
+			pts[i] = pt(geom.Coord(10*(i+1)), geom.Coord(10*(y+1)))
+			xs[pts[i].X] = true
+		}
+		d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+		ix := Build(d, eps, pts)
+		nextY := geom.Coord(10*n + 5)
+		apply := func(ops []byte) {
+			for ; len(ops) >= 2; ops = ops[2:] {
+				if ops[0]%2 == 1 {
+					p := pt(geom.Coord(10*int(ops[1])+5), nextY)
+					if xs[p.X] {
+						continue
+					}
+					nextY += 10
+					xs[p.X] = true
+					ix.Insert(p)
+					pts = append(pts, p)
+				} else if len(pts) > 0 {
+					i := int(ops[1]) % len(pts)
+					if !ix.Delete(pts[i]) {
+						t.Fatalf("Delete(%v) reported absent", pts[i])
+					}
+					delete(xs, pts[i].X)
+					pts = append(pts[:i:i], pts[i+1:]...)
+				}
+			}
+		}
+		half := len(ops) / 4 * 2
+		apply(ops[:half])
+		ret := d.RetainFrees()
+		defer ret.Release()
+		h := ix.Snapshot()
+		pinned := append([]geom.Point(nil), pts...)
+		apply(ops[half:])
+
+		r := geom.Rect{X1: x1, X2: x2, Y1: y1, Y2: y2}
+		if got, want := ix.Query(r), geom.RangeSkyline(pts, r); !sameAnswer(got, want) {
+			t.Fatalf("live Query(%v) = %v, want %v", r, got, want)
+		}
+		if got, want := h.Query(r), geom.RangeSkyline(pinned, r); !sameAnswer(got, want) {
+			t.Fatalf("pinned Query(%v) = %v, want %v", r, got, want)
+		}
+	})
+}

@@ -26,12 +26,15 @@ func leafOf(nd *node, x geom.Coord) *node {
 }
 
 // TestBoundaryLeafChargesScannedBlocks pins the query accounting rule on
-// a leaf grown to four blocks (B = 8, four points a block): a boundary
-// leaf cut on one side is charged only the blocks a scan from its
-// grounded end reads — through the block of the boundary point just
-// before, at and just after a block edge — and a leaf cut on both sides
-// or holding no point in range is charged whole, through the live index
-// and through a Handle.
+// a leaf grown to four blocks (B = 8, four points a block) that is not
+// its parent's last child. Every rectangle ends inside the parent, so
+// the parent is cut on the right and the leaf is a boundary leaf, read
+// from a grounded end (foursided leaves have no fences): a leaf cut on
+// one side is charged only the blocks a scan from its grounded end
+// reads — through the block of the boundary point just before, at and
+// just after a block edge — and a leaf cut on both sides or holding no
+// point in range is charged whole, through the live index and through a
+// Handle.
 func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 	const n = 240
 	rng := rand.New(rand.NewSource(9))
@@ -41,25 +44,34 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 	}
 	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 1024})
 	ix := Build(d, 0.5, pts)
-	// Grow one leaf from B to 2B points by inserting just left of each
-	// of its points.
+	// Grow a leaf that is not its parent's last child from B to 2B
+	// points by inserting just left of each of its points.
 	leaf := leafOf(ix.root, pts[n/2].X)
+	if sibs := leaf.parent.children; sibs[len(sibs)-1] == leaf {
+		leaf = sibs[len(sibs)-2]
+	}
+	x := leaf.maxX
 	for i, p := range append([]geom.Point(nil), leaf.pts...) {
 		q := pt(p.X-5, geom.Coord(10*(n+i+1)+5))
 		ix.Insert(q)
 		pts = append(pts, q)
 	}
-	leaf = leafOf(ix.root, pts[n/2].X)
+	leaf = leafOf(ix.root, x)
 	B := d.Config().B
 	if blocks := d.Config().BlocksFor(leaf.ptsWords); blocks != 4 {
 		t.Fatalf("leaf spans %d blocks, want 4", blocks)
+	}
+	lp := leaf.pts
+	xmin, xmax := geom.Coord(math.MinInt64+1), geom.Coord(math.MaxInt64-1)
+	// A left cut ends just past the leaf, still inside its parent.
+	xend := lp[len(lp)-1].X + 1
+	if leaf.parent.maxX <= xend {
+		t.Fatalf("leaf [%d,%d] ends its parent [%d,%d]", leaf.minX, leaf.maxX, leaf.parent.minX, leaf.parent.maxX)
 	}
 	ret := d.RetainFrees()
 	defer ret.Release()
 	h := ix.Snapshot()
 
-	lp := leaf.pts
-	xmin, xmax := geom.Coord(math.MinInt64+1), geom.Coord(math.MaxInt64-1) // finite: no R(root) path
 	type scanCase struct {
 		name        string
 		x1, x2      geom.Coord
@@ -68,7 +80,7 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 	var cs []scanCase
 	for _, c := range []int{B/2 - 1, B / 2, B/2 + 1} { // around the edge of blocks 0 and 1
 		cs = append(cs,
-			scanCase{fmt.Sprintf("left cut after point %d", c), lp[c].X + 1, xmax, 2 * c / B, 3},
+			scanCase{fmt.Sprintf("left cut after point %d", c), lp[c].X + 1, xend, 2 * c / B, 3},
 			scanCase{fmt.Sprintf("right cut before point %d", c), xmin, lp[c].X - 1, 0, (2*c + 1) / B})
 	}
 	cs = append(cs,
@@ -190,5 +202,90 @@ func TestRightGroundedIOBudget(t *testing.T) {
 	}
 	if mean := float64(total) / queries; mean > logNB {
 		t.Errorf("mean right-grounded query cost %.2f I/Os, budget log2(n/B) = %.0f", mean, logNB)
+	}
+}
+
+// TestLeftCutIOBudget holds rectangles with a finite right edge to the
+// decomposition in which every internal node whose subtree ends by x2
+// asks its own R(u): at n = 16 384 and B = 64, from a cold cache, the
+// mean cost of 300 bottom-open and of 300 4-sided rectangles stays
+// within log2(n/B) I/Os each (6.3 and 4.4). Splitting a node cut only on
+// its left into canonical children and a boundary leaf costs more (mean
+// 14.2 and 10.0 on these queries). After every query, live and through
+// a Handle, no leaf below such a node is resident: R(u) answered it
+// alone.
+func TestLeftCutIOBudget(t *testing.T) {
+	const n = 16384
+	cfg := emio.Config{B: 64, M: 64 * 64}
+	d := emio.NewDisk(cfg)
+	pts := geom.GenUniform(n, 1<<30, 21)
+	ix := Build(d, 0.5, pts)
+	ret := d.RetainFrees()
+	defer ret.Release()
+	h := ix.Snapshot()
+	logNB := math.Log2(float64(n) / float64(cfg.B))
+
+	// leftCut lists the leaves below every internal node that r cuts on
+	// its left only.
+	leftCut := func(r geom.Rect) []*node {
+		var out []*node
+		var walk func(nd *node, below bool)
+		walk = func(nd *node, below bool) {
+			if nd.leaf() {
+				if below {
+					out = append(out, nd)
+				}
+				return
+			}
+			below = below || (nd.minX < r.X1 && r.X1 <= nd.maxX && nd.maxX <= r.X2)
+			for _, c := range nd.children {
+				walk(c, below)
+			}
+		}
+		walk(ix.root, false)
+		return out
+	}
+	shapes := []struct {
+		name string
+		make func(rng *rand.Rand) geom.Rect
+	}{
+		{"bottom-open", func(rng *rand.Rand) geom.Rect {
+			x1 := geom.Coord(rng.Int63n(1 << 30))
+			return geom.BottomOpen(x1, x1+geom.Coord(rng.Int63n(1<<29)), geom.Coord(rng.Int63n(1<<30)))
+		}},
+		{"4-sided", func(rng *rand.Rand) geom.Rect {
+			x1, y1 := geom.Coord(rng.Int63n(1<<30)), geom.Coord(rng.Int63n(1<<30))
+			return geom.Rect{X1: x1, X2: x1 + geom.Coord(rng.Int63n(1<<29)), Y1: y1, Y2: y1 + geom.Coord(rng.Int63n(1<<29))}
+		}},
+	}
+	const queries = 300
+	for _, s := range shapes {
+		for _, via := range []string{"index", "handle"} {
+			query := ix.Query
+			if via == "handle" {
+				query = h.Query
+			}
+			rng := rand.New(rand.NewSource(22))
+			var total uint64
+			for q := 0; q < queries; q++ {
+				r := s.make(rng)
+				var got []geom.Point
+				total += d.Measure(func() { got = query(r) }).IOs()
+				if want := geom.RangeSkyline(pts, r); !sameAnswer(got, want) {
+					t.Fatalf("%s via %s: Query(%v) = %v, want %v", s.name, via, r, got, want)
+				}
+				for _, l := range leftCut(r) {
+					for b := 0; b < cfg.BlocksFor(l.ptsWords); b++ {
+						if d.Resident(l.ptsBlock + emio.BlockID(b)) {
+							t.Fatalf("%s via %s: Query(%v) read leaf [%d,%d] below a left-cut node",
+								s.name, via, r, l.minX, l.maxX)
+						}
+					}
+				}
+			}
+			if mean := float64(total) / queries; mean > logNB {
+				t.Errorf("%s via %s: mean cost %.2f I/Os, budget log2(n/B) = %.0f", s.name, via, mean, logNB)
+			}
+		}
 	}
 }
