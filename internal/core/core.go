@@ -132,15 +132,16 @@ type Options struct {
 	// drain — the fully deterministic configuration).
 	FlushInterval time.Duration
 	// Dir, when non-empty, makes the index durable: real files under
-	// Dir — a 4 KB-page snapshot store (skyline.pages, internal/pager)
-	// and a write-ahead log (skyline.wal, internal/wal). Every
-	// acknowledged update batch is WAL-appended before it is applied
-	// (engine.LogBackend); DB.Flush and DB.Close checkpoint — snapshot
-	// the live set and truncate the WAL — and reopening the same Dir
-	// recovers: structures rebuild from the snapshot, then the WAL
-	// tail replays through the batched update paths (DB.Recover
-	// reports the counts). A fresh Dir is seeded from pts and
-	// checkpointed at Open; an existing Dir requires len(pts) == 0.
+	// Dir — a checksummed checkpoint of the point set (skyline.pages,
+	// internal/pager) and a write-ahead log (skyline.wal,
+	// internal/wal). Every acknowledged update batch is WAL-appended
+	// before it is applied (engine.LogBackend); DB.Flush and DB.Close
+	// checkpoint — snapshot the live set and truncate the WAL — and
+	// reopening the same Dir recovers: structures rebuild from the
+	// snapshot, then the WAL tail replays through the batched update
+	// paths (DB.Recover reports the counts). A fresh Dir is seeded
+	// from pts and checkpointed at Open; an existing Dir requires
+	// len(pts) == 0.
 	// Empty Dir (the default) keeps the index purely simulated — the
 	// CI oracle configuration. With AsyncWrites, "acknowledged" means
 	// drained: buffered writes not yet drained are lost by a crash,
@@ -151,11 +152,6 @@ type Options struct {
 	// no user-space buffering) but not power loss. Ignored without
 	// Dir.
 	SyncWAL bool
-	// PageCacheFrames bounds the pager's in-memory page cache when Dir
-	// is set; zero means pager.DefaultCacheFrames. The cache reuses
-	// the simulated machine's frame/pin/eviction discipline
-	// (emio.FrameTable) over real 4 KB pages.
-	PageCacheFrames int
 	// FS is the filesystem the durable files live on; nil means the
 	// real one (vfs.OS). Fault-injection tests and the E18 resilience
 	// experiment pass a vfs.FaultFS to fail chosen operations
@@ -585,7 +581,7 @@ func (db *DB) CacheCounters() engine.CacheCounters {
 
 // Flush drains every buffered write to the underlying structures and,
 // with Options.Dir, checkpoints: the live point set is snapshotted to
-// the page file and the WAL truncated, so the next Open rebuilds
+// the checkpoint file and the WAL truncated, so the next Open rebuilds
 // without replay. Without AsyncWrites or Dir it is a no-op; with the
 // queue, Flush is the explicit third drain trigger next to FlushPoints
 // and FlushInterval (and surfaces any drain error an earlier

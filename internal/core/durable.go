@@ -5,9 +5,10 @@
 // LOGICAL: what persists is the point set and the update history, not
 // page images of the structures.
 //
-//   - skyline.pages (internal/pager): 4 KB-page snapshot of the live
-//     point set as of the last checkpoint; page 0 is metadata carrying
-//     the WAL sequence the snapshot covers.
+//   - skyline.pages (internal/pager): the x-sorted live point set as of
+//     the last checkpoint and the WAL sequence it covers, in one
+//     sequential file under a CRC-32C; a damaged file is
+//     pager.ErrCorrupt, which Open returns unchanged.
 //   - skyline.wal (internal/wal): one record per update batch the
 //     index acknowledged after that checkpoint — the async queue's
 //     drain batches, or individual writes when synchronous.
@@ -109,7 +110,7 @@ func openDurable(opts Options, seed []geom.Point) (*durable, error) {
 			return nil, fmt.Errorf("core: %s has a WAL but no page file; refusing to guess", dir)
 		}
 	}
-	p, err := pager.OpenFS(pagesPath, opts.PageCacheFrames, fsys, opts.Retry)
+	p, err := pager.OpenFS(pagesPath, fsys, opts.Retry)
 	if err != nil {
 		return nil, err
 	}
@@ -194,9 +195,9 @@ var testAfterWALAppend func()
 
 // checkpoint makes the snapshot current and empties the WAL: the live
 // set is materialized under the LogBackend's write mutex and installed
-// by the pager's shadow-file rename — crash-atomic, so the page file
-// at every instant holds either the old snapshot or the new one, each
-// consistent with the WAL sequence its metadata records — and only
+// by the pager's shadow-file rename — crash-atomic, so the checkpoint
+// file at every instant holds either the old snapshot or the new one,
+// each consistent with the WAL sequence its header records — and only
 // then is the WAL truncated. A crash before the rename recovers the
 // old snapshot and replays the full WAL tail; a crash after the rename
 // but before the truncate replays nothing (the sequence filter in
@@ -215,10 +216,6 @@ func (db *DB) checkpoint() error {
 // the snapshot and the replayed WAL tail. Useful for asserting crash
 // recovery actually exercised the replay path.
 func (db *DB) Recover() RecoveryStats { return db.recov }
-
-// Pager exposes the durable page store, or nil without Options.Dir.
-// Its Stats count real file I/O, next to the simulated machine's.
-func (db *DB) Pager() *pager.Pager { return db.pager }
 
 // WAL exposes the write-ahead log, or nil without Options.Dir.
 func (db *DB) WAL() *wal.Log { return db.wal }

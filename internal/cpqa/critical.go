@@ -73,18 +73,22 @@ func (q *Queue) AdmitCritical() {
 }
 
 // PinCritical pins the critical records in memory (charging reads for
-// any that are cold), returning an unpin function. This realises the
-// paper's "constant number of blocks pinned in main memory" assumption
-// behind the O(1/b) amortized bounds.
-func (q *Queue) PinCritical() (unpin func()) {
-	spans := q.criticalSpans(nil)
-	for _, s := range spans {
+// any that are cold) until UnpinCritical. This realises the paper's
+// "constant number of blocks pinned in main memory" assumption behind
+// the O(1/b) amortized bounds.
+func (q *Queue) PinCritical() {
+	var buf [10]span
+	for _, s := range q.criticalSpans(buf[:0]) {
 		q.disk.PinSpan(s.block, s.words)
 	}
-	return func() {
-		for _, s := range spans {
-			q.disk.UnpinSpan(s.block, s.words)
-		}
+}
+
+// UnpinCritical releases one PinCritical of q. A queue version never
+// changes, so the spans it recomputes are the ones PinCritical pinned.
+func (q *Queue) UnpinCritical() {
+	var buf [10]span
+	for _, s := range q.criticalSpans(buf[:0]) {
+		q.disk.UnpinSpan(s.block, s.words)
 	}
 }
 

@@ -239,15 +239,14 @@ func (t *Tree) refreshInternal(nd *node) {
 	}
 	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
 		qs := make([]*cpqa.Queue, 0, len(nd.children))
-		var unpins []func()
 		for _, c := range nd.children {
 			c.q.AdmitCritical()
-			unpins = append(unpins, c.q.PinCritical())
+			c.q.PinCritical()
 			qs = append(qs, c.q)
 		}
 		q := cpqa.CatenateAllIn(sc, qs).BiasUntilReady()
-		for _, u := range unpins {
-			u()
+		for _, cq := range qs {
+			cq.UnpinCritical()
 		}
 		return q
 	})
@@ -561,12 +560,12 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 	// every DeleteMin version live in a scratch scope that is released
 	// once the answer is out.
 	sc := v.disk.NewScope()
-	var qs []*cpqa.Queue
-	var unpins []func()
-	v.collect(sc, v.root, x1, x2, &qs, &unpins)
+	// Room for a typical query's queues without a heap allocation.
+	var qbuf, pbuf [32]*cpqa.Queue
+	qs, pinned := v.collect(sc, v.root, x1, x2, qbuf[:0], pbuf[:0])
 	merged := cpqa.CatenateAllIn(sc, qs)
-	for _, u := range unpins {
-		u()
+	for _, q := range pinned {
+		q.UnpinCritical()
 	}
 	var out []geom.Point
 	for merged != nil && !merged.Empty() {
@@ -586,10 +585,12 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 // whole-node queues for maximal contained subtrees and fresh partial
 // queues, built in the query's scratch scope, for the boundary leaves.
 // A boundary leaf is scanned from its fences when its parent's
-// representative block, read on the way down, holds them.
-func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Queue, unpins *[]func()) {
+// representative block, read on the way down, holds them. The
+// contained subtrees' queues are pinned; collect appends them to pinned
+// too, for the caller to unpin once the catenation is built.
+func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs, pinned []*cpqa.Queue) ([]*cpqa.Queue, []*cpqa.Queue) {
 	if nd.maxX < x1 || nd.minX > x2 || (nd.leaf() && len(nd.pts) == 0) {
-		return
+		return qs, pinned
 	}
 	if nd.leaf() {
 		fenced := false
@@ -599,15 +600,13 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 		lo, hi := ScanLeaf(v.disk, nd.ptsBlock, nd.pts, x1, x2, fenced)
 		if nd.minX >= x1 && nd.maxX <= x2 {
 			nd.q.AdmitCritical()
-			*unpins = append(*unpins, nd.q.PinCritical())
-			*qs = append(*qs, nd.q)
-			return
+			nd.q.PinCritical()
+			return append(qs, nd.q), append(pinned, nd.q)
 		}
-		if lo >= hi {
-			return
+		if lo < hi {
+			qs = append(qs, cpqa.FromAscendingIn(sc, v.b, staircase(nd.pts[lo:hi])))
 		}
-		*qs = append(*qs, cpqa.FromAscendingIn(sc, v.b, staircase(nd.pts[lo:hi])))
-		return
+		return qs, pinned
 	}
 	// Internal: one representative-block read makes every child's
 	// critical records and any leaf child fences resident.
@@ -618,12 +617,13 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs *[]*cpqa.Q
 		}
 		if c.minX >= x1 && c.maxX <= x2 {
 			c.q.AdmitCritical()
-			*unpins = append(*unpins, c.q.PinCritical())
-			*qs = append(*qs, c.q)
+			c.q.PinCritical()
+			qs, pinned = append(qs, c.q), append(pinned, c.q)
 			continue
 		}
-		v.collect(sc, c, x1, x2, qs, unpins)
+		qs, pinned = v.collect(sc, c, x1, x2, qs, pinned)
 	}
+	return qs, pinned
 }
 
 // ScanLeaf charges the blocks a scan of one x-sorted leaf reads for the

@@ -156,10 +156,10 @@ type Disk struct {
 	liveWords  int64
 	peakWords  int64
 
-	// frames is the LRU cache of resident blocks, keyed by slot: the
-	// frame, pin and eviction discipline shared with the file-backed
-	// pager (internal/pager). Evicting a dirty frame charges one write
-	// I/O through the table's eviction callback.
+	// frames is the LRU cache of resident blocks, keyed by slot, with
+	// the frame, pin and eviction discipline of FrameTable. Evicting a
+	// dirty frame charges one write I/O through the table's eviction
+	// callback.
 	frames *FrameTable
 
 	// Snapshot retention state (see retain.go): while retained is

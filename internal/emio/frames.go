@@ -1,10 +1,6 @@
-// FrameTable: the LRU frame cache extracted from Disk so that every
-// cache of fixed-size storage units in the repository shares one
-// eviction and pin discipline. Disk uses it for its simulated block
-// frames (keyed by block slot); internal/pager uses it for the 4 KB
-// page frames of the real file-backed store (keyed by page number).
-// The discipline is exactly the one the paper's I/O accounting rests
-// on:
+// FrameTable: the LRU frame cache of Disk's simulated block frames
+// (keyed by block slot), kept apart from the block bookkeeping. Its
+// discipline is exactly the one the paper's I/O accounting rests on:
 //
 //   - frames form an LRU list; admitting past capacity evicts the
 //     least recently used UNPINNED frame (the eviction callback sees
@@ -19,18 +15,18 @@
 //     maintained exactly, so owners can assert the accounting that the
 //     paper's amortized bounds rest on.
 //
-// Keys are small dense integers (a disk slot, a page number): the table
-// finds a frame through a slice indexed by key, and keeps its frames in
-// a pointer-free slice linked by int32 positions with a free-frame
-// list, so an admission allocates nothing once the table has reached
-// its working size and the garbage collector has nothing to scan.
+// Keys are small dense integers (disk slots): the table finds a frame
+// through a slice indexed by key, and keeps its frames in a
+// pointer-free slice linked by int32 positions with a free-frame list,
+// so an admission allocates nothing once the table has reached its
+// working size and the garbage collector has nothing to scan.
 //
-// The table is not safe for concurrent use; owners guard it with their
-// own mutex (Disk's guarded mode, the pager's lock).
+// The table is not safe for concurrent use; Disk guards it with its own
+// mutex in guarded mode.
 package emio
 
-// Frame is the residency state of one cached unit (a simulated block,
-// a pager page), as Get and the eviction callback report it.
+// Frame is the residency state of one cached block, as Get and the
+// eviction callback report it.
 type Frame struct {
 	// Key names the cached unit.
 	Key uint64
@@ -137,14 +133,6 @@ func (t *FrameTable) Touch(key uint64, dirty bool) bool {
 		t.frames[i].dirty = true
 	}
 	return true
-}
-
-// Clean clears the dirty bit of key's frame (after its content was
-// written back), if it is resident.
-func (t *FrameTable) Clean(key uint64) {
-	if i := t.lookup(key); i != nilFrame {
-		t.frames[i].dirty = false
-	}
 }
 
 // Admit inserts a frame for key at the most-recently-used position and

@@ -2,9 +2,8 @@ package emio
 
 import "testing"
 
-// TestFrameTableLRUDiscipline pins the eviction order the Disk and the
-// pager both rely on: least recently used unpinned frame first, pinned
-// frames never.
+// TestFrameTableLRUDiscipline pins the eviction order the Disk relies
+// on: least recently used unpinned frame first, pinned frames never.
 func TestFrameTableLRUDiscipline(t *testing.T) {
 	var evicted []uint64
 	ft := NewFrameTable(2, func(f Frame) { evicted = append(evicted, f.Key) })

@@ -1,14 +1,19 @@
 package pager
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
+	"repro/internal/vfs"
 )
 
 func tmpFile(t *testing.T) string {
@@ -16,23 +21,23 @@ func tmpFile(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "skyline.db")
 }
 
-// TestFreshFileMeta: a fresh file gets a valid empty metadata page,
-// and a reopen reads it back.
+// TestFreshFileMeta: a fresh file gets a valid empty snapshot, and a
+// reopen reads it back.
 func TestFreshFileMeta(t *testing.T) {
 	path := tmpFile(t)
 	p, err := Open(path, 0)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if m := p.Meta(); m.Pages != 0 || m.Points != 0 || m.WALSeq != 0 {
+	if m := p.Meta(); m.Version != version || m.Points != 0 || m.WALSeq != 0 {
 		t.Fatalf("fresh meta = %+v", m)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	st, _ := os.Stat(path)
-	if st.Size() != PageSize {
-		t.Fatalf("fresh file size = %d, want one meta page", st.Size())
+	if st.Size() != headerSize+crcSize {
+		t.Fatalf("fresh file size = %d, want an empty snapshot's %d", st.Size(), headerSize+crcSize)
 	}
 	p2, err := Open(path, 0)
 	if err != nil {
@@ -45,7 +50,7 @@ func TestFreshFileMeta(t *testing.T) {
 // misread.
 func TestNotAPagerFile(t *testing.T) {
 	path := tmpFile(t)
-	if err := os.WriteFile(path, make([]byte, 2*PageSize), 0o644); err != nil {
+	if err := os.WriteFile(path, make([]byte, 8192), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path, 0); err == nil {
@@ -53,7 +58,8 @@ func TestNotAPagerFile(t *testing.T) {
 	}
 }
 
-// TestMetaCorruptionDetected: a flipped bit in page 0 fails the CRC.
+// TestMetaCorruptionDetected: a flipped bit in the header fails the
+// CRC at Open.
 func TestMetaCorruptionDetected(t *testing.T) {
 	path := tmpFile(t)
 	p, _ := Open(path, 0)
@@ -62,7 +68,7 @@ func TestMetaCorruptionDetected(t *testing.T) {
 	}
 	p.Close()
 	data, _ := os.ReadFile(path)
-	data[12] ^= 1 // pages field
+	data[12] ^= 1 // WAL sequence
 	os.WriteFile(path, data, 0o644)
 	if _, err := Open(path, 0); err == nil {
 		t.Fatalf("corrupt metadata accepted")
@@ -70,12 +76,11 @@ func TestMetaCorruptionDetected(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: points written at a checkpoint come back
-// byte-identically across a reopen, including multi-page snapshots
-// with a partial last page.
+// byte-identically across a reopen, at several sizes.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, PointsPerPage, PointsPerPage + 1, 3*PointsPerPage - 5} {
+	for _, n := range []int{0, 1, 256, 257, 763} {
 		path := tmpFile(t)
-		p, _ := Open(path, 4) // tiny cache: snapshot spills through evictions
+		p, _ := Open(path, 4)
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = geom.Point{X: int64(i * 3), Y: int64(-i)}
@@ -115,7 +120,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotShrinks(t *testing.T) {
 	path := tmpFile(t)
 	p, _ := Open(path, 0)
-	big := make([]geom.Point, 5*PointsPerPage)
+	big := make([]geom.Point, 1280)
 	for i := range big {
 		big[i] = geom.Point{X: int64(i), Y: int64(i)}
 	}
@@ -127,8 +132,8 @@ func TestSnapshotShrinks(t *testing.T) {
 	}
 	p.Close()
 	st, _ := os.Stat(path)
-	if st.Size() != 2*PageSize { // meta + one data page
-		t.Fatalf("file size after shrink = %d, want %d", st.Size(), 2*PageSize)
+	if want := int64(headerSize + 3*16 + crcSize); st.Size() != want {
+		t.Fatalf("file size after shrink = %d, want %d", st.Size(), want)
 	}
 	p2, err := Open(path, 0)
 	if err != nil {
@@ -139,90 +144,6 @@ func TestSnapshotShrinks(t *testing.T) {
 		t.Fatalf("ReadSnapshot after shrink: %d points, err %v", len(got), err)
 	}
 	p2.Close()
-}
-
-// TestCacheDisciplineCounts: the page cache actually caches — a re-read
-// of a resident page is a hit, an over-capacity workload evicts and
-// re-fetches, and pinned pages survive eviction pressure.
-func TestCacheDisciplineCounts(t *testing.T) {
-	path := tmpFile(t)
-	p, _ := Open(path, 2)
-	var page [PageSize]byte
-	for id := uint64(1); id <= 3; id++ {
-		page[0] = byte(id)
-		if err := p.Write(id, page[:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Cache holds 2 frames: writing 1,2,3 evicted page 1 (dirty →
-	// one real write).
-	if got := p.Stats().Writes; got < 1 {
-		t.Fatalf("no write-back after over-capacity writes: %+v", p.Stats())
-	}
-	var out [PageSize]byte
-	preReads := p.Stats().Reads
-	if err := p.Read(3, out[:]); err != nil { // resident: hit
-		t.Fatal(err)
-	}
-	if p.Stats().Reads != preReads || p.Stats().Hits == 0 {
-		t.Fatalf("resident read missed: %+v", p.Stats())
-	}
-	if err := p.Read(1, out[:]); err != nil { // evicted: real read
-		t.Fatal(err)
-	}
-	if out[0] != 1 {
-		t.Fatalf("page 1 content lost across eviction: %d", out[0])
-	}
-	if p.Stats().Reads != preReads+1 {
-		t.Fatalf("evicted read did not hit the file: %+v", p.Stats())
-	}
-
-	// Pin page 1; stream pages 2..5 through the 2-frame cache; page 1
-	// must stay resident (no new read to serve it).
-	if err := p.Pin(1); err != nil {
-		t.Fatal(err)
-	}
-	for id := uint64(2); id <= 5; id++ {
-		page[0] = byte(id)
-		p.Write(id, page[:])
-	}
-	preReads = p.Stats().Reads
-	p.Read(1, out[:])
-	if p.Stats().Reads != preReads {
-		t.Fatalf("pinned page was evicted under pressure")
-	}
-	p.Unpin(1)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEvictErrorDropsAdmittedFrame: when admitting a page fails
-// because the eviction's dirty write-back failed, the just-admitted
-// frame must not stay resident — on the create path it is a dirty
-// all-zero page, and a later Flush/Close would write zeros over a page
-// the metadata still describes.
-func TestEvictErrorDropsAdmittedFrame(t *testing.T) {
-	path := tmpFile(t)
-	p, err := Open(path, 1)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	var page [PageSize]byte
-	page[0] = 1
-	if err := p.Write(1, page[:]); err != nil { // dirty, resident
-		t.Fatal(err)
-	}
-	p.f.Close() // break the file: the eviction write-back must fail
-	if err := p.Write(2, page[:]); err == nil {
-		t.Fatalf("Write over a broken write-back reported success")
-	}
-	if p.cache.Resident(2) {
-		t.Fatalf("failed admission left frame 2 resident (a zeroed dirty page)")
-	}
-	if _, ok := p.pages[2]; ok {
-		t.Fatalf("failed admission left page 2's payload in the side table")
-	}
 }
 
 // TestLeftoverShadowSwept: a shadow file orphaned by a crash between
@@ -242,7 +163,7 @@ func TestLeftoverShadowSwept(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	shadow := path + shadowSuffix
-	if err := os.WriteFile(shadow, make([]byte, 3*PageSize), 0o644); err != nil {
+	if err := os.WriteFile(shadow, make([]byte, 3*4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := Open(path, 0)
@@ -264,18 +185,6 @@ func TestLeftoverShadowSwept(t *testing.T) {
 	}
 }
 
-// TestUnpinUnpinnedPanics matches the simulated disk's discipline.
-func TestUnpinUnpinnedPanics(t *testing.T) {
-	p, _ := Open(tmpFile(t), 0)
-	defer p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Unpin of unpinned page did not panic")
-		}
-	}()
-	p.Unpin(42)
-}
-
 // openAndRead opens the data file and reads its snapshot back: the two
 // steps core.Open takes before it builds anything from the points.
 func openAndRead(path string) ([]geom.Point, error) {
@@ -288,8 +197,9 @@ func openAndRead(path string) ([]geom.Point, error) {
 }
 
 // TestEveryFlippedByteIsCorrupt: a single damaged byte anywhere in a
-// checkpoint — metadata, point data or a page's zero padding — makes
-// the open fail with ErrCorrupt; no damaged point set is returned.
+// checkpoint — header, point data or checksum — makes the open fail
+// with ErrCorrupt; no damaged point set is returned. So do a truncated
+// file and one with a trailing byte.
 func TestEveryFlippedByteIsCorrupt(t *testing.T) {
 	path := tmpFile(t)
 	p, err := Open(path, 0)
@@ -306,8 +216,8 @@ func TestEveryFlippedByteIsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(good) != 2*PageSize {
-		t.Fatalf("checkpoint is %d bytes, want %d", len(good), 2*PageSize)
+	if want := headerSize + 3*16 + crcSize; len(good) != want {
+		t.Fatalf("checkpoint is %d bytes, want %d", len(good), want)
 	}
 	bad := make([]byte, len(good))
 	for i := range good {
@@ -321,26 +231,196 @@ func TestEveryFlippedByteIsCorrupt(t *testing.T) {
 			t.Fatalf("byte %d flipped: got %v, err %v; want ErrCorrupt", i, pts, err)
 		}
 	}
-	if err := os.WriteFile(path, good[:PageSize+16], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openAndRead(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated checkpoint: err %v, want ErrCorrupt", err)
+	for name, data := range map[string][]byte{
+		"truncated":     good[:headerSize+16],
+		"trailing byte": append(slices.Clip(good), 0),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openAndRead(path); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s checkpoint: err %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 
-// TestFormatOneRefused: a format-1 file (its CRC covered page 0 only)
-// is refused with ErrCorrupt rather than read without a data check.
-func TestFormatOneRefused(t *testing.T) {
-	path := tmpFile(t)
-	var b [PageSize]byte
+// formatTwoFile is an empty checkpoint in the paged format 2: one 4 KB
+// metadata page (magic, version 2, pages, WAL sequence, points, data
+// CRC) whose last four bytes are a CRC-32C of the rest of the page.
+func formatTwoFile(walSeq uint64) []byte {
+	b := make([]byte, 4096)
 	copy(b[0:8], magic[:])
-	binary.LittleEndian.PutUint32(b[8:12], 1)
-	binary.LittleEndian.PutUint32(b[36:40], crc32.ChecksumIEEE(b[:36]))
-	if err := os.WriteFile(path, b[:], 0o644); err != nil {
+	binary.LittleEndian.PutUint32(b[8:12], 2)
+	binary.LittleEndian.PutUint64(b[20:28], walSeq)
+	binary.LittleEndian.PutUint32(b[4092:], crc32.Checksum(b[:4092], castagnoli))
+	return b
+}
+
+// TestFormatOneRefused: files of the older formats are refused with
+// ErrCorrupt rather than read: format 1 (its CRC covered page 0 only)
+// and format 2 (paged, its data CRC kept in page 0).
+func TestFormatOneRefused(t *testing.T) {
+	one := make([]byte, 4096)
+	copy(one[0:8], magic[:])
+	binary.LittleEndian.PutUint32(one[8:12], 1)
+	binary.LittleEndian.PutUint32(one[36:40], crc32.ChecksumIEEE(one[:36]))
+	for name, data := range map[string][]byte{"format 1": one, "format 2": formatTwoFile(4)} {
+		path := tmpFile(t)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s file: err %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestFormatThreeLayout pins the byte layout of a format-3 file,
+// spelled out field by field: magic, version, WAL sequence, point
+// count, the points as little-endian (x, y) pairs, and a CRC-32C of
+// every byte before it.
+func TestFormatThreeLayout(t *testing.T) {
+	path := tmpFile(t)
+	p, err := Open(path, 0)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := p.WriteSnapshot([]geom.Point{{X: -2, Y: 0x0102030405060708}}, 0xAB); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("format-1 file: err %v, want ErrCorrupt", err)
+	want := []byte("SKYPAGE1")
+	want = append(want, 3, 0, 0, 0)
+	want = append(want, 0xAB, 0, 0, 0, 0, 0, 0, 0)
+	want = append(want, 1, 0, 0, 0, 0, 0, 0, 0)
+	want = append(want, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+	want = append(want, 8, 7, 6, 5, 4, 3, 2, 1)
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, crc32.MakeTable(crc32.Castagnoli)))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("file = % x\nwant   % x", got, want)
+	}
+}
+
+// FuzzCheckpointFile writes arbitrary bytes as the data file and opens
+// it the way core.Open does. Open + ReadSnapshot must never panic, and
+// must return either ErrCorrupt or exactly the points (and WAL
+// sequence) the bytes encode — which they do precisely when
+// re-encoding those points reproduces the bytes, checksum included. An
+// empty file is a fresh one: an empty snapshot.
+func FuzzCheckpointFile(f *testing.F) {
+	for _, n := range []int{0, 1, 300} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: int64(i*7 - 50), Y: int64(1000 - i)}
+		}
+		f.Add(encode(pts, uint64(n)+3))
+	}
+	f.Add(formatTwoFile(9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := tmpFile(t)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want []geom.Point
+		var walSeq uint64
+		valid := len(data) == 0
+		if body := len(data) - headerSize - crcSize; body >= 0 && body%16 == 0 {
+			walSeq = binary.LittleEndian.Uint64(data[12:20])
+			for i := headerSize; i < headerSize+body; i += 16 {
+				want = append(want, geom.Point{
+					X: int64(binary.LittleEndian.Uint64(data[i:])),
+					Y: int64(binary.LittleEndian.Uint64(data[i+8:])),
+				})
+			}
+			valid = bytes.Equal(encode(want, walSeq), data)
+		}
+		p, err := Open(path, 0)
+		var got []geom.Point
+		if err == nil {
+			got, err = p.ReadSnapshot()
+			if m := p.Meta(); err == nil && (m.WALSeq != walSeq || m.Points != uint64(len(got))) {
+				t.Fatalf("meta %+v for %d points at WAL sequence %d", m, len(got), walSeq)
+			}
+			if cerr := p.Close(); cerr != nil {
+				t.Fatalf("Close: %v", cerr)
+			}
+		}
+		switch {
+		case !valid && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("invalid file: got %d points, err %v; want ErrCorrupt", len(got), err)
+		case valid && err != nil:
+			t.Fatalf("valid file of %d points refused: %v", len(want), err)
+		case valid && !slices.Equal(got, want):
+			t.Fatalf("read %v, want %v", got, want)
+		}
+	})
+}
+
+// TestFailedInstall: an install that fails fatally before the rename —
+// at the shadow's create, write or sync, or at the rename itself —
+// returns the error, removes the shadow and leaves the old snapshot in
+// place; one that fails at the directory sync after the rename has
+// installed the new one. A torn write is transient: it is retried,
+// counted, and the install completes.
+func TestFailedInstall(t *testing.T) {
+	old := []geom.Point{{X: 1, Y: 9}, {X: 4, Y: 2}}
+	next := []geom.Point{{X: 2, Y: 7}}
+	cases := []struct {
+		rule      vfs.Fault
+		installed bool
+	}{
+		{rule: vfs.Fault{Op: vfs.OpOpen, Nth: 1, Err: syscall.EIO}},
+		{rule: vfs.Fault{Op: vfs.OpWriteAt, Nth: 1, Err: syscall.ENOSPC}},
+		{rule: vfs.Fault{Op: vfs.OpSync, Nth: 1, Err: syscall.EIO}},
+		{rule: vfs.Fault{Op: vfs.OpRename, Nth: 1, Err: syscall.EIO}},
+		{rule: vfs.Fault{Op: vfs.OpSyncDir, Nth: 1, Err: syscall.EIO}, installed: true},
+		{rule: vfs.Fault{Op: vfs.OpWriteAt, Nth: 1, Short: true}, installed: true},
+	}
+	for _, c := range cases {
+		path := tmpFile(t)
+		ffs := vfs.NewFaultFS(vfs.OS, 1)
+		p, err := OpenFS(path, ffs, vfs.RetryPolicy{Sleep: func(time.Duration) {}})
+		if err != nil {
+			t.Fatalf("OpenFS: %v", err)
+		}
+		if err := p.WriteSnapshot(old, 3); err != nil {
+			t.Fatalf("WriteSnapshot: %v", err)
+		}
+		ffs.AddFault(c.rule)
+		err = p.WriteSnapshot(next, 4)
+		transient := c.rule.Err == nil
+		if transient && (err != nil || p.Retries().Retried() != 1) {
+			t.Fatalf("%v torn write: err %v after %d retries, want one retry", c.rule.Op, err, p.Retries().Retried())
+		}
+		if !transient && !errors.Is(err, c.rule.Err) {
+			t.Fatalf("%v fault: err %v, want %v", c.rule.Op, err, c.rule.Err)
+		}
+		ffs.ClearFaults()
+		if _, err := os.Stat(path + shadowSuffix); !os.IsNotExist(err) {
+			t.Fatalf("%v fault left the shadow behind: %v", c.rule.Op, err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		want, seq := old, uint64(3)
+		if c.installed {
+			want, seq = next, 4
+		}
+		p2, err := Open(path, 0)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		got, err := p2.ReadSnapshot()
+		if err != nil || !slices.Equal(got, want) || p2.Meta().WALSeq != seq {
+			t.Fatalf("%v fault: reopened %v at WAL sequence %d (err %v), want %v at %d",
+				c.rule.Op, got, p2.Meta().WALSeq, err, want, seq)
+		}
+		p2.Close()
 	}
 }

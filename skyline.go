@@ -76,7 +76,7 @@
 // not reclaimed) while any snapshot that pinned them is open.
 //
 // Opening with Options{Dir: path} makes the index durable: two real
-// files under the directory — a 4 KB-paged snapshot of the live point
+// files under the directory — a checksummed snapshot of the live point
 // set (internal/pager) and a write-ahead log of acknowledged update
 // batches (internal/wal) — survive a crash, and reopening the same
 // directory rebuilds the structures from the snapshot and replays the
