@@ -4,9 +4,10 @@ package repro
 // regenerating a row of the paper's Table 1, a claimed bound, or an
 // engine-level scaling claim (E11–E12). Every
 // benchmark reports ios/op — the quantity the paper's theorems bound —
-// alongside Go's wall-clock metrics. cmd/skybench prints the full
-// parameter sweeps; these benches pin one representative configuration
-// each.
+// alongside Go's wall-clock metrics; ios/op comes from one cold pass
+// of a fixed, seeded operation set (reportIOs), so it does not depend
+// on b.N. cmd/skybench prints the full parameter sweeps; these benches
+// pin one representative configuration each.
 
 import (
 	"math/rand"
@@ -30,16 +31,72 @@ import (
 
 var benchCfg = emio.Config{B: 64, M: 64 * 64}
 
-func reportIOs(b *testing.B, d *emio.Disk, fn func()) {
+// benchOps is the size of the fixed, seeded operation set an ios/op
+// benchmark measures.
+const benchOps = 1000
+
+// ioCounter is what reportIOs measures: a simulated disk, a sharded
+// engine or a DB.
+type ioCounter interface {
+	DropCache()
+	ResetStats()
+	Stats() emio.Stats
+}
+
+// reportIOs reports ios/op over one cold pass of the operations
+// op(0), …, op(benchOps-1), run before the timed loop, so the figure
+// does not depend on b.N; the timed loop then cycles the same set.
+func reportIOs(b *testing.B, d ioCounter, op func(i int)) {
 	b.Helper()
 	d.DropCache()
 	d.ResetStats()
+	for i := 0; i < benchOps; i++ {
+		op(i)
+	}
+	ios := float64(d.Stats().IOs()) / benchOps
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn()
+		op(i % benchOps)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(d.Stats().IOs())/float64(b.N), "ios/op")
+	b.ReportMetric(ios, "ios/op")
+}
+
+// seeded draws the benchOps operations of a benchmark from a generator
+// seeded with seed, before anything is measured.
+func seeded[T any](seed int64, draw func(rng *rand.Rand) T) []T {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]T, benchOps)
+	for i := range out {
+		out[i] = draw(rng)
+	}
+	return out
+}
+
+// topOpens draws top-open queries [x1, x1+width] × [β, ∞) with x1 and
+// β uniform in [0, span).
+func topOpens(seed int64, span, width int64) []geom.Rect {
+	return seeded(seed, func(rng *rand.Rand) geom.Rect {
+		x1 := geom.Coord(rng.Int63n(span))
+		return geom.TopOpen(x1, x1+width, geom.Coord(rng.Int63n(span)))
+	})
+}
+
+// squares draws 4-sided queries of side width with the lower-left
+// corner uniform in [0, span)².
+func squares(seed int64, span, width int64) []geom.Rect {
+	return seeded(seed, func(rng *rand.Rand) geom.Rect {
+		x1, y1 := geom.Coord(rng.Int63n(span)), geom.Coord(rng.Int63n(span))
+		return geom.Rect{X1: x1, X2: x1 + width, Y1: y1, Y2: y1 + width}
+	})
+}
+
+// farPoints draws points right of and above every point of a
+// [0, 2^24)² benchmark set, for insert+delete update pairs.
+func farPoints(seed int64) []geom.Point {
+	return seeded(seed, func(rng *rand.Rand) geom.Point {
+		return geom.Point{X: (1 << 25) + rng.Int63n(1<<24), Y: (1 << 25) + rng.Int63n(1<<24)}
+	})
 }
 
 // BenchmarkE1StaticTopOpen — Table 1 row 1: O(log_B n + k/B) queries.
@@ -49,11 +106,8 @@ func BenchmarkE1StaticTopOpen(b *testing.B) {
 	geom.SortByX(pts)
 	f := extsort.FromSlice(d, 2, pts)
 	ix := topopen.Build(d, f)
-	rng := rand.New(rand.NewSource(2))
-	reportIOs(b, d, func() {
-		x1 := geom.Coord(rng.Int63n(1 << 24))
-		ix.Query(x1, x1+(1<<20), geom.Coord(rng.Int63n(1<<24)))
-	})
+	qs := topOpens(2, 1<<24, 1<<20)
+	reportIOs(b, d, func(i int) { ix.Query(qs[i].X1, qs[i].X2, qs[i].Y1) })
 }
 
 // BenchmarkE2GridTopOpen — Table 1 row 2: O(log log_B U + k/B).
@@ -62,11 +116,8 @@ func BenchmarkE2GridTopOpen(b *testing.B) {
 	u := int64(1) << 40
 	pts := geom.GenUniform(1<<13, u, 3)
 	g := rankspace.BuildGrid(d, u, pts)
-	rng := rand.New(rand.NewSource(4))
-	reportIOs(b, d, func() {
-		x1 := geom.Coord(rng.Int63n(u))
-		g.Query(x1, x1+(1<<35), geom.Coord(rng.Int63n(u)))
-	})
+	qs := topOpens(4, u, 1<<35)
+	reportIOs(b, d, func(i int) { g.Query(qs[i].X1, qs[i].X2, qs[i].Y1) })
 }
 
 // BenchmarkE3RankSpace — Table 1 row 3: O(1 + k/B).
@@ -75,11 +126,8 @@ func BenchmarkE3RankSpace(b *testing.B) {
 	n := 1 << 15
 	pts := geom.GenPermutation(n, 5)
 	ix := rankspace.Build(d, int64(n), pts)
-	rng := rand.New(rand.NewSource(6))
-	reportIOs(b, d, func() {
-		x1 := geom.Coord(rng.Int63n(int64(n)))
-		ix.Query(x1, x1+512, geom.Coord(rng.Int63n(int64(n))))
-	})
+	qs := topOpens(6, int64(n), 512)
+	reportIOs(b, d, func(i int) { ix.Query(qs[i].X1, qs[i].X2, qs[i].Y1) })
 }
 
 // BenchmarkE4AntiDominance — Table 1 row 4: the Lemma 8 adversarial
@@ -89,11 +137,7 @@ func BenchmarkE4AntiDominance(b *testing.B) {
 	pts := lowerbound.Input(16, 3) // 4096 points
 	qs := lowerbound.Queries(16, 3)
 	ix := foursided.Build(d, 0.5, pts)
-	i := 0
-	reportIOs(b, d, func() {
-		ix.Query(qs[i%len(qs)])
-		i++
-	})
+	reportIOs(b, d, func(i int) { ix.Query(qs[i%len(qs)]) })
 }
 
 // BenchmarkE5FourSided — Table 1 row 5: O((n/B)^ε + k/B).
@@ -101,12 +145,8 @@ func BenchmarkE5FourSided(b *testing.B) {
 	d := emio.NewDisk(benchCfg)
 	pts := geom.GenUniform(1<<14, 1<<24, 7)
 	ix := foursided.Build(d, 0.5, pts)
-	rng := rand.New(rand.NewSource(8))
-	reportIOs(b, d, func() {
-		x1 := geom.Coord(rng.Int63n(1 << 24))
-		y1 := geom.Coord(rng.Int63n(1 << 24))
-		ix.Query(geom.Rect{X1: x1, X2: x1 + (1 << 21), Y1: y1, Y2: y1 + (1 << 21)})
-	})
+	qs := squares(8, 1<<24, 1<<21)
+	reportIOs(b, d, func(i int) { ix.Query(qs[i]) })
 }
 
 // BenchmarkE6DynamicTopOpen — Table 1 row 6: queries and updates of the
@@ -118,22 +158,18 @@ func BenchmarkE6DynamicTopOpen(b *testing.B) {
 			pts := geom.GenUniform(1<<14, 1<<24, 9)
 			geom.SortByX(pts)
 			tr := dyntop.BuildSABE(d, eps, pts)
-			rng := rand.New(rand.NewSource(10))
-			reportIOs(b, d, func() {
-				x1 := geom.Coord(rng.Int63n(1 << 24))
-				tr.Query(x1, x1+(1<<21), geom.Coord(rng.Int63n(1<<24)))
-			})
+			qs := topOpens(10, 1<<24, 1<<21)
+			reportIOs(b, d, func(i int) { tr.Query(qs[i].X1, qs[i].X2, qs[i].Y1) })
 		})
 		b.Run(epsName(eps)+"/update", func(b *testing.B) {
 			d := emio.NewDisk(benchCfg)
 			pts := geom.GenUniform(1<<14, 1<<24, 11)
 			geom.SortByX(pts)
 			tr := dyntop.BuildSABE(d, eps, pts)
-			rng := rand.New(rand.NewSource(12))
-			reportIOs(b, d, func() {
-				p := geom.Point{X: (1 << 25) + rng.Int63n(1<<24), Y: (1 << 25) + rng.Int63n(1<<24)}
-				tr.Insert(p)
-				tr.Delete(p)
+			ps := farPoints(12)
+			reportIOs(b, d, func(i int) {
+				tr.Insert(ps[i])
+				tr.Delete(ps[i])
 			})
 		})
 	}
@@ -156,11 +192,10 @@ func BenchmarkE7DynamicFourSided(b *testing.B) {
 	d := emio.NewDisk(benchCfg)
 	pts := geom.GenUniform(1<<13, 1<<24, 13)
 	ix := foursided.Build(d, 0.5, pts)
-	rng := rand.New(rand.NewSource(14))
-	reportIOs(b, d, func() {
-		p := geom.Point{X: (1 << 25) + rng.Int63n(1<<24), Y: (1 << 25) + rng.Int63n(1<<24)}
-		ix.Insert(p)
-		ix.Delete(p)
+	ps := farPoints(14)
+	reportIOs(b, d, func(i int) {
+		ix.Insert(ps[i])
+		ix.Delete(ps[i])
 	})
 }
 
@@ -170,23 +205,27 @@ func BenchmarkE8CPQA(b *testing.B) {
 	b.Run("mixed", func(b *testing.B) {
 		d := emio.NewDisk(emio.Config{B: 64, M: 1 << 22})
 		q := cpqa.New(d, 64)
-		rng := rand.New(rand.NewSource(15))
-		reportIOs(b, d, func() {
-			switch rng.Intn(3) {
-			case 0, 1:
-				q = q.InsertAndAttrite(cpqa.Elem{Key: rng.Int63n(1 << 30)})
-			default:
-				_, nq, _ := q.DeleteMin()
-				q = nq
+		// A key of -1 is a DeleteMin; one op in three.
+		keys := seeded(15, func(rng *rand.Rand) int64 {
+			if rng.Intn(3) == 2 {
+				return -1
 			}
+			return rng.Int63n(1 << 30)
+		})
+		reportIOs(b, d, func(i int) {
+			if keys[i] < 0 {
+				_, q, _ = q.DeleteMin()
+				return
+			}
+			q = q.InsertAndAttrite(cpqa.Elem{Key: keys[i]})
 		})
 	})
 	b.Run("catenate", func(b *testing.B) {
 		d := emio.NewDisk(emio.Config{B: 64, M: 1 << 22})
-		rng := rand.New(rand.NewSource(16))
+		keys := seeded(16, func(rng *rand.Rand) int64 { return rng.Int63n(1 << 30) })
 		q := cpqa.New(d, 64)
-		reportIOs(b, d, func() {
-			q2 := cpqa.New(d, 64).InsertAndAttrite(cpqa.Elem{Key: rng.Int63n(1 << 30)})
+		reportIOs(b, d, func(i int) {
+			q2 := cpqa.New(d, 64).InsertAndAttrite(cpqa.Elem{Key: keys[i]})
 			q = cpqa.CatenateAndAttrite(q, q2)
 		})
 	})
@@ -231,11 +270,8 @@ func BenchmarkE10NaiveBaseline(b *testing.B) {
 	d := emio.NewDisk(benchCfg)
 	pts := geom.GenUniform(1<<14, 1<<24, 18)
 	f := extsort.FromSlice(d, 2, pts)
-	rng := rand.New(rand.NewSource(19))
-	reportIOs(b, d, func() {
-		x1 := geom.Coord(rng.Int63n(1 << 24))
-		skyline.NaiveRangeSkyline(d, f, geom.TopOpen(x1, x1+(1<<20), geom.Coord(rng.Int63n(1<<24))))
-	})
+	qs := topOpens(19, 1<<24, 1<<20)
+	reportIOs(b, d, func(i int) { skyline.NaiveRangeSkyline(d, f, qs[i]) })
 }
 
 // BenchmarkE11ShardedTopOpen — the scaling layer: top-open queries
@@ -247,15 +283,8 @@ func BenchmarkE11ShardedTopOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(22))
-	eng.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x1 := geom.Coord(rng.Int63n(1 << 24))
-		eng.TopOpen(x1, x1+(1<<20), geom.Coord(rng.Int63n(1<<24)))
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eng.Stats().IOs())/float64(b.N), "ios/op")
+	qs := topOpens(22, 1<<24, 1<<20)
+	reportIOs(b, eng, func(i int) { eng.TopOpen(qs[i].X1, qs[i].X2, qs[i].Y1) })
 }
 
 // BenchmarkE12ShardedFourSided — 4-sided-family queries through the
@@ -267,16 +296,8 @@ func BenchmarkE12ShardedFourSided(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(24))
-	eng.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x1 := geom.Coord(rng.Int63n(1 << 24))
-		y1 := geom.Coord(rng.Int63n(1 << 24))
-		eng.FourSided(geom.Rect{X1: x1, X2: x1 + (1 << 21), Y1: y1, Y2: y1 + (1 << 21)})
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(eng.Stats().IOs())/float64(b.N), "ios/op")
+	qs := squares(24, 1<<24, 1<<21)
+	reportIOs(b, eng, func(i int) { eng.FourSided(qs[i]) })
 }
 
 // BenchmarkE12BatchInsert vs BenchmarkE12SingleInsert — the batched
@@ -326,15 +347,11 @@ func benchRightOpen(b *testing.B, mirrors bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(30))
-	db.ResetStats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	qs := seeded(30, func(rng *rand.Rand) geom.Rect {
 		y1 := rng.Int63n(int64(n) * 16)
-		db.RangeSkyline(geom.RightOpen(rng.Int63n(int64(n)*16), y1, y1+int64(n)*2))
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(db.Stats().IOs())/float64(b.N), "ios/op")
+		return geom.RightOpen(rng.Int63n(int64(n)*16), y1, y1+int64(n)*2)
+	})
+	reportIOs(b, db, func(i int) { db.RangeSkyline(qs[i]) })
 }
 
 func BenchmarkE13MirroredRightOpen(b *testing.B) { benchRightOpen(b, true) }

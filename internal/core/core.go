@@ -136,12 +136,15 @@ type Options struct {
 	// internal/pager) and a write-ahead log (skyline.wal,
 	// internal/wal). Every acknowledged update batch is WAL-appended
 	// before it is applied (engine.LogBackend); DB.Flush and DB.Close
-	// checkpoint — snapshot the live set and truncate the WAL — and
-	// reopening the same Dir recovers: structures rebuild from the
-	// snapshot, then the WAL tail replays through the batched update
-	// paths (DB.Recover reports the counts). A fresh Dir is seeded
-	// from pts and checkpointed at Open; an existing Dir requires
-	// len(pts) == 0.
+	// checkpoint — write the index's own x-ordered leaf scan and
+	// truncate the WAL — and reopening the same Dir recovers:
+	// structures rebuild from the snapshot, then the WAL tail replays
+	// through the batched update paths (DB.Recover reports the counts).
+	// A fresh Dir is seeded from pts and checkpointed at Open; an
+	// existing Dir requires len(pts) == 0. A static index refuses
+	// writes before they reach the log, so its WAL stays empty, the
+	// snapshot it opened from stays current, and Flush and Close skip
+	// its checkpoint.
 	// Empty Dir (the default) keeps the index purely simulated — the
 	// CI oracle configuration. With AsyncWrites, "acknowledged" means
 	// drained: buffered writes not yet drained are lost by a crash,
@@ -390,7 +393,7 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 		// logged batch) and sits under the queue (drain batches are
 		// the log records). Replay happens here — the stack below is
 		// complete, and the layers above (the queue) only buffer.
-		db.logb = engine.NewLogBackend(db.front, dur.sink, sorted)
+		db.logb = engine.NewLogBackend(db.front, dur.sink, nil)
 		db.front = db.logb
 		for _, rec := range dur.replay {
 			hits, err := db.logb.Replay(rec.Dels, rec.Inss)
@@ -402,7 +405,7 @@ func Open(opts Options, pts []geom.Point) (*DB, error) {
 			db.recov.ReplayedDeletes += len(hits)
 		}
 		db.recov.WALSeq = db.wal.Seq()
-		db.n.Store(int64(db.logb.Live()))
+		db.n.Store(int64(db.eng.Len()))
 	}
 	if opts.AsyncWrites {
 		// The queue is the OUTERMOST layer, in front of the cache:
@@ -580,8 +583,8 @@ func (db *DB) CacheCounters() engine.CacheCounters {
 }
 
 // Flush drains every buffered write to the underlying structures and,
-// with Options.Dir, checkpoints: the live point set is snapshotted to
-// the checkpoint file and the WAL truncated, so the next Open rebuilds
+// with Options.Dir, checkpoints: the index's points are written to the
+// checkpoint file and the WAL truncated, so the next Open rebuilds
 // without replay. Without AsyncWrites or Dir it is a no-op; with the
 // queue, Flush is the explicit third drain trigger next to FlushPoints
 // and FlushInterval (and surfaces any drain error an earlier
@@ -589,8 +592,8 @@ func (db *DB) CacheCounters() engine.CacheCounters {
 //
 // When the drain reports an error — this pass's or a latched earlier
 // one — or the index is degraded, the checkpoint is SKIPPED and the
-// error returned: the live set is missing the failed applies, and
-// checkpointing it would truncate the WAL records that still hold
+// error returned: the structures are missing the failed applies, and
+// checkpointing them would truncate the WAL records that still hold
 // them, turning a recoverable failure (reopen and replay) into a
 // permanent loss. Flush on a closed index returns ErrClosed instead of
 // touching closed file descriptors.

@@ -17,8 +17,9 @@
 // BEFORE applying it, so the two files always satisfy: snapshot state
 // + WAL records with seq > meta.WALSeq = every acknowledged write.
 // Recovery rebuilds the structures from the snapshot and replays the
-// WAL tail, one Apply per record; a checkpoint
-// (DB.Flush, DB.Close) snapshots the live set and truncates the WAL.
+// WAL tail, one Apply per record; a checkpoint (DB.Flush, DB.Close)
+// writes the structures' own x-ordered leaf scan (shard.Engine.Points)
+// and truncates the WAL. The index is the only copy of the point set.
 package core
 
 import (
@@ -110,7 +111,7 @@ func openDurable(opts Options, seed []geom.Point) (*durable, error) {
 			return nil, fmt.Errorf("core: %s has a WAL but no page file; refusing to guess", dir)
 		}
 	}
-	p, err := pager.OpenFS(pagesPath, fsys, opts.Retry)
+	p, snap, err := pager.OpenFS(pagesPath, fsys, opts.Retry)
 	if err != nil {
 		return nil, err
 	}
@@ -136,10 +137,6 @@ func openDurable(opts Options, seed []geom.Point) (*durable, error) {
 
 	if len(seed) != 0 {
 		return fail(fmt.Errorf("core: durable directory %s already holds an index; open it with no seed points", dir))
-	}
-	snap, err := p.ReadSnapshot()
-	if err != nil {
-		return fail(err)
 	}
 	meta := p.Meta()
 	d.base = snap
@@ -193,18 +190,23 @@ func (s *walSink) LogBatch(dels, inss []geom.Point) error {
 // durable but not yet indexed. Recovery must replay it.
 var testAfterWALAppend func()
 
-// checkpoint makes the snapshot current and empties the WAL: the live
-// set is materialized under the LogBackend's write mutex and installed
-// by the pager's shadow-file rename — crash-atomic, so the checkpoint
-// file at every instant holds either the old snapshot or the new one,
-// each consistent with the WAL sequence its header records — and only
-// then is the WAL truncated. A crash before the rename recovers the
+// checkpoint makes the snapshot current and empties the WAL: the
+// primary engine's leaf scan is read under the LogBackend's write
+// mutex and installed by the pager's shadow-file rename — crash-atomic,
+// so the checkpoint file at every instant holds either the old
+// snapshot or the new one, each consistent with the WAL sequence its
+// header records — and only then is the WAL truncated. A crash before the rename recovers the
 // old snapshot and replays the full WAL tail; a crash after the rename
 // but before the truncate replays nothing (the sequence filter in
-// openDurable skips records the new snapshot covers).
+// openDurable skips records the new snapshot covers). A static index
+// skips it: its writes are refused before the log, so its WAL stays
+// empty and the snapshot it opened from is still current.
 func (db *DB) checkpoint() error {
-	return db.logb.Checkpoint(func(live []geom.Point) error {
-		if err := db.pager.WriteSnapshot(live, db.wal.Seq()); err != nil {
+	if !db.opts.Dynamic {
+		return nil
+	}
+	return db.logb.Checkpoint(func() error {
+		if err := db.pager.WriteSnapshot(db.eng.Points(), db.wal.Seq()); err != nil {
 			return err
 		}
 		return db.wal.Reset()

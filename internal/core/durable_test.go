@@ -12,6 +12,7 @@ import (
 	"repro/internal/emio"
 	"repro/internal/geom"
 	"repro/internal/pager"
+	"repro/internal/vfs"
 	"repro/internal/wal"
 )
 
@@ -522,4 +523,86 @@ func TestDurableCorruptCheckpointRefused(t *testing.T) {
 			t.Fatalf("byte %d flipped: Open err = %v, want pager.ErrCorrupt", off, err)
 		}
 	}
+}
+
+// TestDurableRecoveryReadsCheckpointOnce: reopening a durable directory
+// reads skyline.pages in exactly one pass — the pager verifies the file
+// and hands recovery the points it verified — and rebuilds the
+// checkpointed index.
+func TestDurableRecoveryReadsCheckpointOnce(t *testing.T) {
+	dir := t.TempDir()
+	seed := geom.GenUniform(300, 4000, 98)
+	db, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(geom.Point{X: 5000, Y: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ffs := vfs.NewFaultFS(vfs.OS, 1)
+	reads := 0
+	ffs.Hook = func(op vfs.Op, path string) {
+		if op == vfs.OpReadAt && filepath.Base(path) == pagesFile {
+			reads++
+		}
+	}
+	re, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir, FS: ffs}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if reads != 1 {
+		t.Fatalf("recovery read %s in %d passes, want 1", pagesFile, reads)
+	}
+	if rec := re.Recover(); !rec.Recovered || rec.SnapshotPoints != len(seed)+1 || re.Len() != len(seed)+1 {
+		t.Fatalf("recovered %+v, Len %d; want a snapshot of %d points", rec, re.Len(), len(seed)+1)
+	}
+}
+
+// TestDurableStaticSkipsCheckpoint: a static durable index refuses
+// writes before they reach the log, so its WAL stays empty and Flush
+// and Close leave the checkpoint it was seeded with untouched; a reopen
+// serves the seed.
+func TestDurableStaticSkipsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	seed := geom.GenUniform(200, 4000, 99)
+	db, err := Open(Options{Machine: smallMachine, Dir: dir}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := filepath.Join(dir, pagesFile)
+	before, err := os.ReadFile(pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert(geom.Point{X: 5000, Y: 5000}); !errors.Is(err, ErrStatic) {
+		t.Fatalf("Insert into a static index = %v, want ErrStatic", err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, walFile)); err != nil || st.Size() != 0 {
+		t.Fatalf("static WAL: %v, err %v; want empty", st, err)
+	}
+	after, err := os.ReadFile(pages)
+	if err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("Flush/Close rewrote the static index's checkpoint (err %v)", err)
+	}
+	re, err := Open(Options{Machine: smallMachine, Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	twin, err := Open(Options{Machine: smallMachine}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	assertSameAnswers(t, "static reopen", re, twin, 4000)
 }

@@ -549,7 +549,34 @@ type view struct {
 // of the indexed set inside the rectangle, in increasing-x order.
 // O(log_{2B^ε}(n/B) + k/B^{1−ε}) I/Os.
 func (t *Tree) Query(x1, x2, beta geom.Coord) []geom.Point {
-	return view{disk: t.disk, b: t.b, root: t.root}.query(x1, x2, beta)
+	return t.view().query(x1, x2, beta)
+}
+
+// Points appends every indexed point to dst in increasing-x order; see
+// view.Points.
+func (t *Tree) Points(dst []geom.Point) []geom.Point { return t.view().Points(dst) }
+
+func (t *Tree) view() view { return view{disk: t.disk, b: t.b, root: t.root} }
+
+// Points appends the view's points to dst in increasing-x order — the
+// run §2.3's SABE builds from — reading the leaves left to right and
+// charging each leaf span: O(n/B) I/Os, no representative block.
+func (v view) Points(dst []geom.Point) []geom.Point {
+	return v.points(v.root, dst)
+}
+
+func (v view) points(nd *node, dst []geom.Point) []geom.Point {
+	switch {
+	case nd == nil:
+	case nd.leaf():
+		v.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
+		dst = append(dst, nd.pts...)
+	default:
+		for _, c := range nd.children {
+			dst = v.points(c, dst)
+		}
+	}
+	return dst
 }
 
 func (v view) query(x1, x2, beta geom.Coord) []geom.Point {

@@ -10,22 +10,21 @@
 // record per Apply, so one per drain, deletes and inserts together.
 // Reads pass straight through.
 //
-// The backend also maintains the live point set — the content of the
-// next checkpoint snapshot. Tracking it here (rather than asking the
-// structures to enumerate themselves) costs one map update per applied
-// write and gives Checkpoint a consistent cut: the mutex that
-// serializes log-append + apply + live-set update is the one
-// Checkpoint holds while materializing the snapshot, so a snapshot at
-// sequence S contains exactly the effects of records 1..S.
+// The backend keeps no copy of the point set: the structures below it
+// are the only one, and a checkpoint reads them (core writes the
+// sharded engine's x-ordered leaf scan). What the backend contributes
+// is the consistent cut: the mutex that serializes log-append + apply
+// is the one Checkpoint holds while its callback runs, so a snapshot
+// taken at sequence S contains exactly the effects of records 1..S.
 //
 // The write-ahead rule has a deliberate asymmetry on failure: the
 // record becomes durable BEFORE the apply, so when the apply then
 // fails the caller gets an error — the write is NOT acknowledged —
 // while the log still holds the record. A crash before the next
 // checkpoint replays that record, so an unacknowledged write can
-// appear after recovery (a phantom); a checkpoint instead drops it for
-// good (the live set never absorbed it, and the truncate discards the
-// record). The alternative — logging after applying — would lose
+// appear after recovery (a phantom); a checkpoint instead persists
+// only what the structures applied of it, and the truncate discards
+// the record. The alternative — logging after applying — would lose
 // ACKNOWLEDGED writes on a crash between the two, which is strictly
 // worse, and compensating records would buy exactness only at the
 // price of a second append on every failure path. Apply errors in this
@@ -41,7 +40,6 @@
 package engine
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -58,37 +56,22 @@ type UpdateLog interface {
 }
 
 // LogBackend is a write-ahead-logging Backend wrapper: every batch is
-// logged, applied, and folded into the live point set under one mutex.
+// logged and applied under one mutex.
 type LogBackend struct {
 	WriteVerbs
 	inner Backend
 	log   UpdateLog
-
-	mu   sync.Mutex
-	live map[geom.Point]struct{}
+	mu    sync.Mutex
 }
 
-// NewLogBackend wraps inner, logging to log. initial is the point set
-// inner currently holds (the snapshot recovery loaded plus whatever it
-// replayed, for core's durable open).
+// NewLogBackend wraps inner, logging to log. initial is ignored: the
+// backend keeps no copy of the point set. The parameter stays until the
+// repository benchmark, which calls NewLogBackend(front, sink, nil),
+// moves to a signature without it.
 func NewLogBackend(inner Backend, log UpdateLog, initial []geom.Point) *LogBackend {
-	lb := &LogBackend{
-		inner: inner,
-		log:   log,
-		live:  make(map[geom.Point]struct{}, len(initial)),
-	}
+	lb := &LogBackend{inner: inner, log: log}
 	lb.WriteVerbs = VerbsOf(lb.Apply)
-	for _, p := range initial {
-		lb.live[p] = struct{}{}
-	}
 	return lb
-}
-
-// Live returns the current live point count.
-func (lb *LogBackend) Live() int {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return len(lb.live)
 }
 
 // RangeSkyline passes through: reads are not logged.
@@ -96,13 +79,13 @@ func (lb *LogBackend) RangeSkyline(q geom.Rect) []geom.Point {
 	return lb.inner.RangeSkyline(q)
 }
 
-// Apply logs the batch as ONE record, then applies it and folds the
-// result into the live set. A failed append applies nothing. On apply
-// failure the logged record persists and a pre-checkpoint crash replays
-// it; see the failure-asymmetry note in the package comment. Deletes
-// that miss are logged too — the log cannot know presence ahead of the
-// structures — and replaying a miss through the presence-check-first
-// paths applies nothing, so the spurious entry is harmless.
+// Apply logs the batch as ONE record, then applies it. A failed append
+// applies nothing. On apply failure the logged record persists and a
+// pre-checkpoint crash replays it; see the failure-asymmetry note in
+// the package comment. Deletes that miss are logged too — the log
+// cannot know presence ahead of the structures — and replaying a miss
+// through the presence-check-first paths applies nothing, so the
+// spurious entry is harmless.
 func (lb *LogBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if len(dels) == 0 && len(inss) == 0 {
 		return nil, nil
@@ -112,7 +95,7 @@ func (lb *LogBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	if err := lb.log.LogBatch(dels, inss); err != nil {
 		return nil, err
 	}
-	return lb.applyLocked(dels, inss)
+	return lb.inner.Apply(dels, inss)
 }
 
 // Replay is Apply without the log append: recovery calls it for every
@@ -121,38 +104,16 @@ func (lb *LogBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 func (lb *LogBackend) Replay(dels, inss []geom.Point) ([]geom.Point, error) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	return lb.applyLocked(dels, inss)
+	return lb.inner.Apply(dels, inss)
 }
 
-// applyLocked applies a batch to inner and folds it into the live set:
-// the removed deletes leave it, and the inserts join it when the batch
-// applied cleanly. Caller holds mu.
-func (lb *LogBackend) applyLocked(dels, inss []geom.Point) ([]geom.Point, error) {
-	removed, err := lb.inner.Apply(dels, inss)
-	for _, p := range removed {
-		delete(lb.live, p)
-	}
-	if err == nil {
-		for _, p := range inss {
-			lb.live[p] = struct{}{}
-		}
-	}
-	return removed, err
-}
-
-// Checkpoint materializes the live point set — sorted by x, the order
-// every build path expects — and passes it to fn while holding the
-// write mutex, so the snapshot fn persists is a consistent cut: no
-// log append can land between the set being read and fn returning.
-func (lb *LogBackend) Checkpoint(fn func(live []geom.Point) error) error {
+// Checkpoint runs fn while holding the write mutex, so whatever fn
+// reads from the structures and persists is a consistent cut: no log
+// append or apply can land between fn's first read and its return.
+func (lb *LogBackend) Checkpoint(fn func() error) error {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	pts := make([]geom.Point, 0, len(lb.live))
-	for p := range lb.live {
-		pts = append(pts, p)
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-	return fn(pts)
+	return fn()
 }
 
 // Partition passes through: logging does not move any point.

@@ -73,14 +73,14 @@ func TestLogBackendWriteAhead(t *testing.T) {
 	if len(inner.inserts) != preIns || len(inner.deletes) != preDel {
 		t.Fatalf("unlogged writes reached the structures")
 	}
-	if lb.Live() != 2 {
-		t.Fatalf("Live = %d after rejected writes, want 2", lb.Live())
+	if len(inner.pts) != 2 || !inner.pts[p1] || !inner.pts[p3] {
+		t.Fatalf("inner holds %v after rejected writes, want {%v, %v}", inner.pts, p1, p3)
 	}
 }
 
 // TestLogBackendDeleteMissLogged: a delete miss is still logged (the
-// log cannot know presence), returns false, and leaves the live set
-// alone — replaying the spurious record is a no-op.
+// log cannot know presence), returns false, and leaves the
+// inner backend alone — replaying the spurious record is a no-op.
 func TestLogBackendDeleteMissLogged(t *testing.T) {
 	inner := newFake("inner")
 	ml := &memLog{}
@@ -91,18 +91,20 @@ func TestLogBackendDeleteMissLogged(t *testing.T) {
 	if len(ml.batches) != 1 {
 		t.Fatalf("miss not logged")
 	}
-	if lb.Live() != 0 {
-		t.Fatalf("Live = %d after miss", lb.Live())
+	if len(inner.pts) != 0 {
+		t.Fatalf("inner holds %v after a miss", inner.pts)
 	}
 }
 
-// TestLogBackendLiveSetAndCheckpoint: the live set tracks applied
-// writes exactly, and Checkpoint hands fn the x-sorted set.
+// TestLogBackendLiveSetAndCheckpoint: the inner backend holds exactly
+// the applied writes, and Checkpoint runs fn as a consistent cut — a
+// write issued while fn runs neither reaches the log nor the inner
+// backend until fn has returned.
 func TestLogBackendLiveSetAndCheckpoint(t *testing.T) {
-	inner := newFake("inner")
 	initial := []geom.Point{{X: 10, Y: 1}, {X: 20, Y: 2}}
-	lb := NewLogBackend(inner, &memLog{}, initial)
-	inner.BatchInsert(initial) // inner holds the initial set too
+	inner := newFake("inner", initial...)
+	ml := &memLog{}
+	lb := NewLogBackend(inner, ml, nil)
 
 	lb.Insert(geom.Point{X: 5, Y: 3})
 	lb.BatchInsert([]geom.Point{{X: 30, Y: 4}, {X: 15, Y: 5}})
@@ -110,33 +112,59 @@ func TestLogBackendLiveSetAndCheckpoint(t *testing.T) {
 		t.Fatalf("Apply(deletes) = %v, %v", removed, err)
 	}
 	want := []geom.Point{{X: 5, Y: 3}, {X: 10, Y: 1}, {X: 15, Y: 5}, {X: 30, Y: 4}}
-	if lb.Live() != len(want) {
-		t.Fatalf("Live = %d, want %d", lb.Live(), len(want))
+	holds := func(pts []geom.Point) bool {
+		if len(inner.pts) != len(pts) {
+			return false
+		}
+		for _, p := range pts {
+			if !inner.pts[p] {
+				return false
+			}
+		}
+		return true
 	}
-	var got []geom.Point
-	if err := lb.Checkpoint(func(live []geom.Point) error {
-		got = append(got, live...)
+	if !holds(want) {
+		t.Fatalf("inner holds %v, want %v", inner.pts, want)
+	}
+
+	late := geom.Point{X: 40, Y: 6}
+	done := make(chan error)
+	var inFn []geom.Point
+	if err := lb.Checkpoint(func() error {
+		go func() { done <- lb.Insert(late) }()
+		select {
+		case err := <-done:
+			t.Errorf("a write returned (%v) while the checkpoint held the cut", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		for p := range inner.pts {
+			inFn = append(inFn, p)
+		}
+		if len(ml.batches) != 3 {
+			t.Errorf("%d batches logged during the checkpoint, want 3", len(ml.batches))
+		}
 		return nil
 	}); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("checkpoint has %d points, want %d", len(got), len(want))
+	if len(inFn) != len(want) {
+		t.Fatalf("checkpoint saw %v, want %v", inFn, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("checkpoint[%d] = %v, want %v (x-sorted)", i, got[i], want[i])
-		}
+	if err := <-done; err != nil {
+		t.Fatalf("Insert after the checkpoint: %v", err)
+	}
+	if !holds(append(want, late)) {
+		t.Fatalf("inner holds %v after the checkpoint, want %v plus %v", inner.pts, want, late)
 	}
 }
 
 // TestLogBackendReplayDoesNotRelog: recovery's Replay applies records
-// to the structures and the live set without appending them again —
+// to the structures without appending them again —
 // otherwise every recovery would double the log.
 func TestLogBackendReplayDoesNotRelog(t *testing.T) {
 	inner := newFake("inner", geom.Point{X: 1, Y: 1})
 	ml := &memLog{}
-	lb := NewLogBackend(inner, ml, []geom.Point{{X: 1, Y: 1}})
+	lb := NewLogBackend(inner, ml, nil)
 	hits, err := lb.Replay(
 		[]geom.Point{{X: 1, Y: 1}, {X: 7, Y: 7}}, // second is a miss
 		[]geom.Point{{X: 2, Y: 2}, {X: 3, Y: 3}},
@@ -150,10 +178,7 @@ func TestLogBackendReplayDoesNotRelog(t *testing.T) {
 	if len(ml.batches) != 0 {
 		t.Fatalf("Replay logged %d batches", len(ml.batches))
 	}
-	if lb.Live() != 2 {
-		t.Fatalf("Live after replay = %d, want 2", lb.Live())
-	}
-	if !inner.pts[geom.Point{X: 2, Y: 2}] || inner.pts[geom.Point{X: 1, Y: 1}] {
+	if len(inner.pts) != 2 || !inner.pts[geom.Point{X: 2, Y: 2}] || !inner.pts[geom.Point{X: 3, Y: 3}] {
 		t.Fatalf("replayed record not applied to inner")
 	}
 }

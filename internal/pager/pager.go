@@ -12,7 +12,7 @@
 //	magic "SKYPAGE1" | version u32 = 3 | walSeq u64 | points u64 |
 //	points × (x i64, y i64), x-sorted | CRC-32C over every byte before it
 //
-// Open and ReadSnapshot read the whole file and check its length
+// OpenFS and ReadSnapshot read the whole file and check its length
 // (exactly header + 16·points + 4 bytes) and its checksum before they
 // trust a field of it, so a damaged checkpoint is an ErrCorrupt error
 // and never becomes the index. Bad magic, truncation, trailing bytes
@@ -99,17 +99,21 @@ type Pager struct {
 }
 
 // Open opens the data file at path on the real filesystem with the
-// default retry policy. frames is ignored. See OpenFS.
+// default retry policy. frames is ignored. See OpenFS; the snapshot
+// it verified is dropped, and ReadSnapshot reads it again.
 func Open(path string, frames int) (*Pager, error) {
-	return OpenFS(path, vfs.OS, vfs.RetryPolicy{})
+	p, _, err := OpenFS(path, vfs.OS, vfs.RetryPolicy{})
+	return p, err
 }
 
 // OpenFS opens (creating if necessary) the data file at path on fsys
 // (nil means vfs.OS), retrying transient I/O failures per retry (the
 // zero policy means vfs.DefaultRetryPolicy). A fresh file is
 // initialized with an empty, fsynced snapshot; an existing file is
-// read and validated in full (magic, version, length, checksum).
-func OpenFS(path string, fsys vfs.FS, retry vfs.RetryPolicy) (*Pager, error) {
+// read and validated in full (magic, version, length, checksum), and
+// its points are returned, in the order they were written, so that
+// recovery reads the checkpoint once.
+func OpenFS(path string, fsys vfs.FS, retry vfs.RetryPolicy) (*Pager, []geom.Point, error) {
 	if fsys == nil {
 		fsys = vfs.OS
 	}
@@ -118,15 +122,16 @@ func OpenFS(path string, fsys vfs.FS, retry vfs.RetryPolicy) (*Pager, error) {
 	// before the rename; the data file is the authority, the shadow is
 	// garbage.
 	if err := fsys.Remove(path + shadowSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("pager: remove stale shadow of %s: %w", path, err)
+		return nil, nil, fmt.Errorf("pager: remove stale shadow of %s: %w", path, err)
 	}
 	if err := p.retry.Do(&p.retries, func() error {
 		var err error
 		p.f, err = fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 		return err
 	}); err != nil {
-		return nil, fmt.Errorf("pager: open %s: %w", path, err)
+		return nil, nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
+	var pts []geom.Point
 	b, err := p.readAll()
 	switch {
 	case err != nil:
@@ -141,13 +146,13 @@ func OpenFS(path string, fsys vfs.FS, retry vfs.RetryPolicy) (*Pager, error) {
 			err = fmt.Errorf("pager: sync fresh %s: %w", path, err)
 		}
 	default:
-		p.meta, _, err = p.decode(b)
+		pts, err = p.decode(b)
 	}
 	if err != nil {
 		p.f.Close() //errlint:ok open failed half-way; best-effort release
-		return nil, err
+		return nil, nil, err
 	}
-	return p, nil
+	return p, pts, nil
 }
 
 // Meta returns the header read at Open or ReadSnapshot, or written by
@@ -180,11 +185,11 @@ func encode(pts []geom.Point, walSeq uint64) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// decode validates a whole data file and returns its header and the
-// bytes of its points.
-func (p *Pager) decode(b []byte) (Meta, []byte, error) {
-	corrupt := func(format string, args ...any) (Meta, []byte, error) {
-		return Meta{}, nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, p.path, fmt.Sprintf(format, args...))
+// decode validates a whole data file, adopts its header as Meta and
+// returns its points.
+func (p *Pager) decode(b []byte) ([]geom.Point, error) {
+	corrupt := func(format string, args ...any) ([]geom.Point, error) {
+		return nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, p.path, fmt.Sprintf(format, args...))
 	}
 	if len(b) < headerSize+crcSize {
 		return corrupt("%d bytes, shorter than an empty snapshot", len(b))
@@ -207,7 +212,18 @@ func (p *Pager) decode(b []byte) (Meta, []byte, error) {
 	if crc32.Checksum(b[:len(b)-crcSize], castagnoli) != binary.LittleEndian.Uint32(b[len(b)-crcSize:]) {
 		return corrupt("checksum mismatch")
 	}
-	return m, body, nil
+	p.meta = m
+	if m.Points == 0 {
+		return nil, nil
+	}
+	pts := make([]geom.Point, m.Points)
+	for i := range pts {
+		pts[i] = geom.Point{
+			X: geom.Coord(binary.LittleEndian.Uint64(body[16*i:])),
+			Y: geom.Coord(binary.LittleEndian.Uint64(body[16*i+8:])),
+		}
+	}
+	return pts, nil
 }
 
 // readAll reads the whole data file in one pass, retrying transient
@@ -291,26 +307,12 @@ func (p *Pager) WriteSnapshot(pts []geom.Point, walSeq uint64) error {
 
 // ReadSnapshot reads the checkpointed point set back, in the order it
 // was written. It reads the whole file in one pass and returns no point
-// unless the file passes every check Open makes (ErrCorrupt otherwise).
+// unless the file passes every check OpenFS makes (ErrCorrupt
+// otherwise).
 func (p *Pager) ReadSnapshot() ([]geom.Point, error) {
 	b, err := p.readAll()
 	if err != nil {
 		return nil, err
 	}
-	m, body, err := p.decode(b)
-	if err != nil {
-		return nil, err
-	}
-	p.meta = m
-	if m.Points == 0 {
-		return nil, nil
-	}
-	pts := make([]geom.Point, m.Points)
-	for i := range pts {
-		pts[i] = geom.Point{
-			X: geom.Coord(binary.LittleEndian.Uint64(body[16*i:])),
-			Y: geom.Coord(binary.LittleEndian.Uint64(body[16*i+8:])),
-		}
-	}
-	return pts, nil
+	return p.decode(b)
 }

@@ -385,7 +385,7 @@ func TestFailedInstall(t *testing.T) {
 	for _, c := range cases {
 		path := tmpFile(t)
 		ffs := vfs.NewFaultFS(vfs.OS, 1)
-		p, err := OpenFS(path, ffs, vfs.RetryPolicy{Sleep: func(time.Duration) {}})
+		p, _, err := OpenFS(path, ffs, vfs.RetryPolicy{Sleep: func(time.Duration) {}})
 		if err != nil {
 			t.Fatalf("OpenFS: %v", err)
 		}

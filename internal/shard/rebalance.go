@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dyntop"
@@ -21,9 +22,10 @@ import (
 // cuts sit — so a transition can never change an answer, only the work
 // distribution. The protocol (Engine.transition):
 //
-//  1. Capture: under topoMu.RLock and each shard's own mutex, copy the
-//     point registries and generation counters of shards lo..hi, then
-//     release the locks.
+//  1. Capture: under topoMu.RLock and each shard's own mutex, scan the
+//     dyntop leaves of shards lo..hi (charged to each shard's disk; the
+//     concatenation is already x-sorted) and note their generation
+//     counters, then release the locks.
 //  2. Build: construct the replacement shard structures (private disk,
 //     dyntop + foursided) off to the side, with no locks held. Ordinary
 //     traffic proceeds concurrently.
@@ -123,35 +125,29 @@ func (e *Engine) ForceMerge(i int) error {
 	return e.merge(i)
 }
 
-func (e *Engine) pickHottestBySize() int {
+// sizes returns each shard's live point count, in cut order.
+func (e *Engine) sizes() []int {
 	e.topoMu.RLock()
 	defer e.topoMu.RUnlock()
-	best, size := 0, -1
-	for j, s := range e.shards {
+	out := make([]int, len(e.shards))
+	for i, s := range e.shards {
 		s.mu.Lock()
-		n := len(s.pts)
+		out[i] = s.dyn.Len()
 		s.mu.Unlock()
-		if n > size {
-			best, size = j, n
-		}
 	}
-	return best
+	return out
+}
+
+func (e *Engine) pickHottestBySize() int {
+	sz := e.sizes()
+	return slices.Index(sz, slices.Max(sz))
 }
 
 func (e *Engine) pickColdestBySize() int {
-	e.topoMu.RLock()
-	defer e.topoMu.RUnlock()
-	best, size := 0, -1
-	for j := 0; j+1 < len(e.shards); j++ {
-		a, b := e.shards[j], e.shards[j+1]
-		a.mu.Lock()
-		n := len(a.pts)
-		a.mu.Unlock()
-		b.mu.Lock()
-		n += len(b.pts)
-		b.mu.Unlock()
-		if size < 0 || n < size {
-			best, size = j, n
+	sz, best := e.sizes(), 0
+	for j := 1; j+1 < len(sz); j++ {
+		if sz[j]+sz[j+1] < sz[best]+sz[best+1] {
+			best = j
 		}
 	}
 	return best
@@ -193,17 +189,14 @@ func (e *Engine) maybeRebalance(n int) {
 // the policy just split cannot flap back into a merge on sampling
 // jitter.
 func (e *Engine) rebalanceOnce() {
-	e.topoMu.RLock()
-	k := len(e.shards)
+	sizes := e.sizes() // the caller's rebalMu keeps the topology fixed
+	k := len(sizes)
 	loads := make([]uint64, k)
-	sizes := make([]int, k)
 	var total uint64
+	e.topoMu.RLock()
 	for i, s := range e.shards {
 		loads[i] = s.load.Load()
 		total += loads[i]
-		s.mu.Lock()
-		sizes[i] = len(s.pts)
-		s.mu.Unlock()
 	}
 	e.topoMu.RUnlock()
 	if total < uint64(max(e.opts.RebalanceEvery, 8*k)) {
@@ -244,10 +237,6 @@ func (e *Engine) buildShard(chunk []geom.Point) *shard {
 	if !e.opts.TopOnly {
 		s.four = foursided.Build(s.disk, e.opts.Epsilon, chunk)
 	}
-	s.pts = make(map[geom.Point]struct{}, len(chunk))
-	for _, p := range chunk {
-		s.pts[p] = struct{}{}
-	}
 	return s
 }
 
@@ -260,7 +249,7 @@ func (s *shard) release() {
 	if s.four != nil {
 		s.four.Release()
 	}
-	s.top, s.dyn, s.four, s.pts = nil, nil, nil, nil
+	s.top, s.dyn, s.four = nil, nil, nil
 }
 
 // split replaces shard i with two shards cut at its median x. Caller
@@ -289,11 +278,12 @@ func (e *Engine) merge(i int) error {
 }
 
 // transition replaces shards lo..hi with the shards build makes from
-// their live points (sorted by x), separated by the cuts build returns;
-// the cuts around lo..hi stay. Caller holds rebalMu. The build runs with
-// no lock held; if a writer moved a replaced shard's generation
-// meanwhile, the points are recaptured and rebuilt once under the
-// exclusive topology lock, where no writer can intervene.
+// their live points (x-sorted, as the leaf scans deliver them),
+// separated by the cuts build returns; the cuts around lo..hi stay.
+// Caller holds rebalMu. The build runs with no lock held; if a writer
+// moved a replaced shard's generation meanwhile, the points are
+// recaptured and rebuilt once under the exclusive topology lock, where
+// no writer can intervene.
 func (e *Engine) transition(kind string, lo, hi int, counter *atomic.Uint64, build func([]geom.Point) ([]*shard, []geom.Coord, error)) error {
 	e.topoMu.RLock()
 	if lo < 0 || hi >= len(e.shards) {
@@ -334,20 +324,18 @@ func (e *Engine) transition(kind string, lo, hi int, counter *atomic.Uint64, bui
 	return nil
 }
 
-// capture copies the live points of ss, sorted by x, and each shard's
-// generation at the moment its points were copied.
+// capture scans the live points of ss — adjacent shards in cut order,
+// so the concatenated leaf scans are sorted by x — and returns each
+// shard's generation at the moment its leaves were read.
 func capture(ss []*shard) ([]geom.Point, []uint64) {
 	var pts []geom.Point
 	gens := make([]uint64, len(ss))
 	for j, s := range ss {
 		s.mu.Lock()
-		for p := range s.pts {
-			pts = append(pts, p)
-		}
+		pts = s.dyn.Points(slices.Grow(pts, s.dyn.Len()))
 		gens[j] = s.gen
 		s.mu.Unlock()
 	}
-	geom.SortByX(pts)
 	return pts, gens
 }
 

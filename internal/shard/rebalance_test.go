@@ -432,3 +432,80 @@ func TestSnapshotAcrossTransition(t *testing.T) {
 		t.Fatalf("DeferredBlocks = %d after Release, want 0", got)
 	}
 }
+
+// TestRebalancePointsFromLeafScan: after a seeded 3:1 insert/delete
+// churn and forced splits and merges, Engine.Points lists exactly the
+// oracle's points in increasing x; and a split reads its points from
+// the retiring shard's leaves, charging that shard's disk for exactly
+// the cold leaf scan.
+func TestRebalancePointsFromLeafScan(t *testing.T) {
+	const n = 800
+	span := geom.Coord(n * 16)
+	all := geom.GenUniform(n+600, span, 9200)
+	ref := append([]geom.Point(nil), all[:n]...)
+	pool := all[n:]
+	geom.SortByX(ref)
+	eng, err := New(rebalanceOpts(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		want := append([]geom.Point(nil), ref...)
+		geom.SortByX(want)
+		samePoints(t, eng.Points(), want, stage)
+	}
+	check("built")
+
+	rng := rand.New(rand.NewSource(9201))
+	for u := 0; u < 800; u++ {
+		if u%4 == 3 {
+			i := rng.Intn(len(ref))
+			if ok, err := eng.Delete(ref[i]); !ok || err != nil {
+				t.Fatalf("Delete(%v) = %t, %v", ref[i], ok, err)
+			}
+			ref[i] = ref[len(ref)-1]
+			ref = ref[:len(ref)-1]
+			continue
+		}
+		p := pool[len(pool)-1]
+		pool = pool[:len(pool)-1]
+		if err := eng.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, p)
+	}
+	check("churned")
+
+	// The split's only read of the retiring disk is its capture: the
+	// same cold scan Points makes of that shard alone.
+	i := eng.pickHottestBySize()
+	old := eng.shards[i]
+	scan := old.disk.Measure(func() { old.dyn.Points(nil) })
+	if scan.Reads == 0 {
+		t.Fatal("a cold leaf scan read nothing")
+	}
+	old.disk.DropCache()
+	before := old.disk.Stats()
+	if err := eng.ForceSplit(i); err != nil {
+		t.Fatal(err)
+	}
+	if got := old.disk.Stats().Sub(before); got.Reads != scan.Reads {
+		t.Errorf("split charged the retiring shard %d reads, want the cold leaf scan's %d", got.Reads, scan.Reads)
+	}
+	check("split")
+	for _, step := range []func() error{
+		func() error { return eng.ForceSplit(-1) },
+		func() error { return eng.ForceMerge(-1) },
+		func() error { return eng.ForceMerge(0) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		check("transition")
+	}
+	if eng.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", eng.Len(), len(ref))
+	}
+	checkBothFamilies(t, eng, ref, span, 9202, "after transitions")
+}

@@ -111,17 +111,15 @@ type topIndex interface {
 }
 
 // shard is one x-range partition. mu serializes every operation against
-// the shard's structures and disk.
+// the shard's structures and disk. The structures are the only copy of
+// the shard's points: a split or merge rebuilds from the dyntop tree's
+// leaf scan, and the policy sizes the shard by its Len.
 type shard struct {
 	mu   sync.Mutex
 	disk *emio.Disk
 	top  topIndex
 	dyn  *dyntop.Tree // non-nil iff the engine is dynamic
 	four *foursided.Index
-	// pts enumerates the shard's live points (rebalancing engines only):
-	// the structures themselves cannot enumerate, and a split/merge
-	// rebuild needs the exact point set. Guarded by mu.
-	pts map[geom.Point]struct{}
 	// gen counts mutations, guarded by mu: a rebuild captured at
 	// generation g is only swapped in if the generation is still g.
 	gen uint64
@@ -229,12 +227,6 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 		if !opts.TopOnly {
 			s.four = foursided.Build(s.disk, opts.Epsilon, chunk)
 		}
-		if opts.Rebalance {
-			s.pts = make(map[geom.Point]struct{}, len(chunk))
-			for _, p := range chunk {
-				s.pts[p] = struct{}{}
-			}
-		}
 		e.shards = append(e.shards, s)
 		if i < k-1 {
 			cut := prevCut
@@ -250,6 +242,26 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 
 // Len returns the number of indexed points.
 func (e *Engine) Len() int { return int(e.n.Load()) }
+
+// Points returns every indexed point in increasing-x order, read from
+// the dyntop leaves: under the shared topology lock it takes each
+// shard's lock in cut order and concatenates the shards' leaf scans,
+// which are x-disjoint and come out sorted (the capture a rebalance
+// transition makes). Each scan charges its shard's disk for the leaf
+// spans it reads. Writers to other shards may run between two shards'
+// scans, so the result is a consistent cut only when the caller keeps
+// writers out, as core's checkpoint does under the WAL layer's mutex.
+// Dynamic engines only: a static engine's topopen index keeps no leaf
+// scan, and it has no writes to checkpoint either.
+func (e *Engine) Points() []geom.Point {
+	if !e.opts.Dynamic {
+		panic("shard: Points needs a dynamic engine")
+	}
+	e.topoMu.RLock()
+	defer e.topoMu.RUnlock()
+	pts, _ := capture(e.shards)
+	return pts
+}
 
 // NumShards returns the partition count K (which rebalancing engines
 // change over time).
@@ -525,10 +537,7 @@ func (s *shard) insertLocked(p geom.Point) {
 	if s.four != nil {
 		s.four.Insert(p)
 	}
-	if s.pts != nil {
-		s.pts[p] = struct{}{}
-		s.gen++
-	}
+	s.gen++
 }
 
 // deleteLocked removes p from both of the shard's structures,
@@ -542,12 +551,9 @@ func (s *shard) deleteLocked(p geom.Point) (bool, error) {
 	if !s.dyn.Delete(p) {
 		return false, nil
 	}
+	s.gen++
 	if s.four != nil && !s.four.Delete(p) {
 		return true, fmt.Errorf("shard: structures disagree on presence of %v", p)
-	}
-	if s.pts != nil {
-		delete(s.pts, p)
-		s.gen++
 	}
 	return true, nil
 }

@@ -79,7 +79,7 @@ func TestMergeMatchesSingleDisk(t *testing.T) {
 func itoa(i int) string { return strconv.Itoa(i) }
 
 // TestStaticEngine checks the topopen-backed engine and its rejection of
-// updates.
+// updates and of the leaf scan it has no leaves for.
 func TestStaticEngine(t *testing.T) {
 	const n = 500
 	span := geom.Coord(n * 16)
@@ -103,6 +103,12 @@ func TestStaticEngine(t *testing.T) {
 	if _, err := eng.Delete(pts[0]); err == nil {
 		t.Fatal("Delete on static engine did not fail")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Points on a static engine did not panic")
+		}
+	}()
+	eng.Points()
 }
 
 // TestUpdatesThenQueries interleaves routed inserts/deletes with queries,
