@@ -294,13 +294,13 @@ func e6() {
 		raw, reach := live/float64(2*tr.Len()), live/float64(tr.SpaceWords())
 		fmt.Printf("%6.2f %14.1f %14.1f %10.2f %11.2f\n", eps, qMean, uMean/2, raw, reach)
 		// eps is a label, so it goes out as an integer percentage:
-		// benchguard reads any field with a decimal point as a metric.
-		fmt.Printf("E6-METRIC epspct=%d n=%d livewords=%.1f liveratio=%.2f reachratio=%.2f\n",
-			int(eps*100), tr.Len(), live, raw, reach)
-		// Peak pins above M/B mean the paper's M = Ω(ℓb) assumption
-		// fails at this ε. Not a METRIC line: no baseline gates it.
-		fmt.Printf("E6-PINS epspct=%d frames=%d peakpins=%d overflows=%d\n",
-			int(eps*100), cfg.Frames(), d.PeakPinned(), d.PinOverflows())
+		// benchguard reads any field with a decimal point as a metric,
+		// so the pin counts go out with one. Peak pins above M/B, or
+		// any overflow, mean the paper's M = Ω(ℓb) assumption fails at
+		// this ε.
+		fmt.Printf("E6-METRIC epspct=%d n=%d livewords=%.1f liveratio=%.2f reachratio=%.2f queryios=%.1f updateios=%.1f peakpins=%.1f overflows=%.1f\n",
+			int(eps*100), tr.Len(), live, raw, reach, qMean, uMean/2,
+			float64(d.PeakPinned()), float64(d.PinOverflows()))
 	}
 }
 
@@ -673,7 +673,10 @@ func e13() {
 			}
 			// Measure both paths before the cross-check loop, so
 			// neither benefits from a cache the other's verification
-			// pass warmed.
+			// pass warmed, and from a cold cache, so neither inherits
+			// the frames its build happened to leave resident.
+			mirrored.DropCache()
+			plain.DropCache()
 			mirrored.ResetStats()
 			for _, q := range qs {
 				mirrored.RangeSkyline(q)

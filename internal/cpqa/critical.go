@@ -7,26 +7,23 @@ import "repro/internal/emio"
 // and last(front(DkQ(Q))) if it exists, otherwise last(DkQ−1(Q))"), plus
 // the F and L buffers. The dynamic structure of §4.2 keeps copies of
 // these in each internal node's representative block, which is what
-// makes Lemma 7's no-I/O multi-way catenation possible.
-
-// span is a contiguous run of blocks.
-type span struct {
-	block emio.BlockID
-	words int
-}
+// makes Lemma 7's no-I/O multi-way catenation possible: CoverCritical
+// tells the disk where the copies are, so a read of a critical record
+// costs what a read of the block holding its copy costs, and the records
+// themselves take no frame.
 
 // criticalSpans appends to out the block spans of the queue's critical
 // records and buffers: at most ten.
-func (q *Queue) criticalSpans(out []span) []span {
+func (q *Queue) criticalSpans(out []emio.Span) []emio.Span {
 	if q.fWords > 0 {
-		out = append(out, span{q.fBlock, q.fWords})
+		out = append(out, emio.Span{ID: q.fBlock, Words: q.fWords})
 	}
 	if q.lWords > 0 {
-		out = append(out, span{q.lBlock, q.lWords})
+		out = append(out, emio.Span{ID: q.lBlock, Words: q.lWords})
 	}
 	add := func(r *record) {
 		if r != nil {
-			out = append(out, span{r.block, r.words})
+			out = append(out, emio.Span{ID: r.block, Words: r.words})
 		}
 	}
 	for i := 0; i < 3 && i < len(q.c); i++ {
@@ -55,40 +52,51 @@ func (q *Queue) criticalSpans(out []span) []span {
 // contribution of this queue to its parent's representative block.
 func (q *Queue) CriticalWords() int {
 	w := 0
-	var buf [10]span
+	var buf [10]emio.Span
 	for _, s := range q.criticalSpans(buf[:0]) {
-		w += s.words
+		w += s.Words
 	}
 	return w
 }
 
-// AdmitCritical marks the critical records memory-resident without a
-// charge. Callers must have just paid for reading a packed copy (the
-// representative block); see emio.Admit.
-func (q *Queue) AdmitCritical() {
-	var buf [10]span
+// CoverCritical records that the span rep holds a packed copy of the
+// critical spans, one after another from word off, and returns the word
+// after the copy (see emio.Disk.Cover). The caller must just have
+// written that copy.
+func (q *Queue) CoverCritical(rep emio.Span, off int) int {
+	var buf [10]emio.Span
 	for _, s := range q.criticalSpans(buf[:0]) {
-		q.disk.AdmitSpan(s.block, s.words)
+		q.disk.Cover(s, rep, off)
+		off += s.Words
+	}
+	return off
+}
+
+// AdmitCritical marks the critical records memory-resident without a
+// charge. Callers must have just paid for reading what the records were
+// built from; see emio.Disk.Admit.
+func (q *Queue) AdmitCritical() {
+	var buf [10]emio.Span
+	for _, s := range q.criticalSpans(buf[:0]) {
+		q.disk.AdmitSpan(s.ID, s.Words)
 	}
 }
 
 // PinCritical pins the critical records in memory (charging reads for
-// any that are cold) until UnpinCritical. This realises the paper's
-// "constant number of blocks pinned in main memory" assumption behind
-// the O(1/b) amortized bounds.
+// any that are cold) until UnpinCritical.
 func (q *Queue) PinCritical() {
-	var buf [10]span
+	var buf [10]emio.Span
 	for _, s := range q.criticalSpans(buf[:0]) {
-		q.disk.PinSpan(s.block, s.words)
+		q.disk.PinSpan(s.ID, s.Words)
 	}
 }
 
 // UnpinCritical releases one PinCritical of q. A queue version never
 // changes, so the spans it recomputes are the ones PinCritical pinned.
 func (q *Queue) UnpinCritical() {
-	var buf [10]span
+	var buf [10]emio.Span
 	for _, s := range q.criticalSpans(buf[:0]) {
-		q.disk.UnpinSpan(s.block, s.words)
+		q.disk.UnpinSpan(s.ID, s.Words)
 	}
 }
 

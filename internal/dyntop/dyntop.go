@@ -9,7 +9,8 @@
 // for any parameter 0 ≤ ε ≤ 1. The base tree has fan-out a = 2⌈B^ε⌉ and
 // leaves of [B, 2B] points; the CPQAs use buffer size b = ⌊B^{1−ε}⌋, so
 // the critical records of a node's Θ(B^ε) children total O(B) words and
-// fit in the node's O(1)-block representative block. A point (x, y)
+// fit in the node's O(1)-block representative block, which covers them
+// (emio.Disk.Cover): reading it is what reading them costs. A point (x, y)
 // becomes the element (key = −y, aux = x) inserted at "time" x; a point
 // is attrited exactly when it is dominated (Figure 7), so a node's queue
 // — the left-to-right catenation of its children's queues — holds the
@@ -227,29 +228,28 @@ func (t *Tree) refreshLeaf(nd *node) {
 
 // refreshInternal rebuilds an internal node's queue as the Lemma 7
 // catenation of its children's queues and rewrites its representative
-// block: O(1) I/Os beyond the children's already-resident criticals.
+// block: O(1) I/Os, the ⌈repWords/B⌉ blocks of the old and the new
+// representative block. The children's critical records are covered by
+// the copies in the old block (emio.Disk.Cover), so pinning it for the
+// catenation makes every read of them free without a frame of their
+// own; the new block covers the new children's records, and the old one
+// is freed.
 func (t *Tree) refreshInternal(nd *node) {
-	// Read the (old) representative block to bring the children's
-	// critical records into memory, then catenate without further
-	// charges.
-	if nd.repWords > 0 {
-		t.disk.ReadSpan(nd.repBlock, nd.repWords)
-		t.disk.FreeSpan(nd.repBlock, nd.repWords)
-		nd.repWords = 0
+	old := emio.Span{ID: nd.repBlock, Words: nd.repWords}
+	if old.Words > 0 {
+		t.disk.PinSpan(old.ID, old.Words)
 	}
 	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
-		qs := make([]*cpqa.Queue, 0, len(nd.children))
-		for _, c := range nd.children {
-			c.q.AdmitCritical()
-			c.q.PinCritical()
-			qs = append(qs, c.q)
+		qs := make([]*cpqa.Queue, len(nd.children))
+		for i, c := range nd.children {
+			qs[i] = c.q
 		}
-		q := cpqa.CatenateAllIn(sc, qs).BiasUntilReady()
-		for _, cq := range qs {
-			cq.UnpinCritical()
-		}
-		return q
+		return cpqa.CatenateAllIn(sc, qs).BiasUntilReady()
 	})
+	if old.Words > 0 {
+		t.disk.UnpinSpan(old.ID, old.Words)
+		t.disk.FreeSpan(old.ID, old.Words)
+	}
 	nd.minX = nd.children[0].minX
 	nd.maxX = nd.children[len(nd.children)-1].maxX
 	// Pack copies of the children's critical records and, where they
@@ -258,6 +258,10 @@ func (t *Tree) refreshInternal(nd *node) {
 	nd.repWords = w
 	nd.repBlock = t.disk.AllocSpan(w)
 	t.disk.WriteSpan(nd.repBlock, w)
+	rep, off := emio.Span{ID: nd.repBlock, Words: w}, 0
+	for _, c := range nd.children {
+		off = c.q.CoverCritical(rep, off)
+	}
 }
 
 // repLayout sizes an internal node's representative block: the copies
@@ -588,11 +592,20 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 	// once the answer is out.
 	sc := v.disk.NewScope()
 	// Room for a typical query's queues without a heap allocation.
-	var qbuf, pbuf [32]*cpqa.Queue
-	qs, pinned := v.collect(sc, v.root, x1, x2, qbuf[:0], pbuf[:0])
+	var qbuf [32]*cpqa.Queue
+	qs := v.collect(sc, v.root, x1, x2, qbuf[:0])
+	// A single-leaf root taken whole has no representative block to
+	// cover its critical records; the scan in collect has just read
+	// every point they were built from, so they are admitted and pinned
+	// for the catenation.
+	whole := len(qs) == 1 && qs[0] == v.root.q
+	if whole {
+		v.root.q.AdmitCritical()
+		v.root.q.PinCritical()
+	}
 	merged := cpqa.CatenateAllIn(sc, qs)
-	for _, q := range pinned {
-		q.UnpinCritical()
+	if whole {
+		v.root.q.UnpinCritical()
 	}
 	var out []geom.Point
 	for merged != nil && !merged.Empty() {
@@ -612,12 +625,12 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 // whole-node queues for maximal contained subtrees and fresh partial
 // queues, built in the query's scratch scope, for the boundary leaves.
 // A boundary leaf is scanned from its fences when its parent's
-// representative block, read on the way down, holds them. The
-// contained subtrees' queues are pinned; collect appends them to pinned
-// too, for the caller to unpin once the catenation is built.
-func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs, pinned []*cpqa.Queue) ([]*cpqa.Queue, []*cpqa.Queue) {
+// representative block, read on the way down, holds them. Nothing is
+// pinned: the representative block read at each internal node covers
+// its children's critical records, which the catenation reads.
+func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs []*cpqa.Queue) []*cpqa.Queue {
 	if nd.maxX < x1 || nd.minX > x2 || (nd.leaf() && len(nd.pts) == 0) {
-		return qs, pinned
+		return qs
 	}
 	if nd.leaf() {
 		fenced := false
@@ -626,31 +639,27 @@ func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs, pinned []
 		}
 		lo, hi := ScanLeaf(v.disk, nd.ptsBlock, nd.pts, x1, x2, fenced)
 		if nd.minX >= x1 && nd.maxX <= x2 {
-			nd.q.AdmitCritical()
-			nd.q.PinCritical()
-			return append(qs, nd.q), append(pinned, nd.q)
+			return append(qs, nd.q)
 		}
 		if lo < hi {
 			qs = append(qs, cpqa.FromAscendingIn(sc, v.b, staircase(nd.pts[lo:hi])))
 		}
-		return qs, pinned
+		return qs
 	}
-	// Internal: one representative-block read makes every child's
-	// critical records and any leaf child fences resident.
+	// Internal: one representative-block read covers every child's
+	// critical records and holds any leaf child's fences.
 	v.disk.ReadSpan(nd.repBlock, nd.repWords)
 	for _, c := range nd.children {
 		if c.maxX < x1 || c.minX > x2 {
 			continue
 		}
 		if c.minX >= x1 && c.maxX <= x2 {
-			c.q.AdmitCritical()
-			c.q.PinCritical()
-			qs, pinned = append(qs, c.q), append(pinned, c.q)
+			qs = append(qs, c.q)
 			continue
 		}
-		qs, pinned = v.collect(sc, c, x1, x2, qs, pinned)
+		qs = v.collect(sc, c, x1, x2, qs)
 	}
-	return qs, pinned
+	return qs
 }
 
 // ScanLeaf charges the blocks a scan of one x-sorted leaf reads for the

@@ -97,8 +97,7 @@ func TestSpaceBoundAfterChurn(t *testing.T) {
 			}
 
 			// The paper's M = Ω(ℓb): what the tree pins fits in memory.
-			// It does at every configuration here (B = 256); E6 shows
-			// where it stops holding (ε ≥ 0.75 at n = 16 384).
+			// TestServedMachinePins checks it at every ε.
 			if peak := d.PeakPinned(); peak > cfg.Frames() {
 				t.Errorf("%s eps=%.1f: %d blocks pinned at once, want <= M/B = %d", tc.name, eps, peak, cfg.Frames())
 			}

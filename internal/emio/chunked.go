@@ -1,7 +1,7 @@
 package emio
 
 // chunkBits sets the entries per chunk of a chunked array: 1 024, so a
-// disk with a handful of blocks holds one small chunk per table.
+// disk with a handful of blocks holds one small chunk of slots.
 const (
 	chunkBits = 10
 	chunkLen  = 1 << chunkBits

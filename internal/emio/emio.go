@@ -13,6 +13,13 @@
 // paper's "critical records ... loaded in main memory" assumption used for
 // the O(1/B) amortized bounds.
 //
+// A block may also be covered by another (Cover): the cover holds a
+// packed copy of it, as a §4.2 representative block holds copies of its
+// children's critical records, so reading the block when it is not
+// resident costs what reading its cover costs, and the block itself
+// takes no frame. The cover lives in the block's slot; a freed cover is
+// simply ignored.
+//
 // The disk's own bookkeeping is a dense table of block slots, sized by
 // the peak number of live blocks: a BlockID carries the allocation
 // sequence of the call that created it and the slot it occupies. Freed
@@ -171,7 +178,7 @@ type Disk struct {
 	deferred  []deferredFree
 }
 
-// slot is one entry of the block table, 16 bytes.
+// slot is one entry of the block table, 20 bytes.
 type slot struct {
 	// seq is the allocation sequence of the block in the slot; 0 marks
 	// a free slot (sequences start at 1).
@@ -180,11 +187,23 @@ type slot struct {
 	// deferred behind open retentions (an allocated block accounts at
 	// least one word, so the sign is free to carry that flag).
 	words int32
-	// off is the block's position in its run: the slots one AllocSpan
-	// took, which keep their offsets while free. live, kept on the
-	// run's first slot, counts the run's blocks still allocated.
-	off, live uint32
+	// pos places the block in its run: the slots one AllocSpan took,
+	// which keep their places while free. On the run's first slot it is
+	// runHead | the number of the run's blocks still allocated, on
+	// every other slot the block's offset in the run.
+	pos uint32
+	// coverSeq and coverSlot are the two halves of the id of the block
+	// holding a packed copy of this one (see Cover), 0 when there is
+	// none. A cover that has since been freed is stale and ignored,
+	// since a freed id never becomes valid again.
+	coverSeq, coverSlot uint32
 }
+
+// runHead marks the first slot of a run in slot.pos.
+const runHead = 1 << 31
+
+// cover returns the slot's cover id, or 0.
+func (sl *slot) cover() BlockID { return BlockID(sl.coverSeq)<<slotBits | BlockID(sl.coverSlot) }
 
 // NewDisk returns a Disk for the given machine configuration.
 func NewDisk(cfg Config) *Disk {
@@ -331,14 +350,17 @@ func (d *Disk) allocSpan(words int) BlockID {
 		w := max(1, min(remaining, d.cfg.B))
 		remaining -= w
 		s := first + uint32(i)
-		*d.slots.at(uint64(s)) = slot{seq: uint32(d.seq), words: int32(w), off: uint32(i)}
+		pos := uint32(i)
+		if i == 0 {
+			pos = runHead | uint32(n)
+		}
+		*d.slots.at(uint64(s)) = slot{seq: uint32(d.seq), words: int32(w), pos: pos}
 		d.liveWords += int64(w)
 		if d.liveWords > d.peakWords {
 			d.peakWords = d.liveWords
 		}
 		d.frames.Admit(uint64(s), true, 0)
 	}
-	d.slots.at(uint64(first)).live = uint32(n)
 	d.liveBlocks += n
 	return BlockID(d.seq<<slotBits | uint64(first))
 }
@@ -353,7 +375,7 @@ func (d *Disk) takeRun(n int) uint32 {
 		}
 	}
 	first := d.slots.len()
-	if uint64(first+n) > slotMask+1 {
+	if uint64(first+n) > slotMask+1 || n >= runHead {
 		panic("emio: block table exhausted")
 	}
 	d.slots.grow(n)
@@ -422,10 +444,13 @@ func (d *Disk) reclaim(id BlockID) {
 	sl := d.slots.at(uint64(s))
 	d.liveBlocks--
 	d.liveWords -= int64(abs(sl.words))
-	first := s - sl.off
-	*sl = slot{off: sl.off, live: sl.live}
+	first := s
+	if sl.pos&runHead == 0 {
+		first -= sl.pos
+	}
+	*sl = slot{pos: sl.pos}
 	head := d.slots.at(uint64(first))
-	if head.live--; head.live == 0 {
+	if head.pos--; head.pos == runHead {
 		n := d.runLen(first)
 		for len(d.freeRuns) <= n {
 			d.freeRuns = append(d.freeRuns, nil)
@@ -435,11 +460,11 @@ func (d *Disk) reclaim(id BlockID) {
 }
 
 // runLen returns the number of slots in the run starting at first. Runs
-// tile the table, so the run ends at the next slot with offset 0 (the
-// next run's first) or at the end of the table.
+// tile the table, so the run ends at the next run's first slot or at the
+// end of the table.
 func (d *Disk) runLen(first uint32) int {
 	n := 1
-	for s := uint64(first) + 1; s < uint64(d.slots.len()) && d.slots.at(s).off != 0; s++ {
+	for s := uint64(first) + 1; s < uint64(d.slots.len()) && d.slots.at(s).pos&runHead == 0; s++ {
 		n++
 	}
 	return n
@@ -584,10 +609,11 @@ func (d *Disk) UnpinSpan(id BlockID, words int) {
 }
 
 // Admit marks a block resident (clean) without charging a read. It
-// models data that is already in memory because a copy of its content
-// was just read from elsewhere — e.g. a child queue's critical records
-// admitted after reading the parent's packed representative block in the
-// §4.2 dynamic structure. Use only when such a justification exists.
+// models data that is already in memory because what it holds was just
+// read from elsewhere — e.g. the queue of a §4.2 leaf, built from the
+// points a query has just scanned. Use only when such a justification
+// exists; a block with a standing copy elsewhere is covered (Cover)
+// instead.
 func (d *Disk) Admit(id BlockID) {
 	d.lock()
 	defer d.unlock()
@@ -628,13 +654,57 @@ func (d *Disk) Resident(id BlockID) bool {
 }
 
 // touch makes id resident, charging I/Os as needed, and moves it to the
-// front of the LRU list.
+// front of the LRU list. A read of a non-resident block with a live
+// cover touches the cover block instead, and id stays out of the cache.
 func (d *Disk) touch(id BlockID, write bool) {
 	s := uint64(d.mustSlot(id, "access to unallocated block"))
-	if !d.frames.Touch(s, write) {
-		d.reads.Add(1)
-		d.frames.Admit(s, write, 0)
+	if d.frames.Touch(s, write) {
+		return
 	}
+	if sl := d.slots.at(s); !write && sl.coverSeq != 0 {
+		if cs, ok := d.slotOf(sl.cover()); ok {
+			if s = uint64(cs); d.frames.Touch(s, false) {
+				return
+			}
+		}
+	}
+	d.reads.Add(1)
+	d.frames.Admit(s, write, 0)
+}
+
+// Cover records that the words of span sp are copied, packed, at word
+// off of span rep: block i of sp is covered by the block of rep that
+// holds the copy's word i·B, rep.ID + (off+i·B)/B. From then on a read
+// of a block of sp that is not resident touches its cover block instead
+// and leaves the block itself out of the cache, which is what reading a
+// record from the copy costs; writes and pins are never redirected. A
+// later Cover of the same block replaces its cover, and a cover that is
+// freed stops covering (the block is read as itself again), so nothing
+// has to undo a cover. Cover panics unless both spans are live and the
+// copy lies inside rep (0 ≤ off, off + sp.Words ≤ rep.Words).
+func (d *Disk) Cover(sp, rep Span, off int) {
+	d.lock()
+	defer d.unlock()
+	if off < 0 || off+sp.Words > rep.Words {
+		panic(fmt.Sprintf("emio: Cover of %d words at word %d of a %d-word span", sp.Words, off, rep.Words))
+	}
+	n := d.cfg.BlocksFor(sp.Words)
+	for i := range n {
+		d.mustSlot(sp.ID+BlockID(i), "Cover of unallocated block")
+		d.mustSlot(d.coverOf(rep, off, i), "Cover by unallocated block")
+	}
+	for i := range n {
+		s, _ := d.slotOf(sp.ID + BlockID(i))
+		c := d.coverOf(rep, off, i)
+		sl := d.slots.at(uint64(s))
+		sl.coverSeq, sl.coverSlot = uint32(c>>slotBits), uint32(c&slotMask)
+	}
+}
+
+// coverOf returns the block of rep holding word i·B of a copy placed at
+// word off.
+func (d *Disk) coverOf(rep Span, off, i int) BlockID {
+	return rep.ID + BlockID((off+i*d.cfg.B)/d.cfg.B)
 }
 
 // Measure runs fn with a cold cache and returns the I/O stats it

@@ -381,3 +381,132 @@ func TestSequenceExhaustionPanics(t *testing.T) {
 	d.Alloc()
 	mustPanic(t, "Alloc past the last sequence", func() { d.Alloc() })
 }
+
+// TestCoverRedirectsColdReads: a read of a covered block that is not
+// resident costs what a touch of its cover block costs — one read when
+// the cover is cold, nothing when it is resident — and leaves the block
+// itself out of the cache. A resident covered block is read as itself.
+func TestCoverRedirectsColdReads(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16}) // 4 frames
+	rec := d.AllocSpan(6)             // two blocks
+	rep := d.AllocSpan(10)            // three blocks
+	// The copy of rec's 6 words sits at words 3..8 of rep: rec's block
+	// 0 is covered by rep's block 0, its block 1 (copy word 7) by 1.
+	d.Cover(Span{ID: rec, Words: 6}, Span{ID: rep, Words: 10}, 3)
+	d.DropCache()
+	d.ResetStats()
+
+	d.Read(rec)
+	if st := d.Stats(); st.Reads != 1 || d.Resident(rec) || !d.Resident(rep) {
+		t.Fatalf("cold covered read: %v, rec resident %v, cover resident %v; want 1 read of the cover only",
+			st, d.Resident(rec), d.Resident(rep))
+	}
+	d.Read(rec)
+	if st := d.Stats(); st.Reads != 1 {
+		t.Fatalf("covered read with its cover resident charged %v, want nothing more", st)
+	}
+	d.Read(rec + 1)
+	if st := d.Stats(); st.Reads != 2 || !d.Resident(rep+1) || d.Resident(rep+2) {
+		t.Fatalf("block 1 of the span: %v; want one read of the cover block rep+1", st)
+	}
+
+	// A resident covered block is an ordinary hit.
+	d.Pin(rec)
+	d.ResetStats()
+	d.Read(rec)
+	if st := d.Stats(); st.IOs() != 0 {
+		t.Fatalf("read of a resident covered block charged %v", st)
+	}
+	d.Unpin(rec)
+}
+
+// TestCoverNeverRedirectsWrites: a write of a covered block makes the
+// block itself resident and dirty, as without a cover.
+func TestCoverNeverRedirectsWrites(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	rec := d.Alloc()
+	rep := d.Alloc()
+	d.Cover(Span{ID: rec, Words: 4}, Span{ID: rep, Words: 4}, 0)
+	d.DropCache()
+	d.ResetStats()
+	d.Write(rec)
+	if st := d.Stats(); st.Reads != 1 || !d.Resident(rec) || d.Resident(rep) {
+		t.Fatalf("covered write: %v, rec resident %v, cover resident %v; want the block itself fetched",
+			st, d.Resident(rec), d.Resident(rep))
+	}
+	d.DropCache()
+	if st := d.Stats(); st.Writes != 1 {
+		t.Fatalf("dropping the written block charged %v, want 1 write", st)
+	}
+}
+
+// TestFreedCoverIsIgnored: once the cover block is freed, the covered
+// block is read as itself; a later Cover replaces the stale one.
+func TestFreedCoverIsIgnored(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	rec := d.Alloc()
+	old := d.Alloc()
+	d.Cover(Span{ID: rec, Words: 4}, Span{ID: old, Words: 4}, 0)
+	d.Free(old)
+	reuse := d.Alloc() // takes old's slot under a new sequence
+	d.DropCache()
+	d.ResetStats()
+	d.Read(rec)
+	if st := d.Stats(); st.Reads != 1 || !d.Resident(rec) || d.Resident(reuse) {
+		t.Fatalf("read under a freed cover: %v, rec resident %v; want rec read as itself", st, d.Resident(rec))
+	}
+	d.Cover(Span{ID: rec, Words: 4}, Span{ID: reuse, Words: 4}, 0)
+	d.DropCache()
+	d.Read(rec)
+	if d.Resident(rec) || !d.Resident(reuse) {
+		t.Fatal("a new Cover did not replace the stale one")
+	}
+}
+
+// TestReclaimClearsCover: a freed covered block's slot, reused by a new
+// block, carries no cover.
+func TestReclaimClearsCover(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	rep := d.Alloc()
+	rec := d.Alloc()
+	d.Cover(Span{ID: rec, Words: 4}, Span{ID: rep, Words: 4}, 0)
+	d.Free(rec)
+	fresh := d.Alloc()
+	if fresh&slotMask != rec&slotMask {
+		t.Fatalf("new block %#x did not reuse the slot of %#x", fresh, rec)
+	}
+	d.DropCache()
+	d.ResetStats()
+	d.Read(fresh)
+	if !d.Resident(fresh) || d.Resident(rep) {
+		t.Fatal("a block in a reclaimed slot inherited the slot's cover")
+	}
+}
+
+// TestCoverPanics: Cover refuses a copy outside its cover span and a
+// span or cover that is not live, and changes nothing when it does.
+func TestCoverPanics(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 16})
+	rec := d.AllocSpan(8)
+	rep := d.AllocSpan(8)
+	mustPanic(t, "a copy past the end of the cover span", func() {
+		d.Cover(Span{ID: rec, Words: 8}, Span{ID: rep, Words: 8}, 1)
+	})
+	mustPanic(t, "a negative offset", func() {
+		d.Cover(Span{ID: rec, Words: 4}, Span{ID: rep, Words: 8}, -1)
+	})
+	d.Free(rep + 1)
+	mustPanic(t, "a freed cover block", func() {
+		d.Cover(Span{ID: rec, Words: 8}, Span{ID: rep, Words: 8}, 0)
+	})
+	d.DropCache()
+	d.Read(rec)
+	if !d.Resident(rec) {
+		t.Fatal("a refused Cover covered block 0 anyway")
+	}
+	stale := d.Alloc()
+	d.Free(stale)
+	mustPanic(t, "a freed covered block", func() {
+		d.Cover(Span{ID: stale, Words: 4}, Span{ID: rep, Words: 4}, 0)
+	})
+}

@@ -15,15 +15,18 @@
 //     maintained exactly, so owners can assert the accounting that the
 //     paper's amortized bounds rest on.
 //
-// Keys are small dense integers (disk slots): the table finds a frame
-// through a slice indexed by key, and keeps its frames in a
-// pointer-free slice linked by int32 positions with a free-frame list,
-// so an admission allocates nothing once the table has reached its
-// working size and the garbage collector has nothing to scan.
+// The table finds a frame through a small open-addressing hash index
+// sized by its frames, not by its keys, so a disk with millions of
+// blocks pays nothing per block for it. Frames live in a pointer-free
+// slice linked by int32 positions with a free-frame list, so an
+// admission allocates nothing once the table has reached its working
+// size and the garbage collector has nothing to scan.
 //
 // The table is not safe for concurrent use; Disk guards it with its own
 // mutex in guarded mode.
 package emio
+
+import "math/bits"
 
 // Frame is the residency state of one cached block, as Get and the
 // eviction callback report it.
@@ -51,9 +54,12 @@ type frame struct {
 // FrameTable is an LRU table of resident frames with a pin discipline.
 type FrameTable struct {
 	frames []frame
-	// index maps a key to its frame's position plus one; zero means
-	// not resident.
-	index    chunked[int32]
+	// index is a linear-probing hash table over the resident frames:
+	// each entry is a frame's position plus one, zero an empty entry,
+	// and the key is the frame's own. Its length is a power of two at
+	// least twice the resident frames; shift is 64 − log2 of it.
+	index    []int32
+	shift    uint
 	free     int32 // head of the free-frame list
 	head     int32 // most recently used
 	tail     int32 // least recently used
@@ -99,10 +105,50 @@ func (t *FrameTable) Overflows() uint64 { return t.overflows }
 
 // lookup returns the position of key's frame, or nilFrame.
 func (t *FrameTable) lookup(key uint64) int32 {
-	if key < uint64(t.index.len()) {
-		return *t.index.at(key) - 1
+	if len(t.index) == 0 {
+		return nilFrame
 	}
-	return nilFrame
+	return t.index[t.find(key)] - 1
+}
+
+// find returns the index entry holding key, or the empty entry that
+// ends its probe sequence.
+func (t *FrameTable) find(key uint64) int {
+	mask := len(t.index) - 1
+	for e := t.home(key); ; e = (e + 1) & mask {
+		if p := t.index[e]; p == 0 || t.frames[p-1].key == key {
+			return e
+		}
+	}
+}
+
+// home returns the index entry key's probe sequence starts at
+// (Fibonacci hashing: keys are dense slot numbers).
+func (t *FrameTable) home(key uint64) int { return int(key * 0x9E3779B97F4A7C15 >> t.shift) }
+
+// reindex sizes the index for n resident frames and re-enters every
+// resident frame.
+func (t *FrameTable) reindex(n int) {
+	logSize := max(4, bits.Len(uint(2*n-1)))
+	t.index = make([]int32, 1<<logSize)
+	t.shift = uint(64 - logSize)
+	for i := t.head; i != nilFrame; i = t.frames[i].next {
+		t.index[t.find(t.frames[i].key)] = i + 1
+	}
+}
+
+// unindex removes key's entry, shifting back the entries after it that
+// its removal would cut off from their home.
+func (t *FrameTable) unindex(key uint64) {
+	mask := len(t.index) - 1
+	e := t.find(key)
+	for j := (e + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		if h := t.home(t.frames[t.index[j]-1].key); (j-h)&mask >= (j-e)&mask {
+			t.index[e] = t.index[j]
+			e = j
+		}
+	}
+	t.index[e] = 0
 }
 
 // Resident reports whether key has a frame.
@@ -150,11 +196,11 @@ func (t *FrameTable) Admit(key uint64, dirty bool, pins int) {
 		t.frames = append(t.frames, frame{})
 	}
 	t.frames[i] = frame{key: key, dirty: dirty, pins: int32(pins)}
-	t.pushFront(i)
-	if key >= uint64(t.index.len()) {
-		t.index.grow(int(key+1) - t.index.len())
+	if 2*(t.Len()+1) > len(t.index) {
+		t.reindex(t.Len() + 1)
 	}
-	*t.index.at(key) = i + 1
+	t.index[t.find(key)] = i + 1
+	t.pushFront(i)
 	if pins > 0 {
 		t.pinned++
 		t.peakPinned = max(t.peakPinned, t.pinned)
@@ -248,8 +294,8 @@ func (t *FrameTable) evict(i int32) {
 // drop unlinks the frame at i, clears its index entry and returns the
 // slot to the free-frame list.
 func (t *FrameTable) drop(i int32) {
+	t.unindex(t.frames[i].key)
 	t.unlink(i)
-	*t.index.at(t.frames[i].key) = 0
 	t.frames[i].next = t.free
 	t.free = i
 }

@@ -8,8 +8,9 @@ import (
 
 // refDisk is the reference model FuzzDiskModel checks Disk against: the
 // disk's semantics written the plainest way. Ids are never reused, the
-// live set, the deferred set and the open retentions are maps, and the
-// frame cache is a slice in LRU order, most recently used first.
+// live set, the deferred set, the covers and the open retentions are
+// maps, and the frame cache is a slice in LRU order, most recently used
+// first.
 type refDisk struct {
 	cfg                  Config
 	reads, writes        uint64
@@ -23,6 +24,7 @@ type refDisk struct {
 	retained             map[uint64]bool
 	deferred             []refDeferred
 	deferredSet          map[uint64]bool
+	cover                map[uint64]uint64 // covered id -> cover id
 }
 
 type refFrame struct {
@@ -34,7 +36,7 @@ type refFrame struct {
 type refDeferred struct{ id, epoch uint64 }
 
 func newRefDisk(cfg Config) *refDisk {
-	return &refDisk{cfg: cfg, live: map[uint64]int{}, retained: map[uint64]bool{}, deferredSet: map[uint64]bool{}}
+	return &refDisk{cfg: cfg, live: map[uint64]int{}, retained: map[uint64]bool{}, deferredSet: map[uint64]bool{}, cover: map[uint64]uint64{}}
 }
 
 // find returns id's position in the LRU slice, or -1.
@@ -111,8 +113,33 @@ func (r *refDisk) touch(id uint64, write bool) {
 		f.dirty = f.dirty || write
 		return
 	}
+	if c, ok := r.cover[id]; ok && !write {
+		if _, live := r.live[c]; live {
+			if i := r.find(c); i >= 0 {
+				r.toFront(i)
+				return
+			}
+			id = c
+		}
+	}
 	r.reads++
 	r.admit(id, write, 0)
+}
+
+// coverSpan covers block i of the span at id with the block of the
+// span at rep that holds word off+i·B, after checking every block.
+func (r *refDisk) coverSpan(id uint64, words int, rep uint64, repWords, off int) {
+	if off < 0 || off+words > repWords {
+		panic("ref: Cover outside its cover span")
+	}
+	n := r.cfg.BlocksFor(words)
+	for i := range n {
+		r.mustLive(id+uint64(i), "Cover of unallocated block")
+		r.mustLive(rep+uint64((off+i*r.cfg.B)/r.cfg.B), "Cover by unallocated block")
+	}
+	for i := range n {
+		r.cover[id+uint64(i)] = rep + uint64((off+i*r.cfg.B)/r.cfg.B)
+	}
 }
 
 func (r *refDisk) readCold(id uint64) {
@@ -180,6 +207,7 @@ func (r *refDisk) reclaim(id uint64) {
 	}
 	r.liveWords -= int64(r.live[id])
 	delete(r.live, id)
+	delete(r.cover, id)
 }
 
 func (r *refDisk) retain() uint64 {
@@ -350,7 +378,7 @@ func (m *modelRun) check() {
 func (m *modelRun) step() {
 	d, r := m.d, m.r
 	B := r.cfg.B
-	switch op := m.next() % 22; op {
+	switch op := m.next() % 23; op {
 	case 0:
 		var mid uint64
 		var did BlockID
@@ -495,6 +523,18 @@ func (m *modelRun) step() {
 				r.unpin(sp.id + uint64(i))
 			}
 		}, func() { d.UnpinSpan(m.toDisk[sp.id], sp.words) })
+	case 22:
+		sp, ok := m.pickSpan()
+		if !ok {
+			return
+		}
+		rep, _ := m.pickSpan()
+		off := m.next()%(rep.words+2) - 1
+		m.do(fmt.Sprintf("Cover(%d,%d by %d,%d at %d)", sp.id, sp.words, rep.id, rep.words, off), func() {
+			r.coverSpan(sp.id, sp.words, rep.id, rep.words, off)
+		}, func() {
+			d.Cover(Span{ID: m.toDisk[sp.id], Words: sp.words}, Span{ID: m.toDisk[rep.id], Words: rep.words}, off)
+		})
 	}
 }
 
@@ -519,7 +559,7 @@ func runModel(t *testing.T, ops []byte, maxOps int) {
 }
 
 // FuzzDiskModel runs a decoded op sequence — every allocation, free,
-// access, pin, admission, retention and scope operation — against both
+// access, pin, admission, cover, retention and scope operation — against both
 // the Disk and refDisk. After every op they must agree on the I/O
 // counters, the space accounting, the deferred frees, the pin detector
 // and the residency of every live id, and an op the model refuses must
