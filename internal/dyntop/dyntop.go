@@ -23,6 +23,10 @@
 // figure is what the nodes hold; replaced versions are still held on the
 // tree's history until Release (DESIGN.md, "Block lifetime and
 // reclamation").
+//
+// The base tree is internal/xtree's copy-on-write x-tree, shared with
+// foursided: Snapshot pins the root in O(1), and an update copies the
+// nodes of its path that a pin may reach before it writes them.
 package dyntop
 
 import (
@@ -33,34 +37,23 @@ import (
 	"repro/internal/cpqa"
 	"repro/internal/emio"
 	"repro/internal/geom"
+	"repro/internal/xtree"
 )
 
-type node struct {
-	parent   *node
-	children []*node // nil for leaves
-
-	// Leaves hold the raw points sorted by x in a span of their own.
-	// ptsEpoch is the tree's snapshot count when the pts array was last
-	// made private to the live tree (see ownPts).
-	pts      []geom.Point
-	ptsEpoch uint64
-	ptsBlock emio.BlockID
-	ptsWords int
-
-	// Every node carries the I/O-CPQA over its subtree and, for
-	// internal nodes, the packed representative block holding copies
-	// of the children's critical records. owned lists the spans this
-	// node's queue version added on top of what its children's versions
-	// hold (DESIGN.md, "Block lifetime and reclamation").
+// data is what a node carries on top of the shared skeleton: the
+// I/O-CPQA over its subtree and, for internal nodes, the packed
+// representative block holding copies of the children's critical
+// records. owned lists the spans this node's queue version added on top
+// of what its children's versions hold (DESIGN.md, "Block lifetime and
+// reclamation").
+type data struct {
 	q        *cpqa.Queue
 	owned    []emio.Span
 	repBlock emio.BlockID
 	repWords int
-
-	minX, maxX geom.Coord
 }
 
-func (nd *node) leaf() bool { return nd.children == nil }
+type node = xtree.Node[data]
 
 // Tree is the dynamic top-open index.
 type Tree struct {
@@ -69,16 +62,11 @@ type Tree struct {
 	a    int // internal fan-out in [a, 2a]
 	b    int // CPQA buffer parameter
 	kMin int // leaf occupancy in [kMin, 2*kMin]
-	root *node
+	xt   xtree.Tree[data]
 	n    int
 
-	// snaps counts Snapshot calls: a leaf array is shared with a Handle
-	// exactly when a Snapshot happened after the array became the live
-	// tree's own.
-	snaps uint64
-
 	// history lists the spans of queue versions that refreshes have
-	// replaced. Nothing can read them — rebalanceUp rebuilds every
+	// replaced. Nothing can read them — an update rebuilds every
 	// ancestor that shared their records before anything reads it — and
 	// they are held until Release all the same; DESIGN.md says why.
 	history []emio.Span
@@ -102,7 +90,7 @@ func New(d *emio.Disk, eps float64) *Tree {
 	if kMin < 4 {
 		kMin = 4
 	}
-	return &Tree{disk: d, eps: eps, a: a, b: b, kMin: kMin}
+	return &Tree{disk: d, eps: eps, a: a, b: b, kMin: kMin, xt: xtree.New[data](d, nil)}
 }
 
 // BuildSABE bulk-loads the tree from points sorted by x in O(n/B) I/Os.
@@ -113,59 +101,10 @@ func BuildSABE(d *emio.Disk, eps float64, pts []geom.Point) *Tree {
 			panic("dyntop: input not sorted by x")
 		}
 	}
-	if len(pts) == 0 {
-		return t
-	}
 	t.n = len(pts)
-	// Leaves of ~1.5·kMin points.
-	target := t.kMin + t.kMin/2
-	var level []*node
-	for lo := 0; lo < len(pts); lo += target {
-		hi := lo + target
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		chunk := append([]geom.Point(nil), pts[lo:hi]...)
-		// Avoid an undersized final leaf.
-		if len(chunk) < t.kMin && len(level) > 0 {
-			prev := level[len(level)-1]
-			cut := len(prev.pts) - t.kMin/2
-			steal := append([]geom.Point(nil), prev.pts[cut:]...)
-			chunk = append(steal, chunk...)
-			prev.pts = prev.pts[:cut]
-			t.refreshLeaf(prev)
-		}
-		nd := &node{pts: chunk}
-		t.refreshLeaf(nd)
-		level = append(level, nd)
-	}
-	// Internal levels of ~1.5a children.
-	for len(level) > 1 {
-		fan := t.a + t.a/2
-		var up []*node
-		for lo := 0; lo < len(level); lo += fan {
-			hi := lo + fan
-			if hi > len(level) {
-				hi = len(level)
-			}
-			kids := append([]*node(nil), level[lo:hi]...)
-			if len(kids) < t.a && len(up) > 0 {
-				prev := up[len(up)-1]
-				steal := prev.children[len(prev.children)-t.a/2:]
-				prev.children = prev.children[:len(prev.children)-t.a/2]
-				kids = append(append([]*node(nil), steal...), kids...)
-				t.refreshInternal(prev)
-			}
-			nd := &node{children: kids}
-			for _, c := range kids {
-				c.parent = nd
-			}
-			t.refreshInternal(nd)
-			up = append(up, nd)
-		}
-		level = up
-	}
-	t.root = level[0]
+	// Leaves of ~1.5·kMin points and internal nodes of ~1.5a children;
+	// no last leaf or node is left undersized.
+	t.xt.Build(pts, t.kMin+t.kMin/2, t.kMin, t.refreshLeaf, t.a+t.a/2, t.a, t.refreshInternal)
 	return t
 }
 
@@ -210,20 +149,10 @@ func staircase(pts []geom.Point) []cpqa.Elem {
 // refreshLeaf rewrites a leaf's point span and rebuilds its queue:
 // O(1) I/Os (a leaf holds O(B) points).
 func (t *Tree) refreshLeaf(nd *node) {
-	if nd.ptsWords > 0 {
-		t.disk.FreeSpan(nd.ptsBlock, nd.ptsWords)
-	}
-	nd.ptsWords = 2 * len(nd.pts)
-	if nd.ptsWords > 0 {
-		nd.ptsBlock = t.disk.AllocSpan(nd.ptsWords)
-		t.disk.WriteSpan(nd.ptsBlock, nd.ptsWords)
-	}
+	t.xt.RewriteLeaf(nd)
 	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
-		return cpqa.FromAscendingIn(sc, t.b, staircase(nd.pts)).BiasUntilReady()
+		return cpqa.FromAscendingIn(sc, t.b, staircase(nd.Pts)).BiasUntilReady()
 	})
-	if len(nd.pts) > 0 {
-		nd.minX, nd.maxX = nd.pts[0].X, nd.pts[len(nd.pts)-1].X
-	}
 }
 
 // refreshInternal rebuilds an internal node's queue as the Lemma 7
@@ -235,14 +164,14 @@ func (t *Tree) refreshLeaf(nd *node) {
 // own; the new block covers the new children's records, and the old one
 // is freed.
 func (t *Tree) refreshInternal(nd *node) {
-	old := emio.Span{ID: nd.repBlock, Words: nd.repWords}
+	old := emio.Span{ID: nd.Data.repBlock, Words: nd.Data.repWords}
 	if old.Words > 0 {
 		t.disk.PinSpan(old.ID, old.Words)
 	}
 	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
-		qs := make([]*cpqa.Queue, len(nd.children))
-		for i, c := range nd.children {
-			qs[i] = c.q
+		qs := make([]*cpqa.Queue, len(nd.Children))
+		for i, c := range nd.Children {
+			qs[i] = c.Data.q
 		}
 		return cpqa.CatenateAllIn(sc, qs).BiasUntilReady()
 	})
@@ -250,17 +179,16 @@ func (t *Tree) refreshInternal(nd *node) {
 		t.disk.UnpinSpan(old.ID, old.Words)
 		t.disk.FreeSpan(old.ID, old.Words)
 	}
-	nd.minX = nd.children[0].minX
-	nd.maxX = nd.children[len(nd.children)-1].maxX
+	nd.SetRange()
 	// Pack copies of the children's critical records and, where they
 	// fit, the leaf children's fences.
 	w, _ := repLayout(t.disk.Config(), nd)
-	nd.repWords = w
-	nd.repBlock = t.disk.AllocSpan(w)
-	t.disk.WriteSpan(nd.repBlock, w)
-	rep, off := emio.Span{ID: nd.repBlock, Words: w}, 0
-	for _, c := range nd.children {
-		off = c.q.CoverCritical(rep, off)
+	nd.Data.repWords = w
+	nd.Data.repBlock = t.disk.AllocSpan(w)
+	t.disk.WriteSpan(nd.Data.repBlock, w)
+	rep, off := emio.Span{ID: nd.Data.repBlock, Words: w}, 0
+	for _, c := range nd.Children {
+		off = c.Data.q.CoverCritical(rep, off)
 	}
 }
 
@@ -275,10 +203,10 @@ func (t *Tree) refreshInternal(nd *node) {
 // disagree with them.
 func repLayout(cfg emio.Config, nd *node) (words int, fenced bool) {
 	crit, fences := 0, 0
-	for _, c := range nd.children {
-		crit += c.q.CriticalWords()
-		if c.leaf() {
-			fences += max(0, cfg.BlocksFor(c.ptsWords)-1)
+	for _, c := range nd.Children {
+		crit += c.Data.q.CriticalWords()
+		if c.Leaf() {
+			fences += max(0, cfg.BlocksFor(c.PtsWords)-1)
 		}
 	}
 	crit = max(crit, 1)
@@ -294,250 +222,136 @@ func repLayout(cfg emio.Config, nd *node) (words int, fenced bool) {
 // dropped its pins by then). The version it replaces moves to the tree's
 // history.
 func (t *Tree) setQueue(nd *node, build func(sc *emio.Scope) *cpqa.Queue) {
-	t.history = append(t.history, nd.owned...)
+	t.history = append(t.history, nd.Data.owned...)
 	sc := t.disk.NewScope()
-	nd.q = build(sc).Keep(sc)
-	nd.owned = sc.Release()
+	nd.Data.q = build(sc).Keep(sc)
+	nd.Data.owned = sc.Release()
 }
 
 // drop takes nd out of the tree: its leaf span and representative block
 // are freed, its queue version joins the history. Its children, if any,
-// live on under another node.
+// live on under another node. nd itself is not written: a Handle may
+// still reach it.
 func (t *Tree) drop(nd *node) {
-	if nd.ptsWords > 0 {
-		t.disk.FreeSpan(nd.ptsBlock, nd.ptsWords)
+	if nd.PtsWords > 0 {
+		t.disk.FreeSpan(nd.PtsBlock, nd.PtsWords)
 	}
-	if nd.repWords > 0 {
-		t.disk.FreeSpan(nd.repBlock, nd.repWords)
+	if nd.Data.repWords > 0 {
+		t.disk.FreeSpan(nd.Data.repBlock, nd.Data.repWords)
 	}
-	t.history = append(t.history, nd.owned...)
+	t.history = append(t.history, nd.Data.owned...)
 }
 
 // Release frees every block the tree holds — nodes and history — and
 // leaves it empty. A pinned Handle keeps answering: its retention
 // defers the frees (see Snapshot).
 func (t *Tree) Release() {
-	var rec func(nd *node)
-	rec = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		for _, c := range nd.children {
-			rec(c)
-		}
+	for nd := range xtree.Nodes(t.xt.Root) {
 		t.drop(nd)
 	}
-	rec(t.root)
 	t.disk.FreeSpans(t.history)
-	t.root, t.n, t.history = nil, 0, nil
-}
-
-// leafFor descends to the leaf whose x-range should contain x.
-func (t *Tree) leafFor(x geom.Coord) *node {
-	nd := t.root
-	for nd != nil && !nd.leaf() {
-		t.disk.ReadSpan(nd.repBlock, nd.repWords)
-		chosen := nd.children[len(nd.children)-1]
-		for _, c := range nd.children {
-			if x <= c.maxX {
-				chosen = c
-				break
-			}
-		}
-		nd = chosen
-	}
-	return nd
+	t.xt.Root, t.n, t.history = nil, 0, nil
 }
 
 // Insert adds point p (whose x and y must not collide with indexed
 // points; callers enforce general position). O(log_{2B^ε}(n/B)) I/Os:
 // one leaf write and one refresh per ancestor.
 func (t *Tree) Insert(p geom.Point) {
-	if t.root == nil {
-		t.root = &node{pts: []geom.Point{p}}
-		t.refreshLeaf(t.root)
+	if t.xt.Root == nil {
+		t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
+		t.refreshLeaf(t.xt.Root)
 		t.n = 1
 		return
 	}
-	leaf := t.leafFor(p.X)
-	t.disk.ReadSpan(leaf.ptsBlock, leaf.ptsWords)
-	i := sort.Search(len(leaf.pts), func(j int) bool { return leaf.pts[j].X >= p.X })
-	t.ownPts(leaf)
-	leaf.pts = slices.Insert(leaf.pts, i, p)
-	t.n++
-	t.refreshLeaf(leaf)
-	t.rebalanceUp(leaf)
+	t.update(p, true)
 }
 
 // Delete removes the point with the given coordinates; it reports
 // whether the point was present. O(log_{2B^ε}(n/B)) I/Os, as Insert.
 func (t *Tree) Delete(p geom.Point) bool {
-	if t.root == nil {
+	return t.xt.Root != nil && t.update(p, false)
+}
+
+// update inserts p into, or deletes it from, its leaf and rebalances
+// the path up to the root; a delete of an absent point changes nothing
+// and reports false.
+func (t *Tree) update(p geom.Point, insert bool) bool {
+	// The descent reads the representative block of every internal node
+	// it routes through.
+	path := t.xt.Descend(p.X, func(nd *node) { t.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords) })
+	leaf := path[len(path)-1]
+	t.disk.ReadSpan(leaf.PtsBlock, leaf.PtsWords)
+	i := sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X >= p.X })
+	if !insert && (i >= len(leaf.Pts) || leaf.Pts[i] != p) {
 		return false
 	}
-	leaf := t.leafFor(p.X)
-	t.disk.ReadSpan(leaf.ptsBlock, leaf.ptsWords)
-	i := sort.Search(len(leaf.pts), func(j int) bool { return leaf.pts[j].X >= p.X })
-	if i >= len(leaf.pts) || leaf.pts[i] != p {
-		return false
+	t.xt.Own(path)
+	leaf = path[len(path)-1]
+	if insert {
+		leaf.Pts = slices.Insert(leaf.Pts, i, p)
+		t.n++
+	} else {
+		leaf.Pts = slices.Delete(leaf.Pts, i, i+1)
+		t.n--
 	}
-	t.ownPts(leaf)
-	leaf.pts = slices.Delete(leaf.pts, i, i+1)
-	t.n--
 	t.refreshLeaf(leaf)
-	t.rebalanceUp(leaf)
-	return true
-}
-
-// ownPts makes the leaf's point array safe to shift in place. Handles
-// share leaf arrays with the live tree, so the first write to a leaf
-// after a Snapshot copies its array; later writes find it private and
-// cost no host allocation.
-func (t *Tree) ownPts(leaf *node) {
-	if leaf.ptsEpoch != t.snaps {
-		leaf.pts, leaf.ptsEpoch = slices.Clone(leaf.pts), t.snaps
-	}
-}
-
-// rebalanceUp restores occupancy invariants from a modified node to the
-// root, rebuilding every ancestor's queue and representative block.
-func (t *Tree) rebalanceUp(nd *node) {
-	for nd != nil {
-		par := nd.parent
-		if nd.leaf() {
-			t.fixLeaf(nd)
-		} else {
-			t.fixInternal(nd)
+	for i := len(path) - 1; i >= 0; i-- {
+		var par *node
+		if i > 0 {
+			par = path[i-1]
 		}
+		t.fix(path[i], par)
 		if par != nil {
 			t.refreshInternal(par)
 		}
-		nd = par
 	}
+	return true
 }
 
-func (t *Tree) fixLeaf(nd *node) {
-	par := nd.parent
+// fix restores nd's occupancy — [kMin, 2kMin] points in a leaf, [a, 2a]
+// children in an internal node — by a split or a merge with a sibling,
+// and takes out a root left empty or with one child. par, nd's parent
+// or nil at the root, is private.
+func (t *Tree) fix(nd, par *node) {
+	size, least, refresh := len(nd.Children), t.a, t.refreshInternal
+	if nd.Leaf() {
+		size, least, refresh = len(nd.Pts), t.kMin, t.refreshLeaf
+	}
 	switch {
-	case len(nd.pts) > 2*t.kMin:
-		half := len(nd.pts) / 2
-		right := &node{pts: append([]geom.Point(nil), nd.pts[half:]...), parent: par}
-		nd.pts = nd.pts[:half]
-		t.refreshLeaf(nd)
-		t.refreshLeaf(right)
-		if par == nil {
-			t.growRoot(nd, right)
-		} else {
-			insertChildAfter(par, nd, right)
+	case size > 2*least:
+		right := t.xt.Split(nd)
+		refresh(nd)
+		refresh(right)
+		t.xt.Attach(par, nd, right, t.refreshInternal)
+	case size < least && par != nil:
+		// Merge with the next sibling, or the previous one for the last
+		// child.
+		i := xtree.ChildIndex(par, nd)
+		if i+1 == len(par.Children) {
+			i--
 		}
-	case len(nd.pts) < t.kMin && par != nil:
-		sib, after := sibling(par, nd)
-		t.disk.ReadSpan(sib.ptsBlock, sib.ptsWords)
-		var merged []geom.Point
-		if after {
-			merged = append(append([]geom.Point(nil), nd.pts...), sib.pts...)
-		} else {
-			merged = append(append([]geom.Point(nil), sib.pts...), nd.pts...)
+		left, right := par.Children[i], par.Children[i+1]
+		sib := left
+		if sib == nd {
+			sib = right
 		}
-		removeChild(par, sib)
+		if nd.Leaf() {
+			t.disk.ReadSpan(sib.PtsBlock, sib.PtsWords)
+			nd.Pts = slices.Concat(left.Pts, right.Pts)
+		} else {
+			nd.Children = slices.Concat(left.Children, right.Children)
+		}
+		xtree.RemoveChild(par, sib)
 		t.drop(sib)
-		nd.pts = merged
-		if len(nd.pts) > 2*t.kMin {
-			t.refreshLeaf(nd)
-			t.fixLeaf(nd) // split back
-		} else {
-			t.refreshLeaf(nd)
-		}
-	case par == nil && len(nd.pts) == 0:
+		refresh(nd)
+		t.fix(nd, par) // split back if the merge overfilled nd
+	case par == nil && size == 1 && !nd.Leaf():
+		t.xt.Root = nd.Children[0]
 		t.drop(nd)
-		t.root = nil
-	}
-}
-
-func (t *Tree) fixInternal(nd *node) {
-	par := nd.parent
-	switch {
-	case len(nd.children) > 2*t.a:
-		half := len(nd.children) / 2
-		right := &node{children: append([]*node(nil), nd.children[half:]...), parent: par}
-		nd.children = nd.children[:half]
-		for _, c := range right.children {
-			c.parent = right
-		}
-		t.refreshInternal(nd)
-		t.refreshInternal(right)
-		if par == nil {
-			t.growRoot(nd, right)
-		} else {
-			insertChildAfter(par, nd, right)
-		}
-	case par == nil && len(nd.children) == 1:
-		// Shrink the root.
-		t.root = nd.children[0]
-		t.root.parent = nil
+	case par == nil && size == 0:
 		t.drop(nd)
-	case len(nd.children) < t.a && par != nil:
-		sib, after := sibling(par, nd)
-		var merged []*node
-		if after {
-			merged = append(append([]*node(nil), nd.children...), sib.children...)
-		} else {
-			merged = append(append([]*node(nil), sib.children...), nd.children...)
-		}
-		removeChild(par, sib)
-		t.drop(sib)
-		nd.children = merged
-		for _, c := range nd.children {
-			c.parent = nd
-		}
-		if len(nd.children) > 2*t.a {
-			t.refreshInternal(nd)
-			t.fixInternal(nd)
-		} else {
-			t.refreshInternal(nd)
-		}
+		t.xt.Root = nil
 	}
-}
-
-func (t *Tree) growRoot(left, right *node) {
-	r := &node{children: []*node{left, right}}
-	left.parent, right.parent = r, r
-	t.refreshInternal(r)
-	t.root = r
-}
-
-func sibling(par, nd *node) (*node, bool) {
-	for i, c := range par.children {
-		if c == nd {
-			if i+1 < len(par.children) {
-				return par.children[i+1], true
-			}
-			return par.children[i-1], false
-		}
-	}
-	panic("dyntop: node not found among parent's children")
-}
-
-func insertChildAfter(par, nd, right *node) {
-	for i, c := range par.children {
-		if c == nd {
-			par.children = append(par.children, nil)
-			copy(par.children[i+2:], par.children[i+1:])
-			par.children[i+1] = right
-			return
-		}
-	}
-	panic("dyntop: node not found for insertChildAfter")
-}
-
-func removeChild(par, nd *node) {
-	for i, c := range par.children {
-		if c == nd {
-			par.children = append(par.children[:i], par.children[i+1:]...)
-			return
-		}
-	}
-	panic("dyntop: removeChild target missing")
 }
 
 // view is the read-only query machinery, shared between the live tree
@@ -560,25 +374,15 @@ func (t *Tree) Query(x1, x2, beta geom.Coord) []geom.Point {
 // view.Points.
 func (t *Tree) Points(dst []geom.Point) []geom.Point { return t.view().Points(dst) }
 
-func (t *Tree) view() view { return view{disk: t.disk, b: t.b, root: t.root} }
+func (t *Tree) view() view { return view{disk: t.disk, b: t.b, root: t.xt.Root} }
 
 // Points appends the view's points to dst in increasing-x order — the
 // run §2.3's SABE builds from — reading the leaves left to right and
 // charging each leaf span: O(n/B) I/Os, no representative block.
 func (v view) Points(dst []geom.Point) []geom.Point {
-	return v.points(v.root, dst)
-}
-
-func (v view) points(nd *node, dst []geom.Point) []geom.Point {
-	switch {
-	case nd == nil:
-	case nd.leaf():
-		v.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
-		dst = append(dst, nd.pts...)
-	default:
-		for _, c := range nd.children {
-			dst = v.points(c, dst)
-		}
+	for l := range xtree.Leaves(v.root) {
+		v.disk.ReadSpan(l.PtsBlock, l.PtsWords)
+		dst = append(dst, l.Pts...)
 	}
 	return dst
 }
@@ -593,19 +397,20 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 	sc := v.disk.NewScope()
 	// Room for a typical query's queues without a heap allocation.
 	var qbuf [32]*cpqa.Queue
-	qs := v.collect(sc, v.root, x1, x2, qbuf[:0])
+	qs := v.collect(sc, v.root, nil, x1, x2, qbuf[:0])
 	// A single-leaf root taken whole has no representative block to
 	// cover its critical records; the scan in collect has just read
 	// every point they were built from, so they are admitted and pinned
 	// for the catenation.
-	whole := len(qs) == 1 && qs[0] == v.root.q
+	root := v.root.Data.q
+	whole := len(qs) == 1 && qs[0] == root
 	if whole {
-		v.root.q.AdmitCritical()
-		v.root.q.PinCritical()
+		root.AdmitCritical()
+		root.PinCritical()
 	}
 	merged := cpqa.CatenateAllIn(sc, qs)
 	if whole {
-		v.root.q.UnpinCritical()
+		root.UnpinCritical()
 	}
 	var out []geom.Point
 	for merged != nil && !merged.Empty() {
@@ -624,40 +429,41 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 // collect gathers, in ascending x order, the queues covering [x1,x2]:
 // whole-node queues for maximal contained subtrees and fresh partial
 // queues, built in the query's scratch scope, for the boundary leaves.
-// A boundary leaf is scanned from its fences when its parent's
-// representative block, read on the way down, holds them. Nothing is
-// pinned: the representative block read at each internal node covers
-// its children's critical records, which the catenation reads.
-func (v view) collect(sc *emio.Scope, nd *node, x1, x2 geom.Coord, qs []*cpqa.Queue) []*cpqa.Queue {
-	if nd.maxX < x1 || nd.minX > x2 || (nd.leaf() && len(nd.pts) == 0) {
+// par is nd's parent, nil at the root. A boundary leaf is scanned from
+// its fences when its parent's representative block, read on the way
+// down, holds them. Nothing is pinned: the representative block read at
+// each internal node covers its children's critical records, which the
+// catenation reads.
+func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cpqa.Queue) []*cpqa.Queue {
+	if nd.MaxX < x1 || nd.MinX > x2 || (nd.Leaf() && len(nd.Pts) == 0) {
 		return qs
 	}
-	if nd.leaf() {
+	if nd.Leaf() {
 		fenced := false
-		if nd.parent != nil {
-			_, fenced = repLayout(v.disk.Config(), nd.parent)
+		if par != nil {
+			_, fenced = repLayout(v.disk.Config(), par)
 		}
-		lo, hi := ScanLeaf(v.disk, nd.ptsBlock, nd.pts, x1, x2, fenced)
-		if nd.minX >= x1 && nd.maxX <= x2 {
-			return append(qs, nd.q)
+		lo, hi := ScanLeaf(v.disk, nd.PtsBlock, nd.Pts, x1, x2, fenced)
+		if nd.MinX >= x1 && nd.MaxX <= x2 {
+			return append(qs, nd.Data.q)
 		}
 		if lo < hi {
-			qs = append(qs, cpqa.FromAscendingIn(sc, v.b, staircase(nd.pts[lo:hi])))
+			qs = append(qs, cpqa.FromAscendingIn(sc, v.b, staircase(nd.Pts[lo:hi])))
 		}
 		return qs
 	}
 	// Internal: one representative-block read covers every child's
 	// critical records and holds any leaf child's fences.
-	v.disk.ReadSpan(nd.repBlock, nd.repWords)
-	for _, c := range nd.children {
-		if c.maxX < x1 || c.minX > x2 {
+	v.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords)
+	for _, c := range nd.Children {
+		if c.MaxX < x1 || c.MinX > x2 {
 			continue
 		}
-		if c.minX >= x1 && c.maxX <= x2 {
-			qs = append(qs, c.q)
+		if c.MinX >= x1 && c.MaxX <= x2 {
+			qs = append(qs, c.Data.q)
 			continue
 		}
-		qs = v.collect(sc, c, x1, x2, qs)
+		qs = v.collect(sc, c, nd, x1, x2, qs)
 	}
 	return qs
 }
@@ -710,58 +516,44 @@ func ScanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord
 }
 
 // Handle is an immutable point-in-time view of a Tree, pinned by
-// Snapshot. It answers Query from the captured roots while the live
-// tree keeps mutating; the CPQA queues it reaches are confluently
-// persistent (no operation ever mutates a record), so the only state
-// the handle must protect is the base tree's node graph — captured by
-// copy — and the spans the live tree frees under it (leaf and
-// representative spans on every rewrite, everything on Release), which
-// the caller protects with an emio retention (Disk.RetainFrees) opened
-// before Snapshot and released when the handle is dropped. Handles
-// perform no I/O at pin time.
+// Snapshot. It answers Query from the root captured at the pin while the
+// live tree keeps mutating: the base tree's nodes are copy-on-write (a
+// write copies every node a pin may reach before changing it; see
+// internal/xtree) and the CPQA queues they reach are confluently
+// persistent (no operation ever mutates a record), so nothing the handle
+// reaches is ever written. The only state the caller must protect is the
+// spans the live tree frees under it (leaf and representative spans on
+// every rewrite, everything on Release), with an emio retention
+// (Disk.RetainFrees) opened before Snapshot and released when the handle
+// is dropped. Handles perform no I/O at pin time.
 type Handle struct {
 	view
 	n int
 }
 
-// Snapshot captures the current tree as an immutable Handle: the node
-// graph is copied (host pointers only — the queues, point arrays and
-// block ids are shared with the live tree, which copies a leaf array
-// before its first write after a pin and never mutates a published queue), so the capture
-// charges zero simulated I/Os and costs O(n/B) host words. Callers
-// composing with concurrent updaters must hold the structure's
-// external lock across the call and open a retention on the disk
-// first; see internal/shard.Engine.Snapshot for the composed recipe.
+// Snapshot captures the current tree as an immutable Handle in O(1):
+// the root is kept and the tree's epoch advanced, so each node is copied
+// by the first write that reaches it afterwards — at most once per pin,
+// and never by a write that follows no pin. The capture charges zero
+// simulated I/Os. Callers composing with concurrent updaters must hold
+// the structure's external lock across the call and open a retention on
+// the disk first; see internal/shard.Engine.Snapshot for the composed
+// recipe.
 func (t *Tree) Snapshot() *Handle {
-	t.snaps++
-	return &Handle{view: view{disk: t.disk, b: t.b, root: cloneNodes(t.root, nil)}, n: t.n}
+	return &Handle{view: view{disk: t.disk, b: t.b, root: t.xt.Pin()}, n: t.n}
 }
 
-// cloneNodes deep-copies the node graph. Shared payloads (pts arrays,
-// queues, span ids) are NOT copied: they are immutable from the
-// snapshot's perspective.
-func cloneNodes(nd, parent *node) *node {
-	if nd == nil {
-		return nil
-	}
-	c := &node{
-		parent:   parent,
-		pts:      nd.pts,
-		ptsBlock: nd.ptsBlock,
-		ptsWords: nd.ptsWords,
-		q:        nd.q,
-		repBlock: nd.repBlock,
-		repWords: nd.repWords,
-		minX:     nd.minX,
-		maxX:     nd.maxX,
-	}
-	if nd.children != nil {
-		c.children = make([]*node, len(nd.children))
-		for i, ch := range nd.children {
-			c.children[i] = cloneNodes(ch, c)
-		}
-	}
-	return c
+// Fork returns a tree that starts from t's current state and takes over
+// from it: the fork owns everything t owned, and its epoch is advanced
+// as by a Snapshot, so it copies each node it shares with t before its
+// first write and t keeps answering Query for that state. t must be
+// neither written nor released afterwards. O(1), no I/O. foursided forks
+// R(u) when it copies a node that a Handle may reach, leaving the
+// original R(u) to the handle.
+func (t *Tree) Fork() *Tree {
+	f := *t
+	f.xt.Pin()
+	return &f
 }
 
 // Query answers the top-open query [x1,x2] × [β, ∞) against the pinned
@@ -777,35 +569,17 @@ func (h *Handle) Query(x1, x2, beta geom.Coord) []geom.Point {
 func (h *Handle) Len() int { return h.n }
 
 // Height returns the number of levels of the base tree.
-func (t *Tree) Height() int {
-	h := 0
-	for nd := t.root; nd != nil; {
-		h++
-		if nd.leaf() {
-			break
-		}
-		nd = nd.children[0]
-	}
-	return h
-}
+func (t *Tree) Height() int { return t.xt.Height() }
 
 // SpaceWords returns the footprint of the base tree (leaf spans and
 // representative blocks) plus the reachable words of every node queue.
 func (t *Tree) SpaceWords() int {
 	total := 0
-	var rec func(nd *node)
-	rec = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		total += nd.ptsWords + nd.repWords
-		if nd.q != nil {
-			total += nd.q.ReachableWords()
-		}
-		for _, c := range nd.children {
-			rec(c)
+	for nd := range xtree.Nodes(t.xt.Root) {
+		total += nd.PtsWords + nd.Data.repWords
+		if nd.Data.q != nil {
+			total += nd.Data.q.ReachableWords()
 		}
 	}
-	rec(t.root)
 	return total
 }

@@ -54,14 +54,14 @@ func TestPointsMatchOracle(t *testing.T) {
 			scan func() []geom.Point
 			want []geom.Point
 		}{
-			{"tree", tr.root, func() []geom.Point { return tr.Points(nil) }, present},
+			{"tree", tr.xt.Root, func() []geom.Point { return tr.Points(nil) }, present},
 			{"handle", h.root, func() []geom.Point { return h.Points(nil) }, pinned},
 		} {
 			want := slices.Clone(c.want)
 			geom.SortByX(want)
 			blocks := 0
 			for _, l := range leaves(c.root) {
-				blocks += cfg.BlocksFor(l.ptsWords)
+				blocks += cfg.BlocksFor(l.PtsWords)
 			}
 			var got []geom.Point
 			st := d.Measure(func() { got = c.scan() })

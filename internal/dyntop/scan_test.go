@@ -3,10 +3,12 @@ package dyntop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/emio"
 	"repro/internal/geom"
+	"repro/internal/xtree"
 )
 
 // scanCase is one boundary-leaf query against a leaf of n points stored
@@ -94,18 +96,22 @@ func checkScan(t *testing.T, d *emio.Disk, id emio.BlockID, pts []geom.Point, c 
 }
 
 // leaves lists the tree's leaves in x order.
-func leaves(nd *node) []*node {
-	if nd == nil {
-		return nil
+func leaves(nd *node) []*node { return slices.Collect(xtree.Leaves(nd)) }
+
+// parentOf returns nd's parent in the tree under root, nil for the root.
+func parentOf(root, nd *node) *node {
+	for u := range xtree.Nodes(root) {
+		if slices.Contains(u.Children, nd) {
+			return u
+		}
 	}
-	if nd.leaf() {
-		return []*node{nd}
-	}
-	var out []*node
-	for _, c := range nd.children {
-		out = append(out, leaves(c)...)
-	}
-	return out
+	return nil
+}
+
+// leafFor returns the leaf whose x-range should contain x.
+func leafFor(tr *Tree, x geom.Coord) *node {
+	path := tr.xt.Descend(x, nil)
+	return path[len(path)-1]
 }
 
 // runScanCases answers every case cold through the tree and through a
@@ -116,7 +122,7 @@ func runScanCases(t *testing.T, d *emio.Disk, tr *Tree, pts []geom.Point, leaf *
 	ret := d.RetainFrees()
 	defer ret.Release()
 	h := tr.Snapshot()
-	ls := leaves(tr.root)
+	ls := leaves(tr.xt.Root)
 	for _, c := range cs {
 		for _, via := range []string{"tree", "handle"} {
 			d.DropCache()
@@ -131,15 +137,15 @@ func runScanCases(t *testing.T, d *emio.Disk, tr *Tree, pts []geom.Point, leaf *
 			}
 			cv := c
 			cv.name += " via " + via
-			checkScan(t, d, leaf.ptsBlock, leaf.pts, cv)
+			checkScan(t, d, leaf.PtsBlock, leaf.Pts, cv)
 			for _, other := range ls {
 				if other == leaf {
 					continue
 				}
-				for b := 0; b < d.Config().BlocksFor(other.ptsWords); b++ {
-					if d.Resident(other.ptsBlock + emio.BlockID(b)) {
+				for b := 0; b < d.Config().BlocksFor(other.PtsWords); b++ {
+					if d.Resident(other.PtsBlock + emio.BlockID(b)) {
 						t.Errorf("%s: leaf [%d,%d] was read, only the boundary leaf should be",
-							cv.name, other.minX, other.maxX)
+							cv.name, other.MinX, other.MaxX)
 					}
 				}
 			}
@@ -164,11 +170,11 @@ func permPoints(n int, seed int64) []geom.Point {
 func leafUnder(t *testing.T, tr *Tree, fenced bool) *node {
 	t.Helper()
 	cfg := tr.disk.Config()
-	ls := leaves(tr.root)
+	ls := leaves(tr.xt.Root)
 	for i := range ls {
 		l := ls[(len(ls)/2+i)%len(ls)]
-		blocks := cfg.BlocksFor(l.ptsWords)
-		if _, f := repLayout(cfg, l.parent); f == fenced && blocks >= 3 && blocks <= 4 {
+		blocks := cfg.BlocksFor(l.PtsWords)
+		if _, f := repLayout(cfg, parentOf(tr.xt.Root, l)); f == fenced && blocks >= 3 && blocks <= 4 {
 			return l
 		}
 	}
@@ -201,9 +207,9 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 			d := emio.NewDisk(cfg)
 			tr := BuildSABE(d, c.eps, pts)
 			leaf := leafUnder(t, tr, c.fenced)
-			cs := groundedCases(leaf.pts, cfg.B)
+			cs := groundedCases(leaf.Pts, cfg.B)
 			if c.fenced {
-				cs = fencedCases(leaf.pts, cfg.B)
+				cs = fencedCases(leaf.Pts, cfg.B)
 			}
 			runScanCases(t, d, tr, pts, leaf, cs)
 		})
@@ -212,10 +218,10 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 		pts := permPoints(12, 8)
 		d := emio.NewDisk(cfg)
 		tr := BuildSABE(d, 0.5, pts)
-		if !tr.root.leaf() || cfg.BlocksFor(tr.root.ptsWords) != 3 {
-			t.Fatalf("want a root leaf of 3 blocks, got leaf=%v over %d words", tr.root.leaf(), tr.root.ptsWords)
+		if !tr.xt.Root.Leaf() || cfg.BlocksFor(tr.xt.Root.PtsWords) != 3 {
+			t.Fatalf("want a root leaf of 3 blocks, got leaf=%v over %d words", tr.xt.Root.Leaf(), tr.xt.Root.PtsWords)
 		}
-		runScanCases(t, d, tr, pts, tr.root, groundedCases(tr.root.pts, cfg.B))
+		runScanCases(t, d, tr, pts, tr.xt.Root, groundedCases(tr.xt.Root.Pts, cfg.B))
 	})
 }
 
@@ -232,18 +238,18 @@ func TestRepLayoutMatchesStoredBlock(t *testing.T) {
 		check := func(when string) {
 			var rec func(nd *node)
 			rec = func(nd *node) {
-				if nd == nil || nd.leaf() {
+				if nd == nil || nd.Leaf() {
 					return
 				}
-				if w, _ := repLayout(d.Config(), nd); w != nd.repWords {
+				if w, _ := repLayout(d.Config(), nd); w != nd.Data.repWords {
 					t.Fatalf("eps=%.1f %s: node [%d,%d] stores %d representative words, repLayout says %d",
-						eps, when, nd.minX, nd.maxX, nd.repWords, w)
+						eps, when, nd.MinX, nd.MaxX, nd.Data.repWords, w)
 				}
-				for _, c := range nd.children {
+				for _, c := range nd.Children {
 					rec(c)
 				}
 			}
-			rec(tr.root)
+			rec(tr.xt.Root)
 		}
 		check("after build")
 		for i, j := range rng.Perm(len(pts)) {

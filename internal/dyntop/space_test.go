@@ -202,11 +202,11 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 
 	// Without a snapshot, a delete shifts in place and the insert that
 	// follows finds room in the same array.
-	leaf := tr.leafFor(present[0].X)
+	leaf := leafFor(tr, present[0].X)
 	tr.Delete(present[0])
-	arr := &leaf.pts[0]
+	arr := &leaf.Pts[0]
 	tr.Insert(present[0])
-	if tr.leafFor(present[0].X) != leaf || &leaf.pts[0] != arr {
+	if leafFor(tr, present[0].X) != leaf || &leaf.Pts[0] != arr {
 		t.Fatal("an unshared leaf array was copied on write")
 	}
 
@@ -218,7 +218,7 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	var pins []pin
 	for round := 0; round < 3; round++ {
 		pins = append(pins, pin{tr.Snapshot(), append([]geom.Point(nil), present...)})
-		shared := tr.leafFor(present[0].X).pts
+		shared := leafFor(tr, present[0].X).Pts
 		frozen := append([]geom.Point(nil), shared...)
 		tr.Delete(present[0])
 		tr.Insert(present[0])

@@ -24,15 +24,15 @@
 // it still holds whatever lock serializes writers (a shard's mutex), so
 // no free can slip between the two.
 //
-// Copy-on-pin vs epoch-retired roots: both were candidates for the
-// 4-sided secondaries. Copy-on-pin (what dyntop.Snapshot and
-// foursided.Snapshot do) clones the node graph in host RAM — zero
-// simulated I/Os, O(n/B) pointer copies — while epoch-retiring whole
-// roots would make every UPDATE copy its root-to-leaf path. Measured
-// on the E17 workload the clone costs microseconds per pin and nothing
-// per update, so copy-on-pin wins at every update:snapshot ratio
-// above ~1:1 and is what ships; the emio retention supplies the epoch
-// machinery for the spans either way.
+// Pinning is O(1): dyntop and foursided stand on a copy-on-write tree
+// (internal/xtree), so dyntop.Snapshot and foursided.Snapshot keep the
+// root and advance an epoch — zero simulated I/Os — and the first write
+// after a pin copies the nodes of its path. An earlier design, which
+// copied every UPDATE's root-to-leaf path, lost to cloning the node
+// graph per pin; the epoch gate copies a node at most once per pin and
+// never when no pin came since, so it costs no more than that clone.
+// The emio retention supplies the epoch machinery for the spans either
+// way.
 package engine
 
 import (
@@ -65,8 +65,8 @@ type retainedView struct {
 func (v *retainedView) RangeSkyline(q geom.Rect) []geom.Point { return v.query(q) }
 func (v *retainedView) Release()                              { v.ret.Release() }
 
-// Snapshot pins the Theorem 4 tree: retention first, then the O(n/B)
-// host-pointer root clone (zero simulated I/Os). The caller must hold
+// Snapshot pins the Theorem 4 tree: retention first, then the O(1)
+// copy-on-write pin (zero simulated I/Os). The caller must hold
 // whatever lock serializes writers on this tree across the call.
 func (b *DynTopBackend) Snapshot() (View, error) {
 	ret := b.disk.RetainFrees()

@@ -39,6 +39,11 @@
 // against the Ω(fB) updates between splits), and the entire structure is
 // rebuilt after n/2 updates, which keeps every parameter calibrated and
 // makes the total update cost O(log(n/B)) amortized.
+//
+// The base tree is internal/xtree's copy-on-write x-tree, shared with
+// dyntop: Snapshot pins the root in O(1), and an update copies the nodes
+// of its path that a pin may reach — forking each copy's R(u) — before
+// it writes them.
 package foursided
 
 import (
@@ -49,46 +54,23 @@ import (
 	"repro/internal/dyntop"
 	"repro/internal/emio"
 	"repro/internal/geom"
+	"repro/internal/xtree"
 )
 
-type node struct {
-	parent   *node
-	children []*node
-
-	// Leaves: points sorted by x, in a charged span. ptsEpoch is the
-	// index's snapshot count when the pts array was last made private
-	// to the live index (see ownPts).
-	pts      []geom.Point
-	ptsEpoch uint64
-	ptsBlock emio.BlockID
-	ptsWords int
-
-	// Internal nodes: the right-open secondary over the subtree,
-	// i.e. a dyntop tree on transposed points. Live nodes hold the
-	// mutable tree in r; snapshot clones hold a pinned handle in rh.
-	r  *dyntop.Tree
-	rh *dyntop.Handle
-
-	minX, maxX geom.Coord
-}
-
-func (nd *node) leaf() bool { return nd.r == nil && nd.rh == nil && nd.children == nil }
+// node carries, on an internal node, the right-open secondary R(u) over
+// its subtree: a dyntop tree on transposed points. Leaves carry nil.
+type node = xtree.Node[*dyntop.Tree]
 
 // Index is the 4-sided range skyline structure.
 type Index struct {
 	disk *emio.Disk
 	eps  float64
 
-	root    *node
+	xt      xtree.Tree[*dyntop.Tree]
 	n       int
 	n0      int // size at last rebuild
 	updates int // updates since last rebuild
 	fanout  int
-
-	// snaps counts Snapshot calls: a leaf array is shared with a Handle
-	// exactly when a Snapshot happened after the array became the live
-	// index's own.
-	snaps uint64
 }
 
 // Build constructs the index over pts (any order; they are sorted here)
@@ -97,7 +79,9 @@ func Build(d *emio.Disk, eps float64, pts []geom.Point) *Index {
 	if eps <= 0 || eps > 1 {
 		panic("foursided: epsilon must be in (0,1]")
 	}
-	ix := &Index{disk: d, eps: eps}
+	// A node copied after a Snapshot forks its R(u): the copy writes the
+	// fork, and the original keeps answering for the handles.
+	ix := &Index{disk: d, eps: eps, xt: xtree.New(d, (*dyntop.Tree).Fork)}
 	sorted := append([]geom.Point(nil), pts...)
 	geom.SortByX(sorted)
 	ix.rebuild(sorted)
@@ -107,46 +91,17 @@ func Build(d *emio.Disk, eps float64, pts []geom.Point) *Index {
 // rebuild reconstructs the whole structure from x-sorted points,
 // releasing the one it replaces.
 func (ix *Index) rebuild(sorted []geom.Point) {
-	d := ix.disk
-	ix.release(ix.root)
-	ix.root = nil
+	ix.release(ix.xt.Root)
+	ix.xt.Root = nil
 	ix.n = len(sorted)
 	ix.n0 = len(sorted)
 	ix.updates = 0
 	if len(sorted) == 0 {
 		return
 	}
-	B := d.Config().B
-	f := fanout(float64(len(sorted))/float64(B), ix.eps)
-	ix.fanout = f
-
-	var level []*node
-	for lo := 0; lo < len(sorted); lo += B {
-		hi := lo + B
-		if hi > len(sorted) {
-			hi = len(sorted)
-		}
-		nd := &node{pts: append([]geom.Point(nil), sorted[lo:hi]...)}
-		ix.refreshLeaf(nd)
-		level = append(level, nd)
-	}
-	for len(level) > 1 {
-		var up []*node
-		for lo := 0; lo < len(level); lo += f {
-			hi := lo + f
-			if hi > len(level) {
-				hi = len(level)
-			}
-			nd := &node{children: append([]*node(nil), level[lo:hi]...)}
-			for _, c := range nd.children {
-				c.parent = nd
-			}
-			ix.refreshInternal(nd)
-			up = append(up, nd)
-		}
-		level = up
-	}
-	ix.root = level[0]
+	B := ix.disk.Config().B
+	ix.fanout = fanout(float64(len(sorted))/float64(B), ix.eps)
+	ix.xt.Build(sorted, B, 0, ix.xt.RewriteLeaf, ix.fanout, 0, ix.refreshInternal)
 }
 
 // maxLevels is the internal-level cap ⌈1/ε⌉+1 that fanout keeps the
@@ -163,72 +118,44 @@ func fanout(nb, eps float64) int {
 	return max(2, paper, height)
 }
 
-func (ix *Index) refreshLeaf(nd *node) {
-	if nd.ptsWords > 0 {
-		ix.disk.FreeSpan(nd.ptsBlock, nd.ptsWords)
-	}
-	nd.ptsWords = 2 * len(nd.pts)
-	if nd.ptsWords > 0 {
-		nd.ptsBlock = ix.disk.AllocSpan(nd.ptsWords)
-		ix.disk.WriteSpan(nd.ptsBlock, nd.ptsWords)
-	}
-	if len(nd.pts) > 0 {
-		nd.minX, nd.maxX = nd.pts[0].X, nd.pts[len(nd.pts)-1].X
-	}
-}
-
 // release frees every block held beneath nd: leaf point spans and whole
 // secondaries. Pinned Handles keep answering — their retention defers
-// the frees.
+// the frees — and each R(u) is released through a fork, which leaves
+// the tree a Handle may still reach intact.
 func (ix *Index) release(nd *node) {
-	if nd == nil {
-		return
-	}
-	for _, c := range nd.children {
-		ix.release(c)
-	}
-	if nd.ptsWords > 0 {
-		ix.disk.FreeSpan(nd.ptsBlock, nd.ptsWords)
-	}
-	if nd.r != nil {
-		nd.r.Release()
+	for u := range xtree.Nodes(nd) {
+		if u.PtsWords > 0 {
+			ix.disk.FreeSpan(u.PtsBlock, u.PtsWords)
+		}
+		if u.Data != nil {
+			u.Data.Fork().Release()
+		}
 	}
 }
 
 // Release frees every block the index holds and leaves it empty.
 func (ix *Index) Release() {
-	ix.release(ix.root)
-	ix.root, ix.n, ix.n0, ix.updates = nil, 0, 0, 0
+	ix.release(ix.xt.Root)
+	ix.xt.Root, ix.n, ix.n0, ix.updates = nil, 0, 0, 0
 }
 
 // refreshInternal (re)builds R(u) from scratch over the subtree's
 // transposed points, sorted by y, releasing the secondary it replaces.
 func (ix *Index) refreshInternal(nd *node) {
-	if nd.r != nil {
-		nd.r.Release()
+	if nd.Data != nil {
+		nd.Data.Release()
 	}
 	var tp []geom.Point
-	var collect func(*node)
-	collect = func(c *node) {
-		if c.leaf() {
-			for _, p := range c.pts {
-				tp = append(tp, geom.Point{X: p.Y, Y: p.X})
-			}
-			return
+	for l := range xtree.Leaves(nd) {
+		for _, p := range l.Pts {
+			tp = append(tp, geom.Point{X: p.Y, Y: p.X})
 		}
-		for _, cc := range c.children {
-			collect(cc)
-		}
-	}
-	for _, c := range nd.children {
-		collect(c)
 	}
 	sort.Slice(tp, func(i, j int) bool { return tp[i].X < tp[j].X })
 	// Right-open secondaries use ε = 0: query O(log(n/B) + k/B),
 	// update O(log(n/B)) worst case — exactly what Theorem 6 needs.
-	nd.r = dyntop.BuildSABE(ix.disk, 0, tp)
-	nd.minX = nd.children[0].minX
-	nd.maxX = nd.children[len(nd.children)-1].maxX
+	nd.Data = dyntop.BuildSABE(ix.disk, 0, tp)
+	nd.SetRange()
 }
 
 // Len returns the number of indexed points.
@@ -237,17 +164,9 @@ func (ix *Index) Len() int { return ix.n }
 // bandSkyline appends to out the answer of R(u) to the right-open query
 // [x1,∞) × [y1, y2]: the skyline of P(u) within the y-band right of x1,
 // in decreasing-x order. It is the top-open query [y1,y2] × [x1,∞) on
-// the transposed points, whose answer ascends in the original y. The
-// node dispatches to its live tree or, on snapshot clones, the pinned
-// handle — both run the same Theorem 4 query.
-func (nd *node) bandSkyline(out []geom.Point, x1, y1, y2 geom.Coord) []geom.Point {
-	var tq []geom.Point
-	if nd.rh != nil {
-		tq = nd.rh.Query(y1, y2, x1)
-	} else {
-		tq = nd.r.Query(y1, y2, x1)
-	}
-	for _, p := range tq {
+// the transposed points, whose answer ascends in the original y.
+func bandSkyline(out []geom.Point, r *dyntop.Tree, x1, y1, y2 geom.Coord) []geom.Point {
+	for _, p := range r.Query(y1, y2, x1) {
 		out = append(out, geom.Point{X: p.Y, Y: p.X})
 	}
 	return out
@@ -267,10 +186,10 @@ type view struct {
 // in-range points keeping the running maximum y finds the maxima
 // without the oracle's copy and sort.
 func (v view) leafSkyline(out []geom.Point, nd *node, r geom.Rect) []geom.Point {
-	lo, hi := dyntop.ScanLeaf(v.disk, nd.ptsBlock, nd.pts, r.X1, r.X2, false)
+	lo, hi := dyntop.ScanLeaf(v.disk, nd.PtsBlock, nd.Pts, r.X1, r.X2, false)
 	best := geom.Coord(math.MinInt64)
 	for i := hi - 1; i >= lo; i-- {
-		if p := nd.pts[i]; p.Y > best && r.Contains(p) {
+		if p := nd.Pts[i]; p.Y > best && r.Contains(p) {
 			out = append(out, p)
 			best = p.Y
 		}
@@ -281,7 +200,7 @@ func (v view) leafSkyline(out []geom.Point, nd *node, r geom.Rect) []geom.Point 
 // Query answers the 4-sided range skyline query [x1,x2] × [y1,y2] in
 // O((n/B)^ε + k/B) I/Os, returning the maxima in increasing-x order.
 func (ix *Index) Query(q geom.Rect) []geom.Point {
-	return view{disk: ix.disk, root: ix.root}.query(q)
+	return view{disk: ix.disk, root: ix.xt.Root}.query(q)
 }
 
 func (v view) query(q geom.Rect) []geom.Point {
@@ -296,14 +215,14 @@ func (v view) query(q geom.Rect) []geom.Point {
 	var parts []*node
 	var walk func(nd *node)
 	walk = func(nd *node) {
-		if nd.maxX < q.X1 || nd.minX > q.X2 {
+		if nd.MaxX < q.X1 || nd.MinX > q.X2 {
 			return
 		}
-		if nd.leaf() || nd.maxX <= q.X2 {
+		if nd.Leaf() || nd.MaxX <= q.X2 {
 			parts = append(parts, nd)
 			return
 		}
-		for _, c := range nd.children {
+		for _, c := range nd.Children {
 			walk(c)
 		}
 	}
@@ -317,10 +236,10 @@ func (v view) query(q geom.Rect) []geom.Point {
 	var out []geom.Point
 	for i := len(parts) - 1; i >= 0; i-- {
 		nd, n := parts[i], len(out)
-		if nd.leaf() {
+		if nd.Leaf() {
 			out = v.leafSkyline(out, nd, geom.Rect{X1: q.X1, X2: q.X2, Y1: betaStar, Y2: q.Y2})
 		} else {
-			out = nd.bandSkyline(out, q.X1, betaStar, q.Y2)
+			out = bandSkyline(out, nd.Data, q.X1, betaStar, q.Y2)
 		}
 		if len(out) > n {
 			// The part's last (leftmost) point is its highest, and
@@ -345,52 +264,36 @@ func (ix *Index) AntiDominance(x, y geom.Coord) []geom.Point {
 // Insert adds a point: O(log(n/B)) amortized I/Os.
 func (ix *Index) Insert(p geom.Point) {
 	ix.updates++
-	if ix.root == nil || ix.updates*2 > ix.n0+2 {
+	if ix.xt.Root == nil || ix.updates*2 > ix.n0+2 {
 		ix.rebuild(ix.allPoints(p, geom.Point{}, true))
 		return
 	}
-	nd := ix.root
-	for !nd.leaf() {
-		nd.r.Insert(geom.Point{X: p.Y, Y: p.X})
-		next := nd.children[len(nd.children)-1]
-		for _, c := range nd.children {
-			if p.X <= c.maxX {
-				next = c
-				break
-			}
-		}
-		nd = next
+	path := ix.xt.Descend(p.X, nil)
+	ix.xt.Own(path)
+	for _, u := range path[:len(path)-1] {
+		u.Data.Insert(geom.Point{X: p.Y, Y: p.X})
 	}
-	ix.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
-	i := sort.Search(len(nd.pts), func(j int) bool { return nd.pts[j].X >= p.X })
-	ix.ownPts(nd)
-	nd.pts = slices.Insert(nd.pts, i, p)
-	ix.refreshLeaf(nd)
+	nd := path[len(path)-1]
+	ix.disk.ReadSpan(nd.PtsBlock, nd.PtsWords)
+	i := sort.Search(len(nd.Pts), func(j int) bool { return nd.Pts[j].X >= p.X })
+	nd.Pts = slices.Insert(nd.Pts, i, p)
+	ix.xt.RewriteLeaf(nd)
 	ix.n++
-	ix.splitUp(nd)
+	ix.splitUp(path)
 }
 
 // Delete removes the point; reports whether it was present.
 // O(log(n/B)) amortized I/Os.
 func (ix *Index) Delete(p geom.Point) bool {
-	if ix.root == nil {
+	if ix.xt.Root == nil {
 		return false
 	}
 	// Verify presence first so failed deletes do not corrupt R(u)s.
-	nd := ix.root
-	for !nd.leaf() {
-		next := nd.children[len(nd.children)-1]
-		for _, c := range nd.children {
-			if p.X <= c.maxX {
-				next = c
-				break
-			}
-		}
-		nd = next
-	}
-	ix.disk.ReadSpan(nd.ptsBlock, nd.ptsWords)
-	i := sort.Search(len(nd.pts), func(j int) bool { return nd.pts[j].X >= p.X })
-	if i >= len(nd.pts) || nd.pts[i] != p {
+	path := ix.xt.Descend(p.X, nil)
+	nd := path[len(path)-1]
+	ix.disk.ReadSpan(nd.PtsBlock, nd.PtsWords)
+	i := sort.Search(len(nd.Pts), func(j int) bool { return nd.Pts[j].X >= p.X })
+	if i >= len(nd.Pts) || nd.Pts[i] != p {
 		return false
 	}
 	ix.updates++
@@ -398,128 +301,69 @@ func (ix *Index) Delete(p geom.Point) bool {
 		ix.rebuild(ix.allPoints(geom.Point{}, p, false))
 		return true
 	}
-	for u := ix.root; !u.leaf(); {
-		u.r.Delete(geom.Point{X: p.Y, Y: p.X})
-		next := u.children[len(u.children)-1]
-		for _, c := range u.children {
-			if p.X <= c.maxX {
-				next = c
-				break
-			}
-		}
-		u = next
+	ix.xt.Own(path)
+	for _, u := range path[:len(path)-1] {
+		u.Data.Delete(geom.Point{X: p.Y, Y: p.X})
 	}
-	ix.ownPts(nd)
-	nd.pts = slices.Delete(nd.pts, i, i+1)
-	ix.refreshLeaf(nd)
+	nd = path[len(path)-1]
+	nd.Pts = slices.Delete(nd.Pts, i, i+1)
+	ix.xt.RewriteLeaf(nd)
 	ix.n--
-	if len(nd.pts) == 0 {
-		ix.pruneEmpty(nd)
+	if len(nd.Pts) == 0 {
+		ix.pruneEmpty(path)
 	}
 	return true
 }
 
-// ownPts makes the leaf's point array safe to shift in place. Handles
-// share leaf arrays with the live index, so the first write to a leaf
-// after a Snapshot copies its array; later writes find it private and
-// cost no host allocation.
-func (ix *Index) ownPts(leaf *node) {
-	if leaf.ptsEpoch != ix.snaps {
-		leaf.pts, leaf.ptsEpoch = slices.Clone(leaf.pts), ix.snaps
-	}
-}
-
-// splitUp restores occupancy: leaves split at 2B, internal nodes at
-// 2*fanout (rebuilding the halves' secondaries, amortized against the
-// updates that grew them).
-func (ix *Index) splitUp(nd *node) {
+// splitUp restores occupancy along a private root-to-leaf path: leaves
+// split at 2B, internal nodes at 2*fanout (rebuilding the halves'
+// secondaries, amortized against the updates that grew them).
+func (ix *Index) splitUp(path []*node) {
 	B := ix.disk.Config().B
-	for nd != nil {
-		par := nd.parent
-		if nd.leaf() && len(nd.pts) > 2*B {
-			half := len(nd.pts) / 2
-			right := &node{pts: append([]geom.Point(nil), nd.pts[half:]...), parent: par}
-			nd.pts = nd.pts[:half]
-			ix.refreshLeaf(nd)
-			ix.refreshLeaf(right)
-			ix.attachSibling(nd, right)
-		} else if !nd.leaf() && len(nd.children) > 2*ix.fanout {
-			half := len(nd.children) / 2
-			right := &node{children: append([]*node(nil), nd.children[half:]...), parent: par}
-			nd.children = nd.children[:half]
-			for _, c := range right.children {
-				c.parent = right
-			}
+	for i := len(path) - 1; i >= 0; i-- {
+		nd, par := path[i], (*node)(nil)
+		if i > 0 {
+			par = path[i-1]
+		}
+		switch {
+		case nd.Leaf() && len(nd.Pts) > 2*B:
+			right := ix.xt.Split(nd)
+			ix.xt.RewriteLeaf(nd)
+			ix.xt.RewriteLeaf(right)
+			ix.xt.Attach(par, nd, right, ix.refreshInternal)
+		case !nd.Leaf() && len(nd.Children) > 2*ix.fanout:
+			right := ix.xt.Split(nd)
 			ix.refreshInternal(nd)
 			ix.refreshInternal(right)
-			ix.attachSibling(nd, right)
-		} else if !nd.leaf() {
-			nd.minX = nd.children[0].minX
-			nd.maxX = nd.children[len(nd.children)-1].maxX
+			ix.xt.Attach(par, nd, right, ix.refreshInternal)
+		case !nd.Leaf():
+			nd.SetRange()
 		}
-		nd = par
 	}
 }
 
-func (ix *Index) attachSibling(nd, right *node) {
-	par := nd.parent
-	if par == nil {
-		r := &node{children: []*node{nd, right}}
-		nd.parent, right.parent = r, r
-		ix.refreshInternal(r)
-		ix.root = r
-		return
-	}
-	for i, c := range par.children {
-		if c == nd {
-			par.children = append(par.children, nil)
-			copy(par.children[i+2:], par.children[i+1:])
-			par.children[i+1] = right
+// pruneEmpty takes the emptied leaf at the end of a private root-to-leaf
+// path out of the tree, with every ancestor that it leaves childless.
+func (ix *Index) pruneEmpty(path []*node) {
+	for i := len(path) - 1; i > 0; i-- {
+		par := path[i-1]
+		xtree.RemoveChild(par, path[i])
+		if len(par.Children) > 0 {
+			par.SetRange()
 			return
 		}
+		par.Data.Release()
 	}
-	panic("foursided: attachSibling parent mismatch")
-}
-
-func (ix *Index) pruneEmpty(nd *node) {
-	par := nd.parent
-	if par == nil {
-		ix.root = nil
-		return
-	}
-	for i, c := range par.children {
-		if c == nd {
-			par.children = append(par.children[:i], par.children[i+1:]...)
-			break
-		}
-	}
-	if len(par.children) == 0 {
-		par.r.Release()
-		ix.pruneEmpty(par)
-		return
-	}
-	par.minX = par.children[0].minX
-	par.maxX = par.children[len(par.children)-1].maxX
+	ix.xt.Root = nil
 }
 
 // allPoints gathers the current point set (plus an optional pending
 // insert, minus an optional pending delete), x-sorted, for rebuilds.
 func (ix *Index) allPoints(add, del geom.Point, doAdd bool) []geom.Point {
 	var out []geom.Point
-	var rec func(*node)
-	rec = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		if nd.leaf() {
-			out = append(out, nd.pts...)
-			return
-		}
-		for _, c := range nd.children {
-			rec(c)
-		}
+	for l := range xtree.Leaves(ix.xt.Root) {
+		out = append(out, l.Pts...)
 	}
-	rec(ix.root)
 	if !doAdd {
 		for i, p := range out {
 			if p == del {
@@ -538,67 +382,30 @@ func (ix *Index) allPoints(add, del geom.Point, doAdd bool) []geom.Point {
 func (ix *Index) Fanout() int { return ix.fanout }
 
 // Height returns the tree height.
-func (ix *Index) Height() int {
-	h := 0
-	for nd := ix.root; nd != nil; {
-		h++
-		if nd.leaf() {
-			break
-		}
-		nd = nd.children[0]
-	}
-	return h
-}
+func (ix *Index) Height() int { return ix.xt.Height() }
 
 // Handle is an immutable point-in-time view of an Index, pinned by
-// Snapshot. As with dyntop, the payloads (leaf point arrays, CPQA
-// queues inside the secondaries, block ids) are shared with the live
-// index and immutable from the snapshot's perspective; the node graph
-// and the secondaries' node graphs are copied, because the live index
-// mutates both in place. The spans the live index recycles under the
-// snapshot (leaf spans, secondary-internal spans) must be held by an
-// emio retention (Disk.RetainFrees) opened before the Snapshot call.
+// Snapshot. It answers from the root captured at the pin while the live
+// index keeps mutating: the base tree's nodes are copy-on-write (see
+// internal/xtree), and a node copied after the pin writes a fork of its
+// R(u) (dyntop.Tree.Fork), so every node and every secondary the handle
+// reaches stays as it was. The spans the live index frees under the
+// snapshot (leaf spans, secondaries' spans) must be held by an emio
+// retention (Disk.RetainFrees) opened before the Snapshot call.
 type Handle struct {
 	view
 	n int
 }
 
-// Snapshot captures the current index as an immutable Handle: zero
-// simulated I/Os, O(n/B) host words for the primary node graph plus
-// the secondaries' graphs. Rebuilds and splits in the live index
-// replace secondaries wholesale and release the old ones; the
-// retention defers those frees and a freed block's id never becomes
-// valid again, so a pinned secondary handle stays valid for the
-// snapshot's lifetime.
+// Snapshot captures the current index as an immutable Handle in O(1):
+// zero simulated I/Os, the root kept and the index's epoch advanced, so
+// that each node is copied, and its R(u) forked, by the first write that
+// reaches it afterwards. Rebuilds and splits in the live index replace
+// secondaries wholesale and release the old ones; the retention defers
+// those frees and a freed block's id never becomes valid again, so a
+// pinned secondary stays valid for the snapshot's lifetime.
 func (ix *Index) Snapshot() *Handle {
-	ix.snaps++
-	return &Handle{view: view{disk: ix.disk, root: cloneNodes(ix.root, nil)}, n: ix.n}
-}
-
-// cloneNodes deep-copies the node graph, pinning each internal node's
-// secondary via dyntop's own Snapshot.
-func cloneNodes(nd, parent *node) *node {
-	if nd == nil {
-		return nil
-	}
-	c := &node{
-		parent:   parent,
-		pts:      nd.pts,
-		ptsBlock: nd.ptsBlock,
-		ptsWords: nd.ptsWords,
-		minX:     nd.minX,
-		maxX:     nd.maxX,
-	}
-	if nd.r != nil {
-		c.rh = nd.r.Snapshot()
-	}
-	if nd.children != nil {
-		c.children = make([]*node, len(nd.children))
-		for i, ch := range nd.children {
-			c.children[i] = cloneNodes(ch, c)
-		}
-	}
-	return c
+	return &Handle{view: view{disk: ix.disk, root: ix.xt.Pin()}, n: ix.n}
 }
 
 // Query answers the 4-sided query against the pinned state,

@@ -10,19 +10,10 @@ import (
 	"repro/internal/geom"
 )
 
-// leafOf descends to the leaf whose x-range holds x.
-func leafOf(nd *node, x geom.Coord) *node {
-	for !nd.leaf() {
-		next := nd.children[len(nd.children)-1]
-		for _, c := range nd.children {
-			if x <= c.maxX {
-				next = c
-				break
-			}
-		}
-		nd = next
-	}
-	return nd
+// leafOf returns the leaf whose x-range holds x and its parent.
+func leafOf(ix *Index, x geom.Coord) (leaf, parent *node) {
+	path := ix.xt.Descend(x, nil)
+	return path[len(path)-1], path[len(path)-2]
 }
 
 // TestBoundaryLeafChargesScannedBlocks pins the query accounting rule on
@@ -46,27 +37,27 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 	ix := Build(d, 0.5, pts)
 	// Grow a leaf that is not its parent's last child from B to 2B
 	// points by inserting just left of each of its points.
-	leaf := leafOf(ix.root, pts[n/2].X)
-	if sibs := leaf.parent.children; sibs[len(sibs)-1] == leaf {
+	leaf, parent := leafOf(ix, pts[n/2].X)
+	if sibs := parent.Children; sibs[len(sibs)-1] == leaf {
 		leaf = sibs[len(sibs)-2]
 	}
-	x := leaf.maxX
-	for i, p := range append([]geom.Point(nil), leaf.pts...) {
+	x := leaf.MaxX
+	for i, p := range append([]geom.Point(nil), leaf.Pts...) {
 		q := pt(p.X-5, geom.Coord(10*(n+i+1)+5))
 		ix.Insert(q)
 		pts = append(pts, q)
 	}
-	leaf = leafOf(ix.root, x)
+	leaf, parent = leafOf(ix, x)
 	B := d.Config().B
-	if blocks := d.Config().BlocksFor(leaf.ptsWords); blocks != 4 {
+	if blocks := d.Config().BlocksFor(leaf.PtsWords); blocks != 4 {
 		t.Fatalf("leaf spans %d blocks, want 4", blocks)
 	}
-	lp := leaf.pts
+	lp := leaf.Pts
 	xmin, xmax := geom.Coord(math.MinInt64+1), geom.Coord(math.MaxInt64-1)
 	// A left cut ends just past the leaf, still inside its parent.
 	xend := lp[len(lp)-1].X + 1
-	if leaf.parent.maxX <= xend {
-		t.Fatalf("leaf [%d,%d] ends its parent [%d,%d]", leaf.minX, leaf.maxX, leaf.parent.minX, leaf.parent.maxX)
+	if parent.MaxX <= xend {
+		t.Fatalf("leaf [%d,%d] ends its parent [%d,%d]", leaf.MinX, leaf.MaxX, parent.MinX, parent.MaxX)
 	}
 	ret := d.RetainFrees()
 	defer ret.Release()
@@ -102,7 +93,7 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 			}
 			for b := 0; b < 4; b++ {
 				want := b >= c.first && b <= c.last
-				if got := d.Resident(leaf.ptsBlock + emio.BlockID(b)); got != want {
+				if got := d.Resident(leaf.PtsBlock + emio.BlockID(b)); got != want {
 					t.Errorf("%s via %s: block %d charged = %v, want %v", c.name, via, b, got, want)
 				}
 			}
@@ -123,7 +114,7 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 				hi++
 			}
 			for i := lo; i < hi; i++ {
-				if !d.Resident(leaf.ptsBlock + emio.BlockID(2*i/B)) {
+				if !d.Resident(leaf.PtsBlock + emio.BlockID(2*i/B)) {
 					t.Errorf("%s via %s: point %d is scanned but its block %d was not charged", c.name, via, i, 2*i/B)
 				}
 			}
@@ -144,14 +135,14 @@ func TestRightGroundedReadsNoLeaf(t *testing.T) {
 	var ls []*node
 	var walk func(nd *node)
 	walk = func(nd *node) {
-		if nd.leaf() {
+		if nd.Leaf() {
 			ls = append(ls, nd)
 		}
-		for _, c := range nd.children {
+		for _, c := range nd.Children {
 			walk(c)
 		}
 	}
-	walk(ix.root)
+	walk(ix.xt.Root)
 	for q := 0; q < 100; q++ {
 		y1 := geom.Coord(rng.Int63n(1 << 20))
 		r := geom.RightOpen(geom.Coord(rng.Int63n(1<<20)), y1, y1+geom.Coord(rng.Int63n(1<<19)))
@@ -164,9 +155,9 @@ func TestRightGroundedReadsNoLeaf(t *testing.T) {
 				t.Fatalf("Query(%v) = %v, want %v", r, got, want)
 			}
 			for _, l := range ls {
-				for b := 0; b < d.Config().BlocksFor(l.ptsWords); b++ {
-					if d.Resident(l.ptsBlock + emio.BlockID(b)) {
-						t.Fatalf("Query(%v) read leaf [%d,%d]", r, l.minX, l.maxX)
+				for b := 0; b < d.Config().BlocksFor(l.PtsWords); b++ {
+					if d.Resident(l.PtsBlock + emio.BlockID(b)) {
+						t.Fatalf("Query(%v) read leaf [%d,%d]", r, l.MinX, l.MaxX)
 					}
 				}
 			}
@@ -231,18 +222,18 @@ func TestLeftCutIOBudget(t *testing.T) {
 		var out []*node
 		var walk func(nd *node, below bool)
 		walk = func(nd *node, below bool) {
-			if nd.leaf() {
+			if nd.Leaf() {
 				if below {
 					out = append(out, nd)
 				}
 				return
 			}
-			below = below || (nd.minX < r.X1 && r.X1 <= nd.maxX && nd.maxX <= r.X2)
-			for _, c := range nd.children {
+			below = below || (nd.MinX < r.X1 && r.X1 <= nd.MaxX && nd.MaxX <= r.X2)
+			for _, c := range nd.Children {
 				walk(c, below)
 			}
 		}
-		walk(ix.root, false)
+		walk(ix.xt.Root, false)
 		return out
 	}
 	shapes := []struct {
@@ -275,10 +266,10 @@ func TestLeftCutIOBudget(t *testing.T) {
 					t.Fatalf("%s via %s: Query(%v) = %v, want %v", s.name, via, r, got, want)
 				}
 				for _, l := range leftCut(r) {
-					for b := 0; b < cfg.BlocksFor(l.ptsWords); b++ {
-						if d.Resident(l.ptsBlock + emio.BlockID(b)) {
+					for b := 0; b < cfg.BlocksFor(l.PtsWords); b++ {
+						if d.Resident(l.PtsBlock + emio.BlockID(b)) {
 							t.Fatalf("%s via %s: Query(%v) read leaf [%d,%d] below a left-cut node",
-								s.name, via, r, l.minX, l.maxX)
+								s.name, via, r, l.MinX, l.MaxX)
 						}
 					}
 				}

@@ -1,7 +1,8 @@
 // Snapshot: the sharded engine's point-in-time read path. Pinning
 // captures every shard's roots under the shard locks — held together
-// just long enough for the O(n/B) host-pointer copies (zero simulated
-// I/Os), which is what makes the pin brief without a global Quiesce:
+// just long enough for one O(1) pin per structure (the copy-on-write
+// trees keep their root and advance an epoch; zero simulated I/Os),
+// which is what makes the pin brief without a global Quiesce:
 // nothing waits for the worker pool, and in-flight queries only delay
 // the capture by one per-shard operation. Before each shard's capture
 // a retention is opened on its private disk, so every span the pinned

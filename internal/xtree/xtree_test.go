@@ -1,0 +1,173 @@
+package xtree
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/emio"
+	"repro/internal/geom"
+)
+
+// grid returns n points at x = 10, 20, … with y = x.
+func grid(n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: geom.Coord(10 * (i + 1)), Y: geom.Coord(10 * (i + 1))}
+	}
+	return pts
+}
+
+// build bulk-loads a tree whose payload counts the node's refreshes.
+func build(d *emio.Disk, pts []geom.Point, forks *int) Tree[int] {
+	t := New(d, func(v int) int { *forks++; return v })
+	leaf := func(nd *Node[int]) { t.RewriteLeaf(nd); nd.Data++ }
+	t.Build(pts, 6, 4, leaf, 3, 2, func(nd *Node[int]) { nd.SetRange(); nd.Data++ })
+	return t
+}
+
+func sizes(nds []*Node[int]) []int {
+	var out []int
+	for _, nd := range nds {
+		out = append(out, len(nd.Pts)+len(nd.Children))
+	}
+	return out
+}
+
+// TestBuildGroups: a last group short of its level's minimum takes half
+// that minimum from the group before it, which is refreshed again.
+func TestBuildGroups(t *testing.T) {
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+	var forks int
+	tr := build(d, grid(20), &forks)
+	ls := slices.Collect(Leaves(tr.Root))
+	if got := sizes(ls); !slices.Equal(got, []int{6, 6, 4, 4}) {
+		t.Fatalf("leaf sizes %v, want [6 6 4 4]", got)
+	}
+	if ls[2].Data != 2 || ls[1].Data != 1 {
+		t.Errorf("refreshes %d and %d, want the stolen-from leaf refreshed twice", ls[2].Data, ls[1].Data)
+	}
+	if got := sizes(tr.Root.Children); !slices.Equal(got, []int{2, 2}) || tr.Height() != 3 {
+		t.Fatalf("root over %v at height %d, want [2 2] at 3", got, tr.Height())
+	}
+	if tr.Root.MinX != 10 || tr.Root.MaxX != 200 || ls[3].PtsWords != 8 {
+		t.Errorf("root range [%d,%d], last leaf %d words", tr.Root.MinX, tr.Root.MaxX, ls[3].PtsWords)
+	}
+	var empty Tree[int]
+	empty.Build(nil, 6, 4, nil, 3, 2, nil)
+	if empty.Root != nil || empty.Height() != 0 {
+		t.Error("an empty build has a root")
+	}
+}
+
+// TestOwnCopiesOncePerPin: a path is copied only for a write after a Pin,
+// once, with internal payloads forked, and the pinned nodes stay as
+// they were.
+func TestOwnCopiesOncePerPin(t *testing.T) {
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+	var forks int
+	tr := build(d, grid(20), &forks)
+	visits := 0
+	path := tr.Descend(125, func(*Node[int]) { visits++ })
+	if len(path) != 3 || visits != 2 || path[2] != slices.Collect(Leaves(tr.Root))[2] {
+		t.Fatalf("Descend(125) visited %d nodes to a path of %d", visits, len(path))
+	}
+	before := slices.Clone(path)
+	tr.Own(path)
+	if !slices.Equal(path, before) || forks != 0 {
+		t.Fatal("Own copied with no Pin since the nodes were made")
+	}
+
+	pinned := tr.Pin()
+	leafPts := slices.Clone(before[2].Pts)
+	tr.Own(path)
+	for i := range path {
+		if path[i] == before[i] {
+			t.Fatalf("level %d was not copied after a Pin", i)
+		}
+	}
+	if tr.Root != path[0] || path[0].Children[1] != path[1] || path[1].Children[0] != path[2] || forks != 2 {
+		t.Fatalf("copies not relinked (%d forks)", forks)
+	}
+	path[2].Pts[0].Y = -1
+	path[1].Children[0] = nil
+	if pinned != before[0] || !slices.Equal(before[2].Pts, leafPts) || before[1].Children[0] == nil {
+		t.Fatal("a write to the copies reached the pinned nodes")
+	}
+	copied := slices.Clone(path)
+	tr.Own(path)
+	if !slices.Equal(path, copied) || forks != 2 {
+		t.Fatal("a second Own after one Pin copied again")
+	}
+}
+
+// TestSplitAttachRemove: splits hand the upper half to a new right
+// sibling, Attach places it after its node or under a new root, and
+// RemoveChild takes a child out.
+func TestSplitAttachRemove(t *testing.T) {
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+	tr := New[int](d, nil)
+	tr.Root = tr.NewLeaf(grid(5))
+	right := tr.Split(tr.Root)
+	left := tr.Root
+	refreshed := 0
+	tr.Attach(nil, left, right, func(nd *Node[int]) { nd.SetRange(); refreshed++ })
+	if tr.Root.Leaf() || refreshed != 1 || len(left.Pts) != 2 || len(right.Pts) != 3 {
+		t.Fatalf("root split: %d refreshes, halves %d and %d", refreshed, len(left.Pts), len(right.Pts))
+	}
+	third := tr.Split(right)
+	tr.Attach(tr.Root, right, third, nil)
+	if !slices.Equal(tr.Root.Children, []*Node[int]{left, right, third}) || ChildIndex(tr.Root, third) != 2 {
+		t.Fatal("Attach did not place the new sibling after its node")
+	}
+	split := tr.Split(tr.Root)
+	if len(tr.Root.Children) != 1 || len(split.Children) != 2 {
+		t.Fatalf("internal split kept %d, moved %d", len(tr.Root.Children), len(split.Children))
+	}
+	RemoveChild(split, right)
+	if !slices.Equal(split.Children, []*Node[int]{third}) {
+		t.Fatal("RemoveChild left the child in place")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ChildIndex of a missing child did not panic")
+		}
+	}()
+	ChildIndex(split, right)
+}
+
+// TestNodesOrder: Nodes yields children before their parent, Leaves the
+// leaves in increasing x, and both stop when the loop does.
+func TestNodesOrder(t *testing.T) {
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+	var forks int
+	tr := build(d, grid(20), &forks)
+	seen := map[*Node[int]]bool{}
+	for nd := range Nodes(tr.Root) {
+		for _, c := range nd.Children {
+			if !seen[c] {
+				t.Fatal("a parent came before its child")
+			}
+		}
+		seen[nd] = true
+	}
+	if len(seen) != 7 {
+		t.Fatalf("Nodes yielded %d nodes, want 7", len(seen))
+	}
+	var xs []geom.Coord
+	for l := range Leaves(tr.Root) {
+		xs = append(xs, l.MinX)
+		if len(xs) == 3 {
+			break
+		}
+	}
+	if !slices.Equal(xs, []geom.Coord{10, 70, 130}) {
+		t.Fatalf("first leaves start at %v", xs)
+	}
+	for l := range Leaves(tr.Root) {
+		l.Pts = nil
+		tr.RewriteLeaf(l)
+	}
+	if d.LiveBlocks() != 0 {
+		t.Fatalf("emptied leaves hold %d blocks, want 0", d.LiveBlocks())
+	}
+}
