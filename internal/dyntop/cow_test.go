@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpqa"
 	"repro/internal/emio"
 	"repro/internal/geom"
 )
@@ -111,4 +112,76 @@ func TestHandleQueriesRaceLiveWrites(t *testing.T) {
 	churn(t, tr, present, all[1500:], 1500, rand.New(rand.NewSource(813)))
 	close(done)
 	wg.Wait()
+}
+
+// TestLeafOnlyUpdate: an insert or delete of a point dominated inside
+// its leaf leaves every queue on its path pointer-identical and gives
+// the leaf's parent a new representative block (it holds the leaf's
+// fences); one that changes the leaf's staircase replaces every queue on
+// its path.
+func TestLeafOnlyUpdate(t *testing.T) {
+	const n = 3000
+	pts := make([]geom.Point, n)
+	for i, y := range rand.New(rand.NewSource(821)).Perm(n) {
+		pts[i] = pt(geom.Coord(10*(i+1)), geom.Coord(10*(y+1)))
+	}
+	_, tr := buildTree(t, emio.Config{B: 16, M: 16 * 64}, 0.5, pts)
+	if tr.Height() < 3 {
+		t.Fatalf("height %d, want an internal level above the leaves' parents", tr.Height())
+	}
+	// update runs one write on the path to x and reports, level by
+	// level, whether its queue is the one it had before, and whether
+	// the leaf's parent got a new representative block.
+	update := func(x geom.Coord, write func()) (same []bool, newRep bool) {
+		path := pathTo(tr, x)
+		qs := make([]*cpqa.Queue, len(path))
+		for i, nd := range path {
+			qs[i] = nd.Data.q
+		}
+		rep := path[len(path)-2].Data.repBlock
+		write()
+		for i, nd := range path {
+			if i == 0 && tr.xt.Root != nd || i > 0 && !slices.Contains(path[i-1].Children, nd) {
+				t.Fatal("a write with no Snapshot open moved a node of its path")
+			}
+			same = append(same, qs[i] == nd.Data.q)
+		}
+		return same, path[len(path)-2].Data.repBlock != rep
+	}
+	leaf := pathTo(tr, 10*n/2)[tr.Height()-1]
+	a, b := leaf.Pts[1], leaf.Pts[len(leaf.Pts)-1]
+	for _, c := range []struct {
+		name  string
+		x     geom.Coord
+		write func()
+		kept  bool
+	}{
+		// y = 5 lies below every point: dominated by every point right
+		// of it.
+		{"dominated insert", a.X + 5, func() { tr.Insert(pt(a.X+5, 5)) }, true},
+		{"dominated delete", a.X + 5, func() { tr.Delete(pt(a.X+5, 5)) }, true},
+		// The leaf's last point is on its staircase, and so is a point
+		// above every other.
+		{"staircase delete", b.X, func() { tr.Delete(b) }, false},
+		{"staircase insert", a.X + 5, func() { tr.Insert(pt(a.X+5, 10*n+5)) }, false},
+	} {
+		same, newRep := update(c.x, c.write)
+		for i, s := range same {
+			if s != c.kept {
+				t.Errorf("%s: level %d kept its queue = %v, want %v", c.name, i, s, c.kept)
+			}
+		}
+		if !newRep {
+			t.Errorf("%s: the leaf's parent kept its representative block", c.name)
+		}
+	}
+	// A dominated insert left of every point lowers the range of every
+	// node on its path, or a query around it alone skips the root.
+	p := pt(5, 5)
+	if same, _ := update(p.X, func() { tr.Insert(p) }); !same[0] {
+		t.Fatal("an insert below every point replaced the root's queue")
+	}
+	if got := tr.Query(0, 9, 0); !sameAnswer(got, []geom.Point{p}) {
+		t.Errorf("Query(0, 9, 0) = %v, want [%v]", got, p)
+	}
 }

@@ -15,7 +15,11 @@
 // is attrited exactly when it is dominated (Figure 7), so a node's queue
 // — the left-to-right catenation of its children's queues — holds the
 // skyline of its subtree, and a top-open query drains the catenation of
-// O(log) canonical queues until y < β.
+// O(log) canonical queues until y < β. The same fact lets an update end
+// at its leaf: inserting or deleting a point dominated inside its leaf
+// changes no queue in the tree, so when the leaf also keeps its
+// occupancy the update rewrites only the leaf span and the parent's
+// representative block. On random input that is nearly every update.
 //
 // Block lifetime: queries and refreshes run in an emio.Scope and keep
 // only the queue version that survives them, each node owns the spans of
@@ -161,8 +165,7 @@ func (t *Tree) refreshLeaf(nd *node) {
 // representative block. The children's critical records are covered by
 // the copies in the old block (emio.Disk.Cover), so pinning it for the
 // catenation makes every read of them free without a frame of their
-// own; the new block covers the new children's records, and the old one
-// is freed.
+// own.
 func (t *Tree) refreshInternal(nd *node) {
 	old := emio.Span{ID: nd.Data.repBlock, Words: nd.Data.repWords}
 	if old.Words > 0 {
@@ -177,11 +180,20 @@ func (t *Tree) refreshInternal(nd *node) {
 	})
 	if old.Words > 0 {
 		t.disk.UnpinSpan(old.ID, old.Words)
-		t.disk.FreeSpan(old.ID, old.Words)
+	}
+	t.rewriteRep(nd)
+}
+
+// rewriteRep replaces an internal node's representative block, the one
+// writer of it: the old block is freed, the node's range reset, and a
+// new block written with packed copies of the children's critical
+// records and, where they fit, the leaf children's fences, covering the
+// records (emio.Disk.Cover). O(⌈repWords/B⌉) I/Os.
+func (t *Tree) rewriteRep(nd *node) {
+	if nd.Data.repWords > 0 {
+		t.disk.FreeSpan(nd.Data.repBlock, nd.Data.repWords)
 	}
 	nd.SetRange()
-	// Pack copies of the children's critical records and, where they
-	// fit, the leaf children's fences.
 	w, _ := repLayout(t.disk.Config(), nd)
 	nd.Data.repWords = w
 	nd.Data.repBlock = t.disk.AllocSpan(w)
@@ -255,7 +267,9 @@ func (t *Tree) Release() {
 
 // Insert adds point p (whose x and y must not collide with indexed
 // points; callers enforce general position). O(log_{2B^ε}(n/B)) I/Os:
-// one leaf write and one refresh per ancestor.
+// one leaf write and one refresh per ancestor, or, when p is dominated
+// inside its leaf and the leaf neither splits nor is the root, the leaf
+// write and its parent's representative block alone.
 func (t *Tree) Insert(p geom.Point) {
 	if t.xt.Root == nil {
 		t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
@@ -285,6 +299,14 @@ func (t *Tree) update(p geom.Point, insert bool) bool {
 	if !insert && (i >= len(leaf.Pts) || leaf.Pts[i] != p) {
 		return false
 	}
+	// p is off the leaf's staircase when a leaf point right of it is
+	// higher: the leaf's points right of p, after an insert or before a
+	// delete.
+	right := leaf.Pts[i:]
+	if !insert {
+		right = right[1:]
+	}
+	dominated := slices.ContainsFunc(right, func(q geom.Point) bool { return q.Y > p.Y })
 	t.xt.Own(path)
 	leaf = path[len(path)-1]
 	if insert {
@@ -293,6 +315,20 @@ func (t *Tree) update(p geom.Point, insert bool) bool {
 	} else {
 		leaf.Pts = slices.Delete(leaf.Pts, i, i+1)
 		t.n--
+	}
+	if size := len(leaf.Pts); dominated && len(path) > 1 && size >= t.kMin && size <= 2*t.kMin {
+		// Attrition removes exactly the dominated points (Figure 7), so
+		// the leaf's staircase is its queue and every queue above is the
+		// catenation of the ones below: none of them changes. The leaf
+		// span and the parent's representative block, which holds the
+		// leaf's fences, are rewritten; the ancestors route on ranges
+		// held in memory.
+		t.xt.RewriteLeaf(leaf)
+		t.rewriteRep(path[len(path)-2])
+		for i := len(path) - 3; i >= 0; i-- {
+			path[i].SetRange()
+		}
+		return true
 	}
 	t.refreshLeaf(leaf)
 	for i := len(path) - 1; i >= 0; i-- {

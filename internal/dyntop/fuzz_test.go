@@ -12,16 +12,20 @@ import (
 // FuzzTreeSnapshots drives a tree through inserts, deletes, Snapshots,
 // handle releases and top-open queries, and after every op checks each
 // open Handle against the point set captured at its pin: its Len, its
-// Points, and one top-open query. The seed picks ε (seed mod 3: 0, 0.5, 1) and 0–59 points on
-// the grid x, y ∈ 10·ℕ; ops is a run of two-byte ops, the first byte
-// choosing the op (mod 8: 0–2 insert at x = 10·i + 5, skipped if taken,
-// with a fresh y; 3–4 delete the i-th point; 5 pin a handle, at most
+// Points, and one top-open query. The seed picks ε (seed mod 3: 0, 0.5,
+// 1) and 0–59 points on the grid x, y ∈ 10·ℕ; ops is a run of two-byte
+// ops, the first byte choosing the op (mod 8: 0–2 insert at x = 10·i + 5,
+// skipped if taken; 3–4 delete the i-th point; 5 pin a handle, at most
 // four open; 6 release the i-th open handle; 7 query the live tree) and
-// the second giving i and the query's corners. B = 8 keeps leaves at
-// 8–16 points, so leaf and internal splits, merges, root growth and
-// root shrink all happen while handles are open. At the end every
-// handle is released with its retention and the tree with it, and the
-// disk must hold nothing. Run with:
+// the second giving i and the query's corners. An insert's y is fresh
+// and highest when the first byte's upper bits s = byte/8 are 0, and
+// otherwise the free slot lowY picks at s/32 of the way up: such a point
+// is usually dominated inside its leaf, which takes the update's
+// leaf-only path. B = 8 keeps leaves at 8–16 points, so leaf and
+// internal splits, merges, root growth and root shrink all happen while
+// handles are open. At the end every handle is released with its
+// retention and the tree with it, and the disk must hold nothing. Run
+// with:
 //
 //	go test ./internal/dyntop -fuzz FuzzTreeSnapshots -fuzztime 30s
 func FuzzTreeSnapshots(f *testing.F) {
@@ -31,7 +35,8 @@ func FuzzTreeSnapshots(f *testing.F) {
 	var grow, shrink []byte
 	for i := 0; i < 170; i++ {
 		if i < 100 {
-			grow = append(grow, byte(i%3), byte(i*37))
+			// One insert in four takes a fresh highest y.
+			grow = append(grow, byte(i%3)+8*byte(i%4*7), byte(i*37))
 		}
 		shrink = append(shrink, 3, byte(i*11))
 		if i%40 == 0 {
@@ -79,7 +84,13 @@ func FuzzTreeSnapshots(f *testing.F) {
 				if slices.ContainsFunc(present, func(q geom.Point) bool { return q.X == p.X }) {
 					break
 				}
-				nextY += 10
+				if s := int(ops[0] / 8); s == 0 {
+					nextY += 10
+				} else if y, ok := lowY(present, nextY, s); ok {
+					p.Y = y
+				} else {
+					break
+				}
 				tr.Insert(p)
 				present = append(present, p)
 			case op < 5:
@@ -131,4 +142,15 @@ func FuzzTreeSnapshots(f *testing.F) {
 			t.Fatalf("%d blocks live, %d deferred after every handle and the tree were released", d.LiveBlocks(), d.DeferredBlocks())
 		}
 	})
+}
+
+// lowY returns the highest y = 10·j + 5 at or below top·s/32 that no
+// point of pts has, or false if every such slot is taken.
+func lowY(pts []geom.Point, top geom.Coord, s int) (geom.Coord, bool) {
+	for j := top * geom.Coord(s) / 320; j >= 0; j-- {
+		if y := 10*j + 5; !slices.ContainsFunc(pts, func(q geom.Point) bool { return q.Y == y }) {
+			return y, true
+		}
+	}
+	return 0, false
 }

@@ -2,6 +2,7 @@ package dyntop
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/emio"
@@ -74,5 +75,39 @@ func TestServedMachineKnee(t *testing.T) {
 			t.Errorf("n0=%d: %.2f I/Os per insert at %d frames, want within 1.5× of %.2f at %d",
 				n0, at64, small.Frames(), at256, large.Frames())
 		}
+	}
+}
+
+// TestWarmStreamCost: at ε = 0.5 on the served machine, a warm stream
+// alternating inserts at random x with deletes of random live points
+// costs at most 3.5 I/Os per update, from a cold cache through a final
+// DropCache that writes back every frame the stream dirtied. Nearly
+// every such update is dominated inside its leaf and ends there, with
+// the leaf span and its parent's representative block; when each
+// re-catenated every queue on its path, the stream cost 7.16.
+func TestWarmStreamCost(t *testing.T) {
+	const n0, updates = 10000, 2000
+	all := geom.GenUniform(n0+updates/2, 1<<40, 507)
+	rng := rand.New(rand.NewSource(507))
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	d, tr := buildTree(t, emio.DefaultConfig(), 0.5, all[:n0])
+	live := slices.Clone(all[:n0])
+	d.DropCache()
+	before := d.Stats()
+	for _, p := range all[n0:] {
+		tr.Insert(p)
+		live = append(live, p)
+		i := rng.Intn(len(live))
+		if !tr.Delete(live[i]) {
+			t.Fatalf("Delete(%v) reported absent", live[i])
+		}
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	d.DropCache()
+	got := float64(d.Stats().Sub(before).IOs()) / updates
+	t.Logf("%.2f I/Os per update", got)
+	if got > 3.5 {
+		t.Errorf("%.2f I/Os per update, want <= 3.5", got)
 	}
 }

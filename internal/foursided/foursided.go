@@ -310,7 +310,14 @@ func (ix *Index) Delete(p geom.Point) bool {
 	ix.xt.RewriteLeaf(nd)
 	ix.n--
 	if len(nd.Pts) == 0 {
-		ix.pruneEmpty(path)
+		path = ix.pruneEmpty(path)
+	}
+	// The 4-sided walk asks R(u) alone for a node that ends by x2, so
+	// every range on the path must shrink with its subtree.
+	for i := len(path) - 1; i >= 0; i-- {
+		if !path[i].Leaf() {
+			path[i].SetRange()
+		}
 	}
 	return true
 }
@@ -343,18 +350,20 @@ func (ix *Index) splitUp(path []*node) {
 }
 
 // pruneEmpty takes the emptied leaf at the end of a private root-to-leaf
-// path out of the tree, with every ancestor that it leaves childless.
-func (ix *Index) pruneEmpty(path []*node) {
+// path out of the tree, with every ancestor that it leaves childless,
+// and returns the part of the path that survives, ending at an internal
+// node (nil if the tree is left empty).
+func (ix *Index) pruneEmpty(path []*node) []*node {
 	for i := len(path) - 1; i > 0; i-- {
 		par := path[i-1]
 		xtree.RemoveChild(par, path[i])
 		if len(par.Children) > 0 {
-			par.SetRange()
-			return
+			return path[:i]
 		}
 		par.Data.Release()
 	}
 	ix.xt.Root = nil
+	return nil
 }
 
 // allPoints gathers the current point set (plus an optional pending

@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/emio"
 	"repro/internal/geom"
+	"repro/internal/xtree"
 )
 
 func pt(x, y geom.Coord) geom.Point { return geom.Point{X: x, Y: y} }
@@ -113,6 +115,34 @@ func TestDeleteAbsent(t *testing.T) {
 	}
 }
 
+// TestDeleteShrinksRanges: after deletes that take the largest x out of
+// the tree, emptying and pruning the last leaf, every internal node's
+// range is exactly its children's, so a rectangle ending at the new
+// largest x asks R(u) once instead of decomposing u.
+func TestDeleteShrinksRanges(t *testing.T) {
+	const n = 4000
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+	pts := make([]geom.Point, n)
+	for i, y := range rand.New(rand.NewSource(61)).Perm(n) {
+		pts[i] = pt(geom.Coord(10*(i+1)), geom.Coord(10*(y+1)))
+	}
+	ix := Build(d, 0.5, pts)
+	for _, p := range pts[n-8:] {
+		if !ix.Delete(p) {
+			t.Fatalf("Delete(%v) reported absent", p)
+		}
+	}
+	for nd := range xtree.Nodes(ix.xt.Root) {
+		if nd.Leaf() {
+			continue
+		}
+		first, last := nd.Children[0], nd.Children[len(nd.Children)-1]
+		if nd.MinX != first.MinX || nd.MaxX != last.MaxX {
+			t.Fatalf("internal node range [%d, %d], its children's [%d, %d]", nd.MinX, nd.MaxX, first.MinX, last.MaxX)
+		}
+	}
+}
+
 func TestEmptyIndex(t *testing.T) {
 	d := emio.NewDisk(emio.Config{B: 16, M: 16 * 64})
 	ix := Build(d, 0.5, nil)
@@ -197,5 +227,40 @@ func TestRebuildKeepsAnswers(t *testing.T) {
 	r := geom.Rect{X1: 0, X2: 30000, Y1: 0, Y2: 30000}
 	if got, want := ix.Query(r), geom.RangeSkyline(present, r); !sameAnswer(got, want) {
 		t.Fatalf("after rebuilds: %v, want %v", got, want)
+	}
+}
+
+// TestWarmStreamCost: at ε = 0.5 on the served machine, a warm stream
+// alternating inserts at random x with deletes of random live points
+// costs at most 32 I/Os per update, from a cold cache through a final
+// DropCache that writes back every frame the stream dirtied. An update
+// changes every R(u) on its path, and in nearly every one the point is
+// dominated inside its leaf, where that secondary's update ends; when
+// each re-catenated every queue on its own path, the stream cost 40.67.
+func TestWarmStreamCost(t *testing.T) {
+	const n0, updates = 10000, 2000
+	all := geom.GenUniform(n0+updates/2, 1<<40, 71)
+	rng := rand.New(rand.NewSource(72))
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	d := emio.NewDisk(emio.DefaultConfig())
+	ix := Build(d, 0.5, all[:n0])
+	live := slices.Clone(all[:n0])
+	d.DropCache()
+	before := d.Stats()
+	for _, p := range all[n0:] {
+		ix.Insert(p)
+		live = append(live, p)
+		i := rng.Intn(len(live))
+		if !ix.Delete(live[i]) {
+			t.Fatalf("Delete(%v) reported absent", live[i])
+		}
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+	}
+	d.DropCache()
+	got := float64(d.Stats().Sub(before).IOs()) / updates
+	t.Logf("%.2f I/Os per update", got)
+	if got > 32 {
+		t.Errorf("%.2f I/Os per update, want <= 32", got)
 	}
 }

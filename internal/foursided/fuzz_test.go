@@ -2,6 +2,7 @@ package foursided
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/emio"
@@ -12,13 +13,17 @@ import (
 // a live index and on a Handle pinned halfway through a run of updates.
 // The seed picks ε and 100–299 points on the grid x, y ∈ 10·ℕ; ops is a
 // run of updates, two bytes each: an odd first byte inserts a point at
-// x = 10·i + 5 (skipped if taken) with a fresh y, an even one deletes
-// the i-th point. B = 8 makes the tree several levels deep, so the
-// rectangle cuts nodes on the left, the right or both. Run with:
+// x = 10·i + 5 (skipped if taken), an even one deletes the i-th point.
+// An insert's y is fresh and highest when the first byte's upper bits
+// s = byte/8 are 0, and otherwise the free slot lowY picks at s/32 of
+// the way up: such a point is usually dominated inside its leaf of
+// R(u), which takes that secondary's leaf-only update path. B = 8 makes
+// the tree several levels deep, so the rectangle cuts nodes on the
+// left, the right or both. Run with:
 //
 //	go test ./internal/foursided -fuzz FuzzFourSidedQuery -fuzztime 30s
 func FuzzFourSidedQuery(f *testing.F) {
-	ops := []byte{1, 50, 0, 7, 1, 51, 3, 52, 0, 90, 5, 53, 2, 8, 7, 54}
+	ops := []byte{1, 50, 0, 7, 1, 51, 3, 52, 0, 90, 5, 53, 2, 8, 7, 54, 41, 55, 0, 12, 129, 56, 251, 57, 97, 58, 4, 30, 17, 59, 203, 60}
 	inf, ninf := geom.PosInf, geom.NegInf
 	for _, r := range []geom.Rect{
 		{X1: 1005, X2: 1995, Y1: 200, Y2: 2400},  // left cut on nodes that end by x2
@@ -55,7 +60,13 @@ func FuzzFourSidedQuery(f *testing.F) {
 					if xs[p.X] {
 						continue
 					}
-					nextY += 10
+					if s := int(ops[0] / 8); s == 0 {
+						nextY += 10
+					} else if y, ok := lowY(pts, nextY, s); ok {
+						p.Y = y
+					} else {
+						continue
+					}
 					xs[p.X] = true
 					ix.Insert(p)
 					pts = append(pts, p)
@@ -85,4 +96,15 @@ func FuzzFourSidedQuery(f *testing.F) {
 			t.Fatalf("pinned Query(%v) = %v, want %v", r, got, want)
 		}
 	})
+}
+
+// lowY returns the highest y = 10·j + 5 at or below top·s/32 that no
+// point of pts has, or false if every such slot is taken.
+func lowY(pts []geom.Point, top geom.Coord, s int) (geom.Coord, bool) {
+	for j := top * geom.Coord(s) / 320; j >= 0; j-- {
+		if y := 10*j + 5; !slices.ContainsFunc(pts, func(q geom.Point) bool { return q.Y == y }) {
+			return y, true
+		}
+	}
+	return 0, false
 }
