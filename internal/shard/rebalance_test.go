@@ -326,9 +326,7 @@ func forceStale(t *testing.T, eng *Engine, victim *shard, p geom.Point, run func
 		eng.topoMu.RUnlock()
 		time.Sleep(time.Millisecond)
 	}
-	victim.mu.Lock()
-	victim.insertLocked(p)
-	victim.mu.Unlock()
+	(&shardBatch{s: victim, inss: []geom.Point{p}}).apply(nil, nil)
 	eng.n.Add(1)
 	eng.topoMu.RUnlock()
 	if err := <-errc; err != nil {

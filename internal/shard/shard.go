@@ -530,34 +530,6 @@ func mergeSkylines(parts [][]geom.Point) []geom.Point {
 	return out
 }
 
-// insertLocked adds p to the shard's structures (the 4-sided one only
-// when present — TopOnly engines carry none). Caller holds s.mu.
-func (s *shard) insertLocked(p geom.Point) {
-	s.dyn.Insert(p)
-	if s.four != nil {
-		s.four.Insert(p)
-	}
-	s.gen++
-}
-
-// deleteLocked removes p from both of the shard's structures,
-// presence-check-first: the dyntop tree verifies presence before
-// mutating, and the 4-sided structure is only touched after that
-// confirmation, so a miss mutates nothing. The structures disagreeing is
-// corruption; the bool is still true then — the top-open structure did
-// remove the point — so callers keep their size accounting consistent.
-// Caller holds s.mu.
-func (s *shard) deleteLocked(p geom.Point) (bool, error) {
-	if !s.dyn.Delete(p) {
-		return false, nil
-	}
-	s.gen++
-	if s.four != nil && !s.four.Delete(p) {
-		return true, fmt.Errorf("shard: structures disagree on presence of %v", p)
-	}
-	return true, nil
-}
-
 // Apply deletes dels, then inserts inss, on a dynamic engine, and
 // returns the subset of dels that was present and removed, in dels
 // order. Points are grouped by destination shard and each shard's group
@@ -627,19 +599,51 @@ type shardBatch struct {
 }
 
 // apply runs the group under one hold of its shard's lock, marking each
-// delete that hit in hit (indexed like dels). A delete error stops the
-// group before its inserts.
+// delete that hit in hit (indexed like dels). The group goes through the
+// shard's structures one at a time, not point by point, because they
+// share the shard disk's frames and a per-point order makes each evict
+// the other's path between points. The dyntop tree removes the deletes
+// first — it is the presence check, so a miss mutates nothing — then the
+// 4-sided structure (TopOnly engines carry none) removes those that hit.
+// A group's inserts go into the 4-sided structure first and the dyntop
+// tree last, so the blocks most recently used when the group ends are
+// the ones every top-open-family read goes through. A single insert has
+// no group to amortize and keeps the dyntop tree first, which measured
+// cheaper for single-point writes (DESIGN.md, "The shard layer").
+// A 4-sided delete that misses a point the dyntop tree held is
+// corruption: it stops the group before its inserts, and the hit stands
+// — the dyntop tree did remove the point — so callers keep their size
+// accounting consistent.
 func (g *shardBatch) apply(dels []geom.Point, hit []bool) {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
+	s := g.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, i := range g.dels {
-		if hit[i], g.err = g.s.deleteLocked(dels[i]); g.err != nil {
+		if hit[i] = s.dyn.Delete(dels[i]); hit[i] {
+			s.gen++
+		}
+	}
+	for _, i := range g.dels {
+		if hit[i] && s.four != nil && !s.four.Delete(dels[i]) {
+			g.err = fmt.Errorf("shard: structures disagree on presence of %v", dels[i])
 			return
 		}
 	}
-	for _, p := range g.inss {
-		g.s.insertLocked(p)
+	dynFirst := len(g.inss) == 1
+	if dynFirst {
+		s.dyn.Insert(g.inss[0])
 	}
+	if s.four != nil {
+		for _, p := range g.inss {
+			s.four.Insert(p)
+		}
+	}
+	if !dynFirst {
+		for _, p := range g.inss {
+			s.dyn.Insert(p)
+		}
+	}
+	s.gen += uint64(len(g.inss))
 }
 
 // groupByShard splits a batch by destination shard, in first-touch

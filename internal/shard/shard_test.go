@@ -182,6 +182,56 @@ func TestBatchInsert(t *testing.T) {
 	samePoints(t, eng.Skyline(), geom.Skyline(all), "post-batch skyline")
 }
 
+// TestBatchLeavesTopOpenResident loads a shard in 512-point batches of
+// points in random order, as a served preload does, and then asks
+// top-open queries anchored on loaded points. A batch goes through the
+// 4-sided structure before the dyntop tree, and the last batch touches
+// every dyntop leaf, so the blocks the queries read are resident when
+// the load ends: the queries read no block, and what they cost —
+// write-backs of the 4-sided frames their scratch space evicts — does
+// not depend on the order they come in. With both structures updated
+// point by point, some dyntop leaves sat among the 4-sided blocks at the
+// LRU tail, and concurrent readers evicted them or not depending on
+// their interleaving.
+func TestBatchLeavesTopOpenResident(t *testing.T) {
+	const n, batch, queries = 2000, 512, 400
+	span := geom.Coord(n * 64)
+	pts := geom.GenUniform(n, span, 41)
+	rng := rand.New(rand.NewSource(43))
+	rng.Shuffle(n, func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	qs := make([][3]geom.Coord, queries)
+	for i := range qs {
+		p := pts[rng.Intn(n)]
+		qs[i] = [3]geom.Coord{p.X - span/100, p.X + span/100, p.Y - span/10}
+	}
+	run := func(reverse bool) emio.Stats {
+		eng, err := New(Options{Machine: emio.DefaultConfig(), Dynamic: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i += batch {
+			if _, err := eng.Apply(nil, pts[i:min(i+batch, n)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := eng.Stats()
+		for i := range qs {
+			if reverse {
+				i = len(qs) - 1 - i
+			}
+			eng.TopOpen(qs[i][0], qs[i][1], qs[i][2])
+		}
+		return eng.Stats().Sub(before)
+	}
+	fwd, rev := run(false), run(true)
+	if fwd.Reads != 0 || rev.Reads != 0 {
+		t.Fatalf("top-open reads after a batched load read %d / %d blocks, want 0", fwd.Reads, rev.Reads)
+	}
+	if fwd != rev {
+		t.Fatalf("top-open reads cost %v in one order and %v in the other", fwd, rev)
+	}
+}
+
 // TestCountersAndStats checks the atomic engine-level aggregates.
 func TestCountersAndStats(t *testing.T) {
 	pts := geom.GenUniform(200, 4000, 23)
