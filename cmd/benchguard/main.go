@@ -27,7 +27,9 @@
 //     integers alike — labels the measurement (shape=right-open
 //     n=4096). Simulated block transfers do not depend on the host, so
 //     these compare exactly across machines; a metric regression is a
-//     real algorithmic regression.
+//     real algorithmic regression. A metric regresses by rising, except
+//     a throughput (a name ending in persec), which regresses by
+//     falling.
 //   - Wall-clock seconds, as a fallback for experiments that emit no
 //     metric lines.
 //
@@ -192,10 +194,18 @@ func metricProblem(format string, args ...any) {
 // granularity), so a near-zero baseline cannot trip on its last rounded
 // digit — but nothing looser: these metrics are deterministic, and a
 // wider slack would quietly exempt small baselines from the documented
-// threshold contract.
-func regressed(base, cur, threshold float64) bool {
+// threshold contract. A metric named like a throughput (higherIsBetter)
+// regresses by falling, every other by rising.
+func regressed(name string, base, cur, threshold float64) bool {
+	if higherIsBetter(name) {
+		return cur < base*(1-threshold) && base-cur > 0.1
+	}
 	return cur > base*(1+threshold) && cur-base > 0.1
 }
+
+// higherIsBetter reports whether a metric is a throughput, a count per
+// second (E16's ingestpersec), which improves as it rises.
+func higherIsBetter(name string) bool { return strings.HasSuffix(name, "persec") }
 
 // deltaRow is one performed comparison, kept for the summary table.
 // src is the baseline file the compared metric came from.
@@ -290,11 +300,11 @@ func main() {
 					continue
 				}
 				compared++
-				bad := regressed(bv, cv, *flagThreshold)
+				bad := regressed(name, bv, cv, *flagThreshold)
 				table = append(table, deltaRow{id: id, labels: key, name: name, src: base.file, base: bv, cur: cv, bad: bad})
 				if bad {
 					regressions++
-					metricProblem("%s [%s] %s=%.2f vs baseline %.2f (%s, +%.0f%%)",
+					metricProblem("%s [%s] %s=%.2f vs baseline %.2f (%s, %+.0f%%)",
 						id, key, name, cv, bv, base.file, 100*(cv/bv-1))
 				}
 			}

@@ -33,17 +33,43 @@ func TestRegressedSlack(t *testing.T) {
 		{"drainfrac 0.60 to 0.95", 0.60, 0.95, true},
 	}
 	for _, c := range cases {
-		if got := regressed(c.base, c.cur, threshold); got != c.want {
+		if got := regressed("ios", c.base, c.cur, threshold); got != c.want {
 			t.Errorf("%s: regressed(%v, %v, %v) = %t, want %t",
 				c.name, c.base, c.cur, threshold, got, c.want)
 		}
 	}
 	// A wider threshold widens the relative gate but not the floor.
-	if regressed(10, 14, 0.50) {
+	if regressed("ios", 10, 14, 0.50) {
 		t.Error("regressed(10, 14, 0.50) = true, want false (40% < 50%)")
 	}
-	if !regressed(10, 16, 0.50) {
+	if !regressed("ios", 10, 16, 0.50) {
 		t.Error("regressed(10, 16, 0.50) = false, want true")
+	}
+}
+
+// TestRegressedDirection: a throughput (a *persec metric) regresses by
+// falling and improves by rising, with the same relative and absolute
+// slack as every other metric, which regresses by rising.
+func TestRegressedDirection(t *testing.T) {
+	const threshold = 0.30
+	cases := []struct {
+		name      string
+		base, cur float64
+		want      bool
+	}{
+		{"ingestpersec", 7000, 4000, true},   // -43%
+		{"ingestpersec", 7000, 5000, false},  // -29%, inside the threshold
+		{"ingestpersec", 7000, 26343, false}, // +276%: faster
+		{"ingestpersec", 0.2, 0.12, false},   // -40% but under one step
+		{"ios", 10, 7, false},                // falling I/Os improve
+		{"ios", 10, 13.5, true},
+		{"recoverms", 10, 20, true}, // a time, not a rate
+	}
+	for _, c := range cases {
+		if got := regressed(c.name, c.base, c.cur, threshold); got != c.want {
+			t.Errorf("regressed(%q, %v, %v, %v) = %t, want %t",
+				c.name, c.base, c.cur, threshold, got, c.want)
+		}
 	}
 }
 

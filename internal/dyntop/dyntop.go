@@ -18,8 +18,9 @@
 // O(log) canonical queues until y < β. The same fact lets an update end
 // at its leaf: inserting or deleting a point dominated inside its leaf
 // changes no queue in the tree, so when the leaf also keeps its
-// occupancy the update rewrites only the leaf span and the parent's
-// representative block. On random input that is nearly every update.
+// occupancy the update writes only the leaf span's changed blocks and
+// the parent's representative block. On random input that is nearly
+// every update.
 //
 // Block lifetime: queries and refreshes run in an emio.Scope and keep
 // only the queue version that survives them, each node owns the spans of
@@ -154,6 +155,11 @@ func staircase(pts []geom.Point) []cpqa.Elem {
 // O(1) I/Os (a leaf holds O(B) points).
 func (t *Tree) refreshLeaf(nd *node) {
 	t.xt.RewriteLeaf(nd)
+	t.setLeafQueue(nd)
+}
+
+// setLeafQueue rebuilds a leaf's queue from its staircase.
+func (t *Tree) setLeafQueue(nd *node) {
 	t.setQueue(nd, func(sc *emio.Scope) *cpqa.Queue {
 		return cpqa.FromAscendingIn(sc, t.b, staircase(nd.Pts)).BiasUntilReady()
 	})
@@ -269,7 +275,10 @@ func (t *Tree) Release() {
 // points; callers enforce general position). O(log_{2B^ε}(n/B)) I/Os:
 // one leaf write and one refresh per ancestor, or, when p is dominated
 // inside its leaf and the leaf neither splits nor is the root, the leaf
-// write and its parent's representative block alone.
+// write and its parent's representative block alone. The leaf write
+// dirties only the blocks from p's on, in place, unless a Snapshot still
+// shares the leaf's span or the leaf changes its block count; then the
+// leaf moves to a fresh span (xtree.Tree.UpdateLeaf).
 func (t *Tree) Insert(p geom.Point) {
 	if t.xt.Root == nil {
 		t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
@@ -320,17 +329,18 @@ func (t *Tree) update(p geom.Point, insert bool) bool {
 		// Attrition removes exactly the dominated points (Figure 7), so
 		// the leaf's staircase is its queue and every queue above is the
 		// catenation of the ones below: none of them changes. The leaf
-		// span and the parent's representative block, which holds the
-		// leaf's fences, are rewritten; the ancestors route on ranges
-		// held in memory.
-		t.xt.RewriteLeaf(leaf)
+		// span's changed blocks and the parent's representative block,
+		// which holds the leaf's fences, are written; the ancestors
+		// route on ranges held in memory.
+		t.xt.UpdateLeaf(leaf, i)
 		t.rewriteRep(path[len(path)-2])
 		for i := len(path) - 3; i >= 0; i-- {
 			path[i].SetRange()
 		}
 		return true
 	}
-	t.refreshLeaf(leaf)
+	t.xt.UpdateLeaf(leaf, i)
+	t.setLeafQueue(leaf)
 	for i := len(path) - 1; i >= 0; i-- {
 		var par *node
 		if i > 0 {

@@ -188,10 +188,11 @@ func TestSnapshotSurvivesReclamation(t *testing.T) {
 }
 
 // TestLeafWritesCopyOnlyAfterSnapshot pins down who may shift a leaf
-// array in place: the live tree, until a Snapshot shares the array with
-// a Handle; the first write after that copies it, and later writes are
-// in place again. Two handles pinned at different times each keep
-// answering for their own point set.
+// array, or write its span, in place: the live tree, until a Snapshot
+// shares them with a Handle; the first write after that copies the
+// array and moves the leaf to a fresh span, leaving the shared one to
+// the handle, and later writes are in place again. Two handles pinned at
+// different times each keep answering for their own point set.
 func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	all := geom.GenUniform(1200, 1<<20, 407)
 	rng := rand.New(rand.NewSource(408))
@@ -201,13 +202,21 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	pool := all[600:]
 
 	// Without a snapshot, a delete shifts in place and the insert that
-	// follows finds room in the same array.
+	// follows finds room in the same array; both write the leaf's own
+	// span, which keeps its block count.
 	leaf := leafFor(tr, present[0].X)
+	span := leaf.PtsBlock
+	if !keepsBlocks(tr, leaf) {
+		t.Fatalf("a leaf of %d points changes its block count on a delete", len(leaf.Pts))
+	}
 	tr.Delete(present[0])
 	arr := &leaf.Pts[0]
+	if leaf.PtsBlock != span {
+		t.Fatal("a delete moved an unshared leaf span")
+	}
 	tr.Insert(present[0])
-	if leafFor(tr, present[0].X) != leaf || &leaf.Pts[0] != arr {
-		t.Fatal("an unshared leaf array was copied on write")
+	if leafFor(tr, present[0].X) != leaf || &leaf.Pts[0] != arr || leaf.PtsBlock != span {
+		t.Fatal("an unshared leaf array or span was copied on write")
 	}
 
 	type pin struct {
@@ -218,12 +227,24 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	var pins []pin
 	for round := 0; round < 3; round++ {
 		pins = append(pins, pin{tr.Snapshot(), append([]geom.Point(nil), present...)})
-		shared := leafFor(tr, present[0].X).Pts
+		pinned := leafFor(tr, present[0].X)
+		shared, span, words := pinned.Pts, pinned.PtsBlock, pinned.PtsWords
 		frozen := append([]geom.Point(nil), shared...)
+		if !keepsBlocks(tr, pinned) {
+			t.Fatalf("round %d: a leaf of %d points changes its block count on a delete", round, len(pinned.Pts))
+		}
 		tr.Delete(present[0])
+		moved := leafFor(tr, present[0].X)
+		if moved.PtsBlock == span || pinned.PtsBlock != span || pinned.PtsWords != words {
+			t.Fatalf("round %d: the first write after a Snapshot kept the span a handle shares", round)
+		}
+		own := moved.PtsBlock
 		tr.Insert(present[0])
 		if !sameAnswer(shared, frozen) {
 			t.Fatalf("round %d: a write reached the array a handle shares", round)
+		}
+		if leafFor(tr, present[0].X) != moved || moved.PtsBlock != own {
+			t.Fatalf("round %d: the second write after a Snapshot moved the leaf's own span", round)
 		}
 		present = churn(t, tr, present, pool[round*100:(round+1)*100], 200, rng)
 		for i, p := range pins {
@@ -239,4 +260,12 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 		}
 	}
 	ret.Release()
+}
+
+// keepsBlocks reports whether leaf keeps its block count and its
+// occupancy through the delete of one of its points and the insert that
+// restores it, so both are written in place when its span is its own.
+func keepsBlocks(tr *Tree, leaf *node) bool {
+	n, cfg := len(leaf.Pts), tr.disk.Config()
+	return n > tr.kMin && cfg.BlocksFor(2*n-2) == cfg.BlocksFor(2*n)
 }

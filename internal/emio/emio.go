@@ -529,11 +529,47 @@ func (d *Disk) ReadSpanWords(id BlockID, from, to int) {
 }
 
 // WriteSpan is the dirty counterpart of ReadSpan.
-func (d *Disk) WriteSpan(id BlockID, words int) {
+func (d *Disk) WriteSpan(id BlockID, words int) { d.WriteSpanWords(id, 0, words) }
+
+// WriteSpanWords is the dirty counterpart of ReadSpanWords: it touches
+// for writing only the blocks of a span that hold its words [from, to),
+// the blocks an in-place update of part of a run changes. An empty range
+// touches nothing.
+func (d *Disk) WriteSpanWords(id BlockID, from, to int) {
+	if from >= to {
+		return
+	}
 	d.lock()
 	defer d.unlock()
-	for i := 0; i < d.cfg.BlocksFor(words); i++ {
+	for i := from / d.cfg.B; i <= (to-1)/d.cfg.B; i++ {
 		d.touch(id+BlockID(i), true)
+	}
+}
+
+// ResizeSpan re-accounts a live span of words words as holding to words,
+// in place: both sizes must take the same number of blocks (at least
+// one), so only the span's last block changes its accounted size, and
+// LiveWords and PeakWords move by the difference. Nothing is touched or
+// charged; a caller that changed the words writes them (WriteSpanWords).
+// It panics when the sizes differ in blocks, when the last block is not
+// live or its Free is deferred, or when it does not account what a span
+// of words words leaves it.
+func (d *Disk) ResizeSpan(id BlockID, words, to int) {
+	d.lock()
+	defer d.unlock()
+	n := d.cfg.BlocksFor(words)
+	if n == 0 || n != d.cfg.BlocksFor(to) {
+		panic(fmt.Sprintf("emio: ResizeSpan from %d to %d words changes the span's blocks", words, to))
+	}
+	last := id + BlockID(n-1)
+	sl := d.slots.at(uint64(d.mustSlot(last, "ResizeSpan of unallocated block")))
+	if want := words - (n-1)*d.cfg.B; int(sl.words) != want {
+		panic(fmt.Sprintf("emio: ResizeSpan of block %d accounting %d words, want %d", last, sl.words, want))
+	}
+	sl.words = int32(to - (n-1)*d.cfg.B)
+	d.liveWords += int64(to - words)
+	if d.liveWords > d.peakWords {
+		d.peakWords = d.liveWords
 	}
 }
 

@@ -142,6 +142,24 @@ func (r *refDisk) coverSpan(id uint64, words int, rep uint64, repWords, off int)
 	}
 }
 
+// resizeSpan re-accounts the last block of the span at id from words to
+// to, after checking that both take the same blocks and that the block
+// is live, not deferred, and accounts what words leaves it.
+func (r *refDisk) resizeSpan(id uint64, words, to int) {
+	n := r.cfg.BlocksFor(words)
+	if n == 0 || n != r.cfg.BlocksFor(to) {
+		panic("ref: ResizeSpan changes the span's blocks")
+	}
+	last := id + uint64(n-1)
+	r.mustLive(last, "ResizeSpan of unallocated block")
+	if r.deferredSet[last] || r.live[last] != words-(n-1)*r.cfg.B {
+		panic(fmt.Sprintf("ref: ResizeSpan of block %d accounting %d words", last, r.live[last]))
+	}
+	r.live[last] = to - (n-1)*r.cfg.B
+	r.liveWords += int64(to - words)
+	r.peakWords = max(r.peakWords, r.liveWords)
+}
+
 func (r *refDisk) readCold(id uint64) {
 	r.mustLive(id, "access to unallocated block")
 	r.reads++
@@ -315,10 +333,20 @@ func (m *modelRun) next() int {
 func (m *modelRun) pickID() uint64 { return m.ids[m.next()%len(m.ids)] }
 
 func (m *modelRun) pickSpan() (refSpan, bool) {
-	if len(m.spans) == 0 {
+	k, ok := m.pickSpanIndex()
+	if !ok {
 		return refSpan{}, false
 	}
-	return m.spans[m.next()%len(m.spans)], true
+	return m.spans[k], true
+}
+
+// pickSpanIndex picks a span by its place in m.spans, for an op that
+// changes its recorded words.
+func (m *modelRun) pickSpanIndex() (int, bool) {
+	if len(m.spans) == 0 {
+		return 0, false
+	}
+	return m.next() % len(m.spans), true
 }
 
 func (m *modelRun) record(mid uint64, did BlockID, words int) {
@@ -378,7 +406,7 @@ func (m *modelRun) check() {
 func (m *modelRun) step() {
 	d, r := m.d, m.r
 	B := r.cfg.B
-	switch op := m.next() % 23; op {
+	switch op := m.next() % 25; op {
 	case 0:
 		var mid uint64
 		var did BlockID
@@ -535,6 +563,35 @@ func (m *modelRun) step() {
 		}, func() {
 			d.Cover(Span{ID: m.toDisk[sp.id], Words: sp.words}, Span{ID: m.toDisk[rep.id], Words: rep.words}, off)
 		})
+	case 23:
+		sp, ok := m.pickSpan()
+		if !ok {
+			return
+		}
+		// Word ranges inside the span: past its end the model's ids
+		// run on into the next span, where the disk's go stale.
+		w := max(sp.words, 0) + 1
+		from, to := m.next()%w, m.next()%w
+		m.do(fmt.Sprintf("WriteSpanWords(%d,%d,%d)", sp.id, from, to), func() {
+			for i := from / B; from < to && i <= (to-1)/B; i++ {
+				r.touch(sp.id+uint64(i), true)
+			}
+		}, func() { d.WriteSpanWords(m.toDisk[sp.id], from, to) })
+	case 24:
+		k, ok := m.pickSpanIndex()
+		if !ok {
+			return
+		}
+		sp := m.spans[k]
+		to := sp.words + m.next()%(2*B+1) - B
+		resized := false
+		m.do(fmt.Sprintf("ResizeSpan(%d,%d,%d)", sp.id, sp.words, to), func() {
+			r.resizeSpan(sp.id, sp.words, to)
+			resized = true
+		}, func() { d.ResizeSpan(m.toDisk[sp.id], sp.words, to) })
+		if resized {
+			m.spans[k].words = to
+		}
 	}
 }
 
@@ -559,13 +616,17 @@ func runModel(t *testing.T, ops []byte, maxOps int) {
 }
 
 // FuzzDiskModel runs a decoded op sequence — every allocation, free,
-// access, pin, admission, cover, retention and scope operation — against both
-// the Disk and refDisk. After every op they must agree on the I/O
-// counters, the space accounting, the deferred frees, the pin detector
-// and the residency of every live id, and an op the model refuses must
-// panic on the disk too. Ops name blocks by picking from
-// every id ever issued, so freed ids — whose slots the disk reuses —
-// are exercised as often as live ones.
+// access, partial-span write, span resize, pin, admission, cover,
+// retention and scope operation — against both the Disk and refDisk.
+// After every op they must agree on the I/O counters, the space
+// accounting, the deferred frees, the pin detector and the residency of
+// every live id, and an op the model refuses must panic on the disk
+// too. Ops name blocks by picking from every id ever issued, so freed
+// ids — whose slots the disk reuses — are exercised as often as live
+// ones. An op is decoded modulo the number of ops, so adding one
+// changes what every input decodes to: seeds saved before
+// WriteSpanWords and ResizeSpan joined (when there were 23 ops) now run
+// different sequences.
 func FuzzDiskModel(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))

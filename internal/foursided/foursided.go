@@ -34,7 +34,10 @@
 // nodes here own no charged block that could hold leaf fences.
 //
 // Updates go into the leaf array and into every R(u) along the path
-// (O(1/ε) nodes × O(log(n/B)) each); internal nodes split when their
+// (O(1/ε) nodes × O(log(n/B)) each). The leaf and each R(u) write only
+// the blocks of their leaf spans that the update changed, in place,
+// unless a Snapshot still shares the span or the leaf changes its block
+// count (xtree.Tree.UpdateLeaf). Internal nodes split when their
 // fan-out doubles, rebuilding the two halves' secondaries (amortized
 // against the Ω(fB) updates between splits), and the entire structure is
 // rebuilt after n/2 updates, which keeps every parameter calibrated and
@@ -277,7 +280,7 @@ func (ix *Index) Insert(p geom.Point) {
 	ix.disk.ReadSpan(nd.PtsBlock, nd.PtsWords)
 	i := sort.Search(len(nd.Pts), func(j int) bool { return nd.Pts[j].X >= p.X })
 	nd.Pts = slices.Insert(nd.Pts, i, p)
-	ix.xt.RewriteLeaf(nd)
+	ix.xt.UpdateLeaf(nd, i)
 	ix.n++
 	ix.splitUp(path)
 }
@@ -307,7 +310,7 @@ func (ix *Index) Delete(p geom.Point) bool {
 	}
 	nd = path[len(path)-1]
 	nd.Pts = slices.Delete(nd.Pts, i, i+1)
-	ix.xt.RewriteLeaf(nd)
+	ix.xt.UpdateLeaf(nd, i)
 	ix.n--
 	if len(nd.Pts) == 0 {
 		path = ix.pruneEmpty(path)

@@ -15,6 +15,12 @@
 // pinned root therefore never sees a write, Pin costs O(1), and a tree
 // nobody pins copies nothing. Nodes carry no parent pointer: a write
 // works along the path its descent returned.
+//
+// A leaf's point span follows the same rule on the disk. A leaf copy
+// shares its span with the pinned original, so the copy's first write
+// moves it to a fresh span (RewriteLeaf); a span no pin can reach is
+// updated in place (UpdateLeaf), which writes only the blocks the update
+// changed, as long as the leaf keeps its block count.
 package xtree
 
 import (
@@ -34,6 +40,10 @@ type Node[D any] struct {
 	Pts      []geom.Point
 	PtsBlock emio.BlockID
 	PtsWords int
+
+	// shared marks a leaf copy whose span is still the pinned
+	// original's: the span must not be written in place.
+	shared bool
 
 	MinX, MaxX geom.Coord
 
@@ -129,6 +139,8 @@ func group[T, D any](items []T, size, least int, mk func([]T) *Node[D], members 
 // RewriteLeaf replaces a leaf's span with a freshly written one holding
 // its current points and resets its range: the old span is freed, the
 // new one allocated and written, O(1) I/Os for a leaf of O(B) points.
+// The new span is the leaf's own. Splits, merges, prunes and bulk loads
+// write leaves this way; an update of one leaf goes through UpdateLeaf.
 func (t *Tree[D]) RewriteLeaf(nd *Node[D]) {
 	if nd.PtsWords > 0 {
 		t.disk.FreeSpan(nd.PtsBlock, nd.PtsWords)
@@ -138,6 +150,33 @@ func (t *Tree[D]) RewriteLeaf(nd *Node[D]) {
 		nd.PtsBlock = t.disk.AllocSpan(nd.PtsWords)
 		t.disk.WriteSpan(nd.PtsBlock, nd.PtsWords)
 	}
+	nd.shared = false
+	nd.setLeafRange()
+}
+
+// UpdateLeaf writes a leaf whose points changed from index i on, and
+// resets its range. When no pin can reach the span and the leaf keeps
+// its block count, the span is updated in place: its last block is
+// re-accounted and only the blocks from the one holding point i through
+// the last are written, so an update of one point writes 1 to 4 blocks
+// of a 4-block leaf where RewriteLeaf writes all 4. Otherwise it is
+// RewriteLeaf. The caller has read the span.
+func (t *Tree[D]) UpdateLeaf(nd *Node[D], i int) {
+	words, cfg := 2*len(nd.Pts), t.disk.Config()
+	if nd.shared || nd.PtsWords == 0 || cfg.BlocksFor(words) != cfg.BlocksFor(nd.PtsWords) {
+		t.RewriteLeaf(nd)
+		return
+	}
+	t.disk.ResizeSpan(nd.PtsBlock, nd.PtsWords, words)
+	nd.PtsWords = words
+	// A delete at the end changes only the last block, which holds no
+	// point from i on.
+	t.disk.WriteSpanWords(nd.PtsBlock, min(2*i, words-1), words)
+	nd.setLeafRange()
+}
+
+// setLeafRange resets a non-empty leaf's range from its points.
+func (nd *Node[D]) setLeafRange() {
 	if len(nd.Pts) > 0 {
 		nd.MinX, nd.MaxX = nd.Pts[0].X, nd.Pts[len(nd.Pts)-1].X
 	}
@@ -175,7 +214,9 @@ func (t *Tree[D]) Descend(x geom.Coord, visit func(*Node[D])) []*Node[D] {
 // live tree's own before a write, top-down. A node made before the last
 // Pin is copied — its Children slice or its Pts array cloned — relinked
 // into its parent, which is already private, or made the root, and
-// replaced in path. Every other node is left where it is.
+// replaced in path. A leaf copy keeps the original's span, marked
+// shared until RewriteLeaf gives the copy one of its own. Every other
+// node is left where it is.
 func (t *Tree[D]) Own(path []*Node[D]) {
 	for i, nd := range path {
 		if nd.epoch == t.snaps {
@@ -185,6 +226,7 @@ func (t *Tree[D]) Own(path []*Node[D]) {
 		c.epoch = t.snaps
 		if nd.Leaf() {
 			c.Pts = slices.Clone(nd.Pts)
+			c.shared = true
 		} else {
 			c.Children = slices.Clone(nd.Children)
 			if t.fork != nil {

@@ -171,3 +171,85 @@ func TestNodesOrder(t *testing.T) {
 		t.Fatalf("emptied leaves hold %d blocks, want 0", d.LiveBlocks())
 	}
 }
+
+// TestUpdateLeafInPlace: with no pin, an update keeps the leaf's span,
+// writes back only the blocks from the changed point's through the last,
+// and keeps LiveWords and PeakWords exact as the leaf grows and shrinks
+// within its block count; a change of block count moves the leaf to a
+// fresh span. After a Pin the first write moves to a fresh span without
+// touching the pinned one, and the next is in place again.
+func TestUpdateLeafInPlace(t *testing.T) {
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64}) // 4 points a block
+	tr := New[int](d, nil)
+	tr.Root = tr.NewLeaf(grid(14))
+	tr.RewriteLeaf(tr.Root)
+	leaf := tr.Root
+	peak := d.PeakWords()
+	// update reads the leaf's span as the trees' updates do, applies
+	// change, whose points differ from index i on, and returns the
+	// blocks written back by the end of a DropCache.
+	update := func(name string, i int, change func([]geom.Point) []geom.Point, moves bool, writes uint64) {
+		t.Helper()
+		d.DropCache()
+		before, span := d.Stats(), leaf.PtsBlock
+		d.ReadSpan(leaf.PtsBlock, leaf.PtsWords)
+		leaf.Pts = change(leaf.Pts)
+		tr.UpdateLeaf(leaf, i)
+		d.DropCache()
+		peak = max(peak, int64(2*len(leaf.Pts)))
+		got := d.Stats().Sub(before)
+		switch {
+		case (leaf.PtsBlock != span) != moves:
+			t.Fatalf("%s: span moved %v, want %v", name, leaf.PtsBlock != span, moves)
+		case got.Writes != writes:
+			t.Fatalf("%s: %d blocks written back, want %d", name, got.Writes, writes)
+		case leaf.PtsWords != 2*len(leaf.Pts) || d.LiveWords() != int64(leaf.PtsWords) || d.PeakWords() != peak:
+			t.Fatalf("%s: %d points in %d words, %d live (peak %d, want %d)", name, len(leaf.Pts), leaf.PtsWords, d.LiveWords(), d.PeakWords(), peak)
+		case leaf.MinX != leaf.Pts[0].X || leaf.MaxX != leaf.Pts[len(leaf.Pts)-1].X:
+			t.Fatalf("%s: range [%d,%d]", name, leaf.MinX, leaf.MaxX)
+		}
+	}
+	insert := func(i int, p geom.Point) func([]geom.Point) []geom.Point {
+		return func(pts []geom.Point) []geom.Point { return slices.Insert(pts, i, p) }
+	}
+	remove := func(i int) func([]geom.Point) []geom.Point {
+		return func(pts []geom.Point) []geom.Point { return slices.Delete(pts, i, i+1) }
+	}
+	// 14 points, 28 words in 4 blocks of points 0–3, 4–7, 8–11, 12–13.
+	update("insert in block 2", 9, insert(9, geom.Point{X: 95, Y: 95}), false, 2)
+	update("delete the last point", 14, remove(14), false, 1)
+	update("delete the first point", 0, remove(0), false, 4)
+	update("insert at the end", 13, insert(13, geom.Point{X: 150, Y: 150}), false, 1)
+	update("insert at the end again", 14, insert(14, geom.Point{X: 160, Y: 160}), false, 1)
+	update("fill the last block", 15, insert(15, geom.Point{X: 170, Y: 170}), false, 1)
+	update("grow to 5 blocks", 16, insert(16, geom.Point{X: 180, Y: 180}), true, 5)
+	update("shrink to 4 blocks", 0, remove(0), true, 4)
+	update("grow to 5 blocks again", 16, insert(16, geom.Point{X: 190, Y: 190}), true, 5)
+
+	ret := d.RetainFrees()
+	pinned := tr.Pin()
+	span, words := pinned.PtsBlock, pinned.PtsWords
+	path := tr.Descend(200, nil)
+	tr.Own(path)
+	leaf = path[0]
+	d.DropCache()
+	leaf.Pts = append(leaf.Pts, geom.Point{X: 200, Y: 200})
+	tr.UpdateLeaf(leaf, len(leaf.Pts)-1)
+	if leaf.PtsBlock == span || pinned.PtsBlock != span || pinned.PtsWords != words {
+		t.Fatal("the first write after a Pin did not move the copy to a fresh span")
+	}
+	for k := range d.Config().BlocksFor(words) {
+		if d.Resident(span + emio.BlockID(k)) {
+			t.Fatalf("the first write after a Pin touched block %d of the pinned span", k)
+		}
+	}
+	if want := int64(words + leaf.PtsWords); d.LiveWords() != want {
+		t.Fatalf("%d words live under the retention, want %d", d.LiveWords(), want)
+	}
+	peak = d.PeakWords()
+	ret.Release()
+	update("in place after the copy's own write", 0, remove(0), false, 5)
+	if d.LiveBlocks() != 5 {
+		t.Fatalf("%d blocks live, want the leaf's 5", d.LiveBlocks())
+	}
+}
