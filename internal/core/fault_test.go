@@ -351,100 +351,130 @@ func TestFatalFaultDegradedLifecycle(t *testing.T) {
 // a reopen recovers it.
 func TestRandomizedFaultSweep(t *testing.T) {
 	var totalInjected uint64
-	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			dir := t.TempDir()
-			ffs := vfs.NewFaultFS(vfs.OS, seed)
-			opts := Options{Machine: smallMachine, Dynamic: true, Dir: dir, FS: ffs,
-				Retry: vfs.RetryPolicy{MaxRetries: 2, Sleep: noSleep}, SyncWAL: true}
-			db, err := Open(opts, nil)
-			if err != nil {
-				t.Fatalf("clean open: %v", err)
-			}
-			ffs.AddFault(vfs.Fault{Op: vfs.OpWriteAt, Prob: 0.04})
-			ffs.AddFault(vfs.Fault{Op: vfs.OpWriteAt, Prob: 0.01, Short: true})
-			ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Prob: 0.05})
-			ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Prob: 0.10})
-			ffs.AddFault(vfs.Fault{Op: vfs.OpSyncDir, Prob: 0.10})
-			ffs.AddFault(vfs.Fault{Op: vfs.OpTruncate, Prob: 0.10})
-			ffs.AddFault(vfs.Fault{Op: vfs.OpWriteAt, Prob: 0.003, Err: syscall.EIO})
-
-			live := map[geom.Point]struct{}{}
-			degraded := false
-			requireTyped := func(err error, what string, i int) {
-				t.Helper()
-				if !vfs.IsStorageErr(err) && !errors.Is(err, ErrDegraded) {
-					t.Fatalf("%s %d surfaced an untyped error: %v", what, i, err)
-				}
-				if db.Degraded() == nil {
-					t.Fatalf("%s %d failed (%v) without latching degraded mode", what, i, err)
-				}
-				degraded = true
-			}
-			for i := 0; i < 160; i++ {
-				if err := applyOp(db, i); err != nil {
-					requireTyped(err, "op", i)
-				} else if i%5 == 4 {
-					delete(live, opPoint(i-4))
-				} else {
-					live[opPoint(i)] = struct{}{}
-				}
-				if i%40 == 39 {
-					if err := db.Flush(); err != nil {
-						requireTyped(err, "flush", i)
-					}
-				}
-			}
-
-			// Reads serve exactly the acknowledged set, faulted or not.
-			if got := db.Len(); got != len(live) {
-				t.Fatalf("Len = %d, acknowledged set has %d (degraded=%v)", got, len(live), degraded)
-			}
-			want := make([]geom.Point, 0, len(live))
-			for p := range live {
-				want = append(want, p)
-			}
-			geom.SortByX(want)
-			twin, err := Open(Options{Machine: smallMachine, Dynamic: true}, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer twin.Close()
-			assertSameAnswers(t, "randomized", db, twin, 1_100_000)
-
-			// The disk recovers; the latch does not — reopen does.
-			ffs.ClearFaults()
-			closeErr := db.Close()
-			if degraded && closeErr == nil {
-				t.Fatal("Close of a degraded index returned nil")
-			}
-			if !degraded && closeErr != nil {
-				t.Fatalf("Close of a healthy index: %v", closeErr)
-			}
-			re, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir}, nil)
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			defer re.Close()
-			if !re.Recover().Recovered {
-				t.Fatalf("reopen did not recover: %+v", re.Recover())
-			}
-			if got := re.Len(); got != len(live) {
-				t.Fatalf("recovered Len = %d, acknowledged set has %d", got, len(live))
-			}
-			for _, p := range want {
-				q := geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y}
-				if got := re.RangeSkyline(q); len(got) != 1 || got[0] != p {
-					t.Fatalf("acknowledged point %v lost (query got %v)", p, got)
-				}
-			}
-			assertSameAnswers(t, "recovered", re, twin, 1_100_000)
-			totalInjected += ffs.Injected()
-		})
+	// The sharded configuration forces a split after the second batch
+	// and a merge after the third: a transition rebuilds shards from the
+	// live points while faults pepper the log around it.
+	for _, c := range []struct {
+		name      string
+		shards    int
+		rebalance bool
+	}{{"", 0, false}, {"shards4-rebalance-", 4, true}} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("%sseed%d", c.name, seed), func(t *testing.T) {
+				totalInjected += faultSweep(t, seed, c.shards, c.rebalance)
+			})
+		}
 	}
 	if totalInjected == 0 {
 		t.Fatal("no seed injected a single fault; the sweep is vacuous")
 	}
+}
+
+// faultSweep runs one seed of TestRandomizedFaultSweep on an index of
+// the given shards and rebalancing, and returns the faults it injected.
+func faultSweep(t *testing.T, seed int64, shards int, rebalance bool) uint64 {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(vfs.OS, seed)
+	opts := Options{Machine: smallMachine, Dynamic: true, Dir: dir, FS: ffs, Shards: shards, Rebalance: rebalance,
+		Retry: vfs.RetryPolicy{MaxRetries: 2, Sleep: noSleep}, SyncWAL: true}
+	db, err := Open(opts, nil)
+	if err != nil {
+		t.Fatalf("clean open: %v", err)
+	}
+	ffs.AddFault(vfs.Fault{Op: vfs.OpWriteAt, Prob: 0.04})
+	ffs.AddFault(vfs.Fault{Op: vfs.OpWriteAt, Prob: 0.01, Short: true})
+	ffs.AddFault(vfs.Fault{Op: vfs.OpSync, Prob: 0.05})
+	ffs.AddFault(vfs.Fault{Op: vfs.OpRename, Prob: 0.10})
+	ffs.AddFault(vfs.Fault{Op: vfs.OpSyncDir, Prob: 0.10})
+	ffs.AddFault(vfs.Fault{Op: vfs.OpTruncate, Prob: 0.10})
+	ffs.AddFault(vfs.Fault{Op: vfs.OpWriteAt, Prob: 0.003, Err: syscall.EIO})
+
+	live := map[geom.Point]struct{}{}
+	degraded := false
+	requireTyped := func(err error, what string, i int) {
+		t.Helper()
+		if !vfs.IsStorageErr(err) && !errors.Is(err, ErrDegraded) {
+			t.Fatalf("%s %d surfaced an untyped error: %v", what, i, err)
+		}
+		if db.Degraded() == nil {
+			t.Fatalf("%s %d failed (%v) without latching degraded mode", what, i, err)
+		}
+		degraded = true
+	}
+	for i := 0; i < 160; i++ {
+		if err := applyOp(db, i); err != nil {
+			requireTyped(err, "op", i)
+		} else if i%5 == 4 {
+			delete(live, opPoint(i-4))
+		} else {
+			live[opPoint(i)] = struct{}{}
+		}
+		if i%40 == 39 {
+			if err := db.Flush(); err != nil {
+				requireTyped(err, "flush", i)
+			}
+			if rebalance && i/40 == 1 {
+				if err := db.ForceSplit(-1); err != nil {
+					t.Fatalf("split after op %d: %v", i, err)
+				}
+			}
+			if rebalance && i/40 == 2 {
+				if err := db.ForceMerge(-1); err != nil {
+					t.Fatalf("merge after op %d: %v", i, err)
+				}
+			}
+		}
+	}
+	if rebalance {
+		if st := db.RebalanceStats(); st.Splits != 1 || st.Merges != 1 {
+			t.Fatalf("rebalance stats %+v, want one split and one merge", st)
+		}
+	}
+
+	// Reads serve exactly the acknowledged set, faulted or not.
+	if got := db.Len(); got != len(live) {
+		t.Fatalf("Len = %d, acknowledged set has %d (degraded=%v)", got, len(live), degraded)
+	}
+	want := make([]geom.Point, 0, len(live))
+	for p := range live {
+		want = append(want, p)
+	}
+	geom.SortByX(want)
+	twin, err := Open(Options{Machine: smallMachine, Dynamic: true}, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	assertSameAnswers(t, "randomized", db, twin, 1_100_000)
+
+	// The disk recovers; the latch does not — reopen does.
+	ffs.ClearFaults()
+	closeErr := db.Close()
+	if degraded && closeErr == nil {
+		t.Fatal("Close of a degraded index returned nil")
+	}
+	if !degraded && closeErr != nil {
+		t.Fatalf("Close of a healthy index: %v", closeErr)
+	}
+	re, err := Open(Options{Machine: smallMachine, Dynamic: true, Dir: dir, Shards: shards, Rebalance: rebalance}, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer re.Close()
+	if !re.Recover().Recovered {
+		t.Fatalf("reopen did not recover: %+v", re.Recover())
+	}
+	if got := re.Len(); got != len(live) {
+		t.Fatalf("recovered Len = %d, acknowledged set has %d", got, len(live))
+	}
+	for _, p := range want {
+		q := geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y}
+		if got := re.RangeSkyline(q); len(got) != 1 || got[0] != p {
+			t.Fatalf("acknowledged point %v lost (query got %v)", p, got)
+		}
+	}
+	assertSameAnswers(t, "recovered", re, twin, 1_100_000)
+	return ffs.Injected()
 }
 
 // TestCoreBackpressure pins the Options plumbing of the queue's

@@ -63,7 +63,6 @@ type node = xtree.Node[data]
 // Tree is the dynamic top-open index.
 type Tree struct {
 	disk *emio.Disk
-	eps  float64
 	a    int // internal fan-out in [a, 2a]
 	b    int // CPQA buffer parameter
 	kMin int // leaf occupancy in [kMin, 2*kMin]
@@ -95,7 +94,7 @@ func New(d *emio.Disk, eps float64) *Tree {
 	if kMin < 4 {
 		kMin = 4
 	}
-	return &Tree{disk: d, eps: eps, a: a, b: b, kMin: kMin, xt: xtree.New[data](d, nil)}
+	return &Tree{disk: d, a: a, b: b, kMin: kMin, xt: xtree.New[data](d, nil)}
 }
 
 // BuildSABE bulk-loads the tree from points sorted by x in O(n/B) I/Os.
@@ -115,9 +114,6 @@ func BuildSABE(d *emio.Disk, eps float64, pts []geom.Point) *Tree {
 
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.n }
-
-// Epsilon returns the structure's ε parameter.
-func (t *Tree) Epsilon() float64 { return t.eps }
 
 // elem converts a point to its mirrored CPQA element.
 func elem(p geom.Point) cpqa.Elem { return cpqa.Elem{Key: -p.Y, Aux: p.X} }
@@ -271,22 +267,25 @@ func (t *Tree) Release() {
 	t.xt.Root, t.n, t.history = nil, 0, nil
 }
 
-// Insert adds point p (whose x and y must not collide with indexed
-// points; callers enforce general position). O(log_{2B^ε}(n/B)) I/Os:
-// one leaf write and one refresh per ancestor, or, when p is dominated
+// Insert adds points one at a time (their x and y must not collide with
+// indexed points; callers enforce general position). O(log_{2B^ε}(n/B))
+// I/Os a point p: one leaf write and one refresh per ancestor, or, when
+// p is dominated
 // inside its leaf and the leaf neither splits nor is the root, the leaf
 // write and its parent's representative block alone. The leaf write
 // dirties only the blocks from p's on, in place, unless a Snapshot still
 // shares the leaf's span or the leaf changes its block count; then the
 // leaf moves to a fresh span (xtree.Tree.UpdateLeaf).
-func (t *Tree) Insert(p geom.Point) {
-	if t.xt.Root == nil {
-		t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
-		t.refreshLeaf(t.xt.Root)
-		t.n = 1
-		return
+func (t *Tree) Insert(pts ...geom.Point) {
+	for _, p := range pts {
+		if t.xt.Root == nil {
+			t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
+			t.refreshLeaf(t.xt.Root)
+			t.n = 1
+			continue
+		}
+		t.update(p, true)
 	}
-	t.update(p, true)
 }
 
 // Delete removes the point with the given coordinates; it reports
@@ -303,7 +302,18 @@ func (t *Tree) update(p geom.Point, insert bool) bool {
 	// it routes through.
 	path := t.xt.Descend(p.X, func(nd *node) { t.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords) })
 	leaf := path[len(path)-1]
-	t.disk.ReadSpan(leaf.PtsBlock, leaf.PtsWords)
+	// A delete needs only p's block and the points right of it, so it
+	// reads from p's block on where the parent's representative block,
+	// just read, holds the leaf's fences; the rest is read below if
+	// needed. An insert reads its whole leaf (DESIGN.md, "Leaf spans in
+	// place").
+	from := 0
+	if len(path) > 1 && !insert {
+		if _, fenced := repLayout(t.disk.Config(), path[len(path)-2]); fenced {
+			from = max(0, sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X > p.X })-1)
+		}
+	}
+	t.disk.ReadSpanWords(leaf.PtsBlock, 2*from, leaf.PtsWords)
 	i := sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X >= p.X })
 	if !insert && (i >= len(leaf.Pts) || leaf.Pts[i] != p) {
 		return false
@@ -325,21 +335,25 @@ func (t *Tree) update(p geom.Point, insert bool) bool {
 		leaf.Pts = slices.Delete(leaf.Pts, i, i+1)
 		t.n--
 	}
-	if size := len(leaf.Pts); dominated && len(path) > 1 && size >= t.kMin && size <= 2*t.kMin {
+	size := len(leaf.Pts)
+	leafOnly := dominated && len(path) > 1 && size >= t.kMin && size <= 2*t.kMin
+	if !leafOnly || t.xt.Moves(leaf) {
+		t.disk.ReadSpanWords(leaf.PtsBlock, 0, 2*from) // the whole leaf
+	}
+	t.xt.UpdateLeaf(leaf, i)
+	if leafOnly {
 		// Attrition removes exactly the dominated points (Figure 7), so
 		// the leaf's staircase is its queue and every queue above is the
 		// catenation of the ones below: none of them changes. The leaf
 		// span's changed blocks and the parent's representative block,
 		// which holds the leaf's fences, are written; the ancestors
 		// route on ranges held in memory.
-		t.xt.UpdateLeaf(leaf, i)
 		t.rewriteRep(path[len(path)-2])
 		for i := len(path) - 3; i >= 0; i-- {
 			path[i].SetRange()
 		}
 		return true
 	}
-	t.xt.UpdateLeaf(leaf, i)
 	t.setLeafQueue(leaf)
 	for i := len(path) - 1; i >= 0; i-- {
 		var par *node
@@ -416,19 +430,22 @@ func (t *Tree) Query(x1, x2, beta geom.Coord) []geom.Point {
 	return t.view().query(x1, x2, beta)
 }
 
-// Points appends every indexed point to dst in increasing-x order; see
-// view.Points.
-func (t *Tree) Points(dst []geom.Point) []geom.Point { return t.view().Points(dst) }
+// Scan appends the points in [x1, x2] to dst; see view.Scan.
+func (t *Tree) Scan(x1, x2 geom.Coord, dst []geom.Point) []geom.Point {
+	return t.view().Scan(x1, x2, dst)
+}
 
 func (t *Tree) view() view { return view{disk: t.disk, b: t.b, root: t.xt.Root} }
 
-// Points appends the view's points to dst in increasing-x order — the
-// run §2.3's SABE builds from — reading the leaves left to right and
-// charging each leaf span: O(n/B) I/Os, no representative block.
-func (v view) Points(dst []geom.Point) []geom.Point {
-	for l := range xtree.Leaves(v.root) {
-		v.disk.ReadSpan(l.PtsBlock, l.PtsWords)
-		dst = append(dst, l.Pts...)
+// Scan appends the view's points in [x1, x2] to dst in increasing-x
+// order, charging each leaf that meets the range what scanLeaf says a
+// scan from a grounded end reads: O(1 + k/B) I/Os for k points, O(n/B)
+// for the whole set, the run §2.3's SABE builds from. The walk routes on
+// the ranges in memory and reads no representative block.
+func (v view) Scan(x1, x2 geom.Coord, dst []geom.Point) []geom.Point {
+	for l := range xtree.Leaves(v.root, x1, x2) {
+		lo, hi := scanLeaf(v.disk, l.PtsBlock, l.Pts, x1, x2, false)
+		dst = append(dst, l.Pts[lo:hi]...)
 	}
 	return dst
 }
@@ -489,7 +506,7 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 		if par != nil {
 			_, fenced = repLayout(v.disk.Config(), par)
 		}
-		lo, hi := ScanLeaf(v.disk, nd.PtsBlock, nd.Pts, x1, x2, fenced)
+		lo, hi := scanLeaf(v.disk, nd.PtsBlock, nd.Pts, x1, x2, fenced)
 		if nd.MinX >= x1 && nd.MaxX <= x2 {
 			return append(qs, nd.Data.q)
 		}
@@ -514,7 +531,7 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 	return qs
 }
 
-// ScanLeaf charges the blocks a scan of one x-sorted leaf reads for the
+// scanLeaf charges the blocks a scan of one x-sorted leaf reads for the
 // x-range [x1,x2] and returns the in-range points pts[lo:hi]. The leaf
 // is stored two words per point in the span at id; where a scan enters
 // it depends on what is in memory before the leaf is read.
@@ -527,7 +544,7 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 //
 // Otherwise only the leaf's own first and last x route a scan into it
 // (a root leaf, a leaf whose parent has no room for its fences, and
-// every foursided leaf), so a scan enters at a grounded end and stops
+// every leaf Scan reads), so a scan enters at a grounded end and stops
 // at the first point past the cut:
 //
 //   - cut only on the left (pts[0].X < x1, the last x ≤ x2): from the
@@ -536,10 +553,9 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 //     first block through the block holding the first point right of x2;
 //   - cut on both sides, or no point in range: the whole leaf.
 //
-// A fenced scan never reads more than the grounded one. Both trees'
-// query paths read their boundary leaves through it, so the charge of a
-// scan is one rule (DESIGN.md, "Query accounting").
-func ScanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord, fenced bool) (lo, hi int) {
+// A fenced scan never reads more than the grounded one. Query and Scan
+// both charge through it (DESIGN.md, "Query accounting").
+func scanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord, fenced bool) (lo, hi int) {
 	n := len(pts)
 	lo = sort.Search(n, func(j int) bool { return pts[j].X >= x1 })
 	hi = sort.Search(n, func(j int) bool { return pts[j].X > x2 })

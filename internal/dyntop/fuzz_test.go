@@ -125,7 +125,7 @@ func FuzzTreeSnapshots(f *testing.F) {
 				t.Fatalf("Len = %d, want %d", tr.Len(), len(present))
 			}
 			for i, p := range pins {
-				if got := p.h.Points(nil); p.h.Len() != len(p.pts) || !sameAnswer(got, p.pts) {
+				if got := p.h.Scan(geom.NegInf, geom.PosInf, nil); p.h.Len() != len(p.pts) || !sameAnswer(got, p.pts) {
 					t.Fatalf("handle %d: Len %d, Points %v; want the %d points pinned, %v", i, p.h.Len(), got, len(p.pts), p.pts)
 				}
 				x1, x2, beta := rect(arg ^ byte(i))

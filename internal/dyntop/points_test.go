@@ -54,8 +54,8 @@ func TestPointsMatchOracle(t *testing.T) {
 			scan func() []geom.Point
 			want []geom.Point
 		}{
-			{"tree", tr.xt.Root, func() []geom.Point { return tr.Points(nil) }, present},
-			{"handle", h.root, func() []geom.Point { return h.Points(nil) }, pinned},
+			{"tree", tr.xt.Root, func() []geom.Point { return tr.Scan(geom.NegInf, geom.PosInf, nil) }, present},
+			{"handle", h.root, func() []geom.Point { return h.Scan(geom.NegInf, geom.PosInf, nil) }, pinned},
 		} {
 			want := slices.Clone(c.want)
 			geom.SortByX(want)

@@ -96,7 +96,7 @@ func checkScan(t *testing.T, d *emio.Disk, id emio.BlockID, pts []geom.Point, c 
 }
 
 // leaves lists the tree's leaves in x order.
-func leaves(nd *node) []*node { return slices.Collect(xtree.Leaves(nd)) }
+func leaves(nd *node) []*node { return slices.Collect(xtree.Leaves(nd, geom.NegInf, geom.PosInf)) }
 
 // parentOf returns nd's parent in the tree under root, nil for the root.
 func parentOf(root, nd *node) *node {
@@ -223,6 +223,39 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 		}
 		runScanCases(t, d, tr, pts, tr.xt.Root, groundedCases(tr.xt.Root.Pts, cfg.B))
 	})
+}
+
+// TestScanChargesGroundedBlocks: Scan reads no representative block, so
+// it charges a leaf the range cuts by the grounded-end rule even where
+// the leaf's parent holds its fences, reads every leaf inside the range
+// whole, and lists exactly the points in range in x order.
+func TestScanChargesGroundedBlocks(t *testing.T) {
+	cfg := emio.Config{B: 8, M: 8 * 1024}
+	pts := permPoints(240, 7)
+	d := emio.NewDisk(cfg)
+	tr := BuildSABE(d, 0, pts)
+	for _, fenced := range []bool{true, false} {
+		leaf := leafUnder(t, tr, fenced)
+		for _, c := range groundedCases(leaf.Pts, cfg.B) {
+			d.DropCache()
+			got := tr.Scan(c.x1, c.x2, nil)
+			var want []geom.Point
+			for _, p := range pts {
+				if p.X >= c.x1 && p.X <= c.x2 {
+					want = append(want, p)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Scan listed %d points, want the %d in range", c.name, len(got), len(want))
+			}
+			checkScan(t, d, leaf.PtsBlock, leaf.Pts, c)
+			for _, l := range leaves(tr.xt.Root) {
+				if l.MinX >= c.x1 && l.MaxX <= c.x2 && !d.Resident(l.PtsBlock+emio.BlockID(cfg.BlocksFor(l.PtsWords)-1)) {
+					t.Errorf("%s: leaf [%d,%d] inside the range was not read whole", c.name, l.MinX, l.MaxX)
+				}
+			}
+		}
+	}
 }
 
 // TestRepLayoutMatchesStoredBlock: a query decides from repLayout whether

@@ -55,9 +55,7 @@ func (b *DynTopBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 			removed = append(removed, p)
 		}
 	}
-	for _, p := range inss {
-		b.tree.Insert(p)
-	}
+	b.tree.Insert(inss...)
 	return removed, nil
 }
 
@@ -79,7 +77,8 @@ func NewFourSided(ix *foursided.Index, d *emio.Disk) *FourSidedBackend {
 
 func (b *FourSidedBackend) RangeSkyline(q geom.Rect) []geom.Point { return b.ix.Query(q) }
 
-// Apply deletes then inserts point by point, like DynTopBackend's.
+// Apply deletes point by point, like DynTopBackend's, then inserts the
+// batch, and reports the index's corruption, if any (Index.Err).
 func (b *FourSidedBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	var removed []geom.Point
 	for _, p := range dels {
@@ -87,8 +86,6 @@ func (b *FourSidedBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) 
 			removed = append(removed, p)
 		}
 	}
-	for _, p := range inss {
-		b.ix.Insert(p)
-	}
-	return removed, nil
+	b.ix.Insert(inss...)
+	return removed, b.ix.Err()
 }

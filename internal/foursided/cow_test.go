@@ -21,12 +21,12 @@ func pathTo(ix *Index, x geom.Coord) []*node {
 // TestSnapshotCost pins the copy-on-write contract at the served
 // machine's size (emio.DefaultConfig(), ε = 0.5, n = 2^16): with no
 // Snapshot since the nodes were made, a delete and the insert that
-// undoes it leave every node of the path, every R(u) on it and the
-// leaf's point array where they were; after a Snapshot the first write
-// copies every node of its path and forks its R(u)s, leaving the
-// handle's nodes and secondaries as they were, and the next write to the
-// same path copies nothing; and Snapshot itself allocates O(1), where
-// copying the node graph and every secondary's took 1 495 allocations.
+// undoes it leave every node of the path and every R(u) on it where
+// they were; after a Snapshot the first write copies every node of its
+// path and forks its R(u)s, leaving the handle's nodes, secondaries and
+// point store as they were, and the next write to the same path copies
+// nothing; and Snapshot itself allocates O(1), where copying the node
+// graph and every secondary's took 1 495 allocations.
 func TestSnapshotCost(t *testing.T) {
 	const n = 1 << 16
 	pts := geom.GenUniform(n, 1<<30, 821)
@@ -39,12 +39,11 @@ func TestSnapshotCost(t *testing.T) {
 	for i, nd := range before {
 		rs[i] = nd.Data
 	}
-	arr := &before[len(before)-1].Pts[0]
 	ix.Delete(p)
 	ix.Insert(p)
 	after := pathTo(ix, p.X)
-	if !slices.Equal(before, after) || &after[len(after)-1].Pts[0] != arr {
-		t.Fatal("a write with no Snapshot open moved a node of its path or the leaf's array")
+	if !slices.Equal(before, after) {
+		t.Fatal("a write with no Snapshot open moved a node of its path")
 	}
 	for i, nd := range after {
 		if rs[i] != any(nd.Data) {
@@ -55,25 +54,23 @@ func TestSnapshotCost(t *testing.T) {
 	ret := d.RetainFrees()
 	defer ret.Release()
 	h := ix.Snapshot()
-	leafPts := slices.Clone(before[len(before)-1].Pts)
-	rootLen := before[0].Data.Len()
+	leafLen, rootLen := before[len(before)-1].Data.Len(), before[0].Data.Len()
 	ix.Delete(p)
 	first := pathTo(ix, p.X)
 	for i, nd := range first {
 		if nd == before[i] {
 			t.Fatalf("the first write after a Snapshot left level %d of its path in place", i)
 		}
-		if !nd.Leaf() && nd.Data == before[i].Data {
+		if nd.Data == before[i].Data {
 			t.Fatalf("the first write after a Snapshot wrote the handle's R(u) at level %d", i)
 		}
 	}
-	if h.root != before[0] || !slices.Equal(before[len(before)-1].Pts, leafPts) || before[0].Data.Len() != rootLen {
-		t.Fatal("the first write after a Snapshot changed a node or a secondary the handle reaches")
+	if h.root != before[0] || before[len(before)-1].Data.Len() != leafLen || before[0].Data.Len() != rootLen || h.Len() != n || h.Top().Len() != n {
+		t.Fatal("the first write after a Snapshot changed a node, a secondary or the point store the handle reaches")
 	}
-	arr = &first[len(first)-1].Pts[0]
 	ix.Insert(p)
 	second := pathTo(ix, p.X)
-	if !slices.Equal(first, second) || &second[len(second)-1].Pts[0] != arr {
+	if !slices.Equal(first, second) {
 		t.Fatal("the second write to a path after a Snapshot copied it again")
 	}
 	for i, nd := range second {

@@ -51,10 +51,10 @@ func TestVariantQueries(t *testing.T) {
 		x := geom.Coord(rng.Int63n(3300)) - 150
 		y1 := geom.Coord(rng.Int63n(3300)) - 150
 		y2 := y1 + geom.Coord(rng.Int63n(2000))
-		if got, want := ix.LeftOpen(x, y1, y2), geom.RangeSkyline(pts, geom.LeftOpen(x, y1, y2)); !sameAnswer(got, want) {
+		if got, want := ix.Query(geom.LeftOpen(x, y1, y2)), geom.RangeSkyline(pts, geom.LeftOpen(x, y1, y2)); !sameAnswer(got, want) {
 			t.Fatalf("LeftOpen(%d,%d,%d) = %v, want %v", x, y1, y2, got, want)
 		}
-		if got, want := ix.AntiDominance(x, y1), geom.RangeSkyline(pts, geom.AntiDominance(x, y1)); !sameAnswer(got, want) {
+		if got, want := ix.Query(geom.AntiDominance(x, y1)), geom.RangeSkyline(pts, geom.AntiDominance(x, y1)); !sameAnswer(got, want) {
 			t.Fatalf("AntiDominance(%d,%d) = %v, want %v", x, y1, got, want)
 		}
 	}
@@ -112,6 +112,69 @@ func TestDeleteAbsent(t *testing.T) {
 	}
 	if ix.Len() != 2 {
 		t.Errorf("Len changed to %d on failed delete", ix.Len())
+	}
+}
+
+// TestDeleteReportsDrift: the point store's delete is the presence
+// check, so a delete of a point the secondaries hold but the store does
+// not misses without touching them; a delete of a point the store holds
+// but an R(u) does not is corruption, which Err reports while the store
+// still drops the point.
+func TestDeleteReportsDrift(t *testing.T) {
+	d := emio.NewDisk(emio.Config{B: 16, M: 16 * 64})
+	pts := geom.GenUniform(300, 3000, 63)
+	ix := Build(d, 0.5, pts)
+	p, q := pts[10], pts[20]
+	ix.Top().Delete(p)
+	if ix.Delete(p) || ix.Err() != nil {
+		t.Fatalf("Delete of a point only the secondaries hold = true or err %v", ix.Err())
+	}
+	if got := ix.Query(geom.Rect{X1: p.X, X2: geom.PosInf, Y1: p.Y, Y2: p.Y}); len(got) != 1 || got[0] != p {
+		t.Fatalf("R(root) lost %v on a miss: %v", p, got)
+	}
+	ix.xt.Root.Data.Delete(transpose(q))
+	if !ix.Delete(q) || ix.Err() == nil {
+		t.Fatalf("Delete of a point R(root) had lost: err %v", ix.Err())
+	}
+	if ix.Len() != len(pts)-2 {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(pts)-2)
+	}
+}
+
+// TestPruneEmptyLeaf deletes every point of one leaf, fewer updates
+// than a global rebuild needs: the emptied leaf leaves the tree, its
+// parent's range shrinks to its remaining children's, and every answer
+// matches the oracle.
+func TestPruneEmptyLeaf(t *testing.T) {
+	const n = 2000
+	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+	pts := make([]geom.Point, n)
+	for i, y := range rand.New(rand.NewSource(65)).Perm(n) {
+		pts[i] = pt(geom.Coord(10*(i+1)), geom.Coord(10*(y+1)))
+	}
+	ix := Build(d, 0.5, pts)
+	path := ix.xt.Descend(pts[n/2].X, nil)
+	leaf, parent := path[len(path)-1], path[len(path)-2]
+	lo, hi, children := leaf.MinX, leaf.MaxX, len(parent.Children)
+	var present []geom.Point
+	for _, p := range pts {
+		if p.X < lo || p.X > hi {
+			present = append(present, p)
+		} else if !ix.Delete(p) {
+			t.Fatalf("Delete(%v) reported absent", p)
+		}
+	}
+	if ix.updates == 0 || len(parent.Children) != children-1 || parent.MinX != parent.Children[0].MinX || parent.MaxX != parent.Children[len(parent.Children)-1].MaxX {
+		t.Fatalf("leaf [%d,%d] not pruned: parent has %d of %d children, range [%d,%d] (%d updates since a rebuild)",
+			lo, hi, len(parent.Children), children, parent.MinX, parent.MaxX, ix.updates)
+	}
+	rng := rand.New(rand.NewSource(66))
+	for q := 0; q < 200; q++ {
+		x1, y1 := geom.Coord(rng.Int63n(10*n)), geom.Coord(rng.Int63n(10*n))
+		r := geom.Rect{X1: x1, X2: x1 + geom.Coord(rng.Int63n(4*n)), Y1: y1, Y2: y1 + geom.Coord(rng.Int63n(10*n))}
+		if got, want := ix.Query(r), geom.RangeSkyline(present, r); !sameAnswer(got, want) {
+			t.Fatalf("Query(%v) = %v, want %v", r, got, want)
+		}
 	}
 }
 
@@ -232,13 +295,16 @@ func TestRebuildKeepsAnswers(t *testing.T) {
 
 // TestWarmStreamCost: at ε = 0.5 on the served machine, a warm stream
 // alternating inserts at random x with deletes of random live points
-// costs at most 26.5 I/Os per update, from a cold cache through a
+// costs at most 26.25 I/Os per update, from a cold cache through a
 // final DropCache that writes back every frame the stream dirtied. An
-// update changes every R(u) on its path, and in nearly every one the
-// point is dominated inside its leaf, where that secondary's update
-// ends; when each re-catenated every queue on its own path, the stream
-// cost 40.67, and when every leaf update, the index's own and each
-// R(u)'s, rewrote its whole span to a fresh one, 27.77.
+// update goes through the index's point store and every R(u) on its
+// path, and in nearly every one the point is dominated inside its leaf,
+// where that tree's update ends; a delete reads its leaf from the
+// point's block on. The stream measures 24.90. When each tree
+// re-catenated every queue on its own path, it cost 40.67; when every
+// leaf update rewrote its whole span to a fresh one, 27.77; and when the
+// index kept a second copy of its points in leaves of its own, with no
+// point store, 25.15.
 func TestWarmStreamCost(t *testing.T) {
 	const n0, updates = 10000, 2000
 	all := geom.GenUniform(n0+updates/2, 1<<40, 71)
@@ -262,7 +328,7 @@ func TestWarmStreamCost(t *testing.T) {
 	d.DropCache()
 	got := float64(d.Stats().Sub(before).IOs()) / updates
 	t.Logf("%.2f I/Os per update", got)
-	if got > 26.5 {
-		t.Errorf("%.2f I/Os per update, want <= 26.5", got)
+	if got > 26.25 {
+		t.Errorf("%.2f I/Os per update, want <= 26.25", got)
 	}
 }

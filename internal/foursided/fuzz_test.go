@@ -19,7 +19,11 @@ import (
 // the way up: such a point is usually dominated inside its leaf of
 // R(u), which takes that secondary's leaf-only update path. B = 8 makes
 // the tree several levels deep, so the rectangle cuts nodes on the
-// left, the right or both. Run with:
+// left, the right or both. The grow seeds pin the Handle after one
+// insert and then insert 100 points right of every other, highest
+// first: the last leaf splits and the updates pass n0/2, which rebuilds
+// every secondary from the point store, while the Handle holds the
+// secondaries and the point store it pinned. Run with:
 //
 //	go test ./internal/foursided -fuzz FuzzFourSidedQuery -fuzztime 30s
 func FuzzFourSidedQuery(f *testing.F) {
@@ -36,6 +40,20 @@ func FuzzFourSidedQuery(f *testing.F) {
 	} {
 		f.Add(int64(1), ops, r.X1, r.X2, r.Y1, r.Y2)
 		f.Add(int64(5), ops[:4], r.X1, r.X2, r.Y1, r.Y2)
+	}
+	// The first half inserts x = 5 once and then repeats it, which is
+	// skipped; the second half inserts at x = 1555 … 2545.
+	var grow []byte
+	for range 100 {
+		grow = append(grow, 1, 0)
+	}
+	for i := 155; i < 255; i++ {
+		grow = append(grow, 1, byte(i))
+	}
+	// Seeds 3, 4 and 20 hold 108–130 points, at ε = 1, 0.5 and 0.3.
+	for _, seed := range []int64{3, 4, 20} {
+		f.Add(seed, grow, int64(505), int64(1805), int64(200), inf)   // the split leaf and the old last one
+		f.Add(seed, grow, ninf, int64(2000), int64(200), int64(2500)) // right cut among the new points
 	}
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, x1, x2, y1, y2 int64) {
 		if len(ops) > 400 {

@@ -52,7 +52,7 @@ func TestHeightCapped(t *testing.T) {
 					check := func(when string) {
 						if levels := ix.Height() - 1; levels > maxLevels(eps) {
 							t.Fatalf("n=%d %s: %d internal levels (fan-out %d), want <= %d",
-								n, when, levels, ix.Fanout(), maxLevels(eps))
+								n, when, levels, ix.fanout, maxLevels(eps))
 						}
 					}
 					check("after Build")
@@ -83,6 +83,6 @@ func TestUpdateCostAtCappedHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(602))
 	churn(t, ix, append([]geom.Point(nil), all[:n]...), all[n:], n, 2, rng, func() {})
 	if perOp := float64(d.Stats().IOs()) / n; perOp > budget {
-		t.Errorf("mean update cost %.1f I/Os (fan-out %d, height %d), want <= %.0f", perOp, ix.Fanout(), ix.Height(), budget)
+		t.Errorf("mean update cost %.1f I/Os (fan-out %d, height %d), want <= %.0f", perOp, ix.fanout, ix.Height(), budget)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/emio"
@@ -16,18 +17,66 @@ func leafOf(ix *Index, x geom.Coord) (leaf, parent *node) {
 	return path[len(path)-1], path[len(path)-2]
 }
 
+// boundaryOf returns the x-range of the point store that Query(r) scans:
+// [max(x1, lo), x2] of the leaf at the end of the path of nodes r cuts
+// on the right, or ok = false when r cuts no leaf so.
+func boundaryOf(ix *Index, r geom.Rect) (x1, x2 geom.Coord, ok bool) {
+	for nd := ix.xt.Root; nd != nil && nd.MinX <= r.X2 && r.X2 < nd.MaxX && r.X1 <= nd.MaxX; {
+		if nd.Leaf() {
+			return max(r.X1, nd.MinX), r.X2, true
+		}
+		next := (*node)(nil)
+		for _, c := range nd.Children {
+			if c.MinX <= r.X2 && r.X2 < c.MaxX {
+				next = c
+			}
+		}
+		nd = next
+	}
+	return 0, 0, false
+}
+
+// recorder is a point store that records the ranges scanned through it.
+type recorder struct {
+	scanner
+	ranges [][2]geom.Coord
+}
+
+func (r *recorder) Scan(x1, x2 geom.Coord, dst []geom.Point) []geom.Point {
+	r.ranges = append(r.ranges, [2]geom.Coord{x1, x2})
+	return r.scanner.Scan(x1, x2, dst)
+}
+
+// checkStoreReads answers r through v with its point store recorded and
+// asserts that the answer matches the oracle over pts and that the query
+// scanned the point store exactly once, over r's boundary range
+// (boundaryOf), or not at all when r cuts no leaf on the right.
+func checkStoreReads(t *testing.T, ix *Index, v view, pts []geom.Point, r geom.Rect, what string) {
+	t.Helper()
+	rec := &recorder{scanner: v.pts}
+	v.pts = rec
+	if got, want := v.query(r), geom.RangeSkyline(pts, r); !sameAnswer(got, want) {
+		t.Fatalf("%s: Query(%v) = %v, want %v", what, r, got, want)
+	}
+	var want [][2]geom.Coord
+	if x1, x2, ok := boundaryOf(ix, r); ok {
+		want = append(want, [2]geom.Coord{x1, x2})
+	}
+	if !slices.Equal(rec.ranges, want) {
+		t.Errorf("%s: Query(%v) scanned the point store over %v, want %v", what, r, rec.ranges, want)
+	}
+}
+
 // TestBoundaryLeafChargesScannedBlocks pins the query accounting rule on
-// a leaf grown to four blocks (B = 8, four points a block) that is not
-// its parent's last child. Every rectangle ends inside the parent, so
-// the parent is cut on the right and the leaf is a boundary leaf, read
-// from a grounded end (foursided leaves have no fences): a leaf cut on
-// one side is charged only the blocks a scan from its grounded end
-// reads — through the block of the boundary point just before, at and
-// just after a block edge — and a leaf cut on both sides or holding no
-// point in range is charged whole, through the live index and through a
-// Handle.
+// the leaf a rectangle cuts on the right, a leaf that is not its
+// parent's last child: the leaf holds no points, so the query reads the
+// points of [max(x1, lo), x2] under it in one scan of the point store —
+// whether x1 lies left of the leaf or inside it, and when no point is in
+// range — through the live index and through a Handle. A rectangle that
+// lies inside the leaf is charged exactly what that scan charges
+// (dyntop.Tree.Scan) on a cold cache, and nothing else.
 func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
-	const n = 240
+	const n = 2400
 	rng := rand.New(rand.NewSource(9))
 	pts := make([]geom.Point, n)
 	for i, y := range rng.Perm(n) {
@@ -35,95 +84,59 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 	}
 	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 1024})
 	ix := Build(d, 0.5, pts)
-	// Grow a leaf that is not its parent's last child from B to 2B
-	// points by inserting just left of each of its points.
 	leaf, parent := leafOf(ix, pts[n/2].X)
 	if sibs := parent.Children; sibs[len(sibs)-1] == leaf {
 		leaf = sibs[len(sibs)-2]
 	}
-	x := leaf.MaxX
-	for i, p := range append([]geom.Point(nil), leaf.Pts...) {
-		q := pt(p.X-5, geom.Coord(10*(n+i+1)+5))
-		ix.Insert(q)
-		pts = append(pts, q)
-	}
-	leaf, parent = leafOf(ix, x)
-	B := d.Config().B
-	if blocks := d.Config().BlocksFor(leaf.PtsWords); blocks != 4 {
-		t.Fatalf("leaf spans %d blocks, want 4", blocks)
-	}
-	lp := leaf.Pts
-	xmin, xmax := geom.Coord(math.MinInt64+1), geom.Coord(math.MaxInt64-1)
-	// A left cut ends just past the leaf, still inside its parent.
-	xend := lp[len(lp)-1].X + 1
-	if parent.MaxX <= xend {
-		t.Fatalf("leaf [%d,%d] ends its parent [%d,%d]", leaf.MinX, leaf.MaxX, parent.MinX, parent.MaxX)
+	lp := ix.top.Scan(leaf.MinX, leaf.MaxX, nil)
+	if len(lp) < 4*d.Config().B {
+		t.Fatalf("leaf of %d points; want several point-store leaves' worth", len(lp))
 	}
 	ret := d.RetainFrees()
 	defer ret.Release()
 	h := ix.Snapshot()
 
+	xend := lp[len(lp)-1].X - 1 // x2 inside the leaf, before its last point
 	type scanCase struct {
-		name        string
-		x1, x2      geom.Coord
-		first, last int // the leaf blocks the scan charges
+		name   string
+		x1, x2 geom.Coord
 	}
-	var cs []scanCase
-	for _, c := range []int{B/2 - 1, B / 2, B/2 + 1} { // around the edge of blocks 0 and 1
+	cs := []scanCase{
+		{"x1 left of the leaf", leaf.MinX - 5, xend},
+		{"x1 left of the leaf, x2 before its second point", leaf.MinX - 5, lp[1].X - 1},
+		{"no point in range", lp[5].X + 1, lp[6].X - 1},
+	}
+	for _, c := range []int{1, len(lp) / 3, len(lp) / 2, len(lp) - 2} {
 		cs = append(cs,
-			scanCase{fmt.Sprintf("left cut after point %d", c), lp[c].X + 1, xend, 2 * c / B, 3},
-			scanCase{fmt.Sprintf("right cut before point %d", c), xmin, lp[c].X - 1, 0, (2*c + 1) / B})
+			scanCase{fmt.Sprintf("x1 after point %d", c), lp[c].X + 1, xend},
+			scanCase{fmt.Sprintf("x1 at point %d", c), lp[c].X, xend},
+			scanCase{fmt.Sprintf("x2 before point %d", c), leaf.MinX - 5, lp[c].X - 1})
 	}
-	cs = append(cs,
-		scanCase{"both cuts inside the leaf", lp[1].X + 1, lp[len(lp)-2].X - 1, 0, 3},
-		scanCase{"no point in range", lp[4].X + 1, lp[5].X - 1, 0, 3})
-
 	for _, c := range cs {
-		for _, via := range []string{"index", "handle"} {
-			r := geom.Rect{X1: c.x1, X2: c.x2, Y1: geom.NegInf, Y2: xmax}
-			d.DropCache()
-			var got []geom.Point
-			if via == "index" {
-				got = ix.Query(r)
-			} else {
-				got = h.Query(r)
+		r := geom.Rect{X1: c.x1, X2: c.x2, Y1: geom.NegInf, Y2: geom.PosInf}
+		x1, x2, ok := boundaryOf(ix, r)
+		if !ok || x1 != max(c.x1, leaf.MinX) {
+			t.Fatalf("%s: %v does not cut the chosen leaf on the right", c.name, r)
+		}
+		for _, v := range []struct {
+			via  string
+			view view
+		}{{"index", view{root: ix.xt.Root, pts: ix.top}}, {"handle", h.view}} {
+			checkStoreReads(t, ix, v.view, pts, r, c.name+" via "+v.via)
+			if c.x1 < leaf.MinX {
+				continue // the nodes left of the leaf ask their R(u)s too
 			}
-			if want := geom.RangeSkyline(pts, r); !sameAnswer(got, want) {
-				t.Fatalf("%s via %s: Query = %v, want %v", c.name, via, got, want)
-			}
-			for b := 0; b < 4; b++ {
-				want := b >= c.first && b <= c.last
-				if got := d.Resident(leaf.PtsBlock + emio.BlockID(b)); got != want {
-					t.Errorf("%s via %s: block %d charged = %v, want %v", c.name, via, b, got, want)
-				}
-			}
-			// Every point the scan sees — the in-range points and the
-			// boundary point that stops a one-sided scan — lies in a
-			// charged block.
-			lo, hi := 0, len(lp)
-			for lo < hi && lp[lo].X < c.x1 {
-				lo++
-			}
-			for hi > lo && lp[hi-1].X > c.x2 {
-				hi--
-			}
-			if lo > 0 && hi == len(lp) {
-				lo--
-			}
-			if hi < len(lp) && lo == 0 {
-				hi++
-			}
-			for i := lo; i < hi; i++ {
-				if !d.Resident(leaf.PtsBlock + emio.BlockID(2*i/B)) {
-					t.Errorf("%s via %s: point %d is scanned but its block %d was not charged", c.name, via, i, 2*i/B)
-				}
+			query := d.Measure(func() { v.view.query(r) })
+			scan := d.Measure(func() { v.view.pts.Scan(x1, x2, nil) })
+			if query != scan {
+				t.Errorf("%s via %s: the query cost %v, its boundary scan %v", c.name, v.via, query, scan)
 			}
 		}
 	}
 }
 
 // TestRightGroundedReadsNoLeaf: a rectangle with X2 = +∞ is one query on
-// R(root), so it reads no leaf of the primary tree, live or pinned.
+// R(root), so it reads no point of the point store, live or pinned.
 func TestRightGroundedReadsNoLeaf(t *testing.T) {
 	pts := geom.GenUniform(2000, 1<<20, 13)
 	d := emio.NewDisk(emio.Config{B: 16, M: 16 * 1024})
@@ -132,36 +145,14 @@ func TestRightGroundedReadsNoLeaf(t *testing.T) {
 	defer ret.Release()
 	h := ix.Snapshot()
 	rng := rand.New(rand.NewSource(14))
-	var ls []*node
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.Leaf() {
-			ls = append(ls, nd)
-		}
-		for _, c := range nd.Children {
-			walk(c)
-		}
-	}
-	walk(ix.xt.Root)
 	for q := 0; q < 100; q++ {
 		y1 := geom.Coord(rng.Int63n(1 << 20))
 		r := geom.RightOpen(geom.Coord(rng.Int63n(1<<20)), y1, y1+geom.Coord(rng.Int63n(1<<19)))
 		if q%4 == 0 {
 			r = geom.Dominance(r.X1, y1)
 		}
-		for _, view := range []func(geom.Rect) []geom.Point{ix.Query, h.Query} {
-			d.DropCache()
-			if got, want := view(r), geom.RangeSkyline(pts, r); !sameAnswer(got, want) {
-				t.Fatalf("Query(%v) = %v, want %v", r, got, want)
-			}
-			for _, l := range ls {
-				for b := 0; b < d.Config().BlocksFor(l.PtsWords); b++ {
-					if d.Resident(l.PtsBlock + emio.BlockID(b)) {
-						t.Fatalf("Query(%v) read leaf [%d,%d]", r, l.MinX, l.MaxX)
-					}
-				}
-			}
-		}
+		checkStoreReads(t, ix, view{root: ix.xt.Root, pts: ix.top}, pts, r, "live")
+		checkStoreReads(t, ix, h.view, pts, r, "pinned")
 	}
 }
 
@@ -197,14 +188,14 @@ func TestRightGroundedIOBudget(t *testing.T) {
 }
 
 // TestLeftCutIOBudget holds rectangles with a finite right edge to the
-// decomposition in which every internal node whose subtree ends by x2
-// asks its own R(u): at n = 16 384 and B = 64, from a cold cache, the
-// mean cost of 300 bottom-open and of 300 4-sided rectangles stays
-// within log2(n/B) I/Os each (6.3 and 4.4). Splitting a node cut only on
-// its left into canonical children and a boundary leaf costs more (mean
-// 14.2 and 10.0 on these queries). After every query, live and through
-// a Handle, no leaf below such a node is resident: R(u) answered it
-// alone.
+// decomposition in which every node whose subtree ends by x2 asks its
+// own R(u): at n = 16 384 and B = 64, from a cold cache, the mean cost
+// of 300 bottom-open and of 300 4-sided rectangles stays within
+// log2(n/B) I/Os each. Splitting a node cut only on its left into
+// canonical children and a boundary leaf costs more (mean 14.2 and 10.0
+// on these queries). Live and through a Handle, every query scans the
+// point store once at most, over its boundary range: R(u) answered every
+// node cut only on its left alone.
 func TestLeftCutIOBudget(t *testing.T) {
 	const n = 16384
 	cfg := emio.Config{B: 64, M: 64 * 64}
@@ -216,26 +207,6 @@ func TestLeftCutIOBudget(t *testing.T) {
 	h := ix.Snapshot()
 	logNB := math.Log2(float64(n) / float64(cfg.B))
 
-	// leftCut lists the leaves below every internal node that r cuts on
-	// its left only.
-	leftCut := func(r geom.Rect) []*node {
-		var out []*node
-		var walk func(nd *node, below bool)
-		walk = func(nd *node, below bool) {
-			if nd.Leaf() {
-				if below {
-					out = append(out, nd)
-				}
-				return
-			}
-			below = below || (nd.MinX < r.X1 && r.X1 <= nd.MaxX && nd.MaxX <= r.X2)
-			for _, c := range nd.Children {
-				walk(c, below)
-			}
-		}
-		walk(ix.xt.Root, false)
-		return out
-	}
 	shapes := []struct {
 		name string
 		make func(rng *rand.Rand) geom.Rect
@@ -265,17 +236,17 @@ func TestLeftCutIOBudget(t *testing.T) {
 				if want := geom.RangeSkyline(pts, r); !sameAnswer(got, want) {
 					t.Fatalf("%s via %s: Query(%v) = %v, want %v", s.name, via, r, got, want)
 				}
-				for _, l := range leftCut(r) {
-					for b := 0; b < cfg.BlocksFor(l.PtsWords); b++ {
-						if d.Resident(l.PtsBlock + emio.BlockID(b)) {
-							t.Fatalf("%s via %s: Query(%v) read leaf [%d,%d] below a left-cut node",
-								s.name, via, r, l.MinX, l.MaxX)
-						}
-					}
-				}
 			}
 			if mean := float64(total) / queries; mean > logNB {
 				t.Errorf("%s via %s: mean cost %.2f I/Os, budget log2(n/B) = %.0f", s.name, via, mean, logNB)
+			}
+			v := view{root: ix.xt.Root, pts: ix.top}
+			if via == "handle" {
+				v = h.view
+			}
+			rng = rand.New(rand.NewSource(22))
+			for q := 0; q < queries; q++ {
+				checkStoreReads(t, ix, v, pts, s.make(rng), s.name+" via "+via)
 			}
 		}
 	}

@@ -5,9 +5,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/dyntop"
-	"repro/internal/emio"
-	"repro/internal/foursided"
 	"repro/internal/geom"
 )
 
@@ -26,8 +23,8 @@ import (
 //     dyntop leaves of shards lo..hi (charged to each shard's disk; the
 //     concatenation is already x-sorted) and note their generation
 //     counters, then release the locks.
-//  2. Build: construct the replacement shard structures (private disk,
-//     dyntop + foursided) off to the side, with no locks held. Ordinary
+//  2. Build: construct the replacement shards (newShard, each on a
+//     private disk) off to the side, with no locks held. Ordinary
 //     traffic proceeds concurrently.
 //  3. Swap: take topoMu exclusively — every in-flight operation holds it
 //     shared for its full duration, so acquisition alone quiesces the
@@ -228,28 +225,13 @@ func (e *Engine) rebalanceOnce() {
 	}
 }
 
-// buildShard constructs a fresh dynamic shard over chunk, which must be
-// sorted by x.
-func (e *Engine) buildShard(chunk []geom.Point) *shard {
-	s := &shard{disk: emio.NewConcurrentDisk(e.opts.Machine)}
-	s.dyn = dyntop.BuildSABE(s.disk, e.opts.Epsilon, chunk)
-	s.top = s.dyn
-	if !e.opts.TopOnly {
-		s.four = foursided.Build(s.disk, e.opts.Epsilon, chunk)
-	}
-	return s
-}
-
-// release frees everything a retired shard's structures hold on its
-// disk and drops them.
+// release frees everything a retired shard's structure holds on its
+// disk and drops it.
 func (s *shard) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dyn.Release()
-	if s.four != nil {
-		s.four.Release()
-	}
-	s.top, s.dyn, s.four = nil, nil, nil
+	s.st.Release()
+	s.top, s.dyn, s.four, s.st = nil, nil, nil, nil
 }
 
 // split replaces shard i with two shards cut at its median x. Caller
@@ -264,7 +246,7 @@ func (e *Engine) split(i, minPts int) error {
 			return nil, nil, fmt.Errorf("shard: shard %d too small to split (%d points, need %d)", i, len(pts), minPts)
 		}
 		mid := len(pts) / 2
-		left, right := e.buildShard(pts[:mid]), e.buildShard(pts[mid:])
+		left, right := newShard(e.opts, pts[:mid]), newShard(e.opts, pts[mid:])
 		return []*shard{left, right}, []geom.Coord{pts[mid-1].X}, nil
 	})
 }
@@ -273,7 +255,7 @@ func (e *Engine) split(i, minPts int) error {
 // Caller holds rebalMu.
 func (e *Engine) merge(i int) error {
 	return e.transition("merge", i, i+1, &e.merges, func(pts []geom.Point) ([]*shard, []geom.Coord, error) {
-		return []*shard{e.buildShard(pts)}, nil, nil
+		return []*shard{newShard(e.opts, pts)}, nil, nil
 	})
 }
 
@@ -332,7 +314,7 @@ func capture(ss []*shard) ([]geom.Point, []uint64) {
 	gens := make([]uint64, len(ss))
 	for j, s := range ss {
 		s.mu.Lock()
-		pts = s.dyn.Points(slices.Grow(pts, s.dyn.Len()))
+		pts = s.dyn.Scan(geom.NegInf, geom.PosInf, slices.Grow(pts, s.dyn.Len()))
 		gens[j] = s.gen
 		s.mu.Unlock()
 	}

@@ -479,7 +479,7 @@ func TestRebalancePointsFromLeafScan(t *testing.T) {
 	// same cold scan Points makes of that shard alone.
 	i := eng.pickHottestBySize()
 	old := eng.shards[i]
-	scan := old.disk.Measure(func() { old.dyn.Points(nil) })
+	scan := old.disk.Measure(func() { old.dyn.Scan(geom.NegInf, geom.PosInf, nil) })
 	if scan.Reads == 0 {
 		t.Fatal("a cold leaf scan read nothing")
 	}

@@ -1,10 +1,13 @@
 // Package shard implements a sharded, concurrent range skyline engine
 // serving every Figure-2 query shape: the first scaling layer above the
 // paper's single-machine structures. The point set is partitioned by
-// x-range into K shards, each owning a private guarded emio.Disk with two
-// structures on it: a top-open structure — the Theorem 4 dynamic tree
-// (dyntop) or the Theorem 1 static index (topopen) — and a Theorem 6
-// 4-sided structure (foursided) for the shapes with a bounded top edge.
+// x-range into K shards, each owning a private guarded emio.Disk. A
+// dynamic shard's disk holds one structure: the Theorem 6 4-sided index
+// (foursided), which owns the Theorem 4 dynamic tree (dyntop) that keeps
+// the shard's points, answers the top-open family, and is what the
+// 4-sided index reads its points from. A TopOnly shard holds the tree
+// alone; a static shard holds the Theorem 1 index (topopen) for the
+// top-open family and a 4-sided index beside it.
 // A query fans out to the shards whose x-ranges overlap [x1, x2] through
 // a bounded worker pool, and the per-shard skylines are merged
 // right-to-left: a point survives exactly when its y exceeds the maximum
@@ -110,22 +113,53 @@ type topIndex interface {
 	Query(x1, x2, beta geom.Coord) []geom.Point
 }
 
-// shard is one x-range partition. mu serializes every operation against
-// the shard's structures and disk. The structures are the only copy of
-// the shard's points: a split or merge rebuilds from the dyntop tree's
-// leaf scan, and the policy sizes the shard by its Len.
+// shard is one x-range partition; mu serializes every operation against
+// its structure and disk. The dyntop tree's leaves are the only copy of
+// a dynamic shard's points: a split or merge rebuilds from their scan,
+// and the policy sizes the shard by the tree's Len.
 type shard struct {
 	mu   sync.Mutex
 	disk *emio.Disk
 	top  topIndex
-	dyn  *dyntop.Tree // non-nil iff the engine is dynamic
-	four *foursided.Index
+	dyn  *dyntop.Tree     // the point store; non-nil iff the engine is dynamic
+	four *foursided.Index // nil iff the engine is TopOnly
+	// st is the one structure every write goes through: four, which
+	// updates dyn itself, or dyn alone.
+	st interface {
+		Insert(...geom.Point)
+		Delete(geom.Point) bool
+		Release()
+	}
 	// gen counts mutations, guarded by mu: a rebuild captured at
 	// generation g is only swapped in if the generation is still g.
 	gen uint64
 	// load counts operations routed to this shard since the last
 	// rebalance decision; the policy reads the skew off these.
 	load atomic.Uint64
+}
+
+// newShard builds a shard over chunk, which must be sorted by x, on a
+// disk of its own.
+func newShard(opts Options, chunk []geom.Point) *shard {
+	s := &shard{disk: emio.NewConcurrentDisk(opts.Machine)}
+	switch {
+	case !opts.Dynamic:
+		f := extsort.FromSlice(s.disk, 2, chunk)
+		s.top = topopen.Build(s.disk, f)
+		f.Free()
+		if !opts.TopOnly {
+			s.four = foursided.Build(s.disk, opts.Epsilon, chunk)
+		}
+		return s
+	case opts.TopOnly:
+		s.dyn = dyntop.BuildSABE(s.disk, opts.Epsilon, chunk)
+		s.st = s.dyn
+	default:
+		s.four = foursided.Build(s.disk, opts.Epsilon, chunk)
+		s.dyn, s.st = s.four.Top(), s.four
+	}
+	s.top = s.dyn
+	return s
 }
 
 // Engine is a sharded concurrent range skyline engine serving every
@@ -214,20 +248,7 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 	for i := 0; i < k; i++ {
 		lo, hi := i*n/k, (i+1)*n/k
 		chunk := pts[lo:hi]
-		s := &shard{disk: emio.NewConcurrentDisk(opts.Machine)}
-		if opts.Dynamic {
-			s.dyn = dyntop.BuildSABE(s.disk, opts.Epsilon, chunk)
-			s.top = s.dyn
-		} else {
-			f := extsort.FromSlice(s.disk, 2, chunk)
-			ix := topopen.Build(s.disk, f)
-			f.Free()
-			s.top = ix
-		}
-		if !opts.TopOnly {
-			s.four = foursided.Build(s.disk, opts.Epsilon, chunk)
-		}
-		e.shards = append(e.shards, s)
+		e.shards = append(e.shards, newShard(opts, chunk))
 		if i < k-1 {
 			cut := prevCut
 			if hi > lo {
@@ -599,50 +620,27 @@ type shardBatch struct {
 }
 
 // apply runs the group under one hold of its shard's lock, marking each
-// delete that hit in hit (indexed like dels). The group goes through the
-// shard's structures one at a time, not point by point, because they
-// share the shard disk's frames and a per-point order makes each evict
-// the other's path between points. The dyntop tree removes the deletes
-// first — it is the presence check, so a miss mutates nothing — then the
-// 4-sided structure (TopOnly engines carry none) removes those that hit.
-// A group's inserts go into the 4-sided structure first and the dyntop
-// tree last, so the blocks most recently used when the group ends are
-// the ones every top-open-family read goes through. A single insert has
-// no group to amortize and keeps the dyntop tree first, which measured
-// cheaper for single-point writes (DESIGN.md, "The shard layer").
-// A 4-sided delete that misses a point the dyntop tree held is
-// corruption: it stops the group before its inserts, and the hit stands
-// — the dyntop tree did remove the point — so callers keep their size
-// accounting consistent.
+// delete that hit in hit (indexed like dels): the deletes, then the
+// inserts in one call, which the structure orders itself
+// (foursided.Index.Insert). A miss mutates nothing. Corruption
+// (foursided.Index.Err) stops this and every later group on the shard
+// before its inserts, and the hits stand — the points did leave the
+// tree — so callers keep their size accounting consistent.
 func (g *shardBatch) apply(dels []geom.Point, hit []bool) {
 	s := g.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, i := range g.dels {
-		if hit[i] = s.dyn.Delete(dels[i]); hit[i] {
+		if hit[i] = s.st.Delete(dels[i]); hit[i] {
 			s.gen++
 		}
 	}
-	for _, i := range g.dels {
-		if hit[i] && s.four != nil && !s.four.Delete(dels[i]) {
-			g.err = fmt.Errorf("shard: structures disagree on presence of %v", dels[i])
+	if s.four != nil {
+		if g.err = s.four.Err(); g.err != nil {
 			return
 		}
 	}
-	dynFirst := len(g.inss) == 1
-	if dynFirst {
-		s.dyn.Insert(g.inss[0])
-	}
-	if s.four != nil {
-		for _, p := range g.inss {
-			s.four.Insert(p)
-		}
-	}
-	if !dynFirst {
-		for _, p := range g.inss {
-			s.dyn.Insert(p)
-		}
-	}
+	s.st.Insert(g.inss...)
 	s.gen += uint64(len(g.inss))
 }
 

@@ -469,9 +469,9 @@ func TestApplyRemovedInDelsOrder(t *testing.T) {
 }
 
 // TestDeletePresenceCheckFirst is the regression test for the update
-// ordering: a Delete whose top-open structure reports the point absent
-// must not mutate the shard's 4-sided structure, even if (through
-// corruption or drift) that structure still holds the point.
+// ordering: a Delete whose dyntop tree reports the point absent must not
+// mutate the 4-sided index's secondaries, even if (through corruption or
+// drift) they still hold the point.
 func TestDeletePresenceCheckFirst(t *testing.T) {
 	pts := geom.GenUniform(120, 2000, 213)
 	geom.SortByX(pts)
@@ -480,20 +480,21 @@ func TestDeletePresenceCheckFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pts[17]
-	// Simulate drift: remove p from the shard's top-open structure
-	// directly, behind the engine's back. The 4-sided one still holds p.
+	// Simulate drift: remove p from the shard's dyntop tree directly,
+	// behind the 4-sided index's back. Its secondaries still hold p.
 	s := eng.shards[eng.shardFor(p.X)]
 	if !s.dyn.Delete(p) {
 		t.Fatalf("dyn.Delete(%v) missed", p)
 	}
 	// The routed Delete must now report a miss without error and —
-	// crucially — without mutating the 4-sided structure.
+	// crucially — without mutating the secondaries. A right-grounded
+	// rectangle is answered by R(root) alone.
 	if ok, err := eng.Delete(p); err != nil || ok {
 		t.Fatalf("Delete(%v) = %t, %v; want miss without error", p, ok, err)
 	}
-	band := geom.Rect{X1: p.X, X2: p.X, Y1: p.Y, Y2: p.Y}
+	band := geom.Rect{X1: p.X, X2: geom.PosInf, Y1: p.Y, Y2: p.Y}
 	if got := s.four.Query(band); len(got) != 1 || got[0] != p {
-		t.Fatalf("4-sided structure lost %v on a top-open miss: %v", p, got)
+		t.Fatalf("4-sided secondaries lost %v on a top-open miss: %v", p, got)
 	}
 	// A delete of a genuinely absent point is a plain miss everywhere.
 	if ok, err := eng.Delete(geom.Point{X: 1 << 40, Y: 1 << 40}); err != nil || ok {
@@ -614,5 +615,24 @@ func TestQuiesce(t *testing.T) {
 	eng.Quiesce() // idempotent
 	if eng.Len() != len(pts) {
 		t.Fatalf("Len after quiesce = %d, want %d", eng.Len(), len(pts))
+	}
+}
+
+// TestShardHoldsOneCopyOfPoints: a one-shard dynamic engine over
+// n = 10 000 points on the served machine keeps its points once, in the
+// dyntop leaves its 4-sided index reads: the shard disk holds 82 056
+// words. When the 4-sided index kept a second x-ordered copy in leaves
+// of its own, the disk held 102 056, so the bound asks for 1.6n words
+// of that copy's 2n to be gone.
+func TestShardHoldsOneCopyOfPoints(t *testing.T) {
+	const n, twoCopies = 10000, 102056
+	pts := geom.GenUniform(n, 1<<40, 61)
+	geom.SortByX(pts)
+	eng, err := New(Options{Dynamic: true}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := eng.ShardDisk(0).LiveWords(), int64(twoCopies-16*n/10); got > limit {
+		t.Errorf("shard disk holds %d words, want <= %d", got, limit)
 	}
 }

@@ -37,6 +37,24 @@ type shardView struct {
 	ret  *emio.Retention
 }
 
+// pin captures the shard's state, a retention opened on its disk first.
+// A 4-sided handle pins its dyntop tree too. A static top-open index is
+// immutable, so the retention alone guards it.
+func (s *shard) pin() *shardView {
+	w := &shardView{ret: s.disk.RetainFrees(), top: s.top}
+	switch {
+	case s.four != nil:
+		h := s.four.Snapshot()
+		w.four = h
+		if s.dyn != nil {
+			w.top = h.Top()
+		}
+	case s.dyn != nil:
+		w.top = s.dyn.Snapshot()
+	}
+	return w
+}
+
 // fourIndex is the 4-sided query interface both the live index and its
 // pinned handle satisfy.
 type fourIndex interface {
@@ -76,19 +94,7 @@ func (e *Engine) Snapshot() (engine.View, error) {
 		n:    int(e.n.Load()),
 	}
 	for _, s := range e.shards {
-		w := &shardView{ret: s.disk.RetainFrees()}
-		if s.dyn != nil {
-			w.top = s.dyn.Snapshot()
-		} else {
-			// Static index: immutable after build, the handle IS the
-			// index (see topopen.Index.Snapshot); the retention alone
-			// guards its spans.
-			w.top = s.top
-		}
-		if s.four != nil {
-			w.four = s.four.Snapshot()
-		}
-		sv.shards = append(sv.shards, w)
+		sv.shards = append(sv.shards, s.pin())
 	}
 	for _, s := range e.shards {
 		s.mu.Unlock()

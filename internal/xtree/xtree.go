@@ -1,10 +1,11 @@
 // Package xtree is the x-ordered base tree under the Theorem 4 and
-// Theorem 6 structures (internal/dyntop, internal/foursided): leaves hold
-// Θ(B) points sorted by x, each leaf in a charged span of its own, and an
-// internal node routes on its children's x-ranges. Every node carries a
-// payload D of the owning structure's — a CPQA and a representative
-// block, or the secondary R(u) — and the owner decides what to rebuild,
-// what to charge and how to rebalance; this package owns only the shape.
+// Theorem 6 structures (internal/dyntop, internal/foursided): a dyntop
+// leaf holds Θ(B) points sorted by x in a charged span of its own (a
+// foursided leaf, none), and an internal node routes on its children's
+// x-ranges. Every node carries a payload D of the owning structure's — a
+// CPQA and a representative block, or the secondary R(u) — and the
+// owner decides what to rebuild, what to charge and how to rebalance;
+// this package owns only the shape.
 //
 // Nodes are copy-on-write, by path copying (Driscoll, Sarnak, Sleator and
 // Tarjan, "Making Data Structures Persistent", 1989) gated by epochs. Pin
@@ -48,7 +49,7 @@ type Node[D any] struct {
 	MinX, MaxX geom.Coord
 
 	// Data is the owner's payload. A copy made by Own takes it by
-	// value, or through the tree's fork function on internal nodes.
+	// value, or through the tree's fork function.
 	Data D
 
 	// epoch is the tree's Pin count when the node was made or copied:
@@ -79,9 +80,9 @@ type Tree[D any] struct {
 }
 
 // New returns an empty tree over d. fork, if not nil, returns the
-// payload a copy of an internal node carries in place of the original's
-// (foursided forks R(u), so that the original keeps answering for pinned
-// roots); nil copies payloads by value.
+// payload a copy of a node carries in place of the original's (foursided
+// forks R(u), so that the original keeps answering for pinned roots);
+// nil copies payloads by value.
 func New[D any](d *emio.Disk, fork func(D) D) Tree[D] {
 	return Tree[D]{disk: d, fork: fork}
 }
@@ -159,20 +160,28 @@ func (t *Tree[D]) RewriteLeaf(nd *Node[D]) {
 // its block count, the span is updated in place: its last block is
 // re-accounted and only the blocks from the one holding point i through
 // the last are written, so an update of one point writes 1 to 4 blocks
-// of a 4-block leaf where RewriteLeaf writes all 4. Otherwise it is
-// RewriteLeaf. The caller has read the span.
+// of a 4-block leaf where RewriteLeaf writes all 4. Otherwise (Moves)
+// it is RewriteLeaf. The caller has read the span from point i's block
+// on, and all of it if the leaf moves.
 func (t *Tree[D]) UpdateLeaf(nd *Node[D], i int) {
-	words, cfg := 2*len(nd.Pts), t.disk.Config()
-	if nd.shared || nd.PtsWords == 0 || cfg.BlocksFor(words) != cfg.BlocksFor(nd.PtsWords) {
+	if t.Moves(nd) {
 		t.RewriteLeaf(nd)
 		return
 	}
+	words := 2 * len(nd.Pts)
 	t.disk.ResizeSpan(nd.PtsBlock, nd.PtsWords, words)
 	nd.PtsWords = words
 	// A delete at the end changes only the last block, which holds no
 	// point from i on.
 	t.disk.WriteSpanWords(nd.PtsBlock, min(2*i, words-1), words)
 	nd.setLeafRange()
+}
+
+// Moves reports whether UpdateLeaf moves nd to a fresh span: when a pin
+// may reach its span, or its points now take another number of blocks.
+func (t *Tree[D]) Moves(nd *Node[D]) bool {
+	cfg := t.disk.Config()
+	return nd.shared || nd.PtsWords == 0 || cfg.BlocksFor(2*len(nd.Pts)) != cfg.BlocksFor(nd.PtsWords)
 }
 
 // setLeafRange resets a non-empty leaf's range from its points.
@@ -229,9 +238,9 @@ func (t *Tree[D]) Own(path []*Node[D]) {
 			c.shared = true
 		} else {
 			c.Children = slices.Clone(nd.Children)
-			if t.fork != nil {
-				c.Data = t.fork(nd.Data)
-			}
+		}
+		if t.fork != nil {
+			c.Data = t.fork(nd.Data)
 		}
 		if i == 0 {
 			t.Root = &c
@@ -304,16 +313,26 @@ func (t *Tree[D]) Height() int {
 	return h
 }
 
-// Leaves yields the leaves below nd in increasing x. It charges nothing:
-// a caller that reads the points charges their spans itself.
-func Leaves[D any](nd *Node[D]) iter.Seq[*Node[D]] {
-	return func(yield func(*Node[D]) bool) {
-		for u := range Nodes(nd) {
-			if u.Leaf() && !yield(u) {
-				return
-			}
+// Leaves yields the leaves below nd whose x-range meets [x1, x2], in
+// increasing x, skipping every subtree outside it. It charges nothing: a
+// caller that reads the points charges their spans itself.
+func Leaves[D any](nd *Node[D], x1, x2 geom.Coord) iter.Seq[*Node[D]] {
+	return func(yield func(*Node[D]) bool) { leaves(nd, x1, x2, yield) }
+}
+
+func leaves[D any](nd *Node[D], x1, x2 geom.Coord, yield func(*Node[D]) bool) bool {
+	switch {
+	case nd == nil || nd.MaxX < x1 || nd.MinX > x2:
+		return true
+	case nd.Leaf():
+		return yield(nd)
+	}
+	for _, c := range nd.Children {
+		if !leaves(c, x1, x2, yield) {
+			return false
 		}
 	}
+	return true
 }
 
 // Nodes yields every node below nd, children before their parent — the

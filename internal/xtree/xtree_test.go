@@ -39,7 +39,7 @@ func TestBuildGroups(t *testing.T) {
 	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
 	var forks int
 	tr := build(d, grid(20), &forks)
-	ls := slices.Collect(Leaves(tr.Root))
+	ls := slices.Collect(Leaves(tr.Root, geom.NegInf, geom.PosInf))
 	if got := sizes(ls); !slices.Equal(got, []int{6, 6, 4, 4}) {
 		t.Fatalf("leaf sizes %v, want [6 6 4 4]", got)
 	}
@@ -60,7 +60,7 @@ func TestBuildGroups(t *testing.T) {
 }
 
 // TestOwnCopiesOncePerPin: a path is copied only for a write after a Pin,
-// once, with internal payloads forked, and the pinned nodes stay as
+// once, with every copy's payload forked, and the pinned nodes stay as
 // they were.
 func TestOwnCopiesOncePerPin(t *testing.T) {
 	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
@@ -68,7 +68,7 @@ func TestOwnCopiesOncePerPin(t *testing.T) {
 	tr := build(d, grid(20), &forks)
 	visits := 0
 	path := tr.Descend(125, func(*Node[int]) { visits++ })
-	if len(path) != 3 || visits != 2 || path[2] != slices.Collect(Leaves(tr.Root))[2] {
+	if len(path) != 3 || visits != 2 || path[2] != slices.Collect(Leaves(tr.Root, geom.NegInf, geom.PosInf))[2] {
 		t.Fatalf("Descend(125) visited %d nodes to a path of %d", visits, len(path))
 	}
 	before := slices.Clone(path)
@@ -85,7 +85,7 @@ func TestOwnCopiesOncePerPin(t *testing.T) {
 			t.Fatalf("level %d was not copied after a Pin", i)
 		}
 	}
-	if tr.Root != path[0] || path[0].Children[1] != path[1] || path[1].Children[0] != path[2] || forks != 2 {
+	if tr.Root != path[0] || path[0].Children[1] != path[1] || path[1].Children[0] != path[2] || forks != 3 {
 		t.Fatalf("copies not relinked (%d forks)", forks)
 	}
 	path[2].Pts[0].Y = -1
@@ -95,7 +95,7 @@ func TestOwnCopiesOncePerPin(t *testing.T) {
 	}
 	copied := slices.Clone(path)
 	tr.Own(path)
-	if !slices.Equal(path, copied) || forks != 2 {
+	if !slices.Equal(path, copied) || forks != 3 {
 		t.Fatal("a second Own after one Pin copied again")
 	}
 }
@@ -154,7 +154,7 @@ func TestNodesOrder(t *testing.T) {
 		t.Fatalf("Nodes yielded %d nodes, want 7", len(seen))
 	}
 	var xs []geom.Coord
-	for l := range Leaves(tr.Root) {
+	for l := range Leaves(tr.Root, geom.NegInf, geom.PosInf) {
 		xs = append(xs, l.MinX)
 		if len(xs) == 3 {
 			break
@@ -163,7 +163,7 @@ func TestNodesOrder(t *testing.T) {
 	if !slices.Equal(xs, []geom.Coord{10, 70, 130}) {
 		t.Fatalf("first leaves start at %v", xs)
 	}
-	for l := range Leaves(tr.Root) {
+	for l := range Leaves(tr.Root, geom.NegInf, geom.PosInf) {
 		l.Pts = nil
 		tr.RewriteLeaf(l)
 	}
