@@ -26,7 +26,7 @@
 // only the queue version that survives them, each node owns the spans of
 // its current version, and Release frees everything. The O(n/B) space
 // figure is what the nodes hold; replaced versions are still held on the
-// tree's history until Release (DESIGN.md, "Block lifetime and
+// tree's history until FreeHistory (DESIGN.md, "Block lifetime and
 // reclamation").
 //
 // The base tree is internal/xtree's copy-on-write x-tree, shared with
@@ -72,7 +72,7 @@ type Tree struct {
 	// history lists the spans of queue versions that refreshes have
 	// replaced. Nothing can read them — an update rebuilds every
 	// ancestor that shared their records before anything reads it — and
-	// they are held until Release all the same; DESIGN.md says why.
+	// they are held until FreeHistory all the same; DESIGN.md says why.
 	history []emio.Span
 }
 
@@ -263,19 +263,25 @@ func (t *Tree) Release() {
 	for nd := range xtree.Nodes(t.xt.Root) {
 		t.drop(nd)
 	}
+	t.xt.Root, t.n = nil, 0
+	t.FreeHistory()
+}
+
+// FreeHistory frees the queue versions the tree's updates replaced. A
+// pinned Handle keeps answering, as after Release.
+func (t *Tree) FreeHistory() {
 	t.disk.FreeSpans(t.history)
-	t.xt.Root, t.n, t.history = nil, 0, nil
+	t.history = nil
 }
 
 // Insert adds points one at a time (their x and y must not collide with
 // indexed points; callers enforce general position). O(log_{2B^ε}(n/B))
 // I/Os a point p: one leaf write and one refresh per ancestor, or, when
-// p is dominated
-// inside its leaf and the leaf neither splits nor is the root, the leaf
-// write and its parent's representative block alone. The leaf write
-// dirties only the blocks from p's on, in place, unless a Snapshot still
-// shares the leaf's span or the leaf changes its block count; then the
-// leaf moves to a fresh span (xtree.Tree.UpdateLeaf).
+// p is dominated inside its leaf and the leaf neither splits nor is the
+// root, the leaf write and its parent's representative block alone. The
+// leaf write dirties only the blocks from p's on, in place, unless a
+// Snapshot still shares the leaf's span or the leaf changes its block
+// count; then the leaf moves to a fresh span (xtree.Tree.UpdateLeaf).
 func (t *Tree) Insert(pts ...geom.Point) {
 	for _, p := range pts {
 		if t.xt.Root == nil {

@@ -12,8 +12,8 @@ import (
 // (Disk.LiveBlocks / LiveWords), not on what is reachable. Every block is
 // accounted for: scratch dies with its operation, a node owns its leaf
 // span, representative block and current queue version, and the versions
-// refreshes replaced sit on the tree's history until Release. The bounds
-// below are on the disk minus that history.
+// refreshes replaced sit on the tree's history until FreeHistory. The
+// bounds below are on the disk minus that history.
 const (
 	// spaceBlocksPerDataBlock bounds the blocks the nodes hold by
 	// c·⌈n/B⌉. Measured after the churn below: 3.0–3.6 on uniform points
@@ -109,6 +109,17 @@ func TestSpaceBoundAfterChurn(t *testing.T) {
 			if reach := int64(tr.SpaceWords()); words > spaceLiveOverReachable*reach || reach > spaceLiveOverReachable*words {
 				t.Errorf("%s eps=%.1f: nodes hold %d words, SpaceWords = %d: want within %d× of each other",
 					tc.name, eps, words, reach, spaceLiveOverReachable)
+			}
+
+			// FreeHistory leaves exactly what the nodes hold, and the
+			// tree answers as before.
+			tr.FreeHistory()
+			if d.LiveBlocks() != blocks || d.LiveWords() != words {
+				t.Errorf("%s eps=%.1f: FreeHistory left %d blocks / %d words, the nodes hold %d / %d",
+					tc.name, eps, d.LiveBlocks(), d.LiveWords(), blocks, words)
+			}
+			if got, want := tr.Query(0, span, 0), geom.RangeSkyline(present, geom.TopOpen(0, span, 0)); !sameAnswer(got, want) {
+				t.Errorf("%s eps=%.1f: after FreeHistory Query = %v, want %v", tc.name, eps, got, want)
 			}
 
 			tr.Release()

@@ -78,7 +78,8 @@ func NewFourSided(ix *foursided.Index, d *emio.Disk) *FourSidedBackend {
 func (b *FourSidedBackend) RangeSkyline(q geom.Rect) []geom.Point { return b.ix.Query(q) }
 
 // Apply deletes point by point, like DynTopBackend's, then inserts the
-// batch, and reports the index's corruption, if any (Index.Err).
+// batch. Corruption (Index.Err) stops it before the inserts, as it stops
+// a shard's batch; the deletes that hit stand.
 func (b *FourSidedBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) {
 	var removed []geom.Point
 	for _, p := range dels {
@@ -86,6 +87,9 @@ func (b *FourSidedBackend) Apply(dels, inss []geom.Point) ([]geom.Point, error) 
 			removed = append(removed, p)
 		}
 	}
+	if err := b.ix.Err(); err != nil {
+		return removed, err
+	}
 	b.ix.Insert(inss...)
-	return removed, b.ix.Err()
+	return removed, nil
 }

@@ -35,8 +35,9 @@
 // O(log(n/B)) each). A leaf splits past 2f·B points and an internal node
 // past 2f children, rebuilding the halves' secondaries (amortized
 // against the Ω(fB) updates between splits), and every secondary is
-// rebuilt after n/2 updates, which keeps the parameters calibrated and
-// makes the update cost O(log(n/B)) amortized.
+// rebuilt after n/2 updates — when the point store also frees the queue
+// versions it replaced — which keeps the parameters calibrated, the space
+// linear and the update cost O(log(n/B)) amortized.
 //
 // The base tree is internal/xtree's copy-on-write x-tree, shared with
 // dyntop: Snapshot pins its root and the point store's in O(1), and an
@@ -90,14 +91,13 @@ func Build(d *emio.Disk, eps float64, pts []geom.Point) *Index {
 }
 
 // build replaces every secondary with fresh ones over the x-sorted
-// points: leaves of f·B points, internal nodes of f children.
+// points — leaves of f·B points, internal nodes of f children — which
+// clears Err, and frees the point store's history.
 func (ix *Index) build(sorted []geom.Point) {
 	ix.release(ix.xt.Root)
 	ix.xt.Root = nil
-	ix.n0, ix.updates = len(sorted), 0
-	if len(sorted) == 0 {
-		return
-	}
+	ix.n0, ix.updates, ix.err = len(sorted), 0, nil
+	ix.top.FreeHistory()
 	B := ix.disk.Config().B
 	ix.fanout = fanout(float64(len(sorted))/float64(B), ix.eps)
 	// The bulk load hands each leaf its points, which it keeps only as
@@ -146,9 +146,8 @@ func (ix *Index) release(nd *node) {
 // Release frees every block the index holds, its point store included,
 // and leaves it empty.
 func (ix *Index) Release() {
-	ix.release(ix.xt.Root)
+	ix.build(nil)
 	ix.top.Release()
-	ix.xt.Root, ix.n0, ix.updates = nil, 0, 0
 }
 
 // refresh (re)builds nd's R(u) over pts, its subtree's points in x
@@ -186,8 +185,8 @@ func (ix *Index) Len() int { return ix.top.Len() }
 func (ix *Index) Top() *dyntop.Tree { return ix.top }
 
 // Err reports corruption: the first R(u) that missed the delete of a
-// point the point store held. The report stays; the next global rebuild
-// derives every R(u) from the point store again.
+// point the point store held since the last global rebuild, which
+// derives every R(u) from the point store again and clears the report.
 func (ix *Index) Err() error { return ix.err }
 
 // bandSkyline appends to out the answer of R(u) to the right-open query

@@ -119,7 +119,7 @@ func TestDeleteAbsent(t *testing.T) {
 // check, so a delete of a point the secondaries hold but the store does
 // not misses without touching them; a delete of a point the store holds
 // but an R(u) does not is corruption, which Err reports while the store
-// still drops the point.
+// still drops the point, until the next global rebuild.
 func TestDeleteReportsDrift(t *testing.T) {
 	d := emio.NewDisk(emio.Config{B: 16, M: 16 * 64})
 	pts := geom.GenUniform(300, 3000, 63)
@@ -138,6 +138,11 @@ func TestDeleteReportsDrift(t *testing.T) {
 	}
 	if ix.Len() != len(pts)-2 {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(pts)-2)
+	}
+	// The global rebuild derives every R(u) from the point store again.
+	ix.rebuild()
+	if ix.Err() != nil {
+		t.Fatalf("Err = %v after a global rebuild, want nil", ix.Err())
 	}
 }
 

@@ -623,9 +623,9 @@ type shardBatch struct {
 // delete that hit in hit (indexed like dels): the deletes, then the
 // inserts in one call, which the structure orders itself
 // (foursided.Index.Insert). A miss mutates nothing. Corruption
-// (foursided.Index.Err) stops this and every later group on the shard
-// before its inserts, and the hits stand — the points did leave the
-// tree — so callers keep their size accounting consistent.
+// (foursided.Index.Err) stops each group before its inserts until the
+// index's next global rebuild, and the hits stand — the points did
+// leave the tree — so callers keep their size accounting consistent.
 func (g *shardBatch) apply(dels []geom.Point, hit []bool) {
 	s := g.s
 	s.mu.Lock()
