@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -324,7 +325,56 @@ func e7() {
 		ios := float64(d.Stats().IOs()) / float64(rounds)
 		fmt.Printf("%10d %16.1f %10.2f\n", n, ios, raw)
 		fmt.Printf("E7-METRIC n=%d livewords=%.1f liveratio=%.2f ios=%.1f\n", ix.Len(), live, raw, ios)
+		e7Random(pts)
 	}
+}
+
+// e7Random is E7's random-x leg: on a fresh index over pts, 1 000 inserts
+// of new points at uniform random x and y inside the indexed range,
+// alternating with deletes of random live points, so most updates land
+// inside a leaf and off its staircase. It prints the mean and the worst
+// warm-cache I/Os of one update.
+func e7Random(pts []geom.Point) {
+	n := len(pts)
+	d := emio.NewDisk(cfg)
+	ix := foursided.Build(d, 0.5, pts)
+	rng := rand.New(rand.NewSource(15))
+	live := slices.Clone(pts)
+	usedX, usedY := map[geom.Coord]bool{}, map[geom.Coord]bool{}
+	for _, p := range pts {
+		usedX[p.X], usedY[p.Y] = true, true
+	}
+	fresh := func(used map[geom.Coord]bool) geom.Coord {
+		for {
+			if c := geom.Coord(rng.Int63n(int64(n) * 16)); !used[c] {
+				used[c] = true
+				return c
+			}
+		}
+	}
+	const rounds = 1000
+	var total, worst uint64
+	for i := 0; i < rounds; i++ {
+		p := geom.Point{X: fresh(usedX), Y: fresh(usedY)}
+		before := d.Stats()
+		ix.Insert(p)
+		ins := d.Stats().Sub(before).IOs()
+		live = append(live, p)
+		j := rng.Intn(len(live))
+		q := live[j]
+		live[j] = live[len(live)-1]
+		live = live[:len(live)-1]
+		before = d.Stats()
+		if !ix.Delete(q) {
+			panic("e7: delete of a live point missed")
+		}
+		del := d.Stats().Sub(before).IOs()
+		total += ins + del
+		worst = max(worst, ins, del)
+	}
+	mean := float64(total) / (2 * rounds)
+	fmt.Printf("%10s %16.1f %10s   (random x, max %d)\n", "", mean, "", worst)
+	fmt.Printf("E7-METRIC leg=random n=%d ios=%.1f max=%.1f\n", ix.Len(), mean, float64(worst))
 }
 
 func e8() {
