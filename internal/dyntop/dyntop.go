@@ -18,9 +18,13 @@
 // O(log) canonical queues until y < β. The same fact lets an update end
 // at its leaf: inserting or deleting a point dominated inside its leaf
 // changes no queue in the tree, so when the leaf also keeps its
-// occupancy the update writes only the leaf span's changed blocks and
-// the parent's representative block. On random input that is nearly
-// every update.
+// occupancy the update writes only its leaf block and the parent's
+// representative block. On random input that is nearly every update.
+// The parent's representative block also holds each leaf child's block
+// fences (first x) and, where room allows, its block summaries (point
+// count, highest y), so a single-point update reads only the leaf block
+// it changes, or with fences alone the blocks from that one on; a batch
+// reads every leaf it reaches whole.
 //
 // Block lifetime: queries and refreshes run in an emio.Scope and keep
 // only the queue version that survives them, each node owns the spans of
@@ -189,14 +193,15 @@ func (t *Tree) refreshInternal(nd *node) {
 // rewriteRep replaces an internal node's representative block, the one
 // writer of it: the old block is freed, the node's range reset, and a
 // new block written with packed copies of the children's critical
-// records and, where they fit, the leaf children's fences, covering the
-// records (emio.Disk.Cover). O(⌈repWords/B⌉) I/Os.
+// records and, where they fit, the leaf children's block fences and
+// summaries, covering the records (emio.Disk.Cover). O(⌈repWords/B⌉)
+// I/Os.
 func (t *Tree) rewriteRep(nd *node) {
 	if nd.Data.repWords > 0 {
 		t.disk.FreeSpan(nd.Data.repBlock, nd.Data.repWords)
 	}
 	nd.SetRange()
-	w, _ := repLayout(t.disk.Config(), nd)
+	w, _, _ := repLayout(t.disk.Config(), nd)
 	nd.Data.repWords = w
 	nd.Data.repBlock = t.disk.AllocSpan(w)
 	t.disk.WriteSpan(nd.Data.repBlock, w)
@@ -209,25 +214,34 @@ func (t *Tree) rewriteRep(nd *node) {
 // repLayout sizes an internal node's representative block: the copies
 // of its children's critical records and, for each leaf child, the fence
 // of every block after its first — the block's first x (block 0's is the
-// child's minX, which the tree routes on). The fences are stored only
-// when they fit in the blocks the critical records occupy, so they never
-// cost an update or a query a block; fenced reports whether they are.
-// A query derives the same answer from the same children, and the
-// fences themselves from the leaves' points, so nothing stored can
-// disagree with them.
-func repLayout(cfg emio.Config, nd *node) (words int, fenced bool) {
-	crit, fences := 0, 0
+// child's minX, which the tree routes on) — and then the summary of
+// every block: its point count and its highest y. Fences and summaries
+// are stored only when they fit in the blocks the critical records
+// occupy, so they never cost an update or a query a block; fenced and
+// summarized report whether they are. A query scans a leaf from its
+// fences (scanLeaf); a single-point update reads only the leaf block it
+// changes with the summaries, and from that block on with the fences
+// alone (Tree.update). Both derive the same answer
+// from the same children, and the fences and summaries themselves from
+// the leaves' points, so nothing stored can disagree with them.
+func repLayout(cfg emio.Config, nd *node) (words int, fenced, summarized bool) {
+	crit, fences, blocks := 0, 0, 0
 	for _, c := range nd.Children {
 		crit += c.Data.q.CriticalWords()
 		if c.Leaf() {
-			fences += max(0, cfg.BlocksFor(c.PtsWords)-1)
+			fences += max(0, len(c.Runs)-1)
+			blocks += len(c.Runs)
 		}
 	}
 	crit = max(crit, 1)
-	if cfg.BlocksFor(crit+fences) > cfg.BlocksFor(crit) {
-		return crit, false
+	fits := func(w int) bool { return cfg.BlocksFor(w) == cfg.BlocksFor(crit) }
+	switch {
+	case fits(crit + fences + 2*blocks):
+		return crit + fences + 2*blocks, true, true
+	case fits(crit + fences):
+		return crit + fences, true, false
 	}
-	return crit + fences, true
+	return crit, false, false
 }
 
 // setQueue replaces nd's queue version. build runs in a scratch scope:
@@ -247,8 +261,8 @@ func (t *Tree) setQueue(nd *node, build func(sc *emio.Scope) *cpqa.Queue) {
 // live on under another node. nd itself is not written: a Handle may
 // still reach it.
 func (t *Tree) drop(nd *node) {
-	if nd.PtsWords > 0 {
-		t.disk.FreeSpan(nd.PtsBlock, nd.PtsWords)
+	if len(nd.Runs) > 0 {
+		t.disk.FreeBlocks(nd.PtsBlock, len(nd.Runs))
 	}
 	if nd.Data.repWords > 0 {
 		t.disk.FreeSpan(nd.Data.repBlock, nd.Data.repWords)
@@ -275,52 +289,70 @@ func (t *Tree) FreeHistory() {
 }
 
 // Insert adds points one at a time (their x and y must not collide with
-// indexed points; callers enforce general position). O(log_{2B^ε}(n/B))
-// I/Os a point p: one leaf write and one refresh per ancestor, or, when
-// p is dominated inside its leaf and the leaf neither splits nor is the
-// root, the leaf write and its parent's representative block alone. The
-// leaf write dirties only the blocks from p's on, in place, unless a
-// Snapshot still shares the leaf's span or the leaf changes its block
-// count; then the leaf moves to a fresh span (xtree.Tree.UpdateLeaf).
+// indexed points; callers enforce general position), as Add does; a
+// call with more than one point is a batch.
 func (t *Tree) Insert(pts ...geom.Point) {
 	for _, p := range pts {
-		if t.xt.Root == nil {
-			t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
-			t.refreshLeaf(t.xt.Root)
-			t.n = 1
-			continue
-		}
-		t.update(p, true)
+		t.Add(p, len(pts) > 1)
 	}
 }
 
+// Add inserts one point. O(log_{2B^ε}(n/B)) I/Os: one leaf write and
+// one refresh per ancestor, or, when p is dominated inside its leaf and
+// the leaf neither splits nor is the root, the leaf write and its
+// parent's representative block alone. The leaf write rewrites p's
+// block in place (a full one, the blocks through the nearest one with
+// room), unless a Snapshot still shares the leaf's span or the leaf
+// needs a block more; then the leaf moves to a fresh span
+// (xtree.Tree.UpdateLeaf). batch says that p is one point of a batch of
+// inserts, which reads every leaf it reaches whole, as the batch will
+// read most of its blocks anyway; a single insert reads only p's block,
+// or the blocks from p's on, where it can (see update).
+func (t *Tree) Add(p geom.Point, batch bool) {
+	if t.xt.Root == nil {
+		t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
+		t.refreshLeaf(t.xt.Root)
+		t.n = 1
+		return
+	}
+	t.update(p, true, batch)
+}
+
 // Delete removes the point with the given coordinates; it reports
-// whether the point was present. O(log_{2B^ε}(n/B)) I/Os, as Insert.
+// whether the point was present. O(log_{2B^ε}(n/B)) I/Os, as Add.
 func (t *Tree) Delete(p geom.Point) bool {
-	return t.xt.Root != nil && t.update(p, false)
+	return t.xt.Root != nil && t.update(p, false, false)
 }
 
 // update inserts p into, or deletes it from, its leaf and rebalances
 // the path up to the root; a delete of an absent point changes nothing
 // and reports false.
-func (t *Tree) update(p geom.Point, insert bool) bool {
+func (t *Tree) update(p geom.Point, insert, batch bool) bool {
 	// The descent reads the representative block of every internal node
 	// it routes through.
 	path := t.xt.Descend(p.X, func(nd *node) { t.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords) })
 	leaf := path[len(path)-1]
-	// A delete needs only p's block and the points right of it, so it
-	// reads from p's block on where the parent's representative block,
-	// just read, holds the leaf's fences; the rest is read below if
-	// needed. An insert reads its whole leaf (DESIGN.md, "Leaf spans in
-	// place").
-	from := 0
-	if len(path) > 1 && !insert {
-		if _, fenced := repLayout(t.disk.Config(), path[len(path)-2]); fenced {
-			from = max(0, sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X > p.X })-1)
+	i := sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X >= p.X })
+	// The parent's representative block, just read, holds the leaf's
+	// block fences and, where they fit, its block summaries (repLayout).
+	// With the summaries, a single-point update reads only the block p
+	// goes to or comes from: the fences locate the block, the block says
+	// whether p is in it, and the highest y of the blocks after it
+	// whether p is dominated inside the leaf. With the fences alone, it
+	// reads from that block to the end of the leaf, whose points decide
+	// that. A batch, and an update without fences, reads the whole leaf
+	// (DESIGN.md, "Leaf spans in place").
+	first, last := 0, len(leaf.Runs)-1
+	if len(path) > 1 && !batch {
+		j := leaf.BlockFor(i, insert)
+		switch _, fenced, summarized := repLayout(t.disk.Config(), path[len(path)-2]); {
+		case summarized:
+			first, last = j, j
+		case fenced:
+			first = j
 		}
 	}
-	t.disk.ReadSpanWords(leaf.PtsBlock, 2*from, leaf.PtsWords)
-	i := sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X >= p.X })
+	xtree.ReadBlocks(t.disk, leaf, first, last)
 	if !insert && (i >= len(leaf.Pts) || leaf.Pts[i] != p) {
 		return false
 	}
@@ -343,17 +375,18 @@ func (t *Tree) update(p geom.Point, insert bool) bool {
 	}
 	size := len(leaf.Pts)
 	leafOnly := dominated && len(path) > 1 && size >= t.kMin && size <= 2*t.kMin
-	if !leafOnly || t.xt.Moves(leaf) {
-		t.disk.ReadSpanWords(leaf.PtsBlock, 0, 2*from) // the whole leaf
+	if !leafOnly {
+		// The leaf's new queue is built from all of its points.
+		xtree.ReadBlocks(t.disk, leaf, 0, len(leaf.Runs)-1)
 	}
-	t.xt.UpdateLeaf(leaf, i)
+	t.xt.UpdateLeaf(leaf, i, insert)
 	if leafOnly {
 		// Attrition removes exactly the dominated points (Figure 7), so
 		// the leaf's staircase is its queue and every queue above is the
 		// catenation of the ones below: none of them changes. The leaf
-		// span's changed blocks and the parent's representative block,
-		// which holds the leaf's fences, are written; the ancestors
-		// route on ranges held in memory.
+		// block and the parent's representative block, which holds the
+		// leaf's fences and summaries, are written; the ancestors route
+		// on ranges held in memory.
 		t.rewriteRep(path[len(path)-2])
 		for i := len(path) - 3; i >= 0; i-- {
 			path[i].SetRange()
@@ -402,7 +435,7 @@ func (t *Tree) fix(nd, par *node) {
 			sib = right
 		}
 		if nd.Leaf() {
-			t.disk.ReadSpan(sib.PtsBlock, sib.PtsWords)
+			xtree.ReadBlocks(t.disk, sib, 0, len(sib.Runs)-1)
 			nd.Pts = slices.Concat(left.Pts, right.Pts)
 		} else {
 			nd.Children = slices.Concat(left.Children, right.Children)
@@ -450,7 +483,7 @@ func (t *Tree) view() view { return view{disk: t.disk, b: t.b, root: t.xt.Root} 
 // the ranges in memory and reads no representative block.
 func (v view) Scan(x1, x2 geom.Coord, dst []geom.Point) []geom.Point {
 	for l := range xtree.Leaves(v.root, x1, x2) {
-		lo, hi := scanLeaf(v.disk, l.PtsBlock, l.Pts, x1, x2, false)
+		lo, hi := scanLeaf(v.disk, l, x1, x2, false)
 		dst = append(dst, l.Pts[lo:hi]...)
 	}
 	return dst
@@ -510,9 +543,9 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 	if nd.Leaf() {
 		fenced := false
 		if par != nil {
-			_, fenced = repLayout(v.disk.Config(), par)
+			_, fenced, _ = repLayout(v.disk.Config(), par)
 		}
-		lo, hi := scanLeaf(v.disk, nd.PtsBlock, nd.Pts, x1, x2, fenced)
+		lo, hi := scanLeaf(v.disk, nd, x1, x2, fenced)
 		if nd.MinX >= x1 && nd.MaxX <= x2 {
 			return append(qs, nd.Data.q)
 		}
@@ -537,10 +570,11 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 	return qs
 }
 
-// scanLeaf charges the blocks a scan of one x-sorted leaf reads for the
-// x-range [x1,x2] and returns the in-range points pts[lo:hi]. The leaf
-// is stored two words per point in the span at id; where a scan enters
-// it depends on what is in memory before the leaf is read.
+// scanLeaf charges the blocks a scan of one leaf reads for the x-range
+// [x1,x2] and returns the in-range points nd.Pts[lo:hi]. Where a scan
+// enters the leaf depends on what is in memory before it is read; the
+// blocks need not be full, and the scan reads the ones that hold the
+// points it reads.
 //
 // fenced: the fence of every block — its first x — is resident (a
 // dyntop leaf's fences live in its parent's representative block, read
@@ -561,8 +595,8 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 //
 // A fenced scan never reads more than the grounded one. Query and Scan
 // both charge through it (DESIGN.md, "Query accounting").
-func scanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord, fenced bool) (lo, hi int) {
-	n := len(pts)
+func scanLeaf(d *emio.Disk, nd *node, x1, x2 geom.Coord, fenced bool) (lo, hi int) {
+	pts, n := nd.Pts, len(nd.Pts)
 	lo = sort.Search(n, func(j int) bool { return pts[j].X >= x1 })
 	hi = sort.Search(n, func(j int) bool { return pts[j].X > x2 })
 	from, to := 0, n // the points the scan reads
@@ -579,7 +613,9 @@ func scanLeaf(d *emio.Disk, id emio.BlockID, pts []geom.Point, x1, x2 geom.Coord
 	case hi < n:
 		to = hi + 1
 	}
-	d.ReadSpanWords(id, 2*from, 2*to)
+	if from < to {
+		xtree.ReadBlocks(d, nd, nd.Block(from), nd.Block(to-1))
+	}
 	return lo, hi
 }
 
@@ -644,7 +680,7 @@ func (t *Tree) Height() int { return t.xt.Height() }
 func (t *Tree) SpaceWords() int {
 	total := 0
 	for nd := range xtree.Nodes(t.xt.Root) {
-		total += nd.PtsWords + nd.Data.repWords
+		total += 2*len(nd.Pts) + nd.Data.repWords
 		if nd.Data.q != nil {
 			total += nd.Data.q.ReachableWords()
 		}

@@ -49,6 +49,22 @@ func FuzzTreeSnapshots(f *testing.F) {
 		f.Add(seed, long)
 	}
 	f.Add(int64(4), []byte{5, 0, 0, 9, 3, 2, 5, 0, 7, 40, 6, 0, 4, 1, 7, 200})
+	// Under a handle, insert eight dominated points at x = 205 … 275,
+	// which overfill the blocks of their leaves, then, under a second
+	// handle, delete the eight points from x = 200 on, which let the
+	// leaves pack into a block less; at ε = 0 (seed 6, 48 points) and
+	// ε = 0.5 (seed 4, 49 points).
+	blocks := []byte{5, 0}
+	for i := 20; i < 28; i++ {
+		blocks = append(blocks, 8*16, byte(i))
+	}
+	blocks = append(blocks, 7, 20, 5, 0)
+	for range 8 {
+		blocks = append(blocks, 3, 19)
+	}
+	blocks = append(blocks, 7, 30, 6, 0, 7, 40, 6, 0)
+	f.Add(int64(6), blocks)
+	f.Add(int64(4), blocks)
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 640 {
 			ops = ops[:640]

@@ -61,7 +61,7 @@ func TestPointsMatchOracle(t *testing.T) {
 			geom.SortByX(want)
 			blocks := 0
 			for _, l := range leaves(c.root) {
-				blocks += cfg.BlocksFor(l.PtsWords)
+				blocks += len(l.Runs)
 			}
 			var got []geom.Point
 			st := d.Measure(func() { got = c.scan() })

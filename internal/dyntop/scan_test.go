@@ -142,7 +142,7 @@ func runScanCases(t *testing.T, d *emio.Disk, tr *Tree, pts []geom.Point, leaf *
 				if other == leaf {
 					continue
 				}
-				for b := 0; b < d.Config().BlocksFor(other.PtsWords); b++ {
+				for b := 0; b < len(other.Runs); b++ {
 					if d.Resident(other.PtsBlock + emio.BlockID(b)) {
 						t.Errorf("%s: leaf [%d,%d] was read, only the boundary leaf should be",
 							cv.name, other.MinX, other.MaxX)
@@ -173,8 +173,8 @@ func leafUnder(t *testing.T, tr *Tree, fenced bool) *node {
 	ls := leaves(tr.xt.Root)
 	for i := range ls {
 		l := ls[(len(ls)/2+i)%len(ls)]
-		blocks := cfg.BlocksFor(l.PtsWords)
-		if _, f := repLayout(cfg, parentOf(tr.xt.Root, l)); f == fenced && blocks >= 3 && blocks <= 4 {
+		blocks := len(l.Runs)
+		if _, f, _ := repLayout(cfg, parentOf(tr.xt.Root, l)); f == fenced && blocks >= 3 && blocks <= 4 {
 			return l
 		}
 	}
@@ -218,8 +218,8 @@ func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 		pts := permPoints(12, 8)
 		d := emio.NewDisk(cfg)
 		tr := BuildSABE(d, 0.5, pts)
-		if !tr.xt.Root.Leaf() || cfg.BlocksFor(tr.xt.Root.PtsWords) != 3 {
-			t.Fatalf("want a root leaf of 3 blocks, got leaf=%v over %d words", tr.xt.Root.Leaf(), tr.xt.Root.PtsWords)
+		if !tr.xt.Root.Leaf() || len(tr.xt.Root.Runs) != 3 {
+			t.Fatalf("want a root leaf of 3 blocks, got leaf=%v of %d blocks", tr.xt.Root.Leaf(), len(tr.xt.Root.Runs))
 		}
 		runScanCases(t, d, tr, pts, tr.xt.Root, groundedCases(tr.xt.Root.Pts, cfg.B))
 	})
@@ -250,7 +250,7 @@ func TestScanChargesGroundedBlocks(t *testing.T) {
 			}
 			checkScan(t, d, leaf.PtsBlock, leaf.Pts, c)
 			for _, l := range leaves(tr.xt.Root) {
-				if l.MinX >= c.x1 && l.MaxX <= c.x2 && !d.Resident(l.PtsBlock+emio.BlockID(cfg.BlocksFor(l.PtsWords)-1)) {
+				if l.MinX >= c.x1 && l.MaxX <= c.x2 && !d.Resident(l.PtsBlock+emio.BlockID(len(l.Runs)-1)) {
 					t.Errorf("%s: leaf [%d,%d] inside the range was not read whole", c.name, l.MinX, l.MaxX)
 				}
 			}
@@ -274,7 +274,7 @@ func TestRepLayoutMatchesStoredBlock(t *testing.T) {
 				if nd == nil || nd.Leaf() {
 					return
 				}
-				if w, _ := repLayout(d.Config(), nd); w != nd.Data.repWords {
+				if w, _, _ := repLayout(d.Config(), nd); w != nd.Data.repWords {
 					t.Fatalf("eps=%.1f %s: node [%d,%d] stores %d representative words, repLayout says %d",
 						eps, when, nd.MinX, nd.MaxX, nd.Data.repWords, w)
 				}

@@ -1,7 +1,9 @@
 package dyntop
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/emio"
@@ -199,34 +201,59 @@ func TestSnapshotSurvivesReclamation(t *testing.T) {
 }
 
 // TestLeafWritesCopyOnlyAfterSnapshot pins down who may shift a leaf
-// array, or write its span, in place: the live tree, until a Snapshot
-// shares them with a Handle; the first write after that copies the
-// array and moves the leaf to a fresh span, leaving the shared one to
-// the handle, and later writes are in place again. Two handles pinned at
-// different times each keep answering for their own point set.
+// array, or write its span in place, and which blocks of the span a
+// single-point update touches: the live tree writes in place until a
+// Snapshot shares the array and the span with a Handle; the first write
+// after that copies the array and moves the leaf to a fresh span,
+// leaving the shared one to the handle, and later writes are in place
+// again. In place, the delete of a point dominated inside its leaf, and
+// the insert that restores it, read and write only the point's block
+// where the parent summarizes the leaf's blocks (at ε = 0), and read the
+// blocks from the point's on where it holds only their fences (at
+// ε = 0.5). Two handles pinned at different times each keep answering
+// for their own point set.
 func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
+	for _, eps := range []float64{0, 0.5} {
+		t.Run(fmt.Sprintf("eps=%.1f", eps), func(t *testing.T) { leafWritesCopyOnlyAfterSnapshot(t, eps) })
+	}
+}
+
+func leafWritesCopyOnlyAfterSnapshot(t *testing.T, eps float64) {
 	all := geom.GenUniform(1200, 1<<20, 407)
 	rng := rand.New(rand.NewSource(408))
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	d, tr := buildTree(t, emio.Config{B: 16, M: 16 * 64}, 0.5, all[:600])
+	d, tr := buildTree(t, emio.Config{B: 16, M: 16 * 64}, eps, all[:600])
 	present := append([]geom.Point(nil), all[:600]...)
 	pool := all[600:]
+	// touched checks, after a DropCache before the update, that the
+	// blocks of leaf in memory are the ones it reads: block j, the
+	// blocks from j on, or all of them.
+	touched := func(when string, leaf *node, j int, r reads) {
+		t.Helper()
+		for k := range leaf.Runs {
+			if want := k == j || r == suffixRead && k > j || r == leafRead; d.Resident(leaf.PtsBlock+emio.BlockID(k)) != want {
+				t.Fatalf("%s: block %d of the leaf's %d is resident %v (point in block %d, reads %d)", when, k, len(leaf.Runs), !want, j, r)
+			}
+		}
+	}
 
 	// Without a snapshot, a delete shifts in place and the insert that
-	// follows finds room in the same array; both write the leaf's own
-	// span, which keeps its block count.
-	leaf := leafFor(tr, present[0].X)
-	span := leaf.PtsBlock
-	if !keepsBlocks(tr, leaf) {
-		t.Fatalf("a leaf of %d points changes its block count on a delete", len(leaf.Pts))
-	}
-	tr.Delete(present[0])
+	// follows finds room in the same array; both rewrite the point's
+	// block of the leaf's own span.
+	p, r := blockVictim(t, tr, present)
+	leaf := leafFor(tr, p.X)
+	span, j := leaf.PtsBlock, leaf.Block(slices.Index(leaf.Pts, p))
+	d.DropCache()
+	tr.Delete(p)
+	touched("delete", leaf, j, r)
 	arr := &leaf.Pts[0]
 	if leaf.PtsBlock != span {
 		t.Fatal("a delete moved an unshared leaf span")
 	}
-	tr.Insert(present[0])
-	if leafFor(tr, present[0].X) != leaf || &leaf.Pts[0] != arr || leaf.PtsBlock != span {
+	d.DropCache()
+	tr.Insert(p)
+	touched("insert", leaf, j, r)
+	if leafFor(tr, p.X) != leaf || &leaf.Pts[0] != arr || leaf.PtsBlock != span {
 		t.Fatal("an unshared leaf array or span was copied on write")
 	}
 
@@ -238,23 +265,23 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	var pins []pin
 	for round := 0; round < 3; round++ {
 		pins = append(pins, pin{tr.Snapshot(), append([]geom.Point(nil), present...)})
-		pinned := leafFor(tr, present[0].X)
-		shared, span, words := pinned.Pts, pinned.PtsBlock, pinned.PtsWords
+		p, r := blockVictim(t, tr, present)
+		pinned := leafFor(tr, p.X)
+		shared, span, runs := pinned.Pts, pinned.PtsBlock, slices.Clone(pinned.Runs)
 		frozen := append([]geom.Point(nil), shared...)
-		if !keepsBlocks(tr, pinned) {
-			t.Fatalf("round %d: a leaf of %d points changes its block count on a delete", round, len(pinned.Pts))
-		}
-		tr.Delete(present[0])
-		moved := leafFor(tr, present[0].X)
-		if moved.PtsBlock == span || pinned.PtsBlock != span || pinned.PtsWords != words {
+		tr.Delete(p)
+		moved := leafFor(tr, p.X)
+		if moved.PtsBlock == span || pinned.PtsBlock != span || !slices.Equal(pinned.Runs, runs) {
 			t.Fatalf("round %d: the first write after a Snapshot kept the span a handle shares", round)
 		}
 		own := moved.PtsBlock
-		tr.Insert(present[0])
+		d.DropCache()
+		tr.Insert(p)
+		touched(fmt.Sprintf("round %d: insert after the move", round), moved, moved.Block(slices.Index(moved.Pts, p)), r)
 		if !sameAnswer(shared, frozen) {
 			t.Fatalf("round %d: a write reached the array a handle shares", round)
 		}
-		if leafFor(tr, present[0].X) != moved || moved.PtsBlock != own {
+		if leafFor(tr, p.X) != moved || moved.PtsBlock != own {
 			t.Fatalf("round %d: the second write after a Snapshot moved the leaf's own span", round)
 		}
 		present = churn(t, tr, present, pool[round*100:(round+1)*100], 200, rng)
@@ -273,10 +300,50 @@ func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	ret.Release()
 }
 
-// keepsBlocks reports whether leaf keeps its block count and its
-// occupancy through the delete of one of its points and the insert that
-// restores it, so both are written in place when its span is its own.
-func keepsBlocks(tr *Tree, leaf *node) bool {
-	n, cfg := len(leaf.Pts), tr.disk.Config()
-	return n > tr.kMin && cfg.BlocksFor(2*n-2) == cfg.BlocksFor(2*n)
+// reads names the blocks of its leaf that a single-point update reads.
+type reads int
+
+const (
+	blockRead  reads = iota // the point's block: the parent summarizes the leaf's blocks
+	suffixRead              // the blocks from the point's on: the parent holds only their fences
+	leafRead                // the whole leaf
+)
+
+// blockVictim returns a point of present whose delete, and the insert
+// that restores it, each rewrite the point's block alone, in place: the
+// point is dominated inside a leaf that keeps its block count and
+// occupancy without the point. It prefers a leaf whose parent holds its
+// block summaries, then one whose parent holds its block fences, and
+// reports which blocks the updates read.
+func blockVictim(t *testing.T, tr *Tree, present []geom.Point) (p geom.Point, r reads) {
+	t.Helper()
+	full := max(1, tr.disk.Config().B/2)
+	found, best := false, leafRead+1
+	for _, q := range present {
+		path := tr.xt.Descend(q.X, nil)
+		if len(path) < 2 {
+			continue
+		}
+		leaf := path[len(path)-1]
+		i := slices.Index(leaf.Pts, q)
+		n := len(leaf.Pts)
+		if !slices.ContainsFunc(leaf.Pts[i+1:], func(o geom.Point) bool { return o.Y > q.Y }) || n <= tr.kMin || n-1 <= (len(leaf.Runs)-1)*full {
+			continue
+		}
+		qr := leafRead
+		switch _, fenced, summarized := repLayout(tr.disk.Config(), path[len(path)-2]); {
+		case summarized:
+			qr = blockRead
+		case fenced:
+			qr = suffixRead
+		}
+		if qr < best {
+			p, best, found = q, qr, true
+		}
+	}
+	if found {
+		return p, best
+	}
+	t.Fatal("no point rewrites one block in place")
+	return geom.Point{}, leafRead
 }

@@ -339,16 +339,25 @@ func (d *Disk) AllocWords(words int) BlockID {
 // sequence. Every block but the last accounts B words, the last the rest
 // (at least 1), and each is admitted resident and dirty in order.
 func (d *Disk) allocSpan(words int) BlockID {
-	n := max(1, d.cfg.BlocksFor(words))
+	remaining := words
+	return d.allocRun(max(1, d.cfg.BlocksFor(words)), func(int) int {
+		w := max(1, min(remaining, d.cfg.B))
+		remaining -= w
+		return w
+	})
+}
+
+// allocRun takes a run of n slots under one new sequence, block i
+// accounting size(i) words, called in order, and admits each resident
+// and dirty.
+func (d *Disk) allocRun(n int, size func(i int) int) BlockID {
 	if d.seq == maxSeq {
 		panic("emio: block allocation sequences exhausted")
 	}
 	d.seq++
 	first := d.takeRun(n)
-	remaining := words
 	for i := range n {
-		w := max(1, min(remaining, d.cfg.B))
-		remaining -= w
+		w := size(i)
 		s := first + uint32(i)
 		pos := uint32(i)
 		if i == 0 {
@@ -555,18 +564,28 @@ func (d *Disk) WriteSpanWords(id BlockID, from, to int) {
 // live or its Free is deferred, or when it does not account what a span
 // of words words leaves it.
 func (d *Disk) ResizeSpan(id BlockID, words, to int) {
-	d.lock()
-	defer d.unlock()
 	n := d.cfg.BlocksFor(words)
 	if n == 0 || n != d.cfg.BlocksFor(to) {
 		panic(fmt.Sprintf("emio: ResizeSpan from %d to %d words changes the span's blocks", words, to))
 	}
-	last := id + BlockID(n-1)
-	sl := d.slots.at(uint64(d.mustSlot(last, "ResizeSpan of unallocated block")))
-	if want := words - (n-1)*d.cfg.B; int(sl.words) != want {
-		panic(fmt.Sprintf("emio: ResizeSpan of block %d accounting %d words, want %d", last, sl.words, want))
+	d.ResizeBlock(id+BlockID(n-1), words-(n-1)*d.cfg.B, to-(n-1)*d.cfg.B)
+}
+
+// ResizeBlock re-accounts one live block of words words as holding to
+// words, in place (1 <= to <= B); LiveWords and PeakWords move by the
+// difference. Nothing is touched or charged. It panics when the block is
+// not live or its Free is deferred, or when it does not account words.
+func (d *Disk) ResizeBlock(id BlockID, words, to int) {
+	d.lock()
+	defer d.unlock()
+	if to < 1 || to > d.cfg.B {
+		panic(fmt.Sprintf("emio: ResizeBlock to %d words", to))
 	}
-	sl.words = int32(to - (n-1)*d.cfg.B)
+	sl := d.slots.at(uint64(d.mustSlot(id, "ResizeBlock of unallocated block")))
+	if int(sl.words) != words {
+		panic(fmt.Sprintf("emio: ResizeBlock of block %d accounting %d words, want %d", id, sl.words, words))
+	}
+	sl.words = int32(to)
 	d.liveWords += int64(to - words)
 	if d.liveWords > d.peakWords {
 		d.peakWords = d.liveWords
@@ -581,12 +600,29 @@ func (d *Disk) AllocSpan(words int) BlockID {
 	return d.allocSpan(words)
 }
 
-// FreeSpan frees the consecutive blocks of a span allocated with
-// AllocSpan.
-func (d *Disk) FreeSpan(id BlockID, words int) {
+// AllocBlocks allocates len(words) consecutive blocks, block i
+// accounting words[i] words (each in [1, B]), and returns the first id:
+// a span whose blocks are not all full.
+func (d *Disk) AllocBlocks(words []int) BlockID {
 	d.lock()
 	defer d.unlock()
-	for i := 0; i < d.cfg.BlocksFor(words); i++ {
+	for _, w := range words {
+		if w < 1 || w > d.cfg.B {
+			panic(fmt.Sprintf("emio: AllocBlocks of a %d-word block", w))
+		}
+	}
+	return d.allocRun(len(words), func(i int) int { return words[i] })
+}
+
+// FreeSpan frees the consecutive blocks of a span allocated with
+// AllocSpan.
+func (d *Disk) FreeSpan(id BlockID, words int) { d.FreeBlocks(id, d.cfg.BlocksFor(words)) }
+
+// FreeBlocks frees the first n blocks of a span.
+func (d *Disk) FreeBlocks(id BlockID, n int) {
+	d.lock()
+	defer d.unlock()
+	for i := range n {
 		d.free(id + BlockID(i))
 	}
 }

@@ -164,6 +164,35 @@ func TestSpanAccounting(t *testing.T) {
 	}
 }
 
+// TestBlockAccounting: AllocBlocks accounts each block's words as
+// given, ResizeBlock re-accounts one block in place, keeping LiveWords
+// and PeakWords exact, and FreeBlocks frees the span by its block count.
+// ResizeBlock panics on a size outside [1, B], on a block that does not
+// account the words given, and on a block whose Free is deferred.
+func TestBlockAccounting(t *testing.T) {
+	d := NewDisk(Config{B: 4, M: 64})
+	mustPanic(t, "AllocBlocks of a 5-word block", func() { d.AllocBlocks([]int{4, 5}) })
+	id := d.AllocBlocks([]int{2, 4, 3})
+	if d.LiveBlocks() != 3 || d.LiveWords() != 9 || d.PeakWords() != 9 {
+		t.Fatalf("alloc: blocks=%d words=%d peak=%d, want 3/9/9", d.LiveBlocks(), d.LiveWords(), d.PeakWords())
+	}
+	d.ResizeBlock(id, 2, 4)
+	d.ResizeBlock(id+2, 3, 1)
+	if d.LiveWords() != 9 || d.PeakWords() != 11 {
+		t.Fatalf("resize: words=%d peak=%d, want 9/11", d.LiveWords(), d.PeakWords())
+	}
+	mustPanic(t, "ResizeBlock to 0 words", func() { d.ResizeBlock(id, 4, 0) })
+	mustPanic(t, "ResizeBlock to B+1 words", func() { d.ResizeBlock(id, 4, 5) })
+	mustPanic(t, "ResizeBlock from the wrong size", func() { d.ResizeBlock(id+1, 3, 2) })
+	ret := d.RetainFrees()
+	d.FreeBlocks(id, 3)
+	mustPanic(t, "ResizeBlock of a deferred block", func() { d.ResizeBlock(id, 4, 2) })
+	ret.Release()
+	if d.LiveBlocks() != 0 || d.LiveWords() != 0 {
+		t.Fatalf("FreeBlocks left %d blocks, %d words", d.LiveBlocks(), d.LiveWords())
+	}
+}
+
 func TestMeasureColdCache(t *testing.T) {
 	d := NewDisk(Config{B: 4, M: 64})
 	ids := make([]BlockID, 8)

@@ -23,7 +23,8 @@ import (
 // insert and then insert 100 points right of every other, highest
 // first: the last leaf splits and the updates pass n0/2, which rebuilds
 // every secondary from the point store, while the Handle holds the
-// secondaries and the point store it pinned. Run with:
+// secondaries and the point store it pinned. The block seeds overfill
+// and underfill leaf blocks under the Handle. Run with:
 //
 //	go test ./internal/foursided -fuzz FuzzFourSidedQuery -fuzztime 30s
 func FuzzFourSidedQuery(f *testing.F) {
@@ -54,6 +55,26 @@ func FuzzFourSidedQuery(f *testing.F) {
 	for _, seed := range []int64{3, 4, 20} {
 		f.Add(seed, grow, int64(505), int64(1805), int64(200), inf)   // the split leaf and the old last one
 		f.Add(seed, grow, ninf, int64(2000), int64(200), int64(2500)) // right cut among the new points
+	}
+	// The block seeds pin the Handle after 16 ops that insert x = 5 once,
+	// then insert eight dominated points at x = 405 … 475, which
+	// overfill the blocks of a leaf in the point store and in each R(u)
+	// on their path, and delete the eight points from x = 400 on, which
+	// let those leaves pack into a block less: every block overflow and
+	// underflow runs under the open Handle.
+	var blocks []byte
+	for range 16 {
+		blocks = append(blocks, 1, 0)
+	}
+	for i := 40; i < 48; i++ {
+		blocks = append(blocks, 8*16+1, byte(i))
+	}
+	for range 8 {
+		blocks = append(blocks, 0, 39)
+	}
+	for _, seed := range []int64{3, 4, 20} {
+		f.Add(seed, blocks, int64(355), int64(505), ninf, inf)
+		f.Add(seed, blocks, ninf, int64(445), int64(100), int64(2000))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, x1, x2, y1, y2 int64) {
 		if len(ops) > 400 {

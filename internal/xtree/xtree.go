@@ -17,11 +17,20 @@
 // nobody pins copies nothing. Nodes carry no parent pointer: a write
 // works along the path its descent returned.
 //
-// A leaf's point span follows the same rule on the disk. A leaf copy
+// A leaf's points live in one span of consecutive blocks, in x order,
+// each block a sorted run of one point to full, in the fewest blocks
+// that hold them: the slack a delete leaves in a block lets a later
+// one-point update rewrite that block alone. Bulk loads, splits, merges
+// and prunes write a leaf packed full (RewriteLeaf). A one-point update
+// (UpdateLeaf) rewrites its block in place, and a full block passes a
+// point on to the nearest block with room; a leaf moves to a fresh span
+// one block longer only when every block is full, and one block shorter
+// when its points fit in one block less, as a packed leaf would.
+//
+// A leaf's span follows the copy-on-write rule on the disk: a leaf copy
 // shares its span with the pinned original, so the copy's first write
-// moves it to a fresh span (RewriteLeaf); a span no pin can reach is
-// updated in place (UpdateLeaf), which writes only the blocks the update
-// changed, as long as the leaf keeps its block count.
+// moves it to a fresh span, and a span no pin can reach is updated in
+// place.
 package xtree
 
 import (
@@ -32,15 +41,18 @@ import (
 	"repro/internal/geom"
 )
 
-// Node is one node of the tree. A leaf has nil Children and holds Pts,
-// stored two words a point in the span at PtsBlock; an internal node has
-// at least one child. MinX and MaxX bound the subtree's x-range.
+// Node is one node of the tree. A leaf has nil Children and holds Pts;
+// an internal node has at least one child. MinX and MaxX bound the
+// subtree's x-range.
 type Node[D any] struct {
 	Children []*Node[D]
 
+	// Pts are a leaf's points in x order, stored two words a point in
+	// the span at PtsBlock: block j holds the next Runs[j] of them. Runs
+	// is nil while the leaf has no span.
 	Pts      []geom.Point
 	PtsBlock emio.BlockID
-	PtsWords int
+	Runs     []int
 
 	// shared marks a leaf copy whose span is still the pinned
 	// original's: the span must not be written in place.
@@ -137,51 +149,151 @@ func group[T, D any](items []T, size, least int, mk func([]T) *Node[D], members 
 	return out
 }
 
+// blockPts returns the points a block of the tree's disk holds when full.
+func (t *Tree[D]) blockPts() int { return max(1, t.disk.Config().B/2) }
+
 // RewriteLeaf replaces a leaf's span with a freshly written one holding
-// its current points and resets its range: the old span is freed, the
+// its current points packed full, every block but the last holding
+// blockPts of them, and resets its range: the old span is freed, the
 // new one allocated and written, O(1) I/Os for a leaf of O(B) points.
 // The new span is the leaf's own. Splits, merges, prunes and bulk loads
-// write leaves this way; an update of one leaf goes through UpdateLeaf.
-func (t *Tree[D]) RewriteLeaf(nd *Node[D]) {
-	if nd.PtsWords > 0 {
-		t.disk.FreeSpan(nd.PtsBlock, nd.PtsWords)
+// write leaves this way; an update of one point goes through UpdateLeaf.
+func (t *Tree[D]) RewriteLeaf(nd *Node[D]) { t.moveLeaf(nd, packed(len(nd.Pts), t.blockPts())) }
+
+// packed returns the runs of n points packed full blocks of full.
+func packed(n, full int) []int {
+	var runs []int
+	for ; n > 0; n -= full {
+		runs = append(runs, min(n, full))
 	}
-	nd.PtsWords = 2 * len(nd.Pts)
-	if nd.PtsWords > 0 {
-		nd.PtsBlock = t.disk.AllocSpan(nd.PtsWords)
-		t.disk.WriteSpan(nd.PtsBlock, nd.PtsWords)
+	return runs
+}
+
+// moveLeaf frees nd's span, if any, and writes its points to a fresh
+// one of the given runs, the leaf's own.
+func (t *Tree[D]) moveLeaf(nd *Node[D], runs []int) {
+	if len(nd.Runs) > 0 {
+		t.disk.FreeBlocks(nd.PtsBlock, len(nd.Runs))
+	}
+	nd.Runs = runs
+	if len(runs) > 0 {
+		words := make([]int, len(runs))
+		for j, r := range runs {
+			words[j] = 2 * r
+		}
+		nd.PtsBlock = t.disk.AllocBlocks(words)
+		t.disk.WriteSpanWords(nd.PtsBlock, 0, len(runs)*t.disk.Config().B)
 	}
 	nd.shared = false
 	nd.setLeafRange()
 }
 
-// UpdateLeaf writes a leaf whose points changed from index i on, and
-// resets its range. When no pin can reach the span and the leaf keeps
-// its block count, the span is updated in place: its last block is
-// re-accounted and only the blocks from the one holding point i through
-// the last are written, so an update of one point writes 1 to 4 blocks
-// of a 4-block leaf where RewriteLeaf writes all 4. Otherwise (Moves)
-// it is RewriteLeaf. The caller has read the span from point i's block
-// on, and all of it if the leaf moves.
-func (t *Tree[D]) UpdateLeaf(nd *Node[D], i int) {
-	if t.Moves(nd) {
-		t.RewriteLeaf(nd)
+// UpdateLeaf writes a leaf whose Pts just gained a point at index i
+// (insert) or lost the one at i, and resets its range. The change lands
+// in block j = BlockFor(i, insert), which the caller has read. A leaf
+// keeps the fewest blocks its points fit in, each holding between one
+// point and full. A block an insert overfills passes a point on, block
+// by block, to the nearest block with room, shifting the blocks between
+// by one point; when no block has room, it splits in two. A delete that
+// lets the points fit in one block less packs them full. Where the leaf
+// keeps its block count and no pin can reach its span, the blocks from
+// j through the nearest one with room are read and rewritten in place —
+// block j alone, unless it was full. Otherwise the leaf moves to a fresh
+// span, reading the rest of the old one and writing all of the new.
+func (t *Tree[D]) UpdateLeaf(nd *Node[D], i int, insert bool) {
+	j := nd.BlockFor(i, insert)
+	full := t.blockPts()
+	// Block b gains (delta 1) or loses a point and blocks lo through hi
+	// change, unless the leaf changes its block count: then it moves to
+	// runs.
+	b, delta, lo, hi := j, 1, j, j
+	var runs []int
+	move := nd.shared
+	switch {
+	case insert && nd.Runs[j] == full:
+		if b = roomNear(nd.Runs, j, full); b >= 0 {
+			lo, hi = min(j, b), max(j, b)
+			if b > j && i == sum(nd.Runs[:j+1]) {
+				lo++ // p opens block j+1; block j keeps its points
+			}
+		} else {
+			runs = slices.Insert(slices.Clone(nd.Runs), j+1, (full+1)/2)
+			runs[j] = full + 1 - runs[j+1]
+			move = true
+		}
+	case !insert && len(nd.Pts) <= (len(nd.Runs)-1)*full:
+		runs, move = packed(len(nd.Pts), full), true
+	case !insert:
+		delta = -1
+	}
+	if !move {
+		ReadBlocks(t.disk, nd, lo, hi)
+		t.disk.ResizeBlock(nd.PtsBlock+emio.BlockID(b), 2*nd.Runs[b], 2*(nd.Runs[b]+delta))
+		nd.Runs[b] += delta
+		B := t.disk.Config().B
+		t.disk.WriteSpanWords(nd.PtsBlock, lo*B, hi*B+1)
+		nd.setLeafRange()
 		return
 	}
-	words := 2 * len(nd.Pts)
-	t.disk.ResizeSpan(nd.PtsBlock, nd.PtsWords, words)
-	nd.PtsWords = words
-	// A delete at the end changes only the last block, which holds no
-	// point from i on.
-	t.disk.WriteSpanWords(nd.PtsBlock, min(2*i, words-1), words)
-	nd.setLeafRange()
+	if runs == nil && len(nd.Pts) > 0 {
+		// Only a pin moves the leaf: it keeps its layout, with block b's
+		// change.
+		runs = slices.Clone(nd.Runs)
+		runs[b] += delta
+	}
+	ReadBlocks(t.disk, nd, 0, len(nd.Runs)-1)
+	t.moveLeaf(nd, runs)
 }
 
-// Moves reports whether UpdateLeaf moves nd to a fresh span: when a pin
-// may reach its span, or its points now take another number of blocks.
-func (t *Tree[D]) Moves(nd *Node[D]) bool {
-	cfg := t.disk.Config()
-	return nd.shared || nd.PtsWords == 0 || cfg.BlocksFor(2*len(nd.Pts)) != cfg.BlocksFor(nd.PtsWords)
+// sum returns the points runs hold.
+func sum(runs []int) int {
+	n := 0
+	for _, r := range runs {
+		n += r
+	}
+	return n
+}
+
+// roomNear returns the block nearest to j, after it on a tie, that holds
+// fewer than full points, or -1 when every block is full.
+func roomNear(runs []int, j, full int) int {
+	for d := 1; d < len(runs); d++ {
+		for _, m := range [2]int{j + d, j - d} {
+			if m >= 0 && m < len(runs) && runs[m] < full {
+				return m
+			}
+		}
+	}
+	return -1
+}
+
+// Block returns the block of nd's span that holds point i.
+func (nd *Node[D]) Block(i int) int {
+	for j, r := range nd.Runs {
+		if i < r {
+			return j
+		}
+		i -= r
+	}
+	return len(nd.Runs) - 1
+}
+
+// BlockFor returns the block of nd's span that an insert at index i, or
+// the delete of point i, changes: the block that holds point i-1 (block
+// 0 for i = 0), where the first x of every block routes the new point,
+// or the block that holds point i.
+func (nd *Node[D]) BlockFor(i int, insert bool) int {
+	if insert {
+		i = max(i-1, 0)
+	}
+	return nd.Block(i)
+}
+
+// ReadBlocks charges d a read of blocks first through last of nd's span;
+// none when last < first.
+func ReadBlocks[D any](d *emio.Disk, nd *Node[D], first, last int) {
+	B := d.Config().B
+	d.ReadSpanWords(nd.PtsBlock, first*B, last*B+1)
 }
 
 // setLeafRange resets a non-empty leaf's range from its points.
@@ -235,6 +347,7 @@ func (t *Tree[D]) Own(path []*Node[D]) {
 		c.epoch = t.snaps
 		if nd.Leaf() {
 			c.Pts = slices.Clone(nd.Pts)
+			c.Runs = slices.Clone(nd.Runs)
 			c.shared = true
 		} else {
 			c.Children = slices.Clone(nd.Children)

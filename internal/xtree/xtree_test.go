@@ -49,8 +49,8 @@ func TestBuildGroups(t *testing.T) {
 	if got := sizes(tr.Root.Children); !slices.Equal(got, []int{2, 2}) || tr.Height() != 3 {
 		t.Fatalf("root over %v at height %d, want [2 2] at 3", got, tr.Height())
 	}
-	if tr.Root.MinX != 10 || tr.Root.MaxX != 200 || ls[3].PtsWords != 8 {
-		t.Errorf("root range [%d,%d], last leaf %d words", tr.Root.MinX, tr.Root.MaxX, ls[3].PtsWords)
+	if tr.Root.MinX != 10 || tr.Root.MaxX != 200 || !slices.Equal(ls[0].Runs, []int{4, 2}) || !slices.Equal(ls[3].Runs, []int{4}) {
+		t.Errorf("root range [%d,%d], leaves in runs %v and %v", tr.Root.MinX, tr.Root.MaxX, ls[0].Runs, ls[3].Runs)
 	}
 	var empty Tree[int]
 	empty.Build(nil, 6, 4, nil, 3, 2, nil)
@@ -172,12 +172,14 @@ func TestNodesOrder(t *testing.T) {
 	}
 }
 
-// TestUpdateLeafInPlace: with no pin, an update keeps the leaf's span,
-// writes back only the blocks from the changed point's through the last,
-// and keeps LiveWords and PeakWords exact as the leaf grows and shrinks
-// within its block count; a change of block count moves the leaf to a
-// fresh span. After a Pin the first write moves to a fresh span without
-// touching the pinned one, and the next is in place again.
+// TestUpdateLeafInPlace: with no pin, an update rewrites in place only
+// the block it changes, or, from a full block, the blocks through the
+// nearest one with room, which each pass a point on; LiveWords and
+// PeakWords stay exact. An insert into a full leaf splits its block and
+// a delete that lets the points fit in one block less packs them, each
+// by moving the leaf to a fresh span. After a Pin the first write moves
+// to a fresh span without writing the pinned one, and the next is in
+// place again.
 func TestUpdateLeafInPlace(t *testing.T) {
 	d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64}) // 4 points a block
 	tr := New[int](d, nil)
@@ -185,70 +187,82 @@ func TestUpdateLeafInPlace(t *testing.T) {
 	tr.RewriteLeaf(tr.Root)
 	leaf := tr.Root
 	peak := d.PeakWords()
-	// update reads the leaf's span as the trees' updates do, applies
-	// change, whose points differ from index i on, and returns the
-	// blocks written back by the end of a DropCache.
-	update := func(name string, i int, change func([]geom.Point) []geom.Point, moves bool, writes uint64) {
+	// update reads the block the change lands in, as the trees' updates
+	// do, inserts p at its place or deletes the point at x = p.X, and
+	// checks the runs after it and the blocks written back by the end of
+	// a DropCache.
+	update := func(name string, p geom.Point, insert bool, runs []int, moves bool, writes uint64) {
 		t.Helper()
+		i, found := slices.BinarySearchFunc(leaf.Pts, p.X, func(q geom.Point, x geom.Coord) int { return int(q.X - x) })
+		if found == insert {
+			t.Fatalf("%s: %v present %v", name, p, found)
+		}
 		d.DropCache()
 		before, span := d.Stats(), leaf.PtsBlock
-		d.ReadSpan(leaf.PtsBlock, leaf.PtsWords)
-		leaf.Pts = change(leaf.Pts)
-		tr.UpdateLeaf(leaf, i)
+		j := leaf.BlockFor(i, insert)
+		ReadBlocks(d, leaf, j, j)
+		if insert {
+			leaf.Pts = slices.Insert(leaf.Pts, i, p)
+		} else {
+			leaf.Pts = slices.Delete(leaf.Pts, i, i+1)
+		}
+		tr.UpdateLeaf(leaf, i, insert)
 		d.DropCache()
 		peak = max(peak, int64(2*len(leaf.Pts)))
 		got := d.Stats().Sub(before)
 		switch {
+		case !slices.Equal(leaf.Runs, runs):
+			t.Fatalf("%s: runs %v, want %v", name, leaf.Runs, runs)
 		case (leaf.PtsBlock != span) != moves:
 			t.Fatalf("%s: span moved %v, want %v", name, leaf.PtsBlock != span, moves)
 		case got.Writes != writes:
 			t.Fatalf("%s: %d blocks written back, want %d", name, got.Writes, writes)
-		case leaf.PtsWords != 2*len(leaf.Pts) || d.LiveWords() != int64(leaf.PtsWords) || d.PeakWords() != peak:
-			t.Fatalf("%s: %d points in %d words, %d live (peak %d, want %d)", name, len(leaf.Pts), leaf.PtsWords, d.LiveWords(), d.PeakWords(), peak)
+		case d.LiveWords() != int64(2*len(leaf.Pts)) || d.PeakWords() != peak:
+			t.Fatalf("%s: %d points, %d words live (peak %d, want %d)", name, len(leaf.Pts), d.LiveWords(), d.PeakWords(), peak)
 		case leaf.MinX != leaf.Pts[0].X || leaf.MaxX != leaf.Pts[len(leaf.Pts)-1].X:
 			t.Fatalf("%s: range [%d,%d]", name, leaf.MinX, leaf.MaxX)
 		}
 	}
-	insert := func(i int, p geom.Point) func([]geom.Point) []geom.Point {
-		return func(pts []geom.Point) []geom.Point { return slices.Insert(pts, i, p) }
+	pt := func(x geom.Coord) geom.Point { return geom.Point{X: x, Y: x} }
+	// 14 points at x = 10…140, packed in runs of 4, 4, 4 and 2.
+	update("delete from block 1", pt(60), false, []int{4, 3, 4, 2}, false, 1)
+	update("insert into block 1", pt(85), true, []int{4, 4, 4, 2}, false, 1)
+	update("spill from block 0 to the last", pt(5), true, []int{4, 4, 4, 3}, false, 4)
+	update("delete from block 2", pt(100), false, []int{4, 4, 3, 3}, false, 1)
+	update("spill from block 0 to block 2", pt(15), true, []int{4, 4, 4, 3}, false, 3)
+	update("fill the last block", pt(145), true, []int{4, 4, 4, 4}, false, 1)
+	update("delete from block 0", pt(10), false, []int{3, 4, 4, 4}, false, 1)
+	update("spill from the last block to block 0", pt(150), true, []int{4, 4, 4, 4}, false, 4)
+	update("split a block of a full leaf", pt(25), true, []int{3, 2, 4, 4, 4}, true, 5)
+	update("pack into one block less", pt(25), false, []int{4, 4, 4, 4}, true, 4)
+	if leaf.Block(len(leaf.Pts)) != 3 || leaf.BlockFor(0, true) != 0 || leaf.BlockFor(4, true) != 0 || leaf.BlockFor(4, false) != 1 {
+		t.Fatal("an index past the end, or an insert at a block's end, maps to the wrong block")
 	}
-	remove := func(i int) func([]geom.Point) []geom.Point {
-		return func(pts []geom.Point) []geom.Point { return slices.Delete(pts, i, i+1) }
-	}
-	// 14 points, 28 words in 4 blocks of points 0–3, 4–7, 8–11, 12–13.
-	update("insert in block 2", 9, insert(9, geom.Point{X: 95, Y: 95}), false, 2)
-	update("delete the last point", 14, remove(14), false, 1)
-	update("delete the first point", 0, remove(0), false, 4)
-	update("insert at the end", 13, insert(13, geom.Point{X: 150, Y: 150}), false, 1)
-	update("insert at the end again", 14, insert(14, geom.Point{X: 160, Y: 160}), false, 1)
-	update("fill the last block", 15, insert(15, geom.Point{X: 170, Y: 170}), false, 1)
-	update("grow to 5 blocks", 16, insert(16, geom.Point{X: 180, Y: 180}), true, 5)
-	update("shrink to 4 blocks", 0, remove(0), true, 4)
-	update("grow to 5 blocks again", 16, insert(16, geom.Point{X: 190, Y: 190}), true, 5)
 
 	ret := d.RetainFrees()
 	pinned := tr.Pin()
-	span, words := pinned.PtsBlock, pinned.PtsWords
+	span, runs := pinned.PtsBlock, slices.Clone(pinned.Runs)
 	path := tr.Descend(200, nil)
 	tr.Own(path)
 	leaf = path[0]
 	d.DropCache()
-	leaf.Pts = append(leaf.Pts, geom.Point{X: 200, Y: 200})
-	tr.UpdateLeaf(leaf, len(leaf.Pts)-1)
-	if leaf.PtsBlock == span || pinned.PtsBlock != span || pinned.PtsWords != words {
+	before := d.Stats()
+	leaf.Pts = append(leaf.Pts, pt(200))
+	tr.UpdateLeaf(leaf, len(leaf.Pts)-1, true)
+	d.DropCache()
+	if leaf.PtsBlock == span || pinned.PtsBlock != span || !slices.Equal(pinned.Runs, runs) || !slices.Equal(leaf.Runs, []int{4, 4, 4, 3, 2}) {
 		t.Fatal("the first write after a Pin did not move the copy to a fresh span")
 	}
-	for k := range d.Config().BlocksFor(words) {
-		if d.Resident(span + emio.BlockID(k)) {
-			t.Fatalf("the first write after a Pin touched block %d of the pinned span", k)
-		}
+	// The move reads the pinned span and writes back only its own.
+	if got := d.Stats().Sub(before); got.Reads != uint64(len(runs)) || got.Writes != uint64(len(leaf.Runs)) {
+		t.Fatalf("the first write after a Pin read %d and wrote %d blocks, want %d and %d", got.Reads, got.Writes, len(runs), len(leaf.Runs))
 	}
-	if want := int64(words + leaf.PtsWords); d.LiveWords() != want {
+	if want := int64(2 * (len(pinned.Pts) + len(leaf.Pts))); d.LiveWords() != want {
 		t.Fatalf("%d words live under the retention, want %d", d.LiveWords(), want)
 	}
 	peak = d.PeakWords()
 	ret.Release()
-	update("in place after the copy's own write", 0, remove(0), false, 5)
+	update("in place after the copy's own write", pt(195), true, []int{4, 4, 4, 3, 3}, false, 1)
 	if d.LiveBlocks() != 5 {
 		t.Fatalf("%d blocks live, want the leaf's 5", d.LiveBlocks())
 	}
