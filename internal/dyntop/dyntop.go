@@ -6,11 +6,18 @@
 //	update O(log_{2B^ε}(n/B)) I/Os,
 //	space  O(n/B) blocks, construction O(n/B) I/Os after x-sorting (SABE),
 //
-// for any parameter 0 ≤ ε ≤ 1. The base tree has fan-out a = 2⌈B^ε⌉ and
-// leaves of [B, 2B] points; the CPQAs use buffer size b = ⌊B^{1−ε}⌋, so
-// the critical records of a node's Θ(B^ε) children total O(B) words and
-// fit in the node's O(1)-block representative block, which covers them
-// (emio.Disk.Cover): reading it is what reading them costs. A point (x, y)
+// for any parameter 0 ≤ ε ≤ 1. The CPQAs use buffer size b = ⌊B^{1−ε}⌋,
+// and the paper's fan-out 2B^ε bounds a node's children's critical
+// records, O(b) words each, by O(B) words: they fit in the node's O(1)-
+// block representative block, which covers them (emio.Disk.Cover), so
+// reading it is what reading them costs. Theorem 4 needs a fan-out of
+// Θ(B^ε) only, and on typical data a child's records take far fewer
+// than b words, so the base tree sizes its fan-out by the block it
+// fills instead: a node has
+// [a, 2a] children with a = max(2, ⌊B/16⌋), the most whose
+// representative span stays within two blocks at about 16 words a child
+// (New). Its leaves hold [B, 2B] points. ε acts through b alone, which
+// keeps the k/B^{1−ε} output term. A point (x, y)
 // becomes the element (key = −y, aux = x) inserted at "time" x; a point
 // is attrited exactly when it is dominated (Figure 7), so a node's queue
 // — the left-to-right catenation of its children's queues — holds the
@@ -20,11 +27,10 @@
 // changes no queue in the tree, so when the leaf also keeps its
 // occupancy the update writes only its leaf block and the parent's
 // representative block. On random input that is nearly every update.
-// The parent's representative block also holds each leaf child's block
-// fences (first x) and, where room allows, its block summaries (point
-// count, highest y), so a single-point update reads only the leaf block
-// it changes, or with fences alone the blocks from that one on; a batch
-// reads every leaf it reaches whole.
+// The parent's representative block also holds, after the critical
+// records, each leaf child's block fences (first x) and block summaries
+// (point count, highest y), so a single-point update reads only the leaf
+// block it changes; a batch reads every leaf it reaches whole.
 //
 // Block lifetime: queries and refreshes run in an emio.Scope and keep
 // only the queue version that survives them, each node owns the spans of
@@ -51,15 +57,16 @@ import (
 
 // data is what a node carries on top of the shared skeleton: the
 // I/O-CPQA over its subtree and, for internal nodes, the packed
-// representative block holding copies of the children's critical
-// records. owned lists the spans this node's queue version added on top
-// of what its children's versions hold (DESIGN.md, "Block lifetime and
-// reclamation").
+// representative block, whose first repCrit words are copies of the
+// children's critical records (repLayout). owned lists the spans this
+// node's queue version added on top of what its children's versions hold
+// (DESIGN.md, "Block lifetime and reclamation").
 type data struct {
 	q        *cpqa.Queue
 	owned    []emio.Span
 	repBlock emio.BlockID
 	repWords int
+	repCrit  int
 }
 
 type node = xtree.Node[data]
@@ -80,17 +87,29 @@ type Tree struct {
 	history []emio.Span
 }
 
-// New returns an empty tree with the given ε.
+// A full node's representative span — its 2a children's critical records
+// and, at a leaf parent, their leaves' fences and block summaries — is
+// sized to take at most repSpan blocks at repChildWords words a child. A
+// child's critical records measure 8–10 words at the 90th percentile on
+// uniform and clustered points at B = 64 and 256 and every ε, and a leaf
+// child's fences and summaries take 3 words a block; an anti-correlated
+// band and a staircase take more (DESIGN.md, "Representative-block
+// sizing").
+const (
+	repChildWords = 16
+	repSpan       = 2
+)
+
+// New returns an empty tree with the given ε: fan-out a = max(2, ⌊B/16⌋),
+// the largest whose full node fills at most repSpan representative
+// blocks, and CPQA buffer size b = ⌊B^{1−ε}⌋.
 func New(d *emio.Disk, eps float64) *Tree {
 	if eps < 0 || eps > 1 {
 		panic("dyntop: epsilon must be in [0,1]")
 	}
-	B := float64(d.Config().B)
-	a := int(math.Ceil(2 * math.Pow(B, eps)))
-	if a < 2 {
-		a = 2
-	}
-	b := int(math.Pow(B, 1-eps))
+	B := d.Config().B
+	a := max(2, repSpan*B/(2*repChildWords))
+	b := int(math.Pow(float64(B), 1-eps))
 	if b < 1 {
 		b = 1
 	}
@@ -167,13 +186,14 @@ func (t *Tree) setLeafQueue(nd *node) {
 
 // refreshInternal rebuilds an internal node's queue as the Lemma 7
 // catenation of its children's queues and rewrites its representative
-// block: O(1) I/Os, the ⌈repWords/B⌉ blocks of the old and the new
-// representative block. The children's critical records are covered by
-// the copies in the old block (emio.Disk.Cover), so pinning it for the
-// catenation makes every read of them free without a frame of their
-// own.
+// block: O(1) I/Os, the blocks of the old block's critical records and
+// the ⌈repWords/B⌉ blocks of the new one. The children's critical
+// records are covered by the copies in the old block (emio.Disk.Cover),
+// so pinning the blocks that hold those copies — the catenation reads
+// nothing else of it — makes every read of them free without a frame of
+// their own.
 func (t *Tree) refreshInternal(nd *node) {
-	old := emio.Span{ID: nd.Data.repBlock, Words: nd.Data.repWords}
+	old := emio.Span{ID: nd.Data.repBlock, Words: nd.Data.repCrit}
 	if old.Words > 0 {
 		t.disk.PinSpan(old.ID, old.Words)
 	}
@@ -193,16 +213,16 @@ func (t *Tree) refreshInternal(nd *node) {
 // rewriteRep replaces an internal node's representative block, the one
 // writer of it: the old block is freed, the node's range reset, and a
 // new block written with packed copies of the children's critical
-// records and, where they fit, the leaf children's block fences and
-// summaries, covering the records (emio.Disk.Cover). O(⌈repWords/B⌉)
-// I/Os.
+// records and, at a leaf parent, the leaf children's block fences and
+// summaries after them, covering the records (emio.Disk.Cover).
+// O(⌈repWords/B⌉) I/Os.
 func (t *Tree) rewriteRep(nd *node) {
 	if nd.Data.repWords > 0 {
 		t.disk.FreeSpan(nd.Data.repBlock, nd.Data.repWords)
 	}
 	nd.SetRange()
-	w, _, _ := repLayout(t.disk.Config(), nd)
-	nd.Data.repWords = w
+	w, crit, _ := repLayout(t.disk.Config(), nd)
+	nd.Data.repWords, nd.Data.repCrit = w, crit
 	nd.Data.repBlock = t.disk.AllocSpan(w)
 	t.disk.WriteSpan(nd.Data.repBlock, w)
 	rep, off := emio.Span{ID: nd.Data.repBlock, Words: w}, 0
@@ -211,21 +231,23 @@ func (t *Tree) rewriteRep(nd *node) {
 	}
 }
 
-// repLayout sizes an internal node's representative block: the copies
-// of its children's critical records and, for each leaf child, the fence
-// of every block after its first — the block's first x (block 0's is the
-// child's minX, which the tree routes on) — and then the summary of
-// every block: its point count and its highest y. Fences and summaries
-// are stored only when they fit in the blocks the critical records
-// occupy, so they never cost an update or a query a block; fenced and
-// summarized report whether they are. A query scans a leaf from its
-// fences (scanLeaf); a single-point update reads only the leaf block it
-// changes with the summaries, and from that block on with the fences
-// alone (Tree.update). Both derive the same answer
-// from the same children, and the fences and summaries themselves from
-// the leaves' points, so nothing stored can disagree with them.
-func repLayout(cfg emio.Config, nd *node) (words int, fenced, summarized bool) {
-	crit, fences, blocks := 0, 0, 0
+// repLayout sizes an internal node's representative block: words
+// [0, crit) are the copies of its children's critical records and, at a
+// leaf parent, the rest is, for each leaf child, the fence of every
+// block after its first — the block's first x (block 0's is the child's
+// minX, which the tree routes on) — and then the summary of every block:
+// its point count and its highest y. A query reads only the blocks that
+// hold the critical records, which the catenation reads, and uses the
+// fences where they share those blocks, as fenced reports: it scans a
+// leaf from them (scanLeaf). A single-point update reads the whole
+// representative block, and with the summaries only the leaf block it
+// changes (Tree.update); a refresh pins only the critical records'
+// blocks. Both
+// derive the same answer from the same children, and the fences and
+// summaries themselves from the leaves' points, so nothing stored can
+// disagree with them.
+func repLayout(cfg emio.Config, nd *node) (words, crit int, fenced bool) {
+	fences, blocks := 0, 0
 	for _, c := range nd.Children {
 		crit += c.Data.q.CriticalWords()
 		if c.Leaf() {
@@ -234,14 +256,7 @@ func repLayout(cfg emio.Config, nd *node) (words int, fenced, summarized bool) {
 		}
 	}
 	crit = max(crit, 1)
-	fits := func(w int) bool { return cfg.BlocksFor(w) == cfg.BlocksFor(crit) }
-	switch {
-	case fits(crit + fences + 2*blocks):
-		return crit + fences + 2*blocks, true, true
-	case fits(crit + fences):
-		return crit + fences, true, false
-	}
-	return crit, false, false
+	return crit + fences + 2*blocks, crit, cfg.BlocksFor(crit+fences) == cfg.BlocksFor(crit)
 }
 
 // setQueue replaces nd's queue version. build runs in a scratch scope:
@@ -333,24 +348,17 @@ func (t *Tree) update(p geom.Point, insert, batch bool) bool {
 	path := t.xt.Descend(p.X, func(nd *node) { t.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords) })
 	leaf := path[len(path)-1]
 	i := sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X >= p.X })
-	// The parent's representative block, just read, holds the leaf's
-	// block fences and, where they fit, its block summaries (repLayout).
-	// With the summaries, a single-point update reads only the block p
-	// goes to or comes from: the fences locate the block, the block says
-	// whether p is in it, and the highest y of the blocks after it
-	// whether p is dominated inside the leaf. With the fences alone, it
-	// reads from that block to the end of the leaf, whose points decide
-	// that. A batch, and an update without fences, reads the whole leaf
+	// The parent's representative block, just read whole, holds the
+	// leaf's block fences and summaries (repLayout), so a single-point
+	// update reads only the block p goes to or comes from: the fences
+	// locate the block, the block says whether p is in it, and the
+	// highest y of the blocks after it whether p is dominated inside the
+	// leaf. A batch, and an update of a root leaf, reads the whole leaf
 	// (DESIGN.md, "Leaf spans in place").
 	first, last := 0, len(leaf.Runs)-1
 	if len(path) > 1 && !batch {
-		j := leaf.BlockFor(i, insert)
-		switch _, fenced, summarized := repLayout(t.disk.Config(), path[len(path)-2]); {
-		case summarized:
-			first, last = j, j
-		case fenced:
-			first = j
-		}
+		first = leaf.BlockFor(i, insert)
+		last = first
 	}
 	xtree.ReadBlocks(t.disk, leaf, first, last)
 	if !insert && (i >= len(leaf.Pts) || leaf.Pts[i] != p) {
@@ -532,10 +540,10 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 // whole-node queues for maximal contained subtrees and fresh partial
 // queues, built in the query's scratch scope, for the boundary leaves.
 // par is nd's parent, nil at the root. A boundary leaf is scanned from
-// its fences when its parent's representative block, read on the way
-// down, holds them. Nothing is pinned: the representative block read at
-// each internal node covers its children's critical records, which the
-// catenation reads.
+// its fences when they share the blocks of its parent's representative
+// block that were read on the way down. Nothing is pinned: the blocks
+// read at each internal node cover its children's critical records,
+// which the catenation reads.
 func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cpqa.Queue) []*cpqa.Queue {
 	if nd.MaxX < x1 || nd.MinX > x2 || (nd.Leaf() && len(nd.Pts) == 0) {
 		return qs
@@ -543,7 +551,7 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 	if nd.Leaf() {
 		fenced := false
 		if par != nil {
-			_, fenced, _ = repLayout(v.disk.Config(), par)
+			_, _, fenced = repLayout(v.disk.Config(), par)
 		}
 		lo, hi := scanLeaf(v.disk, nd, x1, x2, fenced)
 		if nd.MinX >= x1 && nd.MaxX <= x2 {
@@ -554,9 +562,10 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 		}
 		return qs
 	}
-	// Internal: one representative-block read covers every child's
-	// critical records and holds any leaf child's fences.
-	v.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords)
+	// Internal: reading the blocks of the representative block that hold
+	// the copies of every child's critical records covers them, and
+	// brings any leaf child's fences that share those blocks.
+	v.disk.ReadSpanWords(nd.Data.repBlock, 0, nd.Data.repCrit)
 	for _, c := range nd.Children {
 		if c.MaxX < x1 || c.MinX > x2 {
 			continue
@@ -577,15 +586,16 @@ func (v view) collect(sc *emio.Scope, nd, par *node, x1, x2 geom.Coord, qs []*cp
 // points it reads.
 //
 // fenced: the fence of every block — its first x — is resident (a
-// dyntop leaf's fences live in its parent's representative block, read
-// on the way down, when they fit there; see repLayout). The scan reads
-// from the last block whose fence is ≤ x1 through the last block whose
-// fence is ≤ x2, so a leaf with no point in range costs one block.
+// dyntop leaf's fences live in its parent's representative block, and a
+// query has read them on the way down when they share the blocks of the
+// critical records; see repLayout). The scan reads from the last block
+// whose fence is ≤ x1 through the last block whose fence is ≤ x2, so a
+// leaf with no point in range costs one block.
 //
 // Otherwise only the leaf's own first and last x route a scan into it
-// (a root leaf, a leaf whose parent has no room for its fences, and
-// every leaf Scan reads), so a scan enters at a grounded end and stops
-// at the first point past the cut:
+// (a root leaf, a leaf whose fences its parent keeps past the critical
+// records' blocks, and every leaf Scan reads), so a scan enters at a
+// grounded end and stops at the first point past the cut:
 //
 //   - cut only on the left (pts[0].X < x1, the last x ≤ x2): from the
 //     last block back through the block holding the last point left of x1;

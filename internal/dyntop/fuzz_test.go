@@ -13,7 +13,9 @@ import (
 // handle releases and top-open queries, and after every op checks each
 // open Handle against the point set captured at its pin: its Len, its
 // Points, and one top-open query. The seed picks ε (seed mod 3: 0, 0.5,
-// 1) and 0–59 points on the grid x, y ∈ 10·ℕ; ops is a run of two-byte
+// 1), the block size (B = 64 when seed bit 3 is set, else 8) and 0–59
+// points on the grid x, y ∈ 10·ℕ, sixteen times as many at B = 64, so
+// that the tree has as many leaves; ops is a run of two-byte
 // ops, the first byte choosing the op (mod 8: 0–2 insert at x = 10·i + 5,
 // skipped if taken; 3–4 delete the i-th point; 5 pin a handle, at most
 // four open; 6 release the i-th open handle; 7 query the live tree) and
@@ -21,9 +23,11 @@ import (
 // and highest when the first byte's upper bits s = byte/8 are 0, and
 // otherwise the free slot lowY picks at s/32 of the way up: such a point
 // is usually dominated inside its leaf, which takes the update's
-// leaf-only path. B = 8 keeps leaves at 8–16 points, so leaf and
-// internal splits, merges, root growth and root shrink all happen while
-// handles are open. At the end every handle is released with its
+// leaf-only path. B = 8 keeps leaves at 8–16 points and nodes at 2–4
+// children; B = 64 keeps leaves at 64–128 points and nodes at 4–8
+// children, so multi-way nodes split and merge too. Leaf and internal
+// splits, merges, root growth and root shrink all happen while handles
+// are open. At the end every handle is released with its
 // retention and the tree with it, and the disk must hold nothing. Run
 // with:
 //
@@ -65,18 +69,42 @@ func FuzzTreeSnapshots(f *testing.F) {
 	blocks = append(blocks, 7, 30, 6, 0, 7, 40, 6, 0)
 	f.Add(int64(6), blocks)
 	f.Add(int64(4), blocks)
+	// At B = 64 (seeds 27, 13 and 44: 800–848 points in nine leaves
+	// under a root of two nodes of four and five children, at ε = 0, 0.5
+	// and 1), pin a handle and delete the 80 leftmost points: the first
+	// two leaves merge, the first node, left with three children, merges
+	// into its sibling, and the root shrinks to that 8-child node. Then
+	// pin a second handle and insert 200 points at x = 5 … 1995, one in
+	// four highest: the leftmost leaves split until the root has nine
+	// children, which split four and five under a new root.
+	wide := []byte{5, 0}
+	for range 80 {
+		wide = append(wide, 3, 0)
+	}
+	wide = append(wide, 7, 100, 5, 0)
+	for i := range 200 {
+		wide = append(wide, byte(i%3)+8*byte(i%4*7), byte(i))
+	}
+	wide = append(wide, 7, 20, 6, 0, 7, 60)
+	for _, seed := range []int64{27, 13, 44} {
+		f.Add(seed, wide)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) > 640 {
 			ops = ops[:640]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(60)
+		B, scale := 8, 1
+		if seed&8 != 0 {
+			B, scale = 64, 16
+		}
+		n := scale * rng.Intn(60)
 		eps := []float64{0, 0.5, 1}[uint64(seed)%3]
 		var present []geom.Point
 		for i, y := range rng.Perm(n) {
 			present = append(present, pt(geom.Coord(10*(i+1)), geom.Coord(10*(y+1))))
 		}
-		d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+		d := emio.NewDisk(emio.Config{B: B, M: B * 64})
 		tr := BuildSABE(d, eps, present)
 		nextY := geom.Coord(10*n + 5)
 

@@ -165,8 +165,8 @@ func permPoints(n int, seed int64) []geom.Point {
 }
 
 // leafUnder returns a middle leaf of three or four blocks whose parent's
-// representative block holds its fences (fenced) or has no room for
-// them (!fenced).
+// representative block holds its fences in the blocks of the critical
+// records, which a query reads (fenced), or past them (!fenced).
 func leafUnder(t *testing.T, tr *Tree, fenced bool) *node {
 	t.Helper()
 	cfg := tr.disk.Config()
@@ -174,7 +174,7 @@ func leafUnder(t *testing.T, tr *Tree, fenced bool) *node {
 	for i := range ls {
 		l := ls[(len(ls)/2+i)%len(ls)]
 		blocks := len(l.Runs)
-		if _, f, _ := repLayout(cfg, parentOf(tr.xt.Root, l)); f == fenced && blocks >= 3 && blocks <= 4 {
+		if _, _, f := repLayout(cfg, parentOf(tr.xt.Root, l)); f == fenced && blocks >= 3 && blocks <= 4 {
 			return l
 		}
 	}
@@ -187,16 +187,18 @@ func leafUnder(t *testing.T, tr *Tree, fenced bool) *node {
 // whose fences its parent's representative block holds is scanned from
 // them: a leaf cut on both sides is charged only the fenced blocks, a
 // leaf with no point in range exactly one, and a right cut stops before
-// a block that its first point past x2 opens. A leaf whose parent has no
-// room for its fences, and the leaf of a single-leaf tree, which has no
-// parent block, keep the grounded-end rule: a one-sided cut reads from
+// a block that its first point past x2 opens. A leaf whose parent keeps
+// its fences past the critical records' blocks, which a query does not
+// read, and the leaf of a single-leaf tree, which has no parent block,
+// keep the grounded-end rule: a one-sided cut reads from
 // the grounded end through the boundary point, any other cut the whole
 // leaf. No other leaf is read, through the live tree and through a
 // Handle.
 func TestBoundaryLeafChargesScannedBlocks(t *testing.T) {
 	cfg := emio.Config{B: 8, M: 8 * 1024}
-	// At B = 8 the critical records of ε = 0.5's six or more children
-	// leave no room for fences; ε = 0's two to four children do.
+	// Whether a parent's fences share the critical records' last block
+	// depends on how full that block is; at B = 8 the test takes a
+	// fenced leaf at ε = 0 and an unfenced one at ε = 0.5.
 	for _, c := range []struct {
 		name   string
 		eps    float64
@@ -259,9 +261,10 @@ func TestScanChargesGroundedBlocks(t *testing.T) {
 }
 
 // TestRepLayoutMatchesStoredBlock: a query decides from repLayout whether
-// a parent holds its leaves' fences, so after builds, inserts, deletes,
-// splits and merges every internal node's representative block must
-// have the size repLayout derives from its children now.
+// the blocks of a parent's critical records hold its leaves' fences, so
+// after builds, inserts, deletes, splits and merges every internal
+// node's representative block must have the size, and the critical
+// records' share of it, that repLayout derives from its children now.
 func TestRepLayoutMatchesStoredBlock(t *testing.T) {
 	for _, eps := range []float64{0, 0.5, 1} {
 		d := emio.NewDisk(emio.Config{B: 8, M: 8 * 1024})
@@ -274,9 +277,9 @@ func TestRepLayoutMatchesStoredBlock(t *testing.T) {
 				if nd == nil || nd.Leaf() {
 					return
 				}
-				if w, _, _ := repLayout(d.Config(), nd); w != nd.Data.repWords {
-					t.Fatalf("eps=%.1f %s: node [%d,%d] stores %d representative words, repLayout says %d",
-						eps, when, nd.MinX, nd.MaxX, nd.Data.repWords, w)
+				if w, crit, _ := repLayout(d.Config(), nd); w != nd.Data.repWords || crit != nd.Data.repCrit {
+					t.Fatalf("eps=%.1f %s: node [%d,%d] stores %d representative words, %d of them critical records; repLayout says %d, %d",
+						eps, when, nd.MinX, nd.MaxX, nd.Data.repWords, nd.Data.repCrit, w, crit)
 				}
 				for _, c := range nd.Children {
 					rec(c)

@@ -60,7 +60,9 @@ func TestServedMachinePins(t *testing.T) {
 // refresh pinned every child's critical records, and the frames left
 // could not hold the rest of the refresh: from n0 = 2^14 on an insert
 // cost 31.0–34.1 I/Os at 64 frames against 6.0–6.8 at 256. With covers
-// the two columns are equal at every n0 here.
+// the two columns are equal at every n0 here: 3.91 / 4.94 / 4.94 / 4.92
+// at n0 = 10 000 / 2^14 / 2^15 / 2^16 (3.95 / 4.98 / 5.95 / 5.94 with the
+// fan-out 2⌈B^ε⌉).
 func TestServedMachineKnee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds eight trees of up to 2^16 points")
@@ -80,12 +82,13 @@ func TestServedMachineKnee(t *testing.T) {
 
 // TestWarmStreamCost: at ε = 0.5 on the served machine, a warm stream
 // alternating inserts at random x with deletes of random live points
-// costs at most 1.97 I/Os per update, from a cold cache through a final
+// costs at most 1.51 I/Os per update, from a cold cache through a final
 // DropCache that writes back every frame the stream dirtied. Nearly
 // every such update is dominated inside its leaf and ends there: it
-// reads the leaf from the point's block on (the parent holds the
-// blocks' fences but has no room for their summaries), rewrites that
-// block and the parent's representative block. The stream measures
+// reads the parent's representative block, which summarizes the leaf's
+// blocks, and the point's block, and rewrites both. The stream measures
+// 1.16. With the fan-out 2⌈B^ε⌉ the parent had room for the blocks'
+// fences only, and an update read the leaf from the point's block on:
 // 1.51. When an insert read its whole leaf and an update wrote from the
 // point's block to the end of the span, it cost 2.04; when each update
 // re-catenated every queue on its path, 7.16, and when each rewrote its
@@ -112,7 +115,7 @@ func TestWarmStreamCost(t *testing.T) {
 	d.DropCache()
 	got := float64(d.Stats().Sub(before).IOs()) / updates
 	t.Logf("%.2f I/Os per update", got)
-	if got > 1.97 {
-		t.Errorf("%.2f I/Os per update, want <= 1.97", got)
+	if got > 1.51 {
+		t.Errorf("%.2f I/Os per update, want <= 1.51", got)
 	}
 }

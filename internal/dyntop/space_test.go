@@ -207,11 +207,10 @@ func TestSnapshotSurvivesReclamation(t *testing.T) {
 // after that copies the array and moves the leaf to a fresh span,
 // leaving the shared one to the handle, and later writes are in place
 // again. In place, the delete of a point dominated inside its leaf, and
-// the insert that restores it, read and write only the point's block
-// where the parent summarizes the leaf's blocks (at ε = 0), and read the
-// blocks from the point's on where it holds only their fences (at
-// ε = 0.5). Two handles pinned at different times each keep answering
-// for their own point set.
+// the insert that restores it, read and write only the point's block:
+// the parent summarizes its leaves' blocks at every ε. Two handles
+// pinned at different times each keep answering for their own point
+// set.
 func TestLeafWritesCopyOnlyAfterSnapshot(t *testing.T) {
 	for _, eps := range []float64{0, 0.5} {
 		t.Run(fmt.Sprintf("eps=%.1f", eps), func(t *testing.T) { leafWritesCopyOnlyAfterSnapshot(t, eps) })
@@ -226,13 +225,12 @@ func leafWritesCopyOnlyAfterSnapshot(t *testing.T, eps float64) {
 	present := append([]geom.Point(nil), all[:600]...)
 	pool := all[600:]
 	// touched checks, after a DropCache before the update, that the
-	// blocks of leaf in memory are the ones it reads: block j, the
-	// blocks from j on, or all of them.
-	touched := func(when string, leaf *node, j int, r reads) {
+	// only block of leaf in memory is the one it reads, block j.
+	touched := func(when string, leaf *node, j int) {
 		t.Helper()
 		for k := range leaf.Runs {
-			if want := k == j || r == suffixRead && k > j || r == leafRead; d.Resident(leaf.PtsBlock+emio.BlockID(k)) != want {
-				t.Fatalf("%s: block %d of the leaf's %d is resident %v (point in block %d, reads %d)", when, k, len(leaf.Runs), !want, j, r)
+			if want := k == j; d.Resident(leaf.PtsBlock+emio.BlockID(k)) != want {
+				t.Fatalf("%s: block %d of the leaf's %d is resident %v (point in block %d)", when, k, len(leaf.Runs), !want, j)
 			}
 		}
 	}
@@ -240,19 +238,19 @@ func leafWritesCopyOnlyAfterSnapshot(t *testing.T, eps float64) {
 	// Without a snapshot, a delete shifts in place and the insert that
 	// follows finds room in the same array; both rewrite the point's
 	// block of the leaf's own span.
-	p, r := blockVictim(t, tr, present)
+	p := blockVictim(t, tr, present)
 	leaf := leafFor(tr, p.X)
 	span, j := leaf.PtsBlock, leaf.Block(slices.Index(leaf.Pts, p))
 	d.DropCache()
 	tr.Delete(p)
-	touched("delete", leaf, j, r)
+	touched("delete", leaf, j)
 	arr := &leaf.Pts[0]
 	if leaf.PtsBlock != span {
 		t.Fatal("a delete moved an unshared leaf span")
 	}
 	d.DropCache()
 	tr.Insert(p)
-	touched("insert", leaf, j, r)
+	touched("insert", leaf, j)
 	if leafFor(tr, p.X) != leaf || &leaf.Pts[0] != arr || leaf.PtsBlock != span {
 		t.Fatal("an unshared leaf array or span was copied on write")
 	}
@@ -265,7 +263,7 @@ func leafWritesCopyOnlyAfterSnapshot(t *testing.T, eps float64) {
 	var pins []pin
 	for round := 0; round < 3; round++ {
 		pins = append(pins, pin{tr.Snapshot(), append([]geom.Point(nil), present...)})
-		p, r := blockVictim(t, tr, present)
+		p := blockVictim(t, tr, present)
 		pinned := leafFor(tr, p.X)
 		shared, span, runs := pinned.Pts, pinned.PtsBlock, slices.Clone(pinned.Runs)
 		frozen := append([]geom.Point(nil), shared...)
@@ -277,7 +275,7 @@ func leafWritesCopyOnlyAfterSnapshot(t *testing.T, eps float64) {
 		own := moved.PtsBlock
 		d.DropCache()
 		tr.Insert(p)
-		touched(fmt.Sprintf("round %d: insert after the move", round), moved, moved.Block(slices.Index(moved.Pts, p)), r)
+		touched(fmt.Sprintf("round %d: insert after the move", round), moved, moved.Block(slices.Index(moved.Pts, p)))
 		if !sameAnswer(shared, frozen) {
 			t.Fatalf("round %d: a write reached the array a handle shares", round)
 		}
@@ -300,25 +298,13 @@ func leafWritesCopyOnlyAfterSnapshot(t *testing.T, eps float64) {
 	ret.Release()
 }
 
-// reads names the blocks of its leaf that a single-point update reads.
-type reads int
-
-const (
-	blockRead  reads = iota // the point's block: the parent summarizes the leaf's blocks
-	suffixRead              // the blocks from the point's on: the parent holds only their fences
-	leafRead                // the whole leaf
-)
-
 // blockVictim returns a point of present whose delete, and the insert
 // that restores it, each rewrite the point's block alone, in place: the
-// point is dominated inside a leaf that keeps its block count and
-// occupancy without the point. It prefers a leaf whose parent holds its
-// block summaries, then one whose parent holds its block fences, and
-// reports which blocks the updates read.
-func blockVictim(t *testing.T, tr *Tree, present []geom.Point) (p geom.Point, r reads) {
+// point is dominated inside a leaf that is not the root and keeps its
+// block count and occupancy without the point.
+func blockVictim(t *testing.T, tr *Tree, present []geom.Point) geom.Point {
 	t.Helper()
 	full := max(1, tr.disk.Config().B/2)
-	found, best := false, leafRead+1
 	for _, q := range present {
 		path := tr.xt.Descend(q.X, nil)
 		if len(path) < 2 {
@@ -327,23 +313,10 @@ func blockVictim(t *testing.T, tr *Tree, present []geom.Point) (p geom.Point, r 
 		leaf := path[len(path)-1]
 		i := slices.Index(leaf.Pts, q)
 		n := len(leaf.Pts)
-		if !slices.ContainsFunc(leaf.Pts[i+1:], func(o geom.Point) bool { return o.Y > q.Y }) || n <= tr.kMin || n-1 <= (len(leaf.Runs)-1)*full {
-			continue
+		if slices.ContainsFunc(leaf.Pts[i+1:], func(o geom.Point) bool { return o.Y > q.Y }) && n > tr.kMin && n-1 > (len(leaf.Runs)-1)*full {
+			return q
 		}
-		qr := leafRead
-		switch _, fenced, summarized := repLayout(tr.disk.Config(), path[len(path)-2]); {
-		case summarized:
-			qr = blockRead
-		case fenced:
-			qr = suffixRead
-		}
-		if qr < best {
-			p, best, found = q, qr, true
-		}
-	}
-	if found {
-		return p, best
 	}
 	t.Fatal("no point rewrites one block in place")
-	return geom.Point{}, leafRead
+	return geom.Point{}
 }

@@ -14,7 +14,8 @@ import (
 // 2^12 … 2^18 uniform points (2^16 under -short) cost a steady multiple
 // of log_{2B^ε}(n/B) + k/B^{1−ε}: the ratio of total I/Os to total bound
 // at the largest n stays within 1.25× of the ratio at 2^12. It measures
-// 2.54 / 1.87 / 2.16 / 2.30 at 2^12 / 2^14 / 2^16 / 2^18. A foursided
+// 2.46 / 1.81 / 1.71 / 1.87 at 2^12 / 2^14 / 2^16 / 2^18 (2.54 / 1.87 /
+// 2.16 / 2.30 with the fan-out 2⌈B^ε⌉ = 16 in place of 4). A foursided
 // index reads its points through this tree too, so a query path that
 // grew with n would show up in both.
 func TestColdTopOpenSweep(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 
 // FuzzFourSidedQuery checks one 4-sided rectangle against the oracle on
 // a live index and on a Handle pinned halfway through a run of updates.
-// The seed picks ε and 100–299 points on the grid x, y ∈ 10·ℕ; ops is a
+// The seed picks the block size (B = 64 when seed bit 3 is set, else 8),
+// ε, and 100–299 points on the grid x, y ∈ 10·ℕ, eight times as many at
+// B = 64; ops is a
 // run of updates, two bytes each: an odd first byte inserts a point at
 // x = 10·i + 5 (skipped if taken), an even one deletes the i-th point.
 // An insert's y is fresh and highest when the first byte's upper bits
@@ -19,12 +21,14 @@ import (
 // the way up: such a point is usually dominated inside its leaf of
 // R(u), which takes that secondary's leaf-only update path. B = 8 makes
 // the tree several levels deep, so the rectangle cuts nodes on the
-// left, the right or both. The grow seeds pin the Handle after one
+// left, the right or both; at B = 64 the point store and every R(u)
+// have 4–8 children a node. The grow seeds pin the Handle after one
 // insert and then insert 100 points right of every other, highest
 // first: the last leaf splits and the updates pass n0/2, which rebuilds
 // every secondary from the point store, while the Handle holds the
 // secondaries and the point store it pinned. The block seeds overfill
-// and underfill leaf blocks under the Handle. Run with:
+// and underfill leaf blocks under the Handle, and the wide seeds split
+// and merge nodes of 4–8 children under it. Run with:
 //
 //	go test ./internal/foursided -fuzz FuzzFourSidedQuery -fuzztime 30s
 func FuzzFourSidedQuery(f *testing.F) {
@@ -76,12 +80,38 @@ func FuzzFourSidedQuery(f *testing.F) {
 		f.Add(seed, blocks, int64(355), int64(505), ninf, inf)
 		f.Add(seed, blocks, ninf, int64(445), int64(100), int64(2000))
 	}
+	// The wide seeds (141, 152 and 63: 816–832 points at B = 64 and
+	// ε = 0.3, 0.5 and 1) insert x = 5 in the first half, so that the
+	// Handle pins nine leaves under a root of two nodes of four and five
+	// children, in the point store and in R(root). Then 70 deletes of the
+	// leftmost point merge the first two leaves, the first node, left
+	// with three children, into its sibling, and shrink the root to
+	// that 8-child node; 30 inserts at x = 15 … 305 split a leaf, and the
+	// root, now with nine children, splits four and five.
+	var wide []byte
+	for range 100 {
+		wide = append(wide, 1, 0)
+	}
+	for range 70 {
+		wide = append(wide, 0, 0)
+	}
+	for i := 1; i <= 30; i++ {
+		wide = append(wide, 1+8*byte(i%4*7), byte(i))
+	}
+	for _, seed := range []int64{141, 152, 63} {
+		f.Add(seed, wide, int64(305), int64(2005), int64(200), inf)
+		f.Add(seed, wide, ninf, int64(1505), ninf, int64(5000))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, x1, x2, y1, y2 int64) {
 		if len(ops) > 400 {
 			ops = ops[:400]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		n := 100 + rng.Intn(200)
+		B, scale := 8, 1
+		if seed&8 != 0 {
+			B, scale = 64, 8
+		}
+		n := scale * (100 + rng.Intn(200))
 		eps := []float64{0.3, 0.5, 1}[rng.Intn(3)]
 		pts := make([]geom.Point, n)
 		xs := make(map[geom.Coord]bool, n)
@@ -89,7 +119,7 @@ func FuzzFourSidedQuery(f *testing.F) {
 			pts[i] = pt(geom.Coord(10*(i+1)), geom.Coord(10*(y+1)))
 			xs[pts[i].X] = true
 		}
-		d := emio.NewDisk(emio.Config{B: 8, M: 8 * 64})
+		d := emio.NewDisk(emio.Config{B: B, M: B * 64})
 		ix := Build(d, eps, pts)
 		nextY := geom.Coord(10*n + 5)
 		apply := func(ops []byte) {
