@@ -4,7 +4,7 @@
 // fixed partition's cuts come from the uniform base seed, so a static
 // 8-shard engine funnels most inserts into its leftmost shard. The
 // rebalancing engine notices the skew (per-shard load counters,
-// checked every RebalanceEvery ops), splits hot x-ranges and merges
+// checked every 128 ops), splits hot x-ranges and merges
 // cold neighbors, and the same stream spreads across the partition.
 //
 // The stream is STATIONARY: the skewed point pool is consumed in a
@@ -17,7 +17,8 @@
 //
 //   - fixed: Shards=8, no rebalancing — the baseline whose load ratio
 //     shows what the skew does to a static partition;
-//   - rebal: the same index with Rebalance on (MaxShardSkew=2.0).
+//   - rebal: the same index with Rebalance on (its skew trigger is a
+//     constant, 2.0).
 //
 // The gated numbers are per-insert simulated-I/O percentiles (the
 // rebal leg's include the transitions' rebuild cost — that is the
@@ -124,11 +125,7 @@ func e20() {
 	order := rand.New(rand.NewSource(101)).Perm(len(pool))
 
 	open := func(rebalance bool) *core.DB {
-		o := core.Options{Machine: cfg, Dynamic: true, Shards: 8, Workers: 4}
-		if rebalance {
-			o.Rebalance = true
-			o.MaxShardSkew = 2.0
-		}
+		o := core.Options{Machine: cfg, Dynamic: true, Shards: 8, Workers: 4, Rebalance: rebalance}
 		db, err := core.Open(o, base)
 		if err != nil {
 			panic(err)

@@ -9,7 +9,9 @@
 // The config file is an internal/serve.Config: a map of namespaces —
 // each one core.DB with its own options (shards, mirrors, cache,
 // async queue, durable directory) — plus the serving knobs
-// (batch_window_us, snapshot_ttl_ms, measure_io). Minimal example:
+// (snapshot_ttl_ms, measure_io). A field the config does not define is
+// an error, so a stale or misspelled option fails the load instead of
+// being ignored. Minimal example:
 //
 //	{
 //	  "listen": ":8787",
@@ -29,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,13 +62,9 @@ func run(configPath, listen string) error {
 	if configPath == "" {
 		return fmt.Errorf("-config is required")
 	}
-	blob, err := os.ReadFile(configPath)
+	cfg, err := loadConfig(configPath)
 	if err != nil {
 		return err
-	}
-	var cfg serve.Config
-	if err := json.Unmarshal(blob, &cfg); err != nil {
-		return fmt.Errorf("parsing %s: %w", configPath, err)
 	}
 	if listen != "" {
 		cfg.Listen = listen
@@ -108,4 +107,19 @@ func run(configPath, listen string) error {
 	}
 	fmt.Println("skylined: drained and checkpointed")
 	return nil
+}
+
+// loadConfig reads the JSON config at path, refusing unknown fields.
+func loadConfig(path string) (serve.Config, error) {
+	var cfg serve.Config
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return cfg, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return cfg, nil
 }

@@ -183,13 +183,9 @@ type Options struct {
 	// buffers automatically; open snapshots keep serving the topology
 	// they pinned. Requires Dynamic and Shards > 1. Answers are
 	// unaffected — only the work distribution moves
-	// (DB.RebalanceStats reports the activity).
+	// (DB.RebalanceStats reports the activity). The policy's thresholds
+	// are fixed (DESIGN.md, "Online rebalancing").
 	Rebalance bool
-	// MaxShardSkew is the rebalance trigger ratio: a shard hotter than
-	// MaxShardSkew × the mean per-shard load splits, an adjacent pair
-	// jointly colder than mean/MaxShardSkew merges. Zero means 2.0.
-	// Setting it without Rebalance is an error.
-	MaxShardSkew float64
 }
 
 // OptionError is Validate's refusal of one option value. Field is the
@@ -237,10 +233,6 @@ func (o Options) Validate() error {
 		return refuse("Rebalance", "a static index cannot rebuild its shards")
 	case o.Rebalance && o.Shards <= 1:
 		return refuse("Rebalance", "needs more than one shard, got %d", o.Shards)
-	case o.MaxShardSkew != 0 && !o.Rebalance:
-		return refuse("MaxShardSkew", "set without rebalancing")
-	case o.MaxShardSkew != 0 && o.MaxShardSkew < 1:
-		return refuse("MaxShardSkew", "%v below 1 (a max/mean load ratio)", o.MaxShardSkew)
 	}
 	return nil
 }
@@ -451,7 +443,6 @@ func (db *DB) newEngine(sorted []geom.Point, topOnly bool) (*shard.Engine, error
 		Dynamic:   db.opts.Dynamic,
 		TopOnly:   topOnly,
 		Rebalance: db.opts.Rebalance,
-		MaxSkew:   db.opts.MaxShardSkew,
 	}, sorted)
 }
 

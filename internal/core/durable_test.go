@@ -354,9 +354,6 @@ func TestRefusedOpenLeavesDirEmpty(t *testing.T) {
 		{"async-static",
 			func(o *Options) { o.AsyncWrites, o.Dynamic = true, false },
 			func(o *Options) { o.Dynamic = true }},
-		{"max-shard-skew",
-			func(o *Options) { o.Shards, o.Rebalance, o.MaxShardSkew = 4, true, 0.5 },
-			func(o *Options) { o.MaxShardSkew = 2 }},
 		{"flush-points",
 			func(o *Options) { o.AsyncWrites, o.FlushPoints = true, -1 },
 			func(o *Options) { o.FlushPoints = 0 }},
@@ -372,9 +369,6 @@ func TestRefusedOpenLeavesDirEmpty(t *testing.T) {
 		{"workers",
 			func(o *Options) { o.Shards, o.Workers = 4, -1 },
 			func(o *Options) { o.Workers = 0 }},
-		{"skew-without-rebalance",
-			func(o *Options) { o.Shards, o.MaxShardSkew = 4, 2 },
-			func(o *Options) { o.MaxShardSkew = 0 }},
 		{"machine-b",
 			func(o *Options) { o.Machine.B = -1 },
 			func(o *Options) { o.Machine = smallMachine }},

@@ -555,22 +555,6 @@ func (d *Disk) WriteSpanWords(id BlockID, from, to int) {
 	}
 }
 
-// ResizeSpan re-accounts a live span of words words as holding to words,
-// in place: both sizes must take the same number of blocks (at least
-// one), so only the span's last block changes its accounted size, and
-// LiveWords and PeakWords move by the difference. Nothing is touched or
-// charged; a caller that changed the words writes them (WriteSpanWords).
-// It panics when the sizes differ in blocks, when the last block is not
-// live or its Free is deferred, or when it does not account what a span
-// of words words leaves it.
-func (d *Disk) ResizeSpan(id BlockID, words, to int) {
-	n := d.cfg.BlocksFor(words)
-	if n == 0 || n != d.cfg.BlocksFor(to) {
-		panic(fmt.Sprintf("emio: ResizeSpan from %d to %d words changes the span's blocks", words, to))
-	}
-	d.ResizeBlock(id+BlockID(n-1), words-(n-1)*d.cfg.B, to-(n-1)*d.cfg.B)
-}
-
 // ResizeBlock re-accounts one live block of words words as holding to
 // words, in place (1 <= to <= B); LiveWords and PeakWords move by the
 // difference. Nothing is touched or charged. It panics when the block is

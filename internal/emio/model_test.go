@@ -142,20 +142,37 @@ func (r *refDisk) coverSpan(id uint64, words int, rep uint64, repWords, off int)
 	}
 }
 
-// resizeSpan re-accounts the last block of the span at id from words to
-// to, after checking that both take the same blocks and that the block
-// is live, not deferred, and accounts what words leaves it.
-func (r *refDisk) resizeSpan(id uint64, words, to int) {
-	n := r.cfg.BlocksFor(words)
-	if n == 0 || n != r.cfg.BlocksFor(to) {
-		panic("ref: ResizeSpan changes the span's blocks")
+// allocBlocks allocates a run of len(words) blocks, block i accounting
+// words[i], after checking every size is in [1, B].
+func (r *refDisk) allocBlocks(words []int) uint64 {
+	for _, w := range words {
+		if w < 1 || w > r.cfg.B {
+			panic(fmt.Sprintf("ref: AllocBlocks of a %d-word block", w))
+		}
 	}
-	last := id + uint64(n-1)
-	r.mustLive(last, "ResizeSpan of unallocated block")
-	if r.deferredSet[last] || r.live[last] != words-(n-1)*r.cfg.B {
-		panic(fmt.Sprintf("ref: ResizeSpan of block %d accounting %d words", last, r.live[last]))
+	first := r.nextID + 1
+	for _, w := range words {
+		r.nextID++
+		r.live[r.nextID] = w
+		r.liveWords += int64(w)
+		r.peakWords = max(r.peakWords, r.liveWords)
+		r.admit(r.nextID, true, 0)
 	}
-	r.live[last] = to - (n-1)*r.cfg.B
+	return first
+}
+
+// resizeBlock re-accounts block id from words to to, after checking
+// that to is in [1, B] and that the block is live, not deferred, and
+// accounts words.
+func (r *refDisk) resizeBlock(id uint64, words, to int) {
+	if to < 1 || to > r.cfg.B {
+		panic(fmt.Sprintf("ref: ResizeBlock to %d words", to))
+	}
+	r.mustLive(id, "ResizeBlock of unallocated block")
+	if r.deferredSet[id] || r.live[id] != words {
+		panic(fmt.Sprintf("ref: ResizeBlock of block %d accounting %d words, want %d", id, r.live[id], words))
+	}
+	r.live[id] = to
 	r.liveWords += int64(to - words)
 	r.peakWords = max(r.peakWords, r.liveWords)
 }
@@ -333,20 +350,10 @@ func (m *modelRun) next() int {
 func (m *modelRun) pickID() uint64 { return m.ids[m.next()%len(m.ids)] }
 
 func (m *modelRun) pickSpan() (refSpan, bool) {
-	k, ok := m.pickSpanIndex()
-	if !ok {
+	if len(m.spans) == 0 {
 		return refSpan{}, false
 	}
-	return m.spans[k], true
-}
-
-// pickSpanIndex picks a span by its place in m.spans, for an op that
-// changes its recorded words.
-func (m *modelRun) pickSpanIndex() (int, bool) {
-	if len(m.spans) == 0 {
-		return 0, false
-	}
-	return m.next() % len(m.spans), true
+	return m.spans[m.next()%len(m.spans)], true
 }
 
 func (m *modelRun) record(mid uint64, did BlockID, words int) {
@@ -406,7 +413,7 @@ func (m *modelRun) check() {
 func (m *modelRun) step() {
 	d, r := m.d, m.r
 	B := r.cfg.B
-	switch op := m.next() % 25; op {
+	switch op := m.next() % 27; op {
 	case 0:
 		var mid uint64
 		var did BlockID
@@ -578,20 +585,48 @@ func (m *modelRun) step() {
 			}
 		}, func() { d.WriteSpanWords(m.toDisk[sp.id], from, to) })
 	case 24:
-		k, ok := m.pickSpanIndex()
+		words := make([]int, 1+m.next()%4)
+		for i := range words {
+			words[i] = 1 + m.next()%B
+		}
+		// One run in eight asks for a block size outside [1, B].
+		if bad := m.next(); bad%8 == 0 {
+			words[bad/8%len(words)] = (bad / 8 % 2) * (B + 1)
+		}
+		var mid uint64
+		var did BlockID
+		m.do(fmt.Sprintf("AllocBlocks(%v)", words), func() { mid = r.allocBlocks(words) }, func() { did = d.AllocBlocks(words) })
+		// A refused size allocates nothing. A run is recorded as a span
+		// of full blocks: the span ops need only its block count.
+		if mid != 0 {
+			m.record(mid, did, len(words)*B)
+		}
+	case 25:
+		id := m.pickID()
+		words, to := r.live[id], 1+m.next()%B
+		// One call in eight names the wrong size and two in eight a new
+		// size outside [1, B]; both sides must refuse them.
+		switch m.next() % 8 {
+		case 0:
+			words++
+		case 1:
+			to = 0
+		case 2:
+			to = B + 1
+		}
+		m.do(fmt.Sprintf("ResizeBlock(%d,%d,%d)", id, words, to), func() { r.resizeBlock(id, words, to) },
+			func() { d.ResizeBlock(m.toDisk[id], words, to) })
+	case 26:
+		sp, ok := m.pickSpan()
 		if !ok {
 			return
 		}
-		sp := m.spans[k]
-		to := sp.words + m.next()%(2*B+1) - B
-		resized := false
-		m.do(fmt.Sprintf("ResizeSpan(%d,%d,%d)", sp.id, sp.words, to), func() {
-			r.resizeSpan(sp.id, sp.words, to)
-			resized = true
-		}, func() { d.ResizeSpan(m.toDisk[sp.id], sp.words, to) })
-		if resized {
-			m.spans[k].words = to
-		}
+		n := m.next() % (r.cfg.blocks(Span{Words: sp.words}) + 1)
+		m.do(fmt.Sprintf("FreeBlocks(%d,%d)", sp.id, n), func() {
+			for i := range n {
+				r.free(sp.id + uint64(i))
+			}
+		}, func() { d.FreeBlocks(m.toDisk[sp.id], n) })
 	}
 }
 
@@ -616,7 +651,7 @@ func runModel(t *testing.T, ops []byte, maxOps int) {
 }
 
 // FuzzDiskModel runs a decoded op sequence — every allocation, free,
-// access, partial-span write, span resize, pin, admission, cover,
+// access, partial-span write, block resize, pin, admission, cover,
 // retention and scope operation — against both the Disk and refDisk.
 // After every op they must agree on the I/O counters, the space
 // accounting, the deferred frees, the pin detector and the residency of
@@ -624,8 +659,8 @@ func runModel(t *testing.T, ops []byte, maxOps int) {
 // too. Ops name blocks by picking from every id ever issued, so freed
 // ids — whose slots the disk reuses — are exercised as often as live
 // ones. An op is decoded modulo the number of ops, so adding one
-// changes what every input decodes to: seeds saved before
-// WriteSpanWords and ResizeSpan joined (when there were 23 ops) now run
+// changes what every input decodes to: seeds saved before AllocBlocks,
+// ResizeBlock and FreeBlocks joined (when there were 25 ops) now run
 // different sequences.
 func FuzzDiskModel(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {

@@ -17,7 +17,8 @@ import (
 
 // TestCacheCutChangeRace hammers a cache over a rebalancing sharded
 // engine with concurrent fills and writes while shards split and merge
-// underneath it, then verifies every answer against the oracle: a cut
+// underneath it (forced transitions, plus any the load policy adds on the
+// writer's goroutine), then verifies every answer against the oracle: a cut
 // move changes where points live, never what a rectangle contains, so
 // the cache needs no part in it.
 func TestCacheCutChangeRace(t *testing.T) {
@@ -28,7 +29,7 @@ func TestCacheCutChangeRace(t *testing.T) {
 	pool := all[n:]
 	geom.SortByX(base)
 	eng, err := shard.New(shard.Options{
-		Machine: cacheCfg, Shards: 4, Workers: 2, Dynamic: true, Rebalance: true, RebalanceEvery: 1 << 30,
+		Machine: cacheCfg, Shards: 4, Workers: 2, Dynamic: true, Rebalance: true,
 	}, base)
 	if err != nil {
 		t.Fatal(err)

@@ -4,21 +4,18 @@
 // wire's unit of work is one point per request. The combiner bridges
 // the two the way a WAL group-commits transactions: the first writer to
 // arrive becomes the batch LEADER, gathers everything that queued
-// behind it (optionally waiting a fixed window for stragglers), applies
-// the whole batch with one engine call, and hands each waiter its own
-// slot of the result.
+// behind it, applies the whole batch with one engine call, and hands
+// each waiter its own slot of the result.
 //
-// With window = 0 — the default — an uncontended write pays zero added
-// latency: it is its own leader and its batch has one point. Batching
-// emerges exactly when it pays: while a leader is inside the engine,
-// every arriving writer parks on the queue, and whoever arrives first
-// after the leader returns becomes the next leader and takes the whole
-// accumulated queue in one call.
+// An uncontended write pays zero added latency: it is its own leader
+// and its batch has one point. Batching emerges exactly when it pays:
+// while a leader is inside the engine, every arriving writer parks on
+// the queue, and whoever arrives first after the leader returns becomes
+// the next leader and takes the whole accumulated queue in one call.
 package serve
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -30,8 +27,7 @@ type combiner[R any] struct {
 	queue   []waiter[R]
 	leading bool
 
-	window time.Duration
-	apply  func(pts []geom.Point) []R
+	apply func(pts []geom.Point) []R
 }
 
 // waiter is one parked request: its point and the channel its slot of
@@ -43,8 +39,8 @@ type waiter[R any] struct {
 
 // newCombiner returns a combiner applying batches through apply, which
 // must return exactly one R per input point, in order.
-func newCombiner[R any](window time.Duration, apply func(pts []geom.Point) []R) *combiner[R] {
-	return &combiner[R]{window: window, apply: apply}
+func newCombiner[R any](apply func(pts []geom.Point) []R) *combiner[R] {
+	return &combiner[R]{apply: apply}
 }
 
 // do submits one point and blocks until its batch is applied,
@@ -61,10 +57,6 @@ func (c *combiner[R]) do(pt geom.Point) R {
 	}
 	c.leading = true
 	c.mu.Unlock()
-
-	if c.window > 0 {
-		time.Sleep(c.window)
-	}
 
 	for {
 		c.mu.Lock()

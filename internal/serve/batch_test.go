@@ -13,7 +13,7 @@ import (
 // own slot of the batch result, whatever batches formed.
 func TestCombinerDeliversEveryResult(t *testing.T) {
 	var applied atomic.Int64
-	c := newCombiner(0, func(pts []geom.Point) []geom.Coord {
+	c := newCombiner(func(pts []geom.Point) []geom.Coord {
 		applied.Add(int64(len(pts)))
 		out := make([]geom.Coord, len(pts))
 		for i, p := range pts {
@@ -51,7 +51,7 @@ func TestCombinerGroupsUnderContention(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var batches [][]geom.Point
-	c := newCombiner(0, func(pts []geom.Point) []geom.Coord {
+	c := newCombiner(func(pts []geom.Point) []geom.Coord {
 		mu.Lock()
 		batches = append(batches, append([]geom.Point(nil), pts...))
 		first := len(batches) == 1

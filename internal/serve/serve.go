@@ -89,10 +89,8 @@ type NamespaceConfig struct {
 	MaxBuffered int  `json:"max_buffered,omitempty"`
 	ShedWrites  bool `json:"shed_writes,omitempty"`
 	// Rebalance enables online shard rebalancing (requires a dynamic
-	// namespace with shards > 1); MaxShardSkew is its max/mean load
-	// trigger (0 means 2.0).
-	Rebalance    bool    `json:"rebalance,omitempty"`
-	MaxShardSkew float64 `json:"max_shard_skew,omitempty"`
+	// namespace with shards > 1).
+	Rebalance bool `json:"rebalance,omitempty"`
 }
 
 // Options translates the wire config into core.Options.
@@ -112,7 +110,6 @@ func (c NamespaceConfig) Options() core.Options {
 		MaxBuffered:  c.MaxBuffered,
 		ShedWrites:   c.ShedWrites,
 		Rebalance:    c.Rebalance,
-		MaxShardSkew: c.MaxShardSkew,
 	}
 	if c.FlushIntervalMS != 0 {
 		opts.FlushInterval = time.Duration(c.FlushIntervalMS) * time.Millisecond
@@ -142,24 +139,16 @@ type Config struct {
 	// declared, not created on demand, so a typo cannot silently open
 	// an empty index.
 	Namespaces map[string]NamespaceConfig `json:"namespaces"`
-	// BatchWindow is how long the group-commit combiner waits after
-	// the first single-point write of a batch for more to join. Zero
-	// — the default — adds no latency: batches still form whenever
-	// writes arrive while a previous batch is applying, which is
-	// exactly when batching pays.
-	BatchWindow time.Duration `json:"-"`
-	// BatchWindowUS is BatchWindow for the JSON config file.
-	BatchWindowUS int `json:"batch_window_us,omitempty"`
-	// SnapshotTTL bounds how long an idle pinned snapshot may live
-	// before the server releases it (snapshots hold retired storage
-	// spans; an abandoned one would hold them forever). Zero means
-	// DefaultSnapshotTTL. Each query against a snapshot renews it.
-	SnapshotTTL time.Duration `json:"-"`
-	// SnapshotTTLMS is SnapshotTTL for the JSON config file.
+	// SnapshotTTLMS bounds, in milliseconds, how long an idle pinned
+	// snapshot may live before the server releases it (snapshots hold
+	// retired storage spans; an abandoned one would hold them
+	// forever). Zero means DefaultSnapshotTTL. Each query against a
+	// snapshot renews it.
 	SnapshotTTLMS int `json:"snapshot_ttl_ms,omitempty"`
-	// MeasureIO serializes each query to measure its exact simulated
-	// I/O cost (returned as "ios" in query responses). Off by default:
-	// the measurement mutex would serialize concurrent readers.
+	// MeasureIO serializes each query to measure its exact cold
+	// simulated I/O cost, from empty frame caches (returned as "ios" in
+	// query responses). Off by default: the measurement mutex would
+	// serialize concurrent readers.
 	MeasureIO bool `json:"measure_io,omitempty"`
 	// FS is the filesystem durable namespaces open their files on; nil
 	// means the real one. Tests inject a vfs.FaultFS here.
@@ -167,13 +156,15 @@ type Config struct {
 }
 
 // DefaultSnapshotTTL is the idle lifetime of a pinned snapshot when
-// Config.SnapshotTTL is zero.
+// Config.SnapshotTTLMS is zero.
 const DefaultSnapshotTTL = 60 * time.Second
 
 // Server serves the configured namespaces. Create with New, expose
 // with Handler, shut down with Close (drain + checkpoint).
 type Server struct {
 	cfg Config
+	// ttl is the pinned-snapshot idle lifetime cfg.SnapshotTTLMS asks for.
+	ttl time.Duration
 
 	mu  sync.Mutex
 	nss map[string]*namespace
@@ -200,7 +191,7 @@ type namespace struct {
 	del *combiner[delResult]
 
 	// ioMu serializes queries when Config.MeasureIO is set, so the
-	// before/after Stats() delta is exactly this query's cost.
+	// before/after Stats() delta is exactly this query's cold cost.
 	ioMu sync.Mutex
 
 	snapMu   sync.Mutex
@@ -227,17 +218,13 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Namespaces) == 0 {
 		return nil, fmt.Errorf("serve: config declares no namespaces")
 	}
-	if cfg.BatchWindow == 0 && cfg.BatchWindowUS > 0 {
-		cfg.BatchWindow = time.Duration(cfg.BatchWindowUS) * time.Microsecond
-	}
-	if cfg.SnapshotTTL == 0 && cfg.SnapshotTTLMS > 0 {
-		cfg.SnapshotTTL = time.Duration(cfg.SnapshotTTLMS) * time.Millisecond
-	}
-	if cfg.SnapshotTTL == 0 {
-		cfg.SnapshotTTL = DefaultSnapshotTTL
+	ttl := DefaultSnapshotTTL
+	if cfg.SnapshotTTLMS > 0 {
+		ttl = time.Duration(cfg.SnapshotTTLMS) * time.Millisecond
 	}
 	s := &Server{
 		cfg:         cfg,
+		ttl:         ttl,
 		nss:         make(map[string]*namespace, len(cfg.Namespaces)),
 		stopJanitor: make(chan struct{}),
 	}
@@ -314,7 +301,7 @@ func (s *Server) open(name string) (*namespace, error) {
 		}
 		ns.snaps = make(map[string]*pinnedSnap)
 		db := ns.db
-		ns.ins = newCombiner(s.cfg.BatchWindow, func(pts []geom.Point) []error {
+		ns.ins = newCombiner(func(pts []geom.Point) []error {
 			out := make([]error, len(pts))
 			if _, err := db.Apply(nil, pts); err != nil {
 				for i := range out {
@@ -323,7 +310,7 @@ func (s *Server) open(name string) (*namespace, error) {
 			}
 			return out
 		})
-		ns.del = newCombiner(s.cfg.BatchWindow, func(pts []geom.Point) []delResult {
+		ns.del = newCombiner(func(pts []geom.Point) []delResult {
 			out := make([]delResult, len(pts))
 			// removed is a subsequence of pts in pts order, so one walk
 			// hands each waiter its own verdict — and of two waiters
@@ -484,7 +471,7 @@ func decode(r *http.Request, v any) error {
 }
 
 // renewFor computes the snapshot deadline from now.
-func (s *Server) renewFor() time.Time { return time.Now().Add(s.cfg.SnapshotTTL) }
+func (s *Server) renewFor() time.Time { return time.Now().Add(s.ttl) }
 
 // retryAfter is the Retry-After value served with 429 and draining
 // 503 responses: long enough for a queue flush, short enough that a
@@ -551,15 +538,18 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 // ioCost runs query under the namespace's measurement mutex and
-// returns its exact simulated I/O cost; with MeasureIO off it just
-// runs the query. engine.Backend.Stats aggregates every disk behind
-// the planner, so the delta covers shards and mirrors too.
+// returns its exact cold simulated I/O cost; with MeasureIO off it just
+// runs the query. It empties every frame cache first (core.DB.DropCache,
+// whose write-backs it does not count), so the cost does not depend on
+// what earlier requests left resident. core.DB.Stats aggregates every
+// shard and mirror disk, so the delta covers them all.
 func (s *Server) ioCost(ns *namespace, query func() []geom.Point) (pts []geom.Point, ios uint64, measured bool) {
 	if !s.cfg.MeasureIO {
 		return query(), 0, false
 	}
 	ns.ioMu.Lock()
 	defer ns.ioMu.Unlock()
+	ns.db.DropCache()
 	before := ns.db.Stats().IOs()
 	pts = query()
 	return pts, ns.db.Stats().IOs() - before, true
@@ -921,7 +911,7 @@ func handleSnapshotPin(s *Server, ns *namespace, w http.ResponseWriter, r *http.
 	writeJSON(w, http.StatusOK, struct {
 		Snapshot string `json:"snapshot"`
 		TTLMS    int64  `json:"ttl_ms"`
-	}{id, s.cfg.SnapshotTTL.Milliseconds()})
+	}{id, s.ttl.Milliseconds()})
 }
 
 func handleSnapshotClose(s *Server, ns *namespace, w http.ResponseWriter, r *http.Request) {

@@ -162,8 +162,6 @@ func TestWireAndCoreAgreeOnOptions(t *testing.T) {
 		{"rebalance-static", NamespaceConfig{Static: true, Rebalance: true, Shards: 4}, "rebalance"},
 		{"rebalance-one-shard", NamespaceConfig{Rebalance: true, Shards: 1}, "rebalance"},
 		{"rebalance-zero-shards", NamespaceConfig{Rebalance: true}, "rebalance"},
-		{"skew-below-one", NamespaceConfig{Rebalance: true, Shards: 4, MaxShardSkew: 0.5}, "max_shard_skew"},
-		{"skew-without-rebalance", NamespaceConfig{Shards: 4, MaxShardSkew: 2}, "max_shard_skew"},
 		{"machine-b", NamespaceConfig{B: -1}, "b"},
 		{"machine-m", NamespaceConfig{B: 64, M: -1}, "m"},
 		{"machine-m-without-b", NamespaceConfig{M: 999}, "m"},
@@ -173,7 +171,7 @@ func TestWireAndCoreAgreeOnOptions(t *testing.T) {
 		{"b-without-m", NamespaceConfig{B: 64}, ""},
 		{"no-background-drainer", NamespaceConfig{AsyncWrites: true, FlushIntervalMS: -1}, ""},
 		{"static-mirrors", NamespaceConfig{Static: true, Mirrors: true}, ""},
-		{"skew-one", NamespaceConfig{Rebalance: true, Shards: 2, MaxShardSkew: 1}, ""},
+		{"rebalance-two-shards", NamespaceConfig{Rebalance: true, Shards: 2}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := New(Config{Namespaces: map[string]NamespaceConfig{"ns": tc.nc}})
@@ -319,7 +317,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 
 // TestSnapshotTTL lets the janitor reap an idle pinned snapshot.
 func TestSnapshotTTL(t *testing.T) {
-	_, hs := newTestServer(t, Config{Namespaces: testNS, SnapshotTTL: 50 * time.Millisecond})
+	_, hs := newTestServer(t, Config{Namespaces: testNS, SnapshotTTLMS: 50})
 	call(t, "POST", hs.URL+"/v1/t/insert", map[string]any{"points": wire(geom.GenUniform(50, 1<<12, 3))}, nil)
 	var pin struct {
 		Snapshot string `json:"snapshot"`

@@ -150,7 +150,22 @@ func (e *Engine) pickColdestBySize() int {
 	return best
 }
 
-// maybeRebalance runs the load policy every RebalanceEvery applied
+// The load policy's thresholds. No workload has measured a gain from
+// other values, so they are constants, not options.
+const (
+	// maxSkew is the split trigger: a shard whose load exceeds maxSkew
+	// × the mean per-shard load splits, and an adjacent pair jointly
+	// colder than mean/(2 × maxSkew) merges.
+	maxSkew = 2.0
+	// minShardPoints is the population floor of each child of a split.
+	minShardPoints = 32
+	// growthCap caps the splits at growthCap × Options.Shards shards.
+	growthCap = 4
+	// rebalanceEvery is the policy's check cadence in applied updates.
+	rebalanceEvery = 128
+)
+
+// maybeRebalance runs the load policy every rebalanceEvery applied
 // updates. It must be called with no engine locks held (a transition
 // takes topoMu exclusively). TryLock keeps update latency flat: if a
 // transition is already running, the check is simply skipped.
@@ -158,9 +173,8 @@ func (e *Engine) maybeRebalance(n int) {
 	if !e.opts.Rebalance || n <= 0 {
 		return
 	}
-	every := uint64(e.opts.RebalanceEvery)
 	now := e.rebalOps.Add(uint64(n))
-	if now/every == (now-uint64(n))/every {
+	if now/rebalanceEvery == (now-uint64(n))/rebalanceEvery {
 		return
 	}
 	if !e.rebalMu.TryLock() {
@@ -171,18 +185,18 @@ func (e *Engine) maybeRebalance(n int) {
 }
 
 // rebalanceOnce makes at most one policy decision: split the hottest
-// shard if its load exceeds MaxSkew × mean, else merge the coldest
+// shard if its load exceeds maxSkew × mean, else merge the coldest
 // adjacent pair if their combined load is far under the mean. Caller
 // holds rebalMu.
 //
 // Two guards keep the policy stable. First, no decision is made until
 // the window since the last transition holds at least 8 ops per shard
-// (and RebalanceEvery overall): 128 ops spread over 32 shards is
+// (and rebalanceEvery overall): 128 ops spread over 32 shards is
 // Poisson noise, not a load signal, and acting on it makes the
 // topology oscillate. Loads are only zeroed at transitions, so a
 // too-small window simply keeps accumulating until it is decisive.
 // Second, a merge needs the pair's combined load under mean/(2 ×
-// MaxSkew) — twice as cold as the split trigger is hot — so a shard
+// maxSkew) — twice as cold as the split trigger is hot — so a shard
 // the policy just split cannot flap back into a merge on sampling
 // jitter.
 func (e *Engine) rebalanceOnce() {
@@ -196,18 +210,18 @@ func (e *Engine) rebalanceOnce() {
 		total += loads[i]
 	}
 	e.topoMu.RUnlock()
-	if total < uint64(max(e.opts.RebalanceEvery, 8*k)) {
+	if total < uint64(max(rebalanceEvery, 8*k)) {
 		return // not enough signal since the last transition
 	}
 	mean := float64(total) / float64(k)
 	hot, hottest := -1, uint64(0)
 	for i, l := range loads {
-		if l > hottest && sizes[i] >= 2*e.opts.MinShardPoints {
+		if l > hottest && sizes[i] >= 2*minShardPoints {
 			hot, hottest = i, l
 		}
 	}
-	if hot >= 0 && float64(hottest) > e.opts.MaxSkew*mean && k < e.opts.MaxShards {
-		_ = e.split(hot, 2*e.opts.MinShardPoints) //errlint:ok — policy transitions are best-effort
+	if hot >= 0 && float64(hottest) > maxSkew*mean && k < growthCap*e.opts.Shards {
+		_ = e.split(hot, 2*minShardPoints) //errlint:ok — policy transitions are best-effort
 		return
 	}
 	if k < 2 {
@@ -220,7 +234,7 @@ func (e *Engine) rebalanceOnce() {
 			cold, coldest = i, c
 		}
 	}
-	if cold >= 0 && float64(coldest) < mean/(2*e.opts.MaxSkew) {
+	if cold >= 0 && float64(coldest) < mean/(2*maxSkew) {
 		_ = e.merge(cold) //errlint:ok — policy transitions are best-effort
 	}
 }

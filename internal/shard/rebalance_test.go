@@ -11,12 +11,9 @@ import (
 )
 
 // rebalanceOpts is the base rebalancing configuration the tests build
-// engines from: small floors so transitions are easy to force.
+// engines from.
 func rebalanceOpts() Options {
-	return Options{
-		Machine: testCfg, Shards: 4, Workers: 2, Dynamic: true,
-		Rebalance: true, MinShardPoints: 4, RebalanceEvery: 8, MaxShards: 16,
-	}
+	return Options{Machine: testCfg, Shards: 4, Workers: 2, Dynamic: true, Rebalance: true}
 }
 
 // checkBothFamilies cross-checks both query families against the oracle
@@ -159,13 +156,14 @@ func TestRebalanceForceErrors(t *testing.T) {
 	}
 }
 
-// TestRebalancePolicy drives the load policy itself: a stream of
-// inserts landing entirely in the rightmost shard's x-range must trip
-// splits (the hot shard exceeds MaxSkew × mean), and once the shard
-// count hits MaxShards the idle left shards must trip merges (coldest
-// pair far under the mean). Answers stay oracle-identical throughout.
+// TestRebalancePolicy drives the load policy itself, at its constants:
+// a stream of inserts landing entirely in the rightmost shard's x-range
+// must trip splits (the hot shard exceeds maxSkew × mean), the shard
+// count must climb to the cap of growthCap × Shards and never past it,
+// and once there the idle left shards must trip merges (coldest pair far
+// under the mean). Answers stay oracle-identical throughout.
 func TestRebalancePolicy(t *testing.T) {
-	const n, stream = 300, 500
+	const n, stream = 300, 2000
 	span := geom.Coord((n + stream) * 16)
 	// GenUniform returns x-sorted points: the tail of the pool lies
 	// entirely right of the base's cuts, which is exactly the hot
@@ -174,12 +172,18 @@ func TestRebalancePolicy(t *testing.T) {
 	base := append([]geom.Point(nil), all[:n]...)
 	pool := all[n:]
 	opts := rebalanceOpts()
-	opts.MaxSkew = 1.5
-	opts.MaxShards = 6
+	// Three shards: with two, a shard taking every insert carries
+	// exactly maxSkew × mean and never splits. The cap is 12 shards:
+	// the stream reaches it after 9 splits, one per 128 inserts, and
+	// then alternates merges and splits.
+	opts.Shards = 3
+	limit := growthCap * opts.Shards
 	eng, err := New(opts, base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	peak := opts.Shards
+	eng.SetCutsListener(func(cuts []geom.Coord) { peak = max(peak, len(cuts)+1) })
 	ref := append([]geom.Point(nil), base...)
 	for i, p := range pool {
 		if i%3 == 0 {
@@ -204,10 +208,13 @@ func TestRebalancePolicy(t *testing.T) {
 		t.Fatalf("hot stream tripped no splits: %+v", c)
 	}
 	if c.Merges == 0 {
-		t.Fatalf("cold left shards tripped no merges after hitting MaxShards: %+v", c)
+		t.Fatalf("cold left shards tripped no merges after hitting the cap: %+v", c)
 	}
-	if c.Shards > opts.MaxShards {
-		t.Fatalf("shard count %d exceeded MaxShards %d", c.Shards, opts.MaxShards)
+	if peak > limit || c.Shards > limit {
+		t.Fatalf("shard count peaked at %d (now %d), past the cap %d", peak, c.Shards, limit)
+	}
+	if peak < limit {
+		t.Fatalf("shard count peaked at %d, short of the cap %d", peak, limit)
 	}
 	if c.Skew < 0 {
 		t.Fatalf("negative skew: %+v", c)

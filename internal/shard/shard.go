@@ -44,8 +44,8 @@ import (
 
 // Options configures a sharded engine. New takes the values as given,
 // filling in defaults for zero fields: the refusals (ε outside [0, 1],
-// Rebalance without Dynamic, MaxSkew below 1) live in
-// core.Options.Validate, which every DB's options pass first.
+// Rebalance without Dynamic) live in core.Options.Validate, which every
+// DB's options pass first.
 type Options struct {
 	// Machine is the simulated EM machine of each shard's private disk;
 	// zero means emio.DefaultConfig().
@@ -80,19 +80,6 @@ type Options struct {
 	// lock (see rebalance.go for the transition protocol). Needs
 	// Dynamic: a transition rebuilds dynamic structures.
 	Rebalance bool
-	// MaxSkew is the rebalance trigger: a shard whose load exceeds
-	// MaxSkew × the mean per-shard load is split (and an adjacent pair
-	// jointly colder than mean/MaxSkew is merged). Zero means 2.0.
-	MaxSkew float64
-	// MinShardPoints refuses splits that would leave a child below this
-	// population; zero means 32.
-	MinShardPoints int
-	// MaxShards caps the shard count growth from splits; zero means
-	// 4 × Shards.
-	MaxShards int
-	// RebalanceEvery is the policy check cadence in applied updates;
-	// zero means 128.
-	RebalanceEvery int
 }
 
 // Counters are the engine-level operation totals, aggregated atomically
@@ -216,20 +203,6 @@ func New(opts Options, pts []geom.Point) (*Engine, error) {
 	}
 	if opts.Workers < 1 {
 		opts.Workers = opts.Shards
-	}
-	if opts.Rebalance {
-		if opts.MaxSkew == 0 {
-			opts.MaxSkew = 2.0
-		}
-		if opts.MinShardPoints == 0 {
-			opts.MinShardPoints = 32
-		}
-		if opts.MaxShards == 0 {
-			opts.MaxShards = 4 * opts.Shards
-		}
-		if opts.RebalanceEvery == 0 {
-			opts.RebalanceEvery = 128
-		}
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i-1].X >= pts[i].X {

@@ -78,7 +78,6 @@ func TestDifferentialRebalance(t *testing.T) {
 					}
 					rebalOpts := cfg.opts
 					rebalOpts.Rebalance = true
-					rebalOpts.MaxShardSkew = 2.0
 					if cfg.durable {
 						rebalOpts.Dir = t.TempDir()
 					}
@@ -259,7 +258,7 @@ func TestRebalanceRaceStress(t *testing.T) {
 		Machine: diffCfg, Dynamic: true, Shards: 4, Workers: 4, Mirrors: true,
 		CacheEntries: 32, AsyncWrites: true, FlushPoints: 16,
 		FlushInterval: time.Millisecond,
-		Rebalance:     true, MaxShardSkew: 2.0,
+		Rebalance:     true,
 	}, base)
 	if err != nil {
 		t.Fatal(err)

@@ -404,8 +404,8 @@ func TestSnapshotRaceStress(t *testing.T) {
 // gives up, one way or another, every block the snapshot reads: leaf
 // rewrites and representative blocks on every update, whole Theorem 6
 // structures at the foursided rebuilds (each shard sees several times the
-// n/2 updates that trigger one), and entire shards — released at their
-// forced split and merge. The pinned view must keep answering all seven
+// n/2 updates that trigger one), and entire shards — released at every
+// split and merge. The pinned view must keep answering all seven
 // shapes byte-identically while those frees sit deferred, and closing it
 // must leave no residue: nothing deferred, nothing retained, and exactly
 // the live set of a twin that ran the same stream and never pinned
@@ -416,10 +416,12 @@ func TestSnapshotAcrossReclamation(t *testing.T) {
 	all := geom.GenUniform(n+updates/2, span, 8200)
 	base := append([]geom.Point(nil), all[:n]...)
 	geom.SortByX(base)
-	// The skew trigger is out of reach, so the forced transitions below
-	// are the only ones and both runs make them at the same ops.
+	// Every insert lands right of the base, so the load policy splits
+	// the hot shards on its own besides the forced transitions below.
+	// Snapshot reads add no load, so both runs make the same transitions
+	// at the same ops.
 	opts := core.Options{Machine: diffCfg, Dynamic: true, Shards: 2, Workers: 2, Mirrors: true,
-		Rebalance: true, MaxShardSkew: 1e9}
+		Rebalance: true}
 
 	run := func(pinned bool) int {
 		db, err := core.Open(opts, base)
