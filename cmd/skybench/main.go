@@ -379,7 +379,9 @@ func e7Random(pts []geom.Point) {
 
 func e8() {
 	fmt.Println("E8  I/O-CPQA (Theorem 3): worst-case O(1), amortized o(1) per op")
-	fmt.Printf("%6s %16s %16s\n", "b", "worst I/Os (M=0)", "amortized I/Os")
+	fmt.Println("    peak pins and overflows: each run's most blocks pinned at once, and its")
+	fmt.Println("    admissions past M/B frames (M=0 run / amortized run); M = Ω(ℓb) wants no overflow.")
+	fmt.Printf("%6s %16s %16s %10s %10s\n", "b", "worst I/Os (M=0)", "amortized I/Os", "peak pins", "overflows")
 	for _, b := range []int{1, 8, 64} {
 		// Worst case: no cache at all.
 		d0 := emio.NewDisk(emio.Config{B: 64, M: 0})
@@ -411,7 +413,9 @@ func e8() {
 				q2 = q2.InsertAndAttrite(cpqa.Elem{Key: rng.Int63n(1 << 30)})
 			}
 		}
-		fmt.Printf("%6d %16d %16.3f\n", b, worst, float64(d1.Stats().IOs())/ops)
+		fmt.Printf("%6d %16d %16.3f %10s %10s\n", b, worst, float64(d1.Stats().IOs())/ops,
+			fmt.Sprintf("%d/%d", d0.PeakPinned(), d1.PeakPinned()),
+			fmt.Sprintf("%d/%d", d0.PinOverflows(), d1.PinOverflows()))
 	}
 }
 

@@ -29,15 +29,17 @@
 // representative block. On random input that is nearly every update.
 // The parent's representative block also holds, after the critical
 // records, each leaf child's block fences (first x) and block summaries
-// (point count, highest y), so a single-point update reads only the leaf
-// block it changes; a batch reads every leaf it reaches whole.
+// (point count, highest y), so an update — a single insert or one point
+// of a batch alike — reads only the leaf block it changes unless its
+// leaf's staircase changes.
 //
 // Block lifetime: queries and refreshes run in an emio.Scope and keep
 // only the queue version that survives them, each node owns the spans of
-// its current version, and Release frees everything. The O(n/B) space
-// figure is what the nodes hold; replaced versions are still held on the
-// tree's history until FreeHistory (DESIGN.md, "Block lifetime and
-// reclamation").
+// its current version, and Release frees everything. A query keeps
+// nothing, so its scope is a scratch scope, whose small records share
+// frames. The O(n/B) space figure is what the nodes hold; replaced
+// versions are still held on the tree's history until FreeHistory
+// (DESIGN.md, "Block lifetime and reclamation").
 //
 // The base tree is internal/xtree's copy-on-write x-tree, shared with
 // foursided: Snapshot pins the root in O(1), and an update copies the
@@ -304,11 +306,10 @@ func (t *Tree) FreeHistory() {
 }
 
 // Insert adds points one at a time (their x and y must not collide with
-// indexed points; callers enforce general position), as Add does; a
-// call with more than one point is a batch.
+// indexed points; callers enforce general position), as Add does.
 func (t *Tree) Insert(pts ...geom.Point) {
 	for _, p := range pts {
-		t.Add(p, len(pts) > 1)
+		t.Add(p)
 	}
 }
 
@@ -319,44 +320,43 @@ func (t *Tree) Insert(pts ...geom.Point) {
 // block in place (a full one, the blocks through the nearest one with
 // room), unless a Snapshot still shares the leaf's span or the leaf
 // needs a block more; then the leaf moves to a fresh span
-// (xtree.Tree.UpdateLeaf). batch says that p is one point of a batch of
-// inserts, which reads every leaf it reaches whole, as the batch will
-// read most of its blocks anyway; a single insert reads only p's block,
-// or the blocks from p's on, where it can (see update).
-func (t *Tree) Add(p geom.Point, batch bool) {
+// (xtree.Tree.UpdateLeaf). It reads only p's block unless the leaf's
+// queue must be rebuilt (see update), whether or not p is one point of
+// a batch.
+func (t *Tree) Add(p geom.Point) {
 	if t.xt.Root == nil {
 		t.xt.Root = t.xt.NewLeaf([]geom.Point{p})
 		t.refreshLeaf(t.xt.Root)
 		t.n = 1
 		return
 	}
-	t.update(p, true, batch)
+	t.update(p, true)
 }
 
 // Delete removes the point with the given coordinates; it reports
 // whether the point was present. O(log_{2B^ε}(n/B)) I/Os, as Add.
 func (t *Tree) Delete(p geom.Point) bool {
-	return t.xt.Root != nil && t.update(p, false, false)
+	return t.xt.Root != nil && t.update(p, false)
 }
 
 // update inserts p into, or deletes it from, its leaf and rebalances
 // the path up to the root; a delete of an absent point changes nothing
 // and reports false.
-func (t *Tree) update(p geom.Point, insert, batch bool) bool {
+func (t *Tree) update(p geom.Point, insert bool) bool {
 	// The descent reads the representative block of every internal node
 	// it routes through.
 	path := t.xt.Descend(p.X, func(nd *node) { t.disk.ReadSpan(nd.Data.repBlock, nd.Data.repWords) })
 	leaf := path[len(path)-1]
 	i := sort.Search(len(leaf.Pts), func(j int) bool { return leaf.Pts[j].X >= p.X })
 	// The parent's representative block, just read whole, holds the
-	// leaf's block fences and summaries (repLayout), so a single-point
-	// update reads only the block p goes to or comes from: the fences
-	// locate the block, the block says whether p is in it, and the
-	// highest y of the blocks after it whether p is dominated inside the
-	// leaf. A batch, and an update of a root leaf, reads the whole leaf
-	// (DESIGN.md, "Leaf spans in place").
+	// leaf's block fences and summaries (repLayout), so an update reads
+	// only the block p goes to or comes from: the fences locate the
+	// block, the block says whether p is in it, and the highest y of the
+	// blocks after it whether p is dominated inside the leaf. An update
+	// of a root leaf reads the whole leaf (DESIGN.md, "Leaf spans in
+	// place").
 	first, last := 0, len(leaf.Runs)-1
-	if len(path) > 1 && !batch {
+	if len(path) > 1 {
 		first = leaf.BlockFor(i, insert)
 		last = first
 	}
@@ -502,9 +502,10 @@ func (v view) query(x1, x2, beta geom.Coord) []geom.Point {
 		return nil
 	}
 	// A query keeps nothing: the partial-leaf queues, the catenation and
-	// every DeleteMin version live in a scratch scope that is released
-	// once the answer is out.
-	sc := v.disk.NewScope()
+	// every DeleteMin version live in a scratch scope, which packs its
+	// small records into shared frames and is released once the answer
+	// is out.
+	sc := v.disk.NewScratchScope()
 	// Room for a typical query's queues without a heap allocation.
 	var qbuf [32]*cpqa.Queue
 	qs := v.collect(sc, v.root, nil, x1, x2, qbuf[:0])

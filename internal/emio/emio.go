@@ -20,6 +20,12 @@
 // takes no frame. The cover lives in the block's slot; a freed cover is
 // simply ignored.
 //
+// A scratch scope (NewScratchScope) packs the small spans of an
+// operation that keeps nothing into shared blocks: each span is a block
+// of its own for ids, frees and space, but every access to it lands on
+// the frame of the block it shares, as a record written into a
+// partly-filled buffer page would.
+//
 // The disk's own bookkeeping is a dense table of block slots, sized by
 // the peak number of live blocks: a BlockID carries the allocation
 // sequence of the call that created it and the slot it occupies. Freed
@@ -190,17 +196,24 @@ type slot struct {
 	// pos places the block in its run: the slots one AllocSpan took,
 	// which keep their places while free. On the run's first slot it is
 	// runHead | the number of the run's blocks still allocated, on
-	// every other slot the block's offset in the run.
+	// every other slot the block's offset in the run. A packed block, a
+	// run of one slot, adds packed while it is allocated.
 	pos uint32
 	// coverSeq and coverSlot are the two halves of the id of the block
 	// holding a packed copy of this one (see Cover), 0 when there is
-	// none. A cover that has since been freed is stale and ignored,
-	// since a freed id never becomes valid again.
+	// none; on a packed block, of the block whose frame it shares (the
+	// first packed block of that frame names itself). Either is stale
+	// and ignored once freed, since a freed id never becomes valid
+	// again.
 	coverSeq, coverSlot uint32
 }
 
-// runHead marks the first slot of a run in slot.pos.
-const runHead = 1 << 31
+// runHead marks the first slot of a run in slot.pos, and packed a
+// packed block's slot.
+const (
+	runHead = 1 << 31
+	packed  = 1 << 30
+)
 
 // cover returns the slot's cover id, or 0.
 func (sl *slot) cover() BlockID { return BlockID(sl.coverSeq)<<slotBits | BlockID(sl.coverSlot) }
@@ -351,6 +364,15 @@ func (d *Disk) allocSpan(words int) BlockID {
 // accounting size(i) words, called in order, and admits each resident
 // and dirty.
 func (d *Disk) allocRun(n int, size func(i int) int) BlockID {
+	id := d.newRun(n, size)
+	for i := range n {
+		d.frames.Admit(uint64(id&slotMask)+uint64(i), true, 0)
+	}
+	return id
+}
+
+// newRun is allocRun without the admissions.
+func (d *Disk) newRun(n int, size func(i int) int) BlockID {
 	if d.seq == maxSeq {
 		panic("emio: block allocation sequences exhausted")
 	}
@@ -368,10 +390,28 @@ func (d *Disk) allocRun(n int, size func(i int) int) BlockID {
 		if d.liveWords > d.peakWords {
 			d.peakWords = d.liveWords
 		}
-		d.frames.Admit(uint64(s), true, 0)
 	}
 	d.liveBlocks += n
 	return BlockID(d.seq<<slotBits | uint64(first))
+}
+
+// allocPacked allocates a packed block accounting words words
+// (1 ≤ words ≤ B) that shares the frame of block share, which takes the
+// write, when share is live and resident; otherwise the new block
+// starts a shared frame of its own, admitted resident and dirty. It
+// returns the new block and the block whose frame it shares.
+func (d *Disk) allocPacked(words int, share BlockID) (id, shared BlockID) {
+	id = d.newRun(1, func(int) int { return words })
+	s := uint32(id & slotMask)
+	hs, ok := d.slotOf(share)
+	if !ok || !d.frames.Touch(uint64(hs), true) {
+		share, hs = id, s
+		d.frames.Admit(uint64(s), true, 0)
+	}
+	sl := d.slots.at(uint64(s))
+	sl.pos |= packed
+	sl.coverSeq, sl.coverSlot = uint32(share>>slotBits), hs
+	return id, share
 }
 
 // takeRun returns the first slot of n consecutive free slots: a run an
@@ -384,7 +424,7 @@ func (d *Disk) takeRun(n int) uint32 {
 		}
 	}
 	first := d.slots.len()
-	if uint64(first+n) > slotMask+1 || n >= runHead {
+	if uint64(first+n) > slotMask+1 || n >= packed {
 		panic("emio: block table exhausted")
 	}
 	d.slots.grow(n)
@@ -400,6 +440,18 @@ func (d *Disk) slotOf(id BlockID) (uint32, bool) {
 	}
 	seq := d.slots.at(s).seq
 	return uint32(s), seq != 0 && uint64(seq) == uint64(id)>>slotBits
+}
+
+// frameOf returns the key of the frame that holds the block in slot s:
+// s itself, or, for a packed block whose shared block is live, that
+// block's slot.
+func (d *Disk) frameOf(s uint32) uint64 {
+	if sl := d.slots.at(uint64(s)); sl.pos&packed != 0 {
+		if hs, ok := d.slotOf(sl.cover()); ok {
+			return uint64(hs)
+		}
+	}
+	return uint64(s)
 }
 
 // mustSlot is slotOf for operations on a block that must be live; it
@@ -441,14 +493,19 @@ func (d *Disk) free(id BlockID) {
 // reclaim actually releases a block, bypassing retention deferral (the
 // path Retention.Release drains the deferred queue through). The slot
 // is cleared at once, so the id goes stale; the run returns to its free
-// list when its last block is released. Caller holds the lock.
+// list when its last block is released. A packed block that shares
+// another block's frame leaves the frame to that block, but refuses to
+// go while the frame is pinned. Caller holds the lock.
 func (d *Disk) reclaim(id BlockID) {
 	s := d.mustSlot(id, "Free of unknown block")
-	if f, ok := d.frames.Get(uint64(s)); ok {
+	key := d.frameOf(s)
+	if f, ok := d.frames.Get(key); ok {
 		if f.Pins > 0 {
 			panic(fmt.Sprintf("emio: Free of pinned block %d (%d outstanding pins)", id, f.Pins))
 		}
-		d.frames.Remove(uint64(s))
+		if key == uint64(s) {
+			d.frames.Remove(key)
+		}
 	}
 	sl := d.slots.at(uint64(s))
 	d.liveBlocks--
@@ -457,7 +514,7 @@ func (d *Disk) reclaim(id BlockID) {
 	if sl.pos&runHead == 0 {
 		first -= sl.pos
 	}
-	*sl = slot{pos: sl.pos}
+	*sl = slot{pos: sl.pos &^ packed}
 	head := d.slots.at(uint64(first))
 	if head.pos--; head.pos == runHead {
 		n := d.runLen(first)
@@ -621,7 +678,7 @@ func (d *Disk) Pin(id BlockID) {
 }
 
 func (d *Disk) pin(id BlockID) {
-	s := uint64(d.mustSlot(id, "Pin of unallocated block"))
+	s := d.frameOf(d.mustSlot(id, "Pin of unallocated block"))
 	if d.frames.Pin(s) {
 		return
 	}
@@ -641,7 +698,7 @@ func (d *Disk) Unpin(id BlockID) {
 
 func (d *Disk) unpin(id BlockID) {
 	s, ok := d.slotOf(id)
-	if !ok || !d.frames.Unpin(uint64(s)) {
+	if !ok || !d.frames.Unpin(d.frameOf(s)) {
 		panic(fmt.Sprintf("emio: Unpin of unpinned block %d", id))
 	}
 }
@@ -677,7 +734,7 @@ func (d *Disk) Admit(id BlockID) {
 }
 
 func (d *Disk) admitClean(id BlockID) {
-	s := uint64(d.mustSlot(id, "Admit of unallocated block"))
+	s := d.frameOf(d.mustSlot(id, "Admit of unallocated block"))
 	if !d.frames.Resident(s) {
 		d.frames.Admit(s, false, 0)
 	}
@@ -706,20 +763,21 @@ func (d *Disk) Resident(id BlockID) bool {
 	d.lock()
 	defer d.unlock()
 	s, ok := d.slotOf(id)
-	return ok && d.frames.Resident(uint64(s))
+	return ok && d.frames.Resident(d.frameOf(s))
 }
 
-// touch makes id resident, charging I/Os as needed, and moves it to the
-// front of the LRU list. A read of a non-resident block with a live
-// cover touches the cover block instead, and id stays out of the cache.
+// touch makes id's frame resident, charging I/Os as needed, and moves
+// it to the front of the LRU list. A read of a non-resident block with
+// a live cover touches the cover block instead, and id stays out of the
+// cache.
 func (d *Disk) touch(id BlockID, write bool) {
-	s := uint64(d.mustSlot(id, "access to unallocated block"))
+	s := d.frameOf(d.mustSlot(id, "access to unallocated block"))
 	if d.frames.Touch(s, write) {
 		return
 	}
-	if sl := d.slots.at(s); !write && sl.coverSeq != 0 {
+	if sl := d.slots.at(s); !write && sl.pos&packed == 0 && sl.coverSeq != 0 {
 		if cs, ok := d.slotOf(sl.cover()); ok {
-			if s = uint64(cs); d.frames.Touch(s, false) {
+			if s = d.frameOf(cs); d.frames.Touch(s, false) {
 				return
 			}
 		}
@@ -736,8 +794,9 @@ func (d *Disk) touch(id BlockID, write bool) {
 // record from the copy costs; writes and pins are never redirected. A
 // later Cover of the same block replaces its cover, and a cover that is
 // freed stops covering (the block is read as itself again), so nothing
-// has to undo a cover. Cover panics unless both spans are live and the
-// copy lies inside rep (0 ≤ off, off + sp.Words ≤ rep.Words).
+// has to undo a cover. Cover panics unless both spans are live, sp is
+// not packed (its slot names its shared block instead) and the copy
+// lies inside rep (0 ≤ off, off + sp.Words ≤ rep.Words).
 func (d *Disk) Cover(sp, rep Span, off int) {
 	d.lock()
 	defer d.unlock()
@@ -746,7 +805,9 @@ func (d *Disk) Cover(sp, rep Span, off int) {
 	}
 	n := d.cfg.BlocksFor(sp.Words)
 	for i := range n {
-		d.mustSlot(sp.ID+BlockID(i), "Cover of unallocated block")
+		if s := d.mustSlot(sp.ID+BlockID(i), "Cover of unallocated block"); d.slots.at(uint64(s)).pos&packed != 0 {
+			panic(fmt.Sprintf("emio: Cover of packed block %d", sp.ID+BlockID(i)))
+		}
 		d.mustSlot(d.coverOf(rep, off, i), "Cover by unallocated block")
 	}
 	for i := range n {

@@ -8,9 +8,9 @@ import (
 
 // refDisk is the reference model FuzzDiskModel checks Disk against: the
 // disk's semantics written the plainest way. Ids are never reused, the
-// live set, the deferred set, the covers and the open retentions are
-// maps, and the frame cache is a slice in LRU order, most recently used
-// first.
+// live set, the deferred set, the covers, the shared frames of packed
+// blocks and the open retentions are maps, and the frame cache is a
+// slice in LRU order, most recently used first.
 type refDisk struct {
 	cfg                  Config
 	reads, writes        uint64
@@ -25,6 +25,7 @@ type refDisk struct {
 	deferred             []refDeferred
 	deferredSet          map[uint64]bool
 	cover                map[uint64]uint64 // covered id -> cover id
+	shared               map[uint64]uint64 // packed id -> id whose frame it shares
 }
 
 type refFrame struct {
@@ -36,7 +37,7 @@ type refFrame struct {
 type refDeferred struct{ id, epoch uint64 }
 
 func newRefDisk(cfg Config) *refDisk {
-	return &refDisk{cfg: cfg, live: map[uint64]int{}, retained: map[uint64]bool{}, deferredSet: map[uint64]bool{}, cover: map[uint64]uint64{}}
+	return &refDisk{cfg: cfg, live: map[uint64]int{}, retained: map[uint64]bool{}, deferredSet: map[uint64]bool{}, cover: map[uint64]uint64{}, shared: map[uint64]uint64{}}
 }
 
 // find returns id's position in the LRU slice, or -1.
@@ -84,6 +85,17 @@ func (r *refDisk) admit(id uint64, dirty bool, pins int) {
 	}
 }
 
+// frameOf returns the id whose frame holds id: the block it shares if
+// it is packed and that block is live, id itself otherwise.
+func (r *refDisk) frameOf(id uint64) uint64 {
+	if h, ok := r.shared[id]; ok {
+		if _, live := r.live[h]; live {
+			return h
+		}
+	}
+	return id
+}
+
 func (r *refDisk) mustLive(id uint64, what string) {
 	if _, ok := r.live[id]; !ok {
 		panic(fmt.Sprintf("ref: %s %d", what, id))
@@ -108,6 +120,7 @@ func (r *refDisk) allocSpan(words int) uint64 {
 
 func (r *refDisk) touch(id uint64, write bool) {
 	r.mustLive(id, "access to unallocated block")
+	id = r.frameOf(id)
 	if i := r.find(id); i >= 0 {
 		f := r.toFront(i)
 		f.dirty = f.dirty || write
@@ -115,6 +128,7 @@ func (r *refDisk) touch(id uint64, write bool) {
 	}
 	if c, ok := r.cover[id]; ok && !write {
 		if _, live := r.live[c]; live {
+			c = r.frameOf(c)
 			if i := r.find(c); i >= 0 {
 				r.toFront(i)
 				return
@@ -127,7 +141,8 @@ func (r *refDisk) touch(id uint64, write bool) {
 }
 
 // coverSpan covers block i of the span at id with the block of the
-// span at rep that holds word off+i·B, after checking every block.
+// span at rep that holds word off+i·B, after checking every block; a
+// packed block cannot be covered.
 func (r *refDisk) coverSpan(id uint64, words int, rep uint64, repWords, off int) {
 	if off < 0 || off+words > repWords {
 		panic("ref: Cover outside its cover span")
@@ -135,6 +150,9 @@ func (r *refDisk) coverSpan(id uint64, words int, rep uint64, repWords, off int)
 	n := r.cfg.BlocksFor(words)
 	for i := range n {
 		r.mustLive(id+uint64(i), "Cover of unallocated block")
+		if _, ok := r.shared[id+uint64(i)]; ok {
+			panic("ref: Cover of packed block")
+		}
 		r.mustLive(rep+uint64((off+i*r.cfg.B)/r.cfg.B), "Cover by unallocated block")
 	}
 	for i := range n {
@@ -184,6 +202,7 @@ func (r *refDisk) readCold(id uint64) {
 
 func (r *refDisk) pin(id uint64) {
 	r.mustLive(id, "Pin of unallocated block")
+	id = r.frameOf(id)
 	if i := r.find(id); i >= 0 {
 		r.toFront(i).pins++
 		r.peakPinned = max(r.peakPinned, r.pinned())
@@ -194,7 +213,10 @@ func (r *refDisk) pin(id uint64) {
 }
 
 func (r *refDisk) unpin(id uint64) {
-	i := r.find(id)
+	if _, ok := r.live[id]; !ok {
+		panic(fmt.Sprintf("ref: Unpin of unpinned block %d", id))
+	}
+	i := r.find(r.frameOf(id))
 	if i < 0 || r.lru[i].pins == 0 {
 		panic(fmt.Sprintf("ref: Unpin of unpinned block %d", id))
 	}
@@ -203,7 +225,7 @@ func (r *refDisk) unpin(id uint64) {
 
 func (r *refDisk) admitClean(id uint64) {
 	r.mustLive(id, "Admit of unallocated block")
-	if r.find(id) < 0 {
+	if id = r.frameOf(id); r.find(id) < 0 {
 		r.admit(id, false, 0)
 	}
 }
@@ -232,17 +254,23 @@ func (r *refDisk) free(id uint64) {
 	r.deferred = append(r.deferred, refDeferred{id: id, epoch: r.retainSeq})
 }
 
+// reclaim frees id. A packed block that shares a live block's frame
+// leaves the frame to it, but refuses to go while the frame is pinned.
 func (r *refDisk) reclaim(id uint64) {
 	r.mustLive(id, "Free of unknown block")
-	if i := r.find(id); i >= 0 {
+	key := r.frameOf(id)
+	if i := r.find(key); i >= 0 {
 		if r.lru[i].pins > 0 {
 			panic(fmt.Sprintf("ref: Free of pinned block %d", id))
 		}
-		r.lru = append(r.lru[:i], r.lru[i+1:]...)
+		if key == id {
+			r.lru = append(r.lru[:i], r.lru[i+1:]...)
+		}
 	}
 	r.liveWords -= int64(r.live[id])
 	delete(r.live, id)
 	delete(r.cover, id)
+	delete(r.shared, id)
 }
 
 func (r *refDisk) retain() uint64 {
@@ -268,10 +296,15 @@ func (r *refDisk) release(seq uint64) {
 	}
 }
 
-// refScope models Scope: the spans an operation allocated, in order.
+// refScope models Scope: the spans an operation allocated, in order,
+// and for a scratch scope the block its packed spans fill and the words
+// in it.
 type refScope struct {
 	spans    []refSpan
 	released bool
+	scratch  bool
+	fill     uint64
+	used     int
 }
 
 type refSpan struct {
@@ -284,12 +317,41 @@ func (r *refDisk) scopeAlloc(s *refScope, words int) uint64 {
 	if s.released {
 		panic("ref: AllocSpan on a released scope")
 	}
-	id := r.allocSpan(words)
+	var id uint64
+	if s.scratch && words <= r.cfg.B {
+		id = r.allocPacked(s, max(1, words))
+	} else {
+		id = r.allocSpan(words)
+	}
 	s.spans = append(s.spans, refSpan{id: id, words: words})
 	return id
 }
 
+// allocPacked allocates a packed block of w words: into the frame of
+// the scope's fill block while that is live and resident and has room,
+// into a frame of its own otherwise.
+func (r *refDisk) allocPacked(s *refScope, w int) uint64 {
+	r.nextID++
+	id := r.nextID
+	r.live[id] = w
+	r.liveWords += int64(w)
+	r.peakWords = max(r.peakWords, r.liveWords)
+	_, live := r.live[s.fill]
+	if i := r.find(s.fill); live && i >= 0 && s.used+w <= r.cfg.B {
+		r.toFront(i).dirty = true
+	} else {
+		s.fill, s.used = id, 0
+		r.admit(id, true, 0)
+	}
+	s.used += w
+	r.shared[id] = s.fill
+	return id
+}
+
 func (r *refDisk) keep(s *refScope, id uint64) bool {
+	if s.scratch {
+		panic("ref: Keep on a scratch scope")
+	}
 	for i, sp := range s.spans {
 		if id >= sp.id && id < sp.id+uint64(r.cfg.blocks(Span{Words: sp.words})) {
 			s.spans[i].kept = true
@@ -403,7 +465,7 @@ func (m *modelRun) check() {
 		resident[f.id] = true
 	}
 	for id := range r.live {
-		if got, want := d.Resident(m.toDisk[id]), resident[id]; got != want {
+		if got, want := d.Resident(m.toDisk[id]), resident[r.frameOf(id)]; got != want {
 			m.t.Fatalf("%s: Resident(%d) = %v, model %v", name, id, got, want)
 		}
 	}
@@ -413,7 +475,7 @@ func (m *modelRun) check() {
 func (m *modelRun) step() {
 	d, r := m.d, m.r
 	B := r.cfg.B
-	switch op := m.next() % 27; op {
+	switch op := m.next() % 28; op {
 	case 0:
 		var mid uint64
 		var did BlockID
@@ -513,11 +575,18 @@ func (m *modelRun) step() {
 		}
 		mr := m.rets[m.next()%len(m.rets)]
 		m.do(fmt.Sprintf("Release(retention %d)", mr.seq), func() { r.release(mr.seq) }, mr.ret.Release)
-	case 18:
-		if m.scope == nil {
+	case 18, 27:
+		// Op 27 opens a scratch scope and allocates at most B words, so
+		// that most of its spans are packed.
+		w := m.next() % (6*B + 1)
+		if m.scope == nil && op == 27 {
+			m.scope, m.rscope = d.NewScratchScope(), &refScope{scratch: true}
+		} else if m.scope == nil {
 			m.scope, m.rscope = d.NewScope(), &refScope{}
 		}
-		w := m.next() % (6*B + 1)
+		if op == 27 {
+			w %= B + 1
+		}
 		var mid uint64
 		var did BlockID
 		m.do(fmt.Sprintf("Scope.AllocSpan(%d)", w), func() { mid = r.scopeAlloc(m.rscope, w) }, func() { did = m.scope.AllocSpan(w) })
@@ -652,22 +721,32 @@ func runModel(t *testing.T, ops []byte, maxOps int) {
 
 // FuzzDiskModel runs a decoded op sequence — every allocation, free,
 // access, partial-span write, block resize, pin, admission, cover,
-// retention and scope operation — against both the Disk and refDisk.
+// retention and scope operation, in plain and scratch scopes — against
+// both the Disk and refDisk. Packed blocks are named, touched, pinned,
+// covered and freed as any other, in any order.
 // After every op they must agree on the I/O counters, the space
 // accounting, the deferred frees, the pin detector and the residency of
 // every live id, and an op the model refuses must panic on the disk
 // too. Ops name blocks by picking from every id ever issued, so freed
 // ids — whose slots the disk reuses — are exercised as often as live
 // ones. An op is decoded modulo the number of ops, so adding one
-// changes what every input decodes to: seeds saved before AllocBlocks,
-// ResizeBlock and FreeBlocks joined (when there were 25 ops) now run
-// different sequences.
+// changes what every input decodes to: seeds saved before scratch
+// scopes joined (when there were 27 ops) now run different sequences.
 func FuzzDiskModel(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 800)
 		rng.Read(ops)
 		f.Add(ops)
+		// The same bytes with every third one set to op 27 spend most
+		// of the run in scratch scopes, so the seed corpus frees packed
+		// blocks while others share their frames.
+		scratch := make([]byte, len(ops))
+		copy(scratch, ops)
+		for i := 1; i < len(scratch); i += 3 {
+			scratch[i] = 27
+		}
+		f.Add(scratch)
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		runModel(t, ops, 600)

@@ -132,3 +132,100 @@ func TestScopeKeepAcrossReusedSlots(t *testing.T) {
 		t.Fatalf("LiveBlocks = %d, want 4 (a, b, z)", got)
 	}
 }
+
+// TestScratchScopePacksSmallSpans: a scratch scope's spans of at most B
+// words share frames, ⌈Σwords/B⌉ of them when the sizes fill blocks
+// exactly, while each keeps its own id and words; a span of more than B
+// words takes frames of its own. Every access to a packed span lands on
+// its shared frame, and releasing the scope leaves the disk as it was.
+func TestScratchScopePacksSmallSpans(t *testing.T) {
+	d := NewDisk(Config{B: 8, M: 8 * 64})
+	sc := d.NewScratchScope()
+	var ids []BlockID
+	for i := range 20 {
+		ids = append(ids, sc.AllocSpan([]int{1, 1, 2, 4}[i%4])) // 40 words in all
+	}
+	if got := d.frames.Len(); got != 5 {
+		t.Fatalf("20 spans of 40 words take %d frames, want ⌈40/8⌉ = 5", got)
+	}
+	if d.LiveBlocks() != 20 || d.LiveWords() != 40 || d.PeakWords() != 40 {
+		t.Fatalf("live %d blocks %d words (peak %d), want 20/40/40", d.LiveBlocks(), d.LiveWords(), d.PeakWords())
+	}
+	big := sc.AllocSpan(20) // 3 blocks of its own
+	if got := d.frames.Len(); got != 8 {
+		t.Fatalf("a 20-word span added %d frames, want 3", got-5)
+	}
+	d.DropCache()
+	before := d.Stats()
+	for _, id := range ids {
+		d.Read(id)
+	}
+	if got := d.Stats().Sub(before).Reads; got != 5 {
+		t.Fatalf("reading every packed span from a cold cache read %d blocks, want 5", got)
+	}
+	if !d.Resident(ids[0]) || !d.Resident(ids[1]) || d.Resident(big) {
+		t.Fatal("residency does not follow the shared frame")
+	}
+	if kept := sc.Release(); kept != nil {
+		t.Fatalf("a scratch scope kept %v", kept)
+	}
+	if d.LiveBlocks() != 0 || d.LiveWords() != 0 || d.frames.Len() != 0 {
+		t.Fatalf("after Release: %d blocks, %d words, %d frames", d.LiveBlocks(), d.LiveWords(), d.frames.Len())
+	}
+	for _, id := range ids {
+		mustPanic(t, "read of a released packed span", func() { d.Read(id) })
+	}
+}
+
+// TestScratchScopePacksOnlyIntoResidentFrames: a packed span joins the
+// frame of the scope's last one only while that frame is resident, so
+// packing never charges a read; once evicted, the next span starts a
+// frame of its own.
+func TestScratchScopePacksOnlyIntoResidentFrames(t *testing.T) {
+	d := NewDisk(Config{B: 8, M: 8 * 64})
+	sc := d.NewScratchScope()
+	a := sc.AllocSpan(2)
+	d.DropCache()
+	b := sc.AllocSpan(2)
+	if s := d.Stats(); s.Reads != 0 || s.Writes != 1 {
+		t.Fatalf("packing after an eviction cost %v, want the one write-back", s)
+	}
+	if d.Resident(a) || !d.Resident(b) {
+		t.Fatal("the second span joined the evicted frame")
+	}
+	sc.Release()
+}
+
+// TestScratchScopeKeepPanics: a scratch scope serves an operation that
+// keeps nothing; a Keep on it is a caller bug.
+func TestScratchScopeKeepPanics(t *testing.T) {
+	d := NewDisk(Config{B: 8, M: 64})
+	sc := d.NewScratchScope()
+	id := sc.AllocSpan(2)
+	mustPanic(t, "Keep on a scratch scope", func() { sc.Keep(id) })
+}
+
+// TestScratchScopePinnedSharedBlockRefusesRelease: a pin on any packed
+// span pins the frame it shares, so releasing the scope panics until
+// it is unpinned, whichever span holds the pin.
+func TestScratchScopePinnedSharedBlockRefusesRelease(t *testing.T) {
+	d := NewDisk(Config{B: 8, M: 64})
+	sc := d.NewScratchScope()
+	sc.AllocSpan(4)
+	last := sc.AllocSpan(4)
+	d.Pin(last)
+	mustPanic(t, "Release with a pinned shared block", func() { sc.Release() })
+	d.Unpin(last)
+	mustPanic(t, "Cover of a packed block", func() {
+		d.Cover(Span{ID: last, Words: 4}, Span{ID: d.AllocSpan(8), Words: 8}, 0)
+	})
+
+	// Freeing one packed span leaves the frame to the spans still on it.
+	sc = d.NewScratchScope()
+	first := sc.AllocSpan(4)
+	second := sc.AllocSpan(4)
+	d.Free(second)
+	if !d.Resident(first) {
+		t.Fatal("freeing a packed span dropped the frame it shares")
+	}
+}

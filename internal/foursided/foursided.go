@@ -285,10 +285,9 @@ func (v view) boundary(out []geom.Point, nd *node, q geom.Rect) []geom.Point {
 // Insert adds points, O(log(n/B)) amortized I/Os each: into every R(u)
 // on their paths first and the point store last, so a batch ends on the
 // blocks every top-open read of the store goes through; the splits it
-// makes due follow. A batch of more than one point is one for every
-// tree it reaches too, each reading whole the leaves it touches
-// (dyntop.Tree.Add). A batch that passes n0/2 updates since the last
-// rebuild rebuilds every secondary instead.
+// makes due follow. Each point reads in every tree what inserting it
+// alone would (dyntop.Tree.Add). A batch that passes n0/2 updates since
+// the last rebuild rebuilds every secondary instead.
 func (ix *Index) Insert(pts ...geom.Point) {
 	ix.updates += len(pts)
 	if ix.xt.Root == nil || ix.updates*2 > ix.n0+2 {
@@ -302,7 +301,7 @@ func (ix *Index) Insert(pts ...geom.Point) {
 		path := ix.xt.Descend(p.X, nil)
 		ix.xt.Own(path)
 		for _, u := range path {
-			u.Data.Add(transpose(p), len(pts) > 1)
+			u.Data.Add(transpose(p))
 			u.MinX, u.MaxX = min(u.MinX, p.X), max(u.MaxX, p.X)
 		}
 	}

@@ -343,52 +343,65 @@ func TestWarmStreamCost(t *testing.T) {
 	}
 }
 
-// TestBatchReadsWholeLeaves: a multi-point Insert is a batch for the
-// point store and for every R(u) it reaches, and each reads every leaf
-// it touches whole, where a single insert reads only the blocks it
-// changes. Single
-// deletes first leave room in most blocks, so a single insert would stay
-// in its block. After a batch on a cold cache that holds every block, a
-// scan of each batch point alone — which reads the whole leaf around a
-// point inside it — reads nothing from the point store or from any R(u)
-// on the point's path.
-func TestBatchReadsWholeLeaves(t *testing.T) {
+// TestBatchReadsWhatSingleInsertsRead: a point of a multi-point Insert
+// reads, in the point store and in every R(u) it reaches, what it reads
+// when inserted alone — its leaf block, or the whole leaf when its
+// leaf's staircase changes. From the same cold state, on a cache that
+// holds every block, a batch therefore reads exactly the blocks the
+// same points read inserted one at a time in the same order. Half of
+// the points sit just left of and below an indexed point, so they are
+// dominated inside their leaves; the other half are random.
+func TestBatchReadsWhatSingleInsertsRead(t *testing.T) {
 	// The point store's CPQA buffer size differs between the two ε; its
 	// leaves' parents summarize their blocks at both.
 	for _, eps := range []float64{0.25, 0.5} {
-		batchReadsWholeLeaves(t, eps)
+		batch, single := batchVsSingle(t, eps)
+		if batch != single {
+			t.Errorf("eps=%.2f: the batch cost %v, the same points one at a time %v", eps, batch, single)
+		}
+		if batch.Reads == 0 {
+			t.Errorf("eps=%.2f: the batch read nothing from a cold cache", eps)
+		}
 	}
 }
 
-func batchReadsWholeLeaves(t *testing.T, eps float64) {
-	d := emio.NewDisk(emio.Config{B: 16, M: 16 * 16384})
+// batchVsSingle builds the same index twice, drops its cache, and
+// inserts the same points into one as a batch and into the other one at
+// a time, returning the I/O each cost.
+func batchVsSingle(t *testing.T, eps float64) (batch, single emio.Stats) {
 	base := geom.GenUniform(2000, 1<<20, 81)
 	for i := range base {
 		base[i] = pt(4*base[i].X, 4*base[i].Y)
 	}
-	ix := Build(d, eps, base)
 	perm := rand.New(rand.NewSource(82)).Perm(len(base))
-	for _, k := range perm[:len(base)/8] {
-		ix.Delete(base[k])
+	var pts []geom.Point
+	for n, k := range perm[len(base)/8 : len(base)/8+20] {
+		if n%2 == 0 {
+			pts = append(pts, pt(base[k].X-1, base[k].Y-1))
+		} else {
+			pts = append(pts, pt(base[k].Y+2, base[k].X+2))
+		}
 	}
-	// Each batch point sits just left of and below an indexed point, so
-	// it is dominated inside its leaf of the point store and of every
-	// R(u): a single insert of it would end at its block.
-	var batch []geom.Point
-	for _, k := range perm[len(base)/8 : len(base)/8+20] {
-		batch = append(batch, pt(base[k].X-1, base[k].Y-1))
-	}
-	d.DropCache()
-	ix.Insert(batch...)
-	for _, p := range batch {
+	run := func(insert func(ix *Index)) emio.Stats {
+		d := emio.NewDisk(emio.Config{B: 16, M: 16 * 16384})
+		ix := Build(d, eps, base)
+		for _, k := range perm[:len(base)/8] {
+			ix.Delete(base[k])
+		}
+		d.DropCache()
 		before := d.Stats()
-		ix.top.Scan(p.X, p.X, nil)
-		store := d.Stats().Sub(before).Reads
-		for _, u := range ix.xt.Descend(p.X, nil) {
-			u.Data.Scan(p.Y, p.Y, nil)
+		insert(ix)
+		cost := d.Stats().Sub(before)
+		if err := ix.Err(); err != nil {
+			t.Fatal(err)
 		}
-		if got := d.Stats().Sub(before); got.Reads > 0 || got.Writes > 0 {
-			t.Errorf("eps=%.2f: after the batch, scanning %v read %d blocks of the point store and %d of its R(u)s", eps, p, store, got.Reads-store)
-		}
+		return cost
 	}
+	batch = run(func(ix *Index) { ix.Insert(pts...) })
+	single = run(func(ix *Index) {
+		for _, p := range pts {
+			ix.Insert(p)
+		}
+	})
+	return batch, single
 }
